@@ -1,7 +1,7 @@
 //! Drivers that regenerate every table and figure of the paper's evaluation.
 //!
-//! Each function returns structured results; the `experiments` binary (and
-//! the Criterion benches) print or time them. The mapping to the paper:
+//! Each function returns structured results; the `experiments` binary
+//! prints them. The mapping to the paper:
 //!
 //! | Driver                  | Paper artefact                                   |
 //! |-------------------------|--------------------------------------------------|

@@ -21,9 +21,6 @@
 //! multi-scenario drivers `margin_sweep`/`table1`/`fig11_stretch`) fan out
 //! across a [`coyote_runtime::WorkerPool`]; thread count changes wall-clock
 //! time only, never results.
-//!
-//! Criterion benchmarks (`cargo bench --workspace`) time both the pipeline
-//! kernels and reduced versions of each experiment.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

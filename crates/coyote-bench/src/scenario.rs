@@ -20,8 +20,6 @@ use coyote_graph::Graph;
 use coyote_topology::{zoo, Topology};
 use coyote_traffic::{BimodalModel, DemandMatrix, GravityModel, UncertaintySet};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
 
 /// Base demand-matrix model (Section VI-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -41,35 +39,6 @@ impl BaseModel {
         }
     }
 
-    /// Generates the base matrix for a named topology, memoizing the result.
-    ///
-    /// Both models derive their demands from the node count, the link
-    /// capacities and the model's own (fixed) parameters — never from the
-    /// link weights — so within one process every scenario that shares a
-    /// (topology, model) pair shares one matrix. A sweep over the margin
-    /// grid would otherwise re-run the identical gravity/bimodal generation
-    /// for every margin and every protocol evaluation. The cache is
-    /// thread-safe; parallel sweep workers hit it concurrently.
-    pub fn generate_cached(self, topology_name: &str, graph: &Graph) -> DemandMatrix {
-        // The matrix depends on the graph only through its size and link
-        // capacities, so those (as a fingerprint) are the cache key — a
-        // hand-built topology that reuses a zoo name with different
-        // capacities can never be served a stale matrix.
-        let key = (topology_name.to_string(), capacity_fingerprint(graph), self);
-        // Hold the lock across the miss so concurrent workers can never
-        // generate the same matrix twice: generation is exactly-once per
-        // key, which also keeps the profiled generation count deterministic
-        // across `--threads` values.
-        let mut cache = base_matrix_cache().lock().unwrap();
-        if let Some(dm) = cache.get(&key) {
-            return dm.clone();
-        }
-        let dm = self.generate(graph);
-        coyote_obs::counter("bench.base_matrices_generated", 1);
-        cache.insert(key, dm.clone());
-        dm
-    }
-
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -77,30 +46,6 @@ impl BaseModel {
             BaseModel::Bimodal => "bimodal",
         }
     }
-}
-
-type BaseMatrixKey = (String, u64, BaseModel);
-
-/// Process-wide memo for [`BaseModel::generate_cached`].
-fn base_matrix_cache() -> &'static Mutex<HashMap<BaseMatrixKey, DemandMatrix>> {
-    static CACHE: OnceLock<Mutex<HashMap<BaseMatrixKey, DemandMatrix>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Hash of everything the demand models read from a graph: node count and
-/// the per-edge (endpoints, capacity) list. Weights are deliberately
-/// excluded — the heuristics rewrite them without affecting demands.
-fn capacity_fingerprint(graph: &Graph) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    graph.node_count().hash(&mut h);
-    for e in graph.edges() {
-        let (u, v) = graph.endpoints(e);
-        u.index().hash(&mut h);
-        v.index().hash(&mut h);
-        graph.capacity(e).to_bits().hash(&mut h);
-    }
-    h.finish()
 }
 
 /// Link-weight heuristic for the DAG construction (Section V-B Step I).
@@ -253,9 +198,7 @@ pub fn evaluate_scenario(scenario: &Scenario) -> Result<ScenarioEvaluation, Core
     match scenario.heuristic {
         WeightHeuristic::InverseCapacity => graph.set_inverse_capacity_weights(10.0),
         WeightHeuristic::LocalSearch => {
-            let base = scenario
-                .model
-                .generate_cached(&scenario.topology.name, &graph);
+            let base = scenario.model.generate(&graph);
             let unc = UncertaintySet::from_margin(&base, scenario.margin);
             let cfg = match scenario.effort {
                 Effort::Quick => LocalSearchConfig {
@@ -270,9 +213,7 @@ pub fn evaluate_scenario(scenario: &Scenario) -> Result<ScenarioEvaluation, Core
         }
     }
 
-    let base = scenario
-        .model
-        .generate_cached(&scenario.topology.name, &graph);
+    let base = scenario.model.generate(&graph);
     let uncertainty = UncertaintySet::from_margin(&base, scenario.margin);
 
     // COYOTE's augmented DAGs are also the normalization scope.
@@ -381,19 +322,6 @@ mod tests {
             Effort::Quick
         )
         .is_none());
-    }
-
-    #[test]
-    fn cached_base_matrix_matches_a_fresh_generation() {
-        let topo = zoo::by_name("Abilene").unwrap();
-        let graph = topo.to_graph().unwrap();
-        for model in [BaseModel::Gravity, BaseModel::Bimodal] {
-            let fresh = model.generate(&graph);
-            let first = model.generate_cached(&topo.name, &graph);
-            let second = model.generate_cached(&topo.name, &graph);
-            assert_eq!(fresh, first);
-            assert_eq!(first, second);
-        }
     }
 
     #[test]

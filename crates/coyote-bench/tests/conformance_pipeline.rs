@@ -7,9 +7,7 @@
 //!   max-utilization / drop-rate deltas within tolerance on both the base
 //!   and the worst-case demand matrix;
 //! * thread count changes wall-clock time only: a `threads = 4` conformance
-//!   run is bit-identical to `threads = 1`, record for record;
-//! * LP warm starts change wall-clock time only: the grid with phase-one
-//!   replay enabled is bit-identical to the grid with it disabled.
+//!   run is bit-identical to `threads = 1`, record for record.
 
 use coyote_bench::conformance::DEFAULT_TOLERANCE;
 use coyote_bench::{
@@ -169,32 +167,6 @@ fn compressed_conformance_is_bit_identical_across_thread_counts() {
             p.deterministic_view(),
             "compressed run diverged on {}",
             s.spec.id()
-        );
-    }
-}
-
-/// The revised simplex's phase-one replay is engineered to be bit-identical
-/// to cold solves (both paths renormalize at the phase boundary), so the
-/// entire conformance grid must produce identical records with warm starts
-/// on and off — the pipeline-level proof of the solver-level invariant
-/// tested in `coyote-lp/tests/warm_start.rs`.
-#[test]
-fn conformance_grid_is_bit_identical_with_warm_starts_on_and_off() {
-    let grid = small_grid();
-
-    coyote_lp::set_warm_starts(false);
-    let cold = run_conformance(&grid, 1, DEFAULT_TOLERANCE);
-    coyote_lp::set_warm_starts(true);
-    let cold = cold.expect("cold run");
-    let warm = run_conformance(&grid, 1, DEFAULT_TOLERANCE).expect("warm run");
-
-    for (c, w) in cold.records.iter().zip(&warm.records) {
-        assert_eq!(c.spec, w.spec);
-        assert_eq!(
-            c.deterministic_view(),
-            w.deterministic_view(),
-            "warm starts changed the result on {}",
-            c.spec.id()
         );
     }
 }

@@ -23,10 +23,8 @@
 //! *separability* — so an incremental engine can re-solve just the dirty
 //! destinations and copy every other solution over unchanged, and a cold
 //! recompile provably reproduces the same routing bit for bit. Warm starts
-//! go through [`PhaseOneCache`] (phase-one replay), the protocol `coyote-lp`
-//! guarantees to be bit-identical to a cold solve — unlike
-//! [`coyote_lp::WarmBasis`] restores, which may land on a different optimal
-//! vertex and are therefore never used here.
+//! go through [`PhaseOneCache`] (phase-one replay), which `coyote-lp`
+//! guarantees to be bit-identical to a cold solve.
 //!
 //! Like [`crate::opt_mcf::split_routable_within_dags`], demand from sources
 //! with no DAG out-edge (failures can partition a topology) is masked out

@@ -23,7 +23,7 @@
 use crate::error::CoreError;
 use crate::routing::PdRouting;
 use coyote_graph::{Dag, EdgeId, Graph, NodeId};
-use coyote_lp::{LpProblem, Relation, Sense, VarId, WarmBasis};
+use coyote_lp::{LpProblem, Relation, Sense, VarId};
 use coyote_traffic::DemandMatrix;
 
 /// Result of a demands-aware optimization.
@@ -54,52 +54,10 @@ impl EdgeScope<'_> {
     }
 }
 
-/// Carries the optimal basis from one `OPTU` solve to the next, so a
-/// sequence of solves over the **same graph/DAG structure** with different
-/// demand matrices re-enters the simplex from the previous optimum instead
-/// of running phase one from scratch. A structure change (different
-/// destinations or usable edge sets) silently invalidates the cache; the
-/// solver additionally falls back to a cold solve whenever the restored
-/// basis is not primal-feasible. Only the optimal *objective* is warm-start
-/// invariant; callers that consume the optimal flows should solve cold.
-#[derive(Debug, Clone, Default)]
-pub struct McfWarmCache {
-    inner: Option<(u64, WarmBasis)>,
-}
-
-impl McfWarmCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// FNV-1a fingerprint of the LP *structure* (active destinations and their
-/// usable edges) — demands and capacities may differ between warm solves.
-fn structure_fingerprint(destinations: &[NodeId], edges: &[Vec<EdgeId>]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(destinations.len() as u64);
-    for (&t, per_dest) in destinations.iter().zip(edges) {
-        mix(t.index() as u64);
-        mix(per_dest.len() as u64);
-        for &e in per_dest {
-            mix(e.index() as u64);
-        }
-    }
-    h
-}
-
 fn solve_mcf(
     graph: &Graph,
     dm: &DemandMatrix,
     scope: EdgeScope<'_>,
-    warm: Option<&mut McfWarmCache>,
 ) -> Result<McfSolution, CoreError> {
     let _span = coyote_obs::span("core.opt_mcf");
     coyote_obs::counter("core.opt_mcf.solves", 1);
@@ -124,15 +82,12 @@ fn solve_mcf(
 
     // g[k][edge] -> VarId (only edges usable for that destination).
     let mut flow_vars: Vec<Vec<Option<VarId>>> = Vec::with_capacity(destinations.len());
-    let mut usable_edges: Vec<Vec<EdgeId>> = Vec::with_capacity(destinations.len());
     for (k, &t) in destinations.iter().enumerate() {
         let mut per_edge = vec![None; graph.edge_count()];
-        let edges = scope.edges_for(graph, t);
-        for &e in &edges {
+        for e in scope.edges_for(graph, t) {
             let v = lp.add_nonneg_var(format!("g_{k}_{}", e.index()), 0.0);
             per_edge[e.index()] = Some(v);
         }
-        usable_edges.push(edges);
         flow_vars.push(per_edge);
     }
 
@@ -190,26 +145,12 @@ fn solve_mcf(
         lp.add_constraint(format!("cap_{}", e.index()), &terms, Relation::Le, 0.0);
     }
 
-    let map_err = |e: coyote_lp::LpError| match e {
+    let sol = lp.solve().map_err(|e| match e {
         coyote_lp::LpError::Infeasible { .. } => CoreError::UnroutableDemand {
             detail: "flow conservation cannot be satisfied inside the allowed edge set".into(),
         },
         other => CoreError::Lp(other),
-    };
-    let sol = match warm {
-        Some(cache) => {
-            let fp = structure_fingerprint(&destinations, &usable_edges);
-            let prev = cache
-                .inner
-                .as_ref()
-                .filter(|(cached_fp, _)| *cached_fp == fp)
-                .map(|(_, basis)| basis);
-            let (sol, next) = lp.solve_warm(prev).map_err(map_err)?;
-            cache.inner = Some((fp, next));
-            sol
-        }
-        None => lp.solve().map_err(map_err)?,
-    };
+    })?;
 
     let flows = flow_vars
         .iter()
@@ -231,7 +172,7 @@ fn solve_mcf(
 /// `OPTU(D)`: the optimal max link utilization over *all* per-destination
 /// routings (any edge usable).
 pub fn optu(graph: &Graph, dm: &DemandMatrix) -> Result<f64, CoreError> {
-    Ok(solve_mcf(graph, dm, EdgeScope::All, None)?.max_utilization)
+    Ok(solve_mcf(graph, dm, EdgeScope::All)?.max_utilization)
 }
 
 /// The demands-aware optimum restricted to the given per-destination DAGs
@@ -244,30 +185,7 @@ pub fn optu_within_dags(graph: &Graph, dags: &[Dag], dm: &DemandMatrix) -> Resul
             graph.node_count()
         )));
     }
-    Ok(solve_mcf(graph, dm, EdgeScope::Dags(dags), None)?.max_utilization)
-}
-
-/// [`optu_within_dags`] with basis reuse across calls: `cache` carries the
-/// previous optimal basis into the next solve, which pays off when many
-/// demand matrices are evaluated over the same graph and DAG set (e.g.
-/// [`crate::perf::EvaluationSet`]). Returns the same optimal utilization as
-/// the cold variant (same dual tolerance); the internal optimal vertex may
-/// differ on degenerate instances, which is invisible here because only the
-/// objective is returned.
-pub fn optu_within_dags_cached(
-    graph: &Graph,
-    dags: &[Dag],
-    dm: &DemandMatrix,
-    cache: &mut McfWarmCache,
-) -> Result<f64, CoreError> {
-    if dags.len() != graph.node_count() {
-        return Err(CoreError::DimensionMismatch(format!(
-            "{} DAGs for {} nodes",
-            dags.len(),
-            graph.node_count()
-        )));
-    }
-    Ok(solve_mcf(graph, dm, EdgeScope::Dags(dags), Some(cache))?.max_utilization)
+    Ok(solve_mcf(graph, dm, EdgeScope::Dags(dags))?.max_utilization)
 }
 
 /// The **Base** baseline of the evaluation: the optimal demands-aware
@@ -287,9 +205,7 @@ pub fn optimal_routing_within_dags(
             graph.node_count()
         )));
     }
-    // Solved cold on purpose: this consumer reads the optimal *flows* (not
-    // just the objective), and only cold solves are vertex-deterministic.
-    let sol = solve_mcf(graph, dm, EdgeScope::Dags(dags), None)?;
+    let sol = solve_mcf(graph, dm, EdgeScope::Dags(dags))?;
     let mut raw = vec![vec![0.0; graph.edge_count()]; graph.node_count()];
     for (k, &t) in sol.destinations.iter().enumerate() {
         for e in graph.edges() {

@@ -19,7 +19,7 @@
 //! validation and is used in the unit tests.
 
 use crate::error::CoreError;
-use crate::opt_mcf::{optu_within_dags_cached, McfWarmCache};
+use crate::opt_mcf::optu_within_dags;
 use crate::routing::PdRouting;
 use coyote_graph::{Dag, Graph, NodeId};
 use coyote_traffic::{DemandMatrix, UncertaintySet};
@@ -34,11 +34,6 @@ pub struct EvaluationSet {
     matrices: Vec<DemandMatrix>,
     /// `OPTU(D)` within the DAGs, per matrix (strictly positive).
     optima: Vec<f64>,
-    /// Basis carried between the normalization LPs: every matrix of the
-    /// family is solved over the same graph and DAG set, so each `OPTU`
-    /// warm-starts from the previous optimum. Only objectives are consumed
-    /// here, which is exactly the warm-start-invariant quantity.
-    warm: McfWarmCache,
 }
 
 /// Controls how many matrices an [`EvaluationSet`] contains.
@@ -74,7 +69,6 @@ impl EvaluationSet {
         Self {
             matrices: Vec::new(),
             optima: Vec::new(),
-            warm: McfWarmCache::new(),
         }
     }
 
@@ -182,7 +176,7 @@ impl EvaluationSet {
         if dm.is_zero() {
             return Ok(());
         }
-        let opt = optu_within_dags_cached(graph, dags, &dm, &mut self.warm)?;
+        let opt = optu_within_dags(graph, dags, &dm)?;
         if opt <= 1e-12 {
             return Ok(());
         }

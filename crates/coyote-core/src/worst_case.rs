@@ -549,6 +549,47 @@ mod tests {
         assert!(within.ratio <= all.ratio + 1e-6);
     }
 
+    /// Phase-one replay must not change a scan: the shared cache and a
+    /// cache emptied before every edge (all solves cold) give the same
+    /// ratio and witness, bit for bit.
+    #[test]
+    fn scan_is_bit_identical_with_and_without_phase_one_replay() {
+        let (g, s1, s2, _v, t) = fig1();
+        let routing = ecmp_routing(&g).unwrap();
+        let fractions = FractionTable::new(&g, &routing);
+        // A margin box has lower bounds, so phase one does real work.
+        let base = DemandMatrix::from_pairs(4, &[(s1, t, 1.0), (s2, t, 0.5)]);
+        let unc = UncertaintySet::from_margin(&base, 2.0);
+        let scope = RoutabilityScope::WithinDags;
+
+        let scan = |reset: bool| {
+            let mut slave = SlaveLp::new(&g, &routing, &fractions, &unc, scope).unwrap();
+            let mut best: Option<(DemandMatrix, f64)> = None;
+            for e in g.edges() {
+                if reset {
+                    slave.cache = PhaseOneCache::new();
+                }
+                if let Some((dm, ratio)) = slave.solve_edge(e).unwrap() {
+                    if best.as_ref().is_none_or(|b| ratio > b.1) {
+                        best = Some((dm, ratio));
+                    }
+                }
+            }
+            assert!(reset || slave.cache.is_primed());
+            best.unwrap()
+        };
+        let (warm_dm, warm_ratio) = scan(false);
+        let (cold_dm, cold_ratio) = scan(true);
+        assert_eq!(warm_ratio.to_bits(), cold_ratio.to_bits());
+        for (s, t, v) in cold_dm.pairs() {
+            assert_eq!(warm_dm.get(s, t).to_bits(), v.to_bits());
+        }
+        assert_eq!(warm_dm.pairs().count(), cold_dm.pairs().count());
+        // And the shared-cache scan is what the public entry point runs.
+        let wc = performance_ratio_exact(&g, &routing, &unc, scope, None).unwrap();
+        assert_eq!(wc.ratio.to_bits(), warm_ratio.to_bits());
+    }
+
     #[test]
     fn candidate_edge_restriction_is_respected() {
         let (g, s1, s2, _v, t) = fig1();

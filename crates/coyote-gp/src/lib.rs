@@ -1,45 +1,29 @@
 //! # coyote-gp
 //!
-//! Geometric-programming (GP) and log-space convex-optimization toolkit.
+//! Log-space convex-optimization helpers for COYOTE's splitting optimizer.
 //!
 //! COYOTE's in-DAG traffic-splitting optimization (Section V-C and
 //! Appendix C of the paper) cannot be expressed as a linear program because
 //! link loads are *products* of splitting ratios along paths. The paper's
 //! way out is geometric programming: take logarithms of the splitting
 //! variables so that each load constraint becomes a *log-sum-exp of affine
-//! functions* (convex), approximate the non-posynomial splitting-sum
-//! constraints by monomials ("condensation", the complementary-GP technique
-//! of Boyd et al. \[17\]), and iterate.
+//! functions* (convex). This reproduction never builds the GP symbolically:
+//! `coyote-core::oblivious` parametrizes the splitting ratios by a softmax
+//! (which enforces the per-node "ratios sum to one" constraint exactly),
+//! smooths the worst-case link utilization with a log-sum-exp and minimizes
+//! it with a first-order method. What is left in this crate is exactly what
+//! that needs:
 //!
-//! This crate provides, from scratch:
-//!
-//! * [`monomial::Monomial`] and [`posynomial::Posynomial`] — the GP algebra,
-//!   with evaluation both in the original and in the log domain;
-//! * [`logspace`] — numerically stable `log-sum-exp`, `softmax` and related
-//!   helpers;
-//! * [`condense`] — monomial approximation (condensation) of posynomials at
-//!   a point, the building block of the iterative complementary-GP loop;
-//! * [`solver`] — first-order unconstrained minimizers (gradient descent with
-//!   backtracking, Adam) over a user-supplied differentiable objective, plus
-//!   a penalty-method wrapper [`solver::GpProblem`] for full GP programs
-//!   (posynomial objective + posynomial `<= 1` constraints + monomial
-//!   equalities).
-//!
-//! `coyote-core` uses the solver with a softmax parametrization of splitting
-//! ratios (which enforces the per-node "ratios sum to one" constraint
-//! exactly) and uses the GP algebra to cross-validate against the analytic
-//! optimum of the paper's running example (the inverse golden ratio,
-//! Appendix B).
+//! * [`logspace`] — numerically stable `log-sum-exp`, `softmax` and the
+//!   smooth maximum with its weights;
+//! * [`solver`] — first-order unconstrained minimizers (Adam, and gradient
+//!   descent with backtracking) over a user-supplied differentiable
+//!   [`Objective`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod condense;
 pub mod logspace;
-pub mod monomial;
-pub mod posynomial;
 pub mod solver;
 
-pub use monomial::Monomial;
-pub use posynomial::Posynomial;
-pub use solver::{AdamOptions, GpProblem, Objective, OptResult};
+pub use solver::{AdamOptions, Objective, OptResult};

@@ -1,4 +1,4 @@
-//! First-order minimizers and a penalty-method GP solver.
+//! First-order minimizers.
 //!
 //! The COYOTE splitting-ratio optimization needs to minimize a smooth
 //! non-linear objective (the log-sum-exp-smoothed worst-case link
@@ -8,16 +8,8 @@
 //! optima on the problem sizes of the evaluation (verified against analytic
 //! solutions and LP lower bounds in `coyote-core`).
 //!
-//! Two layers are provided:
-//!
-//! * [`minimize_adam`] / [`minimize_gradient_descent`] over any
-//!   [`Objective`] (a function returning value + gradient);
-//! * [`GpProblem`]: a posynomial objective with posynomial `≤ 1` constraints
-//!   solved in the log domain via an exterior penalty, used for the small
-//!   analytic programs and to cross-check the core pipeline.
-
-use crate::logspace::{smooth_max, smooth_max_weights};
-use crate::posynomial::Posynomial;
+//! [`minimize_adam`] and [`minimize_gradient_descent`] work over any
+//! [`Objective`] (a function returning value + gradient).
 
 /// A differentiable objective: returns the value at `x` and writes the
 /// gradient into `grad` (which is zeroed by the caller).
@@ -215,146 +207,9 @@ pub fn minimize_gradient_descent(
     }
 }
 
-/// A geometric program in standard form:
-///
-/// ```text
-/// minimize    f0(x)
-/// subject to  f_i(x) <= 1     (posynomials)
-/// ```
-///
-/// solved in the log domain with an exterior quadratic penalty on the
-/// constraints and Adam as the inner minimizer. The penalty weight is
-/// increased geometrically until all constraints are satisfied to tolerance.
-#[derive(Debug, Clone)]
-pub struct GpProblem {
-    /// Number of variables.
-    pub num_vars: usize,
-    /// Posynomial objective.
-    pub objective: Posynomial,
-    /// Posynomial constraints, each interpreted as `p(x) <= 1`.
-    pub constraints: Vec<Posynomial>,
-}
-
-impl GpProblem {
-    /// Creates a GP with the given number of variables and objective.
-    pub fn new(num_vars: usize, objective: Posynomial) -> Self {
-        Self {
-            num_vars,
-            objective,
-            constraints: Vec::new(),
-        }
-    }
-
-    /// Adds a `p(x) <= 1` constraint.
-    pub fn add_constraint_le_one(&mut self, p: Posynomial) {
-        self.constraints.push(p);
-    }
-
-    /// Solves the GP starting from the all-ones point (log-domain origin)
-    /// unless `x0` is provided. Returns the solution in the *original*
-    /// domain (strictly positive values).
-    pub fn solve(&self, x0: Option<&[f64]>) -> OptResult {
-        let n = self.num_vars;
-        let y0: Vec<f64> = match x0 {
-            Some(x) => x.iter().map(|&v| v.max(1e-12).ln()).collect(),
-            None => vec![0.0; n],
-        };
-
-        let mut y = y0;
-        let mut penalty = 10.0;
-        let mut result_value = f64::INFINITY;
-        // Penalty loop: each round minimizes objective + penalty * violations².
-        for _round in 0..12 {
-            let objective = self.objective.clone();
-            let constraints = self.constraints.clone();
-            let pen = penalty;
-            let obj_fn = (n, move |yv: &[f64], grad: &mut [f64]| -> f64 {
-                // Objective in the log domain: log f0 is convex; minimizing
-                // f0 is equivalent to minimizing log f0.
-                let mut value = objective.eval_log(yv);
-                objective.accumulate_log_gradient(yv, 1.0, grad);
-                for c in &constraints {
-                    let g = c.eval_log(yv); // log p(x); feasible iff <= 0
-                    if g > 0.0 {
-                        value += pen * g * g;
-                        c.accumulate_log_gradient(yv, 2.0 * pen * g, grad);
-                    }
-                }
-                value
-            });
-            let opts = AdamOptions {
-                max_iters: 4_000,
-                learning_rate: 0.03,
-                ..AdamOptions::default()
-            };
-            let res = minimize_adam(&obj_fn, &y, &opts);
-            // Polish with line-search gradient descent: the penalized
-            // objective is smooth, so the Armijo search closes the last gap
-            // that a fixed-step method leaves open.
-            let polished = minimize_gradient_descent(&obj_fn, &res.x, 500, 1e-10);
-            y = if polished.value <= res.value {
-                polished.x.clone()
-            } else {
-                res.x.clone()
-            };
-            result_value = polished.value.min(res.value);
-
-            let worst_violation = self
-                .constraints
-                .iter()
-                .map(|c| c.eval_log(&y))
-                .fold(0.0_f64, f64::max);
-            if worst_violation <= 1e-6 {
-                break;
-            }
-            penalty *= 10.0;
-        }
-
-        OptResult {
-            value: self.objective.eval_log(&y).exp(),
-            x: y.iter().map(|&v| v.exp()).collect(),
-            iterations: 0,
-            converged: result_value.is_finite(),
-        }
-    }
-}
-
-/// Minimizes the (smoothed) maximum of several differentiable quantities.
-///
-/// `values_and_jacobian(x, values, jac)` must fill `values` (length `k`) and
-/// the dense Jacobian `jac[k][n]`. The helper smooths the max with
-/// temperature `tau` and minimizes with Adam; it is used by `coyote-core` to
-/// minimize the worst-case link utilization over edges and demand matrices.
-pub fn minimize_smooth_max<F>(
-    n: usize,
-    k: usize,
-    values_and_jacobian: F,
-    x0: &[f64],
-    tau: f64,
-    opts: &AdamOptions,
-) -> OptResult
-where
-    F: Fn(&[f64], &mut [f64], &mut [Vec<f64>]),
-{
-    let obj = (n, move |x: &[f64], grad: &mut [f64]| -> f64 {
-        let mut values = vec![0.0; k];
-        let mut jac = vec![vec![0.0; n]; k];
-        values_and_jacobian(x, &mut values, &mut jac);
-        let weights = smooth_max_weights(&values, tau);
-        for (w, row) in weights.iter().zip(&jac) {
-            for i in 0..n {
-                grad[i] += w * row[i];
-            }
-        }
-        smooth_max(&values, tau)
-    });
-    minimize_adam(&obj, x0, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monomial::Monomial;
 
     #[test]
     fn adam_minimizes_a_quadratic() {
@@ -405,56 +260,6 @@ mod tests {
             },
         );
         assert_eq!(res.iterations, 50);
-    }
-
-    #[test]
-    fn gp_problem_solves_a_classic_example() {
-        // minimize 1/(x*y) subject to x + y <= 1  -> x = y = 1/2, obj = 4.
-        let objective = Posynomial::from_monomial(Monomial::new(1.0, vec![(0, -1.0), (1, -1.0)]));
-        let mut gp = GpProblem::new(2, objective);
-        gp.add_constraint_le_one(Posynomial::new(vec![Monomial::var(0), Monomial::var(1)]));
-        let res = gp.solve(Some(&[0.2, 0.2]));
-        assert!((res.value - 4.0).abs() < 0.05, "value = {}", res.value);
-        assert!((res.x[0] - 0.5).abs() < 0.02);
-        assert!((res.x[1] - 0.5).abs() < 0.02);
-    }
-
-    #[test]
-    fn gp_problem_with_asymmetric_constraint() {
-        // minimize 1/x subject to 2x <= 1 -> x = 1/2, objective 2.
-        let objective = Posynomial::from_monomial(Monomial::new(1.0, vec![(0, -1.0)]));
-        let mut gp = GpProblem::new(1, objective);
-        gp.add_constraint_le_one(Posynomial::from_monomial(Monomial::new(
-            2.0,
-            vec![(0, 1.0)],
-        )));
-        let res = gp.solve(None);
-        assert!((res.x[0] - 0.5).abs() < 0.02, "x = {}", res.x[0]);
-        assert!((res.value - 2.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn smooth_max_minimizer_balances_two_terms() {
-        // minimize max(x, 1 - x): optimum at x = 0.5 with value 0.5.
-        let res = minimize_smooth_max(
-            1,
-            2,
-            |x, values, jac| {
-                values[0] = x[0];
-                values[1] = 1.0 - x[0];
-                jac[0][0] = 1.0;
-                jac[1][0] = -1.0;
-            },
-            &[0.0],
-            1e-3,
-            &AdamOptions {
-                max_iters: 5_000,
-                learning_rate: 0.02,
-                ..Default::default()
-            },
-        );
-        assert!((res.x[0] - 0.5).abs() < 1e-2, "x = {}", res.x[0]);
-        assert!((res.value - 0.5).abs() < 1e-2);
     }
 
     #[test]

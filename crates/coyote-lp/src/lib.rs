@@ -22,12 +22,12 @@
 //! The original work delegates these to AMPL/MOSEK; this crate implements the
 //! solver from scratch so that the whole reproduction is dependency-free.
 //!
-//! Repeated solves over growing constraint systems (the constraint-generation
-//! loop in `coyote-core::worst_case`) can warm-start: phase-one replay via
-//! [`PhaseOneCache`] is bit-identical to a cold solve and is on by default
-//! ([`set_warm_starts`], env `COYOTE_LP_WARM=0` to disable); basis restore via
-//! [`WarmBasis`] survives row/column appends and falls back to a cold solve
-//! when the restored basis is no longer primal feasible.
+//! Repeated solves of one constraint system under changing objectives (the
+//! per-edge slave LPs of `coyote-core::worst_case`, the per-destination LPs
+//! of `coyote-core::incremental`) warm-start through the crate's one
+//! warm-start entry point, [`LpProblem::solve_cached`]: phase-one replay
+//! via [`PhaseOneCache`], bit-identical to a cold solve by construction and
+//! therefore not switchable. Everything else solves cold.
 //!
 //! ## Usage
 //!
@@ -57,10 +57,7 @@ pub mod solution;
 pub mod sparse;
 
 pub use error::LpError;
-pub use model::{
-    default_backend, set_warm_starts, warm_starts_enabled, LpProblem, Relation, Sense,
-    SolverBackend, VarId,
-};
-pub use revised::{BasisKey, PhaseOneCache, RowKey, WarmBasis};
+pub use model::{default_backend, LpProblem, Relation, Sense, SolverBackend, VarId};
+pub use revised::PhaseOneCache;
 pub use solution::{LpSolution, SolveStats};
 pub use sparse::CsrMatrix;

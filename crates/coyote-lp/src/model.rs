@@ -1,10 +1,9 @@
 //! Problem-builder API: variables, bounds, linear constraints, objective.
 
 use crate::error::LpError;
-use crate::revised::{self, PhaseOneCache, WarmBasis};
+use crate::revised::{self, PhaseOneCache};
 use crate::simplex;
 use crate::solution::LpSolution;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// Which simplex implementation solves the problem.
@@ -26,28 +25,6 @@ pub fn default_backend() -> SolverBackend {
         Ok(v) if v.eq_ignore_ascii_case("dense") => SolverBackend::Dense,
         _ => SolverBackend::Revised,
     })
-}
-
-static WARM_STARTS: AtomicBool = AtomicBool::new(true);
-static WARM_ENV: OnceLock<bool> = OnceLock::new();
-
-/// Globally enables/disables warm starts for [`LpProblem::solve_cached`].
-/// Defaults to enabled; `COYOTE_LP_WARM=0` disables at startup. Explicit
-/// [`LpProblem::solve_warm`] calls are not affected — that API is an
-/// explicit opt-in by the caller.
-pub fn set_warm_starts(enabled: bool) {
-    WARM_STARTS.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether warm starts are currently enabled (see [`set_warm_starts`]).
-pub fn warm_starts_enabled() -> bool {
-    let env_ok = *WARM_ENV.get_or_init(|| {
-        !matches!(
-            std::env::var("COYOTE_LP_WARM").as_deref(),
-            Ok("0") | Ok("off")
-        )
-    });
-    env_ok && WARM_STARTS.load(Ordering::Relaxed)
 }
 
 /// Handle to a decision variable of an [`LpProblem`].
@@ -256,35 +233,13 @@ impl LpProblem {
     /// of an identical constraint system (same variables, bounds and
     /// constraints — the objective may differ), phase one is skipped and
     /// the result is bit-identical to a cold [`LpProblem::solve`]. Misses
-    /// fall back to a cold solve and prime the cache. No-op equivalent to
-    /// `solve()` when warm starts are disabled ([`set_warm_starts`]) or the
-    /// dense backend is selected.
+    /// fall back to a cold solve and prime the cache. Equivalent to
+    /// `solve()` when the dense backend is selected.
     pub fn solve_cached(&self, cache: &mut PhaseOneCache) -> Result<LpSolution, LpError> {
         self.validate()?;
         match self.backend.unwrap_or_else(default_backend) {
             SolverBackend::Dense => simplex::solve(self),
-            SolverBackend::Revised if !warm_starts_enabled() => revised::solve(self),
             SolverBackend::Revised => revised::solve_cached(self, cache),
-        }
-    }
-
-    /// Solves re-entering from a previous optimal basis, and returns the
-    /// optimal basis of *this* solve for the next call. The basis survives
-    /// model edits (rows/columns appended, bounds or right-hand sides
-    /// changed): members are tracked semantically and the basis is repaired
-    /// or abandoned (cold fallback) as needed. Reaches the same optimal
-    /// objective as a cold solve; the reported vertex may differ on
-    /// degenerate problems. Ignores the global warm-start toggle — calling
-    /// this API is the opt-in. Falls back to a plain cold solve on the
-    /// dense backend (which returns an empty reusable basis).
-    pub fn solve_warm(&self, warm: Option<&WarmBasis>) -> Result<(LpSolution, WarmBasis), LpError> {
-        self.validate()?;
-        match self.backend.unwrap_or_else(default_backend) {
-            SolverBackend::Dense => {
-                let sol = simplex::solve(self)?;
-                Ok((sol, WarmBasis { keys: Vec::new() }))
-            }
-            SolverBackend::Revised => revised::solve_warm(self, warm),
         }
     }
 }

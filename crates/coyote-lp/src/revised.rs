@@ -1,4 +1,4 @@
-//! Revised simplex over a sparse column store, with warm starts.
+//! Revised simplex over a sparse column store, with phase-one replay.
 //!
 //! This is the production solver behind [`crate::LpProblem::solve`]. It
 //! implements the same two-phase method as the dense oracle
@@ -21,30 +21,30 @@
 //!
 //! ## Warm starts
 //!
-//! Two protocols, deliberately distinct (see `docs/ARCHITECTURE.md`):
+//! One protocol: **phase-one replay** ([`PhaseOneCache`], used via
+//! [`crate::LpProblem::solve_cached`]). The cache holds the feasible basis
+//! reached at the end of phase one, keyed by a fingerprint of the
+//! *constraint system only* (bounds, rows, right-hand sides — never the
+//! objective). Phase one is a pure function of the constraints, so
+//! re-entering phase two from the cached basis is **bit-identical** to a
+//! cold solve of the same problem: both paths refactorize from scratch and
+//! recompute the basic values at the phase boundary, making the phase-two
+//! start state a pure function of (basis, constraints). This is what the
+//! constraint-generation loop uses when it re-solves the slave LP per edge
+//! with only the objective changing.
 //!
-//! * **Phase-one replay** ([`PhaseOneCache`], used via
-//!   [`crate::LpProblem::solve_cached`]): caches the feasible basis reached
-//!   at the end of phase one, keyed by a fingerprint of the *constraint
-//!   system only* (bounds, rows, right-hand sides — never the objective).
-//!   Phase one is a pure function of the constraints, so re-entering phase
-//!   two from the cached basis is **bit-identical** to a cold solve of the
-//!   same problem: both paths refactorize from scratch and recompute the
-//!   basic values at the phase boundary, making the phase-two start state a
-//!   pure function of (basis, constraints). This is what the
-//!   constraint-generation loop uses when it re-solves the slave LP per
-//!   edge with only the objective changing.
-//! * **Basis restore** ([`WarmBasis`], used via
-//!   [`crate::LpProblem::solve_warm`]): re-enters from a previous *optimal*
-//!   basis after the problem changed (rows/columns appended, right-hand
-//!   sides moved). Basis members are tracked by semantic [`BasisKey`]s so
-//!   they survive index shifts; unresolvable keys are dropped, the basis is
-//!   completed with slack/artificial columns and repaired if singular, and
-//!   if the restored basis is primal-infeasible the solver falls back to a
-//!   cold solve. This reaches the same optimal *objective* as a cold solve
-//!   (both are optimal within the dual tolerance) but may report a
-//!   different optimal vertex, which is why the bit-identity-sensitive
-//!   pipeline paths use phase-one replay instead.
+//! Equal fingerprints mean identical standard forms, so the cached basis is
+//! a plain list of column indices. A fingerprint collision is caught before
+//! it can do harm: a list of the wrong length or with an out-of-range
+//! column is ignored, and a basis that is not primal-feasible for the
+//! current system is rejected by `try_install`; either way the solve runs
+//! cold.
+//!
+//! Re-solves that move the *right-hand side* (the `OPTU` family of
+//! `coyote-core::perf::EvaluationSet`) are solved cold: the previous
+//! optimal basis stays dual-feasible there, not primal-feasible, so they
+//! want a dual method rather than a primal basis restore (see
+//! `docs/ARCHITECTURE.md`).
 
 use crate::basis::{Factorization, LuFactors};
 use crate::error::LpError;
@@ -69,55 +69,12 @@ enum VarMap {
     Split { pos: usize, neg: usize },
 }
 
-/// A standard-form row, identified independently of its current index so a
-/// basis can be re-mapped after constraints are appended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RowKey {
-    /// The i-th user constraint of the [`LpProblem`].
-    Constraint(usize),
-    /// The finite-upper-bound row generated for the given variable index.
-    Bound(usize),
-}
-
-/// A standard-form column, identified semantically (variable or row role)
-/// rather than positionally, so a basis survives row/column appends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BasisKey {
-    /// The primary standard column of a variable (its shifted, mirrored or
-    /// positive-split part).
-    Primary(usize),
-    /// The negative-split column of a free variable.
-    Negative(usize),
-    /// The slack/surplus column of a row.
-    Slack(RowKey),
-    /// The artificial column of a row.
-    Artificial(RowKey),
-}
-
-/// An optimal basis captured from a previous solve, re-usable as a warm
-/// start via [`crate::LpProblem::solve_warm`]. Opaque: it stays valid (if
-/// not necessarily useful) across arbitrary model edits.
-#[derive(Debug, Clone)]
-pub struct WarmBasis {
-    pub(crate) keys: Vec<BasisKey>,
-}
-
-impl WarmBasis {
-    /// Number of basic columns recorded.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True for the empty basis (a problem with no constraint rows).
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-}
-
 #[derive(Debug, Clone)]
 struct PhaseOneEntry {
     fingerprint: u64,
-    keys: Vec<BasisKey>,
+    /// Post-phase-one basis as standard-form column indices, in basis
+    /// position order.
+    basis: Vec<usize>,
     phase1_pivots: usize,
 }
 
@@ -162,19 +119,11 @@ struct SparseForm {
     is_artificial: Vec<bool>,
     /// Initial basis: slack (effective-`<=` rows) or artificial.
     initial_basis: Vec<usize>,
-    /// Artificial column of each row (`usize::MAX` if none).
-    art_of_row: Vec<usize>,
     /// Slack column of each row (`usize::MAX` if none).
     slack_of_row: Vec<usize>,
     /// A unit-ish column per row used for basis repair: the artificial if
     /// the row has one, its slack otherwise (every row has one of the two).
     unit_col_of_row: Vec<usize>,
-    /// Semantic identity of every column.
-    col_key: Vec<BasisKey>,
-    /// Standard-form row behind each row index.
-    row_key: Vec<RowKey>,
-    /// Bound-row index of each variable (`usize::MAX` if none).
-    bound_row_of_var: Vec<usize>,
     /// Constraint-system fingerprint (objective and sense excluded).
     fingerprint: u64,
     has_artificials: bool,
@@ -220,21 +169,18 @@ impl SparseForm {
         // --- Variable mapping (identical to the dense conversion). ---
         let mut var_map = Vec::with_capacity(problem.vars.len());
         let mut num_structural = 0usize;
-        let mut bound_rows: Vec<(usize, f64, usize)> = Vec::new(); // (col, ub, var)
-        let mut bound_row_of_var = vec![usize::MAX; problem.vars.len()];
-        let mut primary_col_key: Vec<(usize, BasisKey)> = Vec::new();
-        for (vi, v) in problem.vars.iter().enumerate() {
+        let mut bound_rows: Vec<(usize, f64)> = Vec::new(); // (col, ub)
+        for v in &problem.vars {
             if v.lower.is_finite() {
                 let col = num_structural;
                 num_structural += 1;
                 if v.upper.is_finite() {
-                    bound_rows.push((col, v.upper - v.lower, vi));
+                    bound_rows.push((col, v.upper - v.lower));
                 }
                 var_map.push(VarMap::Shifted {
                     col,
                     lower: v.lower,
                 });
-                primary_col_key.push((col, BasisKey::Primary(vi)));
             } else if v.upper.is_finite() {
                 let col = num_structural;
                 num_structural += 1;
@@ -242,14 +188,11 @@ impl SparseForm {
                     col,
                     upper: v.upper,
                 });
-                primary_col_key.push((col, BasisKey::Primary(vi)));
             } else {
                 let pos = num_structural;
                 let neg = num_structural + 1;
                 num_structural += 2;
                 var_map.push(VarMap::Split { pos, neg });
-                primary_col_key.push((pos, BasisKey::Primary(vi)));
-                primary_col_key.push((neg, BasisKey::Negative(vi)));
             }
         }
 
@@ -283,10 +226,9 @@ impl SparseForm {
             terms: Vec<(usize, f64)>,
             rhs: f64,
             relation: Relation,
-            key: RowKey,
         }
         let mut rows: Vec<Row> = Vec::with_capacity(problem.constraints.len() + bound_rows.len());
-        for (ci, cons) in problem.constraints.iter().enumerate() {
+        for cons in &problem.constraints {
             let mut terms: Vec<(usize, f64)> = Vec::new();
             let mut rhs = cons.rhs;
             for &(var, coeff) in &cons.terms {
@@ -309,16 +251,13 @@ impl SparseForm {
                 terms,
                 rhs,
                 relation: cons.relation,
-                key: RowKey::Constraint(ci),
             });
         }
-        for &(col, ub, vi) in &bound_rows {
-            bound_row_of_var[vi] = rows.len();
+        for &(col, ub) in &bound_rows {
             rows.push(Row {
                 terms: vec![(col, 1.0)],
                 rhs: ub,
                 relation: Relation::Le,
-                key: RowKey::Bound(vi),
             });
         }
 
@@ -338,17 +277,11 @@ impl SparseForm {
         let mut art_of_row = vec![usize::MAX; m];
         let mut slack_of_row = vec![usize::MAX; m];
         let mut total_cols = art_base;
-        let mut col_key: Vec<BasisKey> = vec![BasisKey::Primary(usize::MAX); art_base];
-        for &(col, key) in &primary_col_key {
-            col_key[col] = key;
-        }
-        let mut row_key = Vec::with_capacity(m);
         let mut slack_idx = 0usize;
-        // Artificial columns are appended after this loop so `col_key`
-        // indices stay dense; remember which rows need one.
+        // Artificial columns are appended after this loop, behind every
+        // slack column; remember which rows need one.
         let mut art_rows: Vec<usize> = Vec::new();
         for (i, row) in rows.iter().enumerate() {
-            row_key.push(row.key);
             let flip = row.rhs < 0.0;
             let rhs = row.rhs.abs();
             for &(col, coeff) in &row.terms {
@@ -367,7 +300,6 @@ impl SparseForm {
                     let col = slack_base + slack_idx;
                     slack_idx += 1;
                     triplets.push((col, i, 1.0));
-                    col_key[col] = BasisKey::Slack(row.key);
                     slack_of_row[i] = col;
                     initial_basis[i] = col;
                 }
@@ -375,7 +307,6 @@ impl SparseForm {
                     let col = slack_base + slack_idx;
                     slack_idx += 1;
                     triplets.push((col, i, -1.0));
-                    col_key[col] = BasisKey::Slack(row.key);
                     slack_of_row[i] = col;
                 }
                 Relation::Eq => {}
@@ -397,7 +328,6 @@ impl SparseForm {
             let col = total_cols;
             total_cols += 1;
             triplets.push((col, i, 1.0));
-            col_key.push(BasisKey::Artificial(row_key[i]));
             art_of_row[i] = col;
             initial_basis[i] = col;
         }
@@ -436,89 +366,11 @@ impl SparseForm {
             var_map,
             is_artificial,
             initial_basis,
-            art_of_row,
             slack_of_row,
             unit_col_of_row,
-            col_key,
-            row_key,
-            bound_row_of_var,
             fingerprint: constraint_fingerprint(problem),
             has_artificials,
         }
-    }
-
-    /// Resolves a semantic key to its current column, if it still exists
-    /// with the same role.
-    fn resolve_key(&self, key: BasisKey) -> Option<usize> {
-        let row_of = |rk: RowKey| -> Option<usize> {
-            match rk {
-                RowKey::Constraint(i) => {
-                    // User constraints always occupy the leading rows.
-                    let ncons = self
-                        .row_key
-                        .iter()
-                        .take_while(|k| matches!(k, RowKey::Constraint(_)))
-                        .count();
-                    (i < ncons).then_some(i)
-                }
-                RowKey::Bound(vi) => self
-                    .bound_row_of_var
-                    .get(vi)
-                    .copied()
-                    .filter(|&r| r != usize::MAX),
-            }
-        };
-        match key {
-            BasisKey::Primary(vi) => match self.var_map.get(vi)? {
-                VarMap::Shifted { col, .. } | VarMap::Mirrored { col, .. } => Some(*col),
-                VarMap::Split { pos, .. } => Some(*pos),
-            },
-            BasisKey::Negative(vi) => match self.var_map.get(vi)? {
-                VarMap::Split { neg, .. } => Some(*neg),
-                _ => None,
-            },
-            BasisKey::Slack(rk) => {
-                let r = row_of(rk)?;
-                (self.slack_of_row[r] != usize::MAX).then(|| self.slack_of_row[r])
-            }
-            BasisKey::Artificial(rk) => {
-                let r = row_of(rk)?;
-                (self.art_of_row[r] != usize::MAX).then(|| self.art_of_row[r])
-            }
-        }
-    }
-
-    /// Maps a key list to distinct columns. `strict` requires every key to
-    /// resolve (phase-one replay: the system is supposed to be identical);
-    /// otherwise unresolved or duplicate keys are dropped and the basis is
-    /// completed with per-row unit columns (basis restore after edits).
-    fn map_keys(&self, keys: &[BasisKey], strict: bool) -> Option<Vec<usize>> {
-        let mut cols = Vec::with_capacity(self.m);
-        let mut used = vec![false; self.total_cols];
-        for &key in keys {
-            match self.resolve_key(key) {
-                Some(c) if !used[c] => {
-                    used[c] = true;
-                    cols.push(c);
-                }
-                _ if strict => return None,
-                _ => {}
-            }
-        }
-        if strict && cols.len() != self.m {
-            return None;
-        }
-        // Complete a short basis with repair columns, rows in order.
-        let mut row = 0usize;
-        while cols.len() < self.m && row < self.m {
-            let c = self.unit_col_of_row[row];
-            if !used[c] {
-                used[c] = true;
-                cols.push(c);
-            }
-            row += 1;
-        }
-        (cols.len() == self.m).then_some(cols)
     }
 }
 
@@ -921,31 +773,22 @@ impl<'a> Solver<'a> {
         }
         Ok(())
     }
-
-    /// Semantic keys of the current basis, in position order.
-    fn basis_keys(&self) -> Vec<BasisKey> {
-        self.basis.iter().map(|&c| self.sf.col_key[c]).collect()
-    }
-}
-
-/// How a solve enters the two-phase loop.
-enum Start<'a> {
-    Cold,
-    /// Replay a cached post-phase-one basis (identical constraint system).
-    PhaseOne(&'a [BasisKey]),
-    /// Restore a previous optimal basis across model edits.
-    Full(&'a [BasisKey]),
 }
 
 struct Outcome {
     solution: LpSolution,
-    final_keys: Vec<BasisKey>,
-    post_phase1_keys: Vec<BasisKey>,
-    /// True when the warm entry path was actually used (phase one skipped).
+    post_phase1_basis: Vec<usize>,
+    /// True when the cached basis was actually installed (phase one skipped).
     warm: bool,
 }
 
-fn solve_inner(problem: &LpProblem, sf: &SparseForm, start: Start<'_>) -> Result<Outcome, LpError> {
+/// Two-phase solve; `replay` is a cached post-phase-one basis of a system
+/// with the same constraint fingerprint, `None` for a cold solve.
+fn solve_inner(
+    problem: &LpProblem,
+    sf: &SparseForm,
+    replay: Option<&[usize]>,
+) -> Result<Outcome, LpError> {
     let _span = coyote_obs::span("lp.solve");
     let limit = problem
         .iteration_limit
@@ -957,23 +800,16 @@ fn solve_inner(problem: &LpProblem, sf: &SparseForm, start: Start<'_>) -> Result
         ..Default::default()
     };
 
-    // Warm entry: map the keys and install the basis. Both warm kinds skip
-    // phase one on success; `try_install` rejects anything that is not
-    // primal-feasible within the phase-one tolerance.
-    let mut warm = false;
-    match start {
-        Start::Cold => {}
-        Start::PhaseOne(keys) => {
-            if let Some(candidate) = sf.map_keys(keys, true) {
-                warm = solver.try_install(candidate);
-            }
+    // Warm entry. An equal fingerprint means an identical standard form, so
+    // the cached columns are used as they are; the shape check and
+    // `try_install` (which rejects anything not primal-feasible within the
+    // phase-one tolerance) guard against a fingerprint collision.
+    let warm = match replay {
+        Some(basis) if basis.len() == sf.m && basis.iter().all(|&c| c < sf.total_cols) => {
+            solver.try_install(basis.to_vec())
         }
-        Start::Full(keys) => {
-            if let Some(candidate) = sf.map_keys(keys, false) {
-                warm = solver.try_install(candidate);
-            }
-        }
-    }
+        _ => false,
+    };
 
     if !warm {
         if sf.has_artificials {
@@ -990,7 +826,7 @@ fn solve_inner(problem: &LpProblem, sf: &SparseForm, start: Start<'_>) -> Result
         // relies on for bit-identical results.
         solver.refactorize()?;
     }
-    let post_phase1_keys = solver.basis_keys();
+    let post_phase1_basis = solver.basis.clone();
 
     stats.phase2_pivots = solver.run_phase(&sf.phase2_cost, true)?;
 
@@ -1020,15 +856,13 @@ fn solve_inner(problem: &LpProblem, sf: &SparseForm, start: Start<'_>) -> Result
     stats.basis_repairs = solver.basis_repairs;
     stats.warm_restore = warm;
 
-    let final_keys = solver.basis_keys();
     Ok(Outcome {
         solution: LpSolution {
             objective,
             values,
             stats,
         },
-        final_keys,
-        post_phase1_keys,
+        post_phase1_basis,
         warm,
     })
 }
@@ -1062,7 +896,7 @@ fn report(stats: &SolveStats) {
 /// Cold revised-simplex solve (already validated).
 pub(crate) fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
     let sf = SparseForm::build(problem);
-    let out = solve_inner(problem, &sf, Start::Cold)?;
+    let out = solve_inner(problem, &sf, None)?;
     report(&out.solution.stats);
     Ok(out.solution)
 }
@@ -1076,19 +910,14 @@ pub(crate) fn solve_cached(
     let cached = cache
         .entry
         .as_ref()
-        .filter(|e| e.fingerprint == sf.fingerprint)
-        .cloned();
-    let mut out = match &cached {
-        Some(entry) => solve_inner(problem, &sf, Start::PhaseOne(&entry.keys))?,
-        None => solve_inner(problem, &sf, Start::Cold)?,
-    };
+        .filter(|e| e.fingerprint == sf.fingerprint);
+    let mut out = solve_inner(problem, &sf, cached.map(|e| e.basis.as_slice()))?;
     if out.warm {
-        out.solution.stats.warm_pivots_saved =
-            cached.as_ref().map(|e| e.phase1_pivots).unwrap_or(0);
+        out.solution.stats.warm_pivots_saved = cached.map_or(0, |e| e.phase1_pivots);
     } else {
         cache.entry = Some(PhaseOneEntry {
             fingerprint: sf.fingerprint,
-            keys: out.post_phase1_keys.clone(),
+            basis: out.post_phase1_basis,
             phase1_pivots: out.solution.stats.phase1_pivots,
         });
     }
@@ -1096,28 +925,44 @@ pub(crate) fn solve_cached(
     Ok(out.solution)
 }
 
-/// Solve restoring `warm` when provided; returns the optimal basis for the
-/// next restore (already validated).
-pub(crate) fn solve_warm(
-    problem: &LpProblem,
-    warm: Option<&WarmBasis>,
-) -> Result<(LpSolution, WarmBasis), LpError> {
-    let sf = SparseForm::build(problem);
-    let out = match warm {
-        Some(wb) => {
-            let attempted = solve_inner(problem, &sf, Start::Full(&wb.keys))?;
-            if !attempted.warm && coyote_obs::enabled() {
-                coyote_obs::counter("lp.warm_fallbacks", 1);
-            }
-            attempted
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A cache entry whose fingerprint matches but whose column list does
+    /// not fit the system (what a fingerprint collision would leave behind)
+    /// must be ignored: cold solve, correct result, no panic.
+    #[test]
+    fn malformed_cache_entry_falls_back_to_a_cold_solve() {
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_var("x", 0.0, 4.0, 1.0);
+        let y = lp.add_var("y", 0.0, 4.0, 2.0);
+        let z = lp.add_var("z", 0.0, 4.0, 3.0);
+        lp.add_constraint("supply", &[(x, 1.0), (y, 1.0), (z, 1.0)], Relation::Eq, 6.0);
+        lp.add_constraint("mix", &[(y, 1.0), (z, 1.0)], Relation::Ge, 3.0);
+        let cold = solve(&lp).unwrap();
+        let sf = SparseForm::build(&lp);
+
+        let too_short = vec![0; sf.m - 1];
+        let mut out_of_range: Vec<usize> = (0..sf.m).collect();
+        out_of_range[0] = sf.total_cols;
+        // Right shape, but singular (and infeasible once repaired).
+        let duplicated = vec![0; sf.m];
+        for basis in [too_short, out_of_range, duplicated] {
+            let mut cache = PhaseOneCache {
+                entry: Some(PhaseOneEntry {
+                    fingerprint: sf.fingerprint,
+                    basis,
+                    phase1_pivots: 7,
+                }),
+            };
+            let sol = solve_cached(&lp, &mut cache).unwrap();
+            assert!(!sol.stats.warm_restore);
+            assert_eq!(sol.stats.warm_pivots_saved, 0);
+            assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
+            assert_eq!(sol.values, cold.values);
+            // The miss re-primed the cache with a usable basis.
+            assert!(solve_cached(&lp, &mut cache).unwrap().stats.warm_restore);
         }
-        None => solve_inner(problem, &sf, Start::Cold)?,
-    };
-    report(&out.solution.stats);
-    Ok((
-        out.solution,
-        WarmBasis {
-            keys: out.final_keys,
-        },
-    ))
+    }
 }

@@ -30,7 +30,7 @@ pub struct SolveStats {
     /// Singular basis columns replaced during factorization repair
     /// (revised backend only).
     pub basis_repairs: usize,
-    /// True when the solve re-entered from a warm basis and skipped
+    /// True when the solve replayed a cached phase-one basis and skipped
     /// phase one.
     pub warm_restore: bool,
     /// Phase-one pivots avoided by the warm start (the count the cached

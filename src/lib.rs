@@ -9,7 +9,8 @@
 //!
 //! * [`graph`] — directed capacitated graphs, shortest paths, DAGs, max-flow.
 //! * [`lp`] — the dense two-phase simplex LP solver.
-//! * [`gp`] — geometric-programming / log-space convex optimization toolkit.
+//! * [`gp`] — what the splitting optimizer needs of geometric programming:
+//!   log-space smooth-max helpers and first-order minimizers (Adam).
 //! * [`traffic`] — demand matrices (gravity, bimodal) and uncertainty sets.
 //! * [`topology`] — backbone topologies (Topology Zoo reconstructions).
 //! * [`core`] — COYOTE itself: DAG construction, splitting optimization,

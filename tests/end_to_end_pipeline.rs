@@ -139,3 +139,29 @@ fn every_zoo_topology_supports_the_basic_pipeline() {
         );
     }
 }
+
+/// The evaluation family's normalization denominators are plain cold
+/// `OPTU` solves: no state is carried from one matrix to the next.
+#[test]
+fn evaluation_set_optima_equal_standalone_optu_bit_for_bit() {
+    for topology in [zoo::abilene(), zoo::nsf()] {
+        let mut graph = topology.to_graph().expect("topology loads");
+        graph.set_inverse_capacity_weights(10.0);
+        let base = GravityModel::default().generate(&graph);
+        let uncertainty = UncertaintySet::from_margin(&base, 2.0);
+        let dags = build_all_dags(&graph, DagMode::Augmented).unwrap();
+        let evaluation = EvaluationSet::build(
+            &graph,
+            &dags,
+            &uncertainty,
+            Some(&base),
+            &EvaluationOptions::default(),
+        )
+        .unwrap();
+        assert!(evaluation.len() > 20, "{}", topology.name);
+        for (dm, opt) in evaluation.entries() {
+            let standalone = optu_within_dags(&graph, &dags, dm).unwrap();
+            assert_eq!(opt.to_bits(), standalone.to_bits(), "{}", topology.name);
+        }
+    }
+}
