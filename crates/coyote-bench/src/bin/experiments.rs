@@ -733,6 +733,7 @@ fn cmd_table1(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
 
 fn cmd_sweep(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
     let mut grid = SweepGrid::full(cli.effort);
+    let full_len = grid.len();
     if let Some(pattern) = &cli.filter {
         grid = grid.filter(pattern);
     }
@@ -769,7 +770,7 @@ fn cmd_sweep(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
     let text = format!(
         "== sweep: {scope} ({} of {} topologies × models × margins cells) ==\n{}{}",
         grid.len(),
-        SweepGrid::full(cli.effort).len(),
+        full_len,
         sweep_text(&report),
         footer
     );
@@ -782,6 +783,7 @@ fn cmd_sweep(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
 
 fn cmd_conform(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
     let mut grid = SweepGrid::conformance(cli.effort);
+    let full_len = grid.len();
     if let Some(pattern) = &cli.filter {
         grid = grid.filter(pattern);
     }
@@ -830,7 +832,7 @@ fn cmd_conform(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
     let text = format!(
         "== conform: {scope} ({} of {} topology × model cells) ==\n{}{}",
         grid.len(),
-        SweepGrid::conformance(cli.effort).len(),
+        full_len,
         conformance_text(&report),
         footer
     );
@@ -948,8 +950,8 @@ fn cmd_serve(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_failures(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let full_len = FailureGrid::standard(cli.effort, cli.events)?.len();
     let mut grid = FailureGrid::standard(cli.effort, cli.events)?;
+    let full_len = grid.len();
     if let Some(pattern) = &cli.filter {
         grid = grid.filter(pattern);
     }

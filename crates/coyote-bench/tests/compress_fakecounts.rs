@@ -14,19 +14,17 @@
 //!   so any drift in the compiler or the compression pass shows up as a
 //!   hard failure, not an epsilon miss.
 //!
-//! The vendored `serde_json` is serialize-only, so the baseline is read
-//! with a small line-oriented extractor instead of a JSON parser. The file
-//! is regenerated by the command in its own `description` field, which
-//! keeps the formatting stable (one key per line).
+//! The file is regenerated by the command in its own `description` field.
 
 use std::collections::BTreeMap;
 
 use coyote_bench::conformance::DEFAULT_TOLERANCE;
 use coyote_bench::{conformance_record_with, BaseModel, Effort, SweepSpec, WeightHeuristic};
 use coyote_ospf::CompressionLevel;
+use coyote_serve::json::JsonValue;
 
 /// One pinned grid cell from `ci/compress-fakecounts.json`.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct PinnedCell {
     uncompressed_fake_nodes: usize,
     compressed_fake_nodes: usize,
@@ -34,7 +32,7 @@ struct PinnedCell {
     within_tolerance: bool,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Baseline {
     tolerance: f64,
     epsilon: f64,
@@ -44,89 +42,54 @@ struct Baseline {
     cells: BTreeMap<String, PinnedCell>,
 }
 
-/// Pulls `"key": value` off a pretty-printed JSON line. Good enough for the
-/// baseline file, whose generator emits exactly one key per line.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let rest = line.trim_start().strip_prefix(&needle)?;
-    Some(rest.trim().trim_end_matches(',').trim())
-}
-
-fn parse_usize(v: &str) -> usize {
-    v.parse().unwrap_or_else(|_| panic!("bad integer {v:?} in baseline"))
+/// A non-negative integer member of a baseline object.
+fn count(object: &JsonValue, key: &str) -> usize {
+    let n = object
+        .get(key)
+        .and_then(JsonValue::as_f64)
+        .unwrap_or_else(|| panic!("baseline is missing the number {key:?}"));
+    assert!(n >= 0.0 && n.fract() == 0.0, "bad integer {n} for {key:?}");
+    n as usize
 }
 
 fn load_baseline() -> Baseline {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/compress-fakecounts.json");
     let text = std::fs::read_to_string(path).expect("ci/compress-fakecounts.json is checked in");
+    let doc = coyote_serve::json::parse(&text).expect("baseline is valid JSON");
+    let member = |key: &str| {
+        doc.get(key)
+            .unwrap_or_else(|| panic!("baseline lacks {key:?}"))
+    };
 
-    let mut out = Baseline::default();
-    let mut in_cells = false;
-    let mut in_totals = false;
-    let mut current: Option<(String, PinnedCell)> = None;
-
-    for line in text.lines() {
-        let trimmed = line.trim();
-        if trimmed.starts_with("\"cells\":") {
-            in_cells = true;
-            continue;
-        }
-        if trimmed.starts_with("\"totals\":") {
-            in_totals = true;
-            continue;
-        }
-        if let Some(v) = field(line, "tolerance") {
-            out.tolerance = v.parse().expect("tolerance");
-        } else if let Some(v) = field(line, "epsilon") {
-            out.epsilon = v.parse().expect("epsilon");
-        }
-        if in_totals {
-            if let Some(v) = field(line, "uncompressed_fake_nodes") {
-                out.total_uncompressed = parse_usize(v);
-            } else if let Some(v) = field(line, "compressed_fake_nodes") {
-                out.total_compressed = parse_usize(v);
-            } else if let Some(v) = field(line, "compressed_prefix_advertisements") {
-                out.total_advertisements = parse_usize(v);
-            } else if trimmed.starts_with('}') {
-                in_totals = false;
-            }
-            continue;
-        }
-        if !in_cells {
-            continue;
-        }
-        match &mut current {
-            None => {
-                // A cell opener looks like `"Abilene/Gravity/m2.0": {`.
-                if let Some(rest) = trimmed.strip_prefix('"') {
-                    if let Some(id) = rest.split('"').next() {
-                        if id.contains('/') && trimmed.ends_with('{') {
-                            current = Some((id.to_string(), PinnedCell::default()));
-                        }
-                    }
-                }
-            }
-            Some((id, cell)) => {
-                if let Some(v) = field(line, "uncompressed_fake_nodes") {
-                    cell.uncompressed_fake_nodes = parse_usize(v);
-                } else if let Some(v) = field(line, "compressed_fake_nodes") {
-                    cell.compressed_fake_nodes = parse_usize(v);
-                } else if let Some(v) = field(line, "compressed_prefix_advertisements") {
-                    cell.compressed_prefix_advertisements = parse_usize(v);
-                } else if let Some(v) = field(line, "within_tolerance") {
-                    cell.within_tolerance = v == "true";
-                } else if trimmed.starts_with('}') {
-                    let (id, cell) = (id.clone(), cell.clone());
-                    assert!(
-                        out.cells.insert(id.clone(), cell).is_none(),
-                        "duplicate cell {id} in baseline"
-                    );
-                    current = None;
-                }
-            }
-        }
+    let totals = member("totals");
+    let JsonValue::Object(cells) = member("cells") else {
+        panic!("baseline \"cells\" is not an object");
+    };
+    Baseline {
+        tolerance: member("tolerance").as_f64().expect("tolerance"),
+        epsilon: member("epsilon").as_f64().expect("epsilon"),
+        total_uncompressed: count(totals, "uncompressed_fake_nodes"),
+        total_compressed: count(totals, "compressed_fake_nodes"),
+        total_advertisements: count(totals, "compressed_prefix_advertisements"),
+        cells: cells
+            .iter()
+            .map(|(id, cell)| {
+                let pinned = PinnedCell {
+                    uncompressed_fake_nodes: count(cell, "uncompressed_fake_nodes"),
+                    compressed_fake_nodes: count(cell, "compressed_fake_nodes"),
+                    compressed_prefix_advertisements: count(
+                        cell,
+                        "compressed_prefix_advertisements",
+                    ),
+                    within_tolerance: cell
+                        .get("within_tolerance")
+                        .and_then(JsonValue::as_bool)
+                        .unwrap_or_else(|| panic!("{id}: no within_tolerance verdict")),
+                };
+                (id.clone(), pinned)
+            })
+            .collect(),
     }
-    out
 }
 
 fn cell_key(spec: &SweepSpec) -> String {

@@ -206,12 +206,6 @@ impl Graph {
         &self.edges[edge.index()]
     }
 
-    /// Mutable access to an edge (used to retune weights by the local search).
-    #[inline]
-    pub fn edge_mut(&mut self, edge: EdgeId) -> &mut Edge {
-        &mut self.edges[edge.index()]
-    }
-
     /// Endpoints `(src, dst)` of an edge.
     #[inline]
     pub fn endpoints(&self, edge: EdgeId) -> (NodeId, NodeId) {

@@ -10,15 +10,14 @@
 //!
 //! * [`Graph`] — a compact adjacency-list digraph with per-edge capacity and
 //!   OSPF-style weight, plus node names for human-readable reporting.
-//! * [`spf`] — Dijkstra shortest paths, distances *towards* a destination and
-//!   extraction of the shortest-path DAG rooted at a destination (the
-//!   starting point of COYOTE's DAG construction, Section V-B Step I).
+//! * [`spf`] — plain OSPF: Dijkstra distances *towards* a destination and
+//!   the shortest-path DAG (ECMP next-hop sets) rooted at it. The starting
+//!   point of COYOTE's DAG construction (Section V-B Step I), and the one
+//!   SPF kernel of the workspace: `coyote-ospf`'s simulated routers run it
+//!   over the graph view of their router LSAs.
 //! * [`dag`] — per-destination DAG representation with topological orders,
 //!   acyclicity validation and reverse-topological traversal (the order in
 //!   which splitting ratios and loads are propagated).
-//! * [`maxflow`] — Dinic max-flow / min-cut, used to scale demand polytopes
-//!   (the NP-hardness gadget of Theorem 1 relies on min-cuts) and to sanity
-//!   check that demand matrices are routable at all.
 //! * [`path`] — hop counts and average path length under a routing function,
 //!   used by the Fig. 11 "path stretch" experiment.
 //!
@@ -32,7 +31,6 @@
 pub mod dag;
 pub mod error;
 pub mod graph;
-pub mod maxflow;
 pub mod path;
 pub mod spf;
 

@@ -1,5 +1,5 @@
-//! Shortest-path-first (Dijkstra) computations and shortest-path DAG
-//! extraction.
+//! Plain OSPF: Dijkstra towards a destination and the shortest-path DAG
+//! (the ECMP next-hop sets) it induces.
 //!
 //! OSPF routers run Dijkstra over the link-state database; traffic to a
 //! destination `t` follows the *shortest-path DAG towards `t`*: the set of
@@ -7,6 +7,15 @@
 //! construction (Section V-B, Step I) starts from exactly this DAG, so the
 //! routines here compute distances *towards* a destination by running
 //! Dijkstra over reversed edges.
+//!
+//! This module is the workspace's only implementation of that question.
+//! The Fibbing compiler and compressor ask it of the physical [`Graph`];
+//! the simulated routers of `coyote-ospf` ask it of the graph view of their
+//! router LSAs and add nothing but the lies. The equal-cost tolerance
+//! ([`ECMP_EPSILON`], applied in [`shortest_path_dag`]) therefore has one
+//! owner, and so does the meaning of a link metric: `+∞` is OSPF's
+//! max-metric ("do not transit") and the link is skipped; zero, negative
+//! and NaN metrics are clamped to `ECMP_EPSILON`.
 
 use crate::graph::{EdgeId, Graph, NodeId};
 use std::cmp::Ordering;
@@ -16,13 +25,13 @@ use std::collections::BinaryHeap;
 /// (two paths whose lengths differ by less than this are "equal cost").
 pub const ECMP_EPSILON: f64 = 1e-9;
 
-/// Result of a single-source (or single-destination) Dijkstra run.
+/// Result of a single-destination Dijkstra run.
 #[derive(Debug, Clone)]
 pub struct SpfResult {
-    /// `dist[v]` is the shortest distance from/to the root; `f64::INFINITY`
-    /// when unreachable.
+    /// `dist[v]` is the shortest distance from `v` to the root;
+    /// `f64::INFINITY` when the root is unreachable.
     pub dist: Vec<f64>,
-    /// The root node of the computation.
+    /// The root (destination) of the computation.
     pub root: NodeId,
 }
 
@@ -33,7 +42,7 @@ impl SpfResult {
         self.dist[node.index()]
     }
 
-    /// True if `node` can reach (or be reached from) the root.
+    /// True if `node` can reach the root.
     #[inline]
     pub fn reachable(&self, node: NodeId) -> bool {
         self.dist[node.index()].is_finite()
@@ -64,11 +73,6 @@ impl ShortestPathDag {
     pub fn next_hops(&self, node: NodeId) -> &[EdgeId] {
         &self.next_hop_edges[node.index()]
     }
-
-    /// Number of nodes that can reach the destination.
-    pub fn reachable_count(&self) -> usize {
-        self.dist_to_dest.iter().filter(|d| d.is_finite()).count()
-    }
 }
 
 #[derive(Debug, PartialEq)]
@@ -97,70 +101,57 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Dijkstra from `source` following edges forward, using edge weights.
-/// Weights must be non-negative; non-positive weights are clamped to a tiny
-/// positive value so OSPF's "weight >= 1" convention is preserved.
-pub fn dijkstra_from(graph: &Graph, source: NodeId) -> SpfResult {
-    dijkstra_impl(graph, source, Direction::Forward)
-}
-
 /// Dijkstra *towards* `destination`: distances are measured along directed
 /// edges pointing at the destination (i.e. Dijkstra on the reversed graph).
 pub fn dijkstra_to(graph: &Graph, destination: NodeId) -> SpfResult {
-    dijkstra_impl(graph, destination, Direction::Reverse)
-}
-
-#[derive(Clone, Copy)]
-enum Direction {
-    Forward,
-    Reverse,
-}
-
-fn dijkstra_impl(graph: &Graph, root: NodeId, dir: Direction) -> SpfResult {
     coyote_obs::counter("graph.spf.runs", 1);
     let n = graph.node_count();
     let mut dist = vec![f64::INFINITY; n];
     let mut done = vec![false; n];
     let mut heap = BinaryHeap::new();
-    dist[root.index()] = 0.0;
+    dist[destination.index()] = 0.0;
     heap.push(HeapEntry {
         dist: 0.0,
-        node: root,
+        node: destination,
     });
 
-    while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-        if done[u.index()] {
+    while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
+        if done[v.index()] {
             continue;
         }
-        done[u.index()] = true;
-        let edges = match dir {
-            Direction::Forward => graph.out_edges(u),
-            Direction::Reverse => graph.in_edges(u),
-        };
-        for &e in edges {
+        done[v.index()] = true;
+        for &e in graph.in_edges(v) {
             let edge = graph.edge(e);
-            let v = match dir {
-                Direction::Forward => edge.dst,
-                Direction::Reverse => edge.src,
+            let Some(w) = usable_weight(edge.weight) else {
+                continue;
             };
-            let w = sanitize_weight(edge.weight);
+            let u = edge.src;
             let nd = d + w;
-            if nd + ECMP_EPSILON < dist[v.index()] {
-                dist[v.index()] = nd;
-                heap.push(HeapEntry { dist: nd, node: v });
+            if nd + ECMP_EPSILON < dist[u.index()] {
+                dist[u.index()] = nd;
+                heap.push(HeapEntry { dist: nd, node: u });
             }
         }
     }
 
-    SpfResult { dist, root }
+    SpfResult {
+        dist,
+        root: destination,
+    }
 }
 
+/// The metric SPF uses for a link advertised at `w`: `None` for `+∞`
+/// (max-metric: the link carries no transit traffic), otherwise `w` with
+/// zero, negative and NaN values clamped to a tiny positive metric so
+/// OSPF's "weight >= 1" convention is preserved.
 #[inline]
-fn sanitize_weight(w: f64) -> f64 {
-    if w.is_finite() && w > 0.0 {
-        w
+fn usable_weight(w: f64) -> Option<f64> {
+    if w == f64::INFINITY {
+        None
+    } else if w.is_finite() && w > 0.0 {
+        Some(w)
     } else {
-        ECMP_EPSILON
+        Some(ECMP_EPSILON)
     }
 }
 
@@ -178,7 +169,9 @@ pub fn shortest_path_dag(graph: &Graph, destination: NodeId) -> ShortestPathDag 
         if !du.is_finite() || !dv.is_finite() {
             continue;
         }
-        let w = sanitize_weight(edge.weight);
+        let Some(w) = usable_weight(edge.weight) else {
+            continue;
+        };
         // Relative tolerance: weights can span orders of magnitude when set
         // to inverse capacities.
         let tol = ECMP_EPSILON * (1.0 + du.abs().max(dv.abs() + w.abs()));
@@ -191,33 +184,6 @@ pub fn shortest_path_dag(graph: &Graph, destination: NodeId) -> ShortestPathDag 
         dist_to_dest: spf.dist,
         next_hop_edges,
     }
-}
-
-/// Computes the shortest-path DAGs towards every node of the graph.
-pub fn all_shortest_path_dags(graph: &Graph) -> Vec<ShortestPathDag> {
-    graph.nodes().map(|t| shortest_path_dag(graph, t)).collect()
-}
-
-/// Hop-count distances (every edge counts 1) from `source` to all nodes,
-/// following edges forward. Used by the path-stretch experiment which
-/// measures stretch in hops regardless of OSPF weights.
-pub fn hop_distances_from(graph: &Graph, source: NodeId) -> Vec<Option<usize>> {
-    let n = graph.node_count();
-    let mut dist = vec![None; n];
-    let mut queue = std::collections::VecDeque::new();
-    dist[source.index()] = Some(0);
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u.index()].expect("queued nodes have distances");
-        for &e in graph.out_edges(u) {
-            let v = graph.edge(e).dst;
-            if dist[v.index()].is_none() {
-                dist[v.index()] = Some(du + 1);
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
 }
 
 #[cfg(test)]
@@ -239,16 +205,6 @@ mod tests {
         g.add_bidirectional_edge(s2, t, 1.0, 1.0).unwrap();
         g.add_bidirectional_edge(v, t, 1.0, 1.0).unwrap();
         (g, s1, s2, v, t)
-    }
-
-    #[test]
-    fn dijkstra_forward_distances() {
-        let (g, s1, s2, v, t) = fig1_topology();
-        let spf = dijkstra_from(&g, s1);
-        assert_eq!(spf.distance(s1), 0.0);
-        assert_eq!(spf.distance(s2), 1.0);
-        assert_eq!(spf.distance(v), 1.0);
-        assert_eq!(spf.distance(t), 2.0);
     }
 
     #[test]
@@ -288,26 +244,7 @@ mod tests {
         assert!(spf.reachable(NodeId(0)));
         assert!(!spf.reachable(NodeId(2)));
         let dag = shortest_path_dag(&g, NodeId(1));
-        assert_eq!(dag.reachable_count(), 2);
         assert!(dag.next_hops(NodeId(2)).is_empty());
-    }
-
-    #[test]
-    fn all_dags_cover_all_destinations() {
-        let (g, ..) = fig1_topology();
-        let dags = all_shortest_path_dags(&g);
-        assert_eq!(dags.len(), g.node_count());
-        for (i, dag) in dags.iter().enumerate() {
-            assert_eq!(dag.destination, NodeId(i));
-            // The destination itself never has next hops.
-            assert!(dag.next_hops(NodeId(i)).is_empty());
-            // Everyone else has at least one (strongly connected topology).
-            for v in g.nodes() {
-                if v != NodeId(i) {
-                    assert!(!dag.next_hops(v).is_empty());
-                }
-            }
-        }
     }
 
     #[test]
@@ -328,27 +265,37 @@ mod tests {
     }
 
     #[test]
-    fn hop_distances_ignore_weights() {
-        let mut g = Graph::new();
-        let a = g.add_node("a").unwrap();
-        let b = g.add_node("b").unwrap();
-        let c = g.add_node("c").unwrap();
-        g.add_edge(a, c, 1.0, 10.0).unwrap();
-        g.add_edge(a, b, 1.0, 1.0).unwrap();
-        g.add_edge(b, c, 1.0, 1.0).unwrap();
-        let hops = hop_distances_from(&g, a);
-        assert_eq!(hops[c.index()], Some(1)); // direct edge, 1 hop
-        assert_eq!(hops[b.index()], Some(1));
-    }
-
-    #[test]
     fn zero_or_negative_weights_are_sanitized() {
         let mut g = Graph::new();
         let a = g.add_node("a").unwrap();
         let b = g.add_node("b").unwrap();
         g.add_edge(a, b, 1.0, 0.0).unwrap();
-        let spf = dijkstra_from(&g, a);
-        assert!(spf.distance(b) > 0.0);
-        assert!(spf.distance(b) < 1e-6);
+        let spf = dijkstra_to(&g, b);
+        assert!(spf.distance(a) > 0.0);
+        assert!(spf.distance(a) < 1e-6);
+    }
+
+    #[test]
+    fn an_infinite_metric_link_is_never_used() {
+        // a - b - c at unit weights; the only shortcut a -> c is advertised
+        // at max-metric. It must neither shorten a's distance nor become a
+        // next hop, and a router whose only link is max-metric is cut off.
+        let mut g = Graph::new();
+        let a = g.add_node("a").unwrap();
+        let b = g.add_node("b").unwrap();
+        let c = g.add_node("c").unwrap();
+        let d = g.add_node("d").unwrap();
+        g.add_edge(a, b, 1.0, 1.0).unwrap();
+        g.add_edge(b, c, 1.0, 1.0).unwrap();
+        let shortcut = g.add_edge(a, c, 1.0, f64::INFINITY).unwrap();
+        let stub = g.add_edge(d, c, 1.0, f64::INFINITY).unwrap();
+        let dag = shortest_path_dag(&g, c);
+        assert_eq!(dag.dist_to_dest[a.index()], 2.0);
+        assert_eq!(dag.dist_to_dest[b.index()], 1.0);
+        assert!(dag.dist_to_dest[d.index()].is_infinite());
+        assert_eq!(dag.next_hops(a), &[g.find_edge(a, b).unwrap()]);
+        assert!(dag.next_hops(d).is_empty());
+        assert!(!dag.edges().contains(&shortcut));
+        assert!(!dag.edges().contains(&stub));
     }
 }

@@ -37,8 +37,9 @@ use crate::error::OspfError;
 use crate::fibbing::{FibbingProgram, FibbingStats, VirtualLinkBudget};
 use crate::lsa::{FakeNodeId, FakeNodeLsa, PrefixAdvertisement};
 use crate::lsdb::Lsdb;
-use crate::spf::distances_to;
+use crate::spf::ties;
 use crate::wecmp::quantize_split;
+use coyote_graph::spf::shortest_path_dag;
 use coyote_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -166,18 +167,17 @@ pub fn compress_program(
     let mut groups: BTreeMap<(usize, usize), LieGroup> = BTreeMap::new();
     for (key, adverts) in raw {
         let cost = adverts.iter().map(|&(_, c)| c).fold(f64::INFINITY, f64::min);
-        let tol = 1e-9 * (1.0 + cost.abs());
         let mut hops = BTreeMap::new();
         for (n, c) in adverts {
-            if (c - cost).abs() <= tol {
+            if ties(c, cost) {
                 *hops.entry(n).or_insert(0u32) += 1;
             }
         }
         groups.insert(key, LieGroup { hops, cost });
     }
 
-    // Quantize and eliminate, destination by destination so the honest SPF
-    // distance field is computed once per prefix.
+    // Quantize and eliminate, destination by destination so plain SPF runs
+    // once per prefix.
     let mut quantized_entries = 0usize;
     let mut eliminated_groups = 0usize;
     let epsilon = level.epsilon();
@@ -188,9 +188,7 @@ pub fn compress_program(
     };
     for t_idx in destinations {
         let t = NodeId(t_idx);
-        // `distances_to` only reads the real router LSAs, so the program's
-        // LSDB doubles as the honest one.
-        let dist = distances_to(&program.lsdb, graph.node_count(), t);
+        let plain = shortest_path_dag(graph, t);
         let dag = target.dag(t);
         let group_keys: Vec<(usize, usize)> = groups
             .range((t_idx, 0)..(t_idx + 1, 0))
@@ -231,16 +229,9 @@ pub fn compress_program(
             // same equal split either way.
             let group = &groups[&key];
             if group.hops.values().all(|&m| m == 1) {
-                let real_dist = dist[u.index()];
-                let native: BTreeMap<usize, u32> = graph
-                    .out_edges(u)
+                let native: BTreeMap<usize, u32> = plain
+                    .next_hops(u)
                     .iter()
-                    .filter(|&&e| {
-                        let v = graph.edge(e).dst;
-                        dist[v.index()].is_finite()
-                            && (graph.weight(e).max(1e-9) + dist[v.index()] - real_dist).abs()
-                                < 1e-9 * (1.0 + real_dist.abs())
-                    })
                     .map(|&e| (graph.edge(e).dst.index(), 1))
                     .collect();
                 if native == group.hops {

@@ -146,12 +146,11 @@ mod tests {
         let old_target = example_fig1::golden_routing(&g, &nodes);
         let old = compute_program(&g, &old_target, budget).unwrap();
         let new_target = example_fig1::fig1c_routing(&g, &nodes);
-        let base = Lsdb::from_graph(&g);
         let updates = g
             .nodes()
             .map(|t| PrefixUpdate {
                 destination: t,
-                lies: compile_destination(&g, &base, &new_target, t, budget)
+                lies: compile_destination(&g, &new_target, t, budget)
                     .unwrap()
                     .lies,
                 retracted: old.lsdb.fakes_for(t).count(),

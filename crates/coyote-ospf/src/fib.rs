@@ -82,16 +82,6 @@ impl Fib {
         &mut self.entries[destination.index()][router.index()]
     }
 
-    /// Total number of FIB entries across the network for one destination —
-    /// the FIB-size cost of the configuration (Section VI discusses keeping
-    /// this small).
-    pub fn total_entries_for(&self, destination: NodeId) -> u32 {
-        self.entries[destination.index()]
-            .iter()
-            .map(FibEntry::total_entries)
-            .sum()
-    }
-
     /// Converts the FIB into a [`PdRouting`] so the core evaluation machinery
     /// (worst-case ratios, stretch, …) can be applied to the *realized*
     /// configuration. Fails if the forwarding state contains a loop for some
@@ -184,7 +174,6 @@ mod tests {
         fib.entry_mut(NodeId(2), NodeId(0)).add(NodeId(1), 1);
         let routing = fib.to_routing(&g).unwrap();
         routing.validate(&g).unwrap();
-        assert_eq!(fib.total_entries_for(NodeId(2)), 2);
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //!    (bounded by the operator's budget, Fig. 10 evaluates 3/5/10) and which
 //!    fake-node advertisements realize them.
 //!
+//! Step 2 asks [`coyote_graph::spf::shortest_path_dag`] of the physical
+//! graph — the same kernel, tolerance included, that the simulated routers
+//! of [`crate::spf`] run over their router LSAs, so "no lie needed" here
+//! means the routers really do install exactly that next-hop set.
+//!
 //! The resulting [`FibbingProgram`] carries the lied-to LSDB; running the
 //! ordinary SPF of [`crate::spf`] over it yields the FIB that the *real*
 //! routers would compute, which [`realized_routing`] converts back into a
@@ -26,9 +31,10 @@ use crate::error::OspfError;
 use crate::fib::Fib;
 use crate::lsa::FakeNodeLsa;
 use crate::lsdb::Lsdb;
-use crate::spf::{compute_fib, distances_to};
+use crate::spf::compute_fib;
 use crate::wecmp::approximate_split;
 use coyote_core::PdRouting;
+use coyote_graph::spf::shortest_path_dag;
 use coyote_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -108,14 +114,12 @@ pub struct DestinationLies {
 /// Computes the lies realizing `target`'s DAG and splitting ratios for the
 /// single destination `t`.
 ///
-/// Only the *router* LSAs of `base` are consulted (real SPF distances; lies
-/// never alter them), so the same `base` LSDB can be reused across
-/// destinations and the result for `t` depends only on the physical
-/// topology, `target.dag(t)` and `target`'s ratios towards `t` — the
-/// separability that the incremental re-optimization layer relies on.
+/// The result for `t` depends only on the physical topology (plain SPF
+/// towards `t`; lies never alter real distances), `target.dag(t)` and
+/// `target`'s ratios towards `t` — the separability that the incremental
+/// re-optimization layer relies on.
 pub fn compile_destination(
     graph: &Graph,
-    base: &Lsdb,
     target: &PdRouting,
     t: NodeId,
     budget: VirtualLinkBudget,
@@ -128,7 +132,7 @@ pub fn compile_destination(
         )));
     }
     let mut out_lies = DestinationLies::default();
-    let dist = distances_to(base, graph.node_count(), t);
+    let plain = shortest_path_dag(graph, t);
     let dag = target.dag(t);
     for u in graph.nodes() {
         if u == t {
@@ -141,20 +145,6 @@ pub fn compile_destination(
         // Desired fractions over the DAG out-edges of u.
         let fractions: Vec<f64> = out.iter().map(|&e| target.ratio(t, e)).collect();
         let multiplicities = approximate_split(&fractions, budget.max_entries_per_prefix);
-
-        // What would plain OSPF/ECMP do at u for this prefix?
-        let real_dist = dist[u.index()];
-        let native: Vec<NodeId> = graph
-            .out_edges(u)
-            .iter()
-            .filter(|&&e| {
-                let v = graph.edge(e).dst;
-                dist[v.index()].is_finite()
-                    && (graph.weight(e).max(1e-9) + dist[v.index()] - real_dist).abs()
-                        < 1e-9 * (1.0 + real_dist.abs())
-            })
-            .map(|&e| graph.edge(e).dst)
-            .collect();
 
         // Desired next hops with their multiplicities.
         let desired: Vec<(NodeId, u32)> = out
@@ -170,13 +160,17 @@ pub fn compile_destination(
             });
         }
 
-        // Native ECMP matches iff the desired set is exactly the native
-        // set, each with multiplicity one.
+        // What would plain OSPF/ECMP do at u for this prefix? Native ECMP
+        // matches iff the desired set is exactly the native set, each with
+        // multiplicity one.
         let mut desired_sorted: Vec<(usize, u32)> =
             desired.iter().map(|&(n, m)| (n.index(), m)).collect();
         desired_sorted.sort();
-        let mut native_sorted: Vec<(usize, u32)> =
-            native.iter().map(|n| (n.index(), 1)).collect();
+        let mut native_sorted: Vec<(usize, u32)> = plain
+            .next_hops(u)
+            .iter()
+            .map(|&e| (graph.edge(e).dst.index(), 1))
+            .collect();
         native_sorted.sort();
         if desired_sorted == native_sorted {
             out_lies.native_pairs += 1;
@@ -187,6 +181,7 @@ pub fn compile_destination(
         // below the real distance so the router uses them exclusively;
         // the per-neighbor multiplicity realizes the split.
         out_lies.lied_pairs += 1;
+        let real_dist = plain.dist_to_dest[u.index()];
         let total_cost = if real_dist.is_finite() {
             real_dist * 0.5
         } else {
@@ -227,7 +222,7 @@ pub fn compute_program(
     let mut stats = FibbingStats::default();
 
     for t in graph.nodes() {
-        let per_dest = compile_destination(graph, &lsdb, target, t, budget)?;
+        let per_dest = compile_destination(graph, target, t, budget)?;
         coyote_obs::observe(
             "ospf.fake_nodes_per_destination",
             per_dest.lies.len() as u64,
@@ -284,16 +279,23 @@ mod tests {
 
     #[test]
     fn plain_ecmp_needs_no_lies() {
-        let (g, _) = example_fig1::topology();
-        let target = ecmp_routing(&g).unwrap();
-        let program = compute_program(&g, &target, VirtualLinkBudget::per_prefix(5)).unwrap();
-        assert_eq!(program.stats.fake_nodes, 0);
-        assert_eq!(program.stats.lied_router_prefix_pairs, 0);
-        assert!(program.stats.native_router_prefix_pairs > 0);
-        let realized = realized_routing(&g, &program).unwrap();
-        for t in g.nodes() {
-            for e in g.edges() {
-                assert!((realized.ratio(t, e) - target.ratio(t, e)).abs() < 1e-9);
+        // Compiler and routers must agree on what plain OSPF does: on the
+        // running example and on every zoo topology, ECMP compiles to zero
+        // lies and the routers realize it exactly.
+        let zoo = coyote_topology::zoo::all()
+            .into_iter()
+            .map(|topology| topology.to_graph().unwrap());
+        for g in std::iter::once(example_fig1::topology().0).chain(zoo) {
+            let target = ecmp_routing(&g).unwrap();
+            let program = compute_program(&g, &target, VirtualLinkBudget::per_prefix(5)).unwrap();
+            assert_eq!(program.stats.fake_nodes, 0);
+            assert_eq!(program.stats.lied_router_prefix_pairs, 0);
+            assert!(program.stats.native_router_prefix_pairs > 0);
+            let realized = realized_routing(&g, &program).unwrap();
+            for t in g.nodes() {
+                for e in g.edges() {
+                    assert!((realized.ratio(t, e) - target.ratio(t, e)).abs() < 1e-9);
+                }
             }
         }
     }

@@ -6,8 +6,9 @@
 //!
 //! * [`lsa`] / [`lsdb`] — link-state advertisements (real and fake) and the
 //!   link-state database the routers flood.
-//! * [`spf`] — per-router SPF over the LSDB, honoring injected lies, and the
-//!   resulting [`fib::Fib`].
+//! * [`spf`] — per-router SPF over the LSDB and the resulting [`fib::Fib`]:
+//!   plain OSPF from `coyote_graph::spf` over [`Lsdb::real_topology`], plus
+//!   the injected lies.
 //! * [`wecmp`] — approximation of unequal splits by replicated ECMP entries
 //!   (Nemeth et al. \[18\]), under an operator-set virtual-link budget.
 //! * [`fibbing`] — the controller that computes which lies to inject for a
@@ -55,7 +56,7 @@ pub use fibbing::{
 };
 pub use lsa::{FakeNodeId, FakeNodeLsa, PrefixAdvertisement, RouterLink, RouterLsa};
 pub use lsdb::{Lsdb, PruneStats};
-pub use spf::{compute_fib, distances_to};
+pub use spf::compute_fib;
 pub use verify::{
     compare_routings, fake_nodes_per_destination, verify_program, VerificationReport,
 };

@@ -1,6 +1,7 @@
 //! The OSPF link-state database, including injected lies.
 
 use crate::lsa::{FakeNodeId, FakeNodeLsa, RouterLink, RouterLsa};
+use coyote_graph::spf::dijkstra_to;
 use coyote_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
@@ -79,6 +80,27 @@ impl Lsdb {
         &self.router_lsas
     }
 
+    /// The real topology as the routers see it: a graph over node ids
+    /// `0..node_count` with one edge per advertised adjacency (parallel
+    /// adjacencies kept, the advertised metric as weight, unit capacity —
+    /// LSAs carry none). Lies are not part of it, and a router whose LSA is
+    /// withdrawn stays as an isolated node so ids keep their meaning.
+    ///
+    /// This is what [`coyote_graph::spf`] runs over to answer "what would
+    /// plain OSPF do" on the router side. Panics if an LSA names a router
+    /// outside `0..node_count` or lists itself as a neighbor.
+    pub fn real_topology(&self, node_count: usize) -> Graph {
+        let mut graph = Graph::with_nodes(node_count);
+        for lsa in &self.router_lsas {
+            for link in &lsa.links {
+                graph
+                    .add_edge(lsa.router, link.neighbor, 1.0, link.weight)
+                    .expect("router LSAs name distinct routers inside the node-id space");
+            }
+        }
+        graph
+    }
+
     /// Injects a lie and returns its id.
     pub fn inject(&mut self, mut lie: FakeNodeLsa) -> FakeNodeId {
         let id = FakeNodeId(self.fakes.len());
@@ -108,17 +130,6 @@ impl Lsdb {
     /// Lies relevant to one destination prefix (fakes advertising it).
     pub fn fakes_for(&self, destination: NodeId) -> impl Iterator<Item = &FakeNodeLsa> + '_ {
         self.fakes.iter().filter(move |f| f.advertises(destination))
-    }
-
-    /// Lies attached at one router advertising one destination prefix.
-    pub fn fakes_at(
-        &self,
-        router: NodeId,
-        destination: NodeId,
-    ) -> impl Iterator<Item = &FakeNodeLsa> + '_ {
-        self.fakes
-            .iter()
-            .filter(move |f| f.attachment == router && f.advertises(destination))
     }
 
     /// Removes every lie (e.g. before recomputing a new configuration).
@@ -215,7 +226,7 @@ impl Lsdb {
         // computed lazily (one SPF per distinct destination among the lies).
         // The node-id space is the *original* one — a previous prune may
         // already have withdrawn LSAs, so `router_lsas.len()` undercounts.
-        let node_count = self.node_id_space();
+        let surviving = pruned.real_topology(self.node_id_space());
         let mut dist_cache: BTreeMap<NodeId, Vec<f64>> = BTreeMap::new();
         for fake in &self.fakes {
             let structurally_dead = dead.contains(&fake.attachment)
@@ -232,9 +243,9 @@ impl Lsdb {
             let mut survivor = fake.clone();
             survivor.prefixes.retain(|p| {
                 let gone = dead.contains(&p.destination) || {
-                    let dist = dist_cache.entry(p.destination).or_insert_with(|| {
-                        crate::spf::distances_to(&pruned, node_count, p.destination)
-                    });
+                    let dist = dist_cache
+                        .entry(p.destination)
+                        .or_insert_with(|| dijkstra_to(&surviving, p.destination).dist);
                     !dist[fake.forwarding_address.index()].is_finite()
                 };
                 if gone {
@@ -276,17 +287,6 @@ impl Lsdb {
             }
         }
         max
-    }
-
-    /// Number of fake nodes attached per router for one destination — the
-    /// quantity the paper bounds when discussing FIB blow-up (Section VI,
-    /// "Approximating the optimal traffic splitting").
-    pub fn fakes_per_router(&self, destination: NodeId, node_count: usize) -> Vec<usize> {
-        let mut counts = vec![0usize; node_count];
-        for f in self.fakes_for(destination) {
-            counts[f.attachment.index()] += 1;
-        }
-        counts
     }
 }
 
@@ -466,8 +466,6 @@ mod tests {
             (FakeNodeId(0), FakeNodeId(1), FakeNodeId(2), FakeNodeId(3))
         );
         assert_eq!(lsdb.fakes_for(NodeId(2)).count(), 3);
-        assert_eq!(lsdb.fakes_at(NodeId(0), NodeId(2)).count(), 2);
-        assert_eq!(lsdb.fakes_per_router(NodeId(2), 3), vec![2, 1, 0]);
         assert_eq!(lsdb.prefix_advertisement_count(), 4);
         lsdb.clear_fakes();
         assert_eq!(lsdb.fake_count(), 0);

@@ -1,113 +1,96 @@
 //! Per-router SPF over the (possibly lied-to) LSDB.
 //!
-//! Every OSPF router runs Dijkstra over the link-state database and installs
-//! the equal-cost next hops towards each destination prefix. Fake-node
-//! advertisements participate exactly like real routes: if a lie attached at
-//! router `u` advertises the destination at a total cost lower than `u`'s
-//! real shortest-path distance, `u` prefers the lie (and forwards to the
-//! lie's forwarding address); equal-cost lies and real routes are combined
-//! by ECMP, with one FIB entry each — which is how virtual next hops realize
-//! unequal splits.
+//! Plain OSPF — distances towards a prefix and the equal-cost next hops —
+//! is not computed here: it is [`coyote_graph::spf::shortest_path_dag`] run
+//! over [`Lsdb::real_topology`], the same kernel the Fibbing compiler asks
+//! about the physical graph, so compiler and routers agree by construction
+//! on what a lie-free router would do. This module adds only the lies.
+//! Fake-node advertisements participate exactly like real routes: if a lie
+//! attached at router `u` advertises the destination at a total cost lower
+//! than `u`'s real shortest-path distance, `u` prefers the lie (and forwards
+//! to the lie's forwarding address); equal-cost lies and real routes are
+//! combined by ECMP, with one FIB entry each — which is how virtual next
+//! hops realize unequal splits. Lies never alter the real distance field:
+//! in Fibbing they are crafted per destination and only influence the
+//! router they are attached to.
 
 use crate::fib::Fib;
 use crate::lsdb::Lsdb;
+use coyote_graph::spf::shortest_path_dag;
 use coyote_graph::NodeId;
 
-/// Relative tolerance when comparing route costs.
+/// Relative tolerance when comparing a lie's advertised cost against the
+/// real distance (or against another lie's cost).
 const COST_EPSILON: f64 = 1e-9;
 
-/// Shortest distances towards `destination` computed from the *real* router
-/// LSAs of the LSDB (fake nodes do not alter the real distance field — in
-/// Fibbing the lies are crafted per-destination and only influence the
-/// routers they are attached to).
-pub fn distances_to(lsdb: &Lsdb, node_count: usize, destination: NodeId) -> Vec<f64> {
-    coyote_obs::counter("ospf.spf.runs", 1);
-    // Build reverse adjacency: for Dijkstra towards the destination we relax
-    // incoming links, i.e. we need, for every router v, the list of (u, w)
-    // such that u advertises a link u -> v with weight w.
-    let mut incoming: Vec<Vec<(usize, f64)>> = vec![Vec::new(); node_count];
-    for lsa in lsdb.router_lsas() {
-        for link in &lsa.links {
-            incoming[link.neighbor.index()]
-                .push((lsa.router.index(), link.weight.max(COST_EPSILON)));
-        }
-    }
+/// True when a route at `cost` ties with the winning cost `best`. The
+/// compressor groups lies with the same test, so it keeps exactly the lies
+/// the routers would install.
+#[inline]
+pub(crate) fn ties(cost: f64, best: f64) -> bool {
+    (cost - best).abs() <= COST_EPSILON * (1.0 + best.abs())
+}
 
-    let mut dist = vec![f64::INFINITY; node_count];
-    let mut done = vec![false; node_count];
-    dist[destination.index()] = 0.0;
-    for _ in 0..node_count {
-        // O(n^2) Dijkstra: the LSDBs in play are small and this keeps the
-        // routine allocation-free in the inner loop.
-        let mut best = usize::MAX;
-        let mut best_d = f64::INFINITY;
-        for (i, (&d, &f)) in dist.iter().zip(done.iter()).enumerate() {
-            if !f && d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        if best == usize::MAX {
-            break;
-        }
-        done[best] = true;
-        for &(u, w) in &incoming[best] {
-            if dist[best] + w < dist[u] - COST_EPSILON {
-                dist[u] = dist[best] + w;
-            }
-        }
-    }
-    dist
+/// The cost at which `u` routes towards `t`: the cheaper of its real
+/// distance and its cheapest lie. `None` when `u` installs nothing for `t` —
+/// it is the destination itself, or it has no real route (which includes
+/// every router whose LSA is withdrawn; lies do not resurrect it).
+#[inline]
+fn winning_cost(u: NodeId, t: NodeId, real_dist: f64, cheapest_lie: f64) -> Option<f64> {
+    (u != t && real_dist.is_finite()).then(|| real_dist.min(cheapest_lie))
 }
 
 /// Computes the full FIB: for every destination prefix and every router, the
 /// ECMP next-hop multiset after taking the injected lies into account.
+///
+/// One pass over the lies finds the cheapest one per (prefix, router); one
+/// plain SPF per prefix installs the real next hops wherever the real route
+/// ties with the winning cost; a second pass over the lies adds one entry
+/// per lie at the winning cost.
 pub fn compute_fib(lsdb: &Lsdb, node_count: usize) -> Fib {
     let _span = coyote_obs::span("ospf.spf");
+    coyote_obs::counter("ospf.spf.runs", node_count as u64);
     let mut fib = Fib::new(node_count);
-    for t_idx in 0..node_count {
-        let t = NodeId(t_idx);
-        let dist = distances_to(lsdb, node_count, t);
-        for lsa in lsdb.router_lsas() {
-            let u = lsa.router;
-            if u == t || !dist[u.index()].is_finite() {
-                continue;
-            }
-            let real_dist = dist[u.index()];
 
-            // Cheapest lie attached at u advertising this destination, if
-            // any (shared fakes carry per-prefix costs).
-            let best_fake = lsdb
-                .fakes_at(u, t)
-                .filter_map(|f| f.total_cost_to(t))
-                .fold(f64::INFINITY, f64::min);
+    // `cheapest_lie[t][u]`: the lowest total cost any lie attached at `u`
+    // advertises towards `t` (shared fakes carry per-prefix costs).
+    let mut cheapest_lie = vec![vec![f64::INFINITY; node_count]; node_count];
+    for fake in lsdb.fakes() {
+        for p in &fake.prefixes {
+            let slot = &mut cheapest_lie[p.destination.index()][fake.attachment.index()];
+            *slot = slot.min(fake.cost_to_fake + p.cost_fake_to_destination);
+        }
+    }
 
-            let best = real_dist.min(best_fake);
-            let tol = COST_EPSILON * (1.0 + best.abs());
-            let entry = fib.entry_mut(u, t);
-
-            if (real_dist - best).abs() <= tol {
-                // Real ECMP next hops participate.
-                for link in &lsa.links {
-                    let v = link.neighbor;
-                    if !dist[v.index()].is_finite() {
-                        continue;
-                    }
-                    let through = link.weight.max(COST_EPSILON) + dist[v.index()];
-                    if (through - real_dist).abs() <= COST_EPSILON * (1.0 + real_dist.abs()) {
-                        entry.add(v, 1);
-                    }
+    // Plain OSPF, one run per prefix; only the distance rows are kept.
+    let real = lsdb.real_topology(node_count);
+    let mut real_dist = Vec::with_capacity(node_count);
+    for t in real.nodes() {
+        let dag = shortest_path_dag(&real, t);
+        for u in real.nodes() {
+            let d = dag.dist_to_dest[u.index()];
+            let lie = cheapest_lie[t.index()][u.index()];
+            if winning_cost(u, t, d, lie).is_some_and(|best| ties(d, best)) {
+                let entry = fib.entry_mut(u, t);
+                for &e in dag.next_hops(u) {
+                    entry.add(real.edge(e).dst, 1);
                 }
             }
-            // Lies at the best cost add one entry each towards their
-            // forwarding address.
-            for f in lsdb.fakes_at(u, t) {
-                let Some(cost) = f.total_cost_to(t) else {
-                    continue;
-                };
-                if (cost - best).abs() <= tol {
-                    entry.add(f.forwarding_address, 1);
-                }
+        }
+        real_dist.push(dag.dist_to_dest);
+    }
+
+    // Lies at the winning cost add one entry each towards their forwarding
+    // address.
+    for fake in lsdb.fakes() {
+        let u = fake.attachment;
+        for p in &fake.prefixes {
+            let t = p.destination;
+            let d = real_dist[t.index()][u.index()];
+            let lie = cheapest_lie[t.index()][u.index()];
+            let cost = fake.cost_to_fake + p.cost_fake_to_destination;
+            if winning_cost(u, t, d, lie).is_some_and(|best| ties(cost, best)) {
+                fib.entry_mut(u, t).add(fake.forwarding_address, 1);
             }
         }
     }
@@ -132,17 +115,6 @@ mod tests {
         g.add_bidirectional_edge(s2, t, 1.0, 1.0).unwrap();
         g.add_bidirectional_edge(v, t, 1.0, 1.0).unwrap();
         (g, s1, s2, v, t)
-    }
-
-    #[test]
-    fn distances_match_the_graph_spf() {
-        let (g, s1, s2, v, t) = fig1();
-        let lsdb = Lsdb::from_graph(&g);
-        let dist = distances_to(&lsdb, 4, t);
-        assert_eq!(dist[t.index()], 0.0);
-        assert!((dist[s2.index()] - 1.0).abs() < 1e-9);
-        assert!((dist[v.index()] - 1.0).abs() < 1e-9);
-        assert!((dist[s1.index()] - 2.0).abs() < 1e-9);
     }
 
     #[test]

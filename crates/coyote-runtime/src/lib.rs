@@ -5,7 +5,7 @@
 //! The experiment harness (`coyote-bench`) evaluates large scenario grids —
 //! 16 topologies × two base demand models × a sweep of uncertainty margins —
 //! where every scenario is independent and CPU-bound (LP solves, gradient
-//! descent, max-flow). This crate provides the one primitive that workload
+//! descent). This crate provides the one primitive that workload
 //! needs: an **ordered parallel map** over a slice, built on
 //! [`std::thread::scope`] so the build stays offline (no `rayon`, no
 //! external crates).

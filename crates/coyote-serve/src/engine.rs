@@ -450,11 +450,10 @@ impl TeEngine {
         let mut caches: Vec<PhaseOneCache> = (0..n).map(|_| PhaseOneCache::new()).collect();
         let (routing, solves) =
             coyote_core::separable_routing(&current, &dags, &self.demands, &mut caches)?;
-        let base = Lsdb::from_graph(&current);
         let mut lies = Vec::with_capacity(n);
         let mut lsdb = Lsdb::from_graph(&current);
         for t in current.nodes() {
-            let per_dest = compile_destination(&current, &base, &routing, t, self.budget)?;
+            let per_dest = compile_destination(&current, &routing, t, self.budget)?;
             for lie in &per_dest.lies {
                 lsdb.inject(lie.clone());
             }
@@ -578,11 +577,10 @@ impl TeEngine {
         dirty: &[NodeId],
         router_lsas: Option<Vec<coyote_ospf::RouterLsa>>,
     ) -> Result<(LsaDelta, Vec<DestinationLies>), ServeError> {
-        let base = Lsdb::from_graph(&self.current);
         let mut updates = Vec::new();
         let mut new_lies = Vec::with_capacity(dirty.len());
         for &t in dirty {
-            let per_dest = compile_destination(&self.current, &base, routing, t, self.budget)?;
+            let per_dest = compile_destination(&self.current, routing, t, self.budget)?;
             if per_dest.lies != self.lies[t.index()].lies {
                 updates.push(PrefixUpdate {
                     destination: t,

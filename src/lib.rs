@@ -7,7 +7,8 @@
 //! them under short module names so that examples and downstream users can
 //! depend on a single crate:
 //!
-//! * [`graph`] — directed capacitated graphs, shortest paths, DAGs, max-flow.
+//! * [`graph`] — directed capacitated graphs, DAGs, and plain OSPF (the one
+//!   SPF/ECMP kernel the compiler and the simulated routers share).
 //! * [`lp`] — the dense two-phase simplex LP solver.
 //! * [`gp`] — what the splitting optimizer needs of geometric programming:
 //!   log-space smooth-max helpers and first-order minimizers (Adam).
