@@ -27,6 +27,18 @@
 //! The result can only improve on ECMP over the working set because uniform
 //! splitting over the augmented DAGs (which contain the shortest-path DAGs)
 //! is a feasible starting point (Section V-B).
+//!
+//! # The kernel
+//!
+//! Step 2 is where a run spends its Adam iterations, so the objective is
+//! *compiled* once per call: every DAG becomes a `DagPlan` of flat index
+//! arrays, and the working set is laid out with one contiguous *lane* per
+//! demand matrix, so that one pass over a DAG serves every matrix. A
+//! constraint-generation round adds a lane; the plans stay. The layout, and
+//! the ordering rules that keep the result equal, to the last bit, to
+//! evaluating one (matrix, destination) pair at a time, are stated on
+//! `SplittingObjective`; the tests hold the kernel to a scalar reference
+//! with `to_bits`.
 
 use crate::dag_builder::{build_all_dags, DagMode};
 use crate::error::CoreError;
@@ -34,8 +46,8 @@ use crate::perf::{EvaluationOptions, EvaluationSet};
 use crate::routing::PdRouting;
 use crate::worst_case::{bottleneck_candidates, performance_ratio_exact, RoutabilityScope};
 use coyote_gp::logspace::{smooth_max_and_weights_into, softmax_into};
-use coyote_gp::solver::{minimize_adam, AdamOptions};
-use coyote_graph::{Dag, EdgeId, Graph, NodeId};
+use coyote_gp::solver::{minimize_adam, AdamOptions, Objective};
+use coyote_graph::{Dag, Graph};
 use coyote_traffic::{DemandMatrix, UncertaintySet};
 use std::cell::RefCell;
 
@@ -107,290 +119,421 @@ pub struct CoyoteResult {
     pub rounds: usize,
 }
 
-/// Mapping between the flat optimization vector and (destination, edge)
-/// splitting parameters. Only nodes with at least two DAG out-edges get
-/// parameters; single-out-edge nodes always forward everything.
-struct ParamMap {
-    /// `index[t][e]` = position in the flat vector, or `usize::MAX`.
-    index: Vec<Vec<usize>>,
-    len: usize,
+/// A list of nodes in visiting order, each with the `(edge, x)` pairs the
+/// visit reads — stored back to back so a sweep is two linear scans. What
+/// `x` is depends on the list: the edge's source node, its head node, or
+/// its position in the parameter vector.
+#[derive(Default)]
+struct Sweep {
+    /// `(node, end of its pairs in `pairs`)`.
+    nodes: Vec<(usize, usize)>,
+    pairs: Vec<(usize, usize)>,
 }
 
-impl ParamMap {
-    fn new(graph: &Graph, dags: &[Dag]) -> Self {
-        let mut index = vec![vec![usize::MAX; graph.edge_count()]; dags.len()];
-        let mut len = 0usize;
-        for (t, dag) in dags.iter().enumerate() {
-            for v in graph.nodes() {
-                let out = dag.out_edges(v);
-                if out.len() >= 2 {
-                    for &e in out {
-                        index[t][e.index()] = len;
-                        len += 1;
-                    }
-                }
+impl Sweep {
+    fn push(&mut self, node: usize, pairs: impl Iterator<Item = (usize, usize)>) {
+        self.pairs.extend(pairs);
+        self.nodes.push((node, self.pairs.len()));
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (usize, &[(usize, usize)])> {
+        let mut start = 0;
+        self.nodes.iter().map(move |&(node, end)| {
+            let pairs = &self.pairs[start..end];
+            start = end;
+            (node, pairs)
+        })
+    }
+}
+
+/// One destination's DAG compiled to flat index arrays, once per
+/// [`optimize_splitting_with_working_set`] call. The kernel never touches
+/// the [`Dag`] or the [`Graph`] again: every loop below is a scan over one
+/// of these lists, in the order that fixes the floating-point result.
+struct DagPlan {
+    destination: usize,
+    /// Flow propagation: nodes with DAG in-edges in sources-first order,
+    /// each with its in-edges `(edge, source)` in [`Dag::in_edges`] order.
+    /// The destination is left out — nothing reads the flow arriving there.
+    forward: Sweep,
+    /// Adjoint propagation: every node but the destination in
+    /// destination-first order, each with its out-edges `(edge, head)` in
+    /// [`Dag::out_edges`] order.
+    backward: Sweep,
+    /// The DAG's edges `(edge, source, head)` in ascending id, the order in
+    /// which loads and `∂J/∂φ` are accumulated.
+    edges: Vec<(usize, usize, usize)>,
+    /// Softmax groups: the nodes with at least two DAG out-edges in
+    /// ascending id, each with `(edge, index into θ)`. Only these nodes get
+    /// parameters; a single-out-edge node always forwards everything.
+    groups: Sweep,
+}
+
+impl DagPlan {
+    /// Compiles `dag`, numbering its parameters from `*dim` upwards.
+    fn new(graph: &Graph, dag: &Dag, dim: &mut usize) -> Self {
+        let mut forward = Sweep::default();
+        for v in dag.topo_to_destination() {
+            let in_edges = dag.in_edges(v);
+            if v != dag.destination() && !in_edges.is_empty() {
+                forward.push(
+                    v.index(),
+                    in_edges
+                        .iter()
+                        .map(|&e| (e.index(), graph.edge(e).src.index())),
+                );
             }
         }
-        Self { index, len }
-    }
-
-    #[inline]
-    fn get(&self, t: usize, e: EdgeId) -> Option<usize> {
-        let i = self.index[t][e.index()];
-        if i == usize::MAX {
-            None
-        } else {
-            Some(i)
+        let mut backward = Sweep::default();
+        for &v in dag.topo_from_destination() {
+            if v != dag.destination() {
+                backward.push(
+                    v.index(),
+                    dag.out_edges(v)
+                        .iter()
+                        .map(|&e| (e.index(), graph.edge(e).dst.index())),
+                );
+            }
         }
-    }
-}
-
-/// Converts flat parameters to splitting ratios for every destination.
-fn ratios_from_params(graph: &Graph, dags: &[Dag], map: &ParamMap, theta: &[f64]) -> Vec<Vec<f64>> {
-    let mut phi = Vec::new();
-    ratios_from_params_into(
-        graph,
-        dags,
-        map,
-        theta,
-        &mut phi,
-        &mut Vec::new(),
-        &mut Vec::new(),
-    );
-    phi
-}
-
-/// [`ratios_from_params`] writing into reusable buffers: `phi` is resized
-/// and zeroed in place, `logits`/`probs` are per-node scratch. The inner
-/// optimizer evaluates this thousands of times per cell; reusing the
-/// per-destination vectors removes an `O(destinations × edges)` allocation
-/// storm per gradient step without changing a single computed bit.
-fn ratios_from_params_into(
-    graph: &Graph,
-    dags: &[Dag],
-    map: &ParamMap,
-    theta: &[f64],
-    phi: &mut Vec<Vec<f64>>,
-    logits: &mut Vec<f64>,
-    probs: &mut Vec<f64>,
-) {
-    let ne = graph.edge_count();
-    phi.resize_with(dags.len(), Vec::new);
-    for (t, dag) in dags.iter().enumerate() {
-        let phi_t = &mut phi[t];
-        phi_t.clear();
-        phi_t.resize(ne, 0.0);
+        let mut groups = Sweep::default();
         for v in graph.nodes() {
             let out = dag.out_edges(v);
-            match out.len() {
-                0 => {}
-                1 => phi_t[out[0].index()] = 1.0,
-                _ => {
-                    logits.clear();
-                    logits.extend(
-                        out.iter().map(|&e| {
-                            theta[map.get(t, e).expect("multi-out edges are parametrized")]
-                        }),
-                    );
-                    softmax_into(logits, probs);
-                    for (&e, &p) in out.iter().zip(probs.iter()) {
-                        phi_t[e.index()] = p;
-                    }
-                }
+            if out.len() >= 2 {
+                groups.push(
+                    v.index(),
+                    out.iter().map(|&e| {
+                        *dim += 1;
+                        (e.index(), *dim - 1)
+                    }),
+                );
             }
+        }
+        let edges = dag
+            .edges()
+            .into_iter()
+            .map(|e| {
+                let (u, x) = graph.endpoints(e);
+                (e.index(), u.index(), x.index())
+            })
+            .collect();
+        Self {
+            destination: dag.destination().index(),
+            forward,
+            backward,
+            edges,
+            groups,
         }
     }
 }
 
-/// Reusable buffers for [`SplittingObjective::eval_impl`]. The objective is
-/// evaluated thousands of times per Adam run over buffers whose shapes never
-/// change, so everything is allocated once and rewritten in place; all
-/// buffers are fully overwritten (or zeroed) before use, keeping results
-/// bit-identical to the allocate-fresh version.
+/// Buffers of [`SplittingObjective::eval`], sized by
+/// [`SplittingObjective::load_lanes`] once per constraint-generation round
+/// and rewritten in place by every evaluation. `K` is the number of lanes
+/// (demand matrices), `n` the node count, `|E|` the edge count.
 #[derive(Default)]
 struct EvalScratch {
-    phi: Vec<Vec<f64>>,
+    /// `phi[t·|E| + e]`: zero off the DAG of `t`, one on single-out edges
+    /// (both written once, at construction), softmax output elsewhere.
+    phi: Vec<f64>,
+    /// One softmax group's parameters and probabilities.
     logits: Vec<f64>,
     probs: Vec<f64>,
-    flows: Vec<Vec<Vec<f64>>>,
+    /// `flow[(t·n + v)·K + k]`: node flow towards `t` in lane `k`, kept
+    /// from the forward pass for the adjoint.
+    flow: Vec<f64>,
+    /// `K` accumulators: one node's inflow or adjoint, per lane.
+    acc: Vec<f64>,
+    /// `load[e·K + k]`.
+    load: Vec<f64>,
+    /// Utilizations and their smooth-max weights, matrix-major
+    /// (`[k·|E| + e]`): the order `smooth_max_and_weights_into` sums in.
     values: Vec<f64>,
-    loads: Vec<f64>,
     weights: Vec<f64>,
-    dphi: Vec<Vec<f64>>,
+    /// `w[e·K + k] = weights[k·|E| + e] / (capacity(e) · r_k)`.
+    w: Vec<f64>,
+    /// `lambda[v·K + k]`: the adjoint of the current destination.
     lambda: Vec<f64>,
+    /// `dphi[t·|E| + e] = ∂J/∂φ_t(e)`; rows of destinations without demand
+    /// are never written and stay zero.
+    dphi: Vec<f64>,
 }
 
 /// The differentiable objective: smoothed maximum over (matrix, edge) of
-/// `load / (capacity · OPTU(D))`.
+/// `load / (capacity · OPTU(D))`, as a function of the softmax parameters.
+///
+/// **Layout.** The working set is stored as structure of arrays with one
+/// *lane* per demand matrix: every per-node and per-edge quantity is a run
+/// of `K` consecutive values, so each DAG edge is visited once per
+/// destination and its inner loop is a contiguous sweep over the lanes that
+/// the compiler vectorises. A (matrix, destination) pair without demand
+/// rides along as a lane of zeros; a destination without demand in *every*
+/// matrix is skipped.
+///
+/// **Ordering rules.** The result is bit-identical to evaluating the
+/// matrices one at a time (the `#[cfg(test)]` reference below) because each
+/// lane sees the same operations in the same order as it would alone:
+///
+/// * a node's inflow is summed over its in-edges in [`Dag::in_edges`] order
+///   into a fresh accumulator, then added to the node's own demand;
+/// * loads are accumulated over destinations ascending and, within one,
+///   over DAG edges ascending — a zero lane adds `+0.0` to a non-negative
+///   sum, which changes nothing;
+/// * the utilizations are handed to `smooth_max_and_weights_into`
+///   matrix-major, so its running sum sees them in the order it always did;
+/// * `∂J/∂φ_t(e)` is the one reduction *across* lanes and runs
+///   sequentially in matrix order;
+/// * the softmax chain rule keeps its `.sum()`.
+///
+/// No `mul_add`, no reassociation: only independent lanes are vectorised.
 struct SplittingObjective<'a> {
     graph: &'a Graph,
     dags: &'a [Dag],
-    map: &'a ParamMap,
-    /// (demand matrix, OPTU normalizer) pairs.
-    working_set: Vec<(DemandMatrix, f64)>,
+    plans: Vec<DagPlan>,
+    /// Length of the parameter vector.
+    dim: usize,
     smoothing: f64,
+    /// Number of lanes `K`.
+    lanes: usize,
+    /// `demand[(t·n + s)·K + k] = d_st` of matrix `k`: the columns of every
+    /// matrix, transposed so a destination's initial flows are one copy.
+    demand: Vec<f64>,
+    /// `scale[e·K + k] = capacity(e) · OPTU(D_k)`.
+    scale: Vec<f64>,
+    /// `active[t]`: some lane has demand towards `t`.
+    active: Vec<bool>,
     scratch: RefCell<EvalScratch>,
 }
 
 impl<'a> SplittingObjective<'a> {
-    fn new(
-        graph: &'a Graph,
-        dags: &'a [Dag],
-        map: &'a ParamMap,
-        working_set: Vec<(DemandMatrix, f64)>,
-        smoothing: f64,
-    ) -> Self {
+    /// Compiles the DAGs; the objective has no lanes until
+    /// [`Self::load_lanes`] is called.
+    fn new(graph: &'a Graph, dags: &'a [Dag], smoothing: f64) -> Self {
+        let (n, ne) = (graph.node_count(), graph.edge_count());
+        let mut dim = 0;
+        let plans: Vec<DagPlan> = dags
+            .iter()
+            .map(|dag| DagPlan::new(graph, dag, &mut dim))
+            .collect();
+        let mut phi = vec![0.0; dags.len() * ne];
+        for (t, dag) in dags.iter().enumerate() {
+            for v in graph.nodes() {
+                if let [only] = dag.out_edges(v) {
+                    phi[t * ne + only.index()] = 1.0;
+                }
+            }
+        }
         Self {
             graph,
             dags,
-            map,
-            working_set,
+            plans,
+            dim,
             smoothing,
-            scratch: RefCell::new(EvalScratch::default()),
+            lanes: 0,
+            demand: Vec::new(),
+            scale: Vec::new(),
+            active: vec![false; n],
+            scratch: RefCell::new(EvalScratch {
+                phi,
+                dphi: vec![0.0; dags.len() * ne],
+                ..EvalScratch::default()
+            }),
         }
     }
 
-    /// Evaluates the smoothed objective and accumulates the gradient.
-    fn eval_impl(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
-        let graph = self.graph;
-        let ne = graph.edge_count();
-        let scratch = &mut *self.scratch.borrow_mut();
-        let EvalScratch {
-            phi,
-            logits,
-            probs,
-            flows,
-            values,
-            loads,
-            weights,
-            dphi,
-            lambda,
-        } = scratch;
-        ratios_from_params_into(graph, self.dags, self.map, theta, phi, logits, probs);
-
-        // Forward pass: per (matrix, destination) node flows and per-matrix
-        // edge loads. Inactive destinations keep stale buffers; they are
-        // never read (every consumer loops over `active_destinations`).
-        flows.resize_with(self.working_set.len(), Vec::new);
-        for ((dm, _), per_dest) in self.working_set.iter().zip(flows.iter_mut()) {
-            per_dest.resize_with(self.dags.len(), Vec::new);
+    /// Replaces the lanes by the given (demand matrix, `OPTU` normalizer)
+    /// pairs and sizes every buffer for them. Called once per
+    /// constraint-generation round with the whole working set, so the
+    /// adversary's witness becomes one more lane; the plans, the parameter
+    /// numbering and the matrices themselves are neither rebuilt nor cloned.
+    fn load_lanes<'m>(&mut self, lanes: impl Iterator<Item = (&'m DemandMatrix, f64)>) {
+        let lanes: Vec<(&DemandMatrix, f64)> = lanes.collect();
+        let (n, ne, k) = (
+            self.graph.node_count(),
+            self.graph.edge_count(),
+            lanes.len(),
+        );
+        self.lanes = k;
+        self.demand.clear();
+        self.demand.resize(n * n * k, 0.0);
+        self.active.fill(false);
+        for (lane, (dm, _)) in lanes.iter().enumerate() {
             for t in dm.active_destinations() {
-                destination_flow_into(
-                    graph,
-                    &self.dags[t.index()],
-                    &phi[t.index()],
-                    dm,
-                    t,
-                    &mut per_dest[t.index()],
-                );
-            }
-        }
-        values.clear();
-        values.reserve(self.working_set.len() * ne);
-        for ((dm, r), per_dest) in self.working_set.iter().zip(flows.iter()) {
-            loads.clear();
-            loads.resize(ne, 0.0);
-            for t in dm.active_destinations() {
-                let dag = &self.dags[t.index()];
-                let flow = &per_dest[t.index()];
-                for e in dag.edges() {
-                    let u = graph.edge(e).src;
-                    loads[e.index()] += flow[u.index()] * phi[t.index()][e.index()];
+                self.active[t.index()] = true;
+                for s in self.graph.nodes().filter(|&s| s != t) {
+                    self.demand[(t.index() * n + s.index()) * k + lane] = dm.get(s, t);
                 }
             }
-            for e in graph.edges() {
-                values.push(loads[e.index()] / (graph.capacity(e) * r));
+        }
+        self.scale.clear();
+        for e in self.graph.edges() {
+            let capacity = self.graph.capacity(e);
+            self.scale.extend(lanes.iter().map(|&(_, r)| capacity * r));
+        }
+        let scratch = self.scratch.get_mut();
+        for (buffer, len) in [
+            (&mut scratch.flow, n * n * k),
+            (&mut scratch.acc, k),
+            (&mut scratch.load, ne * k),
+            (&mut scratch.values, k * ne),
+            (&mut scratch.weights, k * ne),
+            (&mut scratch.w, ne * k),
+            (&mut scratch.lambda, n * k),
+        ] {
+            buffer.clear();
+            buffer.resize(len, 0.0);
+        }
+    }
+
+    /// The plans of the destinations that have demand in some lane,
+    /// ascending.
+    fn active_plans(&self) -> impl Iterator<Item = &DagPlan> {
+        self.plans.iter().filter(|p| self.active[p.destination])
+    }
+
+    /// The one softmax pass: writes `φ` of every parametrized edge.
+    fn fill_phi(&self, theta: &[f64], scratch: &mut EvalScratch) {
+        let ne = self.graph.edge_count();
+        let EvalScratch {
+            phi, logits, probs, ..
+        } = scratch;
+        for plan in &self.plans {
+            let phi = &mut phi[plan.destination * ne..][..ne];
+            for (_, group) in plan.groups.iter() {
+                logits.clear();
+                logits.extend(group.iter().map(|&(_, i)| theta[i]));
+                softmax_into(logits, probs);
+                for (&(e, _), &p) in group.iter().zip(probs.iter()) {
+                    phi[e] = p;
+                }
+            }
+        }
+    }
+
+    /// The routing `theta` stands for.
+    fn routing(&self, theta: &[f64]) -> PdRouting {
+        let ne = self.graph.edge_count();
+        let scratch = &mut *self.scratch.borrow_mut();
+        self.fill_phi(theta, scratch);
+        let phi = (0..self.dags.len())
+            .map(|t| scratch.phi[t * ne..][..ne].to_vec())
+            .collect();
+        PdRouting::from_ratios(self.graph, self.dags.to_vec(), phi)
+    }
+}
+
+impl Objective for SplittingObjective<'_> {
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Evaluates the smoothed objective and accumulates the gradient.
+    /// Allocates nothing after the first call: [`SplittingObjective::load_lanes`]
+    /// sized the lane buffers, and the softmax scratch has grown to the
+    /// widest group by then.
+    fn eval(&self, theta: &[f64], grad: &mut [f64]) -> f64 {
+        let (n, ne, k) = (self.graph.node_count(), self.graph.edge_count(), self.lanes);
+        let scratch = &mut *self.scratch.borrow_mut();
+        self.fill_phi(theta, scratch);
+        let EvalScratch {
+            phi,
+            flow,
+            acc,
+            load,
+            values,
+            weights,
+            w,
+            lambda,
+            dphi,
+            ..
+        } = scratch;
+
+        // Forward pass: node flows per destination, loads summed over
+        // destinations, all lanes at once.
+        load.fill(0.0);
+        for plan in self.active_plans() {
+            let t = plan.destination;
+            let phi = &phi[t * ne..][..ne];
+            let flow = &mut flow[t * n * k..][..n * k];
+            flow.copy_from_slice(&self.demand[t * n * k..][..n * k]);
+            for (v, in_edges) in plan.forward.iter() {
+                acc.fill(0.0);
+                for &(e, u) in in_edges {
+                    let p = phi[e];
+                    for (a, &f) in acc.iter_mut().zip(&flow[u * k..][..k]) {
+                        *a += f * p;
+                    }
+                }
+                for (f, &a) in flow[v * k..][..k].iter_mut().zip(acc.iter()) {
+                    *f += a;
+                }
+            }
+            for &(e, u, _) in &plan.edges {
+                let p = phi[e];
+                for (l, &f) in load[e * k..][..k].iter_mut().zip(&flow[u * k..][..k]) {
+                    *l += f * p;
+                }
             }
         }
 
+        for e in 0..ne {
+            for lane in 0..k {
+                values[lane * ne + e] = load[e * k + lane] / self.scale[e * k + lane];
+            }
+        }
         let max_val = values.iter().copied().fold(0.0_f64, f64::max);
         let tau = (self.smoothing * max_val).max(1e-6);
         let objective = smooth_max_and_weights_into(values, tau, weights);
-
-        // Backward pass (adjoint) per (matrix, destination).
-        // dJ/dφ_t(e) accumulated here, then chained through the softmax.
-        dphi.resize_with(self.dags.len(), Vec::new);
-        for row in dphi.iter_mut() {
-            row.clear();
-            row.resize(ne, 0.0);
+        // Per-edge weight of each matrix in the smoothed max.
+        for e in 0..ne {
+            for lane in 0..k {
+                w[e * k + lane] = weights[lane * ne + e] / self.scale[e * k + lane];
+            }
         }
-        for (k, ((dm, r), per_dest)) in self.working_set.iter().zip(flows.iter()).enumerate() {
-            // Per-edge weight of this matrix in the smoothed max.
-            let w_of = |e: EdgeId| weights[k * ne + e.index()] / (graph.capacity(e) * r);
-            for t in dm.active_destinations() {
-                let dag = &self.dags[t.index()];
-                let flow = &per_dest[t.index()];
-                let phi_t = &phi[t.index()];
-                // Adjoint λ(v) = Σ_{e=(v,x)} φ(e) (w_e + λ(x)), destination
-                // first so successors are ready.
-                lambda.clear();
-                lambda.resize(graph.node_count(), 0.0);
-                for &v in dag.topo_from_destination() {
-                    if v == dag.destination() {
-                        continue;
+
+        // Backward pass (adjoint) per destination.
+        for plan in self.active_plans() {
+            let t = plan.destination;
+            let phi = &phi[t * ne..][..ne];
+            let flow = &flow[t * n * k..][..n * k];
+            let dphi = &mut dphi[t * ne..][..ne];
+            // Adjoint λ(v) = Σ_{e=(v,x)} φ(e) (w_e + λ(x)), destination
+            // first so successors are ready. λ(t) = 0; every other row read
+            // below was written by this sweep.
+            lambda[t * k..][..k].fill(0.0);
+            for (v, out_edges) in plan.backward.iter() {
+                acc.fill(0.0);
+                for &(e, x) in out_edges {
+                    let p = phi[e];
+                    let (w, lambda) = (&w[e * k..][..k], &lambda[x * k..][..k]);
+                    for ((a, &w), &l) in acc.iter_mut().zip(w).zip(lambda) {
+                        *a += p * (w + l);
                     }
-                    let mut acc = 0.0;
-                    for &e in dag.out_edges(v) {
-                        let x = graph.edge(e).dst;
-                        acc += phi_t[e.index()] * (w_of(e) + lambda[x.index()]);
-                    }
-                    lambda[v.index()] = acc;
                 }
-                for e in dag.edges() {
-                    let (u, x) = graph.endpoints(e);
-                    dphi[t.index()][e.index()] += flow[u.index()] * (w_of(e) + lambda[x.index()]);
+                lambda[v * k..][..k].copy_from_slice(acc);
+            }
+            for &(e, u, x) in &plan.edges {
+                let (w, lambda) = (&w[e * k..][..k], &lambda[x * k..][..k]);
+                let mut sum = 0.0;
+                for ((&f, &w), &l) in flow[u * k..][..k].iter().zip(w).zip(lambda) {
+                    sum += f * (w + l);
                 }
+                dphi[e] = sum;
             }
         }
 
         // Chain rule through the per-node softmax.
-        for (t, dag) in self.dags.iter().enumerate() {
-            for v in graph.nodes() {
-                let out = dag.out_edges(v);
-                if out.len() < 2 {
-                    continue;
-                }
-                let dot: f64 = out
-                    .iter()
-                    .map(|&e| dphi[t][e.index()] * phi[t][e.index()])
-                    .sum();
-                for &e in out {
-                    let idx = self.map.get(t, e).expect("parametrized edge");
-                    grad[idx] += phi[t][e.index()] * (dphi[t][e.index()] - dot);
+        for plan in &self.plans {
+            let t = plan.destination;
+            let (phi, dphi) = (&phi[t * ne..][..ne], &dphi[t * ne..][..ne]);
+            for (_, group) in plan.groups.iter() {
+                let dot: f64 = group.iter().map(|&(e, _)| dphi[e] * phi[e]).sum();
+                for &(e, i) in group {
+                    grad[i] += phi[e] * (dphi[e] - dot);
                 }
             }
         }
 
         objective
-    }
-}
-
-/// Per-destination aggregated node flow for explicit ratios (mirrors
-/// [`PdRouting::destination_node_flow`] but avoids constructing a routing
-/// object inside the optimizer's hot loop). Writes into a reusable buffer,
-/// zeroed in place first.
-fn destination_flow_into(
-    graph: &Graph,
-    dag: &Dag,
-    phi: &[f64],
-    dm: &DemandMatrix,
-    t: NodeId,
-    flow: &mut Vec<f64>,
-) {
-    flow.clear();
-    flow.resize(graph.node_count(), 0.0);
-    for s in graph.nodes() {
-        if s != t {
-            flow[s.index()] = dm.get(s, t);
-        }
-    }
-    for &v in dag.topo_to_destination().iter() {
-        let mut acc = 0.0;
-        for &e in dag.in_edges(v) {
-            let u = graph.edge(e).src;
-            acc += flow[u.index()] * phi[e.index()];
-        }
-        flow[v.index()] += acc;
     }
 }
 
@@ -442,36 +585,27 @@ pub fn optimize_splitting_with_working_set(
         working = EvaluationSet::build(graph, &dags, uncertainty, base, &config.evaluation)?;
     }
 
-    let map = ParamMap::new(graph, &dags);
-    let mut theta = vec![0.0; map.len];
+    let mut objective = SplittingObjective::new(graph, &dags, config.smoothing);
+    let mut theta = vec![0.0; objective.dim()];
     let mut rounds = 0usize;
 
     for round in 0..config.cg_rounds.max(1) {
         rounds = round + 1;
         // ---- Inner optimization over the current working set. ----
-        if map.len > 0 {
-            let objective = SplittingObjective::new(
-                graph,
-                &dags,
-                &map,
-                working.entries().map(|(dm, r)| (dm.clone(), r)).collect(),
-                config.smoothing,
-            );
-            let obj = (map.len, move |x: &[f64], grad: &mut [f64]| -> f64 {
-                objective.eval_impl(x, grad)
-            });
+        if objective.dim() > 0 {
+            objective.load_lanes(working.entries());
             let opts = AdamOptions {
                 learning_rate: config.learning_rate,
                 max_iters: config.adam_iterations,
                 patience: 150,
                 ..AdamOptions::default()
             };
-            let res = minimize_adam(&obj, &theta, &opts);
+            let res = minimize_adam(&objective, &theta, &opts);
             theta = res.x;
         }
 
         // Current routing and its ratio over the working set.
-        let routing = routing_from_theta(graph, &dags, &map, &theta);
+        let routing = objective.routing(&theta);
         let current = working.performance_ratio(graph, &routing);
 
         if round + 1 == config.cg_rounds.max(1) {
@@ -504,7 +638,7 @@ pub fn optimize_splitting_with_working_set(
         working.try_add(graph, &dags, wc.demand)?;
     }
 
-    let routing = routing_from_theta(graph, &dags, &map, &theta);
+    let routing = objective.routing(&theta);
     let ratio = working.performance_ratio(graph, &routing);
     coyote_obs::counter("core.cg.optimizations", 1);
     coyote_obs::counter("core.cg.rounds", rounds as u64);
@@ -515,11 +649,6 @@ pub fn optimize_splitting_with_working_set(
         working_set_size: working.len(),
         rounds,
     })
-}
-
-fn routing_from_theta(graph: &Graph, dags: &[Dag], map: &ParamMap, theta: &[f64]) -> PdRouting {
-    let phi = ratios_from_params(graph, dags, map, theta);
-    PdRouting::from_ratios(graph, dags.to_vec(), phi)
 }
 
 /// End-to-end COYOTE: build the augmented DAGs from the graph's current OSPF
@@ -540,6 +669,8 @@ mod tests {
     use super::*;
     use crate::ecmp::ecmp_routing;
     use crate::worst_case::performance_ratio_exact;
+    use coyote_graph::{EdgeId, NodeId};
+    use proptest::prelude::*;
 
     fn fig1() -> (Graph, NodeId, NodeId, NodeId, NodeId) {
         let mut g = Graph::new();
@@ -562,35 +693,402 @@ mod tests {
         UncertaintySet::from_bounds(coyote_traffic::DemandMatrix::zeros(4), upper)
     }
 
+    /// The scalar kernel the lane-batched one replaced, one (matrix,
+    /// destination) pair at a time through the public `Dag` accessors —
+    /// what `PdRouting::edge_loads` does forwards, plus the adjoint. Kept as
+    /// the reference the differential test compares against, bit for bit.
+    mod reference {
+        use super::*;
+
+        /// `index[t][e]`: position of `φ_t(e)`'s parameter in θ (nodes
+        /// with at least two out-edges only), numbered destination-major,
+        /// node-ascending, in `Dag::out_edges` order.
+        pub fn param_index(graph: &Graph, dags: &[Dag]) -> Vec<Vec<Option<usize>>> {
+            let mut len = 0;
+            dags.iter()
+                .map(|dag| {
+                    let mut row = vec![None; graph.edge_count()];
+                    for v in graph.nodes().filter(|&v| dag.out_edges(v).len() >= 2) {
+                        for &e in dag.out_edges(v) {
+                            row[e.index()] = Some(len);
+                            len += 1;
+                        }
+                    }
+                    row
+                })
+                .collect()
+        }
+
+        /// Splitting ratios of every destination from the flat parameters.
+        pub fn ratios(graph: &Graph, dags: &[Dag], theta: &[f64]) -> Vec<Vec<f64>> {
+            let index = param_index(graph, dags);
+            let mut probs = Vec::new();
+            dags.iter()
+                .zip(&index)
+                .map(|(dag, index)| {
+                    let mut phi = vec![0.0; graph.edge_count()];
+                    for v in graph.nodes() {
+                        match dag.out_edges(v) {
+                            [] => {}
+                            [only] => phi[only.index()] = 1.0,
+                            out => {
+                                let logits: Vec<f64> = out
+                                    .iter()
+                                    .map(|&e| theta[index[e.index()].unwrap()])
+                                    .collect();
+                                softmax_into(&logits, &mut probs);
+                                for (&e, &p) in out.iter().zip(&probs) {
+                                    phi[e.index()] = p;
+                                }
+                            }
+                        }
+                    }
+                    phi
+                })
+                .collect()
+        }
+
+        fn destination_flow(graph: &Graph, dag: &Dag, phi: &[f64], dm: &DemandMatrix) -> Vec<f64> {
+            let t = dag.destination();
+            let mut flow = vec![0.0; graph.node_count()];
+            for s in graph.nodes().filter(|&s| s != t) {
+                flow[s.index()] = dm.get(s, t);
+            }
+            for v in dag.topo_to_destination() {
+                let mut acc = 0.0;
+                for &e in dag.in_edges(v) {
+                    acc += flow[graph.edge(e).src.index()] * phi[e.index()];
+                }
+                flow[v.index()] += acc;
+            }
+            flow
+        }
+
+        pub fn eval(
+            graph: &Graph,
+            dags: &[Dag],
+            working_set: &[(DemandMatrix, f64)],
+            smoothing: f64,
+            theta: &[f64],
+            grad: &mut [f64],
+        ) -> f64 {
+            let ne = graph.edge_count();
+            let index = param_index(graph, dags);
+            let phi = ratios(graph, dags, theta);
+
+            let mut flows = Vec::new();
+            let mut values = Vec::new();
+            for (dm, r) in working_set {
+                let mut per_dest = vec![Vec::new(); dags.len()];
+                let mut loads = vec![0.0; ne];
+                for t in dm.active_destinations() {
+                    let (dag, phi) = (&dags[t.index()], &phi[t.index()]);
+                    let flow = destination_flow(graph, dag, phi, dm);
+                    for e in dag.edges() {
+                        loads[e.index()] += flow[graph.edge(e).src.index()] * phi[e.index()];
+                    }
+                    per_dest[t.index()] = flow;
+                }
+                flows.push(per_dest);
+                for e in graph.edges() {
+                    values.push(loads[e.index()] / (graph.capacity(e) * r));
+                }
+            }
+
+            let max_val = values.iter().copied().fold(0.0_f64, f64::max);
+            let tau = (smoothing * max_val).max(1e-6);
+            let mut weights = Vec::new();
+            let objective = smooth_max_and_weights_into(&values, tau, &mut weights);
+
+            let mut dphi = vec![vec![0.0; ne]; dags.len()];
+            for (k, ((dm, r), per_dest)) in working_set.iter().zip(&flows).enumerate() {
+                let w_of = |e: EdgeId| weights[k * ne + e.index()] / (graph.capacity(e) * r);
+                for t in dm.active_destinations() {
+                    let (dag, phi) = (&dags[t.index()], &phi[t.index()]);
+                    let flow = &per_dest[t.index()];
+                    let mut lambda = vec![0.0; graph.node_count()];
+                    for &v in dag.topo_from_destination() {
+                        if v == dag.destination() {
+                            continue;
+                        }
+                        let mut acc = 0.0;
+                        for &e in dag.out_edges(v) {
+                            let x = graph.edge(e).dst;
+                            acc += phi[e.index()] * (w_of(e) + lambda[x.index()]);
+                        }
+                        lambda[v.index()] = acc;
+                    }
+                    for e in dag.edges() {
+                        let (u, x) = graph.endpoints(e);
+                        dphi[t.index()][e.index()] +=
+                            flow[u.index()] * (w_of(e) + lambda[x.index()]);
+                    }
+                }
+            }
+
+            for (t, dag) in dags.iter().enumerate() {
+                for v in graph.nodes() {
+                    let out = dag.out_edges(v);
+                    if out.len() < 2 {
+                        continue;
+                    }
+                    let dot: f64 = out
+                        .iter()
+                        .map(|&e| dphi[t][e.index()] * phi[t][e.index()])
+                        .sum();
+                    for &e in out {
+                        grad[index[t][e.index()].unwrap()] +=
+                            phi[t][e.index()] * (dphi[t][e.index()] - dot);
+                    }
+                }
+            }
+            objective
+        }
+    }
+
+    /// Value and gradient bits of one evaluation.
+    fn bits(value: f64, grad: &[f64]) -> (u64, Vec<u64>) {
+        (value.to_bits(), grad.iter().map(|g| g.to_bits()).collect())
+    }
+
+    /// Three parameter vectors: the starting point, a ramp, and something
+    /// irregular with entries of both signs.
+    fn thetas(dim: usize) -> [Vec<f64>; 3] {
+        [
+            vec![0.0; dim],
+            (0..dim).map(|i| 0.1 * (i as f64) - 0.3).collect(),
+            (0..dim).map(|i| 2.5 * (1.7 * i as f64).sin()).collect(),
+        ]
+    }
+
+    /// A working set with the shapes the lanes must get right: a
+    /// destination (`n − 1`) without demand in every matrix, a spike with a
+    /// single active destination (node 0), and a last matrix meant to be
+    /// appended after the first evaluation, as constraint generation does.
+    /// The normalizers are arbitrary positive numbers, not LP optima: the
+    /// kernel only ever divides by them.
+    fn lane_shapes(base: &DemandMatrix) -> Vec<(DemandMatrix, f64)> {
+        let n = base.node_count();
+        let dead = NodeId(n - 1);
+        let column = |keep: &dyn Fn(NodeId, NodeId) -> f64| {
+            let mut dm = DemandMatrix::zeros(n);
+            for (s, t, d) in base.pairs().filter(|&(_, t, _)| t != dead) {
+                dm.set(s, t, d * keep(s, t));
+            }
+            dm
+        };
+        vec![
+            (column(&|_, _| 1.0), 0.8),
+            (
+                column(&|s, t| 0.5 + ((s.index() + 2 * t.index()) % 5) as f64),
+                1.3,
+            ),
+            (column(&|_, t| if t == NodeId(0) { 2.0 } else { 0.0 }), 0.4),
+            (column(&|s, _| 1.0 + (s.index() % 3) as f64), 2.1),
+        ]
+    }
+
+    #[test]
+    fn lane_kernel_matches_the_scalar_reference_bit_for_bit() {
+        let (fig1, ..) = fig1();
+        let zoo = |t: coyote_topology::Topology| t.to_graph().unwrap();
+        for graph in [
+            fig1,
+            zoo(coyote_topology::zoo::abilene()),
+            zoo(coyote_topology::zoo::geant()),
+        ] {
+            let dags = build_all_dags(&graph, DagMode::Augmented).unwrap();
+            let base = coyote_traffic::GravityModel::with_total(100.0).generate(&graph);
+            let working_set = lane_shapes(&base);
+            let dead = graph.node_count() - 1;
+            assert!(working_set
+                .iter()
+                .all(|(dm, _)| dm.total_to(NodeId(dead)) == 0.0));
+            assert_eq!(working_set[2].0.active_destinations(), vec![NodeId(0)]);
+
+            let mut objective = SplittingObjective::new(&graph, &dags, 0.02);
+            let dim = objective.dim();
+            assert!(dim > 0);
+            // The last matrix joins after the first evaluations, the way a
+            // constraint-generation round adds the adversary's witness.
+            for lanes in [working_set.len() - 1, working_set.len()] {
+                let lanes = &working_set[..lanes];
+                objective.load_lanes(lanes.iter().map(|(dm, r)| (dm, *r)));
+                for theta in thetas(dim) {
+                    let (mut grad, mut expected_grad) = (vec![0.0; dim], vec![0.0; dim]);
+                    let value = objective.eval(&theta, &mut grad);
+                    let expected =
+                        reference::eval(&graph, &dags, lanes, 0.02, &theta, &mut expected_grad);
+                    assert!(value.is_finite() && value > 0.0);
+                    assert_eq!(bits(value, &grad), bits(expected, &expected_grad));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn evaluations_after_the_first_do_not_reallocate() {
+        let graph = coyote_topology::zoo::abilene().to_graph().unwrap();
+        let dags = build_all_dags(&graph, DagMode::Augmented).unwrap();
+        let base = coyote_traffic::GravityModel::with_total(100.0).generate(&graph);
+        let working_set = lane_shapes(&base);
+        let mut objective = SplittingObjective::new(&graph, &dags, 0.02);
+        objective.load_lanes(working_set.iter().map(|(dm, r)| (dm, *r)));
+        let dim = objective.dim();
+        let footprint = |objective: &SplittingObjective| {
+            let s = objective.scratch.borrow();
+            [
+                &s.phi, &s.logits, &s.probs, &s.flow, &s.acc, &s.load, &s.values, &s.weights, &s.w,
+                &s.lambda, &s.dphi,
+            ]
+            .map(|buffer| (buffer.as_ptr(), buffer.capacity()))
+        };
+        let mut grad = vec![0.0; dim];
+        objective.eval(&thetas(dim)[1], &mut grad);
+        let after_first = footprint(&objective);
+        for round in 0..10 {
+            let theta: Vec<f64> = (0..dim).map(|i| ((i + round) as f64).cos()).collect();
+            objective.eval(&theta, &mut grad);
+            assert_eq!(footprint(&objective), after_first);
+        }
+    }
+
     #[test]
     fn gradient_matches_finite_differences() {
         let (g, s1, s2, _v, t) = fig1();
         let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
-        let map = ParamMap::new(&g, &dags);
         let mut dm = DemandMatrix::zeros(4);
         dm.set(s1, t, 1.5);
         dm.set(s2, t, 0.5);
-        let objective = SplittingObjective::new(&g, &dags, &map, vec![(dm, 1.0)], 0.05);
-        let theta: Vec<f64> = (0..map.len).map(|i| 0.1 * (i as f64) - 0.3).collect();
-        let mut grad = vec![0.0; map.len];
-        let f0 = objective.eval_impl(&theta, &mut grad);
+        let mut objective = SplittingObjective::new(&g, &dags, 0.05);
+        objective.load_lanes([(&dm, 1.0)].into_iter());
+        let dim = objective.dim();
+        let theta: Vec<f64> = (0..dim).map(|i| 0.1 * (i as f64) - 0.3).collect();
+        let mut grad = vec![0.0; dim];
+        let f0 = objective.eval(&theta, &mut grad);
         assert!(f0.is_finite());
         let h = 1e-5;
-        for i in 0..map.len {
+        for i in 0..dim {
             let mut tp = theta.clone();
             tp[i] += h;
             let mut tm = theta.clone();
             tm[i] -= h;
-            let mut scratch = vec![0.0; map.len];
-            let fp = objective.eval_impl(&tp, &mut scratch);
-            let mut scratch = vec![0.0; map.len];
-            let fm = objective.eval_impl(&tm, &mut scratch);
+            let mut scratch = vec![0.0; dim];
+            let fp = objective.eval(&tp, &mut scratch);
+            let mut scratch = vec![0.0; dim];
+            let fm = objective.eval(&tm, &mut scratch);
             let fd = (fp - fm) / (2.0 * h);
             assert!(
                 (grad[i] - fd).abs() < 1e-4,
                 "param {i}: analytic {} vs fd {fd}",
                 grad[i]
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every list of a `DagPlan` says what the `Dag` says, in an order
+        /// the sweeps may rely on, and the plan's softmax pass produces the
+        /// routing the per-node reference produces.
+        #[test]
+        fn plans_mirror_their_dags_on_random_graphs(
+            n in 4usize..10,
+            extra_links in 0usize..6,
+            seed in 0u64..1_000_000,
+            theta in proptest::collection::vec(-3.0f64..3.0, 1..40),
+        ) {
+            // A ring plus chords, three capacity classes, inverse-capacity
+            // weights.
+            let g = coyote_topology::BackboneSpec::mesh("random", n, extra_links, seed)
+                .generate()
+                .to_graph()
+                .unwrap();
+            let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
+            let objective = SplittingObjective::new(&g, &dags, 0.02);
+            let sorted = |mut edges: Vec<usize>| { edges.sort_unstable(); edges };
+            let mut dim = 0;
+            for (plan, dag) in objective.plans.iter().zip(&dags) {
+                let t = dag.destination();
+                prop_assert_eq!(plan.destination, t.index());
+                let dag_edges: Vec<usize> = dag.edges().iter().map(|e| e.index()).collect();
+
+                // `edges`: the DAG's edges, ascending, with their endpoints.
+                let listed: Vec<usize> = plan.edges.iter().map(|&(e, ..)| e).collect();
+                prop_assert_eq!(&listed, &dag_edges);
+                for &(e, u, x) in &plan.edges {
+                    prop_assert_eq!((NodeId(u), NodeId(x)), g.endpoints(EdgeId(e)));
+                }
+
+                // `forward`: every edge not into the destination, once,
+                // under its head, after all of that head's sources.
+                let mut seen = vec![false; n];
+                let mut forward_edges = Vec::new();
+                for (v, in_edges) in plan.forward.iter() {
+                    prop_assert!(v != t.index() && !in_edges.is_empty());
+                    for &(e, u) in in_edges {
+                        prop_assert_eq!((NodeId(u), NodeId(v)), g.endpoints(EdgeId(e)));
+                        // A source is final: visited already, or a pure source.
+                        prop_assert!(seen[u] || dag.in_edges(NodeId(u)).is_empty());
+                        forward_edges.push(e);
+                    }
+                    seen[v] = true;
+                }
+                let not_into_t: Vec<usize> = dag_edges
+                    .iter()
+                    .copied()
+                    .filter(|&e| g.edge(EdgeId(e)).dst != t)
+                    .collect();
+                prop_assert_eq!(sorted(forward_edges), not_into_t);
+
+                // `backward`: a permutation of the DAG's edges, each under
+                // its tail, after its head.
+                let mut seen = vec![false; n];
+                seen[t.index()] = true;
+                let mut backward_edges = Vec::new();
+                for (v, out_edges) in plan.backward.iter() {
+                    for &(e, x) in out_edges {
+                        prop_assert_eq!((NodeId(v), NodeId(x)), g.endpoints(EdgeId(e)));
+                        prop_assert!(seen[x]);
+                        backward_edges.push(e);
+                    }
+                    seen[v] = true;
+                }
+                prop_assert_eq!(sorted(backward_edges), dag_edges);
+
+                // `groups`: exactly the nodes that split, θ numbered densely.
+                let splitting: Vec<usize> = g
+                    .nodes()
+                    .filter(|&v| dag.out_edges(v).len() >= 2)
+                    .map(|v| v.index())
+                    .collect();
+                let grouped: Vec<usize> = plan.groups.iter().map(|(v, _)| v).collect();
+                prop_assert_eq!(grouped, splitting);
+                for (v, group) in plan.groups.iter() {
+                    let out: Vec<usize> =
+                        dag.out_edges(NodeId(v)).iter().map(|e| e.index()).collect();
+                    let listed: Vec<usize> = group.iter().map(|&(e, _)| e).collect();
+                    prop_assert_eq!(listed, out);
+                    for &(_, i) in group {
+                        prop_assert_eq!(i, dim);
+                        dim += 1;
+                    }
+                }
+            }
+            prop_assert_eq!(dim, objective.dim());
+
+            let theta: Vec<f64> = theta.iter().copied().cycle().take(dim).collect();
+            let routing = objective.routing(&theta);
+            routing.validate(&g).unwrap();
+            let expected =
+                PdRouting::from_ratios(&g, dags.clone(), reference::ratios(&g, &dags, &theta));
+            for t in g.nodes() {
+                let bits = |r: &PdRouting| -> Vec<u64> {
+                    r.ratios(t).iter().map(|p| p.to_bits()).collect()
+                };
+                prop_assert_eq!(bits(&routing), bits(&expected));
+            }
         }
     }
 

@@ -197,7 +197,7 @@ impl PdRouting {
         }
         // Sources-first topological order guarantees predecessors are final
         // before a node is read.
-        for &v in dag.topo_to_destination().iter() {
+        for v in dag.topo_to_destination() {
             if v == s {
                 continue;
             }
@@ -224,7 +224,7 @@ impl PdRouting {
                 flow[s.index()] = dm.get(s, t);
             }
         }
-        for &v in dag.topo_to_destination().iter() {
+        for v in dag.topo_to_destination() {
             let mut acc = 0.0;
             for &e in dag.in_edges(v) {
                 let u = graph.edge(e).src;

@@ -204,9 +204,9 @@ impl Dag {
     /// Nodes ordered sources-first (reverse of [`Self::topo_from_destination`]):
     /// every DAG edge `(u, v)` has `u` appearing before `v`. This is the order
     /// in which traffic entering at any node propagates towards the
-    /// destination.
-    pub fn topo_to_destination(&self) -> Vec<NodeId> {
-        self.topo_from_dest.iter().rev().copied().collect()
+    /// destination. Walks the stored order backwards; nothing is allocated.
+    pub fn topo_to_destination(&self) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
+        self.topo_from_dest.iter().rev().copied()
     }
 
     /// True if `node` participates in the DAG (has an in- or out-edge) or is
@@ -285,9 +285,10 @@ mod tests {
             // Destination-first order: heads appear before tails.
             assert!(pos[&v] < pos[&u], "edge {u}->{v} violates topo order");
         }
-        let fwd = dag.topo_to_destination();
+        let fwd: Vec<NodeId> = dag.topo_to_destination().collect();
         assert_eq!(fwd.len(), order.len());
         assert_eq!(fwd.first(), order.last());
+        assert!(dag.topo_to_destination().rev().eq(order.iter().copied()));
     }
 
     #[test]

@@ -98,14 +98,13 @@ impl DemandMatrix {
         })
     }
 
-    /// All destinations that receive a positive amount of traffic.
+    /// All destinations that receive a positive amount of traffic, in
+    /// ascending order.
     pub fn active_destinations(&self) -> Vec<NodeId> {
-        let mut dests: Vec<NodeId> = (0..self.n)
+        (0..self.n)
             .filter(|&t| (0..self.n).any(|s| s != t && self.data[s * self.n + t] > 0.0))
             .map(NodeId)
-            .collect();
-        dests.sort();
-        dests
+            .collect()
     }
 
     /// Total traffic destined to `t` from all sources.
@@ -184,6 +183,13 @@ mod tests {
         assert_eq!(pairs[0], (NodeId(0), NodeId(1), 1.0));
         assert_eq!(pairs[1], (NodeId(2), NodeId(1), 2.0));
         assert_eq!(dm.active_destinations(), vec![NodeId(1)]);
+        // Ascending whatever order the entries were set in.
+        dm.set(NodeId(1), NodeId(2), 1.0);
+        dm.set(NodeId(1), NodeId(0), 1.0);
+        assert_eq!(
+            dm.active_destinations(),
+            vec![NodeId(0), NodeId(1), NodeId(2)]
+        );
     }
 
     #[test]
