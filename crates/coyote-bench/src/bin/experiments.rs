@@ -879,9 +879,8 @@ fn cmd_conform_pareto(cli: &Cli, grid: &SweepGrid) -> Result<(), Box<dyn std::er
 /// Before the server comes up (unless `--no-comparator`), the *batch
 /// pipeline* is run once for the same topology/model — the full joint
 /// oblivious optimization a sweep cell performs — and its wall-clock time is
-/// exposed through `/state` as `batch_recompile_micros`. That is the
-/// "full-grid recompile" comparator the serving layer's incremental re-opt
-/// latencies are benchmarked against in `BENCH_serve.json`.
+/// exposed through `/state` as `batch_recompile_micros` — a different
+/// policy from the daemon's separable one, reported for scale only.
 fn cmd_serve(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
     use coyote_serve::{DemandModel, EngineConfig, Server, ServerConfig, TeEngine};
 

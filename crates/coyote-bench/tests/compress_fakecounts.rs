@@ -141,8 +141,8 @@ fn the_golden_baseline_is_internally_consistent() {
 
 /// Recomputes the cheap cells (Abilene + NSF, both demand models) through
 /// the real compile-and-simulate pipeline and checks the pinned counts
-/// byte-for-byte. The remaining 24 cells are covered by the release-mode
-/// grid runs recorded in `BENCH_conformance.json`.
+/// byte-for-byte. The remaining 24 cells are covered by the benchmark's
+/// `conform-grid` workload, whose `lies` is the grid's total fake count.
 #[test]
 fn recomputed_cells_match_the_pinned_fake_counts() {
     let base = load_baseline();

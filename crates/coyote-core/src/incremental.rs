@@ -22,18 +22,20 @@
 //! The solution depends only on `(graph, dag_t, demand column t)` —
 //! *separability* — so an incremental engine can re-solve just the dirty
 //! destinations and copy every other solution over unchanged, and a cold
-//! recompile provably reproduces the same routing bit for bit. Warm starts
-//! go through [`PhaseOneCache`] (phase-one replay), which `coyote-lp`
-//! guarantees to be bit-identical to a cold solve.
+//! recompile provably reproduces the same routing bit for bit. The LP is
+//! [`crate::opt_mcf`]'s, built for one commodity inside one DAG — this
+//! module owns no model of its own — and every solve is cold: a demand
+//! update moves the right-hand side, which is what a phase-one replay keys
+//! on.
 //!
 //! Like [`crate::opt_mcf::split_routable_within_dags`], demand from sources
 //! with no DAG out-edge (failures can partition a topology) is masked out
 //! and reported rather than turned into an `Infeasible` error.
 
 use crate::error::CoreError;
+use crate::opt_mcf::{routable_within, solve_commodities, EdgeScope};
 use crate::routing::PdRouting;
-use coyote_graph::{Dag, Graph, NodeId, EdgeId};
-use coyote_lp::{LpProblem, PhaseOneCache, Relation, Sense, VarId};
+use coyote_graph::{Dag, Graph, NodeId};
 use coyote_traffic::DemandMatrix;
 
 /// The per-destination optimum: flows for one destination's demand column.
@@ -51,14 +53,13 @@ pub struct DestinationSolve {
 }
 
 /// Solves the single-destination min-max-utilization LP for `t` within its
-/// DAG. `cache` carries the phase-one replay between solves of the same
-/// destination; the result is bit-identical with a fresh or a primed cache.
+/// DAG: mask the sources the DAG cannot carry, then hand the column to the
+/// flow-LP builder as its only commodity.
 pub fn solve_destination(
     graph: &Graph,
     dag: &Dag,
     dm: &DemandMatrix,
     t: NodeId,
-    cache: &mut PhaseOneCache,
 ) -> Result<DestinationSolve, CoreError> {
     let _span = coyote_obs::span("core.incremental.solve");
     coyote_obs::counter("core.incremental.solves", 1);
@@ -77,97 +78,29 @@ pub fn solve_destination(
         )));
     }
 
-    let mut solve = DestinationSolve {
-        flows: vec![0.0; graph.edge_count()],
-        ..DestinationSolve::default()
-    };
-
-    // Mask demand whose source cannot enter the DAG (mirrors
-    // split_routable_within_dags, but for a single column).
+    let mut solve = DestinationSolve::default();
     let mut column = vec![0.0; graph.node_count()];
     let mut active = false;
     for s in graph.nodes() {
-        if s == t {
-            continue;
-        }
         let d = dm.get(s, t);
-        if d <= 0.0 {
+        if s == t || d <= 0.0 {
             continue;
         }
-        if dag.out_edges(s).is_empty() {
-            solve.unroutable_volume += d;
-            solve.unroutable_sources += 1;
-        } else {
+        if routable_within(dag, s) {
             column[s.index()] = d;
             active = true;
+        } else {
+            solve.unroutable_volume += d;
+            solve.unroutable_sources += 1;
         }
     }
-    let dag_edges: Vec<EdgeId> = dag.edges();
-    if !active || dag_edges.is_empty() {
-        return Ok(solve);
-    }
-
-    let mut lp = LpProblem::new(Sense::Minimize);
-    let alpha = lp.add_nonneg_var("alpha", 1.0);
-    let mut flow_vars: Vec<Option<VarId>> = vec![None; graph.edge_count()];
-    for &e in &dag_edges {
-        flow_vars[e.index()] = Some(lp.add_nonneg_var(format!("g_{}", e.index()), 0.0));
-    }
-
-    // Flow conservation at every non-destination node touched by the DAG.
-    for v in graph.nodes() {
-        if v == t {
-            continue;
-        }
-        let mut terms: Vec<(VarId, f64)> = Vec::new();
-        for &e in dag.out_edges(v) {
-            if let Some(var) = flow_vars[e.index()] {
-                terms.push((var, 1.0));
-            }
-        }
-        for &e in dag.in_edges(v) {
-            if let Some(var) = flow_vars[e.index()] {
-                terms.push((var, -1.0));
-            }
-        }
-        if terms.is_empty() {
-            continue;
-        }
-        lp.add_constraint(
-            format!("cons_{}", v.index()),
-            &terms,
-            Relation::Eq,
-            column[v.index()],
-        );
-    }
-
-    // Capacity: flow on each DAG edge at most alpha * capacity.
-    for &e in &dag_edges {
-        let var = flow_vars[e.index()].expect("DAG edge has a flow variable");
-        lp.add_constraint(
-            format!("cap_{}", e.index()),
-            &[(var, 1.0), (alpha, -graph.capacity(e))],
-            Relation::Le,
-            0.0,
-        );
-    }
-
-    let sol = lp.solve_cached(cache).map_err(|e| match e {
-        coyote_lp::LpError::Infeasible { .. } => CoreError::UnroutableDemand {
-            detail: format!(
-                "destination {}: flow conservation cannot be satisfied inside its DAG",
-                t.index()
-            ),
-        },
-        other => CoreError::Lp(other),
-    })?;
-
-    for &e in &dag_edges {
-        if let Some(var) = flow_vars[e.index()] {
-            solve.flows[e.index()] = sol.value(var).max(0.0);
-        }
-    }
-    solve.max_utilization = sol.value(alpha).max(0.0);
+    let commodity = if active { vec![t] } else { Vec::new() };
+    let mut sol = solve_commodities(graph, commodity, &[column], EdgeScope::Dag(dag))?;
+    solve.max_utilization = sol.max_utilization;
+    solve.flows = sol
+        .flows
+        .pop()
+        .unwrap_or_else(|| vec![0.0; graph.edge_count()]);
     Ok(solve)
 }
 
@@ -175,59 +108,37 @@ pub fn solve_destination(
 /// (bit-exact comparison), in ascending node order — the dirty set of a
 /// demand-matrix update.
 pub fn demand_dirty_destinations(old: &DemandMatrix, new: &DemandMatrix) -> Vec<NodeId> {
-    let n = old.node_count().min(new.node_count());
-    let mut dirty: Vec<NodeId> = Vec::new();
-    for ti in 0..n.max(old.node_count()).max(new.node_count()) {
-        let t = NodeId(ti);
-        let changed = (0..old.node_count().max(new.node_count())).any(|si| {
-            let s = NodeId(si);
-            let before = if si < old.node_count() && ti < old.node_count() {
-                old.get(s, t)
-            } else {
-                0.0
-            };
-            let after = if si < new.node_count() && ti < new.node_count() {
-                new.get(s, t)
-            } else {
-                0.0
-            };
-            before.to_bits() != after.to_bits()
-        });
-        if changed {
-            dirty.push(t);
-        }
-    }
-    dirty
+    // An entry outside a matrix's dimension reads as no demand.
+    let bits = |dm: &DemandMatrix, s: usize, t: usize| {
+        let n = dm.node_count();
+        let entry = if s < n && t < n { dm.get(NodeId(s), NodeId(t)) } else { 0.0 };
+        entry.to_bits()
+    };
+    let n = old.node_count().max(new.node_count());
+    (0..n)
+        .filter(|&t| (0..n).any(|s| bits(old, s, t) != bits(new, s, t)))
+        .map(NodeId)
+        .collect()
 }
 
 /// Solves every destination independently and assembles the separable
 /// routing — the *cold* protocol the incremental engine must reproduce.
-/// `caches` must hold one [`PhaseOneCache`] per node (results are
-/// bit-identical whether the caches are fresh or primed).
 pub fn separable_routing(
     graph: &Graph,
     dags: &[Dag],
     dm: &DemandMatrix,
-    caches: &mut [PhaseOneCache],
 ) -> Result<(PdRouting, Vec<DestinationSolve>), CoreError> {
-    if dags.len() != graph.node_count() || caches.len() != graph.node_count() {
+    if dags.len() != graph.node_count() {
         return Err(CoreError::DimensionMismatch(format!(
-            "{} DAGs / {} caches for {} nodes",
+            "{} DAGs for {} nodes",
             dags.len(),
-            caches.len(),
             graph.node_count()
         )));
     }
-    let mut solves = Vec::with_capacity(graph.node_count());
-    for t in graph.nodes() {
-        solves.push(solve_destination(
-            graph,
-            &dags[t.index()],
-            dm,
-            t,
-            &mut caches[t.index()],
-        )?);
-    }
+    let solves = graph
+        .nodes()
+        .map(|t| solve_destination(graph, &dags[t.index()], dm, t))
+        .collect::<Result<Vec<_>, _>>()?;
     let raw: Vec<Vec<f64>> = solves.iter().map(|s| s.flows.clone()).collect();
     Ok((PdRouting::from_ratios(graph, dags.to_vec(), raw), solves))
 }
@@ -236,6 +147,7 @@ pub fn separable_routing(
 mod tests {
     use super::*;
     use crate::dag_builder::{build_all_dags, DagMode};
+    use coyote_graph::EdgeId;
 
     fn fig1() -> (Graph, NodeId, NodeId, NodeId, NodeId) {
         let mut g = Graph::new();
@@ -251,6 +163,77 @@ mod tests {
         (g, s1, s2, v, t)
     }
 
+    /// The daemon's start-up scenario for a zoo topology, optionally with the
+    /// physical link of edge 0 down or with router 3 cut off.
+    fn daemon_scenario(name: &str, cut: Option<bool>) -> (Graph, Vec<Dag>, DemandMatrix) {
+        let mut g = coyote_topology::zoo::by_name(name).unwrap().to_graph().unwrap();
+        g.set_inverse_capacity_weights(10.0);
+        let dm = coyote_traffic::GravityModel::with_total(100.0).generate(&g);
+        let (a, b) = g.endpoints(EdgeId(0));
+        let dead: Vec<EdgeId> = g
+            .edges()
+            .filter(|&e| match (cut, g.endpoints(e)) {
+                (None, _) => false,
+                (Some(false), ends) => ends == (a, b) || ends == (b, a),
+                (Some(true), (u, v)) => u == NodeId(3) || v == NodeId(3),
+            })
+            .collect();
+        let g = g.without_edges(&dead);
+        let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
+        (g, dags, dm)
+    }
+
+    /// FNV-1a over the bits of every destination's α and flows.
+    fn digest(solves: &[DestinationSolve]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for s in solves {
+            for x in std::iter::once(&s.max_utilization).chain(&s.flows) {
+                h = (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The differential that licensed deleting this module's hand-built LP:
+    /// `(topology, cut, masked sources, digest)` of every destination's solve,
+    /// recorded from that LP when it agreed `to_bits` with the shared builder
+    /// on all 252 solves. Vertices aside, each α must stay the in-DAG optimum
+    /// of its column alone.
+    #[test]
+    fn every_daemon_solve_is_pinned_to_the_hand_built_lp_it_replaced() {
+        let pins: [(&str, Option<bool>, usize, u64); 15] = [
+            ("abilene", None, 0, 0x9f1ca12955824325),
+            ("abilene", Some(false), 0, 0x631c1ea42107ea86),
+            ("abilene", Some(true), 20, 0x6e00431995dbc869),
+            ("nsf", None, 0, 0x48903cf7c2715052),
+            ("nsf", Some(false), 0, 0x52bf51c7711693bc),
+            ("nsf", Some(true), 26, 0x185e1ed211f91941),
+            ("germany", None, 0, 0x51631b899d411597),
+            ("germany", Some(false), 0, 0x712f60f3c734f721),
+            ("germany", Some(true), 32, 0x30fa30266cf353e8),
+            ("att", None, 0, 0x9b2c98dc91c1c604),
+            ("att", Some(false), 0, 0x36c080b6eac9d290),
+            ("att", Some(true), 38, 0x35727d263fb01c49),
+            ("geant", None, 0, 0x789ae357fc124e04),
+            ("geant", Some(false), 0, 0x1724aaecfcf8c76f),
+            ("geant", Some(true), 42, 0x5932bd4fb5c26e21),
+        ];
+        for (name, cut, masked, pinned) in pins {
+            let (g, dags, dm) = daemon_scenario(name, cut);
+            let (_, solves) = separable_routing(&g, &dags, &dm).unwrap();
+            let unroutable: usize = solves.iter().map(|s| s.unroutable_sources).sum();
+            assert_eq!((unroutable, digest(&solves)), (masked, pinned), "{name} {cut:?}");
+            for (t, solve) in g.nodes().zip(&solves) {
+                let mut column = DemandMatrix::zeros(g.node_count());
+                for s in g.nodes().filter(|&s| s != t && routable_within(&dags[t.index()], s)) {
+                    column.set(s, t, dm.get(s, t));
+                }
+                let joint = crate::opt_mcf::optu_within_dags(&g, &dags, &column).unwrap();
+                assert!((solve.max_utilization - joint).abs() < 1e-9, "{name} {cut:?} {t}");
+            }
+        }
+    }
+
     #[test]
     fn single_destination_solve_matches_the_joint_optimum_for_one_column() {
         // With only one active destination the separable LP *is* the joint
@@ -259,30 +242,13 @@ mod tests {
         let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
         let mut dm = DemandMatrix::zeros(4);
         dm.set(s1, t, 2.0);
-        let mut cache = PhaseOneCache::new();
-        let solve = solve_destination(&g, &dags[t.index()], &dm, t, &mut cache).unwrap();
+        let solve = solve_destination(&g, &dags[t.index()], &dm, t).unwrap();
         let joint = crate::opt_mcf::optu_within_dags(&g, &dags, &dm).unwrap();
         assert!((solve.max_utilization - joint).abs() < 1e-6);
         // Conservation: everything s1 sends arrives.
         let outflow: f64 = g.out_edges(s1).iter().map(|&e| solve.flows[e.index()]).sum();
         let inflow: f64 = g.in_edges(s1).iter().map(|&e| solve.flows[e.index()]).sum();
         assert!((outflow - inflow - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn warm_cache_is_bit_identical_to_cold() {
-        let (g, s1, s2, _, t) = fig1();
-        let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
-        let mut dm = DemandMatrix::zeros(4);
-        dm.set(s1, t, 1.0);
-        dm.set(s2, t, 0.5);
-        let mut warm = PhaseOneCache::new();
-        // Prime the cache with a different column, then re-solve.
-        let _ = solve_destination(&g, &dags[t.index()], &dm.scaled(3.0), t, &mut warm).unwrap();
-        let warm_solve = solve_destination(&g, &dags[t.index()], &dm, t, &mut warm).unwrap();
-        let cold_solve =
-            solve_destination(&g, &dags[t.index()], &dm, t, &mut PhaseOneCache::new()).unwrap();
-        assert_eq!(warm_solve, cold_solve, "phase-one replay must not drift");
     }
 
     #[test]
@@ -295,16 +261,14 @@ mod tests {
         dm.set(s2, t, 0.5);
         let mut other = dm.clone();
         other.set(s1, v, 7.0);
-        let a = solve_destination(&g, &dags[t.index()], &dm, t, &mut PhaseOneCache::new()).unwrap();
-        let b =
-            solve_destination(&g, &dags[t.index()], &other, t, &mut PhaseOneCache::new()).unwrap();
+        let a = solve_destination(&g, &dags[t.index()], &dm, t).unwrap();
+        let b = solve_destination(&g, &dags[t.index()], &other, t).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn unroutable_sources_are_masked_not_fatal() {
-        let (g, s1, s2, v, t) = fig1();
-        let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
+        let (g, s1, s2, _, t) = fig1();
         // Hand the solver a DAG with no out-edges for s1 by failing both of
         // s1's links: rebuild on a pruned graph, then ask for s1's demand.
         let dead: Vec<_> = g
@@ -318,13 +282,10 @@ mod tests {
         let mut dm = DemandMatrix::zeros(4);
         dm.set(s1, t, 3.0);
         dm.set(s2, t, 1.0);
-        let solve =
-            solve_destination(&pruned, &pruned_dags[t.index()], &dm, t, &mut PhaseOneCache::new())
-                .unwrap();
+        let solve = solve_destination(&pruned, &pruned_dags[t.index()], &dm, t).unwrap();
         assert_eq!(solve.unroutable_sources, 1);
         assert!((solve.unroutable_volume - 3.0).abs() < 1e-12);
         assert!(solve.max_utilization > 0.0, "s2's demand still routes");
-        let _ = (dags, v);
     }
 
     #[test]
@@ -338,6 +299,10 @@ mod tests {
         new.set(s1, t, 1.5);
         new.set(s1, s2, 0.25);
         assert_eq!(demand_dirty_destinations(&old, &new), vec![s2, t]);
+        // Entries outside the smaller matrix read as no demand.
+        let mut grown = DemandMatrix::zeros(g.node_count() + 1);
+        grown.set(s1, NodeId(4), 1.0);
+        assert_eq!(demand_dirty_destinations(&DemandMatrix::zeros(4), &grown), vec![NodeId(4)]);
     }
 
     #[test]
@@ -347,9 +312,7 @@ mod tests {
         let mut dm = DemandMatrix::zeros(4);
         dm.set(s1, t, 1.0);
         dm.set(s2, t, 1.0);
-        let mut caches: Vec<PhaseOneCache> =
-            (0..g.node_count()).map(|_| PhaseOneCache::new()).collect();
-        let (routing, solves) = separable_routing(&g, &dags, &dm, &mut caches).unwrap();
+        let (routing, solves) = separable_routing(&g, &dags, &dm).unwrap();
         routing.validate(&g).unwrap();
         assert_eq!(solves.len(), 4);
         let util = routing.max_link_utilization(&g, &dm);

@@ -25,6 +25,7 @@ use crate::routing::PdRouting;
 use coyote_graph::{Dag, EdgeId, Graph, NodeId};
 use coyote_lp::{LpProblem, Relation, Sense, VarId};
 use coyote_traffic::DemandMatrix;
+use std::fmt::Write as _;
 
 /// Result of a demands-aware optimization.
 #[derive(Debug, Clone)]
@@ -38,22 +39,46 @@ pub struct McfSolution {
     pub destinations: Vec<NodeId>,
 }
 
-/// Edge set abstraction: either every graph edge (unrestricted) or only the
-/// edges of a per-destination DAG.
-enum EdgeScope<'a> {
+/// Edge set abstraction: every graph edge (unrestricted), the edges of each
+/// destination's DAG, or one DAG shared by every commodity handed in (the
+/// daemon's single-destination solve).
+pub(crate) enum EdgeScope<'a> {
     All,
     Dags(&'a [Dag]),
+    Dag(&'a Dag),
 }
 
 impl EdgeScope<'_> {
-    fn edges_for(&self, graph: &Graph, t: NodeId) -> Vec<EdgeId> {
+    fn dag(&self, t: NodeId) -> Option<&Dag> {
         match self {
-            EdgeScope::All => graph.edges().collect(),
-            EdgeScope::Dags(dags) => dags[t.index()].edges(),
+            EdgeScope::All => None,
+            EdgeScope::Dags(dags) => Some(&dags[t.index()]),
+            EdgeScope::Dag(dag) => Some(dag),
+        }
+    }
+
+    /// Usable `(out, in)` edges of `v` for commodity `t`, ascending by id.
+    fn incident<'s>(
+        &'s self,
+        graph: &'s Graph,
+        t: NodeId,
+        v: NodeId,
+    ) -> (&'s [EdgeId], &'s [EdgeId]) {
+        match self.dag(t) {
+            Some(dag) => (dag.out_edges(v), dag.in_edges(v)),
+            None => (graph.out_edges(v), graph.in_edges(v)),
         }
     }
 }
 
+/// True iff `dag` can carry demand from `s` to its destination: by the DAG
+/// invariant a node with an out-edge reaches the destination.
+pub(crate) fn routable_within(dag: &Dag, s: NodeId) -> bool {
+    !dag.out_edges(s).is_empty()
+}
+
+/// The `DemandMatrix` front of the flow LP: one commodity per active
+/// destination, its demand column read off `dm`.
 fn solve_mcf(
     graph: &Graph,
     dm: &DemandMatrix,
@@ -69,6 +94,22 @@ fn solve_mcf(
         )));
     }
     let destinations = dm.active_destinations();
+    let columns: Vec<Vec<f64>> = destinations
+        .iter()
+        .map(|&t| graph.nodes().map(|s| dm.get(s, t)).collect())
+        .collect();
+    solve_commodities(graph, destinations, &columns, scope)
+}
+
+/// The one builder of the min-max-utilization flow LP: commodity `k` routes
+/// `columns[k][s]` from every `s` to `destinations[k]` over the edges `scope`
+/// allows it (the diagonal entry `columns[k][t]` is never read).
+pub(crate) fn solve_commodities(
+    graph: &Graph,
+    destinations: Vec<NodeId>,
+    columns: &[Vec<f64>],
+    scope: EdgeScope<'_>,
+) -> Result<McfSolution, CoreError> {
     if destinations.is_empty() {
         return Ok(McfSolution {
             max_utilization: 0.0,
@@ -80,35 +121,43 @@ fn solve_mcf(
     let mut lp = LpProblem::new(Sense::Minimize);
     let alpha = lp.add_nonneg_var("alpha", 1.0);
 
+    // Names cost as much as the rows they label in the daemon's tiny LPs:
+    // format the commodity prefix once, then append one index per name.
+    let indexed = |prefix: &str, i: usize| {
+        let mut name = String::with_capacity(prefix.len() + 4);
+        name.push_str(prefix);
+        let _ = write!(name, "{i}");
+        name
+    };
+
     // g[k][edge] -> VarId (only edges usable for that destination).
     let mut flow_vars: Vec<Vec<Option<VarId>>> = Vec::with_capacity(destinations.len());
     for (k, &t) in destinations.iter().enumerate() {
+        let prefix = format!("g_{k}_");
         let mut per_edge = vec![None; graph.edge_count()];
-        for e in scope.edges_for(graph, t) {
-            let v = lp.add_nonneg_var(format!("g_{k}_{}", e.index()), 0.0);
+        let usable = scope.dag(t).map_or_else(|| graph.edges().collect(), Dag::edges);
+        for e in usable {
+            let v = lp.add_nonneg_var(indexed(&prefix, e.index()), 0.0);
             per_edge[e.index()] = Some(v);
         }
         flow_vars.push(per_edge);
     }
 
     // Flow conservation: out - in = demand, for every non-destination node.
+    // One row buffer for the whole model.
+    let mut terms: Vec<(VarId, f64)> = Vec::new();
     for (k, &t) in destinations.iter().enumerate() {
+        let prefix = format!("cons_{k}_");
         for v in graph.nodes() {
             if v == t {
                 continue;
             }
-            let mut terms: Vec<(VarId, f64)> = Vec::new();
-            for &e in graph.out_edges(v) {
-                if let Some(var) = flow_vars[k][e.index()] {
-                    terms.push((var, 1.0));
-                }
-            }
-            for &e in graph.in_edges(v) {
-                if let Some(var) = flow_vars[k][e.index()] {
-                    terms.push((var, -1.0));
-                }
-            }
-            let demand = dm.get(v, t);
+            let (out, inc) = scope.incident(graph, t, v);
+            let vars = &flow_vars[k];
+            terms.clear();
+            terms.extend(out.iter().filter_map(|e| Some((vars[e.index()]?, 1.0))));
+            terms.extend(inc.iter().filter_map(|e| Some((vars[e.index()]?, -1.0))));
+            let demand = columns[k][v.index()];
             if terms.is_empty() {
                 if demand > 0.0 {
                     return Err(CoreError::UnroutableDemand {
@@ -121,28 +170,19 @@ fn solve_mcf(
                 }
                 continue;
             }
-            lp.add_constraint(
-                format!("cons_{k}_{}", v.index()),
-                &terms,
-                Relation::Eq,
-                demand,
-            );
+            lp.add_constraint(indexed(&prefix, v.index()), &terms, Relation::Eq, demand);
         }
     }
 
     // Capacity: total flow on an edge is at most alpha * capacity.
     for e in graph.edges() {
-        let mut terms: Vec<(VarId, f64)> = Vec::new();
-        for vars in flow_vars.iter().take(destinations.len()) {
-            if let Some(var) = vars[e.index()] {
-                terms.push((var, 1.0));
-            }
-        }
+        terms.clear();
+        terms.extend(flow_vars.iter().filter_map(|vars| Some((vars[e.index()]?, 1.0))));
         if terms.is_empty() {
             continue;
         }
         terms.push((alpha, -graph.capacity(e)));
-        lp.add_constraint(format!("cap_{}", e.index()), &terms, Relation::Le, 0.0);
+        lp.add_constraint(indexed("cap_", e.index()), &terms, Relation::Le, 0.0);
     }
 
     let sol = lp.solve().map_err(|e| match e {
@@ -257,7 +297,7 @@ pub fn split_routable_within_dags(
         if s == t {
             continue;
         }
-        if dags[t.index()].out_edges(s).is_empty() {
+        if !routable_within(&dags[t.index()], s) {
             routable.set(s, t, 0.0);
             unroutable_volume += volume;
             unroutable_pairs += 1;

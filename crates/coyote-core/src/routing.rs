@@ -62,34 +62,12 @@ impl PdRouting {
     /// ratios are all zero fall back to uniform splitting).
     pub fn from_ratios(graph: &Graph, dags: Vec<Dag>, raw: Vec<Vec<f64>>) -> Self {
         assert_eq!(dags.len(), raw.len(), "one ratio vector per destination");
-        let mut phi = Vec::with_capacity(dags.len());
-        for (dag, ratios) in dags.iter().zip(raw) {
-            let mut cleaned = vec![0.0; graph.edge_count()];
-            for v in graph.nodes() {
-                let out = dag.out_edges(v);
-                if out.is_empty() {
-                    continue;
-                }
-                let mut sum = 0.0;
-                for &e in out {
-                    let r = ratios.get(e.index()).copied().unwrap_or(0.0).max(0.0);
-                    cleaned[e.index()] = r;
-                    sum += r;
-                }
-                if sum > SPLIT_TOLERANCE {
-                    for &e in out {
-                        cleaned[e.index()] /= sum;
-                    }
-                } else {
-                    let share = 1.0 / out.len() as f64;
-                    for &e in out {
-                        cleaned[e.index()] = share;
-                    }
-                }
-            }
-            phi.push(cleaned);
+        let phi = vec![vec![0.0; graph.edge_count()]; dags.len()];
+        let mut routing = Self { dags, phi };
+        for (t, ratios) in raw.iter().enumerate() {
+            routing.set_ratios(graph, NodeId(t), ratios);
         }
-        Self { dags, phi }
+        routing
     }
 
     /// Number of destinations (== number of graph nodes).
@@ -118,8 +96,8 @@ impl PdRouting {
         &self.phi[t.index()]
     }
 
-    /// Overwrites the ratios of destination `t` (same normalization rules as
-    /// [`PdRouting::from_ratios`]).
+    /// Overwrites the ratios of destination `t` — the one normalization
+    /// [`PdRouting::from_ratios`] applies to every destination.
     pub fn set_ratios(&mut self, graph: &Graph, t: NodeId, raw: &[f64]) {
         let dag = &self.dags[t.index()];
         let cleaned = &mut self.phi[t.index()];

@@ -1,6 +1,7 @@
 //! Wire types of the daemon's JSON responses.
 
 use crate::engine::TeEngine;
+use coyote_obs::Histogram;
 use serde::Serialize;
 
 /// One link's utilization in a [`StateResponse`].
@@ -14,36 +15,40 @@ pub struct LinkUtilization {
     pub utilization: f64,
 }
 
-/// Latency percentiles over a recorded series, microseconds.
-#[derive(Debug, Clone, Default, Serialize)]
+/// Latency summary of a log2-bucketed histogram, microseconds.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct LatencyStats {
-    /// Number of samples.
+    /// Number of samples (exact).
     pub count: usize,
-    /// Median.
+    /// Median, rounded up to its bucket's upper bound (`2^i − 1`, so at most
+    /// 2× high) and capped at `max_micros`.
     pub p50_micros: u64,
-    /// 99th percentile (max for short series).
+    /// 99th percentile, same rounding as the median.
     pub p99_micros: u64,
-    /// Maximum.
+    /// Maximum (exact).
     pub max_micros: u64,
 }
 
 impl LatencyStats {
-    /// Percentiles of `samples` (nearest-rank on the sorted series).
-    pub fn of(samples: &[u64]) -> LatencyStats {
-        if samples.is_empty() {
-            return LatencyStats::default();
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
-        let rank = |p: f64| -> u64 {
-            let idx = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-            sorted[idx - 1]
+    /// Summarizes `hist` (nearest-rank percentiles over its buckets).
+    pub fn of(hist: &Histogram) -> LatencyStats {
+        let quantile = |p: f64| -> u64 {
+            let rank = ((p * hist.count() as f64).ceil() as u64).max(1);
+            let mut seen = 0;
+            for (i, &c) in hist.buckets().iter().enumerate() {
+                seen += c;
+                if seen >= rank {
+                    let next = coyote_obs::bucket_lower_bound(i).saturating_mul(2);
+                    return next.saturating_sub(1).min(hist.max());
+                }
+            }
+            hist.max()
         };
         LatencyStats {
-            count: sorted.len(),
-            p50_micros: rank(0.50),
-            p99_micros: rank(0.99),
-            max_micros: *sorted.last().expect("non-empty"),
+            count: hist.count() as usize,
+            p50_micros: quantile(0.50),
+            p99_micros: quantile(0.99),
+            max_micros: hist.max(),
         }
     }
 }
@@ -89,7 +94,7 @@ pub struct StateResponse {
 impl StateResponse {
     /// Snapshots `engine` into a response.
     pub fn of(engine: &TeEngine, batch_recompile_micros: Option<u64>) -> StateResponse {
-        let (demand, event) = engine.reopt_micros();
+        let (demand, event) = engine.reopt_histograms();
         StateResponse {
             topology: engine.topology_name().to_string(),
             epoch: engine.epoch(),
@@ -158,13 +163,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentiles_use_nearest_rank() {
-        let stats = LatencyStats::of(&[10, 20, 30, 40]);
-        assert_eq!(stats.count, 4);
-        assert_eq!(stats.p50_micros, 20);
-        assert_eq!(stats.p99_micros, 40);
-        assert_eq!(stats.max_micros, 40);
-        assert_eq!(LatencyStats::of(&[]).count, 0);
-        assert_eq!(LatencyStats::of(&[7]).p50_micros, 7);
+    fn percentiles_are_bucket_upper_bounds_capped_at_the_exact_max() {
+        let mut hist = Histogram::new();
+        assert_eq!(LatencyStats::of(&hist), LatencyStats::default());
+        for v in [10, 20, 30, 40] {
+            hist.record(v);
+        }
+        // 10 → [8, 15], 20 and 30 → [16, 31], 40 → [32, 63].
+        let stats = LatencyStats::of(&hist);
+        assert_eq!((stats.count, stats.p50_micros), (4, 31));
+        assert_eq!((stats.p99_micros, stats.max_micros), (40, 40));
+        hist.record(0);
+        hist.record(0);
+        assert_eq!(LatencyStats::of(&hist).p50_micros, 15);
     }
 }

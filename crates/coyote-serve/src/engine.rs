@@ -7,12 +7,16 @@
 //!
 //! * **Demand updates** dirty exactly the destinations whose demand column
 //!   changed ([`coyote_core::demand_dirty_destinations`]); only those are
-//!   re-solved and recompiled.
+//!   re-solved, only their rows of the routing rewritten, only their
+//!   prefixes recompiled.
 //! * **Link events** and **node events** dirty *every* destination: augmented
 //!   DAGs contain each surviving physical link in some orientation, so there
-//!   is no per-destination locality to exploit. The win over the batch
-//!   pipeline is the policy itself (separable per-destination LPs instead of
-//!   the joint oblivious optimization).
+//!   is no per-destination locality to exploit: the DAGs are rebuilt and
+//!   every destination goes through the same step.
+//!
+//! Start-up, [`TeEngine::cold_rebuild`], topology events and demand updates
+//! all run that one step (`Program::recompute`: solve these destinations,
+//! compile these destinations); they differ only in the set they hand it.
 //!
 //! Every update is materialized as an [`LsaDelta`] and the engine advances
 //! its own LSDB **by applying that delta** — the same object a real Fibbing
@@ -32,8 +36,8 @@ use coyote_core::{
     build_all_dags, demand_dirty_destinations, solve_destination, DagMode, DestinationSolve,
     PdRouting,
 };
-use coyote_graph::{Dag, EdgeId, Graph, NodeId};
-use coyote_lp::PhaseOneCache;
+use coyote_graph::{EdgeId, Graph, NodeId};
+use coyote_obs::Histogram;
 use coyote_ospf::{
     compile_destination, compute_fib, DestinationLies, Fib, LsaDelta, Lsdb, PrefixUpdate,
     PruneStats, VirtualLinkBudget,
@@ -142,20 +146,100 @@ pub struct ColdCheck {
     pub detail: String,
 }
 
-/// Everything a cold recompile of the current scenario produces.
+/// What a cold recompile of the current scenario produces.
 pub struct ColdState {
-    /// The augmented DAGs of the surviving graph.
-    pub dags: Vec<Dag>,
-    /// The separable routing.
+    /// The separable routing (augmented DAGs of the surviving graph inside).
     pub routing: PdRouting,
     /// The lied-to LSDB.
     pub lsdb: Lsdb,
-    /// Per-destination solves.
-    pub solves: Vec<DestinationSolve>,
-    /// Per-destination lies (pre-injection).
-    pub lies: Vec<DestinationLies>,
     /// Wall-clock time of the rebuild, microseconds.
     pub micros: u64,
+}
+
+/// Everything derived from `(surviving graph, demands)`: the DAGs and
+/// splitting ratios (both inside `routing`), the per-destination solves
+/// behind the ratios and the per-prefix lies compiled from them.
+struct Program {
+    graph: Graph,
+    routing: PdRouting,
+    solves: Vec<DestinationSolve>,
+    lies: Vec<DestinationLies>,
+}
+
+impl Program {
+    /// A program over `graph` with nothing solved yet: its freshly built
+    /// augmented DAGs move into a placeholder routing, `lies` is what the
+    /// LSDB carries per prefix today.
+    fn unsolved(graph: Graph, lies: Vec<DestinationLies>) -> Result<Program, ServeError> {
+        let dags =
+            build_all_dags(&graph, DagMode::Augmented).map_err(coyote_core::CoreError::from)?;
+        Ok(Program {
+            routing: PdRouting::uniform(&graph, dags),
+            solves: vec![DestinationSolve::default(); graph.node_count()],
+            lies,
+            graph,
+        })
+    }
+
+    /// The cold protocol: fresh DAGs, every destination through
+    /// [`Program::recompute`].
+    fn cold(
+        graph: Graph,
+        demands: &DemandMatrix,
+        budget: VirtualLinkBudget,
+    ) -> Result<Program, ServeError> {
+        let all: Vec<NodeId> = graph.nodes().collect();
+        let no_lies = vec![DestinationLies::default(); all.len()];
+        let mut program = Program::unsolved(graph, no_lies)?;
+        program.recompute(demands, budget, &all)?;
+        Ok(program)
+    }
+
+    /// The engine's one recompute step: re-solve `dirty` under `demands`,
+    /// rewrite exactly their rows of the routing and recompile their
+    /// prefixes. Returns the replacement lie lists that differ content-wise
+    /// from what the prefix carried before (a re-solved destination whose
+    /// lies came out identical emits nothing).
+    fn recompute(
+        &mut self,
+        demands: &DemandMatrix,
+        budget: VirtualLinkBudget,
+        dirty: &[NodeId],
+    ) -> Result<Vec<PrefixUpdate>, ServeError> {
+        // Solve every dirty destination before compiling any. A compile reads
+        // only its own row, so the order cannot change a result; a link
+        // event's n solves just run ~5 % faster back to back than interleaved
+        // with n compiles.
+        for &t in dirty {
+            let solve = solve_destination(&self.graph, self.routing.dag(t), demands, t)?;
+            self.routing.set_ratios(&self.graph, t, &solve.flows);
+            self.solves[t.index()] = solve;
+        }
+        let mut updates = Vec::new();
+        for &t in dirty {
+            let compiled = compile_destination(&self.graph, &self.routing, t, budget)?;
+            let old = std::mem::replace(&mut self.lies[t.index()], compiled);
+            let new = &self.lies[t.index()].lies;
+            if old.lies != *new {
+                updates.push(PrefixUpdate {
+                    destination: t,
+                    lies: new.clone(),
+                    retracted: old.lies.len(),
+                });
+            }
+        }
+        Ok(updates)
+    }
+
+    /// The LSDB a cold compile floods: the physical topology plus every
+    /// prefix's lies injected in destination order.
+    fn cold_lsdb(&self) -> Lsdb {
+        let mut lsdb = Lsdb::from_graph(&self.graph);
+        for lie in self.lies.iter().flat_map(|per_dest| &per_dest.lies) {
+            lsdb.inject(lie.clone());
+        }
+        lsdb
+    }
 }
 
 /// The long-running incremental TE engine.
@@ -165,17 +249,12 @@ pub struct TeEngine {
     pristine: Graph,
     failed_links: BTreeSet<(usize, usize)>,
     failed_nodes: BTreeSet<usize>,
-    current: Graph,
     demands: DemandMatrix,
-    dags: Vec<Dag>,
-    caches: Vec<PhaseOneCache>,
-    solves: Vec<DestinationSolve>,
-    lies: Vec<DestinationLies>,
-    routing: PdRouting,
+    program: Program,
     lsdb: Lsdb,
     epoch: u64,
-    demand_reopt_micros: Vec<u64>,
-    event_reopt_micros: Vec<u64>,
+    demand_reopt: Histogram,
+    event_reopt: Histogram,
 }
 
 impl TeEngine {
@@ -188,33 +267,22 @@ impl TeEngine {
         let mut pristine = topo.to_graph()?;
         pristine.set_inverse_capacity_weights(10.0);
         let demands = config.model.generate(&pristine);
-        let n = pristine.node_count();
-        let mut engine = TeEngine {
+        let budget = VirtualLinkBudget::per_prefix(config.budget);
+        let program = Program::cold(pristine.clone(), &demands, budget)?;
+        coyote_obs::counter("serve.engine.starts", 1);
+        Ok(TeEngine {
             name: config.topology.clone(),
-            budget: VirtualLinkBudget::per_prefix(config.budget),
-            current: pristine.clone(),
+            budget,
             pristine,
             failed_links: BTreeSet::new(),
             failed_nodes: BTreeSet::new(),
             demands,
-            dags: Vec::new(),
-            caches: (0..n).map(|_| PhaseOneCache::new()).collect(),
-            solves: Vec::new(),
-            lies: Vec::new(),
-            routing: PdRouting::uniform(&Graph::new(), Vec::new()),
-            lsdb: Lsdb::with_router_lsas(Vec::new()),
+            lsdb: program.cold_lsdb(),
+            program,
             epoch: 0,
-            demand_reopt_micros: Vec::new(),
-            event_reopt_micros: Vec::new(),
-        };
-        let cold = engine.cold_rebuild()?;
-        engine.dags = cold.dags;
-        engine.routing = cold.routing;
-        engine.lsdb = cold.lsdb;
-        engine.solves = cold.solves;
-        engine.lies = cold.lies;
-        coyote_obs::counter("serve.engine.starts", 1);
-        Ok(engine)
+            demand_reopt: Histogram::new(),
+            event_reopt: Histogram::new(),
+        })
     }
 
     /// Topology name the engine was started with.
@@ -229,7 +297,7 @@ impl TeEngine {
 
     /// The currently surviving graph.
     pub fn current_graph(&self) -> &Graph {
-        &self.current
+        &self.program.graph
     }
 
     /// The pristine (no-failure) graph.
@@ -244,7 +312,7 @@ impl TeEngine {
 
     /// The current separable routing.
     pub fn routing(&self) -> &PdRouting {
-        &self.routing
+        &self.program.routing
     }
 
     /// The current lied-to LSDB.
@@ -254,7 +322,7 @@ impl TeEngine {
 
     /// Per-destination solves (indexed by destination).
     pub fn solves(&self) -> &[DestinationSolve] {
-        &self.solves
+        &self.program.solves
     }
 
     /// Currently failed links as canonical `(low, high)` node-index pairs.
@@ -267,10 +335,11 @@ impl TeEngine {
         self.failed_nodes.iter().copied()
     }
 
-    /// Re-optimization latencies recorded so far, microseconds, split into
-    /// `(demand updates, topology events)`.
-    pub fn reopt_micros(&self) -> (&[u64], &[u64]) {
-        (&self.demand_reopt_micros, &self.event_reopt_micros)
+    /// Re-optimization latencies recorded so far, microseconds, as
+    /// `(demand updates, topology events)`; fixed size however long the
+    /// daemon runs.
+    pub(crate) fn reopt_histograms(&self) -> (&Histogram, &Histogram) {
+        (&self.demand_reopt, &self.event_reopt)
     }
 
     /// The FIB every router computes from the current LSDB.
@@ -296,29 +365,31 @@ impl TeEngine {
 
     /// Total demand volume currently masked as unroutable.
     pub fn unroutable_volume(&self) -> f64 {
-        self.solves.iter().map(|s| s.unroutable_volume).sum()
+        self.solves().iter().map(|s| s.unroutable_volume).sum()
     }
 
     /// Max link utilization of the current routing on the current demands.
     pub fn max_utilization(&self) -> f64 {
-        if self.current.edge_count() == 0 {
+        let graph = self.current_graph();
+        if graph.edge_count() == 0 {
             return 0.0;
         }
-        self.routing.max_link_utilization(&self.current, &self.demands)
+        self.routing().max_link_utilization(graph, &self.demands)
     }
 
     /// Per-link utilizations of the current routing on the current demands,
     /// as `(src_name, dst_name, utilization)` in edge order.
     pub fn link_utilizations(&self) -> Vec<(String, String, f64)> {
-        let loads = self.routing.edge_loads(&self.current, &self.demands);
-        self.current
+        let graph = self.current_graph();
+        let loads = self.routing().edge_loads(graph, &self.demands);
+        graph
             .edges()
             .map(|e| {
-                let (a, b) = self.current.endpoints(e);
+                let (a, b) = graph.endpoints(e);
                 (
-                    self.current.node_name(a).to_string(),
-                    self.current.node_name(b).to_string(),
-                    loads[e.index()] / self.current.capacity(e),
+                    graph.node_name(a).to_string(),
+                    graph.node_name(b).to_string(),
+                    loads[e.index()] / graph.capacity(e),
                 )
             })
             .collect()
@@ -350,20 +421,9 @@ impl TeEngine {
             new_dm.set(u.src, u.dst, u.rate);
         }
         let dirty = demand_dirty_destinations(&self.demands, &new_dm);
-        for &t in &dirty {
-            self.solves[t.index()] = solve_destination(
-                &self.current,
-                &self.dags[t.index()],
-                &new_dm,
-                t,
-                &mut self.caches[t.index()],
-            )?;
-        }
-        let routing = self.assemble_routing();
-        let delta = self.compile_delta(&routing, &dirty, None)?;
-        let outcome = self.commit(routing, new_dm, delta, "demand", &dirty, None, start)?;
-        self.demand_reopt_micros.push(outcome.reopt_micros);
-        Ok(outcome)
+        let updates = self.program.recompute(&new_dm, self.budget, &dirty)?;
+        self.demands = new_dm;
+        self.commit(None, updates, "demand", &dirty, None, start)
     }
 
     /// Applies a link up/down event. `a`/`b` name the physical link's
@@ -381,35 +441,14 @@ impl TeEngine {
         if a == b {
             return Err(ServeError::BadRequest("link endpoints must differ".into()));
         }
+        let what = format!("link {}-{}", self.pristine.node_name(a), self.pristine.node_name(b));
         if self.pristine.find_edge(a, b).is_none() && self.pristine.find_edge(b, a).is_none() {
-            return Err(ServeError::BadRequest(format!(
-                "no physical link between {} and {}",
-                self.pristine.node_name(a),
-                self.pristine.node_name(b)
-            )));
+            return Err(ServeError::BadRequest(format!("{what} is not in the topology")));
         }
-        let pair = canonical(a, b);
-        let prune = if up {
-            if !self.failed_links.remove(&pair) {
-                return Err(ServeError::BadRequest(format!(
-                    "link {}-{} is not down",
-                    self.pristine.node_name(a),
-                    self.pristine.node_name(b)
-                )));
-            }
-            None
-        } else {
-            if !self.failed_links.insert(pair) {
-                return Err(ServeError::BadRequest(format!(
-                    "link {}-{} is already down",
-                    self.pristine.node_name(a),
-                    self.pristine.node_name(b)
-                )));
-            }
-            // OSPF's immediate reaction, before the controller re-optimizes:
-            // how much state the failure withdraws on its own.
-            Some(self.lsdb.pruned(&[], &[(a, b)]).1)
-        };
+        toggle(&mut self.failed_links, canonical(a, b), up, &what)?;
+        // OSPF's immediate reaction, before the controller re-optimizes:
+        // how much state the failure withdraws on its own.
+        let prune = (!up).then(|| self.lsdb.pruned(&[], &[(a, b)]).1);
         self.apply_topology_event("link", prune, start)
     }
 
@@ -419,52 +458,20 @@ impl TeEngine {
     /// as unroutable while it is down.
     pub fn apply_node_event(&mut self, node: NodeId, up: bool) -> Result<UpdateOutcome, ServeError> {
         let start = Instant::now();
-        let prune = if up {
-            if !self.failed_nodes.remove(&node.index()) {
-                return Err(ServeError::BadRequest(format!(
-                    "node {} is not down",
-                    self.pristine.node_name(node)
-                )));
-            }
-            None
-        } else {
-            if !self.failed_nodes.insert(node.index()) {
-                return Err(ServeError::BadRequest(format!(
-                    "node {} is already down",
-                    self.pristine.node_name(node)
-                )));
-            }
-            Some(self.lsdb.pruned(&[node], &[]).1)
-        };
+        let what = format!("node {}", self.pristine.node_name(node));
+        toggle(&mut self.failed_nodes, node.index(), up, &what)?;
+        let prune = (!up).then(|| self.lsdb.pruned(&[node], &[]).1);
         self.apply_topology_event("node", prune, start)
     }
 
-    /// Recomputes everything from `(pristine, failure sets, demands)` with
-    /// fresh caches — the reference the incremental path must match bit for
-    /// bit.
+    /// Recomputes everything from `(pristine, failure sets, demands)` — the
+    /// reference the incremental path must match bit for bit.
     pub fn cold_rebuild(&self) -> Result<ColdState, ServeError> {
         let start = Instant::now();
-        let current = self.surviving_graph();
-        let n = current.node_count();
-        let dags = build_all_dags(&current, DagMode::Augmented).map_err(coyote_core::CoreError::from)?;
-        let mut caches: Vec<PhaseOneCache> = (0..n).map(|_| PhaseOneCache::new()).collect();
-        let (routing, solves) =
-            coyote_core::separable_routing(&current, &dags, &self.demands, &mut caches)?;
-        let mut lies = Vec::with_capacity(n);
-        let mut lsdb = Lsdb::from_graph(&current);
-        for t in current.nodes() {
-            let per_dest = compile_destination(&current, &routing, t, self.budget)?;
-            for lie in &per_dest.lies {
-                lsdb.inject(lie.clone());
-            }
-            lies.push(per_dest);
-        }
+        let program = Program::cold(self.surviving_graph(), &self.demands, self.budget)?;
         Ok(ColdState {
-            dags,
-            routing,
-            lsdb,
-            solves,
-            lies,
+            lsdb: program.cold_lsdb(),
+            routing: program.routing,
             micros: start.elapsed().as_micros() as u64,
         })
     }
@@ -473,31 +480,20 @@ impl TeEngine {
     /// bit-identical to a cold recompile of the current scenario?
     pub fn verify_against_cold(&self) -> Result<ColdCheck, ServeError> {
         let cold = self.cold_rebuild()?;
-        let mut detail = String::new();
-        if cold.lsdb != self.lsdb {
-            detail = "LSDB differs from cold recompile".to_string();
+        let n = self.pristine.node_count();
+        let same_bits = |t: &NodeId| {
+            let (warm, cold) = (self.routing().ratios(*t), cold.routing.ratios(*t));
+            warm.iter().zip(cold).all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        let detail = if cold.lsdb != self.lsdb {
+            "LSDB differs from cold recompile".to_string()
+        } else if compute_fib(&self.lsdb, n) != compute_fib(&cold.lsdb, n) {
+            "FIB differs from cold recompile".to_string()
+        } else if let Some(t) = self.pristine.nodes().find(|t| !same_bits(t)) {
+            format!("splitting ratios differ for destination {}", t.index())
         } else {
-            let n = self.pristine.node_count();
-            let warm_fib = compute_fib(&self.lsdb, n);
-            let cold_fib = compute_fib(&cold.lsdb, n);
-            if warm_fib != cold_fib {
-                detail = "FIB differs from cold recompile".to_string();
-            } else {
-                'outer: for t in self.current.nodes() {
-                    let warm = self.routing.ratios(t);
-                    let cold_r = cold.routing.ratios(t);
-                    for (a, b) in warm.iter().zip(cold_r) {
-                        if a.to_bits() != b.to_bits() {
-                            detail = format!(
-                                "splitting ratios differ for destination {}",
-                                t.index()
-                            );
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-        }
+            String::new()
+        };
         Ok(ColdCheck {
             identical: detail.is_empty(),
             cold_micros: cold.micros,
@@ -523,106 +519,50 @@ impl TeEngine {
     }
 
     /// Shared tail of link/node events: rebuild the surviving graph and its
-    /// DAGs, re-solve every destination (all dirty), recompile, and commit
-    /// through the delta path with replacement router LSAs.
+    /// DAGs (moved into the routing, not copied), put every destination
+    /// through the recompute step, and commit through the delta path with
+    /// replacement router LSAs.
     fn apply_topology_event(
         &mut self,
         kind: &'static str,
         prune: Option<PruneStats>,
         start: Instant,
     ) -> Result<UpdateOutcome, ServeError> {
-        self.current = self.surviving_graph();
-        self.dags = build_all_dags(&self.current, DagMode::Augmented)
-            .map_err(coyote_core::CoreError::from)?;
-        // The LP structure changed with the topology; caches replay the
-        // phase-one pivots of the *old* structure, so start fresh (a cold
-        // rebuild does the same, which keeps the two paths bit-identical).
-        self.caches = (0..self.current.node_count())
-            .map(|_| PhaseOneCache::new())
-            .collect();
-        let dirty: Vec<NodeId> = self.current.nodes().collect();
-        for &t in &dirty {
-            self.solves[t.index()] = solve_destination(
-                &self.current,
-                &self.dags[t.index()],
-                &self.demands,
-                t,
-                &mut self.caches[t.index()],
-            )?;
-        }
-        let routing = self.assemble_routing();
-        let router_lsas = Lsdb::from_graph(&self.current).router_lsas().to_vec();
-        let delta = self.compile_delta(&routing, &dirty, Some(router_lsas))?;
-        let demands = self.demands.clone();
-        let outcome = self.commit(routing, demands, delta, kind, &dirty, prune, start)?;
-        self.event_reopt_micros.push(outcome.reopt_micros);
-        Ok(outcome)
+        let graph = self.surviving_graph();
+        let router_lsas = Lsdb::from_graph(&graph).router_lsas().to_vec();
+        let lies = std::mem::take(&mut self.program.lies);
+        self.program = Program::unsolved(graph, lies)?;
+        let dirty: Vec<NodeId> = self.pristine.nodes().collect();
+        let updates = self.program.recompute(&self.demands, self.budget, &dirty)?;
+        self.commit(Some(router_lsas), updates, kind, &dirty, prune, start)
     }
 
-    /// Assembles the [`PdRouting`] from the current per-destination flows —
-    /// the exact expression [`coyote_core::separable_routing`] uses, so the
-    /// incremental and cold paths agree bit for bit.
-    fn assemble_routing(&self) -> PdRouting {
-        let raw: Vec<Vec<f64>> = self.solves.iter().map(|s| s.flows.clone()).collect();
-        PdRouting::from_ratios(&self.current, self.dags.clone(), raw)
-    }
-
-    /// Compiles the dirty destinations against `routing` and packages the
-    /// changed prefixes (content comparison — a re-solved destination whose
-    /// lies came out identical is dropped from the delta) into an
-    /// [`LsaDelta`].
-    fn compile_delta(
-        &self,
-        routing: &PdRouting,
-        dirty: &[NodeId],
-        router_lsas: Option<Vec<coyote_ospf::RouterLsa>>,
-    ) -> Result<(LsaDelta, Vec<DestinationLies>), ServeError> {
-        let mut updates = Vec::new();
-        let mut new_lies = Vec::with_capacity(dirty.len());
-        for &t in dirty {
-            let per_dest = compile_destination(&self.current, routing, t, self.budget)?;
-            if per_dest.lies != self.lies[t.index()].lies {
-                updates.push(PrefixUpdate {
-                    destination: t,
-                    lies: per_dest.lies.clone(),
-                    retracted: self.lies[t.index()].lies.len(),
-                });
-            }
-            new_lies.push(per_dest);
-        }
-        Ok((
-            LsaDelta {
-                router_lsas,
-                updates,
-            },
-            new_lies,
-        ))
-    }
-
-    /// Applies the delta to the engine's LSDB and commits all derived state.
-    #[allow(clippy::too_many_arguments)]
+    /// Packages the recompute step's prefix updates into an [`LsaDelta`],
+    /// advances the LSDB by applying it, and reports the update.
     fn commit(
         &mut self,
-        routing: PdRouting,
-        demands: DemandMatrix,
-        delta_and_lies: (LsaDelta, Vec<DestinationLies>),
+        router_lsas: Option<Vec<coyote_ospf::RouterLsa>>,
+        updates: Vec<PrefixUpdate>,
         kind: &'static str,
         dirty: &[NodeId],
         prune: Option<PruneStats>,
         start: Instant,
     ) -> Result<UpdateOutcome, ServeError> {
-        let (delta, new_lies) = delta_and_lies;
+        let delta = LsaDelta {
+            router_lsas,
+            updates,
+        };
         // The router-LSA section of the LSDB changes on topology events even
         // when no prefix update survived the content comparison, so the
         // delta must be applied unconditionally.
         self.lsdb = delta.apply(&self.lsdb, self.pristine.node_count())?;
-        for (&t, lies) in dirty.iter().zip(new_lies) {
-            self.lies[t.index()] = lies;
-        }
-        self.routing = routing;
-        self.demands = demands;
         self.epoch += 1;
         let reopt = start.elapsed();
+        let reopt_micros = reopt.as_micros() as u64;
+        match delta.router_lsas {
+            Some(_) => self.event_reopt.record(reopt_micros),
+            None => self.demand_reopt.record(reopt_micros),
+        }
         coyote_obs::counter("serve.updates", 1);
         coyote_obs::counter(&format!("serve.updates.{kind}"), 1);
         coyote_obs::observe("serve.delta.prefixes", delta.touched_prefixes() as u64);
@@ -636,7 +576,7 @@ impl TeEngine {
             delta_fakes_added: delta.fakes_added(),
             delta_fakes_retracted: delta.fakes_retracted(),
             router_lsas_replaced: delta.router_lsas.is_some(),
-            reopt_micros: reopt.as_micros() as u64,
+            reopt_micros,
             max_utilization: self.max_utilization(),
             unroutable_volume: self.unroutable_volume(),
             immediate_prune: prune,
@@ -647,6 +587,22 @@ impl TeEngine {
 fn canonical(a: NodeId, b: NodeId) -> (usize, usize) {
     let (x, y) = (a.index(), b.index());
     (x.min(y), x.max(y))
+}
+
+/// Moves `key` out of (`up`) or into the failure set `failed`; an element
+/// that is already in the requested state is a client error.
+fn toggle<K: Ord>(
+    failed: &mut BTreeSet<K>,
+    key: K,
+    up: bool,
+    what: &str,
+) -> Result<(), ServeError> {
+    let changed = if up { failed.remove(&key) } else { failed.insert(key) };
+    if changed {
+        return Ok(());
+    }
+    let state = if up { "not down" } else { "already down" };
+    Err(ServeError::BadRequest(format!("{what} is {state}")))
 }
 
 #[cfg(test)]

@@ -252,38 +252,19 @@ fn dispatch(method: &str, path: &str, body: &str, shared: &Shared) -> (u16, Stri
         ("POST", "/node") => post_node(body, shared).and_then(|o| encode(&o)),
         ("POST", "/recompile") => post_recompile(shared).and_then(|o| encode(&o)),
         ("POST", "/shutdown") => Ok("{\"ok\":true,\"stopping\":true}".to_string()),
-        ("GET", _) | ("POST", _) => {
-            return (
-                404,
-                encode(&ErrorResponse {
-                    error: format!("no such endpoint: {path}"),
-                })
-                .unwrap_or_default(),
-            )
-        }
-        _ => {
-            return (
-                405,
-                encode(&ErrorResponse {
-                    error: format!("method {method} not allowed"),
-                })
-                .unwrap_or_default(),
-            )
-        }
+        ("GET", _) | ("POST", _) => return error_reply(404, format!("no such endpoint: {path}")),
+        _ => return error_reply(405, format!("method {method} not allowed")),
     };
     match result {
         Ok(body) => (200, body),
-        Err(e) => {
-            let status = if e.is_bad_request() { 400 } else { 500 };
-            (
-                status,
-                encode(&ErrorResponse {
-                    error: e.to_string(),
-                })
-                .unwrap_or_default(),
-            )
-        }
+        Err(e) if e.is_bad_request() => error_reply(400, e.to_string()),
+        Err(e) => error_reply(500, e.to_string()),
     }
+}
+
+fn error_reply(status: u16, error: String) -> (u16, String) {
+    let body = encode(&ErrorResponse { error }).unwrap_or_default();
+    (status, body)
 }
 
 fn encode<T: serde::Serialize>(value: &T) -> Result<String, ServeError> {
@@ -310,6 +291,14 @@ fn parse_body(body: &str) -> Result<JsonValue, ServeError> {
     json::parse(body).map_err(|e| ServeError::BadRequest(format!("invalid JSON body: {e}")))
 }
 
+/// The mandatory boolean `"up"` of a link or node event: a body that omits
+/// it or sends another type is a client error, never a failure event.
+fn up_of(doc: &JsonValue) -> Result<bool, ServeError> {
+    doc.get("up")
+        .and_then(|u| u.as_bool())
+        .ok_or_else(|| ServeError::BadRequest("body needs a boolean \"up\"".into()))
+}
+
 fn post_demand(body: &str, shared: &Shared) -> Result<UpdateOutcome, ServeError> {
     let doc = parse_body(body)?;
     let raw = doc
@@ -333,7 +322,7 @@ fn post_demand(body: &str, shared: &Shared) -> Result<UpdateOutcome, ServeError>
 
 fn post_link(body: &str, shared: &Shared) -> Result<UpdateOutcome, ServeError> {
     let doc = parse_body(body)?;
-    let up = doc.get("up").and_then(|u| u.as_bool()).unwrap_or(false);
+    let up = up_of(&doc)?;
     let mut engine = shared.engine.lock().expect("engine lock poisoned");
     let a = node_of(&engine, doc.get("a"), "a")?;
     let b = node_of(&engine, doc.get("b"), "b")?;
@@ -342,7 +331,7 @@ fn post_link(body: &str, shared: &Shared) -> Result<UpdateOutcome, ServeError> {
 
 fn post_node(body: &str, shared: &Shared) -> Result<UpdateOutcome, ServeError> {
     let doc = parse_body(body)?;
-    let up = doc.get("up").and_then(|u| u.as_bool()).unwrap_or(false);
+    let up = up_of(&doc)?;
     let mut engine = shared.engine.lock().expect("engine lock poisoned");
     let node = node_of(&engine, doc.get("node"), "node")?;
     engine.apply_node_event(node, up)

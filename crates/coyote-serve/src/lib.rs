@@ -5,7 +5,7 @@
 //! crate keeps the compiled Fibbing program *in memory* and reacts to demand
 //! drift and topology events with incremental re-optimization:
 //!
-//! * [`engine`] — the [`TeEngine`] state machine: dirty-set tracking, warm
+//! * [`engine`] — the [`TeEngine`] state machine: dirty-set tracking,
 //!   per-destination re-solves ([`coyote_core::incremental`]), per-prefix
 //!   recompiles and [`coyote_ospf::LsaDelta`] emission. The engine advances
 //!   its own LSDB by *applying the delta it emits*, so the differential
@@ -19,9 +19,9 @@
 //!   `serde_json` stand-in is serialize-only).
 //! * [`api`] — the wire types of the JSON responses.
 //!
-//! The `serve_load` binary is the matching load driver: it hammers a running
-//! daemon with seeded demand updates and link events, checks the
-//! differential guarantee over HTTP, and writes `BENCH_serve.json`.
+//! The load harness is the repo's benchmark (`benchmark/`, workload
+//! `serve-events`): seeded demand updates and link events through in-process
+//! engines, the differential guarantee checked at every checkpoint.
 //!
 //! ```no_run
 //! use coyote_serve::{EngineConfig, ServerConfig, Server, TeEngine};

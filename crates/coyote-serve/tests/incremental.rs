@@ -1,13 +1,17 @@
 //! The differential suite of the serving layer (ISSUE 10 satellite): on
 //! Abilene and NSF, drive the engine through seeded sequences of demand
 //! updates and link/node events and assert that the incrementally maintained
-//! state — LSDB advanced by applying the emitted deltas, warm-cache
+//! state — LSDB advanced by applying the emitted deltas, dirty-column
 //! re-solves, per-prefix recompiles — is **bit-identical** to a cold
 //! recompile of the current scenario at every single step (FIB next-hop
 //! sets, replica counts and splitting ratios included; see
-//! `TeEngine::verify_against_cold`).
+//! `TeEngine::verify_against_cold`). The abilene and nsf traces also pin a
+//! digest of what the engine served, so a reordering inside the shared LP
+//! builder or the row update fails here and not only in the benchmark.
 
-use coyote_serve::{DemandModel, DemandUpdate, EngineConfig, TeEngine};
+use coyote_serve::{
+    DemandModel, DemandUpdate, EngineConfig, StateResponse, TeEngine, UpdateOutcome,
+};
 
 /// xorshift64* — deterministic without a rand dependency.
 struct Rng(u64);
@@ -36,8 +40,10 @@ fn assert_identical(engine: &TeEngine, context: &str) {
     );
 }
 
-/// Seeded mixed sequence: demand updates, link down/up, one node flap.
-fn drive(topology: &str, seed: u64, steps: usize) {
+/// Seeded mixed sequence of demand updates and link down/up events. Returns
+/// the engine digest `(epoch, max-utilization bits, LSA churn)`, where churn
+/// is Σ `delta_fakes_added + delta_fakes_retracted` over every update.
+fn drive(topology: &str, seed: u64, steps: usize) -> (u64, u64, usize) {
     let config = EngineConfig {
         topology: topology.to_string(),
         model: DemandModel::Gravity { total: Some(50.0) },
@@ -64,6 +70,9 @@ fn drive(topology: &str, seed: u64, steps: usize) {
 
     let mut rng = Rng(seed);
     let mut down: Vec<(usize, usize)> = Vec::new();
+    let mut churn = 0;
+    let mut count =
+        |out: &UpdateOutcome| churn += out.delta_fakes_added + out.delta_fakes_retracted;
     for step in 0..steps {
         match rng.below(3) {
             // Demand update: overwrite a random off-diagonal entry.
@@ -78,6 +87,7 @@ fn drive(topology: &str, seed: u64, steps: usize) {
                         rate,
                     }])
                     .unwrap();
+                count(&out);
                 assert!(
                     out.dirty_destinations.len() <= 1,
                     "one overwritten entry dirties at most its destination column"
@@ -91,6 +101,7 @@ fn drive(topology: &str, seed: u64, steps: usize) {
                 let out = engine
                     .apply_link_event(coyote_graph::NodeId(a), coyote_graph::NodeId(b), false)
                     .unwrap();
+                count(&out);
                 assert!(out.router_lsas_replaced);
                 assert!(out.immediate_prune.is_some());
                 down.push((a, b));
@@ -99,9 +110,10 @@ fn drive(topology: &str, seed: u64, steps: usize) {
             // Link up.
             _ if !down.is_empty() => {
                 let (a, b) = down.swap_remove(rng.below(down.len() as u64) as usize);
-                engine
+                let out = engine
                     .apply_link_event(coyote_graph::NodeId(a), coyote_graph::NodeId(b), true)
                     .unwrap();
+                count(&out);
                 assert_identical(&engine, &format!("step {step}: link {a}-{b} up"));
             }
             _ => {}
@@ -110,21 +122,24 @@ fn drive(topology: &str, seed: u64, steps: usize) {
 
     // Restore all links and confirm the pristine program is reproduced.
     for (a, b) in down.drain(..) {
-        engine
+        let out = engine
             .apply_link_event(coyote_graph::NodeId(a), coyote_graph::NodeId(b), true)
             .unwrap();
+        count(&out);
     }
     assert_identical(&engine, "after restoring all links");
+    (engine.epoch(), engine.max_utilization().to_bits(), churn)
 }
 
 #[test]
 fn abilene_incremental_equals_cold_at_every_step() {
-    drive("abilene", 0xC0FFEE, 14);
+    // Digest recorded on the commit before the engine's single recompute step.
+    assert_eq!(drive("abilene", 0xC0FFEE, 14), (17, 4613524059668531901, 437));
 }
 
 #[test]
 fn nsf_incremental_equals_cold_at_every_step() {
-    drive("nsf", 0xBEEF, 14);
+    assert_eq!(drive("nsf", 0xBEEF, 14), (17, 4621739550271606470, 2560));
 }
 
 #[test]
@@ -178,4 +193,28 @@ fn fib_replicas_match_cold_recompile_bit_for_bit() {
             );
         }
     }
+}
+
+#[test]
+fn reopt_telemetry_stays_fixed_size_over_5000_updates() {
+    // `/state` reports latencies from two 65-bucket histograms: exact count
+    // and maximum, bucket-rounded percentiles, nothing that grows per update.
+    let mut engine = TeEngine::new(&EngineConfig::default()).unwrap();
+    let mut rng = Rng(7);
+    let mut slowest = 0;
+    for _ in 0..5000 {
+        let out = engine
+            .apply_demand_update(&[DemandUpdate {
+                src: coyote_graph::NodeId(rng.below(5) as usize),
+                dst: coyote_graph::NodeId(5 + rng.below(6) as usize),
+                rate: rng.below(1000) as f64 / 37.0,
+            }])
+            .unwrap();
+        slowest = slowest.max(out.reopt_micros);
+    }
+    let state = StateResponse::of(&engine, None);
+    assert_eq!((state.demand_reopt.count, state.event_reopt.count), (5000, 0));
+    assert!(state.demand_reopt.p50_micros <= state.demand_reopt.p99_micros);
+    assert!(state.demand_reopt.p99_micros <= state.demand_reopt.max_micros);
+    assert_eq!(state.demand_reopt.max_micros, slowest);
 }

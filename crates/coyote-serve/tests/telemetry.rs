@@ -63,10 +63,23 @@ fn run_session(threads: usize) -> coyote_obs::Snapshot {
     let (status, body) = request(&addr, "POST", "/recompile", "");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"identical\":true"), "{body}");
-    // Client errors must not poison the daemon.
+    // Client errors must not poison the daemon — and an event whose "up" is
+    // missing or not a boolean must not be read as "down".
     assert_eq!(request(&addr, "POST", "/demand", "not json").0, 400);
     assert_eq!(request(&addr, "GET", "/nope", "").0, 404);
-    assert_eq!(request(&addr, "GET", "/state", "").0, 200);
+    for (path, body) in [
+        ("/link", r#"{"a":0,"b":1}"#),
+        ("/link", r#"{"a":0,"b":1,"up":"true"}"#),
+        ("/node", r#"{"node":3}"#),
+    ] {
+        assert_eq!(request(&addr, "POST", path, body).0, 400, "{path} {body}");
+    }
+    let (status, state) = request(&addr, "GET", "/state", "");
+    assert_eq!(status, 200);
+    let state = coyote_serve::json::parse(&state).unwrap();
+    let failed = |key| state.get(key).and_then(|v| v.as_array()).map(<[_]>::len);
+    assert_eq!((failed("failed_links"), failed("failed_nodes")), (Some(0), Some(0)));
+    assert_eq!(state.get("epoch").and_then(|e| e.as_f64()), Some(3.0));
 
     server.shutdown();
     server.join();
