@@ -92,7 +92,7 @@ pub fn certify_edge(
     let mut lp = LpProblem::new(Sense::Minimize);
     let pi: Vec<VarId> = graph
         .edges()
-        .map(|h| lp.add_nonneg_var(format!("pi_{}", h.index()), graph.capacity(h)))
+        .map(|h| lp.add_nonneg_var(("pi", h.index()), graph.capacity(h)))
         .collect();
 
     // Potentials per (node, destination) actually referenced.
@@ -102,7 +102,7 @@ pub fn certify_edge(
     let mut potential = vec![vec![None; n]; n];
     for &t in &dests {
         for v in graph.nodes() {
-            let var = lp.add_nonneg_var(format!("p_{}_{}", v.index(), t.index()), 0.0);
+            let var = lp.add_nonneg_var(("p", v.index(), t.index()), 0.0);
             potential[v.index()][t.index()] = Some(var);
         }
     }
@@ -110,12 +110,7 @@ pub fn certify_edge(
     // p(t, t) == 0.
     for &t in &dests {
         let var = potential[t.index()][t.index()].expect("created above");
-        lp.add_constraint(
-            format!("root_{}", t.index()),
-            &[(var, 1.0)],
-            Relation::Eq,
-            0.0,
-        );
+        lp.add_constraint(("root", t.index()), &[(var, 1.0)], Relation::Eq, 0.0);
     }
 
     // Triangle inequalities over *all* edges: the adversary certifying that
@@ -128,7 +123,7 @@ pub fn certify_edge(
             let pj = potential[j.index()][t.index()].expect("created");
             let pk = potential[k.index()][t.index()].expect("created");
             lp.add_constraint(
-                format!("tri_{}_{}", a.index(), t.index()),
+                ("tri", a.index(), t.index()),
                 &[(pj, 1.0), (pk, -1.0), (pi[a.index()], -1.0)],
                 Relation::Le,
                 0.0,
@@ -140,7 +135,7 @@ pub fn certify_edge(
     for &(s, t, l) in &loads {
         let ps = potential[s.index()][t.index()].expect("created");
         lp.add_constraint(
-            format!("cover_{}_{}", s.index(), t.index()),
+            ("cover", s.index(), t.index()),
             &[(ps, 1.0)],
             Relation::Ge,
             l,

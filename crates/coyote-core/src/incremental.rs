@@ -24,9 +24,9 @@
 //! destinations and copy every other solution over unchanged, and a cold
 //! recompile provably reproduces the same routing bit for bit. The LP is
 //! [`crate::opt_mcf`]'s, built for one commodity inside one DAG — this
-//! module owns no model of its own — and every solve is cold: a demand
-//! update moves the right-hand side, which is what a phase-one replay keys
-//! on.
+//! module owns no model of its own — and every solve is a one-shot cold
+//! solve: a demand update moves the right-hand side, which an
+//! `LpSession` (objective changes only) cannot express.
 //!
 //! Like [`crate::opt_mcf::split_routable_within_dags`], demand from sources
 //! with no DAG out-edge (failures can partition a topology) is masked out

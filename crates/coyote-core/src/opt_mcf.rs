@@ -22,10 +22,9 @@
 
 use crate::error::CoreError;
 use crate::routing::PdRouting;
-use coyote_graph::{Dag, EdgeId, Graph, NodeId};
+use coyote_graph::{Dag, Graph, NodeId};
 use coyote_lp::{LpProblem, Relation, Sense, VarId};
 use coyote_traffic::DemandMatrix;
-use std::fmt::Write as _;
 
 /// Result of a demands-aware optimization.
 #[derive(Debug, Clone)]
@@ -56,19 +55,53 @@ impl EdgeScope<'_> {
             EdgeScope::Dag(dag) => Some(dag),
         }
     }
+}
 
-    /// Usable `(out, in)` edges of `v` for commodity `t`, ascending by id.
-    fn incident<'s>(
-        &'s self,
-        graph: &'s Graph,
-        t: NodeId,
-        v: NodeId,
-    ) -> (&'s [EdgeId], &'s [EdgeId]) {
-        match self.dag(t) {
-            Some(dag) => (dag.out_edges(v), dag.in_edges(v)),
-            None => (graph.out_edges(v), graph.in_edges(v)),
+/// The flow block of every flow LP in this crate, laid out in one place.
+/// Per commodity `(label, t)`: one non-negative, zero-cost column
+/// `g_label(e)` for each edge `scope` lets `t` use, ascending by id. Then,
+/// commodity by commodity and node by node (`t` itself skipped), the net
+/// outflow of `v` — `+1` per usable out-edge, `−1` per usable in-edge,
+/// possibly nothing — goes to `conserve(lp, k, v, terms)`, which closes it
+/// into the caller's conservation row. Returns the columns as `[k][edge]`.
+pub(crate) fn flow_block(
+    lp: &mut LpProblem,
+    graph: &Graph,
+    scope: &EdgeScope<'_>,
+    commodities: &[(usize, NodeId)],
+    mut conserve: impl FnMut(
+        &mut LpProblem,
+        usize,
+        NodeId,
+        &mut Vec<(VarId, f64)>,
+    ) -> Result<(), CoreError>,
+) -> Result<Vec<Vec<Option<VarId>>>, CoreError> {
+    let mut columns = Vec::with_capacity(commodities.len());
+    for &(label, t) in commodities {
+        let mut per_edge = vec![None; graph.edge_count()];
+        let usable = scope.dag(t).map_or_else(|| graph.edges().collect(), Dag::edges);
+        for e in usable {
+            per_edge[e.index()] = Some(lp.add_nonneg_var(("g", label, e.index()), 0.0));
+        }
+        columns.push(per_edge);
+    }
+    // One row buffer for the whole block.
+    let mut terms: Vec<(VarId, f64)> = Vec::new();
+    for (k, &(_, t)) in commodities.iter().enumerate() {
+        for v in graph.nodes().filter(|&v| v != t) {
+            // Usable out- and in-edges of `v`, each ascending by id.
+            let (out, inc) = match scope.dag(t) {
+                Some(dag) => (dag.out_edges(v), dag.in_edges(v)),
+                None => (graph.out_edges(v), graph.in_edges(v)),
+            };
+            let vars: &[Option<VarId>] = &columns[k];
+            terms.clear();
+            terms.extend(out.iter().filter_map(|e| Some((vars[e.index()]?, 1.0))));
+            terms.extend(inc.iter().filter_map(|e| Some((vars[e.index()]?, -1.0))));
+            conserve(lp, k, v, &mut terms)?;
         }
     }
+    Ok(columns)
 }
 
 /// True iff `dag` can carry demand from `s` to its destination: by the DAG
@@ -121,60 +154,26 @@ pub(crate) fn solve_commodities(
     let mut lp = LpProblem::new(Sense::Minimize);
     let alpha = lp.add_nonneg_var("alpha", 1.0);
 
-    // Names cost as much as the rows they label in the daemon's tiny LPs:
-    // format the commodity prefix once, then append one index per name.
-    let indexed = |prefix: &str, i: usize| {
-        let mut name = String::with_capacity(prefix.len() + 4);
-        name.push_str(prefix);
-        let _ = write!(name, "{i}");
-        name
-    };
-
-    // g[k][edge] -> VarId (only edges usable for that destination).
-    let mut flow_vars: Vec<Vec<Option<VarId>>> = Vec::with_capacity(destinations.len());
-    for (k, &t) in destinations.iter().enumerate() {
-        let prefix = format!("g_{k}_");
-        let mut per_edge = vec![None; graph.edge_count()];
-        let usable = scope.dag(t).map_or_else(|| graph.edges().collect(), Dag::edges);
-        for e in usable {
-            let v = lp.add_nonneg_var(indexed(&prefix, e.index()), 0.0);
-            per_edge[e.index()] = Some(v);
-        }
-        flow_vars.push(per_edge);
-    }
-
     // Flow conservation: out - in = demand, for every non-destination node.
-    // One row buffer for the whole model.
-    let mut terms: Vec<(VarId, f64)> = Vec::new();
-    for (k, &t) in destinations.iter().enumerate() {
-        let prefix = format!("cons_{k}_");
-        for v in graph.nodes() {
-            if v == t {
-                continue;
-            }
-            let (out, inc) = scope.incident(graph, t, v);
-            let vars = &flow_vars[k];
-            terms.clear();
-            terms.extend(out.iter().filter_map(|e| Some((vars[e.index()]?, 1.0))));
-            terms.extend(inc.iter().filter_map(|e| Some((vars[e.index()]?, -1.0))));
-            let demand = columns[k][v.index()];
-            if terms.is_empty() {
-                if demand > 0.0 {
-                    return Err(CoreError::UnroutableDemand {
-                        detail: format!(
-                            "node {} has demand {demand} towards {} but no usable edges",
-                            graph.node_name(v),
-                            graph.node_name(t)
-                        ),
-                    });
-                }
-                continue;
-            }
-            lp.add_constraint(indexed(&prefix, v.index()), &terms, Relation::Eq, demand);
+    let commodities: Vec<(usize, NodeId)> = destinations.iter().copied().enumerate().collect();
+    let flow_vars = flow_block(&mut lp, graph, &scope, &commodities, |lp, k, v, terms| {
+        let demand = columns[k][v.index()];
+        if !terms.is_empty() {
+            lp.add_constraint(("cons", k, v.index()), terms, Relation::Eq, demand);
+        } else if demand > 0.0 {
+            return Err(CoreError::UnroutableDemand {
+                detail: format!(
+                    "node {} has demand {demand} towards {} but no usable edges",
+                    graph.node_name(v),
+                    graph.node_name(destinations[k])
+                ),
+            });
         }
-    }
+        Ok(())
+    })?;
 
     // Capacity: total flow on an edge is at most alpha * capacity.
+    let mut terms: Vec<(VarId, f64)> = Vec::new();
     for e in graph.edges() {
         terms.clear();
         terms.extend(flow_vars.iter().filter_map(|vars| Some((vars[e.index()]?, 1.0))));
@@ -182,7 +181,7 @@ pub(crate) fn solve_commodities(
             continue;
         }
         terms.push((alpha, -graph.capacity(e)));
-        lp.add_constraint(indexed("cap_", e.index()), &terms, Relation::Le, 0.0);
+        lp.add_constraint(("cap", e.index()), &terms, Relation::Le, 0.0);
     }
 
     let sol = lp.solve().map_err(|e| match e {

@@ -17,9 +17,10 @@
 //! ([`crate::local_search`]).
 
 use crate::error::CoreError;
+use crate::opt_mcf::{flow_block, EdgeScope};
 use crate::routing::PdRouting;
-use coyote_graph::{Dag, EdgeId, Graph, NodeId};
-use coyote_lp::{LpProblem, PhaseOneCache, Relation, Sense, VarId};
+use coyote_graph::{EdgeId, Graph, NodeId};
+use coyote_lp::{LpProblem, LpSession, Relation, Sense, VarId};
 use coyote_traffic::{DemandMatrix, UncertaintySet};
 
 /// Which edges the *adversary's certifying flow* may use when proving that
@@ -84,19 +85,18 @@ pub struct WorstCase {
     pub edge: EdgeId,
 }
 
-/// The slave LP with its constraint system built once per
-/// (routing, uncertainty, scope): only the objective changes from edge to
-/// edge, so successive [`SlaveLp::solve_edge`] calls replay the cached
-/// phase-one basis ([`PhaseOneCache`]) and skip straight to phase two —
-/// with results bit-identical to building and solving from scratch.
+/// The slave LP, prepared once per (routing, uncertainty, scope) as an
+/// [`LpSession`]: only the objective changes from edge to edge, so every
+/// [`SlaveLp::solve_edge`] after the first re-enters phase two from the
+/// basis the session recorded — with results bit-identical to building and
+/// solving from scratch.
 pub struct SlaveLp<'a> {
     graph: &'a Graph,
     routing: &'a PdRouting,
     fractions: &'a FractionTable,
-    lp: LpProblem,
+    session: LpSession,
     d_var: Vec<Vec<Option<VarId>>>,
     pairs: Vec<(NodeId, NodeId)>,
-    cache: PhaseOneCache,
 }
 
 impl<'a> SlaveLp<'a> {
@@ -123,7 +123,7 @@ impl<'a> SlaveLp<'a> {
         // Demand variables (objective filled in per edge).
         let mut d_var: Vec<Vec<Option<VarId>>> = vec![vec![None; n]; n];
         for &(s, t) in &pairs {
-            let v = lp.add_nonneg_var(format!("d_{}_{}", s.index(), t.index()), 0.0);
+            let v = lp.add_nonneg_var(("d", s.index(), t.index()), 0.0);
             d_var[s.index()][t.index()] = Some(v);
         }
 
@@ -134,91 +134,54 @@ impl<'a> SlaveLp<'a> {
             Some(lp.add_nonneg_var("lambda", 0.0))
         };
 
-        // Certifying flow variables g_t(e) for every destination that can
-        // receive traffic.
+        // Certifying flow g_t(e) for every destination that can receive
+        // traffic, with its conservation rows: out - in = d_vt.
         let mut destinations: Vec<NodeId> = pairs.iter().map(|&(_, t)| t).collect();
         destinations.sort();
         destinations.dedup();
-        let mut flow_var: Vec<Vec<Option<VarId>>> = vec![vec![None; graph.edge_count()]; n];
-        for &t in &destinations {
-            let allowed: Vec<EdgeId> = match scope {
-                RoutabilityScope::AllEdges => graph.edges().collect(),
-                RoutabilityScope::WithinDags => routing.dag(t).edges(),
-            };
-            for e in allowed {
-                let v = lp.add_nonneg_var(format!("g_{}_{}", t.index(), e.index()), 0.0);
-                flow_var[t.index()][e.index()] = Some(v);
-            }
-        }
-
-        // Flow conservation for the certifying flow: out - in = d_vt.
-        for &t in &destinations {
-            for v in graph.nodes() {
-                if v == t {
-                    continue;
-                }
-                let mut terms: Vec<(VarId, f64)> = Vec::new();
-                for &e in graph.out_edges(v) {
-                    if let Some(var) = flow_var[t.index()][e.index()] {
-                        terms.push((var, 1.0));
-                    }
-                }
-                for &e in graph.in_edges(v) {
-                    if let Some(var) = flow_var[t.index()][e.index()] {
-                        terms.push((var, -1.0));
-                    }
-                }
-                let d = d_var[v.index()][t.index()];
-                match (terms.is_empty(), d) {
-                    (true, None) => continue,
+        let commodities: Vec<(usize, NodeId)> =
+            destinations.iter().map(|&t| (t.index(), t)).collect();
+        let edge_scope = match scope {
+            RoutabilityScope::AllEdges => EdgeScope::All,
+            RoutabilityScope::WithinDags => EdgeScope::Dags(routing.dags()),
+        };
+        let flow_var = flow_block(
+            &mut lp,
+            graph,
+            &edge_scope,
+            &commodities,
+            |lp, k, v, terms| {
+                let t = destinations[k];
+                match (terms.is_empty(), d_var[v.index()][t.index()]) {
+                    (true, None) => {}
+                    // No way to route anything out of v towards t: pin the
+                    // demand to zero.
                     (true, Some(dv)) => {
-                        // No way to route anything out of v towards t: pin the
-                        // demand to zero.
-                        lp.add_constraint(
-                            format!("pin_{}_{}", v.index(), t.index()),
-                            &[(dv, 1.0)],
-                            Relation::Eq,
-                            0.0,
-                        );
+                        let pin = ("pin", v.index(), t.index());
+                        lp.add_constraint(pin, &[(dv, 1.0)], Relation::Eq, 0.0);
                     }
-                    (false, None) => {
-                        lp.add_constraint(
-                            format!("cons_{}_{}", t.index(), v.index()),
-                            &terms,
-                            Relation::Eq,
-                            0.0,
-                        );
-                    }
-                    (false, Some(dv)) => {
-                        terms.push((dv, -1.0));
-                        lp.add_constraint(
-                            format!("cons_{}_{}", t.index(), v.index()),
-                            &terms,
-                            Relation::Eq,
-                            0.0,
-                        );
+                    (false, demand) => {
+                        terms.extend(demand.map(|dv| (dv, -1.0)));
+                        lp.add_constraint(("cons", t.index(), v.index()), terms, Relation::Eq, 0.0);
                     }
                 }
-            }
-        }
+                Ok(())
+            },
+        )?;
 
         // Capacity constraints on the certifying flow: OPTU(D) <= 1.
+        let mut terms: Vec<(VarId, f64)> = Vec::new();
         for e in graph.edges() {
-            let mut terms: Vec<(VarId, f64)> = Vec::new();
-            for &t in &destinations {
-                if let Some(var) = flow_var[t.index()][e.index()] {
-                    terms.push((var, 1.0));
-                }
-            }
+            terms.clear();
+            terms.extend(
+                flow_var
+                    .iter()
+                    .filter_map(|vars| Some((vars[e.index()]?, 1.0))),
+            );
             if terms.is_empty() {
                 continue;
             }
-            lp.add_constraint(
-                format!("cap_{}", e.index()),
-                &terms,
-                Relation::Le,
-                graph.capacity(e),
-            );
+            lp.add_constraint(("cap", e.index()), &terms, Relation::Le, graph.capacity(e));
         }
 
         // Box constraints (scaled by λ).
@@ -232,7 +195,7 @@ impl<'a> SlaveLp<'a> {
                 // d <= λ·hi
                 if hi.is_finite() {
                     lp.add_constraint(
-                        format!("ub_{}_{}", s.index(), t.index()),
+                        ("ub", s.index(), t.index()),
                         &[(dv, 1.0), (lambda, -hi)],
                         Relation::Le,
                         0.0,
@@ -241,7 +204,7 @@ impl<'a> SlaveLp<'a> {
                 // d >= λ·lo
                 if lo > 0.0 {
                     lp.add_constraint(
-                        format!("lb_{}_{}", s.index(), t.index()),
+                        ("lb", s.index(), t.index()),
                         &[(dv, 1.0), (lambda, -lo)],
                         Relation::Ge,
                         0.0,
@@ -254,10 +217,9 @@ impl<'a> SlaveLp<'a> {
             graph,
             routing,
             fractions,
-            lp,
+            session: lp.prepare().map_err(CoreError::Lp)?,
             d_var,
             pairs,
-            cache: PhaseOneCache::new(),
         })
     }
 
@@ -282,19 +244,13 @@ impl<'a> SlaveLp<'a> {
             if c > 0.0 {
                 any_positive = true;
             }
-            self.lp.set_objective(dv, c);
+            self.session.set_objective(dv, c);
         }
         if !any_positive {
             return Ok(None);
         }
 
-        // The constraint system never changes between edges, so the cached
-        // phase-one basis is replayed; results are bit-identical to a cold
-        // solve of the same problem.
-        let sol = self
-            .lp
-            .solve_cached(&mut self.cache)
-            .map_err(CoreError::Lp)?;
+        let sol = self.session.solve().map_err(CoreError::Lp)?;
 
         let mut dm = DemandMatrix::zeros(self.graph.node_count());
         for (s, row) in self.d_var.iter().enumerate() {
@@ -309,25 +265,6 @@ impl<'a> SlaveLp<'a> {
         }
         Ok(Some((dm, sol.objective.max(0.0))))
     }
-}
-
-/// Finds the demand matrix maximizing the utilization of `edge` under the
-/// fixed `routing`, over all matrices in `uncertainty` (scaled) that can be
-/// routed within the capacities by a flow restricted to `scope`.
-///
-/// Returns `None` when the edge can never carry traffic under this routing
-/// (all its splitting ratios are zero). One-shot wrapper around [`SlaveLp`];
-/// loops should build a [`SlaveLp`] once and call
-/// [`SlaveLp::solve_edge`] per edge to benefit from warm starts.
-pub fn worst_case_for_edge(
-    graph: &Graph,
-    routing: &PdRouting,
-    fractions: &FractionTable,
-    edge: EdgeId,
-    uncertainty: &UncertaintySet,
-    scope: RoutabilityScope,
-) -> Result<Option<(DemandMatrix, f64)>, CoreError> {
-    SlaveLp::new(graph, routing, fractions, uncertainty, scope)?.solve_edge(edge)
 }
 
 /// Exact performance ratio of `routing` over `uncertainty`: the maximum over
@@ -347,8 +284,8 @@ pub fn performance_ratio_exact(
     let fractions = FractionTable::new(graph, routing);
     let all_edges: Vec<EdgeId> = graph.edges().collect();
     let edges = candidate_edges.unwrap_or(&all_edges);
-    // One constraint system for the whole edge scan: every solve after the
-    // first replays the cached phase-one basis.
+    // One session for the whole edge scan: the standard form is built once
+    // and every solve after the first skips phase one.
     let mut slave = SlaveLp::new(graph, routing, &fractions, uncertainty, scope)?;
     let mut best: Option<WorstCase> = None;
     for &e in edges {
@@ -382,12 +319,6 @@ pub fn bottleneck_candidates(
         .collect();
     utils.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
     utils.into_iter().take(count).map(|(e, _)| e).collect()
-}
-
-/// The DAG set used by a routing, needed by callers that mix evaluation and
-/// optimization helpers.
-pub fn dags_of(routing: &PdRouting) -> &[Dag] {
-    routing.dags()
 }
 
 #[cfg(test)]
@@ -496,16 +427,9 @@ mod tests {
         let unc = fig1_uncertainty(s1, s2, t);
         // The t -> s2 direction never carries traffic destined to t.
         let ts2 = g.find_edge(t, s2).unwrap();
-        let res = worst_case_for_edge(
-            &g,
-            &routing,
-            &fractions,
-            ts2,
-            &unc,
-            RoutabilityScope::AllEdges,
-        )
-        .unwrap();
-        assert!(res.is_none());
+        let mut slave =
+            SlaveLp::new(&g, &routing, &fractions, &unc, RoutabilityScope::AllEdges).unwrap();
+        assert!(slave.solve_edge(ts2).unwrap().is_none());
     }
 
     #[test]
@@ -549,11 +473,11 @@ mod tests {
         assert!(within.ratio <= all.ratio + 1e-6);
     }
 
-    /// Phase-one replay must not change a scan: the shared cache and a
-    /// cache emptied before every edge (all solves cold) give the same
+    /// Sharing the session must not change a scan: one session across the
+    /// edges and a fresh session per edge (every solve cold) give the same
     /// ratio and witness, bit for bit.
     #[test]
-    fn scan_is_bit_identical_with_and_without_phase_one_replay() {
+    fn scan_is_bit_identical_with_one_session_and_with_one_per_edge() {
         let (g, s1, s2, _v, t) = fig1();
         let routing = ecmp_routing(&g).unwrap();
         let fractions = FractionTable::new(&g, &routing);
@@ -562,12 +486,13 @@ mod tests {
         let unc = UncertaintySet::from_margin(&base, 2.0);
         let scope = RoutabilityScope::WithinDags;
 
-        let scan = |reset: bool| {
-            let mut slave = SlaveLp::new(&g, &routing, &fractions, &unc, scope).unwrap();
+        let scan = |fresh: bool| {
+            let new = || SlaveLp::new(&g, &routing, &fractions, &unc, scope).unwrap();
+            let mut slave = new();
             let mut best: Option<(DemandMatrix, f64)> = None;
             for e in g.edges() {
-                if reset {
-                    slave.cache = PhaseOneCache::new();
+                if fresh {
+                    slave = new();
                 }
                 if let Some((dm, ratio)) = slave.solve_edge(e).unwrap() {
                     if best.as_ref().is_none_or(|b| ratio > b.1) {
@@ -575,7 +500,6 @@ mod tests {
                     }
                 }
             }
-            assert!(reset || slave.cache.is_primed());
             best.unwrap()
         };
         let (warm_dm, warm_ratio) = scan(false);
@@ -585,9 +509,48 @@ mod tests {
             assert_eq!(warm_dm.get(s, t).to_bits(), v.to_bits());
         }
         assert_eq!(warm_dm.pairs().count(), cold_dm.pairs().count());
-        // And the shared-cache scan is what the public entry point runs.
+        // And the shared-session scan is what the public entry point runs.
         let wc = performance_ratio_exact(&g, &routing, &unc, scope, None).unwrap();
         assert_eq!(wc.ratio.to_bits(), warm_ratio.to_bits());
+    }
+
+    /// Exact scans of the uniform augmented routing over the margin-2.0
+    /// gravity box (the `lp-families` adversary section), pinned as an FNV-1a
+    /// digest of the ratio bits, the worst edge and every witness entry's
+    /// bits. The six constants were recorded from the commit before
+    /// `SlaveLp` held an `LpSession` (per-edge `LpProblem` + phase-one
+    /// cache), so a session scan is pinned against that code, not itself.
+    #[test]
+    fn exact_scans_are_pinned_to_the_pre_session_slave_lp() {
+        let pins: [(&str, RoutabilityScope, u64); 6] = [
+            ("abilene", RoutabilityScope::AllEdges, 0x21d240a57b527e25),
+            ("abilene", RoutabilityScope::WithinDags, 0x3b345d34497bbbe1),
+            ("nsf", RoutabilityScope::AllEdges, 0xa71892e511e6e3b2),
+            ("nsf", RoutabilityScope::WithinDags, 0x08aa08f86c4a81b6),
+            ("germany", RoutabilityScope::AllEdges, 0xfaf1e2ce69c9c7b4),
+            ("germany", RoutabilityScope::WithinDags, 0x02aaced39d6144bd),
+        ];
+        for (name, scope, pinned) in pins {
+            let mut g = coyote_topology::zoo::by_name(name)
+                .unwrap()
+                .to_graph()
+                .unwrap();
+            g.set_inverse_capacity_weights(10.0);
+            let routing = crate::ecmp::uniform_augmented_routing(&g).unwrap();
+            let base = coyote_traffic::GravityModel::default().generate(&g);
+            let unc = UncertaintySet::from_margin(&base, 2.0);
+            let wc = performance_ratio_exact(&g, &routing, &unc, scope, None).unwrap();
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            let mut eat = |x: u64| h = (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+            eat(wc.ratio.to_bits());
+            eat(wc.edge.index() as u64);
+            for (s, t, v) in wc.demand.pairs() {
+                eat(s.index() as u64);
+                eat(t.index() as u64);
+                eat(v.to_bits());
+            }
+            assert_eq!(h, pinned, "{name} {scope:?}: digest {h:#018x}");
+        }
     }
 
     #[test]

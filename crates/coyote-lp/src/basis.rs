@@ -17,15 +17,12 @@
 //! sparse analogue of the dense tableau's reprice-and-verify loop).
 
 use crate::sparse::CsrMatrix;
+use crate::tol::{MIN_COLUMN_SCALE, SINGULAR_TOL};
 
 /// Eta-file length that triggers a refactorization. Chosen near the dense
 /// solver's stall window: long enough to amortize the factorization, short
 /// enough that FTRAN/BTRAN stay `O(nnz(LU))`-ish and drift stays small.
 pub(crate) const REFRESH_PIVOTS: usize = 64;
-
-/// Relative pivot threshold below which an elimination column is declared
-/// dependent on its predecessors (the basis is singular at that step).
-const SINGULAR_TOL: f64 = 1e-9;
 
 /// Sparse LU factors of a basis matrix, `P·B = L·U` with implicit unit
 /// diagonal on `L`. Row permutation only; columns are eliminated in basis
@@ -134,7 +131,8 @@ impl LuFactors {
                     pivot_row = r;
                 }
             }
-            if pivot_row == usize::MAX || pivot_mag <= SINGULAR_TOL * col_max.max(1e-30) {
+            if pivot_row == usize::MAX || pivot_mag <= SINGULAR_TOL * col_max.max(MIN_COLUMN_SCALE)
+            {
                 let unpivoted_rows: Vec<usize> =
                     (0..m).filter(|&r| pinv[r] == usize::MAX).collect();
                 return Err(Singular {
@@ -439,7 +437,7 @@ mod tests {
         let lu = LuFactors::empty();
         assert!(lu.solve(&[]).is_empty());
         assert!(lu.solve_transpose(&[]).is_empty());
-        let store = CsrMatrix::zeros(0, 0);
+        let store = CsrMatrix::from_triplets(0, 0, &[]);
         assert!(LuFactors::factorize(&store, &[]).is_ok());
     }
 }

@@ -1,5 +1,6 @@
 //! Error type for the LP solver.
 
+use crate::model::Name;
 use std::fmt;
 
 /// Errors reported by [`crate::LpProblem::solve`].
@@ -31,7 +32,7 @@ pub enum LpError {
     /// Lower bound exceeds upper bound for a variable.
     EmptyDomain {
         /// Variable name.
-        name: String,
+        name: Name,
         /// Lower bound.
         lower: f64,
         /// Upper bound.

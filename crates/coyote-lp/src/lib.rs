@@ -23,11 +23,12 @@
 //! solver from scratch so that the whole reproduction is dependency-free.
 //!
 //! Repeated solves of one constraint system under changing objectives (the
-//! per-edge slave LPs of `coyote-core::worst_case`, the per-destination LPs
-//! of `coyote-core::incremental`) warm-start through the crate's one
-//! warm-start entry point, [`LpProblem::solve_cached`]: phase-one replay
-//! via [`PhaseOneCache`], bit-identical to a cold solve by construction and
-//! therefore not switchable. Everything else solves cold.
+//! per-edge slave LPs of `coyote-core::worst_case`) go through the crate's
+//! one prepared-model type, [`LpSession`] ([`LpProblem::prepare`]): the
+//! model is validated and converted to standard form once, and every solve
+//! after the first re-enters phase two from the basis the session itself
+//! recorded — bit-identical to a cold solve by construction and therefore
+//! not switchable. Everything else is a one-shot [`LpProblem::solve`].
 //!
 //! ## Usage
 //!
@@ -54,10 +55,10 @@ pub mod model;
 pub mod revised;
 pub mod simplex;
 pub mod solution;
-pub mod sparse;
+mod sparse;
+mod tol;
 
 pub use error::LpError;
-pub use model::{default_backend, LpProblem, Relation, Sense, SolverBackend, VarId};
-pub use revised::PhaseOneCache;
+pub use model::{default_backend, LpProblem, Name, Relation, Sense, SolverBackend, VarId};
+pub use revised::LpSession;
 pub use solution::{LpSolution, SolveStats};
-pub use sparse::CsrMatrix;

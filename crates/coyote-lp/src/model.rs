@@ -1,9 +1,10 @@
 //! Problem-builder API: variables, bounds, linear constraints, objective.
 
 use crate::error::LpError;
-use crate::revised::{self, PhaseOneCache};
+use crate::revised::{self, LpSession};
 use crate::simplex;
 use crate::solution::LpSolution;
+use std::fmt;
 use std::sync::OnceLock;
 
 /// Which simplex implementation solves the problem.
@@ -38,6 +39,45 @@ impl VarId {
     }
 }
 
+/// Name of a variable or constraint: a static prefix plus up to two indices
+/// (`"alpha"`, `("cap", 7)`, `("g", 3, 17)`). It is rendered — `alpha`,
+/// `cap_7`, `g_3_17` — only when an [`LpError`] that mentions it is
+/// formatted, so naming a column or a row never allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Name {
+    prefix: &'static str,
+    indices: [Option<usize>; 2],
+}
+
+impl From<&'static str> for Name {
+    fn from(prefix: &'static str) -> Self {
+        let indices = [None, None];
+        Self { prefix, indices }
+    }
+}
+
+impl From<(&'static str, usize)> for Name {
+    fn from((prefix, i): (&'static str, usize)) -> Self {
+        let indices = [Some(i), None];
+        Self { prefix, indices }
+    }
+}
+
+impl From<(&'static str, usize, usize)> for Name {
+    fn from((prefix, i, j): (&'static str, usize, usize)) -> Self {
+        let indices = [Some(i), Some(j)];
+        Self { prefix, indices }
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.prefix)?;
+        let mut indices = self.indices.iter().flatten();
+        indices.try_for_each(|i| write!(f, "_{i}"))
+    }
+}
+
 /// Optimization direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sense {
@@ -60,15 +100,28 @@ pub enum Relation {
 
 #[derive(Debug, Clone)]
 pub(crate) struct Variable {
-    pub name: String,
+    pub name: Name,
     pub lower: f64,
     pub upper: f64,
     pub objective: f64,
 }
 
+impl Variable {
+    /// The objective-coefficient half of [`LpProblem::validate`].
+    pub(crate) fn check_objective(&self) -> Result<(), LpError> {
+        if self.objective.is_finite() {
+            Ok(())
+        } else {
+            Err(LpError::NotFinite {
+                context: format!("objective coefficient of {}", self.name),
+            })
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 pub(crate) struct Constraint {
-    pub name: String,
+    pub name: Name,
     /// Sparse row: (variable, coefficient). Duplicate variables are summed.
     pub terms: Vec<(VarId, f64)>,
     pub relation: Relation,
@@ -113,7 +166,7 @@ impl LpProblem {
     /// coefficient `objective`; returns its handle.
     pub fn add_var(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Name>,
         lower: f64,
         upper: f64,
         objective: f64,
@@ -130,7 +183,7 @@ impl LpProblem {
 
     /// Convenience: adds a non-negative variable (`0 <= x`) with an objective
     /// coefficient.
-    pub fn add_nonneg_var(&mut self, name: impl Into<String>, objective: f64) -> VarId {
+    pub fn add_nonneg_var(&mut self, name: impl Into<Name>, objective: f64) -> VarId {
         self.add_var(name, 0.0, f64::INFINITY, objective)
     }
 
@@ -143,7 +196,7 @@ impl LpProblem {
     /// returns its index (useful for reading duals later).
     pub fn add_constraint(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Name>,
         terms: &[(VarId, f64)],
         relation: Relation,
         rhs: f64,
@@ -158,7 +211,8 @@ impl LpProblem {
         idx
     }
 
-    /// Sets an explicit pivot limit (default: `50 * (m + n) + 10_000`).
+    /// Sets an explicit pivot limit (default: `200 * (rows + columns) +
+    /// 20_000` of the standard form).
     pub fn set_iteration_limit(&mut self, limit: usize) {
         self.iteration_limit = Some(limit);
     }
@@ -173,26 +227,19 @@ impl LpProblem {
         self.constraints.len()
     }
 
-    /// Name of a variable (used in error messages and debugging dumps).
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.vars[var.0].name
-    }
-
     /// Validates the model: finite coefficients, sane bounds, known ids.
     pub fn validate(&self) -> Result<(), LpError> {
         for v in &self.vars {
-            if v.lower > v.upper {
+            // `lower = +∞` / `upper = −∞` admit no value either, though
+            // neither compares above/below its partner at the same infinity.
+            if v.lower > v.upper || v.lower == f64::INFINITY || v.upper == f64::NEG_INFINITY {
                 return Err(LpError::EmptyDomain {
-                    name: v.name.clone(),
+                    name: v.name,
                     lower: v.lower,
                     upper: v.upper,
                 });
             }
-            if v.objective.is_nan() || v.objective.is_infinite() {
-                return Err(LpError::NotFinite {
-                    context: format!("objective coefficient of {}", v.name),
-                });
-            }
+            v.check_objective()?;
             if v.lower.is_nan() || v.upper.is_nan() {
                 return Err(LpError::NotFinite {
                     context: format!("bounds of {}", v.name),
@@ -219,29 +266,32 @@ impl LpProblem {
         Ok(())
     }
 
-    /// Solves the problem with the configured backend (sparse revised
+    /// The backend this problem solves with.
+    pub(crate) fn backend(&self) -> SolverBackend {
+        self.backend.unwrap_or_else(default_backend)
+    }
+
+    /// Solves the problem once with the configured backend (sparse revised
     /// simplex by default, dense tableau when selected).
     pub fn solve(&self) -> Result<LpSolution, LpError> {
         self.validate()?;
-        match self.backend.unwrap_or_else(default_backend) {
+        match self.backend() {
             SolverBackend::Revised => revised::solve(self),
             SolverBackend::Dense => simplex::solve(self),
         }
     }
 
-    /// Solves with phase-one replay: when `cache` holds the phase-one basis
-    /// of an identical constraint system (same variables, bounds and
-    /// constraints — the objective may differ), phase one is skipped and
-    /// the result is bit-identical to a cold [`LpProblem::solve`]. Misses
-    /// fall back to a cold solve and prime the cache. Equivalent to
-    /// `solve()` when the dense backend is selected.
-    pub fn solve_cached(&self, cache: &mut PhaseOneCache) -> Result<LpSolution, LpError> {
+    /// Validates the model and builds its standard form, once, for a family
+    /// of solves that differ only in the objective (see [`LpSession`]).
+    pub fn prepare(self) -> Result<LpSession, LpError> {
         self.validate()?;
-        match self.backend.unwrap_or_else(default_backend) {
-            SolverBackend::Dense => simplex::solve(self),
-            SolverBackend::Revised => revised::solve_cached(self, cache),
-        }
+        Ok(LpSession::new(self))
     }
+}
+
+/// Pivot limit of a solve that sets none, from the standard form's size.
+pub(crate) fn default_iteration_limit(rows: usize, cols: usize) -> usize {
+    200 * (rows + cols) + 20_000
 }
 
 #[cfg(test)]
@@ -249,15 +299,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_tracks_counts_and_names() {
+    fn builder_tracks_counts() {
         let mut lp = LpProblem::new(Sense::Minimize);
         let x = lp.add_nonneg_var("x", 1.0);
         let y = lp.add_var("y", -1.0, 1.0, 2.0);
         lp.add_constraint("c", &[(x, 1.0), (y, 1.0)], Relation::Ge, 1.0);
         assert_eq!(lp.num_vars(), 2);
         assert_eq!(lp.num_constraints(), 1);
-        assert_eq!(lp.var_name(x), "x");
-        assert_eq!(lp.var_name(y), "y");
     }
 
     #[test]
@@ -265,6 +313,20 @@ mod tests {
         let mut lp = LpProblem::new(Sense::Minimize);
         let _x = lp.add_var("x", 1.0, 0.0, 0.0); // empty domain
         assert!(matches!(lp.validate(), Err(LpError::EmptyDomain { .. })));
+
+        // Both bounds at the same infinity leave nothing to choose from; the
+        // standard-form conversions would read the variable as free.
+        for (lower, upper) in [
+            (f64::INFINITY, f64::INFINITY),
+            (f64::NEG_INFINITY, f64::NEG_INFINITY),
+        ] {
+            for backend in [SolverBackend::Revised, SolverBackend::Dense] {
+                let mut lp = LpProblem::new(Sense::Minimize);
+                lp.add_var("x", lower, upper, 1.0);
+                lp.set_backend(backend);
+                assert!(matches!(lp.solve(), Err(LpError::EmptyDomain { .. })));
+            }
+        }
 
         let mut lp = LpProblem::new(Sense::Minimize);
         let _ = lp.add_var("x", 0.0, 1.0, f64::NAN);
@@ -283,6 +345,30 @@ mod tests {
         lp.add_constraint("bad", &[(x, 1.0)], Relation::Le, f64::INFINITY);
         assert!(matches!(lp.validate(), Err(LpError::NotFinite { .. })));
         let _ = x;
+    }
+
+    /// Tagged names render exactly as the `format!`-built strings they
+    /// replace did.
+    #[test]
+    fn tagged_names_keep_their_error_text() {
+        let mut lp = LpProblem::new(Sense::Minimize);
+        lp.add_var(("g", 3, 17), 2.0, 1.0, 0.0);
+        assert_eq!(
+            lp.validate().unwrap_err().to_string(),
+            "variable g_3_17 has empty domain [2, 1]"
+        );
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let alpha = lp.add_nonneg_var("alpha", f64::NAN);
+        assert_eq!(
+            lp.validate().unwrap_err().to_string(),
+            "non-finite value in objective coefficient of alpha"
+        );
+        lp.set_objective(alpha, 1.0);
+        lp.add_constraint(("cap", 7), &[(alpha, f64::INFINITY)], Relation::Le, 0.0);
+        assert_eq!(
+            lp.validate().unwrap_err().to_string(),
+            "non-finite value in coefficient of alpha in cap_7"
+        );
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Revised simplex over a sparse column store, with phase-one replay.
+//! Revised simplex over a sparse column store, and the session that re-solves
+//! one prepared model under changing objectives.
 //!
 //! This is the production solver behind [`crate::LpProblem::solve`]. It
 //! implements the same two-phase method as the dense oracle
@@ -7,7 +8,7 @@
 //! rule, the pivot-size guard and the noise-column clamp — but instead of a
 //! dense tableau it keeps:
 //!
-//! * the constraint matrix by columns in CSR form ([`crate::sparse`]), so
+//! * the constraint matrix by columns in CSR form (the private `sparse` module), so
 //!   pricing is one BTRAN plus an `O(nnz)` sweep instead of a dense row scan;
 //! * an LU factorization of the basis with product-form eta updates
 //!   (the private `basis` module), refactorized every `REFRESH_PIVOTS`
@@ -19,42 +20,42 @@
 //! optimality against a fresh factorization because the *basic values*
 //! accumulate drift through the eta file.
 //!
-//! ## Warm starts
+//! ## Sessions
 //!
-//! One protocol: **phase-one replay** ([`PhaseOneCache`], used via
-//! [`crate::LpProblem::solve_cached`]). The cache holds the feasible basis
-//! reached at the end of phase one, keyed by a fingerprint of the
-//! *constraint system only* (bounds, rows, right-hand sides — never the
-//! objective). Phase one is a pure function of the constraints, so
-//! re-entering phase two from the cached basis is **bit-identical** to a
-//! cold solve of the same problem: both paths refactorize from scratch and
-//! recompute the basic values at the phase boundary, making the phase-two
-//! start state a pure function of (basis, constraints). This is what the
-//! constraint-generation loop uses when it re-solves the slave LP per edge
-//! with only the objective changing.
-//!
-//! Equal fingerprints mean identical standard forms, so the cached basis is
-//! a plain list of column indices. A fingerprint collision is caught before
-//! it can do harm: a list of the wrong length or with an out-of-range
-//! column is ignored, and a basis that is not primal-feasible for the
-//! current system is rejected by `try_install`; either way the solve runs
-//! cold.
+//! [`LpSession`] ([`crate::LpProblem::prepare`]) is the one object that
+//! outlives a solve: it owns the validated model and its standard form,
+//! built once, and its only mutator is [`LpSession::set_objective`]. Phase
+//! one never sees the objective, so the session records the feasible basis
+//! its first solve reaches at the end of phase one and every later solve
+//! re-enters phase two from it. That is **bit-identical** to a cold solve
+//! of the same problem: both paths refactorize from scratch and recompute
+//! the basic values at the phase boundary, making the phase-two start state
+//! a pure function of (basis, constraints). A recorded basis can only ever
+//! meet the system it came from — the session holds both — so nothing is
+//! keyed, hashed or compared; `try_install` still rejects a basis that is
+//! not primal-feasible within the phase-one tolerance (the numerical
+//! guard), and the solve then runs cold and records afresh. The adversary
+//! scan of `coyote-core::worst_case` solves one session per scan, one
+//! objective per edge.
 //!
 //! Re-solves that move the *right-hand side* (the `OPTU` family of
-//! `coyote-core::perf::EvaluationSet`) are solved cold: the previous
-//! optimal basis stays dual-feasible there, not primal-feasible, so they
-//! want a dual method rather than a primal basis restore (see
+//! `coyote-core::perf::EvaluationSet`, the daemon's per-destination LPs)
+//! are one-shot [`crate::LpProblem::solve`] calls: the previous optimal
+//! basis stays dual-feasible there, not primal-feasible, so they want a
+//! dual method rather than a primal basis restore (see
 //! `docs/ARCHITECTURE.md`).
 
 use crate::basis::{Factorization, LuFactors};
 use crate::error::LpError;
-use crate::model::{LpProblem, Relation, Sense};
-use crate::simplex::{
-    DUAL_TOL, EPS, MAX_REFRESH_ROUNDS, NOISE_RC_TOL, PHASE1_TOL, PIVOT_TOL, RHS_PERTURBATION,
-    SNAP_TOL, STALL_LIMIT,
+use crate::model::{
+    default_iteration_limit, LpProblem, Relation, Sense, SolverBackend, VarId, Variable,
 };
 use crate::solution::{LpSolution, SolveStats};
 use crate::sparse::CsrMatrix;
+use crate::tol::{
+    DRIVE_OUT_TOL, DUAL_TOL, EPS, MAX_REFRESH_ROUNDS, NOISE_RC_TOL, PHASE1_TOL, PIVOT_TOL,
+    RHS_PERTURBATION, SNAP_TOL, STALL_LIMIT,
+};
 
 /// How an original variable maps to standard-form column(s). Mirrors the
 /// dense solver's conversion exactly so both backends solve the same
@@ -69,38 +70,10 @@ enum VarMap {
     Split { pos: usize, neg: usize },
 }
 
-#[derive(Debug, Clone)]
-struct PhaseOneEntry {
-    fingerprint: u64,
-    /// Post-phase-one basis as standard-form column indices, in basis
-    /// position order.
-    basis: Vec<usize>,
-    phase1_pivots: usize,
-}
-
-/// Cache for phase-one replay across solves that share a constraint system
-/// and differ only in the objective (see the module docs; used by
-/// [`crate::LpProblem::solve_cached`]).
-#[derive(Debug, Clone, Default)]
-pub struct PhaseOneCache {
-    entry: Option<PhaseOneEntry>,
-}
-
-impl PhaseOneCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True once a phase-one basis has been captured.
-    pub fn is_primed(&self) -> bool {
-        self.entry.is_some()
-    }
-}
-
 /// Sparse standard form: the same conversion as the dense solver's
 /// `build_standard_form` + tableau assembly, stored by columns.
 struct SparseForm {
+    sense: Sense,
     m: usize,
     total_cols: usize,
     art_base: usize,
@@ -124,44 +97,7 @@ struct SparseForm {
     /// A unit-ish column per row used for basis repair: the artificial if
     /// the row has one, its slack otherwise (every row has one of the two).
     unit_col_of_row: Vec<usize>,
-    /// Constraint-system fingerprint (objective and sense excluded).
-    fingerprint: u64,
     has_artificials: bool,
-}
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &byte in bytes {
-        *hash ^= byte as u64;
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-/// Fingerprint of the constraint system: variable bounds, constraint terms,
-/// relations and right-hand sides. The objective and the optimization sense
-/// are deliberately excluded — phase one never sees them.
-fn constraint_fingerprint(problem: &LpProblem) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    fnv1a(&mut h, &(problem.vars.len() as u64).to_le_bytes());
-    for v in &problem.vars {
-        fnv1a(&mut h, &v.lower.to_bits().to_le_bytes());
-        fnv1a(&mut h, &v.upper.to_bits().to_le_bytes());
-    }
-    fnv1a(&mut h, &(problem.constraints.len() as u64).to_le_bytes());
-    for c in &problem.constraints {
-        let tag: u8 = match c.relation {
-            Relation::Le => 0,
-            Relation::Ge => 1,
-            Relation::Eq => 2,
-        };
-        fnv1a(&mut h, &[tag]);
-        fnv1a(&mut h, &c.rhs.to_bits().to_le_bytes());
-        fnv1a(&mut h, &(c.terms.len() as u64).to_le_bytes());
-        for &(var, coeff) in &c.terms {
-            fnv1a(&mut h, &(var.index() as u64).to_le_bytes());
-            fnv1a(&mut h, &coeff.to_bits().to_le_bytes());
-        }
-    }
-    h
 }
 
 impl SparseForm {
@@ -193,31 +129,6 @@ impl SparseForm {
                 let neg = num_structural + 1;
                 num_structural += 2;
                 var_map.push(VarMap::Split { pos, neg });
-            }
-        }
-
-        // --- Minimization objective over structural columns. ---
-        let sign = match problem.sense {
-            Sense::Minimize => 1.0,
-            Sense::Maximize => -1.0,
-        };
-        let mut objective = vec![0.0; num_structural];
-        let mut objective_offset = 0.0;
-        for (v, map) in problem.vars.iter().zip(&var_map) {
-            let c = sign * v.objective;
-            match *map {
-                VarMap::Shifted { col, lower } => {
-                    objective[col] += c;
-                    objective_offset += c * lower;
-                }
-                VarMap::Mirrored { col, upper } => {
-                    objective[col] -= c;
-                    objective_offset += c * upper;
-                }
-                VarMap::Split { pos, neg } => {
-                    objective[pos] += c;
-                    objective[neg] -= c;
-                }
             }
         }
 
@@ -341,8 +252,6 @@ impl SparseForm {
         for c in phase1_cost.iter_mut().skip(art_base) {
             *c = 1.0;
         }
-        let mut phase2_cost = vec![0.0; total_cols];
-        phase2_cost[..num_structural].copy_from_slice(&objective);
         let unit_col_of_row: Vec<usize> = (0..m)
             .map(|i| {
                 if art_of_row[i] != usize::MAX {
@@ -354,23 +263,57 @@ impl SparseForm {
             .collect();
         let has_artificials = !art_rows.is_empty();
 
-        SparseForm {
+        let mut form = SparseForm {
+            sense: problem.sense,
             m,
             total_cols,
             art_base,
             cols,
             b,
-            phase2_cost,
+            phase2_cost: vec![0.0; total_cols],
             phase1_cost,
-            objective_offset,
+            objective_offset: 0.0,
             var_map,
             is_artificial,
             initial_basis,
             slack_of_row,
             unit_col_of_row,
-            fingerprint: constraint_fingerprint(problem),
             has_artificials,
+        };
+        form.derive_costs(&problem.vars);
+        form
+    }
+
+    /// Derives the phase-two (minimization) cost row and the objective
+    /// offset from the variables' objective coefficients. [`Self::build`]
+    /// and a session whose objective changed run this one loop, so a
+    /// re-derived row equals a freshly built one bit for bit.
+    fn derive_costs(&mut self, vars: &[Variable]) {
+        let sign = match self.sense {
+            Sense::Minimize => 1.0,
+            Sense::Maximize => -1.0,
+        };
+        let objective = &mut self.phase2_cost;
+        objective.fill(0.0);
+        let mut objective_offset = 0.0;
+        for (v, map) in vars.iter().zip(&self.var_map) {
+            let c = sign * v.objective;
+            match *map {
+                VarMap::Shifted { col, lower } => {
+                    objective[col] += c;
+                    objective_offset += c * lower;
+                }
+                VarMap::Mirrored { col, upper } => {
+                    objective[col] -= c;
+                    objective_offset += c * upper;
+                }
+                VarMap::Split { pos, neg } => {
+                    objective[pos] += c;
+                    objective[neg] -= c;
+                }
+            }
         }
+        self.objective_offset = objective_offset;
     }
 }
 
@@ -755,7 +698,7 @@ impl<'a> Solver<'a> {
                 for (rr, v) in self.sf.cols.iter_row(c) {
                     entry += rho[rr] * v;
                 }
-                if entry.abs() > 1e-7 {
+                if entry.abs() > DRIVE_OUT_TOL {
                     found = Some(c);
                     break;
                 }
@@ -775,24 +718,17 @@ impl<'a> Solver<'a> {
     }
 }
 
-struct Outcome {
-    solution: LpSolution,
-    post_phase1_basis: Vec<usize>,
-    /// True when the cached basis was actually installed (phase one skipped).
-    warm: bool,
-}
-
-/// Two-phase solve; `replay` is a cached post-phase-one basis of a system
-/// with the same constraint fingerprint, `None` for a cold solve.
+/// Two-phase solve. `recorded` is the post-phase-one basis an earlier solve
+/// of this same form returned, `None` for a cold solve. Returns the solution
+/// and, unless the solve re-entered from `recorded`, the basis its own phase
+/// one ended on.
 fn solve_inner(
-    problem: &LpProblem,
     sf: &SparseForm,
-    replay: Option<&[usize]>,
-) -> Result<Outcome, LpError> {
+    iteration_limit: Option<usize>,
+    recorded: Option<&[usize]>,
+) -> Result<(LpSolution, Option<Vec<usize>>), LpError> {
     let _span = coyote_obs::span("lp.solve");
-    let limit = problem
-        .iteration_limit
-        .unwrap_or(200 * (sf.m + sf.total_cols) + 20_000);
+    let limit = iteration_limit.unwrap_or_else(|| default_iteration_limit(sf.m, sf.total_cols));
     let mut solver = Solver::new(sf, limit)?;
     let mut stats = SolveStats {
         standard_vars: sf.art_base - sf.slack_count(),
@@ -800,16 +736,9 @@ fn solve_inner(
         ..Default::default()
     };
 
-    // Warm entry. An equal fingerprint means an identical standard form, so
-    // the cached columns are used as they are; the shape check and
-    // `try_install` (which rejects anything not primal-feasible within the
-    // phase-one tolerance) guard against a fingerprint collision.
-    let warm = match replay {
-        Some(basis) if basis.len() == sf.m && basis.iter().all(|&c| c < sf.total_cols) => {
-            solver.try_install(basis.to_vec())
-        }
-        _ => false,
-    };
+    // Warm entry: `try_install` rejects a basis that is not primal-feasible
+    // within the phase-one tolerance, and the solve then runs cold.
+    let warm = recorded.is_some_and(|basis| solver.try_install(basis.to_vec()));
 
     if !warm {
         if sf.has_artificials {
@@ -822,11 +751,11 @@ fn solve_inner(
         }
         // Phase boundary normalization: a fresh factorization and fresh
         // basic values make the phase-two start state a pure function of
-        // (basis, constraint system) — the invariant phase-one replay
-        // relies on for bit-identical results.
+        // (basis, constraint system) — the invariant a session's warm
+        // re-entry relies on for bit-identical results.
         solver.refactorize()?;
     }
-    let post_phase1_basis = solver.basis.clone();
+    let post_phase1_basis = (!warm).then(|| solver.basis.clone());
 
     stats.phase2_pivots = solver.run_phase(&sf.phase2_cost, true)?;
 
@@ -835,7 +764,7 @@ fn solve_inner(
     for (i, &c) in solver.basis.iter().enumerate() {
         std_values[c] = solver.x_b[i];
     }
-    let mut values = vec![0.0; problem.vars.len()];
+    let mut values = vec![0.0; sf.var_map.len()];
     for (i, map) in sf.var_map.iter().enumerate() {
         values[i] = match *map {
             VarMap::Shifted { col, lower } => lower + std_values[col],
@@ -844,7 +773,7 @@ fn solve_inner(
         };
     }
     let internal_obj = solver.phase_objective(&sf.phase2_cost) + sf.objective_offset;
-    let objective = match problem.sense {
+    let objective = match sf.sense {
         Sense::Minimize => internal_obj,
         Sense::Maximize => -internal_obj,
     };
@@ -856,15 +785,12 @@ fn solve_inner(
     stats.basis_repairs = solver.basis_repairs;
     stats.warm_restore = warm;
 
-    Ok(Outcome {
-        solution: LpSolution {
-            objective,
-            values,
-            stats,
-        },
-        post_phase1_basis,
-        warm,
-    })
+    let solution = LpSolution {
+        objective,
+        values,
+        stats,
+    };
+    Ok((solution, post_phase1_basis))
 }
 
 impl SparseForm {
@@ -893,76 +819,123 @@ fn report(stats: &SolveStats) {
     }
 }
 
-/// Cold revised-simplex solve (already validated).
+/// One-shot cold revised-simplex solve (already validated).
 pub(crate) fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
     let sf = SparseForm::build(problem);
-    let out = solve_inner(problem, &sf, None)?;
-    report(&out.solution.stats);
-    Ok(out.solution)
+    let (solution, _) = solve_inner(&sf, problem.iteration_limit, None)?;
+    report(&solution.stats);
+    Ok(solution)
 }
 
-/// Solve with phase-one replay against `cache` (already validated).
-pub(crate) fn solve_cached(
-    problem: &LpProblem,
-    cache: &mut PhaseOneCache,
-) -> Result<LpSolution, LpError> {
-    let sf = SparseForm::build(problem);
-    let cached = cache
-        .entry
-        .as_ref()
-        .filter(|e| e.fingerprint == sf.fingerprint);
-    let mut out = solve_inner(problem, &sf, cached.map(|e| e.basis.as_slice()))?;
-    if out.warm {
-        out.solution.stats.warm_pivots_saved = cached.map_or(0, |e| e.phase1_pivots);
-    } else {
-        cache.entry = Some(PhaseOneEntry {
-            fingerprint: sf.fingerprint,
-            basis: out.post_phase1_basis,
-            phase1_pivots: out.solution.stats.phase1_pivots,
-        });
+/// The feasible basis a session's cold solve reached at the end of phase
+/// one, and the pivots that solve paid for it.
+struct PhaseOne {
+    basis: Vec<usize>,
+    pivots: usize,
+}
+
+/// A validated [`LpProblem`] with its standard form built once
+/// ([`LpProblem::prepare`]), for a family of solves that differ only in the
+/// objective. The first [`solve`](Self::solve) runs both phases and the
+/// session keeps the basis phase one ended on; every later one re-enters
+/// phase two from it, bit-identical to a one-shot [`LpProblem::solve`] of
+/// the same model (see the module docs). Under [`SolverBackend::Dense`] a
+/// session simply re-solves its problem.
+pub struct LpSession {
+    problem: LpProblem,
+    /// `None` under the dense backend.
+    form: Option<SparseForm>,
+    /// An objective coefficient changed since `form`'s cost row was derived.
+    costs_stale: bool,
+    phase_one: Option<PhaseOne>,
+}
+
+impl LpSession {
+    /// Prepares an already validated problem.
+    pub(crate) fn new(problem: LpProblem) -> Self {
+        let form = match problem.backend() {
+            SolverBackend::Revised => Some(SparseForm::build(&problem)),
+            SolverBackend::Dense => None,
+        };
+        Self {
+            problem,
+            form,
+            costs_stale: false,
+            phase_one: None,
+        }
     }
-    report(&out.solution.stats);
-    Ok(out.solution)
+
+    /// Changes the objective coefficient of a variable for the solves that
+    /// follow. A non-finite coefficient is reported by the next
+    /// [`solve`](Self::solve), as [`LpProblem::validate`] would.
+    pub fn set_objective(&mut self, var: VarId, coefficient: f64) {
+        self.problem.set_objective(var, coefficient);
+        self.costs_stale = true;
+    }
+
+    /// Solves the model under its current objective.
+    pub fn solve(&mut self) -> Result<LpSolution, LpError> {
+        if self.costs_stale {
+            self.problem
+                .vars
+                .iter()
+                .try_for_each(Variable::check_objective)?;
+            if let Some(sf) = &mut self.form {
+                sf.derive_costs(&self.problem.vars);
+            }
+            self.costs_stale = false;
+        }
+        let Some(sf) = &self.form else {
+            return crate::simplex::solve(&self.problem);
+        };
+        let recorded = self.phase_one.as_ref();
+        let (mut solution, post_phase1_basis) = solve_inner(
+            sf,
+            self.problem.iteration_limit,
+            recorded.map(|p| p.basis.as_slice()),
+        )?;
+        match post_phase1_basis {
+            Some(basis) => {
+                let pivots = solution.stats.phase1_pivots;
+                self.phase_one = Some(PhaseOne { basis, pivots });
+            }
+            None => solution.stats.warm_pivots_saved = recorded.map_or(0, |p| p.pivots),
+        }
+        report(&solution.stats);
+        Ok(solution)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A cache entry whose fingerprint matches but whose column list does
-    /// not fit the system (what a fingerprint collision would leave behind)
-    /// must be ignored: cold solve, correct result, no panic.
+    /// The numerical guard: a recorded basis that is not primal-feasible
+    /// for the system (here singular, and infeasible once repaired) is
+    /// rejected by `try_install` — cold solve, correct result, no panic —
+    /// and the session records a usable basis in its place.
     #[test]
-    fn malformed_cache_entry_falls_back_to_a_cold_solve() {
+    fn infeasible_recorded_basis_falls_back_to_a_cold_solve() {
         let mut lp = LpProblem::new(Sense::Minimize);
         let x = lp.add_var("x", 0.0, 4.0, 1.0);
         let y = lp.add_var("y", 0.0, 4.0, 2.0);
         let z = lp.add_var("z", 0.0, 4.0, 3.0);
         lp.add_constraint("supply", &[(x, 1.0), (y, 1.0), (z, 1.0)], Relation::Eq, 6.0);
         lp.add_constraint("mix", &[(y, 1.0), (z, 1.0)], Relation::Ge, 3.0);
-        let cold = solve(&lp).unwrap();
-        let sf = SparseForm::build(&lp);
+        lp.set_backend(SolverBackend::Revised);
+        let cold = lp.solve().unwrap();
 
-        let too_short = vec![0; sf.m - 1];
-        let mut out_of_range: Vec<usize> = (0..sf.m).collect();
-        out_of_range[0] = sf.total_cols;
-        // Right shape, but singular (and infeasible once repaired).
-        let duplicated = vec![0; sf.m];
-        for basis in [too_short, out_of_range, duplicated] {
-            let mut cache = PhaseOneCache {
-                entry: Some(PhaseOneEntry {
-                    fingerprint: sf.fingerprint,
-                    basis,
-                    phase1_pivots: 7,
-                }),
-            };
-            let sol = solve_cached(&lp, &mut cache).unwrap();
-            assert!(!sol.stats.warm_restore);
-            assert_eq!(sol.stats.warm_pivots_saved, 0);
-            assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
-            assert_eq!(sol.values, cold.values);
-            // The miss re-primed the cache with a usable basis.
-            assert!(solve_cached(&lp, &mut cache).unwrap().stats.warm_restore);
-        }
+        let mut session = lp.prepare().unwrap();
+        let rows = session.form.as_ref().unwrap().m;
+        session.phase_one = Some(PhaseOne {
+            basis: vec![0; rows],
+            pivots: 7,
+        });
+        let sol = session.solve().unwrap();
+        assert!(!sol.stats.warm_restore);
+        assert_eq!(sol.stats.warm_pivots_saved, 0);
+        assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
+        assert_eq!(sol.values, cold.values);
+        assert!(session.solve().unwrap().stats.warm_restore);
     }
 }

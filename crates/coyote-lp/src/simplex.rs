@@ -12,50 +12,12 @@
 //! reach of a dense tableau.
 
 use crate::error::LpError;
-use crate::model::{LpProblem, Relation, Sense};
+use crate::model::{default_iteration_limit, LpProblem, Relation, Sense};
 use crate::solution::{LpSolution, SolveStats};
-
-/// Numerical tolerance for pivot magnitudes, ratio tests and feasibility.
-pub(crate) const EPS: f64 = 1e-9;
-/// Dual-feasibility tolerance: a column enters the basis only when its
-/// reduced cost is below −DUAL_TOL. Looser than [`EPS`] on purpose — after
-/// a cost-row reprice the reduced costs are only clean to ~1e-8 on the
-/// sweep grid's 500-row flow LPs, and an entering threshold tighter than
-/// that sends the solver into hundreds of thousands of zero-progress pivots
-/// chasing rounding noise. The objective error this tolerates is far below
-/// every downstream consumer's tolerance.
-pub(crate) const DUAL_TOL: f64 = 1e-7;
-/// A reduced cost above this (negative) threshold is treated as numerical
-/// noise when its column admits no pivot: after thousands of dense
-/// eliminations the incrementally-updated cost row drifts by ~1e-8, so a
-/// column with reduced cost −2e-9 and entries ~1e-10 is a zero column, not
-/// a certificate of unboundedness. Genuinely unbounded LPs enter with
-/// decisively negative reduced costs (|rc| ≫ this).
-pub(crate) const NOISE_RC_TOL: f64 = 1e-6;
-/// Refresh rounds per phase: after a phase claims optimality its cost row
-/// is recomputed from scratch against the current basis (see `reprice`) and
-/// the phase re-runs if fresh reduced costs still show a descent direction.
-/// Bounds the optimize→verify loop that repairs cost-row drift.
-pub(crate) const MAX_REFRESH_ROUNDS: usize = 4;
-/// Residual tolerated at the end of phase one before declaring infeasible.
-/// Slightly loose so that the anti-degeneracy perturbation (see
-/// [`RHS_PERTURBATION`]) can never flip a feasible flow LP to "infeasible".
-pub(crate) const PHASE1_TOL: f64 = 1e-5;
-/// Consecutive non-improving pivots before switching to Bland's rule.
-pub(crate) const STALL_LIMIT: usize = 64;
-/// Minimum magnitude for a *preferred* pivot element in the ratio test;
-/// entries in (EPS, PIVOT_TOL] are used only when no better pivot exists.
-pub(crate) const PIVOT_TOL: f64 = 1e-7;
-/// Entries this close to zero after an elimination step are snapped to an
-/// exact zero (catastrophic-cancellation residue, ~1e3 × machine epsilon
-/// below the decision tolerance EPS).
-pub(crate) const SNAP_TOL: f64 = 1e-12;
-/// Deterministic right-hand-side perturbation that breaks the massive
-/// degeneracy of flow LPs (many zero-supply conservation rows). The
-/// perturbation is far below the feasibility tolerance, so reported
-/// solutions are unaffected, but it makes ties in the ratio test — the
-/// cause of degenerate pivot stalls — vanishingly rare.
-pub(crate) const RHS_PERTURBATION: f64 = 1e-7;
+use crate::tol::{
+    DRIVE_OUT_TOL, DUAL_TOL, EPS, MAX_REFRESH_ROUNDS, NOISE_RC_TOL, PHASE1_TOL, PIVOT_TOL,
+    RHS_PERTURBATION, SNAP_TOL, STALL_LIMIT,
+};
 
 /// How an original variable maps to standard-form column(s).
 #[derive(Debug, Clone)]
@@ -236,7 +198,7 @@ impl Tableau {
             let factor = self.a[r][col];
             if factor.abs() > EPS {
                 // Snap elimination residue to an exact zero: a subtraction
-                // that cancels to ~1e-12 is noise, and letting it linger
+                // that cancels to below SNAP_TOL is noise, and letting it linger
                 // seeds ghost columns that later look like descent
                 // directions with no valid pivot (spurious "unbounded").
                 //
@@ -339,7 +301,7 @@ impl Tableau {
                     }
                 }
             }
-            // Pivot-size guard: dividing a row by a ~1e-9..1e-7 element
+            // Pivot-size guard: dividing a row by an element in (EPS, PIVOT_TOL)
             // amplifies its rounding noise enormously and is the main way
             // the tableau decays over thousands of pivots. If the ratio
             // test forces a tiny pivot, prefer a decisively-sized pivot
@@ -399,7 +361,7 @@ impl Tableau {
 /// phase's original cost vector and price out every basic column. The
 /// incremental cost-row updates inside [`Tableau::run`] accumulate rounding
 /// error linearly in the pivot count; on the few-thousand-pivot flow LPs of
-/// the sweep grid that drift reaches ~1e-7 and can make a phase terminate
+/// the sweep grid that drift reaches DUAL_TOL and can make a phase terminate
 /// "optimal" (or "infeasible"/"unbounded") spuriously. Repricing against
 /// the current basis resets the drift to one elimination pass.
 fn reprice(tab: &mut Tableau, base_cost: &[f64]) {
@@ -576,7 +538,7 @@ pub(crate) fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
 
     let limit = problem
         .iteration_limit
-        .unwrap_or(200 * (m + total_cols) + 20_000);
+        .unwrap_or_else(|| default_iteration_limit(m, total_cols));
 
     let mut stats = SolveStats {
         standard_vars: n,
@@ -602,7 +564,7 @@ pub(crate) fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
                 // Find a non-artificial column with a nonzero entry to pivot in.
                 let mut found = None;
                 for c in 0..art_base {
-                    if tab.a[r][c].abs() > 1e-7 {
+                    if tab.a[r][c].abs() > DRIVE_OUT_TOL {
                         found = Some(c);
                         break;
                     }
@@ -801,7 +763,7 @@ mod tests {
         let y = lp.add_nonneg_var("y", 1.0);
         for i in 0..20 {
             let s = 1.0 + (i as f64) * 0.0; // identical rows
-            lp.add_constraint(format!("r{i}"), &[(x, 1.0), (y, 1.0)], Relation::Le, s);
+            lp.add_constraint(("r", i), &[(x, 1.0), (y, 1.0)], Relation::Le, s);
         }
         let sol = lp.solve().unwrap();
         assert_close(sol.objective, 1.0);
@@ -962,9 +924,12 @@ mod edge_case_tests {
     }
 
     /// The iteration limit aborts the solve with the configured limit echoed
-    /// back (two equality rows need at least two phase-one pivots).
+    /// back (two equality rows need at least two phase-one pivots). Left
+    /// unset it is `200 * (rows + columns) + 20_000` of the standard form —
+    /// here 2 rows and 2 structural + 2 artificial columns — on both backends.
     #[test]
     fn iteration_limit_is_reported() {
+        assert_eq!(crate::model::default_iteration_limit(2, 4), 21_200);
         let mut lp = LpProblem::new(Sense::Minimize);
         let x = lp.add_nonneg_var("x", 1.0);
         let y = lp.add_nonneg_var("y", 1.0);

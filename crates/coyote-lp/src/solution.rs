@@ -30,10 +30,10 @@ pub struct SolveStats {
     /// Singular basis columns replaced during factorization repair
     /// (revised backend only).
     pub basis_repairs: usize,
-    /// True when the solve replayed a cached phase-one basis and skipped
-    /// phase one.
+    /// True when the solve re-entered phase two from the basis its
+    /// [`crate::LpSession`] recorded and skipped phase one.
     pub warm_restore: bool,
-    /// Phase-one pivots avoided by the warm start (the count the cached
+    /// Phase-one pivots avoided by the warm start (the count the session's
     /// cold solve paid).
     pub warm_pivots_saved: usize,
 }

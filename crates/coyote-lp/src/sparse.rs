@@ -16,9 +16,8 @@
 /// Rows are stored contiguously: row `i` occupies
 /// `col_idx[row_ptr[i]..row_ptr[i+1]]` / `values[row_ptr[i]..row_ptr[i+1]]`,
 /// with column indices strictly increasing inside a row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CsrMatrix {
-    nrows: usize,
+#[derive(Debug, Clone)]
+pub(crate) struct CsrMatrix {
     ncols: usize,
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
@@ -26,17 +25,6 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// An empty `nrows x ncols` matrix (all zeros).
-    pub fn zeros(nrows: usize, ncols: usize) -> Self {
-        Self {
-            nrows,
-            ncols,
-            row_ptr: vec![0; nrows + 1],
-            col_idx: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
     /// Builds the matrix from `(row, col, value)` triplets.
     ///
     /// Duplicate `(row, col)` entries are summed (coalesced); entries whose
@@ -46,7 +34,11 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics if a triplet lies outside `nrows x ncols`.
-    pub fn from_triplets(nrows: usize, ncols: usize, triplets: &[(usize, usize, f64)]) -> Self {
+    pub(crate) fn from_triplets(
+        nrows: usize,
+        ncols: usize,
+        triplets: &[(usize, usize, f64)],
+    ) -> Self {
         for &(r, c, _) in triplets {
             assert!(
                 r < nrows && c < ncols,
@@ -77,7 +69,6 @@ impl CsrMatrix {
             row_ptr[r + 1] += row_ptr[r];
         }
         Self {
-            nrows,
             ncols,
             row_ptr,
             col_idx,
@@ -85,120 +76,18 @@ impl CsrMatrix {
         }
     }
 
-    /// Number of rows.
-    #[inline]
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
     /// Number of columns.
     #[inline]
-    pub fn ncols(&self) -> usize {
+    pub(crate) fn ncols(&self) -> usize {
         self.ncols
-    }
-
-    /// Number of stored (structurally nonzero) entries.
-    #[inline]
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// The column indices and values of row `i`.
-    #[inline]
-    pub fn row(&self, i: usize) -> (&[usize], &[f64]) {
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        (&self.col_idx[lo..hi], &self.values[lo..hi])
     }
 
     /// Iterates the `(col, value)` entries of row `i`.
     #[inline]
-    pub fn iter_row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let (cols, vals) = self.row(i);
+    pub(crate) fn iter_row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let entries = self.row_ptr[i]..self.row_ptr[i + 1];
+        let (cols, vals) = (&self.col_idx[entries.clone()], &self.values[entries]);
         cols.iter().copied().zip(vals.iter().copied())
-    }
-
-    /// The transpose, built with a counting sort (`O(nnz + dims)`); entry
-    /// order inside every transposed row is canonical.
-    pub fn transpose(&self) -> CsrMatrix {
-        let mut row_ptr = vec![0usize; self.ncols + 1];
-        for &c in &self.col_idx {
-            row_ptr[c + 1] += 1;
-        }
-        for c in 0..self.ncols {
-            row_ptr[c + 1] += row_ptr[c];
-        }
-        let mut col_idx = vec![0usize; self.nnz()];
-        let mut values = vec![0.0f64; self.nnz()];
-        let mut next = row_ptr.clone();
-        for r in 0..self.nrows {
-            for (c, v) in self.iter_row(r) {
-                let slot = next[c];
-                next[c] += 1;
-                col_idx[slot] = r;
-                values[slot] = v;
-            }
-        }
-        CsrMatrix {
-            nrows: self.ncols,
-            ncols: self.nrows,
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-
-    /// Dense matrix-vector product `y = A·x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != ncols`.
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.ncols, "dimension mismatch in mul_vec");
-        let mut y = vec![0.0; self.nrows];
-        for (r, out) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (c, v) in self.iter_row(r) {
-                acc += v * x[c];
-            }
-            *out = acc;
-        }
-        y
-    }
-
-    /// Dense product with the transpose, `y = Aᵀ·x`, without materializing
-    /// the transpose (scatter over the rows of `A`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != nrows`.
-    pub fn transpose_mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            x.len(),
-            self.nrows,
-            "dimension mismatch in transpose_mul_vec"
-        );
-        let mut y = vec![0.0; self.ncols];
-        for (r, &xr) in x.iter().enumerate() {
-            if xr == 0.0 {
-                continue;
-            }
-            for (c, v) in self.iter_row(r) {
-                y[c] += v * xr;
-            }
-        }
-        y
-    }
-
-    /// Dense copy, for tests and debugging.
-    pub fn to_dense(&self) -> Vec<Vec<f64>> {
-        let mut out = vec![vec![0.0; self.ncols]; self.nrows];
-        for (r, row) in out.iter_mut().enumerate() {
-            for (c, v) in self.iter_row(r) {
-                row[c] = v;
-            }
-        }
-        out
     }
 }
 
@@ -206,16 +95,18 @@ impl CsrMatrix {
 mod tests {
     use super::*;
 
+    fn row(m: &CsrMatrix, i: usize) -> Vec<(usize, f64)> {
+        m.iter_row(i).collect()
+    }
+
     #[test]
     fn from_triplets_builds_canonical_rows() {
         // Out-of-order triplets land sorted inside each row.
         let m =
             CsrMatrix::from_triplets(2, 3, &[(1, 2, 5.0), (0, 1, 2.0), (1, 0, -1.0), (0, 0, 1.0)]);
-        assert_eq!(m.nrows(), 2);
         assert_eq!(m.ncols(), 3);
-        assert_eq!(m.nnz(), 4);
-        assert_eq!(m.row(0), (&[0usize, 1][..], &[1.0, 2.0][..]));
-        assert_eq!(m.row(1), (&[0usize, 2][..], &[-1.0, 5.0][..]));
+        assert_eq!(row(&m, 0), [(0, 1.0), (1, 2.0)]);
+        assert_eq!(row(&m, 1), [(0, -1.0), (2, 5.0)]);
     }
 
     #[test]
@@ -232,67 +123,17 @@ mod tests {
                 (1, 0, 0.0),
             ],
         );
-        assert_eq!(m.nnz(), 1);
-        assert_eq!(m.row(0), (&[0usize][..], &[3.5][..]));
-        assert_eq!(m.row(1), (&[][..], &[][..]));
+        assert_eq!(row(&m, 0), [(0, 3.5)]);
+        assert_eq!(row(&m, 1), []);
     }
 
     #[test]
-    fn empty_rows_and_columns_are_representable() {
+    fn empty_rows_are_representable() {
         let m = CsrMatrix::from_triplets(4, 4, &[(1, 2, 7.0)]);
-        assert_eq!(m.row(0).0.len(), 0);
-        assert_eq!(m.row(2).0.len(), 0);
-        assert_eq!(m.row(3).0.len(), 0);
-        let t = m.transpose();
-        assert_eq!(t.row(0).0.len(), 0);
-        assert_eq!(t.row(2), (&[1usize][..], &[7.0][..]));
-        // An all-zero matrix round-trips too.
-        let z = CsrMatrix::zeros(3, 5);
-        assert_eq!(z.nnz(), 0);
-        assert_eq!(z.mul_vec(&[1.0; 5]), vec![0.0; 3]);
-        assert_eq!(z.transpose().nrows(), 5);
-    }
-
-    #[test]
-    fn transpose_is_an_involution() {
-        let m = CsrMatrix::from_triplets(3, 2, &[(0, 1, 1.0), (2, 0, -2.0), (1, 1, 3.0)]);
-        assert_eq!(m.transpose().transpose(), m);
-    }
-
-    #[test]
-    fn transpose_product_matches_dense_reference() {
-        // Pseudorandom-ish rectangular matrix; compare Aᵀx against the
-        // naive dense computation entry by entry.
-        let mut triplets = Vec::new();
-        for k in 0..40u64 {
-            let r = ((k * 7 + 3) % 6) as usize;
-            let c = ((k * 13 + 5) % 9) as usize;
-            let v = (k as f64 * 0.37) - 5.0;
-            triplets.push((r, c, v));
-        }
-        let m = CsrMatrix::from_triplets(6, 9, &triplets);
-        let x: Vec<f64> = (0..6).map(|i| i as f64 - 2.5).collect();
-        let got = m.transpose_mul_vec(&x);
-
-        let dense = m.to_dense();
-        for c in 0..9 {
-            let want: f64 = (0..6).map(|r| dense[r][c] * x[r]).sum();
-            assert!(
-                (got[c] - want).abs() < 1e-12,
-                "col {c}: {} vs {want}",
-                got[c]
-            );
-        }
-        // And it agrees with materializing the transpose.
-        assert_eq!(got, m.transpose().mul_vec(&x));
-    }
-
-    #[test]
-    fn mul_vec_matches_dense_reference() {
-        let m =
-            CsrMatrix::from_triplets(3, 3, &[(0, 0, 2.0), (0, 2, -1.0), (1, 1, 4.0), (2, 0, 1.0)]);
-        let y = m.mul_vec(&[1.0, 2.0, 3.0]);
-        assert_eq!(y, vec![2.0 * 1.0 - 1.0 * 3.0, 8.0, 1.0]);
+        assert_eq!(row(&m, 0), []);
+        assert_eq!(row(&m, 1), [(2, 7.0)]);
+        assert_eq!(row(&m, 2), []);
+        assert_eq!(row(&m, 3), []);
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //! the fixed cases replay the PR 5 regression LPs (Beale cycling,
 //! tiny-objective rays, duplicate and contradictory equalities, min-cost
 //! flow) plus a ring-network flow LP shaped like the worst-case pipeline's.
+//!
+//! The same families drive [`coyote_lp::LpSession`]: a session re-solved
+//! under a sequence of objectives must equal a cold solve of each, bit for
+//! bit (`session_resolves_equal_cold_solves_bit_for_bit`).
 
 use coyote_lp::error::LpError;
 use coyote_lp::{LpProblem, Relation, Sense, SolverBackend, VarId};
@@ -108,11 +112,11 @@ impl LpSpec {
             .vars
             .iter()
             .enumerate()
-            .map(|(i, v)| lp.add_var(format!("x{i}"), v.lower, v.upper, v.objective))
+            .map(|(i, v)| lp.add_var(("x", i), v.lower, v.upper, v.objective))
             .collect();
         for (i, c) in self.cons.iter().enumerate() {
             let terms: Vec<(VarId, f64)> = c.terms.iter().map(|&(v, k)| (ids[v], k)).collect();
-            lp.add_constraint(format!("c{i}"), &terms, c.relation, c.rhs);
+            lp.add_constraint(("c", i), &terms, c.relation, c.rhs);
         }
         (lp, ids)
     }
@@ -314,6 +318,112 @@ proptest! {
     }
 }
 
+/// Solves `spec` through one [`coyote_lp::LpSession`] once per entry of
+/// `rounds`, an objective vector each, and requires every outcome to equal a
+/// one-shot cold solve of a problem built with that objective: same error,
+/// or the same objective and values bit for bit. Once a solve has succeeded
+/// the session has a basis, and every later success must have re-entered
+/// from it.
+fn session_matches_cold(spec: &LpSpec, rounds: &[&[f64]]) -> Result<(), String> {
+    let mut current = spec.clone();
+    let (mut lp, ids) = current.build();
+    lp.set_backend(SolverBackend::Revised);
+    let mut session = lp
+        .prepare()
+        .map_err(|e| format!("prepare: {e} on {spec:?}"))?;
+    let mut recorded = false;
+    for (k, objective) in rounds.iter().enumerate() {
+        for (v, &id) in ids.iter().enumerate() {
+            session.set_objective(id, objective[v]);
+            current.vars[v].objective = objective[v];
+        }
+        let (mut cold, _) = current.build();
+        cold.set_backend(SolverBackend::Revised);
+        match (session.solve(), cold.solve()) {
+            (Ok(warm), Ok(cold)) => {
+                let same = warm.objective.to_bits() == cold.objective.to_bits()
+                    && ids
+                        .iter()
+                        .all(|&v| warm.value(v).to_bits() == cold.value(v).to_bits());
+                if !same {
+                    return Err(format!("round {k}: session {warm:?} vs cold {cold:?}"));
+                }
+                if warm.stats.warm_restore != recorded {
+                    return Err(format!("round {k}: warm_restore {recorded} expected"));
+                }
+                recorded = true;
+            }
+            (Err(a), Err(b)) if a == b => {}
+            (a, b) => return Err(format!("round {k}: session {a:?} vs cold {b:?}")),
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(120))]
+
+    /// Sessions over the generated families: after any sequence of
+    /// `set_objective` calls `session.solve()` is the cold solve of the
+    /// same model, `to_bits`. `family` 1 turns the general draw into the
+    /// equality regime (non-negative variables, every row an equality),
+    /// where phase one does the work a session skips.
+    #[test]
+    fn session_resolves_equal_cold_solves_bit_for_bit(
+        family in 0usize..2,
+        sense_raw in 0usize..2,
+        nvars in 1usize..7,
+        ncons in 0usize..9,
+        bound_kind in collection::vec(0usize..4, 6..7),
+        bound_lo in collection::vec(-3.0f64..3.0, 6..7),
+        bound_wid in collection::vec(0.0f64..4.0, 6..7),
+        obj in collection::vec(-4.0f64..4.0, 6..7),
+        rel in collection::vec(0usize..3, 8..9),
+        rhs in collection::vec(-6.0f64..6.0, 8..9),
+        coeff in collection::vec(-3.0f64..3.0, 48..49),
+        term_mask in collection::vec(0usize..4, 48..49),
+        later in collection::vec(-4.0f64..4.0, 12..13),
+    ) {
+        let mut spec = LpSpec::decode(
+            sense_raw, nvars.min(6), ncons.min(8), &bound_kind, &bound_lo, &bound_wid,
+            &obj, &rel, &rhs, &coeff, &term_mask,
+        );
+        if family == 1 {
+            for v in &mut spec.vars {
+                (v.lower, v.upper) = (0.0, f64::INFINITY);
+            }
+            for c in &mut spec.cons {
+                c.relation = Relation::Eq;
+            }
+        }
+        // Re-centre every row on a point inside the bounds: most draws are
+        // then feasible and reach the phase-two re-entry under test.
+        let inside: Vec<f64> = spec
+            .vars
+            .iter()
+            .map(|v| match (v.lower.is_finite(), v.upper.is_finite()) {
+                (true, true) => (v.lower + v.upper) / 2.0,
+                (true, false) => v.lower + 1.0,
+                (false, true) => v.upper - 1.0,
+                (false, false) => 0.5,
+            })
+            .collect();
+        for c in &mut spec.cons {
+            let at: f64 = c.terms.iter().map(|&(v, k)| k * inside[v]).sum();
+            c.rhs = match c.relation {
+                Relation::Le => at + c.rhs.abs(),
+                Relation::Ge => at - c.rhs.abs(),
+                Relation::Eq => at,
+            };
+        }
+        // Round 0 re-sets the objective the model was built with.
+        let rounds = [&obj[..], &later[..6], &later[6..]];
+        if let Err(msg) = session_matches_cold(&spec, &rounds) {
+            prop_assert!(false, "{}", msg);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fixed regression instances, replayed verbatim against both backends.
 // ---------------------------------------------------------------------------
@@ -445,10 +555,10 @@ fn ring_network_flow_lp_matches_on_both_backends() {
     // Arc (i -> i+1) is `fwd[i]`, arc (i+1 -> i) is `bwd[i]`; unit cost,
     // capacity 0.6 so neither 3-hop path can carry the demand alone.
     let fwd: Vec<VarId> = (0..N)
-        .map(|i| lp.add_var(format!("fwd{i}"), 0.0, 0.6, 1.0))
+        .map(|i| lp.add_var(("fwd", i), 0.0, 0.6, 1.0))
         .collect();
     let bwd: Vec<VarId> = (0..N)
-        .map(|i| lp.add_var(format!("bwd{i}"), 0.0, 0.6, 1.0))
+        .map(|i| lp.add_var(("bwd", i), 0.0, 0.6, 1.0))
         .collect();
     for node in 0..N {
         // Outgoing: fwd[node] and bwd[node-1]; incoming: fwd[node-1], bwd[node].
@@ -459,7 +569,7 @@ fn ring_network_flow_lp_matches_on_both_backends() {
             _ => 0.0,
         };
         lp.add_constraint(
-            format!("node{node}"),
+            ("node", node),
             &[
                 (fwd[node], 1.0),
                 (bwd[prev], 1.0),
