@@ -118,6 +118,8 @@ fn deterministic_metrics_are_bit_identical_across_thread_counts() {
     for counter in [
         "lp.pivots",
         "lp.solves",
+        "lp.lu.nnz",
+        "lp.degenerate_pivots",
         "core.cg.rounds",
         "ospf.fake_nodes",
         "sim.flowsim.rounds",

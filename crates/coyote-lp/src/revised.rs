@@ -28,9 +28,10 @@
 //! one never sees the objective, so the session records the feasible basis
 //! its first solve reaches at the end of phase one and every later solve
 //! re-enters phase two from it. That is **bit-identical** to a cold solve
-//! of the same problem: both paths refactorize from scratch and recompute
-//! the basic values at the phase boundary, making the phase-two start state
-//! a pure function of (basis, constraints). A recorded basis can only ever
+//! of the same problem: both paths enter phase two on a fresh factorization
+//! of the boundary basis (an empty eta file) with the basic values
+//! recomputed from it, making the phase-two start state a pure function of
+//! (basis, constraints). A recorded basis can only ever
 //! meet the system it came from — the session holds both — so nothing is
 //! keyed, hashed or compared; `try_install` still rejects a basis that is
 //! not primal-feasible within the phase-one tolerance (the numerical
@@ -45,7 +46,7 @@
 //! dual method rather than a primal basis restore (see
 //! `docs/ARCHITECTURE.md`).
 
-use crate::basis::{Factorization, LuFactors};
+use crate::basis::Factorization;
 use crate::error::LpError;
 use crate::model::{
     default_iteration_limit, LpProblem, Relation, Sense, SolverBackend, VarId, Variable,
@@ -317,7 +318,9 @@ impl SparseForm {
     }
 }
 
-/// Mutable solver state shared by both phases.
+/// Mutable solver state shared by both phases. Every buffer is sized once
+/// in [`Solver::new`]; nothing below allocates per pivot or per
+/// refactorization (a singular-basis repair aside).
 struct Solver<'a> {
     sf: &'a SparseForm,
     limit: usize,
@@ -327,143 +330,143 @@ struct Solver<'a> {
     pos_of: Vec<usize>,
     fact: Factorization,
     x_b: Vec<f64>,
+    /// Simplex multipliers of the last [`Self::multipliers`] (also the
+    /// `B⁻¹` row of `drive_out_artificials`), by constraint row.
+    y: Vec<f64>,
+    /// FTRAN image of the last [`Self::ftran_col`], by basis position.
+    w: Vec<f64>,
+    /// The right-hand side a FTRAN or BTRAN consumes.
+    rhs: Vec<f64>,
     clamped: Vec<bool>,
     refresh_rounds: usize,
     pivot_guard_triggers: usize,
     noise_clamps: usize,
     refactorizations: usize,
+    lu_nnz: usize,
+    degenerate_pivots: usize,
     basis_repairs: usize,
 }
 
 impl<'a> Solver<'a> {
-    fn new(sf: &'a SparseForm, limit: usize) -> Result<Self, LpError> {
-        let basis = sf.initial_basis.clone();
-        let mut pos_of = vec![usize::MAX; sf.total_cols];
-        for (i, &c) in basis.iter().enumerate() {
-            pos_of[c] = i;
-        }
-        let mut solver = Self {
+    /// A solver with no basis yet: [`Self::cold_start`] or
+    /// [`Self::try_install`] gives it one.
+    fn new(sf: &'a SparseForm, limit: usize) -> Self {
+        Self {
             sf,
             limit,
             pivots_total: 0,
-            basis,
-            pos_of,
-            fact: Factorization::new(LuFactors::empty()),
-            x_b: Vec::new(),
+            basis: vec![usize::MAX; sf.m],
+            pos_of: vec![usize::MAX; sf.total_cols],
+            fact: Factorization::new(&sf.cols),
+            x_b: vec![0.0; sf.m],
+            y: vec![0.0; sf.m],
+            w: vec![0.0; sf.m],
+            rhs: vec![0.0; sf.m],
             clamped: vec![false; sf.total_cols],
             refresh_rounds: 0,
             pivot_guard_triggers: 0,
             noise_clamps: 0,
             refactorizations: 0,
+            lu_nnz: 0,
+            degenerate_pivots: 0,
             basis_repairs: 0,
-        };
-        solver.refactorize()?;
-        Ok(solver)
-    }
-
-    /// Factorizes `basis` with singularity repair: a dependent column is
-    /// replaced by the unit column of a still-uncovered row (failure
-    /// positions strictly increase, so the loop terminates). Returns the
-    /// factors, the (possibly repaired) basis and the repair count.
-    fn factorize_repaired(
-        sf: &SparseForm,
-        mut basis: Vec<usize>,
-    ) -> Result<(LuFactors, Vec<usize>, usize), LpError> {
-        let mut repairs = 0usize;
-        loop {
-            match LuFactors::factorize(&sf.cols, &basis) {
-                Ok(lu) => return Ok((lu, basis, repairs)),
-                Err(singular) => {
-                    let in_basis: std::collections::HashSet<usize> =
-                        basis.iter().copied().collect();
-                    let replacement = singular
-                        .unpivoted_rows
-                        .iter()
-                        .map(|&r| sf.unit_col_of_row[r])
-                        .find(|c| !in_basis.contains(c));
-                    let Some(col) = replacement else {
-                        return Err(LpError::Numerical {
-                            context: "basis repair found no replacement column".into(),
-                        });
-                    };
-                    basis[singular.position] = col;
-                    repairs += 1;
-                }
-            }
         }
     }
 
-    /// Refactorizes the current basis from scratch and recomputes the basic
-    /// values from the original right-hand side, resetting eta-file drift.
-    fn refactorize(&mut self) -> Result<(), LpError> {
-        let (lu, basis, repairs) =
-            Self::factorize_repaired(self.sf, std::mem::take(&mut self.basis))?;
+    /// Makes `basis` the current basis and factorizes it.
+    fn start_from(&mut self, basis: &[usize]) -> Result<(), LpError> {
+        self.basis.copy_from_slice(basis);
+        self.index_basis();
+        self.factorize()
+    }
+
+    /// Starts from the slack/artificial basis of the standard form.
+    fn cold_start(&mut self) -> Result<(), LpError> {
+        let sf = self.sf;
+        self.start_from(&sf.initial_basis)
+    }
+
+    /// Rebuilds `pos_of` from `basis`.
+    fn index_basis(&mut self) {
+        self.pos_of.fill(usize::MAX);
+        for (i, &c) in self.basis.iter().enumerate() {
+            self.pos_of[c] = i;
+        }
+    }
+
+    /// Factorizes the current basis from scratch, with singularity repair —
+    /// a dependent column is replaced by the unit column of a
+    /// still-uncovered row (failure positions strictly increase, so the loop
+    /// terminates) — and recomputes the basic values from the original
+    /// right-hand side, resetting eta-file drift.
+    fn factorize(&mut self) -> Result<(), LpError> {
+        let mut repairs = 0usize;
+        while let Err(singular) = self.fact.refactorize(&self.sf.cols, &self.basis) {
+            let in_basis: std::collections::HashSet<usize> = self.basis.iter().copied().collect();
+            let replacement = singular
+                .unpivoted_rows
+                .iter()
+                .map(|&r| self.sf.unit_col_of_row[r])
+                .find(|c| !in_basis.contains(c));
+            let Some(col) = replacement else {
+                return Err(LpError::Numerical {
+                    context: "basis repair found no replacement column".into(),
+                });
+            };
+            self.basis[singular.position] = col;
+            repairs += 1;
+        }
         if repairs > 0 {
             self.basis_repairs += repairs;
-            for p in self.pos_of.iter_mut() {
-                *p = usize::MAX;
-            }
-            for (i, &c) in basis.iter().enumerate() {
-                self.pos_of[c] = i;
-            }
+            self.index_basis();
         }
-        self.basis = basis;
-        self.fact = Factorization::new(lu);
-        self.x_b = self.fact.ftran(&self.sf.b);
+        self.rhs.copy_from_slice(&self.sf.b);
+        self.fact.ftran(&mut self.rhs, &mut self.x_b);
         self.refactorizations += 1;
+        self.lu_nnz += self.fact.lu_nnz();
         Ok(())
     }
 
-    /// Tries to install an externally supplied basis. On success the solver
-    /// state is fully replaced (fresh factorization, fresh basic values);
-    /// on failure (`primal infeasible beyond tolerance`) the previous state
-    /// is kept untouched.
-    fn try_install(&mut self, candidate: Vec<usize>) -> bool {
-        let Ok((lu, basis, repairs)) = Self::factorize_repaired(self.sf, candidate) else {
-            return false;
-        };
-        let fact = Factorization::new(lu);
-        let x_b = fact.ftran(&self.sf.b);
-        if x_b.iter().any(|&v| v < -PHASE1_TOL) {
-            return false;
+    /// Refactorizes unless the factors already are those of the current
+    /// basis: with an empty eta file `x_b` is exactly `ftran(b)` of them, so
+    /// factorizing again would reproduce every bit. Only called after
+    /// [`Self::start_from`] succeeded.
+    fn refactorize(&mut self) -> Result<(), LpError> {
+        if self.fact.updates() == 0 {
+            return Ok(());
         }
-        let residual: f64 = basis
-            .iter()
-            .zip(&x_b)
-            .filter(|&(&c, _)| self.sf.is_artificial[c])
-            .map(|(_, &v)| v.abs())
-            .sum();
-        if residual > PHASE1_TOL {
-            return false;
-        }
-        for p in self.pos_of.iter_mut() {
-            *p = usize::MAX;
-        }
-        for (i, &c) in basis.iter().enumerate() {
-            self.pos_of[c] = i;
-        }
-        self.basis = basis;
-        self.fact = fact;
-        self.x_b = x_b;
-        self.basis_repairs += repairs;
-        self.refactorizations += 1;
-        true
+        self.factorize()
     }
 
-    /// FTRAN of one constraint-matrix column.
-    fn ftran_col(&self, col: usize) -> Vec<f64> {
-        let mut dense = vec![0.0; self.sf.m];
+    /// Tries to start from an externally supplied basis. False when it is
+    /// singular beyond repair or not primal-feasible within the phase-one
+    /// tolerance; the solver then holds no usable state and the caller
+    /// starts cold.
+    fn try_install(&mut self, candidate: &[usize]) -> bool {
+        if self.start_from(candidate).is_err() {
+            return false;
+        }
+        let infeasible =
+            self.x_b.iter().any(|&v| v < -PHASE1_TOL) || self.artificial_residual() > PHASE1_TOL;
+        !infeasible
+    }
+
+    /// FTRAN of one constraint-matrix column, into `self.w`.
+    fn ftran_col(&mut self, col: usize) {
+        self.rhs.fill(0.0);
         for (r, v) in self.sf.cols.iter_row(col) {
-            dense[r] = v;
+            self.rhs[r] = v;
         }
-        self.fact.ftran(&dense)
+        self.fact.ftran(&mut self.rhs, &mut self.w);
     }
 
-    /// BTRAN of the basic components of a cost vector: the simplex
-    /// multipliers `y` with `yᵀB = c_Bᵀ`.
-    fn multipliers(&self, cost: &[f64]) -> Vec<f64> {
-        let cb: Vec<f64> = self.basis.iter().map(|&c| cost[c]).collect();
-        self.fact.btran(&cb)
+    /// BTRAN of the basic components of a cost vector, into `self.y`: the
+    /// simplex multipliers `y` with `yᵀB = c_Bᵀ`.
+    fn multipliers(&mut self, cost: &[f64]) {
+        for (cb, &c) in self.rhs.iter_mut().zip(&self.basis) {
+            *cb = cost[c];
+        }
+        self.fact.btran(&mut self.rhs, &mut self.y);
     }
 
     /// Reduced cost of a column given the multipliers.
@@ -503,7 +506,7 @@ impl<'a> Solver<'a> {
                 return Err(LpError::IterationLimit { limit: self.limit });
             }
             let use_bland = stall >= STALL_LIMIT;
-            let y = self.multipliers(cost);
+            self.multipliers(cost);
             // Entering column.
             let mut enter: Option<(usize, f64)> = None;
             let mut best = -DUAL_TOL;
@@ -514,7 +517,7 @@ impl<'a> Solver<'a> {
                 if exclude_artificials && self.sf.is_artificial[j] {
                     continue;
                 }
-                let rc = self.reduced_cost(cost, &y, j);
+                let rc = self.reduced_cost(cost, &self.y, j);
                 if rc < -DUAL_TOL {
                     if use_bland {
                         enter = Some((j, rc));
@@ -529,7 +532,8 @@ impl<'a> Solver<'a> {
             let Some((col, rc)) = enter else {
                 return Ok(pivots); // optimal for this sweep
             };
-            let w = self.ftran_col(col);
+            self.ftran_col(col);
+            let w = &self.w;
             // Leaving row: minimum ratio test with the dense tie-breaks.
             let mut leave: Option<usize> = None;
             let mut best_ratio = f64::INFINITY;
@@ -590,7 +594,9 @@ impl<'a> Solver<'a> {
                 }
                 return Err(LpError::Unbounded);
             };
-            self.pivot(&w, row, col);
+            if self.pivot(row, col) <= EPS {
+                self.degenerate_pivots += 1;
+            }
             pivots += 1;
             self.pivots_total += 1;
             if self.fact.needs_refresh() {
@@ -606,29 +612,31 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Applies one pivot: updates basic values, the eta file and the basis
-    /// bookkeeping.
-    fn pivot(&mut self, w: &[f64], row: usize, col: usize) {
-        let theta = self.x_b[row] / w[row];
-        for (i, &wi) in w.iter().enumerate() {
+    /// Applies one pivot on the FTRAN'd entering column in `self.w`: updates
+    /// basic values, the eta file and the basis bookkeeping. Returns the
+    /// step length θ.
+    fn pivot(&mut self, row: usize, col: usize) -> f64 {
+        let theta = self.x_b[row] / self.w[row];
+        for (i, (x, &wi)) in self.x_b.iter_mut().zip(&self.w).enumerate() {
             if i == row {
                 continue;
             }
-            let v = self.x_b[i] - theta * wi;
-            self.x_b[i] = if v.abs() < SNAP_TOL { 0.0 } else { v };
+            let v = *x - theta * wi;
+            *x = if v.abs() < SNAP_TOL { 0.0 } else { v };
         }
         self.x_b[row] = theta;
-        self.fact.update(w, row);
+        self.fact.update(&self.w, row);
         self.pos_of[self.basis[row]] = usize::MAX;
         self.basis[row] = col;
         self.pos_of[col] = row;
+        theta
     }
 
     /// True when fresh reduced costs (against a just-refactorized basis)
     /// show no genuine descent direction — the sparse analogue of the dense
     /// post-reprice clean check.
-    fn verified_optimal(&self, cost: &[f64], exclude_artificials: bool) -> bool {
-        let y = self.multipliers(cost);
+    fn verified_optimal(&mut self, cost: &[f64], exclude_artificials: bool) -> bool {
+        self.multipliers(cost);
         for j in 0..self.sf.total_cols {
             if self.pos_of[j] != usize::MAX {
                 continue;
@@ -636,13 +644,13 @@ impl<'a> Solver<'a> {
             if exclude_artificials && self.sf.is_artificial[j] {
                 continue;
             }
-            let rc = self.reduced_cost(cost, &y, j);
+            let rc = self.reduced_cost(cost, &self.y, j);
             if rc >= -DUAL_TOL {
                 continue;
             }
             if rc >= -NOISE_RC_TOL {
-                let w = self.ftran_col(j);
-                if w.iter().all(|v| v.abs() <= PIVOT_TOL) {
+                self.ftran_col(j);
+                if self.w.iter().all(|v| v.abs() <= PIVOT_TOL) {
                     continue; // numerically-zero column, not a descent direction
                 }
             }
@@ -686,9 +694,10 @@ impl<'a> Solver<'a> {
                 continue;
             }
             // Row r of B⁻¹, via BTRAN of the unit vector.
-            let mut e = vec![0.0; self.sf.m];
-            e[r] = 1.0;
-            let rho = self.fact.btran(&e);
+            self.rhs.fill(0.0);
+            self.rhs[r] = 1.0;
+            self.fact.btran(&mut self.rhs, &mut self.y);
+            let rho = &self.y;
             let mut found = None;
             for c in 0..self.sf.art_base {
                 if self.pos_of[c] != usize::MAX {
@@ -704,8 +713,8 @@ impl<'a> Solver<'a> {
                 }
             }
             if let Some(c) = found {
-                let w = self.ftran_col(c);
-                self.pivot(&w, r, c);
+                self.ftran_col(c);
+                self.pivot(r, c);
                 if self.fact.needs_refresh() {
                     self.refactorize()?;
                 }
@@ -729,7 +738,7 @@ fn solve_inner(
 ) -> Result<(LpSolution, Option<Vec<usize>>), LpError> {
     let _span = coyote_obs::span("lp.solve");
     let limit = iteration_limit.unwrap_or_else(|| default_iteration_limit(sf.m, sf.total_cols));
-    let mut solver = Solver::new(sf, limit)?;
+    let mut solver = Solver::new(sf, limit);
     let mut stats = SolveStats {
         standard_vars: sf.art_base - sf.slack_count(),
         rows: sf.m,
@@ -738,9 +747,10 @@ fn solve_inner(
 
     // Warm entry: `try_install` rejects a basis that is not primal-feasible
     // within the phase-one tolerance, and the solve then runs cold.
-    let warm = recorded.is_some_and(|basis| solver.try_install(basis.to_vec()));
+    let warm = recorded.is_some_and(|basis| solver.try_install(basis));
 
     if !warm {
+        solver.cold_start()?;
         if sf.has_artificials {
             stats.phase1_pivots = solver.run_phase(&sf.phase1_cost, false)?;
             let residual = solver.artificial_residual();
@@ -750,9 +760,10 @@ fn solve_inner(
             solver.drive_out_artificials()?;
         }
         // Phase boundary normalization: a fresh factorization and fresh
-        // basic values make the phase-two start state a pure function of
-        // (basis, constraint system) — the invariant a session's warm
-        // re-entry relies on for bit-identical results.
+        // basic values (a no-op when no pivot followed the last one) make
+        // the phase-two start state a pure function of (basis, constraint
+        // system) — the invariant a session's warm re-entry relies on for
+        // bit-identical results.
         solver.refactorize()?;
     }
     let post_phase1_basis = (!warm).then(|| solver.basis.clone());
@@ -782,6 +793,8 @@ fn solve_inner(
     stats.pivot_guard_triggers = solver.pivot_guard_triggers;
     stats.noise_clamps = solver.noise_clamps;
     stats.refactorizations = solver.refactorizations;
+    stats.lu_nnz = solver.lu_nnz;
+    stats.degenerate_pivots = solver.degenerate_pivots;
     stats.basis_repairs = solver.basis_repairs;
     stats.warm_restore = warm;
 
@@ -810,6 +823,8 @@ fn report(stats: &SolveStats) {
     crate::simplex::report_solve(stats);
     coyote_obs::counter("lp.backend.revised", 1);
     coyote_obs::counter("lp.refactorizations", stats.refactorizations as u64);
+    coyote_obs::counter("lp.lu.nnz", stats.lu_nnz as u64);
+    coyote_obs::counter("lp.degenerate_pivots", stats.degenerate_pivots as u64);
     coyote_obs::counter("lp.basis_repairs", stats.basis_repairs as u64);
     if stats.warm_restore {
         coyote_obs::counter("lp.warm_solves", 1);
@@ -910,12 +925,18 @@ impl LpSession {
 mod tests {
     use super::*;
 
-    /// The numerical guard: a recorded basis that is not primal-feasible
-    /// for the system (here singular, and infeasible once repaired) is
-    /// rejected by `try_install` — cold solve, correct result, no panic —
-    /// and the session records a usable basis in its place.
-    #[test]
-    fn infeasible_recorded_basis_falls_back_to_a_cold_solve() {
+    /// Where every buffer of the solver and its factorization lives.
+    fn footprint(solver: &Solver) -> Vec<(usize, usize)> {
+        use crate::basis::tests::{factorization_footprint, footprint};
+        let mut all = factorization_footprint(&solver.fact);
+        all.extend([footprint(&solver.basis), footprint(&solver.pos_of)]);
+        all.extend([&solver.x_b, &solver.y, &solver.w, &solver.rhs].map(footprint));
+        all.push(footprint(&solver.clamped));
+        all
+    }
+
+    /// A small LP that needs both phases.
+    fn two_phase_lp() -> LpProblem {
         let mut lp = LpProblem::new(Sense::Minimize);
         let x = lp.add_var("x", 0.0, 4.0, 1.0);
         let y = lp.add_var("y", 0.0, 4.0, 2.0);
@@ -923,6 +944,94 @@ mod tests {
         lp.add_constraint("supply", &[(x, 1.0), (y, 1.0), (z, 1.0)], Relation::Eq, 6.0);
         lp.add_constraint("mix", &[(y, 1.0), (z, 1.0)], Relation::Ge, 3.0);
         lp.set_backend(SolverBackend::Revised);
+        lp
+    }
+
+    /// A transportation problem: `n` supplies of `n` units to `n` demands
+    /// of `n` units, all equalities, so phase one alone is hundreds of
+    /// pivots.
+    fn transportation(n: usize) -> LpProblem {
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let mut out = vec![Vec::new(); n];
+        let mut into = vec![Vec::new(); n];
+        for (s, out) in out.iter_mut().enumerate() {
+            for (d, into) in into.iter_mut().enumerate() {
+                let cost = 1.0 + ((7 * s + 13 * d) % 11) as f64;
+                let x = lp.add_nonneg_var(("x", s, d), cost);
+                out.push((x, 1.0));
+                into.push((x, 1.0));
+            }
+        }
+        for (i, (out, into)) in out.iter().zip(&into).enumerate() {
+            lp.add_constraint(("supply", i), out, Relation::Eq, n as f64);
+            lp.add_constraint(("demand", i), into, Relation::Eq, n as f64);
+        }
+        lp
+    }
+
+    /// Every solver scratch buffer, factor array and eta array is sized
+    /// once: 200 pivots and 3 refactorizations into a solve, each still
+    /// lives where it did after the first ten pivots, at the same capacity.
+    #[test]
+    fn pivots_and_refactorizations_do_not_reallocate() {
+        let sf = SparseForm::build(&transportation(40));
+        let mut solver = Solver::new(&sf, 10);
+        solver.cold_start().unwrap();
+        let limit = solver.optimize(&sf.phase1_cost, false).unwrap_err();
+        assert!(matches!(limit, LpError::IterationLimit { limit: 10 }));
+        let before = footprint(&solver);
+
+        solver.limit = 210;
+        let limit = solver.optimize(&sf.phase1_cost, false).unwrap_err();
+        assert!(matches!(limit, LpError::IterationLimit { limit: 210 }));
+        assert_eq!(solver.pivots_total, 210);
+        assert_eq!(solver.refactorizations, 1 + 3);
+        assert_eq!(footprint(&solver), before);
+        // And the solve they belong to still ends where a one-shot solve does.
+        solver.limit = usize::MAX;
+        solver.run_phase(&sf.phase1_cost, false).unwrap();
+        assert!(solver.artificial_residual() <= PHASE1_TOL);
+        assert_eq!(footprint(&solver), before);
+    }
+
+    /// A basis is factorized once: not again after a sweep that made no
+    /// pivot, not at a phase boundary nothing crossed, and a warm solve never
+    /// factorizes the slack basis it is about to replace.
+    #[test]
+    fn a_factorized_basis_is_not_factorized_again() {
+        // Optimal at the slack basis: the cold start is all there is.
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_nonneg_var("x", 1.0);
+        lp.add_constraint("cap", &[(x, 1.0)], Relation::Le, 4.0);
+        lp.set_backend(SolverBackend::Revised);
+        let stats = lp.solve().unwrap().stats;
+        assert_eq!((stats.phase2_pivots, stats.refactorizations), (0, 1));
+        assert_eq!((stats.lu_nnz, stats.degenerate_pivots), (0, 0));
+
+        // Two phases with pivots in each: cold start, end of phase one, end
+        // of phase two (the parent factorized at the phase boundary as well).
+        let mut lp = transportation(6);
+        lp.set_backend(SolverBackend::Revised);
+        let mut session = lp.prepare().unwrap();
+        let cold = session.solve().unwrap().stats;
+        assert!(cold.phase1_pivots > 0 && cold.phase2_pivots > 0);
+        assert_eq!(cold.refactorizations, 3);
+        // Warm: the recorded basis, then the end of phase two.
+        let warm = session.solve().unwrap().stats;
+        assert!(warm.warm_restore && warm.phase2_pivots > 0);
+        assert_eq!(warm.refactorizations, 2);
+        // Same two bases as the cold solve's last two, and its first — the
+        // slack basis — has no off-diagonal entry to count.
+        assert!(warm.lu_nnz > 0 && warm.lu_nnz == cold.lu_nnz);
+    }
+
+    /// The numerical guard: a recorded basis that is not primal-feasible
+    /// for the system (here singular, and infeasible once repaired) is
+    /// rejected by `try_install` — cold solve, correct result, no panic —
+    /// and the session records a usable basis in its place.
+    #[test]
+    fn infeasible_recorded_basis_falls_back_to_a_cold_solve() {
+        let lp = two_phase_lp();
         let cold = lp.solve().unwrap();
 
         let mut session = lp.prepare().unwrap();
@@ -934,6 +1043,8 @@ mod tests {
         let sol = session.solve().unwrap();
         assert!(!sol.stats.warm_restore);
         assert_eq!(sol.stats.warm_pivots_saved, 0);
+        // The rejected basis was factorized before it was judged: work done.
+        assert_eq!(sol.stats.refactorizations, cold.stats.refactorizations + 1);
         assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
         assert_eq!(sol.values, cold.values);
         assert!(session.solve().unwrap().stats.warm_restore);

@@ -27,6 +27,13 @@ pub struct SolveStats {
     /// Basis refactorizations performed (revised backend only; the dense
     /// backend reports zero).
     pub refactorizations: usize,
+    /// `nnz(L) + nnz(U)`, diagonals excluded, summed over those
+    /// factorizations: the fill the basis kernel paid for (revised backend
+    /// only).
+    pub lu_nnz: usize,
+    /// Pivots whose step length θ was at most the feasibility tolerance:
+    /// the basis changed and the vertex did not (revised backend only).
+    pub degenerate_pivots: usize,
     /// Singular basis columns replaced during factorization repair
     /// (revised backend only).
     pub basis_repairs: usize,

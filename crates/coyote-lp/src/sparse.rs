@@ -9,7 +9,9 @@
 //!
 //! The same type doubles as a CSC store: the solver keeps the constraint
 //! matrix *by columns* (each logical LP column stored as one CSR row), since
-//! pricing and FTRAN both consume columns.
+//! pricing and FTRAN both consume columns. The basis kernel keeps its `L`
+//! and `U` factors and its eta file in it too, filled row by row
+//! ([`CsrMatrix::push`] / [`CsrMatrix::close_row`]) and refilled in place.
 
 /// A sparse matrix in compressed sparse row format.
 ///
@@ -76,10 +78,62 @@ impl CsrMatrix {
         }
     }
 
+    /// An empty matrix (no rows yet) with room for `rows` rows and `entries`
+    /// entries, to be filled with [`Self::push`] and [`Self::close_row`].
+    pub(crate) fn with_capacity(rows: usize, ncols: usize, entries: usize) -> Self {
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.push(0);
+        Self {
+            ncols,
+            row_ptr,
+            col_idx: Vec::with_capacity(entries),
+            values: Vec::with_capacity(entries),
+        }
+    }
+
+    /// Appends an entry to the open row. The caller keeps column indices
+    /// strictly increasing inside a row.
+    #[inline]
+    pub(crate) fn push(&mut self, col: usize, value: f64) {
+        debug_assert!(col < self.ncols);
+        self.col_idx.push(col);
+        self.values.push(value);
+    }
+
+    /// Closes the open row: entries pushed from here on belong to the next.
+    #[inline]
+    pub(crate) fn close_row(&mut self) {
+        self.row_ptr.push(self.col_idx.len());
+    }
+
+    /// Drops every row and keeps the capacity.
+    pub(crate) fn clear(&mut self) {
+        self.row_ptr.truncate(1);
+        self.col_idx.clear();
+        self.values.clear();
+    }
+
     /// Number of columns.
     #[inline]
     pub(crate) fn ncols(&self) -> usize {
         self.ncols
+    }
+
+    /// Number of stored entries.
+    #[inline]
+    pub(crate) fn nnz(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Address and capacity of the three arrays (the no-reallocation tests).
+    #[cfg(test)]
+    pub(crate) fn buffers(&self) -> [(usize, usize); 3] {
+        let of = |ptr: *const u8, capacity| (ptr as usize, capacity);
+        [
+            of(self.row_ptr.as_ptr().cast(), self.row_ptr.capacity()),
+            of(self.col_idx.as_ptr().cast(), self.col_idx.capacity()),
+            of(self.values.as_ptr().cast(), self.values.capacity()),
+        ]
     }
 
     /// Iterates the `(col, value)` entries of row `i`.
@@ -134,6 +188,27 @@ mod tests {
         assert_eq!(row(&m, 1), [(2, 7.0)]);
         assert_eq!(row(&m, 2), []);
         assert_eq!(row(&m, 3), []);
+    }
+
+    #[test]
+    fn rows_can_be_appended_and_refilled_in_place() {
+        let mut m = CsrMatrix::with_capacity(3, 3, 3);
+        let before = m.buffers();
+        for _ in 0..2 {
+            m.push(0, 1.0);
+            m.push(2, -2.0);
+            m.close_row();
+            m.close_row();
+            m.push(1, 4.0);
+            m.close_row();
+            assert_eq!(m.nnz(), 3);
+            assert_eq!(row(&m, 0), [(0, 1.0), (2, -2.0)]);
+            assert_eq!(row(&m, 1), []);
+            assert_eq!(row(&m, 2), [(1, 4.0)]);
+            m.clear();
+            assert_eq!(m.nnz(), 0);
+        }
+        assert_eq!(m.buffers(), before);
     }
 
     #[test]

@@ -144,8 +144,14 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> bool {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let (method, path, body) = match read_request(&mut stream) {
-        Ok(parts) => parts,
-        Err(_) => return false, // wake-up probe or malformed preamble
+        Ok(Some(parts)) => parts,
+        Err(e) if e.is_bad_request() => {
+            // A malformed request is answered, never dispatched.
+            let (status, payload) = error_reply(400, e.to_string());
+            let _ = write_response(&mut stream, status, &payload);
+            return false;
+        }
+        Ok(None) | Err(_) => return false, // wake-up probe, or the socket failed
     };
     coyote_obs::counter("serve.http.requests", 1);
     let stop = method == "POST" && path == "/shutdown";
@@ -154,11 +160,16 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> bool {
     stop
 }
 
-fn read_request(stream: &mut TcpStream) -> Result<(String, String, String), ServeError> {
+/// Reads one request as `(method, path, body)`; `None` for a connection
+/// that closed without sending a byte.
+fn read_request(stream: &mut TcpStream) -> Result<Option<(String, String, String)>, ServeError> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
     let header_end = loop {
         let n = stream.read(&mut chunk)?;
+        if n == 0 && buf.is_empty() {
+            return Ok(None);
+        }
         if n == 0 {
             return Err(ServeError::BadRequest("connection closed".into()));
         }
@@ -185,13 +196,10 @@ fn read_request(stream: &mut TcpStream) -> Result<(String, String, String), Serv
         .ok_or_else(|| ServeError::BadRequest("missing path".into()))?
         .to_string();
     let content_length = lines
-        .filter_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            name.eq_ignore_ascii_case("content-length")
-                .then(|| value.trim().parse::<usize>().ok())?
-        })
-        .next()
-        .unwrap_or(0);
+        .filter_map(|line| line.split_once(':'))
+        .find(|(name, _)| name.eq_ignore_ascii_case("content-length"))
+        .map_or(Ok(0), |(_, value)| value.trim().parse::<usize>())
+        .map_err(|_| ServeError::BadRequest("Content-Length is not a byte count".into()))?;
     if content_length > 16 * 1024 * 1024 {
         return Err(ServeError::BadRequest("body too large".into()));
     }
@@ -199,16 +207,19 @@ fn read_request(stream: &mut TcpStream) -> Result<(String, String, String), Serv
     while body.len() < content_length {
         let n = stream.read(&mut chunk)?;
         if n == 0 {
-            break;
+            return Err(ServeError::BadRequest(format!(
+                "connection closed after {} of {content_length} body bytes",
+                body.len()
+            )));
         }
         body.extend_from_slice(&chunk[..n]);
     }
     body.truncate(content_length);
-    Ok((
+    Ok(Some((
         method,
         path,
         String::from_utf8_lossy(&body).to_string(),
-    ))
+    )))
 }
 
 fn find_header_end(buf: &[u8]) -> Option<usize> {

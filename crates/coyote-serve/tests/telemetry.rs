@@ -29,6 +29,23 @@ fn request(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
     (status, payload.to_string())
 }
 
+/// Sends `head` + `body` verbatim (in one write, so the server's reply never
+/// races bytes still in flight), closes the sending half and returns the
+/// status of whatever comes back.
+fn raw_request(addr: &str, head: &str, body: &str) -> u16 {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+        .write_all(format!("{head}{body}").as_bytes())
+        .unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    raw.split_whitespace().nth(1).unwrap().parse().unwrap()
+}
+
 /// Runs the canonical request sequence against a fresh daemon with the
 /// given worker-thread count and returns the deterministic metrics view.
 fn run_session(threads: usize) -> coyote_obs::Snapshot {
@@ -74,6 +91,23 @@ fn run_session(threads: usize) -> coyote_obs::Snapshot {
     ] {
         assert_eq!(request(&addr, "POST", path, body).0, 400, "{path} {body}");
     }
+    // A body the reader cannot delimit is a client error too, not an update
+    // applied to whatever prefix arrived: an unparsable Content-Length, and
+    // a connection that closes before Content-Length bytes were sent.
+    let update = r#"{"updates":[{"src":0,"dst":4,"rate":9.5}]}"#;
+    for length in ["abc", "-1", "1e3"] {
+        let head = format!("POST /demand HTTP/1.1\r\nContent-Length: {length}\r\n\r\n");
+        assert_eq!(
+            raw_request(&addr, &head, update),
+            400,
+            "Content-Length: {length}"
+        );
+    }
+    let head = format!(
+        "POST /demand HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        update.len() + 7
+    );
+    assert_eq!(raw_request(&addr, &head, update), 400, "short body");
     let (status, state) = request(&addr, "GET", "/state", "");
     assert_eq!(status, 200);
     let state = coyote_serve::json::parse(&state).unwrap();
