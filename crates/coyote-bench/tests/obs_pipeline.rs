@@ -120,6 +120,7 @@ fn deterministic_metrics_are_bit_identical_across_thread_counts() {
         "lp.solves",
         "lp.lu.nnz",
         "lp.degenerate_pivots",
+        "lp.crash_starts",
         "core.cg.rounds",
         "ospf.fake_nodes",
         "sim.flowsim.rounds",
@@ -129,5 +130,11 @@ fn deterministic_metrics_are_bit_identical_across_thread_counts() {
             serial_view.counters.get(counter).copied().unwrap_or(0) > 0,
             "counter {counter} was never incremented"
         );
+    }
+    // The Base routing's LP named its start and the guard took it, on one
+    // thread as on two (a refused start is published once per solve too).
+    for view in [&serial_view, &parallel_view] {
+        assert_eq!(view.counters.get("lp.crash_starts"), Some(&1));
+        assert_eq!(view.counters.get("lp.crash_rejects"), None);
     }
 }

@@ -9,6 +9,14 @@
 //! as a drifting golden: the counters and the `ProtocolRatios` bits below
 //! were recorded on the commit before the kernel was rewritten and must not
 //! move without a stated reason.
+//!
+//! One stated reason so far: since the Base routing's LP starts from the
+//! shortest-path trees (`coyote_core::opt_mcf`), its phase one is gone
+//! (`lp.pivots` 5,414 → 5,130) and it lands on another optimal vertex — the
+//! Base baseline *is* a vertex, so the two `base` ratios were re-recorded
+//! (`0x3ff7_1c71_976a_51af` → `0x3ff3_c825_15bf_e23b`, `0x3ffb_a5b3_cbe9_70e6`
+//! → `0x3ff8_e26c_9262_7d0c`). The Adam counters and the `ecmp` /
+//! `coyote_oblivious` / `coyote_partial` bits did not move.
 
 use coyote_bench::conformance::DEFAULT_TOLERANCE;
 use coyote_bench::{run_conformance, run_sweep, Effort, SweepGrid};
@@ -21,7 +29,7 @@ const PINNED_COUNTERS: [(&str, u64); 4] = [
     ("gp.adam.iterations", 3_742),
     ("gp.adam.runs", 8),
     ("core.cg.rounds", 8),
-    ("lp.pivots", 5_414),
+    ("lp.pivots", 5_130),
 ];
 
 /// `[ecmp, base, coyote_oblivious, coyote_partial]` as `f64::to_bits`, one
@@ -29,13 +37,13 @@ const PINNED_COUNTERS: [(&str, u64); 4] = [
 const PINNED_RATIO_BITS: [[u64; 4]; 2] = [
     [
         0x3ff6_8e38_b501_9c08,
-        0x3ff7_1c71_976a_51af,
+        0x3ff3_c825_15bf_e23b,
         0x3ff4_d8e1_05ef_05b2,
         0x3ff4_1910_9b07_71eb,
     ],
     [
         0x3ff9_45b0_8e70_8d5b,
-        0x3ffb_a5b3_cbe9_70e6,
+        0x3ff8_e26c_9262_7d0c,
         0x3ff2_3634_969b_aff1,
         0x3ff1_e1c0_8ebc_48ad,
     ],

@@ -24,16 +24,18 @@
 //! destinations and copy every other solution over unchanged, and a cold
 //! recompile provably reproduces the same routing bit for bit. The LP is
 //! [`crate::opt_mcf`]'s, built for one commodity inside one DAG — this
-//! module owns no model of its own — and every solve is a one-shot cold
-//! solve: a demand update moves the right-hand side, which an
-//! `LpSession` (objective changes only) cannot express.
+//! module owns no model of its own — and every solve is a one-shot solve
+//! that starts from the destination's shortest-path tree (a pure function
+//! of the same three inputs) and skips phase one: a demand update moves the
+//! right-hand side, which an `LpSession` (objective changes only) cannot
+//! express.
 //!
 //! Like [`crate::opt_mcf::split_routable_within_dags`], demand from sources
 //! with no DAG out-edge (failures can partition a topology) is masked out
 //! and reported rather than turned into an `Infeasible` error.
 
 use crate::error::CoreError;
-use crate::opt_mcf::{routable_within, solve_commodities, EdgeScope};
+use crate::opt_mcf::{routable_within, solve_commodities, EdgeScope, Reads};
 use crate::routing::PdRouting;
 use coyote_graph::{Dag, Graph, NodeId};
 use coyote_traffic::DemandMatrix;
@@ -95,7 +97,8 @@ pub fn solve_destination(
         }
     }
     let commodity = if active { vec![t] } else { Vec::new() };
-    let mut sol = solve_commodities(graph, commodity, &[column], EdgeScope::Dag(dag))?;
+    let scope = EdgeScope::Dag(dag);
+    let mut sol = solve_commodities(graph, commodity, &[column], scope, Reads::Flows)?;
     solve.max_utilization = sol.max_utilization;
     solve.flows = sol
         .flows
@@ -194,29 +197,33 @@ mod tests {
         h
     }
 
-    /// The differential that licensed deleting this module's hand-built LP:
-    /// `(topology, cut, masked sources, digest)` of every destination's solve,
-    /// recorded from that LP when it agreed `to_bits` with the shared builder
-    /// on all 252 solves. Vertices aside, each α must stay the in-DAG optimum
-    /// of its column alone.
+    /// `(topology, cut, masked sources, digest)` of every destination's solve.
+    /// The digests were first recorded from this module's hand-built LP when
+    /// it agreed `to_bits` with the shared builder on all 252 solves (the
+    /// differential that licensed deleting it), and re-recorded when the
+    /// flows began to come from the shortest-path-tree start: the solve
+    /// lands on another optimal vertex. What proves the objective did not
+    /// move is the other half — each α must stay the in-DAG optimum of its
+    /// column alone, against `optu_within_dags`, which is still the cold
+    /// solve.
     #[test]
     fn every_daemon_solve_is_pinned_to_the_hand_built_lp_it_replaced() {
         let pins: [(&str, Option<bool>, usize, u64); 15] = [
-            ("abilene", None, 0, 0x9f1ca12955824325),
-            ("abilene", Some(false), 0, 0x631c1ea42107ea86),
-            ("abilene", Some(true), 20, 0x6e00431995dbc869),
-            ("nsf", None, 0, 0x48903cf7c2715052),
-            ("nsf", Some(false), 0, 0x52bf51c7711693bc),
-            ("nsf", Some(true), 26, 0x185e1ed211f91941),
-            ("germany", None, 0, 0x51631b899d411597),
-            ("germany", Some(false), 0, 0x712f60f3c734f721),
-            ("germany", Some(true), 32, 0x30fa30266cf353e8),
-            ("att", None, 0, 0x9b2c98dc91c1c604),
-            ("att", Some(false), 0, 0x36c080b6eac9d290),
-            ("att", Some(true), 38, 0x35727d263fb01c49),
-            ("geant", None, 0, 0x789ae357fc124e04),
-            ("geant", Some(false), 0, 0x1724aaecfcf8c76f),
-            ("geant", Some(true), 42, 0x5932bd4fb5c26e21),
+            ("abilene", None, 0, 0xad928ebeea79632d),
+            ("abilene", Some(false), 0, 0x1ce3f7df36dd56e1),
+            ("abilene", Some(true), 20, 0xd8f41719032d18ff),
+            ("nsf", None, 0, 0xd0de55ed89a0ba7d),
+            ("nsf", Some(false), 0, 0xffce7ee70a8264af),
+            ("nsf", Some(true), 26, 0x9079ccc12e03d8ae),
+            ("germany", None, 0, 0x08be01153a6ea86b),
+            ("germany", Some(false), 0, 0xb11cfdd781803a95),
+            ("germany", Some(true), 32, 0xc92c376fbf79fb3f),
+            ("att", None, 0, 0x94f80270de7b7f44),
+            ("att", Some(false), 0, 0xe08c6b54fea24419),
+            ("att", Some(true), 38, 0x7b2b39bd30f1e59d),
+            ("geant", None, 0, 0x6252d04083089ff0),
+            ("geant", Some(false), 0, 0xc80f6f4295797cab),
+            ("geant", Some(true), 42, 0x26b4a00432b813c2),
         ];
         for (name, cut, masked, pinned) in pins {
             let (g, dags, dm) = daemon_scenario(name, cut);

@@ -104,6 +104,60 @@ pub(crate) fn flow_block(
     Ok(columns)
 }
 
+/// What the caller of the flow LP consumes. Every optimal vertex has the
+/// same `α`, so a value-only solve may land on any of them; a solve whose
+/// flows become a routing starts from the shortest-path tree
+/// ([`tree_arcs`]) and skips phase one. Value-only solves keep the slack
+/// start until moving the `OPTU` normalizers in their last bits has a
+/// stated tolerance (ROADMAP item 1 names the PR that deletes this type).
+#[derive(Clone, Copy)]
+pub(crate) enum Reads {
+    Value,
+    Flows,
+}
+
+/// Routes one commodity down its shortest-path tree inside `dag`: every node
+/// with an out-edge gets the one minimizing `weight(e) + dist(head)` (ties:
+/// first in `dag.out_edges`), basic on the node's conservation row — a
+/// triangular, primal-feasible block of the flow LP's basis — and the
+/// subtree volumes of `column` are added to the per-edge `load`. `None`
+/// when a conservation row has no out-edge to cover it (a node a failure
+/// left with in-edges only).
+fn tree_arcs(
+    graph: &Graph,
+    dag: &Dag,
+    column: &[f64],
+    vars: &[Option<VarId>],
+    cons_row: &[Option<usize>],
+    load: &mut [f64],
+    start: &mut Vec<(usize, VarId)>,
+) -> Option<()> {
+    let mut dist = vec![f64::INFINITY; graph.node_count()];
+    let mut arc = vec![None; graph.node_count()];
+    dist[dag.destination().index()] = 0.0;
+    for &v in dag.topo_from_destination() {
+        for &e in dag.out_edges(v) {
+            let through = graph.weight(e) + dist[graph.edge(e).dst.index()];
+            if arc[v.index()].is_none() || through < dist[v.index()] {
+                dist[v.index()] = through;
+                arc[v.index()] = Some(e);
+            }
+        }
+    }
+    let covered = |v: NodeId| cons_row[v.index()].is_none() || arc[v.index()].is_some();
+    if !graph.nodes().all(covered) {
+        return None;
+    }
+    let mut volume = column.to_vec();
+    for v in dag.topo_to_destination() {
+        let Some(e) = arc[v.index()] else { continue };
+        start.push((cons_row[v.index()]?, vars[e.index()]?));
+        load[e.index()] += volume[v.index()];
+        volume[graph.edge(e).dst.index()] += volume[v.index()];
+    }
+    Some(())
+}
+
 /// True iff `dag` can carry demand from `s` to its destination: by the DAG
 /// invariant a node with an out-edge reaches the destination.
 pub(crate) fn routable_within(dag: &Dag, s: NodeId) -> bool {
@@ -116,6 +170,7 @@ fn solve_mcf(
     graph: &Graph,
     dm: &DemandMatrix,
     scope: EdgeScope<'_>,
+    reads: Reads,
 ) -> Result<McfSolution, CoreError> {
     let _span = coyote_obs::span("core.opt_mcf");
     coyote_obs::counter("core.opt_mcf.solves", 1);
@@ -131,17 +186,21 @@ fn solve_mcf(
         .iter()
         .map(|&t| graph.nodes().map(|s| dm.get(s, t)).collect())
         .collect();
-    solve_commodities(graph, destinations, &columns, scope)
+    solve_commodities(graph, destinations, &columns, scope, reads)
 }
 
 /// The one builder of the min-max-utilization flow LP: commodity `k` routes
 /// `columns[k][s]` from every `s` to `destinations[k]` over the edges `scope`
-/// allows it (the diagonal entry `columns[k][t]` is never read).
+/// allows it (the diagonal entry `columns[k][t]` is never read). A solve
+/// that [`Reads::Flows`] inside DAGs names its starting basis: the tree arcs
+/// of [`tree_arcs`], `α` on the capacity row of the link those trees load
+/// most, slacks elsewhere.
 pub(crate) fn solve_commodities(
     graph: &Graph,
     destinations: Vec<NodeId>,
     columns: &[Vec<f64>],
     scope: EdgeScope<'_>,
+    reads: Reads,
 ) -> Result<McfSolution, CoreError> {
     if destinations.is_empty() {
         return Ok(McfSolution {
@@ -156,10 +215,13 @@ pub(crate) fn solve_commodities(
 
     // Flow conservation: out - in = demand, for every non-destination node.
     let commodities: Vec<(usize, NodeId)> = destinations.iter().copied().enumerate().collect();
+    let n = graph.node_count();
+    let mut cons_rows = vec![None; commodities.len() * n];
     let flow_vars = flow_block(&mut lp, graph, &scope, &commodities, |lp, k, v, terms| {
         let demand = columns[k][v.index()];
         if !terms.is_empty() {
-            lp.add_constraint(("cons", k, v.index()), terms, Relation::Eq, demand);
+            let row = lp.add_constraint(("cons", k, v.index()), terms, Relation::Eq, demand);
+            cons_rows[k * n + v.index()] = Some(row);
         } else if demand > 0.0 {
             return Err(CoreError::UnroutableDemand {
                 detail: format!(
@@ -174,6 +236,7 @@ pub(crate) fn solve_commodities(
 
     // Capacity: total flow on an edge is at most alpha * capacity.
     let mut terms: Vec<(VarId, f64)> = Vec::new();
+    let mut cap_rows = vec![None; graph.edge_count()];
     for e in graph.edges() {
         terms.clear();
         terms.extend(flow_vars.iter().filter_map(|vars| Some((vars[e.index()]?, 1.0))));
@@ -181,10 +244,51 @@ pub(crate) fn solve_commodities(
             continue;
         }
         terms.push((alpha, -graph.capacity(e)));
-        lp.add_constraint(("cap", e.index()), &terms, Relation::Le, 0.0);
+        cap_rows[e.index()] =
+            Some(lp.add_constraint(("cap", e.index()), &terms, Relation::Le, 0.0));
     }
 
-    let sol = lp.solve().map_err(|e| match e {
+    // The basis a flows-reading solve starts from: the tree arcs on the
+    // conservation rows, `α` on the capacity row of the first link of
+    // maximal utilization — which keeps every other capacity row's slack
+    // non-negative — and slacks elsewhere.
+    let tree_start = || {
+        let mut start = Vec::with_capacity(lp.num_constraints());
+        let mut load = vec![0.0; graph.edge_count()];
+        for (k, &t) in destinations.iter().enumerate() {
+            let (vars, rows) = (&flow_vars[k], &cons_rows[k * n..][..n]);
+            tree_arcs(
+                graph,
+                scope.dag(t)?,
+                &columns[k],
+                vars,
+                rows,
+                &mut load,
+                &mut start,
+            )?;
+        }
+        let mut worst: Option<(usize, f64)> = None;
+        for e in graph.edges() {
+            let Some(row) = cap_rows[e.index()] else {
+                continue;
+            };
+            let utilization = load[e.index()] / graph.capacity(e);
+            if worst.is_none_or(|(_, w)| utilization > w) {
+                worst = Some((row, utilization));
+            }
+        }
+        start.push((worst?.0, alpha));
+        Some(start)
+    };
+    let start = match reads {
+        Reads::Flows => tree_start(),
+        Reads::Value => None,
+    };
+    let solved = match start {
+        Some(start) => lp.solve_from(&start),
+        None => lp.solve(),
+    };
+    let sol = solved.map_err(|e| match e {
         coyote_lp::LpError::Infeasible { .. } => CoreError::UnroutableDemand {
             detail: "flow conservation cannot be satisfied inside the allowed edge set".into(),
         },
@@ -211,7 +315,7 @@ pub(crate) fn solve_commodities(
 /// `OPTU(D)`: the optimal max link utilization over *all* per-destination
 /// routings (any edge usable).
 pub fn optu(graph: &Graph, dm: &DemandMatrix) -> Result<f64, CoreError> {
-    Ok(solve_mcf(graph, dm, EdgeScope::All)?.max_utilization)
+    Ok(solve_mcf(graph, dm, EdgeScope::All, Reads::Value)?.max_utilization)
 }
 
 /// The demands-aware optimum restricted to the given per-destination DAGs
@@ -224,7 +328,7 @@ pub fn optu_within_dags(graph: &Graph, dags: &[Dag], dm: &DemandMatrix) -> Resul
             graph.node_count()
         )));
     }
-    Ok(solve_mcf(graph, dm, EdgeScope::Dags(dags))?.max_utilization)
+    Ok(solve_mcf(graph, dm, EdgeScope::Dags(dags), Reads::Value)?.max_utilization)
 }
 
 /// The **Base** baseline of the evaluation: the optimal demands-aware
@@ -244,7 +348,7 @@ pub fn optimal_routing_within_dags(
             graph.node_count()
         )));
     }
-    let sol = solve_mcf(graph, dm, EdgeScope::Dags(dags))?;
+    let sol = solve_mcf(graph, dm, EdgeScope::Dags(dags), Reads::Flows)?;
     let mut raw = vec![vec![0.0; graph.edge_count()]; graph.node_count()];
     for (k, &t) in sol.destinations.iter().enumerate() {
         for e in graph.edges() {
@@ -419,6 +523,89 @@ mod tests {
         );
         let lp_value = optu_within_dags(&g, &aug, &dm).unwrap();
         assert!((opt - lp_value).abs() < 1e-9);
+    }
+
+    /// On the 14 Table-I topologies × gravity the routing-returning solve
+    /// starts from the shortest-path trees, no start is refused, and its
+    /// objective is the cold `optu_within_dags` optimum. The sink is shared
+    /// with whatever other test of this process is solving, hence `>=`; no
+    /// test here names a basis the guard refuses.
+    #[test]
+    fn the_tree_start_attains_the_cold_optimum_on_every_table1_topology() {
+        let registry = std::sync::Arc::new(coyote_obs::Registry::new());
+        coyote_obs::install(registry.clone());
+        let topologies = coyote_topology::zoo::table1();
+        for topo in &topologies {
+            let mut g = topo.to_graph().unwrap();
+            g.set_inverse_capacity_weights(10.0);
+            let dm = coyote_traffic::GravityModel::with_total(100.0).generate(&g);
+            let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
+            let (routing, started) = optimal_routing_within_dags(&g, &dags, &dm).unwrap();
+            routing.validate(&g).unwrap();
+            let cold = optu_within_dags(&g, &dags, &dm).unwrap();
+            assert!(
+                (started - cold).abs() < 1e-9,
+                "{}: {started} vs {cold}",
+                topo.name
+            );
+        }
+        coyote_obs::uninstall();
+        let counters = registry.snapshot().counters;
+        let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+        assert_eq!(topologies.len(), 14);
+        assert!(count("lp.crash_starts") >= 14, "{counters:?}");
+        assert_eq!(count("lp.crash_rejects"), 0);
+    }
+
+    /// A node a failure left with in-edges only keeps its conservation row
+    /// (nothing may arrive there) and has no arc to cover it: no tree, the
+    /// slack start as before, and still the right answer.
+    #[test]
+    fn a_dead_end_with_a_conservation_row_takes_the_slack_start() {
+        let (g, s1, s2, v, t) = fig1();
+        let edge = |a, b| g.find_edge(a, b).unwrap();
+        // v is a dead end of t's DAG: s1 may enter it, nothing leaves.
+        let arcs = [edge(s1, s2), edge(s1, v), edge(s2, t)];
+        let mut dags = build_all_dags(&g, DagMode::Augmented).unwrap();
+        dags[t.index()] = Dag::new(&g, t, &arcs).unwrap();
+        let dag = &dags[t.index()];
+
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let vars: Vec<Option<VarId>> = g
+            .edges()
+            .map(|_| Some(lp.add_nonneg_var("g", 0.0)))
+            .collect();
+        let rows: Vec<Option<usize>> = g.nodes().map(|u| (u != t).then_some(u.index())).collect();
+        let column = [2.0, 0.0, 0.0, 0.0];
+        let (mut load, mut start) = (vec![0.0; g.edge_count()], Vec::new());
+        assert!(tree_arcs(&g, dag, &column, &vars, &rows, &mut load, &mut start).is_none());
+        // Without the dead end's row the same DAG has its tree: s1 → s2 → t.
+        let rows: Vec<Option<usize>> = rows
+            .iter()
+            .map(|&r| r.filter(|&r| r != v.index()))
+            .collect();
+        assert!(tree_arcs(&g, dag, &column, &vars, &rows, &mut load, &mut start).is_some());
+        assert_eq!(
+            start,
+            [
+                (0, vars[edge(s1, s2).index()].unwrap()),
+                (1, vars[edge(s2, t).index()].unwrap())
+            ]
+        );
+        assert_eq!(
+            (load[edge(s1, s2).index()], load[edge(s2, t).index()]),
+            (2.0, 2.0)
+        );
+
+        let mut dm = DemandMatrix::zeros(4);
+        dm.set(s1, t, 2.0);
+        let (routing, opt) = optimal_routing_within_dags(&g, &dags, &dm).unwrap();
+        routing.validate(&g).unwrap();
+        assert!(
+            (opt - 2.0).abs() < 1e-6,
+            "everything crosses (s2, t): {opt}"
+        );
+        assert!((opt - optu_within_dags(&g, &dags, &dm).unwrap()).abs() < 1e-9);
     }
 
     #[test]

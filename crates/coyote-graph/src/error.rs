@@ -19,7 +19,7 @@ pub enum GraphError {
         /// Number of edges in the graph.
         edge_count: usize,
     },
-    /// An edge with non-positive capacity was inserted.
+    /// An edge was inserted whose capacity is not a finite positive number.
     NonPositiveCapacity {
         /// Source node of the edge.
         src: usize,
@@ -68,7 +68,10 @@ impl fmt::Display for GraphError {
                 )
             }
             GraphError::NonPositiveCapacity { src, dst, capacity } => {
-                write!(f, "edge {src}->{dst} has non-positive capacity {capacity}")
+                write!(
+                    f,
+                    "edge {src}->{dst} has capacity {capacity}; it must be finite and positive"
+                )
             }
             GraphError::SelfLoop { node } => write!(f, "self loop on node {node} is not allowed"),
             GraphError::DuplicateNodeName(name) => write!(f, "duplicate node name {name:?}"),

@@ -164,7 +164,9 @@ impl Graph {
         if src == dst {
             return Err(GraphError::SelfLoop { node: src.index() });
         }
-        if capacity.is_nan() || capacity <= 0.0 {
+        // `+∞` included: a flow LP's capacity row has `−capacity` as a
+        // coefficient and a utilization divides by it.
+        if !capacity.is_finite() || capacity <= 0.0 {
             return Err(GraphError::NonPositiveCapacity {
                 src: src.index(),
                 dst: dst.index(),
@@ -431,6 +433,22 @@ mod tests {
             g.add_edge(NodeId(0), NodeId(5), 1.0, 1.0),
             Err(GraphError::InvalidNode { .. })
         ));
+    }
+
+    /// A capacity no flow LP can use never enters the graph: `+∞` went in
+    /// before and came out of `optu` as a late `NotFinite` LP error.
+    #[test]
+    fn rejects_capacities_that_are_not_finite() {
+        let mut g = Graph::with_nodes(2);
+        for capacity in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let err = g.add_edge(NodeId(0), NodeId(1), capacity, 1.0).unwrap_err();
+            assert!(matches!(err, GraphError::NonPositiveCapacity { .. }));
+            assert!(err.to_string().contains("finite and positive"), "{err}");
+            assert!(g
+                .add_bidirectional_edge(NodeId(0), NodeId(1), capacity, 1.0)
+                .is_err());
+        }
+        assert_eq!(g.edge_count(), 0);
     }
 
     #[test]

@@ -38,6 +38,14 @@ pub enum LpError {
         /// Upper bound.
         upper: f64,
     },
+    /// The starting basis handed to [`crate::LpProblem::solve_from`] is not
+    /// a basis of this problem at all: an unknown row or variable, a
+    /// variable without a finite lower bound, a row or variable named twice,
+    /// or an equality row left without a basic variable.
+    InvalidStart {
+        /// What is wrong with the list.
+        context: String,
+    },
     /// The solver hit an unrecoverable numerical failure (e.g. a basis that
     /// could not be factorized or repaired). Should not occur on
     /// well-scaled problems; reported rather than panicking.
@@ -65,6 +73,7 @@ impl fmt::Display for LpError {
             LpError::EmptyDomain { name, lower, upper } => {
                 write!(f, "variable {name} has empty domain [{lower}, {upper}]")
             }
+            LpError::InvalidStart { context } => write!(f, "invalid starting basis: {context}"),
             LpError::Numerical { context } => write!(f, "numerical failure: {context}"),
         }
     }

@@ -28,7 +28,10 @@
 //! model is validated and converted to standard form once, and every solve
 //! after the first re-enters phase two from the basis the session itself
 //! recorded — bit-identical to a cold solve by construction and therefore
-//! not switchable. Everything else is a one-shot [`LpProblem::solve`].
+//! not switchable. Everything else is a one-shot [`LpProblem::solve`], or
+//! [`LpProblem::solve_from`] when the caller can name a feasible starting
+//! basis from the problem's structure (a hint the solver checks, never an
+//! answer it trusts).
 //!
 //! ## Usage
 //!
@@ -61,4 +64,4 @@ mod tol;
 pub use error::LpError;
 pub use model::{default_backend, LpProblem, Name, Relation, Sense, SolverBackend, VarId};
 pub use revised::LpSession;
-pub use solution::{LpSolution, SolveStats};
+pub use solution::{LpSolution, SolveStart, SolveStats};

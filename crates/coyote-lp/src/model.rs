@@ -276,9 +276,60 @@ impl LpProblem {
     pub fn solve(&self) -> Result<LpSolution, LpError> {
         self.validate()?;
         match self.backend() {
-            SolverBackend::Revised => revised::solve(self),
+            SolverBackend::Revised => revised::solve(self, None),
             SolverBackend::Dense => simplex::solve(self),
         }
+    }
+
+    /// Solves the problem once, starting from the basis `start` names instead
+    /// of the slack/artificial one: each `(row, var)` makes `var` basic on
+    /// constraint `row` (the index [`Self::add_constraint`] returned), every
+    /// other row keeps its slack. The basis is a hint, never an answer: a
+    /// list that is no basis of this model is [`LpError::InvalidStart`]; one
+    /// that is singular or not primal-feasible is refused and the solve runs
+    /// cold ([`crate::SolveStart::Refused`]); an accepted one skips phase
+    /// one. The dense oracle checks the list and otherwise ignores it.
+    pub fn solve_from(&self, start: &[(usize, VarId)]) -> Result<LpSolution, LpError> {
+        self.validate()?;
+        self.check_start(start)?;
+        match self.backend() {
+            SolverBackend::Revised => revised::solve(self, Some(start)),
+            SolverBackend::Dense => simplex::solve(self),
+        }
+    }
+
+    /// The structural half of judging a starting basis: every pair names a
+    /// row and a variable of this model, the variable maps to one
+    /// standard-form column measured from its lower bound, nothing is named
+    /// twice, and every equality row — which has no slack to keep — is
+    /// covered.
+    fn check_start(&self, start: &[(usize, VarId)]) -> Result<(), LpError> {
+        let invalid = |context: String| Err(LpError::InvalidStart { context });
+        let mut row_taken = vec![false; self.constraints.len()];
+        let mut var_taken = vec![false; self.vars.len()];
+        for &(row, var) in start {
+            let Some(cons) = self.constraints.get(row) else {
+                return invalid(format!("unknown row {row}"));
+            };
+            let Some(v) = self.vars.get(var.0) else {
+                return invalid(format!("unknown variable index {}", var.0));
+            };
+            if !v.lower.is_finite() {
+                return invalid(format!("{} has no finite lower bound", v.name));
+            }
+            if std::mem::replace(&mut row_taken[row], true) {
+                return invalid(format!("row {} is named twice", cons.name));
+            }
+            if std::mem::replace(&mut var_taken[var.0], true) {
+                return invalid(format!("variable {} is named twice", v.name));
+            }
+        }
+        for (cons, taken) in self.constraints.iter().zip(row_taken) {
+            if cons.relation == Relation::Eq && !taken {
+                return invalid(format!("equality row {} has no basic variable", cons.name));
+            }
+        }
+        Ok(())
     }
 
     /// Validates the model and builds its standard form, once, for a family

@@ -45,13 +45,24 @@
 //! basis stays dual-feasible there, not primal-feasible, so they want a
 //! dual method rather than a primal basis restore (see
 //! `docs/ARCHITECTURE.md`).
+//!
+//! ## Named starts
+//!
+//! A one-shot solve whose caller knows a feasible basis from the problem's
+//! structure names it ([`crate::LpProblem::solve_from`]; the flow LPs of
+//! `coyote-core::opt_mcf` name their shortest-path tree). The list goes
+//! through the same `try_install` as a session's recorded basis — the only
+//! place a basis is accepted — and an accepted one skips phase one. Unlike
+//! a recorded basis it is not where the cold solve's phase one would have
+//! ended, so the solve may land on another optimal vertex; a refused one
+//! costs a factorization and the solve runs cold, bit for bit.
 
 use crate::basis::Factorization;
 use crate::error::LpError;
 use crate::model::{
     default_iteration_limit, LpProblem, Relation, Sense, SolverBackend, VarId, Variable,
 };
-use crate::solution::{LpSolution, SolveStats};
+use crate::solution::{LpSolution, SolveStart, SolveStats};
 use crate::sparse::CsrMatrix;
 use crate::tol::{
     DRIVE_OUT_TOL, DUAL_TOL, EPS, MAX_REFRESH_ROUNDS, NOISE_RC_TOL, PHASE1_TOL, PIVOT_TOL,
@@ -727,14 +738,15 @@ impl<'a> Solver<'a> {
     }
 }
 
-/// Two-phase solve. `recorded` is the post-phase-one basis an earlier solve
-/// of this same form returned, `None` for a cold solve. Returns the solution
-/// and, unless the solve re-entered from `recorded`, the basis its own phase
-/// one ended on.
+/// Two-phase solve. `named` is a basis to enter phase two from and who
+/// vouches for it — [`SolveStart::Recorded`]: the post-phase-one basis an
+/// earlier solve of this same form returned; [`SolveStart::Supplied`]: the
+/// caller's — `None` for a cold solve. Returns the solution and, unless the
+/// solve entered from `named`, the basis its own phase one ended on.
 fn solve_inner(
     sf: &SparseForm,
     iteration_limit: Option<usize>,
-    recorded: Option<&[usize]>,
+    named: Option<(&[usize], SolveStart)>,
 ) -> Result<(LpSolution, Option<Vec<usize>>), LpError> {
     let _span = coyote_obs::span("lp.solve");
     let limit = iteration_limit.unwrap_or_else(|| default_iteration_limit(sf.m, sf.total_cols));
@@ -745,11 +757,17 @@ fn solve_inner(
         ..Default::default()
     };
 
-    // Warm entry: `try_install` rejects a basis that is not primal-feasible
-    // within the phase-one tolerance, and the solve then runs cold.
-    let warm = recorded.is_some_and(|basis| solver.try_install(basis));
+    // `try_install` is the only place a named basis is accepted: it rejects
+    // one that is singular or not primal-feasible within the phase-one
+    // tolerance, and the solve then runs cold.
+    stats.start = match named {
+        Some((basis, origin)) if solver.try_install(basis) => origin,
+        Some((_, SolveStart::Supplied)) => SolveStart::Refused,
+        _ => SolveStart::Slack,
+    };
+    let entered = matches!(stats.start, SolveStart::Recorded | SolveStart::Supplied);
 
-    if !warm {
+    if !entered {
         solver.cold_start()?;
         if sf.has_artificials {
             stats.phase1_pivots = solver.run_phase(&sf.phase1_cost, false)?;
@@ -766,7 +784,7 @@ fn solve_inner(
         // bit-identical results.
         solver.refactorize()?;
     }
-    let post_phase1_basis = (!warm).then(|| solver.basis.clone());
+    let post_phase1_basis = (!entered).then(|| solver.basis.clone());
 
     stats.phase2_pivots = solver.run_phase(&sf.phase2_cost, true)?;
 
@@ -796,7 +814,6 @@ fn solve_inner(
     stats.lu_nnz = solver.lu_nnz;
     stats.degenerate_pivots = solver.degenerate_pivots;
     stats.basis_repairs = solver.basis_repairs;
-    stats.warm_restore = warm;
 
     let solution = LpSolution {
         objective,
@@ -826,18 +843,43 @@ fn report(stats: &SolveStats) {
     coyote_obs::counter("lp.lu.nnz", stats.lu_nnz as u64);
     coyote_obs::counter("lp.degenerate_pivots", stats.degenerate_pivots as u64);
     coyote_obs::counter("lp.basis_repairs", stats.basis_repairs as u64);
-    if stats.warm_restore {
+    // "Cold" is "did not re-enter from a session's recorded basis", so
+    // `lp.solves = lp.cold_solves + lp.warm_solves`; what became of a
+    // caller's basis is counted on its own.
+    if stats.start == SolveStart::Recorded {
         coyote_obs::counter("lp.warm_solves", 1);
         coyote_obs::counter("lp.warm_pivots_saved", stats.warm_pivots_saved as u64);
     } else {
         coyote_obs::counter("lp.cold_solves", 1);
     }
+    match stats.start {
+        SolveStart::Supplied => coyote_obs::counter("lp.crash_starts", 1),
+        SolveStart::Refused => coyote_obs::counter("lp.crash_rejects", 1),
+        SolveStart::Slack | SolveStart::Recorded => {}
+    }
 }
 
-/// One-shot cold revised-simplex solve (already validated).
-pub(crate) fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
+/// One-shot revised-simplex solve (problem and `start` already validated):
+/// cold, or from the basis `start` names — `var` basic on each named `row`,
+/// the row's slack on every other.
+pub(crate) fn solve(
+    problem: &LpProblem,
+    start: Option<&[(usize, VarId)]>,
+) -> Result<LpSolution, LpError> {
     let sf = SparseForm::build(problem);
-    let (solution, _) = solve_inner(&sf, problem.iteration_limit, None)?;
+    let basis = start.map(|start| {
+        // User rows come first in the standard form, bound rows after them.
+        let mut basis = sf.slack_of_row.clone();
+        for &(row, var) in start {
+            let VarMap::Shifted { col, .. } = sf.var_map[var.index()] else {
+                unreachable!("check_start admits only variables with a finite lower bound");
+            };
+            basis[row] = col;
+        }
+        basis
+    });
+    let named = basis.as_deref().map(|basis| (basis, SolveStart::Supplied));
+    let (solution, _) = solve_inner(&sf, problem.iteration_limit, named)?;
     report(&solution.stats);
     Ok(solution)
 }
@@ -907,7 +949,7 @@ impl LpSession {
         let (mut solution, post_phase1_basis) = solve_inner(
             sf,
             self.problem.iteration_limit,
-            recorded.map(|p| p.basis.as_slice()),
+            recorded.map(|p| (p.basis.as_slice(), SolveStart::Recorded)),
         )?;
         match post_phase1_basis {
             Some(basis) => {
@@ -1018,7 +1060,7 @@ mod tests {
         assert_eq!(cold.refactorizations, 3);
         // Warm: the recorded basis, then the end of phase two.
         let warm = session.solve().unwrap().stats;
-        assert!(warm.warm_restore && warm.phase2_pivots > 0);
+        assert!(warm.start == SolveStart::Recorded && warm.phase2_pivots > 0);
         assert_eq!(warm.refactorizations, 2);
         // Same two bases as the cold solve's last two, and its first — the
         // slack basis — has no off-diagonal entry to count.
@@ -1041,12 +1083,12 @@ mod tests {
             pivots: 7,
         });
         let sol = session.solve().unwrap();
-        assert!(!sol.stats.warm_restore);
+        assert_eq!(sol.stats.start, SolveStart::Slack);
         assert_eq!(sol.stats.warm_pivots_saved, 0);
         // The rejected basis was factorized before it was judged: work done.
         assert_eq!(sol.stats.refactorizations, cold.stats.refactorizations + 1);
         assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
         assert_eq!(sol.values, cold.values);
-        assert!(session.solve().unwrap().stats.warm_restore);
+        assert_eq!(session.solve().unwrap().stats.start, SolveStart::Recorded);
     }
 }

@@ -2,6 +2,24 @@
 
 use crate::model::VarId;
 
+/// The basis a solve started from.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum SolveStart {
+    /// The slack/artificial basis of the standard form: a cold two-phase
+    /// solve (the dense backend knows no other).
+    #[default]
+    Slack,
+    /// The post-phase-one basis its [`crate::LpSession`] recorded: phase one
+    /// skipped.
+    Recorded,
+    /// The basis the caller of [`crate::LpProblem::solve_from`] named: phase
+    /// one skipped.
+    Supplied,
+    /// The slack basis, after the caller's basis turned out singular or not
+    /// primal-feasible.
+    Refused,
+}
+
 /// Statistics about a solve.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolveStats {
@@ -37,9 +55,8 @@ pub struct SolveStats {
     /// Singular basis columns replaced during factorization repair
     /// (revised backend only).
     pub basis_repairs: usize,
-    /// True when the solve re-entered phase two from the basis its
-    /// [`crate::LpSession`] recorded and skipped phase one.
-    pub warm_restore: bool,
+    /// Which basis the solve started from.
+    pub start: SolveStart,
     /// Phase-one pivots avoided by the warm start (the count the session's
     /// cold solve paid).
     pub warm_pivots_saved: usize,

@@ -20,7 +20,7 @@
 //! bit (`session_resolves_equal_cold_solves_bit_for_bit`).
 
 use coyote_lp::error::LpError;
-use coyote_lp::{LpProblem, Relation, Sense, SolverBackend, VarId};
+use coyote_lp::{LpProblem, Relation, Sense, SolveStart, SolverBackend, VarId};
 use proptest::prelude::*;
 
 /// Bounds of one generated variable, decoded from generator draws.
@@ -348,8 +348,8 @@ fn session_matches_cold(spec: &LpSpec, rounds: &[&[f64]]) -> Result<(), String> 
                 if !same {
                     return Err(format!("round {k}: session {warm:?} vs cold {cold:?}"));
                 }
-                if warm.stats.warm_restore != recorded {
-                    return Err(format!("round {k}: warm_restore {recorded} expected"));
+                if (warm.stats.start == SolveStart::Recorded) != recorded {
+                    return Err(format!("round {k}: recorded start {recorded} expected"));
                 }
                 recorded = true;
             }
@@ -420,6 +420,340 @@ proptest! {
         let rounds = [&obj[..], &later[..6], &later[6..]];
         if let Err(msg) = session_matches_cold(&spec, &rounds) {
             prop_assert!(false, "{}", msg);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Caller-named starting bases (`LpProblem::solve_from`) on flow LPs.
+// ---------------------------------------------------------------------------
+
+/// A min-max-utilization flow LP over a random layered DAG — node 0 is the
+/// sink, every arc leads to a lower layer — shaped like
+/// `coyote-core::opt_mcf`'s: per commodity a column per arc and a
+/// conservation equality per non-sink node, one capacity row per arc tying
+/// the commodities to `α`. Keeps where every row and column went, and the
+/// spanning tree (one out-arc per node and commodity) a start is named from.
+struct FlowLp {
+    lp: LpProblem,
+    alpha: VarId,
+    /// `(tail, head, capacity)`; the two top-layer nodes come last.
+    arcs: Vec<(usize, usize, f64)>,
+    layer: Vec<usize>,
+    /// `[commodity][node]`, the sink's entry unused.
+    demand: Vec<Vec<f64>>,
+    tree: Vec<Vec<usize>>,
+    flow: Vec<Vec<VarId>>,
+    cons_row: Vec<Vec<usize>>,
+    cap_row: Vec<usize>,
+}
+
+impl FlowLp {
+    /// `widths[i]` nodes in layer `i + 1` (the top layer at least two);
+    /// every node gets an arc into the layer below and whichever further
+    /// arcs to lower layers `arc_mask` keeps (the top layer at least two in
+    /// all); `choice` picks each node's tree arc among its out-arcs.
+    fn decode(
+        widths: &[usize],
+        arc_mask: &[usize],
+        capacity: &[f64],
+        demand: &[Vec<f64>],
+        choice: &[Vec<usize>],
+    ) -> FlowLp {
+        let mut layer = vec![0usize];
+        for (i, &w) in widths.iter().enumerate() {
+            let top = i + 1 == widths.len();
+            layer.extend(std::iter::repeat_n(i + 1, if top { w.max(2) } else { w }));
+        }
+        let n = layer.len();
+        let top = widths.len();
+        let mut arcs = Vec::new();
+        for u in 1..n {
+            let below: Vec<usize> = (0..u).filter(|&v| layer[v] < layer[u]).collect();
+            let first = *below.iter().rfind(|&&v| layer[v] + 1 == layer[u]).unwrap();
+            let mut kept = 0;
+            for &v in &below {
+                let forced = v == first || (layer[u] == top && kept == 0 && v + 1 == first);
+                if forced || arc_mask[u * 13 + v] == 0 {
+                    arcs.push((u, v, capacity[u * 13 + v]));
+                    kept += 1;
+                }
+            }
+        }
+        let mut out_arcs = vec![Vec::new(); n];
+        for (e, &(tail, ..)) in arcs.iter().enumerate() {
+            out_arcs[tail].push(e);
+        }
+
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let alpha = lp.add_nonneg_var("alpha", 1.0);
+        let k = demand.len();
+        let flow: Vec<Vec<VarId>> = (0..k)
+            .map(|c| {
+                (0..arcs.len())
+                    .map(|e| lp.add_nonneg_var(("g", c, e), 0.0))
+                    .collect()
+            })
+            .collect();
+        let mut cons_row = vec![vec![usize::MAX; n]; k];
+        for c in 0..k {
+            for u in 1..n {
+                let terms: Vec<(VarId, f64)> = (0..arcs.len())
+                    .filter_map(|e| match arcs[e] {
+                        (tail, _, _) if tail == u => Some((flow[c][e], 1.0)),
+                        (_, head, _) if head == u => Some((flow[c][e], -1.0)),
+                        _ => None,
+                    })
+                    .collect();
+                cons_row[c][u] =
+                    lp.add_constraint(("cons", c, u), &terms, Relation::Eq, demand[c][u]);
+            }
+        }
+        let cap_row = (0..arcs.len())
+            .map(|e| {
+                let mut terms: Vec<(VarId, f64)> = flow.iter().map(|f| (f[e], 1.0)).collect();
+                terms.push((alpha, -arcs[e].2));
+                lp.add_constraint(("cap", e), &terms, Relation::Le, 0.0)
+            })
+            .collect();
+        let tree = (0..k)
+            .map(|c| {
+                let pick = |u: usize| out_arcs[u][choice[c][u] % out_arcs[u].len()];
+                std::iter::once(usize::MAX)
+                    .chain((1..n).map(pick))
+                    .collect()
+            })
+            .collect();
+        let demand = demand.iter().map(|d| d[..n].to_vec()).collect();
+        FlowLp {
+            lp,
+            alpha,
+            arcs,
+            layer,
+            demand,
+            tree,
+            flow,
+            cons_row,
+            cap_row,
+        }
+    }
+
+    /// Utilization of every arc when each commodity follows its tree.
+    fn tree_utilization(&self) -> Vec<f64> {
+        let n = self.layer.len();
+        let mut load = vec![0.0; self.arcs.len()];
+        // Nodes are numbered layer by layer, so descending ids are
+        // sources-first.
+        for (demand, tree) in self.demand.iter().zip(&self.tree) {
+            let mut volume = demand.clone();
+            for u in (1..n).rev() {
+                load[tree[u]] += volume[u];
+                volume[self.arcs[tree[u]].1] += volume[u];
+            }
+        }
+        load.iter().zip(&self.arcs).map(|(l, a)| l / a.2).collect()
+    }
+
+    /// The tree arcs on their conservation rows and `α` on `alpha_arc`'s
+    /// capacity row.
+    fn start(&self, alpha_arc: usize) -> Vec<(usize, VarId)> {
+        let mut start = Vec::new();
+        for c in 0..self.tree.len() {
+            for u in 1..self.layer.len() {
+                start.push((self.cons_row[c][u], self.flow[c][self.tree[c][u]]));
+            }
+        }
+        start.push((self.cap_row[alpha_arc], self.alpha));
+        start
+    }
+
+    fn solve_from(
+        &self,
+        start: &[(usize, VarId)],
+        backend: SolverBackend,
+    ) -> Result<coyote_lp::LpSolution, LpError> {
+        let mut lp = self.lp.clone();
+        lp.set_backend(backend);
+        lp.solve_from(start)
+    }
+}
+
+/// The start is a hint, never an answer: from the tree basis the solve
+/// skips phase one and reaches the cold solve's objective; from a spoiled
+/// one it either refuses — and is then the cold solve, bit for bit — or
+/// accepts and still reaches that objective.
+fn start_is_a_hint(f: &FlowLp) -> Result<(), String> {
+    let (cold, dense) = solve_both(&f.lp);
+    let cold = cold.map_err(|e| format!("cold: {e}"))?;
+    let dense = dense.map_err(|e| format!("dense: {e}"))?;
+    let same = |what: &str, got: &coyote_lp::LpSolution| {
+        let gap = (got.objective - cold.objective).abs();
+        if gap > 1e-9 * (1.0 + cold.objective.abs()) {
+            return Err(format!(
+                "{what}: {} vs cold {}",
+                got.objective, cold.objective
+            ));
+        }
+        Ok(())
+    };
+
+    let utilization = f.tree_utilization();
+    let first_max = |best: usize, e: usize| {
+        if utilization[e] > utilization[best] {
+            e
+        } else {
+            best
+        }
+    };
+    let worst = (0..f.arcs.len()).fold(0, first_max);
+    let tree = f.start(worst);
+    let started = f
+        .solve_from(&tree, SolverBackend::Revised)
+        .map_err(|e| format!("tree: {e}"))?;
+    same("tree start", &started)?;
+    if (started.stats.start, started.stats.phase1_pivots) != (SolveStart::Supplied, 0) {
+        return Err(format!("tree start not taken: {:?}", started.stats));
+    }
+    if (started.objective - dense.objective).abs() > 1e-6 * (1.0 + dense.objective.abs()) {
+        return Err(format!(
+            "tree start {} vs dense {}",
+            started.objective, dense.objective
+        ));
+    }
+    // The oracle checks the list and otherwise ignores it.
+    let ignored = f
+        .solve_from(&tree, SolverBackend::Dense)
+        .map_err(|e| format!("dense: {e}"))?;
+    if ignored.objective.to_bits() != dense.objective.to_bits() {
+        return Err("the dense backend did not ignore the start".into());
+    }
+
+    // The same basis listed in another order is the same basis.
+    let reversed: Vec<_> = tree.iter().rev().copied().collect();
+    let permuted = f
+        .solve_from(&reversed, SolverBackend::Revised)
+        .map_err(|e| format!("permuted: {e}"))?;
+    if permuted.objective.to_bits() != started.objective.to_bits()
+        || permuted.stats != started.stats
+    {
+        return Err(format!("permuted list: {permuted:?} vs {started:?}"));
+    }
+
+    let spoiled = |what: &str, start: &[(usize, VarId)], must_refuse: bool| {
+        let got = f
+            .solve_from(start, SolverBackend::Revised)
+            .map_err(|e| format!("{what}: {e}"))?;
+        match got.stats.start {
+            SolveStart::Refused if got.objective.to_bits() == cold.objective.to_bits() => Ok(got),
+            SolveStart::Supplied if !must_refuse => same(what, &got).map(|()| got),
+            _ => Err(format!("{what}: {got:?} vs cold {cold:?}")),
+        }
+    };
+    // Infeasible: `α` on a link decisively less utilized than the worst
+    // leaves the worst link's slack negative.
+    let least = (0..f.arcs.len()).fold(0, |best, e| {
+        if utilization[e] < utilization[best] {
+            e
+        } else {
+            best
+        }
+    });
+    if utilization[least] + 1e-3 < utilization[worst] {
+        spoiled("alpha on a non-maximal row", &f.start(least), true)?;
+    }
+    // Singular: the second top-layer node's row gets a non-tree arc of the
+    // first, which closes a cycle with the tree paths of its two ends and
+    // leaves the node's own row empty. The repair's unit column carries the
+    // node's demand, so the guard refuses it whenever that is positive.
+    let (x, u) = (f.layer.len() - 2, f.layer.len() - 1);
+    let chord = (0..f.arcs.len())
+        .find(|&e| f.arcs[e].0 == x && e != f.tree[0][x])
+        .unwrap();
+    let mut cyclic = tree.clone();
+    let slot = cyclic
+        .iter_mut()
+        .find(|(row, _)| *row == f.cons_row[0][u])
+        .unwrap();
+    slot.1 = f.flow[0][chord];
+    let got = spoiled("two arcs closing a cycle", &cyclic, f.demand[0][u] > 1e-3)?;
+    if got.stats.basis_repairs == 0 {
+        return Err(format!(
+            "the cyclic basis was not singular: {:?}",
+            got.stats
+        ));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(120))]
+
+    /// Random layered-DAG flow LPs, 1–4 commodities, random capacities and
+    /// demands (a third of them zero), a random spanning tree per commodity.
+    #[test]
+    fn a_named_start_is_a_hint_never_an_answer(
+        layers in 2usize..5,
+        commodities in 1usize..5,
+        widths in collection::vec(1usize..4, 4..5),
+        arc_mask in collection::vec(0usize..3, 169..170),
+        capacity in collection::vec(0.5f64..4.0, 169..170),
+        volume in collection::vec(0.0f64..3.0, 52..53),
+        volume_mask in collection::vec(0usize..3, 52..53),
+        choice in collection::vec(0usize..6, 52..53),
+    ) {
+        let demand: Vec<Vec<f64>> = (0..commodities)
+            .map(|c| (0..13).map(|u| if volume_mask[c * 13 + u] == 0 { 0.0 } else { volume[c * 13 + u] }).collect())
+            .collect();
+        let choice: Vec<Vec<usize>> = choice.chunks(13).map(<[usize]>::to_vec).collect();
+        let flow = FlowLp::decode(&widths[..layers], &arc_mask, &capacity, &demand, &choice);
+        if let Err(msg) = start_is_a_hint(&flow) {
+            prop_assert!(false, "{} on arcs {:?} demand {:?} tree {:?}", msg, flow.arcs, flow.demand, flow.tree);
+        }
+    }
+}
+
+/// A list that is no basis of the model is a typed error on both backends,
+/// before any solving: it is the caller's bug, not a numerical event.
+#[test]
+fn malformed_starts_are_invalid_on_both_backends() {
+    let mut lp = LpProblem::new(Sense::Minimize);
+    let x = lp.add_nonneg_var("x", 1.0);
+    let y = lp.add_var("y", 1.0, 5.0, 2.0);
+    let mirrored = lp.add_var("m", f64::NEG_INFINITY, 3.0, -1.0);
+    let free = lp.add_var("f", f64::NEG_INFINITY, f64::INFINITY, 0.0);
+    let eq = lp.add_constraint("eq", &[(x, 1.0), (y, 1.0), (free, 1.0)], Relation::Eq, 4.0);
+    let le = lp.add_constraint("le", &[(x, 1.0), (mirrored, 1.0)], Relation::Le, 6.0);
+    let stranger = {
+        let mut other = lp.clone();
+        other.add_nonneg_var("z", 0.0)
+    };
+    let malformed: [(&str, Vec<(usize, VarId)>); 7] = [
+        ("unknown row", vec![(eq, x), (7, y)]),
+        ("unknown variable", vec![(eq, stranger)]),
+        ("no finite lower bound", vec![(eq, x), (le, mirrored)]),
+        ("no finite lower bound", vec![(eq, free)]),
+        ("row eq is named twice", vec![(eq, x), (eq, y)]),
+        ("variable x is named twice", vec![(eq, x), (le, x)]),
+        ("equality row eq has no basic variable", vec![(le, x)]),
+    ];
+    for backend in [SolverBackend::Revised, SolverBackend::Dense] {
+        lp.set_backend(backend);
+        for (why, start) in &malformed {
+            match lp.solve_from(start) {
+                Err(LpError::InvalidStart { context }) => {
+                    assert!(context.contains(why), "{context}")
+                }
+                other => panic!("{why} on {backend:?}: {other:?}"),
+            }
+        }
+        // A well-formed list on the same model is judged by the solver.
+        let cold = lp.solve().unwrap();
+        for start in [vec![(eq, x)], vec![(eq, y), (le, x)]] {
+            let sol = lp.solve_from(&start).unwrap();
+            assert!(
+                (sol.objective - cold.objective).abs() < 1e-9,
+                "{sol:?} vs {cold:?}"
+            );
         }
     }
 }

@@ -11,7 +11,7 @@
 //! meet a different constraint system: the old "a changed right-hand side
 //! must miss the cache" case is unrepresentable and has no test here.
 
-use coyote_lp::{LpProblem, LpSession, Relation, Sense, VarId};
+use coyote_lp::{LpProblem, LpSession, Relation, Sense, SolveStart, VarId};
 
 /// A small transportation-style LP whose phase one does real work: two
 /// supply equalities, one demand inequality, bounded link variables.
@@ -46,13 +46,14 @@ fn session_resolve_is_bit_identical_to_cold() {
         assert_eq!(cold.value(v).to_bits(), warm.value(v).to_bits());
         assert_eq!(cold.value(v).to_bits(), first.value(v).to_bits());
     }
-    assert!(
-        warm.stats.warm_restore,
+    assert_eq!(
+        warm.stats.start,
+        SolveStart::Recorded,
         "second solve should skip phase one"
     );
     assert_eq!(warm.stats.phase1_pivots, 0);
     assert_eq!(warm.stats.warm_pivots_saved, first.stats.phase1_pivots);
-    assert!(!first.stats.warm_restore);
+    assert_eq!(first.stats.start, SolveStart::Slack);
 }
 
 /// The recorded basis belongs to the constraint system only: changing the
@@ -70,8 +71,9 @@ fn session_resolve_survives_objective_changes() {
             session.set_objective(v, cost * scale);
         }
         let warm = session.solve().unwrap();
-        assert!(
-            warm.stats.warm_restore,
+        assert_eq!(
+            warm.stats.start,
+            SolveStart::Recorded,
             "scale {scale} should skip phase one"
         );
         assert_eq!(cold.objective.to_bits(), warm.objective.to_bits());

@@ -133,13 +133,17 @@ fn drive(topology: &str, seed: u64, steps: usize) -> (u64, u64, usize) {
 
 #[test]
 fn abilene_incremental_equals_cold_at_every_step() {
-    // Digest recorded on the commit before the engine's single recompute step.
-    assert_eq!(drive("abilene", 0xC0FFEE, 14), (17, 4613524059668531901, 437));
+    // Epoch and max-utilization bits recorded on the commit before the
+    // engine's single recompute step. The churn (Σ fakes added + retracted)
+    // was 437 until the per-destination solves began from their
+    // shortest-path tree: same objective, a vertex nearer plain OSPF.
+    assert_eq!(drive("abilene", 0xC0FFEE, 14), (17, 4613524059668531901, 423));
 }
 
 #[test]
 fn nsf_incremental_equals_cold_at_every_step() {
-    assert_eq!(drive("nsf", 0xBEEF, 14), (17, 4621739550271606470, 2560));
+    // Churn 2,560 before the tree start, as above.
+    assert_eq!(drive("nsf", 0xBEEF, 14), (17, 4621739550271606470, 2127));
 }
 
 #[test]

@@ -217,6 +217,14 @@ link a c
         ));
     }
 
+    /// `inf` parses as a number; the graph boundary is what refuses it.
+    #[test]
+    fn an_infinite_capacity_is_refused_when_the_graph_is_built() {
+        let topo = parse("node a\nnode b\nlink a b inf 1\n").unwrap();
+        let err = topo.to_graph().unwrap_err();
+        assert!(err.to_string().contains("finite and positive"), "{err}");
+    }
+
     #[test]
     fn comments_and_blank_lines_are_ignored() {
         let t = parse("\n\n# nothing but comments\n").unwrap();
