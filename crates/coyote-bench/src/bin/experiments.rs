@@ -1,90 +1,19 @@
 //! The `experiments` binary: regenerates every table and figure of the
-//! paper from the command line, and runs parallel sweeps over the full
-//! scenario grid.
+//! paper from the command line, runs parallel sweeps, conformance checks and
+//! failure injections over the scenario grid, and starts the TE daemon.
 //!
 //! ```text
-//! experiments <command> [--full] [--threads N] [--format json|csv|text]
-//!             [--out PATH] [--filter SUBSTR] [--limit N] [--tolerance T]
-//!             [--profile] [--trace-out PATH] [--metrics-out PATH]
-//!
-//! Commands:
-//!   fig1        Running example (Fig. 1, Appendix B)
-//!   gadget      Theorem 1 BIPARTITION gadget
-//!   lowerbound  Theorem 4 Ω(|V|) instance
-//!   fig6        Geant, gravity model, ratio vs margin
-//!   fig7        Digex, gravity model
-//!   fig8        AS1755, bimodal model
-//!   fig9        Abilene, bimodal model, local-search weights
-//!   fig10       Splitting-ratio approximation with 3/5/10 virtual next hops
-//!   fig11       Average path stretch across topologies
-//!   fig12       Prototype packet-drop experiment
-//!   table1      Full ratio table (topologies × margins)
-//!   sweep       Full scenario grid (topologies × models × margins), with
-//!               per-scenario wall-clock timings in the report
-//!   conform     Full-stack conformance: every Table-I-eligible topology ×
-//!               both demand models through compile → realized Fibbing
-//!               routing → flow-level simulation, with intended-vs-realized
-//!               deltas and a per-cell tolerance verdict
-//!   failures    Failure-scenario engine: the conformance grid crossed with
-//!               fault events (single-link, single-node, SRLG groups, demand
-//!               spikes); per cell, the pre-failure Fibbing program is kept
-//!               and SPF-reconverged over the pruned LSDB (oblivious mode)
-//!               and compared against a recompiled program (re-optimized
-//!               mode), with a structured within/degraded/unroutable verdict
-//!   serve       Long-running incremental TE daemon: loads a topology and
-//!               demand model, compiles the Fibbing program once, then
-//!               serves telemetry and accepts demand/link/node updates over
-//!               HTTP/JSON, re-optimizing incrementally (dirty destinations
-//!               only) and advancing its LSDB through per-prefix LSA deltas
-//!   all         Everything above except sweep, conform, failures and serve
-//!
-//! Flags:
-//!   --full        Paper-scale sweeps (default: quick configuration)
-//!   --threads N   Worker threads for multi-scenario commands
-//!                 (0 = one per core, the default; 1 = serial)
-//!   --format F    Output format: text (default), json, or csv
-//!   --json        Shorthand for --format json
-//!   --out PATH    Write the report to PATH instead of stdout
-//!   --filter S    sweep/conform/failures: keep scenarios whose id contains
-//!                 S (case-insensitive; ids look like Abilene/gravity/
-//!                 reverse-capacities/m2.0, failure cells append +link-3)
-//!   --limit N     sweep/conform/failures: evaluate at most the first N
-//!                 scenarios
-//!   --tolerance T conform/failures: per-cell verdict threshold (conform:
-//!                 split error and intended-vs-realized deltas; failures:
-//!                 oblivious drop rate and degradation-ratio excess;
-//!                 default 0.05)
-//!   --compress    conform only: compile every cell's Fibbing program
-//!                 through the lossy compression pipeline (cross-destination
-//!                 fake merging + ratio quantization + no-op elimination)
-//!   --compress-epsilon E  conform only: quantization tolerance of the
-//!                 lossy pass (implies --compress; default 0.02)
-//!   --pareto      conform only: sweep the grid once per compression level
-//!                 (off, lossless, and a ladder of epsilons) and emit the
-//!                 fake-nodes-vs-split-error Pareto table instead of the
-//!                 per-cell report
-//!   --events E    failures only: which event classes to inject —
-//!                 link|node|srlg|spike|all (default all)
-//!   --profile     sweep/conform/failures: record spans and workload
-//!                 counters via coyote-obs and append a per-stage time table
-//!                 plus the deterministic counters to the text report footer
-//!   --trace-out PATH    sweep/conform/failures: write a chrome://tracing /
-//!                 Perfetto-compatible JSON trace (implies --profile)
-//!   --metrics-out PATH  sweep/conform/failures: write the counters/gauges/
-//!                 histograms/timings snapshot as JSON (implies --profile)
-//!   --port N      serve only: TCP port to listen on (default 7300)
-//!   --topology T  serve only: topology-zoo name (default abilene)
-//!   --model M     serve only: initial demand model, gravity|bimodal
-//!                 (default gravity)
-//!   --budget N    serve only: wECMP FIB-entry budget per prefix (default 5)
-//!   --no-comparator  serve only: skip the batch-pipeline comparator
-//!                 measurement at startup (faster start; /state then reports
-//!                 no batch_recompile_micros)
-//!
-//! Every flag may be given at most once; repeated flags (e.g.
-//! `--threads 1 --threads 4`) are rejected with an error rather than
-//! silently letting the last occurrence win. `--json` counts as `--format`.
+//! experiments <command> [flags]      # `experiments help` lists both
 //! ```
+//!
+//! Two tables are the whole interface. The commands are the artefact
+//! registry ([`coyote_bench::ARTEFACTS`]: `fig1` … `table1`) followed by
+//! [`ENGINES`] (`sweep`, `conform`, `failures`, `serve`, `all`); dispatch,
+//! `all` and the usage text read the same lists. The flags are [`FLAGS`]:
+//! each row names the flag, its value, the commands that accept it and how
+//! it parses — a flag given to a command that does not take it, given twice
+//! (`--json` counts as `--format`), or given a malformed value is an error,
+//! never a guess.
 //!
 //! Multi-scenario commands (fig6–fig9, fig11, table1, sweep, conform,
 //! failures) fan their independent scenario evaluations out across a worker
@@ -92,18 +21,254 @@
 //! in the report.
 
 use coyote_bench::conformance::{default_pareto_levels, run_pareto, DEFAULT_TOLERANCE};
-use coyote_bench::report::{
-    conformance_csv, conformance_text, failures_csv, failures_text, format_series, format_table,
-    pareto_csv, pareto_text, percent, profile_text, ratio, ratios_csv, sweep_csv, sweep_text,
-    ReportFormat, Series,
-};
+use coyote_bench::report::{profile_text, ReportFormat, Table};
 use coyote_bench::{
-    fig10_approximation, fig11_stretch, fig11_topologies, fig12_prototype, fig1_running_example,
-    fig6_margins, margin_sweep, run_conformance_with, run_failures, run_sweep, table1,
-    table1_margins, table1_topologies, theorem1_gadget, theorem4_lower_bound, BaseModel, Effort,
-    EventClass, FailureGrid, ProtocolRatios, SweepGrid, WeightHeuristic,
+    artefact, run_all, run_conformance_with, run_failures, run_sweep, ConformanceReport, Effort,
+    EventClass, FailureGrid, FailureReport, ParetoReport, Rendered, SweepGrid, SweepReport,
+    ARTEFACTS,
 };
+use coyote_core::prelude::CoreError;
 use coyote_ospf::{CompressionLevel, DEFAULT_EPSILON};
+use std::error::Error;
+
+type CommandResult = Result<(), Box<dyn Error>>;
+
+/// A command that is not a registry artefact.
+struct Engine {
+    name: &'static str,
+    caption: &'static str,
+    run: fn(&Cli) -> CommandResult,
+}
+
+/// The grid engines, the daemon and `all`, after the artefacts in the usage
+/// text.
+const ENGINES: &[Engine] = &[
+    Engine {
+        name: "sweep",
+        caption: "the full scenario grid (topologies × models × margins) with per-scenario timings",
+        run: cmd_sweep,
+    },
+    Engine {
+        name: "conform",
+        caption: "every Table-I topology × model through compile → realized routing → flow-sim, \
+                  with intended-vs-realized deltas and a tolerance verdict per cell",
+        run: cmd_conform,
+    },
+    Engine {
+        name: "failures",
+        caption: "the conformance grid × fault events: the old program reconverged over the \
+                  pruned LSDB vs. a recompiled one, within/degraded/unroutable per cell",
+        run: cmd_failures,
+    },
+    Engine {
+        name: "serve",
+        caption: "the incremental TE daemon: telemetry and demand/link/node updates over HTTP/JSON",
+        run: cmd_serve,
+    },
+    Engine {
+        name: "all",
+        caption: "every artefact above as one report; JSON is one object keyed by artefact name",
+        run: |cli| cli.emit(run_all(cli.effort, cli.threads)?),
+    },
+];
+
+/// Every command with its caption, in usage order.
+fn commands() -> impl Iterator<Item = (&'static str, &'static str)> {
+    let artefacts = ARTEFACTS.iter().map(|a| (a.name(), a.caption()));
+    artefacts.chain(ENGINES.iter().map(|e| (e.name, e.caption)))
+}
+
+/// Which commands accept a flag.
+#[derive(Clone, Copy)]
+enum Scope {
+    /// Every command.
+    All,
+    /// Every command that emits a report: all but `serve`.
+    Reports,
+    /// The named commands.
+    Only(&'static [&'static str]),
+}
+
+const GRIDS: Scope = Scope::Only(&["sweep", "conform", "failures"]);
+const CONFORM: Scope = Scope::Only(&["conform"]);
+const SERVE: Scope = Scope::Only(&["serve"]);
+
+impl Scope {
+    fn admits(self, command: &str) -> bool {
+        match self {
+            Scope::All => true,
+            Scope::Reports => command != "serve",
+            Scope::Only(names) => names.contains(&command),
+        }
+    }
+
+    /// The commands that accept the flag, comma-separated.
+    fn accepted(self) -> String {
+        let names = commands().map(|(name, _)| name);
+        names
+            .filter(|c| self.admits(c))
+            .collect::<Vec<_>>()
+            .join(", ")
+    }
+}
+
+/// One command-line flag.
+struct Flag {
+    name: &'static str,
+    /// The value's placeholder in the usage text; `None` for a switch.
+    value: Option<&'static str>,
+    scope: Scope,
+    /// Stores the value (empty for a switch) in its [`Cli`] field, or says
+    /// why it is malformed.
+    set: fn(&mut Cli, &str) -> Result<(), String>,
+    help: &'static str,
+}
+
+impl Flag {
+    /// The at-most-once key: `--json` is `--format json`, so they share one.
+    fn slot(&self) -> &'static str {
+        match self.name {
+            "--json" => "--format",
+            name => name,
+        }
+    }
+
+    /// `--name VALUE`, as the usage text and the README print it.
+    fn spelled(&self) -> String {
+        match self.value {
+            Some(value) => format!("{} {value}", self.name),
+            None => self.name.to_string(),
+        }
+    }
+}
+
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+fn non_negative(flag: &str, value: &str) -> Result<f64, String> {
+    let x: f64 = number(flag, value)?;
+    if x.is_nan() || x < 0.0 {
+        return Err(format!("{flag} must be a non-negative number, got {x}"));
+    }
+    Ok(x)
+}
+
+/// Every flag, in usage order.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--full", value: None, scope: Scope::Reports,
+           set: |c, _| { c.effort = Effort::Full; Ok(()) },
+           help: "paper-scale sweeps (default: the quick configuration)" },
+    Flag { name: "--threads", value: Some("N"), scope: Scope::All,
+           set: |c, v| { c.threads = number("--threads", v)?; Ok(()) },
+           help: "worker threads for multi-scenario commands: 0 = one per core (the default), \
+                  1 = serial; serve: HTTP workers (default 2)" },
+    Flag { name: "--format", value: Some("json|csv|text"), scope: Scope::Reports,
+           set: |c, v| { c.format = v.parse()?; Ok(()) },
+           help: "output format (default text)" },
+    Flag { name: "--json", value: None, scope: Scope::Reports,
+           set: |c, _| { c.format = ReportFormat::Json; Ok(()) },
+           help: "shorthand for --format json" },
+    Flag { name: "--out", value: Some("PATH"), scope: Scope::Reports,
+           set: |c, v| { c.out = Some(v.to_string()); Ok(()) },
+           help: "write the report to PATH instead of stdout" },
+    Flag { name: "--filter", value: Some("SUBSTR"), scope: GRIDS,
+           set: |c, v| { c.filter = Some(v.to_string()); Ok(()) },
+           help: "keep the cells whose id contains SUBSTR (case-insensitive; ids look like \
+                  Abilene/gravity/reverse-capacities/m2.0, failure cells append +link-3)" },
+    Flag { name: "--limit", value: Some("N"), scope: GRIDS,
+           set: |c, v| { c.limit = Some(number("--limit", v)?); Ok(()) },
+           help: "evaluate at most the first N cells" },
+    Flag { name: "--tolerance", value: Some("T"), scope: Scope::Only(&["conform", "failures"]),
+           set: |c, v| { c.tolerance = non_negative("--tolerance", v)?; Ok(()) },
+           help: "per-cell verdict threshold (conform: split error and intended-vs-realized \
+                  deltas; failures: oblivious drop rate and degradation-ratio excess; \
+                  default 0.05)" },
+    Flag { name: "--compress", value: None, scope: CONFORM,
+           set: |c, _| { c.compress = true; Ok(()) },
+           help: "compile every cell's Fibbing program through the lossy compression pipeline" },
+    Flag { name: "--compress-epsilon", value: Some("E"), scope: CONFORM,
+           set: |c, v| {
+               c.compress_epsilon = Some(non_negative("--compress-epsilon", v)?);
+               c.compress = true;
+               Ok(())
+           },
+           help: "quantization tolerance of the lossy pass (implies --compress; default 0.02)" },
+    Flag { name: "--pareto", value: None, scope: CONFORM,
+           set: |c, _| { c.pareto = true; Ok(()) },
+           help: "sweep the grid once per compression level (off, lossless, a ladder of \
+                  epsilons) and emit the fake-nodes-vs-split-error table" },
+    Flag { name: "--events", value: Some("link|node|srlg|spike|all"),
+           scope: Scope::Only(&["failures"]),
+           set: |c, v| { c.events = v.parse()?; Ok(()) },
+           help: "which event classes to inject (default all)" },
+    Flag { name: "--profile", value: None, scope: GRIDS,
+           set: |c, _| { c.profile = true; Ok(()) },
+           help: "record spans and workload counters via coyote-obs and append a per-stage \
+                  time table plus the deterministic counters to the text report" },
+    Flag { name: "--trace-out", value: Some("PATH"), scope: GRIDS,
+           set: |c, v| { c.trace_out = Some(v.to_string()); Ok(()) },
+           help: "write a chrome://tracing / Perfetto JSON trace (implies --profile)" },
+    Flag { name: "--metrics-out", value: Some("PATH"), scope: GRIDS,
+           set: |c, v| { c.metrics_out = Some(v.to_string()); Ok(()) },
+           help: "write the counters/gauges/histograms/timings snapshot as JSON (implies \
+                  --profile)" },
+    Flag { name: "--port", value: Some("N"), scope: SERVE,
+           set: |c, v| { c.port = number("--port", v)?; Ok(()) },
+           help: "TCP port to listen on (default 7300)" },
+    Flag { name: "--topology", value: Some("T"), scope: SERVE,
+           set: |c, v| { c.topology = v.to_string(); Ok(()) },
+           help: "topology-zoo name (default abilene)" },
+    Flag { name: "--model", value: Some("gravity|bimodal"), scope: SERVE,
+           set: |c, v| {
+               if v != "gravity" && v != "bimodal" {
+                   return Err(format!("--model must be gravity or bimodal, got {v:?}"));
+               }
+               c.model = v.to_string();
+               Ok(())
+           },
+           help: "initial demand model (default gravity)" },
+    Flag { name: "--budget", value: Some("N"), scope: SERVE,
+           set: |c, v| {
+               c.budget = number("--budget", v)?;
+               if c.budget == 0 {
+                   return Err("--budget must be at least 1".to_string());
+               }
+               Ok(())
+           },
+           help: "wECMP FIB-entry budget per prefix (default 5)" },
+];
+
+/// The usage text: the synopsis line, then one line per command and flag.
+fn usage() -> String {
+    let names: Vec<&str> = commands().map(|(name, _)| name).collect();
+    let mut out = format!("usage: experiments <{}>", names.join("|"));
+    for flag in FLAGS {
+        out.push_str(&format!(" [{}]", flag.spelled()));
+    }
+    out.push_str("\n\ncommands:\n");
+    for (name, caption) in commands() {
+        out.push_str(&format!("  {name:<11} {caption}\n"));
+    }
+    out.push_str("\nflags (each at most once; [the commands that accept it]):\n");
+    for flag in FLAGS {
+        let scope = match flag.scope {
+            Scope::All => "every command".to_string(),
+            Scope::Reports => "not serve".to_string(),
+            Scope::Only(_) => flag.scope.accepted(),
+        };
+        out.push_str(&format!(
+            "  {:<28} {} [{scope}]\n",
+            flag.spelled(),
+            flag.help
+        ));
+    }
+    out
+}
 
 /// Parsed command line.
 #[derive(Debug)]
@@ -127,7 +292,6 @@ struct Cli {
     topology: String,
     model: String,
     budget: usize,
-    no_comparator: bool,
 }
 
 impl Cli {
@@ -152,177 +316,62 @@ impl Cli {
             topology: "abilene".to_string(),
             model: "gravity".to_string(),
             budget: 5,
-            no_comparator: false,
         };
+        let mut given: Vec<&Flag> = Vec::new();
         let mut it = args.iter().peekable();
-        // Every flag may appear at most once; `--json` is shorthand for
-        // `--format json`, so the two share a key.
-        let mut seen: Vec<&'static str> = Vec::new();
-        let mut once = |key: &'static str| -> Result<(), String> {
-            if seen.contains(&key) {
-                return Err(format!(
-                    "flag --{key} given more than once (repeated flags are rejected \
-                     rather than letting the last occurrence win)"
-                ));
-            }
-            seen.push(key);
-            Ok(())
-        };
-        fn value(
-            it: &mut std::iter::Peekable<std::slice::Iter<String>>,
-            flag: &str,
-        ) -> Result<String, String> {
-            // Refuse to swallow the next flag as this flag's value
-            // (`--filter --threads 2` should error, not filter on "--threads").
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => Ok(it.next().cloned().unwrap()),
-                _ => Err(format!("{flag} needs a value")),
-            }
-        }
         while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--full" => {
-                    once("full")?;
-                    cli.effort = Effort::Full;
+            if let Some(flag) = FLAGS.iter().find(|f| f.name == arg) {
+                if given.iter().any(|g| g.slot() == flag.slot()) {
+                    return Err(format!(
+                        "flag {} given more than once (repeated flags are rejected \
+                         rather than letting the last occurrence win)",
+                        flag.slot()
+                    ));
                 }
-                "--json" => {
-                    once("format")?;
-                    cli.format = ReportFormat::Json;
-                }
-                "--threads" => {
-                    once("threads")?;
-                    cli.threads = value(&mut it, "--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?;
-                }
-                "--format" => {
-                    once("format")?;
-                    cli.format = value(&mut it, "--format")?.parse()?;
-                }
-                "--out" => {
-                    once("out")?;
-                    cli.out = Some(value(&mut it, "--out")?);
-                }
-                "--filter" => {
-                    once("filter")?;
-                    cli.filter = Some(value(&mut it, "--filter")?);
-                }
-                "--limit" => {
-                    once("limit")?;
-                    cli.limit = Some(
-                        value(&mut it, "--limit")?
-                            .parse()
-                            .map_err(|e| format!("--limit: {e}"))?,
-                    );
-                }
-                "--tolerance" => {
-                    once("tolerance")?;
-                    cli.tolerance = value(&mut it, "--tolerance")?
-                        .parse()
-                        .map_err(|e| format!("--tolerance: {e}"))?;
-                    if cli.tolerance.is_nan() || cli.tolerance < 0.0 {
-                        return Err(format!(
-                            "--tolerance must be a non-negative number, got {}",
-                            cli.tolerance
-                        ));
+                given.push(flag);
+                // A flag never swallows the next flag as its value
+                // (`--filter --threads 2` is an error, not a filter on
+                // "--threads").
+                let value = match (flag.value, it.peek()) {
+                    (None, _) => "",
+                    (Some(_), Some(v)) if !v.starts_with("--") => {
+                        it.next().expect("peeked").as_str()
                     }
-                }
-                "--compress" => {
-                    once("compress")?;
-                    cli.compress = true;
-                }
-                "--compress-epsilon" => {
-                    once("compress-epsilon")?;
-                    let eps: f64 = value(&mut it, "--compress-epsilon")?
-                        .parse()
-                        .map_err(|e| format!("--compress-epsilon: {e}"))?;
-                    if eps.is_nan() || eps < 0.0 {
-                        return Err(format!(
-                            "--compress-epsilon must be a non-negative number, got {eps}"
-                        ));
-                    }
-                    cli.compress = true;
-                    cli.compress_epsilon = Some(eps);
-                }
-                "--pareto" => {
-                    once("pareto")?;
-                    cli.pareto = true;
-                }
-                "--events" => {
-                    once("events")?;
-                    cli.events = value(&mut it, "--events")?.parse()?;
-                }
-                "--profile" => {
-                    once("profile")?;
-                    cli.profile = true;
-                }
-                "--trace-out" => {
-                    once("trace-out")?;
-                    cli.trace_out = Some(value(&mut it, "--trace-out")?);
-                }
-                "--metrics-out" => {
-                    once("metrics-out")?;
-                    cli.metrics_out = Some(value(&mut it, "--metrics-out")?);
-                }
-                "--port" => {
-                    once("port")?;
-                    cli.port = value(&mut it, "--port")?
-                        .parse()
-                        .map_err(|e| format!("--port: {e}"))?;
-                }
-                "--topology" => {
-                    once("topology")?;
-                    cli.topology = value(&mut it, "--topology")?;
-                }
-                "--model" => {
-                    once("model")?;
-                    cli.model = value(&mut it, "--model")?;
-                    if cli.model != "gravity" && cli.model != "bimodal" {
-                        return Err(format!(
-                            "--model must be gravity or bimodal, got {:?}",
-                            cli.model
-                        ));
-                    }
-                }
-                "--budget" => {
-                    once("budget")?;
-                    cli.budget = value(&mut it, "--budget")?
-                        .parse()
-                        .map_err(|e| format!("--budget: {e}"))?;
-                    if cli.budget == 0 {
-                        return Err("--budget must be at least 1".to_string());
-                    }
-                }
-                "--no-comparator" => {
-                    once("no-comparator")?;
-                    cli.no_comparator = true;
-                }
-                flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
-                command if cli.command.is_empty() => cli.command = command.to_string(),
-                extra => return Err(format!("unexpected argument {extra}")),
+                    (Some(_), _) => return Err(format!("{} needs a value", flag.name)),
+                };
+                (flag.set)(&mut cli, value)?;
+            } else if arg.starts_with("--") {
+                return Err(format!("unknown flag {arg}"));
+            } else if cli.command.is_empty() {
+                cli.command = arg.clone();
+            } else {
+                return Err(format!("unexpected argument {arg}"));
             }
         }
         if cli.command.is_empty() {
             cli.command = "help".to_string();
         }
-        Ok(cli)
+        // An unknown command prints the usage text whatever its flags.
+        let known = commands().any(|(name, _)| name == cli.command);
+        match given
+            .iter()
+            .find(|f| known && !f.scope.admits(&cli.command))
+        {
+            Some(flag) => Err(format!(
+                "{} does not apply to {} (accepted by: {})",
+                flag.name,
+                cli.command,
+                flag.scope.accepted()
+            )),
+            None => Ok(cli),
+        }
     }
 
     /// Emits one report in the requested format, to stdout or `--out`.
-    /// `csv` is `None` for commands whose result has no tabular CSV shape.
-    fn emit(
-        &self,
-        text: String,
-        json: String,
-        csv: Option<String>,
-    ) -> Result<(), Box<dyn std::error::Error>> {
-        let rendered = match self.format {
-            ReportFormat::Text => text,
-            ReportFormat::Json => json,
-            ReportFormat::Csv => {
-                csv.ok_or_else(|| format!("--format csv is not supported for {}", self.command))?
-            }
-        };
+    fn emit(&self, rendered: Rendered) -> CommandResult {
+        let rendered = rendered
+            .render(self.format)
+            .ok_or_else(|| format!("--format csv is not supported for {}", self.command))?;
         match &self.out {
             Some(path) => {
                 std::fs::write(path, rendered)?;
@@ -338,9 +387,9 @@ impl Cli {
     }
 }
 
-/// Scoped observability session for the sweep/conform drivers: installs a
-/// fresh [`coyote_obs::Registry`] as the global sink when any of
-/// `--profile`, `--trace-out` or `--metrics-out` is given, and on
+/// Scoped observability session for the grid commands: installs a fresh
+/// [`coyote_obs::Registry`] as the global sink when any of `--profile`,
+/// `--trace-out` or `--metrics-out` is given, and on
 /// [`finish`](Profiler::finish) writes the requested artifacts and renders
 /// the per-stage footer for the text report.
 struct Profiler {
@@ -361,7 +410,7 @@ impl Profiler {
     /// Uninstalls the sink, writes `--trace-out` / `--metrics-out` and
     /// returns the footer to append to the text report (empty when
     /// profiling is off).
-    fn finish(self, cli: &Cli) -> Result<String, Box<dyn std::error::Error>> {
+    fn finish(self, cli: &Cli) -> Result<String, Box<dyn Error>> {
         let Some(registry) = self.registry else {
             return Ok(String::new());
         };
@@ -394,404 +443,139 @@ fn main() {
     }
 }
 
-fn run(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    match cli.command.as_str() {
-        "fig1" => cmd_fig1(cli)?,
-        "gadget" => cmd_gadget(cli)?,
-        "lowerbound" => cmd_lowerbound(cli)?,
-        "fig6" => cmd_margin_figure(
-            cli,
-            "fig6",
-            "Geant",
-            BaseModel::Gravity,
-            WeightHeuristic::InverseCapacity,
-        )?,
-        "fig7" => cmd_margin_figure(
-            cli,
-            "fig7",
-            "Digex",
-            BaseModel::Gravity,
-            WeightHeuristic::InverseCapacity,
-        )?,
-        "fig8" => cmd_margin_figure(
-            cli,
-            "fig8",
-            "AS1755",
-            BaseModel::Bimodal,
-            WeightHeuristic::InverseCapacity,
-        )?,
-        "fig9" => cmd_fig9(cli)?,
-        "fig10" => cmd_fig10(cli)?,
-        "fig11" => cmd_fig11(cli)?,
-        "fig12" => cmd_fig12(cli)?,
-        "table1" => cmd_table1(cli)?,
-        "sweep" => cmd_sweep(cli)?,
-        "conform" => cmd_conform(cli)?,
-        "failures" => cmd_failures(cli)?,
-        "serve" => cmd_serve(cli)?,
-        "all" => {
-            // `all` prints a stream of reports; a single --out file would be
-            // overwritten by each sub-command and CSV has no shared schema.
-            if cli.out.is_some() {
-                return Err("--out is not supported with all (each sub-report would \
-                            overwrite the file); run commands individually"
-                    .into());
-            }
-            if cli.format == ReportFormat::Csv {
-                return Err("--format csv is not supported with all (the sub-reports \
-                            have different schemas); run commands individually"
-                    .into());
-            }
-            cmd_fig1(cli)?;
-            cmd_gadget(cli)?;
-            cmd_lowerbound(cli)?;
-            cmd_margin_figure(
-                cli,
-                "fig6",
-                "Geant",
-                BaseModel::Gravity,
-                WeightHeuristic::InverseCapacity,
-            )?;
-            cmd_margin_figure(
-                cli,
-                "fig7",
-                "Digex",
-                BaseModel::Gravity,
-                WeightHeuristic::InverseCapacity,
-            )?;
-            cmd_margin_figure(
-                cli,
-                "fig8",
-                "AS1755",
-                BaseModel::Bimodal,
-                WeightHeuristic::InverseCapacity,
-            )?;
-            cmd_fig9(cli)?;
-            cmd_fig10(cli)?;
-            cmd_fig11(cli)?;
-            cmd_fig12(cli)?;
-            cmd_table1(cli)?;
-        }
-        _ => {
-            println!(
-                "usage: experiments <fig1|gadget|lowerbound|fig6|fig7|fig8|fig9|fig10|fig11|fig12|table1|sweep|conform|failures|serve|all> \
-                 [--full] [--threads N] [--format json|csv|text] [--out PATH] [--filter SUBSTR] [--limit N] [--tolerance T] \
-                 [--compress] [--compress-epsilon E] [--pareto] \
-                 [--events link|node|srlg|spike|all] [--profile] [--trace-out PATH] [--metrics-out PATH] \
-                 [--port N] [--topology T] [--model gravity|bimodal] [--budget N] [--no-comparator]"
-            );
-        }
+fn run(cli: &Cli) -> CommandResult {
+    if let Some(engine) = ENGINES.iter().find(|e| e.name == cli.command) {
+        (engine.run)(cli)
+    } else if let Some(artefact) = artefact(&cli.command) {
+        cli.emit(artefact.run(cli.effort, cli.threads)?)
+    } else {
+        print!("{}", usage());
+        Ok(())
     }
-    Ok(())
 }
 
-fn cmd_fig1(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let r = fig1_running_example()?;
-    let rows = vec![
-        vec!["ECMP (unit weights)".to_string(), ratio(r.ecmp_ratio)],
-        vec!["Fig. 1c configuration".to_string(), ratio(r.fig1c_ratio)],
-        vec!["Golden-ratio optimum".to_string(), ratio(r.golden_ratio)],
-        vec!["COYOTE (optimized)".to_string(), ratio(r.coyote_ratio)],
-    ];
-    let text = format!(
-        "== Fig. 1 / Appendix B: running example (exact oblivious ratios) ==\n{}",
-        format_table(&["configuration", "oblivious ratio"], &rows)
-    );
-    cli.emit(text, serde_json::to_string_pretty(&r)?, None)
+/// What [`grid_command`] needs of a work list.
+trait Grid: Sized {
+    fn filter(self, pattern: &str) -> Self;
+    fn limit(self, n: usize) -> Self;
+    fn len(&self) -> usize;
 }
 
-fn cmd_gadget(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let r = theorem1_gadget(&[1.0, 2.0, 3.0, 4.0])?;
-    let rows = vec![
-        vec!["balanced orientation".to_string(), ratio(r.balanced_ratio)],
-        vec![
-            "unbalanced orientation".to_string(),
-            ratio(r.unbalanced_ratio),
-        ],
-    ];
-    let text = format!(
-        "== Theorem 1: BIPARTITION gadget (weights {:?}) ==\n{}",
-        r.weights,
-        format_table(&["gadget orientation", "ratio"], &rows)
-    );
-    cli.emit(text, serde_json::to_string_pretty(&r)?, None)
-}
-
-fn cmd_lowerbound(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let mut rows = Vec::new();
-    let mut results = Vec::new();
-    for n in [3usize, 5, 8, 12] {
-        let r = theorem4_lower_bound(n)?;
-        rows.push(vec![
-            r.n.to_string(),
-            ratio(r.oblivious_ratio),
-            ratio(r.optimum),
-        ]);
-        results.push(r);
+impl Grid for SweepGrid {
+    fn filter(self, pattern: &str) -> Self {
+        SweepGrid::filter(self, pattern)
     }
-    let text = format!(
-        "== Theorem 4: Ω(|V|) lower bound for oblivious IP routing ==\n{}",
-        format_table(&["n", "oblivious ratio", "demands-aware optimum"], &rows)
-    );
-    cli.emit(text, serde_json::to_string_pretty(&results)?, None)
+    fn limit(self, n: usize) -> Self {
+        SweepGrid::limit(self, n)
+    }
+    fn len(&self) -> usize {
+        SweepGrid::len(self)
+    }
 }
 
-fn protocol_series(rows: &[ProtocolRatios]) -> Vec<Series> {
-    vec![
-        Series {
-            label: "ECMP".into(),
-            points: rows.iter().map(|r| (r.margin, r.ecmp)).collect(),
-        },
-        Series {
-            label: "Base-TM-opt".into(),
-            points: rows.iter().map(|r| (r.margin, r.base)).collect(),
-        },
-        Series {
-            label: "COYOTE-obl".into(),
-            points: rows
-                .iter()
-                .map(|r| (r.margin, r.coyote_oblivious))
-                .collect(),
-        },
-        Series {
-            label: "COYOTE-partial".into(),
-            points: rows.iter().map(|r| (r.margin, r.coyote_partial)).collect(),
-        },
-    ]
+impl Grid for FailureGrid {
+    fn filter(self, pattern: &str) -> Self {
+        FailureGrid::filter(self, pattern)
+    }
+    fn limit(self, n: usize) -> Self {
+        FailureGrid::limit(self, n)
+    }
+    fn len(&self) -> usize {
+        FailureGrid::len(self)
+    }
 }
 
-fn cmd_margin_figure(
+/// The skeleton of every grid command: select with `--filter`/`--limit`,
+/// announce, run under the [`Profiler`], caption, emit.
+///
+/// * `cells` — what a cell is called when the selection matches none;
+/// * `settings` — what the progress line says after the cell and thread
+///   counts (`, tolerance 0.05`);
+/// * `caption` — the report heading, given the selected and the full cell
+///   count and the selection (`, filter "x", limit 3`; empty for the full
+///   grid).
+fn grid_command<G: Grid, R: serde::Serialize, Row>(
     cli: &Cli,
-    figure: &str,
-    topology: &str,
-    model: BaseModel,
-    heuristic: WeightHeuristic,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let margins = fig6_margins(cli.effort);
-    let rows = margin_sweep(
-        topology,
-        model,
-        heuristic,
-        &margins,
-        cli.effort,
-        cli.threads,
-    )?;
-    let text = format!(
-        "== {figure}: {topology}, {} model, {} weights (ratio vs margin) ==\n{}",
-        model.name(),
-        heuristic.name(),
-        format_series("margin", &protocol_series(&rows))
-    );
-    cli.emit(
-        text,
-        serde_json::to_string_pretty(&rows)?,
-        Some(ratios_csv(&rows)),
-    )
-}
-
-fn cmd_fig9(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let margins = match cli.effort {
-        Effort::Quick => vec![1.0, 2.0, 3.0, 5.0],
-        Effort::Full => vec![1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0],
-    };
-    let rows = margin_sweep(
-        "Abilene",
-        BaseModel::Bimodal,
-        WeightHeuristic::LocalSearch,
-        &margins,
-        cli.effort,
-        cli.threads,
-    )?;
-    let text = format!(
-        "== fig9: Abilene, bimodal model, local-search weights ==\n{}",
-        format_series("margin", &protocol_series(&rows))
-    );
-    cli.emit(
-        text,
-        serde_json::to_string_pretty(&rows)?,
-        Some(ratios_csv(&rows)),
-    )
-}
-
-fn cmd_fig10(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let (topology, margin) = match cli.effort {
-        Effort::Quick => ("Abilene", 2.0),
-        Effort::Full => ("AS1755", 2.0),
-    };
-    let r = fig10_approximation(topology, margin, cli.effort)?;
-    let mut rows = vec![vec![
-        "ECMP".to_string(),
-        ratio(r.ecmp_ratio),
-        "0".to_string(),
-    ]];
-    for p in &r.points {
-        let label = match p.budget {
-            Some(n) => format!("COYOTE {n} NHs"),
-            None => "COYOTE ideal".to_string(),
-        };
-        rows.push(vec![label, ratio(p.ratio), p.fake_nodes.to_string()]);
-    }
-    let text = format!(
-        "== fig10: {} (margin {}): splitting-ratio approximation ==\n{}",
-        r.topology,
-        r.margin,
-        format_table(&["configuration", "ratio", "fake nodes"], &rows)
-    );
-    cli.emit(text, serde_json::to_string_pretty(&r)?, None)
-}
-
-fn cmd_fig11(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let topologies = fig11_topologies(cli.effort);
-    let rows = fig11_stretch(&topologies, cli.effort, cli.threads)?;
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.topology.clone(),
-                format!("{:.3}", r.oblivious_stretch),
-                format!("{:.3}", r.partial_stretch),
-            ]
-        })
-        .collect();
-    let text = format!(
-        "== fig11: average path stretch vs ECMP (margin 2.5) ==\n{}",
-        format_table(
-            &["topology", "COYOTE-oblivious", "COYOTE-partial-knowledge"],
-            &table
-        )
-    );
-    cli.emit(text, serde_json::to_string_pretty(&rows)?, None)
-}
-
-fn cmd_fig12(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let results = fig12_prototype();
-    let mut rows = Vec::new();
-    for r in &results {
-        for (i, phase) in r.phases.iter().enumerate() {
-            rows.push(vec![
-                r.scheme.clone(),
-                format!("phase {}", i + 1),
-                format!("({:.0}, {:.0}) Mbps", phase.offered.0, phase.offered.1),
-                percent(phase.drop_rate),
-            ]);
-        }
-        rows.push(vec![
-            r.scheme.clone(),
-            "cumulative".to_string(),
-            "-".to_string(),
-            percent(r.cumulative_drop_rate()),
-        ]);
-    }
-    let text = format!(
-        "== fig12: prototype packet-drop experiment (1 Mbps links) ==\n{}",
-        format_table(&["scheme", "phase", "offered (t1, t2)", "drop rate"], &rows)
-    );
-    cli.emit(text, serde_json::to_string_pretty(&results)?, None)
-}
-
-fn cmd_table1(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let topologies = table1_topologies(cli.effort);
-    let margins = table1_margins(cli.effort);
-    let rows = table1(
-        &topologies,
-        &margins,
-        BaseModel::Gravity,
-        cli.effort,
-        cli.threads,
-    )?;
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.topology.clone(),
-                format!("{:.1}", r.margin),
-                ratio(r.ecmp),
-                ratio(r.base),
-                ratio(r.coyote_oblivious),
-                ratio(r.coyote_partial),
-            ]
-        })
-        .collect();
-    // A summary the paper states in prose: how much further from optimal
-    // ECMP is, on average, compared to COYOTE.
-    let avg: f64 =
-        rows.iter().map(ProtocolRatios::ecmp_vs_coyote).sum::<f64>() / rows.len().max(1) as f64;
-    let text = format!(
-        "== Table I: gravity base model, reverse-capacity weights ==\n{}ECMP is on average {:.0}% further from optimum than COYOTE.",
-        format_table(
-            &["network", "margin", "ECMP", "Base", "COYOTE obl.", "COYOTE par.know."],
-            &table
-        ),
-        (avg - 1.0) * 100.0
-    );
-    cli.emit(
-        text,
-        serde_json::to_string_pretty(&rows)?,
-        Some(ratios_csv(&rows)),
-    )
-}
-
-fn cmd_sweep(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let mut grid = SweepGrid::full(cli.effort);
-    let full_len = grid.len();
-    if let Some(pattern) = &cli.filter {
-        grid = grid.filter(pattern);
-    }
-    if let Some(n) = cli.limit {
-        grid = grid.limit(n);
-    }
-    if grid.is_empty() {
-        return Err("the filter/limit selection matched no scenarios".into());
-    }
-    eprintln!(
-        "sweeping {} scenario(s) on {} thread(s)...",
-        grid.len(),
-        if cli.threads == 0 {
-            "auto".to_string()
-        } else {
-            cli.threads.to_string()
-        }
-    );
-    let profiler = Profiler::start(cli);
-    let report = run_sweep(&grid, cli.threads)?;
-    let footer = profiler.finish(cli)?;
+    full: G,
+    cells: &str,
+    settings: String,
+    run: impl FnOnce(&G) -> Result<R, CoreError>,
+    caption: impl FnOnce(usize, usize, &str) -> String,
+    table: for<'a> fn(&'a R) -> Table<'a, Row>,
+) -> CommandResult {
+    let full_len = full.len();
+    let mut grid = full;
     let mut selection = String::new();
     if let Some(pattern) = &cli.filter {
+        grid = grid.filter(pattern);
         selection.push_str(&format!(", filter {pattern:?}"));
     }
     if let Some(n) = cli.limit {
+        grid = grid.limit(n);
         selection.push_str(&format!(", limit {n}"));
     }
-    let scope = if selection.is_empty() {
-        "full scenario grid".to_string()
-    } else {
-        format!("grid slice{selection}")
+    if grid.len() == 0 {
+        return Err(format!("the filter/limit selection matched no {cells}").into());
+    }
+    let threads = match cli.threads {
+        0 => "auto".to_string(),
+        n => n.to_string(),
     };
-    let text = format!(
-        "== sweep: {scope} ({} of {} topologies × models × margins cells) ==\n{}{}",
-        grid.len(),
-        full_len,
-        sweep_text(&report),
-        footer
+    let n = grid.len();
+    eprintln!(
+        "{}: {n} of {full_len} {cells} on {threads} thread(s){settings}...",
+        cli.command
     );
-    cli.emit(
-        text,
-        serde_json::to_string_pretty(&report)?,
-        Some(sweep_csv(&report)),
+    let profiler = Profiler::start(cli);
+    let report = run(&grid)?;
+    let footer = profiler.finish(cli)?;
+    let table = table(&report);
+    let caption = caption(n, full_len, &selection);
+    let text = format!("== {caption} ==\n{}{footer}", table.text());
+    cli.emit(Rendered::new(text, &report, Some(table.csv())))
+}
+
+/// `full` for the whole grid, `grid slice…` for a selection of it.
+fn scope(full: &str, slice: &str, selection: &str) -> String {
+    if selection.is_empty() {
+        full.to_string()
+    } else {
+        format!("grid slice{slice}{selection}")
+    }
+}
+
+fn cmd_sweep(cli: &Cli) -> CommandResult {
+    grid_command(
+        cli,
+        SweepGrid::full(cli.effort),
+        "scenarios",
+        String::new(),
+        |grid| run_sweep(grid, cli.threads),
+        |n, full, selection| {
+            let scope = scope("full scenario grid", "", selection);
+            format!("sweep: {scope} ({n} of {full} topologies × models × margins cells)")
+        },
+        SweepReport::table,
     )
 }
 
-fn cmd_conform(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let mut grid = SweepGrid::conformance(cli.effort);
-    let full_len = grid.len();
-    if let Some(pattern) = &cli.filter {
-        grid = grid.filter(pattern);
-    }
-    if let Some(n) = cli.limit {
-        grid = grid.limit(n);
-    }
-    if grid.is_empty() {
-        return Err("the filter/limit selection matched no scenarios".into());
+fn cmd_conform(cli: &Cli) -> CommandResult {
+    let (threads, tolerance) = (cli.threads, cli.tolerance);
+    let grid = SweepGrid::conformance(cli.effort);
+    if cli.pareto {
+        let levels = default_pareto_levels();
+        return grid_command(
+            cli,
+            grid,
+            "scenarios",
+            format!(
+                " x {} compression levels, tolerance {tolerance}",
+                levels.len()
+            ),
+            |grid| run_pareto(grid, threads, tolerance, &levels),
+            |n, _, _| format!("conform --pareto: compression trade-off over {n} cell(s)"),
+            ParetoReport::table,
+        );
     }
     let level = if cli.compress {
         CompressionLevel::Lossy {
@@ -800,118 +584,44 @@ fn cmd_conform(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
     } else {
         CompressionLevel::Off
     };
-    if cli.pareto {
-        return cmd_conform_pareto(cli, &grid);
-    }
-    eprintln!(
-        "checking conformance of {} cell(s) on {} thread(s), tolerance {}, compression {}...",
-        grid.len(),
-        if cli.threads == 0 {
-            "auto".to_string()
-        } else {
-            cli.threads.to_string()
+    grid_command(
+        cli,
+        grid,
+        "scenarios",
+        format!(", tolerance {tolerance}, compression {}", level.label()),
+        |grid| run_conformance_with(grid, threads, tolerance, level),
+        |n, full, selection| {
+            let scope = scope("full conformance grid", "", selection);
+            format!("conform: {scope} ({n} of {full} topology × model cells)")
         },
-        cli.tolerance,
-        level.label()
-    );
-    let profiler = Profiler::start(cli);
-    let report = run_conformance_with(&grid, cli.threads, cli.tolerance, level)?;
-    let footer = profiler.finish(cli)?;
-    let mut selection = String::new();
-    if let Some(pattern) = &cli.filter {
-        selection.push_str(&format!(", filter {pattern:?}"));
-    }
-    if let Some(n) = cli.limit {
-        selection.push_str(&format!(", limit {n}"));
-    }
-    let scope = if selection.is_empty() {
-        "full conformance grid".to_string()
-    } else {
-        format!("grid slice{selection}")
-    };
-    let text = format!(
-        "== conform: {scope} ({} of {} topology × model cells) ==\n{}{}",
-        grid.len(),
-        full_len,
-        conformance_text(&report),
-        footer
-    );
-    cli.emit(
-        text,
-        serde_json::to_string_pretty(&report)?,
-        Some(conformance_csv(&report)),
+        ConformanceReport::table,
     )
 }
 
-/// The `conform --pareto` path: sweep the selected grid once per
-/// compression level and emit the fake-nodes-vs-split-error trade-off.
-fn cmd_conform_pareto(cli: &Cli, grid: &SweepGrid) -> Result<(), Box<dyn std::error::Error>> {
-    let levels = default_pareto_levels();
-    eprintln!(
-        "pareto sweep: {} cell(s) x {} compression level(s) on {} thread(s), tolerance {}...",
-        grid.len(),
-        levels.len(),
-        if cli.threads == 0 {
-            "auto".to_string()
-        } else {
-            cli.threads.to_string()
+fn cmd_failures(cli: &Cli) -> CommandResult {
+    let (tolerance, events) = (cli.tolerance, cli.events.name());
+    grid_command(
+        cli,
+        FailureGrid::standard(cli.effort, cli.events)?,
+        "failure cells",
+        format!(", {events} events, tolerance {tolerance}"),
+        |grid| run_failures(grid, cli.threads, tolerance),
+        |n, full, selection| {
+            let full_scope = format!("full failure grid, {events} events");
+            let scope = scope(&full_scope, &format!(" ({events} events)"), selection);
+            format!("failures: {scope} ({n} of {full} scenario × event cells)")
         },
-        cli.tolerance
-    );
-    let profiler = Profiler::start(cli);
-    let report = run_pareto(grid, cli.threads, cli.tolerance, &levels)?;
-    let footer = profiler.finish(cli)?;
-    let text = format!(
-        "== conform --pareto: compression trade-off over {} cell(s) ==\n{}{}",
-        grid.len(),
-        pareto_text(&report),
-        footer
-    );
-    cli.emit(
-        text,
-        serde_json::to_string_pretty(&report)?,
-        Some(pareto_csv(&report)),
+        FailureReport::table,
     )
 }
 
 /// The `serve` command: start the long-running incremental TE daemon.
-///
-/// Before the server comes up (unless `--no-comparator`), the *batch
-/// pipeline* is run once for the same topology/model — the full joint
-/// oblivious optimization a sweep cell performs — and its wall-clock time is
-/// exposed through `/state` as `batch_recompile_micros` — a different
-/// policy from the daemon's separable one, reported for scale only.
-fn cmd_serve(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_serve(cli: &Cli) -> CommandResult {
     use coyote_serve::{DemandModel, EngineConfig, Server, ServerConfig, TeEngine};
 
     let model = match cli.model.as_str() {
         "bimodal" => DemandModel::Bimodal { seed: 42 },
         _ => DemandModel::Gravity { total: Some(100.0) },
-    };
-    let base_model = match cli.model.as_str() {
-        "bimodal" => BaseModel::Bimodal,
-        _ => BaseModel::Gravity,
-    };
-
-    let batch_recompile_micros = if cli.no_comparator {
-        None
-    } else {
-        eprintln!(
-            "measuring batch-pipeline comparator ({} / {} model, one margin cell)...",
-            cli.topology, cli.model
-        );
-        let start = std::time::Instant::now();
-        margin_sweep(
-            &cli.topology,
-            base_model,
-            WeightHeuristic::InverseCapacity,
-            &[2.0],
-            Effort::Quick,
-            1,
-        )?;
-        let micros = start.elapsed().as_micros() as u64;
-        eprintln!("batch comparator: {} us per full recompile", micros);
-        Some(micros)
     };
 
     // The daemon exposes /metrics from the global obs sink; install one for
@@ -930,7 +640,7 @@ fn cmd_serve(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
         &ServerConfig {
             addr: format!("127.0.0.1:{}", cli.port),
             threads: if cli.threads == 0 { 2 } else { cli.threads },
-            batch_recompile_micros,
+            batch_recompile_micros: None,
         },
     )
     .map_err(|e| format!("starting server: {e}"))?;
@@ -948,64 +658,9 @@ fn cmd_serve(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_failures(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let mut grid = FailureGrid::standard(cli.effort, cli.events)?;
-    let full_len = grid.len();
-    if let Some(pattern) = &cli.filter {
-        grid = grid.filter(pattern);
-    }
-    if let Some(n) = cli.limit {
-        grid = grid.limit(n);
-    }
-    if grid.is_empty() {
-        return Err("the filter/limit selection matched no failure cells".into());
-    }
-    eprintln!(
-        "injecting {} failure cell(s) ({} events) on {} thread(s), tolerance {}...",
-        grid.len(),
-        cli.events.name(),
-        if cli.threads == 0 {
-            "auto".to_string()
-        } else {
-            cli.threads.to_string()
-        },
-        cli.tolerance
-    );
-    let profiler = Profiler::start(cli);
-    let report = run_failures(&grid, cli.threads, cli.tolerance)?;
-    let footer = profiler.finish(cli)?;
-    let mut selection = String::new();
-    if let Some(pattern) = &cli.filter {
-        selection.push_str(&format!(", filter {pattern:?}"));
-    }
-    if let Some(n) = cli.limit {
-        selection.push_str(&format!(", limit {n}"));
-    }
-    let scope = if selection.is_empty() {
-        format!("full failure grid, {} events", cli.events.name())
-    } else {
-        format!("grid slice ({} events){selection}", cli.events.name())
-    };
-    let text = format!(
-        "== failures: {scope} ({} of {} scenario × event cells) ==\n{}{}",
-        grid.len(),
-        full_len,
-        failures_text(&report),
-        footer
-    );
-    cli.emit(
-        text,
-        serde_json::to_string_pretty(&report)?,
-        Some(failures_csv(&report)),
-    )
-}
-
-// Unwrap audit (ISSUE 10 satellite): the only `unwrap` left in this binary
-// is the `it.next().cloned().unwrap()` inside `Cli::value`, which is guarded
-// by the `it.peek()` match arm on the immediately preceding line and can
-// therefore never fire. Every user-reachable failure — malformed flag
-// values, repeated flags, unknown flags, unwritable `--out` paths — flows
-// through `Result` and surfaces as an `error:` line with a non-zero exit.
+// Every user-reachable failure — malformed flag values, repeated or
+// misapplied flags, unknown flags, unwritable `--out` paths — flows through
+// `Result` and surfaces as an `error:` line with a non-zero exit.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1026,7 +681,10 @@ mod tests {
     #[test]
     fn json_and_format_share_one_slot() {
         let err = parse(&["sweep", "--json", "--format", "csv"]).unwrap_err();
-        assert!(err.contains("--format") && err.contains("more than once"), "{err}");
+        assert!(
+            err.contains("--format") && err.contains("more than once"),
+            "{err}"
+        );
         let err = parse(&["sweep", "--format", "csv", "--json"]).unwrap_err();
         assert!(err.contains("more than once"), "{err}");
     }
@@ -1051,7 +709,6 @@ mod tests {
             "bimodal",
             "--budget",
             "3",
-            "--no-comparator",
         ])
         .unwrap();
         assert_eq!(cli.command, "serve");
@@ -1059,7 +716,6 @@ mod tests {
         assert_eq!(cli.topology, "nsf");
         assert_eq!(cli.model, "bimodal");
         assert_eq!(cli.budget, 3);
-        assert!(cli.no_comparator);
     }
 
     #[test]
@@ -1074,9 +730,9 @@ mod tests {
 
     #[test]
     fn numeric_flag_values_are_validated_not_unwrapped() {
-        let err = parse(&["sweep", "--tolerance", "peanut"]).unwrap_err();
+        let err = parse(&["conform", "--tolerance", "peanut"]).unwrap_err();
         assert!(err.contains("--tolerance"), "{err}");
-        let err = parse(&["sweep", "--tolerance", "-0.5"]).unwrap_err();
+        let err = parse(&["conform", "--tolerance", "-0.5"]).unwrap_err();
         assert!(err.contains("non-negative"), "{err}");
         let err = parse(&["conform", "--compress-epsilon", "NaN"]).unwrap_err();
         assert!(err.contains("non-negative"), "{err}");
@@ -1098,8 +754,89 @@ mod tests {
         // directory that does not exist must surface as Err from emit().
         let cli = parse(&["sweep", "--out", "/nonexistent-dir-for-sure/x.json"]).unwrap();
         let err = cli
-            .emit("text".to_string(), "{}".to_string(), None)
+            .emit(Rendered::new("text".to_string(), &(), None))
             .unwrap_err();
         assert!(err.to_string().contains("No such file"), "{err}");
+    }
+
+    /// One rejection per scope: the error names the flag and the commands
+    /// that do accept it.
+    #[test]
+    fn a_flag_its_command_does_not_take_is_rejected() {
+        for (line, accepted) in [
+            ("fig6 --filter x", "accepted by: sweep, conform, failures"),
+            ("sweep --port 1", "accepted by: serve"),
+            ("serve --tolerance 0.1", "accepted by: conform, failures"),
+            ("conform --events link", "accepted by: failures"),
+            ("failures --compress-epsilon 0.1", "accepted by: conform"),
+            ("serve --format json", "accepted by: fig1, "),
+        ] {
+            let args: Vec<&str> = line.split(' ').collect();
+            let err = parse(&args).unwrap_err();
+            let misapplied = format!("{} does not apply to {}", args[1], args[0]);
+            assert!(
+                err.contains(&misapplied) && err.contains(accepted),
+                "{line}: {err}"
+            );
+        }
+        // The flag may come before the command it does not apply to.
+        assert!(parse(&["--pareto", "sweep"]).is_err());
+        assert!(parse(&["--pareto", "conform"]).is_ok());
+        // `all` is a report like any other: `--out` yes, a grid selection no.
+        assert!(parse(&["all", "--json", "--out", "results.json", "--threads", "1"]).is_ok());
+        assert!(parse(&["all", "--limit", "1"]).is_err());
+    }
+
+    #[test]
+    fn every_command_parses_dispatches_and_is_in_the_usage_text() {
+        let usage = usage();
+        let synopsis = usage.lines().next().unwrap();
+        let names: Vec<&str> = commands().map(|(name, _)| name).collect();
+        assert!(synopsis.starts_with(&format!("usage: experiments <{}> [", names.join("|"))));
+        for (name, caption) in commands() {
+            assert_eq!(parse(&[name]).unwrap().command, name);
+            assert!(
+                ENGINES.iter().any(|e| e.name == name) != artefact(name).is_some(),
+                "{name} must dispatch from exactly one table"
+            );
+            assert!(
+                usage.contains(&format!("  {name:<11} {caption}\n")),
+                "{name}"
+            );
+        }
+        for flag in FLAGS {
+            assert!(
+                synopsis.contains(&format!(" [{}]", flag.spelled())),
+                "{}",
+                flag.name
+            );
+        }
+        assert_eq!(parse(&[]).unwrap().command, "help");
+    }
+
+    /// The README's synopsis block is this binary's: same commands, same
+    /// flags, nothing else.
+    #[test]
+    fn readme_synopsis_lists_exactly_the_commands_and_flags() {
+        let readme = include_str!("../../../../README.md");
+        let names: Vec<&str> = commands().map(|(name, _)| name).collect();
+        let start = readme
+            .find(&format!("<{}>", names.join("|")))
+            .expect("README lists the commands in usage order");
+        let block = &readme[start..start + readme[start..].find("```").expect("fenced block")];
+        for flag in FLAGS.iter().filter(|f| f.name != "--json") {
+            let synopsis = format!("[{}]", flag.spelled());
+            assert!(block.contains(&synopsis), "README lacks {synopsis}");
+        }
+        for token in block.split(|c: char| c.is_whitespace() || c == '[' || c == ']') {
+            if token.starts_with("--") {
+                assert!(
+                    FLAGS.iter().any(|f| f.name == token),
+                    "README lists unknown flag {token}"
+                );
+            }
+        }
+        // `--json` is described in the flag list below the block.
+        assert!(readme.contains("`--json`"));
     }
 }

@@ -250,10 +250,9 @@ pub fn conformance_record_with(
     let _cell_span = coyote_obs::span("conform.cell");
     coyote_obs::counter("conform.cells", 1);
     let started = Instant::now();
-    let scenario = spec.to_scenario()?;
     let eval = {
         let _span = coyote_obs::span("conform.evaluate");
-        evaluate_scenario(&scenario)?
+        evaluate_scenario(spec)?
     };
     let graph = &eval.graph;
     let intended = &eval.coyote_routing;

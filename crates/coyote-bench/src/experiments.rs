@@ -1,37 +1,281 @@
-//! Drivers that regenerate every table and figure of the paper's evaluation.
+//! The artefact registry: every table and figure of the paper's evaluation,
+//! by command name.
 //!
-//! Each function returns structured results; the `experiments` binary
-//! prints them. The mapping to the paper:
+//! [`ARTEFACTS`] is the one table the `experiments` binary dispatches, lists
+//! and runs `all` from. Each entry names an artefact, captions it and says
+//! how its rows are produced:
 //!
-//! | Driver                  | Paper artefact                                   |
-//! |-------------------------|--------------------------------------------------|
-//! | [`fig1_running_example`]| Fig. 1 + Appendix B (running example)            |
-//! | [`theorem1_gadget`]     | Theorem 1 reduction gadget                       |
-//! | [`theorem4_lower_bound`]| Theorem 4 Ω(|V|) lower-bound instance            |
-//! | [`margin_sweep`]        | Figs. 6, 7, 8, 9 (ratio vs. uncertainty margin)  |
-//! | [`fig10_approximation`] | Fig. 10 (virtual next-hop budgets)               |
-//! | [`fig11_stretch`]       | Fig. 11 (average path stretch)                   |
-//! | [`table1`]              | Table I (full ratio table)                       |
-//! | [`fig12_prototype`]     | Fig. 12 (prototype packet-drop experiment)       |
+//! | Entry                   | Paper artefact                  | Rows                                  |
+//! |-------------------------|---------------------------------|---------------------------------------|
+//! | `fig1`                  | Fig. 1 + Appendix B             | [`fig1_running_example`]              |
+//! | `gadget`                | Theorem 1 reduction gadget      | [`theorem1_gadget`]                   |
+//! | `lowerbound`            | Theorem 4 Ω(\|V\|) instance     | [`theorem4_lower_bound`]              |
+//! | `fig6` … `fig9`, `table1` | Figs. 6–9, Table I (ratio vs. margin) | a [`SweepGrid::cross`] selection run by [`run_sweep`] |
+//! | `fig10`                 | Fig. 10 (virtual next-hop budgets) | [`fig10_approximation`]            |
+//! | `fig11`                 | Fig. 11 (average path stretch)  | [`fig11_stretch`]                     |
+//! | `fig12`                 | Fig. 12 (prototype packet drops) | [`fig12_prototype`]                  |
 //!
-//! [`margin_sweep`], [`table1`] and [`fig11_stretch`] evaluate independent
-//! scenarios, so they fan out across a [`coyote_runtime::WorkerPool`]
-//! (`threads` argument; results are identical for every thread count). The
-//! full evaluation grid behind these drivers is enumerated by
-//! [`crate::sweep::SweepGrid`] and run by [`crate::sweep::run_sweep`].
+//! What the effort level means to the grid — which margins, which
+//! topologies, which Fig. 10 instance — is decided once, in `scale`.
+//! Thread count changes wall-clock time only, never a number.
 
-use crate::scenario::{
-    evaluate_scenario, BaseModel, Effort, ProtocolRatios, Scenario, WeightHeuristic,
-};
-use crate::sweep::SweepSpec;
+use crate::report::{format_table, percent, ratio, ratios_table, ReportFormat};
+use crate::scenario::{evaluate_scenario, BaseModel, Effort, ProtocolRatios, WeightHeuristic};
+use crate::sweep::{run_sweep, SweepGrid, SweepSpec};
 use coyote_core::example_fig1;
 use coyote_core::prelude::*;
 use coyote_graph::{Graph, NodeId};
 use coyote_ospf::{compute_program, realized_routing, VirtualLinkBudget};
 use coyote_runtime::WorkerPool;
 use coyote_sim::scenario::{run_all as run_prototype_all, PrototypeResult};
-use coyote_traffic::{DemandMatrix, UncertaintySet};
+use coyote_traffic::DemandMatrix;
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
+use BaseModel::{Bimodal, Gravity};
+use WeightHeuristic::{InverseCapacity, LocalSearch};
+
+// ---------------------------------------------------------------------------
+// The registry.
+// ---------------------------------------------------------------------------
+
+/// Every list that depends on the effort level.
+pub(crate) struct Scale {
+    /// The margins of Figs. 6–8 (the paper: 1 to 3 in 0.5 steps).
+    fig6_margins: &'static [f64],
+    /// The margins of Fig. 9, Table I and the full sweep grid (the paper: 1
+    /// to 5 in 0.5 steps).
+    pub(crate) table1_margins: &'static [f64],
+    table1_topologies: &'static [&'static str],
+    /// Everything except the near-trees, plus BBNPlanet, which the paper
+    /// keeps for the stretch figure.
+    fig11_topologies: &'static [&'static str],
+    /// Fig. 10's topology and margin.
+    fig10_instance: (&'static str, f64),
+}
+
+/// What `effort` means to the grid: `Quick` keeps every artefact to seconds,
+/// `Full` is the paper's configuration.
+pub(crate) fn scale(effort: Effort) -> &'static Scale {
+    match effort {
+        Effort::Quick => &Scale {
+            fig6_margins: &[1.0, 2.0, 3.0],
+            table1_margins: &[1.0, 2.0, 3.0, 5.0],
+            table1_topologies: &["Abilene", "NSF", "Digex", "BtEurope"],
+            fig11_topologies: &["Abilene", "NSF", "Digex"],
+            fig10_instance: ("Abilene", 2.0),
+        },
+        Effort::Full => &Scale {
+            fig6_margins: &[1.0, 1.5, 2.0, 2.5, 3.0],
+            table1_margins: &[1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0],
+            #[rustfmt::skip]
+            table1_topologies: &[
+                "AS1221", "AS1755", "AS3257", "BICS", "BtEurope", "Digex", "GRNet", "Geant",
+                "Germany", "InternetMCI", "Italy", "NSF", "Abilene", "ATT",
+            ],
+            #[rustfmt::skip]
+            fig11_topologies: &[
+                "AS1221", "AS1755", "AS3257", "Abilene", "ATT", "BBNPlanet", "BICS", "BtEurope",
+                "Digex", "Geant", "Germany", "GRNet", "InternetMCI", "Italy", "NSF",
+            ],
+            fig10_instance: ("AS1755", 2.0),
+        },
+    }
+}
+
+/// One artefact in the three forms the `experiments` binary chooses between.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Rendered {
+    text: String,
+    json: Value,
+    csv: Option<String>,
+}
+
+impl Rendered {
+    /// An artefact from its text report, its structured result and, where
+    /// the result is tabular, its CSV.
+    pub fn new(text: String, result: &impl Serialize, csv: Option<String>) -> Self {
+        let json = result.serialize();
+        Self { text, json, csv }
+    }
+
+    /// The structured result.
+    pub fn json(&self) -> &Value {
+        &self.json
+    }
+
+    /// The artefact in `format`; `None` if it has no CSV shape.
+    pub fn render(self, format: ReportFormat) -> Option<String> {
+        match format {
+            ReportFormat::Text => Some(self.text),
+            ReportFormat::Json => {
+                Some(serde_json::to_string_pretty(&self.json).expect("the JSON shim is infallible"))
+            }
+            ReportFormat::Csv => self.csv,
+        }
+    }
+}
+
+/// How an artefact's rows are produced.
+enum Rows {
+    /// Ratio rows: a selection of the one grid, run by [`run_sweep`] and
+    /// laid out as a margin figure (`figure`) or as Table I.
+    Grid {
+        select: fn(Effort) -> SweepGrid,
+        figure: bool,
+    },
+    /// Anything else: the driver renders its own rows under the caption.
+    Driver(Driver),
+}
+
+/// One entry of the registry.
+pub struct Artefact {
+    name: &'static str,
+    caption: &'static str,
+    rows: Rows,
+}
+
+type Driver = fn(&str, Effort, usize) -> Result<Rendered, CoreError>;
+
+const fn driver(name: &'static str, caption: &'static str, run: Driver) -> Artefact {
+    let rows = Rows::Driver(run);
+    Artefact {
+        name,
+        caption,
+        rows,
+    }
+}
+
+const fn grid(
+    name: &'static str,
+    caption: &'static str,
+    figure: bool,
+    select: fn(Effort) -> SweepGrid,
+) -> Artefact {
+    let rows = Rows::Grid { select, figure };
+    Artefact {
+        name,
+        caption,
+        rows,
+    }
+}
+
+/// One margin figure's grid: a topology, a model and a heuristic over
+/// `margins`.
+fn figure_grid(
+    topology: &str,
+    model: BaseModel,
+    heuristic: WeightHeuristic,
+    margins: &[f64],
+    effort: Effort,
+) -> SweepGrid {
+    SweepGrid::cross(&[topology], &[model], margins, &[heuristic], effort)
+}
+
+/// Every artefact of the paper's evaluation, in the order `all` runs them.
+#[rustfmt::skip]
+pub const ARTEFACTS: &[Artefact] = &[
+    driver("fig1", "Fig. 1 / Appendix B: running example (exact oblivious ratios)", render_fig1),
+    driver("gadget", "Theorem 1: BIPARTITION gadget (weights [1.0, 2.0, 3.0, 4.0])", render_gadget),
+    driver("lowerbound", "Theorem 4: Ω(|V|) lower bound for oblivious IP routing", render_lowerbound),
+    grid("fig6", "fig6: Geant, gravity model, reverse-capacities weights (ratio vs margin)", true,
+         |e| figure_grid("Geant", Gravity, InverseCapacity, scale(e).fig6_margins, e)),
+    grid("fig7", "fig7: Digex, gravity model, reverse-capacities weights (ratio vs margin)", true,
+         |e| figure_grid("Digex", Gravity, InverseCapacity, scale(e).fig6_margins, e)),
+    grid("fig8", "fig8: AS1755, bimodal model, reverse-capacities weights (ratio vs margin)", true,
+         |e| figure_grid("AS1755", Bimodal, InverseCapacity, scale(e).fig6_margins, e)),
+    grid("fig9", "fig9: Abilene, bimodal model, local-search weights", true,
+         |e| figure_grid("Abilene", Bimodal, LocalSearch, scale(e).table1_margins, e)),
+    driver("fig10", "fig10: splitting-ratio approximation with 3/5/10 virtual next hops", render_fig10),
+    driver("fig11", "fig11: average path stretch vs ECMP (margin 2.5)", render_fig11),
+    driver("fig12", "fig12: prototype packet-drop experiment (1 Mbps links)", render_fig12),
+    grid("table1", "Table I: gravity base model, reverse-capacity weights", false, |e| {
+        let (topologies, margins) = (scale(e).table1_topologies, scale(e).table1_margins);
+        SweepGrid::cross(topologies, &[Gravity], margins, &[InverseCapacity], e)
+    }),
+];
+
+/// The registry entry called `name`.
+pub fn artefact(name: &str) -> Option<&'static Artefact> {
+    ARTEFACTS.iter().find(|a| a.name == name)
+}
+
+impl Artefact {
+    /// The command name.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// The one-line description: the usage text lists it and it heads the
+    /// text report — of every artefact but `fig10`, whose heading names the
+    /// instance the effort level picked.
+    pub fn caption(&self) -> &'static str {
+        self.caption
+    }
+
+    /// The grid selection behind a ratio artefact (`None` for the others).
+    pub fn grid(&self, effort: Effort) -> Option<SweepGrid> {
+        match self.rows {
+            Rows::Grid { select, .. } => Some(select(effort)),
+            Rows::Driver(_) => None,
+        }
+    }
+
+    /// Produces the artefact. `threads` as in [`run_sweep`].
+    pub fn run(&self, effort: Effort, threads: usize) -> Result<Rendered, CoreError> {
+        match self.rows {
+            Rows::Driver(driver) => driver(self.caption, effort, threads),
+            Rows::Grid { select, figure } => {
+                let report = run_sweep(&select(effort), threads)?;
+                let rows: Vec<ProtocolRatios> =
+                    report.records.into_iter().map(|r| r.ratios).collect();
+                let mut table = ratios_table(&rows, figure);
+                if !figure {
+                    // A summary the paper states in prose: how much further
+                    // from optimal ECMP is, on average, compared to COYOTE.
+                    let avg = rows.iter().map(ProtocolRatios::ecmp_vs_coyote).sum::<f64>()
+                        / rows.len().max(1) as f64;
+                    table.footer = format!(
+                        "ECMP is on average {:.0}% further from optimum than COYOTE.",
+                        (avg - 1.0) * 100.0
+                    );
+                }
+                let text = format!("== {} ==\n{}", self.caption, table.text());
+                Ok(Rendered::new(text, &rows, Some(table.csv())))
+            }
+        }
+    }
+}
+
+/// Runs `entries` in order into one document: the text reports one after
+/// the other, the JSON one object keyed by artefact name. No CSV — the
+/// sections share no schema.
+fn run_entries(
+    entries: &[Artefact],
+    effort: Effort,
+    threads: usize,
+) -> Result<Rendered, CoreError> {
+    let mut text = String::new();
+    let mut sections = Vec::new();
+    for entry in entries {
+        let rendered = entry.run(effort, threads)?;
+        text.push_str(&rendered.text);
+        if !text.ends_with('\n') {
+            text.push('\n');
+        }
+        sections.push((entry.name.to_string(), rendered.json));
+    }
+    let (json, csv) = (Value::Object(sections), None);
+    Ok(Rendered { text, json, csv })
+}
+
+/// The `all` command: every registry entry, in registry order.
+pub fn run_all(effort: Effort, threads: usize) -> Result<Rendered, CoreError> {
+    run_entries(ARTEFACTS, effort, threads)
+}
+
+fn headed(caption: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
+    format!("== {caption} ==\n{}", format_table(headers, rows))
+}
 
 // ---------------------------------------------------------------------------
 // Fig. 1 / Appendix B: the running example.
@@ -70,6 +314,19 @@ pub fn fig1_running_example() -> Result<Fig1Result, CoreError> {
         golden_ratio: exact(&golden)?,
         coyote_ratio: exact(&optimized.routing)?,
     })
+}
+
+fn render_fig1(caption: &str, _: Effort, _: usize) -> Result<Rendered, CoreError> {
+    let r = fig1_running_example()?;
+    let rows = [
+        ("ECMP (unit weights)", r.ecmp_ratio),
+        ("Fig. 1c configuration", r.fig1c_ratio),
+        ("Golden-ratio optimum", r.golden_ratio),
+        ("COYOTE (optimized)", r.coyote_ratio),
+    ]
+    .map(|(configuration, v)| vec![configuration.to_string(), ratio(v)]);
+    let text = headed(caption, &["configuration", "oblivious ratio"], &rows);
+    Ok(Rendered::new(text, &r, None))
 }
 
 // ---------------------------------------------------------------------------
@@ -202,6 +459,19 @@ pub fn theorem1_gadget(weights: &[f64]) -> Result<GadgetResult, CoreError> {
     })
 }
 
+fn render_gadget(caption: &str, _: Effort, _: usize) -> Result<Rendered, CoreError> {
+    let r = theorem1_gadget(&[1.0, 2.0, 3.0, 4.0])?;
+    let rows = [
+        vec!["balanced orientation".to_string(), ratio(r.balanced_ratio)],
+        vec![
+            "unbalanced orientation".to_string(),
+            ratio(r.unbalanced_ratio),
+        ],
+    ];
+    let text = headed(caption, &["gadget orientation", "ratio"], &rows);
+    Ok(Rendered::new(text, &r, None))
+}
+
 /// Greedy near-equal bipartition of a weight set (true = first partition).
 pub fn balanced_partition(weights: &[f64]) -> Vec<bool> {
     let mut order: Vec<usize> = (0..weights.len()).collect();
@@ -279,52 +549,21 @@ pub fn theorem4_lower_bound(n: usize) -> Result<LowerBoundResult, CoreError> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// Figs. 6-9: performance ratio versus uncertainty margin.
-// ---------------------------------------------------------------------------
-
-/// Sweeps the uncertainty margin for one topology/model/heuristic and
-/// returns one [`ProtocolRatios`] per margin (the four lines of Figs. 6-9).
-///
-/// The per-margin evaluations are independent; they fan out across a
-/// [`WorkerPool`] with `threads` workers (`0` = one per core, `1` = serial)
-/// and come back in margin order with results identical for every thread
-/// count.
-pub fn margin_sweep(
-    topology: &str,
-    model: BaseModel,
-    heuristic: WeightHeuristic,
-    margins: &[f64],
-    effort: Effort,
-    threads: usize,
-) -> Result<Vec<ProtocolRatios>, CoreError> {
-    WorkerPool::new(threads).try_par_map(margins, |&margin| {
-        let scenario = SweepSpec {
-            topology: topology.to_string(),
-            model,
-            margin,
-            heuristic,
-            effort,
-        }
-        .to_scenario()?;
-        Ok(evaluate_scenario(&scenario)?.ratios)
-    })
-}
-
-/// The margins the paper uses for Figs. 6-8 (1 to 3 in 0.5 steps).
-pub fn fig6_margins(effort: Effort) -> Vec<f64> {
-    match effort {
-        Effort::Quick => vec![1.0, 2.0, 3.0],
-        Effort::Full => vec![1.0, 1.5, 2.0, 2.5, 3.0],
-    }
-}
-
-/// The margins of Fig. 9 and Table I (1 to 5 in 0.5 steps).
-pub fn table1_margins(effort: Effort) -> Vec<f64> {
-    match effort {
-        Effort::Quick => vec![1.0, 2.0, 3.0, 5.0],
-        Effort::Full => vec![1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0],
-    }
+fn render_lowerbound(caption: &str, _: Effort, _: usize) -> Result<Rendered, CoreError> {
+    let results = [3usize, 5, 8, 12]
+        .into_iter()
+        .map(theorem4_lower_bound)
+        .collect::<Result<Vec<_>, _>>()?;
+    let rows: Vec<Vec<String>> = results
+        .iter()
+        .map(|r| vec![r.n.to_string(), ratio(r.oblivious_ratio), ratio(r.optimum)])
+        .collect();
+    let headers = ["n", "oblivious ratio", "demands-aware optimum"];
+    Ok(Rendered::new(
+        headed(caption, &headers, &rows),
+        &results,
+        None,
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -365,15 +604,13 @@ pub fn fig10_approximation(
     margin: f64,
     effort: Effort,
 ) -> Result<ApproximationResult, CoreError> {
-    let scenario = Scenario::from_zoo(
-        topology,
-        BaseModel::Gravity,
+    let eval = evaluate_scenario(&SweepSpec {
+        topology: topology.to_string(),
+        model: Gravity,
         margin,
-        WeightHeuristic::InverseCapacity,
+        heuristic: InverseCapacity,
         effort,
-    )
-    .ok_or_else(|| CoreError::DimensionMismatch(format!("unknown topology {topology}")))?;
-    let eval = evaluate_scenario(&scenario)?;
+    })?;
 
     let mut points = Vec::new();
     for budget in [Some(3usize), Some(5), Some(10), None] {
@@ -394,11 +631,34 @@ pub fn fig10_approximation(
     }
 
     Ok(ApproximationResult {
-        topology: scenario.topology.name.clone(),
+        topology: eval.ratios.topology,
         margin,
         ecmp_ratio: eval.ratios.ecmp,
         points,
     })
+}
+
+fn render_fig10(_: &str, effort: Effort, _: usize) -> Result<Rendered, CoreError> {
+    let (topology, margin) = scale(effort).fig10_instance;
+    let r = fig10_approximation(topology, margin, effort)?;
+    let mut rows = vec![vec![
+        "ECMP".to_string(),
+        ratio(r.ecmp_ratio),
+        "0".to_string(),
+    ]];
+    for p in &r.points {
+        let label = match p.budget {
+            Some(n) => format!("COYOTE {n} NHs"),
+            None => "COYOTE ideal".to_string(),
+        };
+        rows.push(vec![label, ratio(p.ratio), p.fake_nodes.to_string()]);
+    }
+    let caption = format!(
+        "fig10: {} (margin {}): splitting-ratio approximation",
+        r.topology, r.margin
+    );
+    let text = headed(&caption, &["configuration", "ratio", "fake nodes"], &rows);
+    Ok(Rendered::new(text, &r, None))
 }
 
 // ---------------------------------------------------------------------------
@@ -417,126 +677,50 @@ pub struct StretchResult {
 }
 
 /// Reproduces Fig. 11 for the given topologies at margin 2.5, one pool
-/// worker per topology (`threads` as in [`margin_sweep`]).
+/// worker per topology (`threads` as in [`run_sweep`]): the stretch of the
+/// two COYOTE routings [`evaluate_scenario`] scores, relative to ECMP.
 pub fn fig11_stretch(
     topologies: &[&str],
     effort: Effort,
     threads: usize,
 ) -> Result<Vec<StretchResult>, CoreError> {
-    let margin = 2.5;
     WorkerPool::new(threads).try_par_map(topologies, |name| {
-        let scenario = SweepSpec {
+        let eval = evaluate_scenario(&SweepSpec {
             topology: name.to_string(),
-            model: BaseModel::Gravity,
-            margin,
-            heuristic: WeightHeuristic::InverseCapacity,
+            model: Gravity,
+            margin: 2.5,
+            heuristic: InverseCapacity,
             effort,
-        }
-        .to_scenario()?;
-        let eval = evaluate_scenario(&scenario)?;
-
-        // COYOTE oblivious routing for the same DAGs (recomputed cheaply).
-        let dags = build_all_dags(&eval.graph, DagMode::Augmented)?;
-        let oblivious = optimize_splitting(
-            &eval.graph,
-            dags,
-            &UncertaintySet::oblivious(eval.graph.node_count()),
-            Some(&eval.base),
-            &CoyoteConfig::fast(),
-        )?;
-
-        let partial_stretch =
-            average_stretch(&eval.graph, &eval.coyote_routing, &eval.ecmp_routing).unwrap_or(1.0);
-        let oblivious_stretch =
-            average_stretch(&eval.graph, &oblivious.routing, &eval.ecmp_routing).unwrap_or(1.0);
+        })?;
+        let stretch =
+            |routing| average_stretch(&eval.graph, routing, &eval.ecmp_routing).unwrap_or(1.0);
         Ok(StretchResult {
-            topology: scenario.topology.name.clone(),
-            oblivious_stretch,
-            partial_stretch,
+            oblivious_stretch: stretch(&eval.oblivious_routing),
+            partial_stretch: stretch(&eval.coyote_routing),
+            topology: eval.ratios.topology,
         })
     })
 }
 
-// ---------------------------------------------------------------------------
-// Table I.
-// ---------------------------------------------------------------------------
-
-/// Reproduces Table I: every topology × margin with the four protocols.
-///
-/// The whole topology × margin cross product is flattened into one work
-/// list so the pool stays busy across topology boundaries (a per-topology
-/// fan-out would stall on the largest network at the end of each row).
-/// Rows come back topology-major, exactly as the serial loop produced them.
-pub fn table1(
-    topologies: &[&str],
-    margins: &[f64],
-    model: BaseModel,
-    effort: Effort,
-    threads: usize,
-) -> Result<Vec<ProtocolRatios>, CoreError> {
-    let cells: Vec<(&str, f64)> = topologies
+fn render_fig11(caption: &str, effort: Effort, threads: usize) -> Result<Rendered, CoreError> {
+    let results = fig11_stretch(scale(effort).fig11_topologies, effort, threads)?;
+    let stretch = |v: f64| format!("{v:.3}");
+    let rows: Vec<Vec<String>> = results
         .iter()
-        .flat_map(|&name| margins.iter().map(move |&m| (name, m)))
+        .map(|r| {
+            vec![
+                r.topology.clone(),
+                stretch(r.oblivious_stretch),
+                stretch(r.partial_stretch),
+            ]
+        })
         .collect();
-    WorkerPool::new(threads).try_par_map(&cells, |&(name, margin)| {
-        let scenario = SweepSpec {
-            topology: name.to_string(),
-            model,
-            margin,
-            heuristic: WeightHeuristic::InverseCapacity,
-            effort,
-        }
-        .to_scenario()?;
-        Ok(evaluate_scenario(&scenario)?.ratios)
-    })
-}
-
-/// The topology subsets used by the harness.
-pub fn table1_topologies(effort: Effort) -> Vec<&'static str> {
-    match effort {
-        Effort::Quick => vec!["Abilene", "NSF", "Digex", "BtEurope"],
-        Effort::Full => vec![
-            "AS1221",
-            "AS1755",
-            "AS3257",
-            "BICS",
-            "BtEurope",
-            "Digex",
-            "GRNet",
-            "Geant",
-            "Germany",
-            "InternetMCI",
-            "Italy",
-            "NSF",
-            "Abilene",
-            "ATT",
-        ],
-    }
-}
-
-/// The topologies of the stretch figure (everything except the near-trees,
-/// plus BBNPlanet which the paper keeps for this figure).
-pub fn fig11_topologies(effort: Effort) -> Vec<&'static str> {
-    match effort {
-        Effort::Quick => vec!["Abilene", "NSF", "Digex"],
-        Effort::Full => vec![
-            "AS1221",
-            "AS1755",
-            "AS3257",
-            "Abilene",
-            "ATT",
-            "BBNPlanet",
-            "BICS",
-            "BtEurope",
-            "Digex",
-            "Geant",
-            "Germany",
-            "GRNet",
-            "InternetMCI",
-            "Italy",
-            "NSF",
-        ],
-    }
+    let headers = ["topology", "COYOTE-oblivious", "COYOTE-partial-knowledge"];
+    Ok(Rendered::new(
+        headed(caption, &headers, &rows),
+        &results,
+        None,
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -547,6 +731,33 @@ pub fn fig11_topologies(effort: Effort) -> Vec<&'static str> {
 /// TE1, TE2, TE3 and COYOTE.
 pub fn fig12_prototype() -> Vec<PrototypeResult> {
     run_prototype_all()
+}
+
+fn render_fig12(caption: &str, _: Effort, _: usize) -> Result<Rendered, CoreError> {
+    let results = fig12_prototype();
+    let mut rows = Vec::new();
+    for r in &results {
+        for (i, phase) in r.phases.iter().enumerate() {
+            rows.push(vec![
+                r.scheme.clone(),
+                format!("phase {}", i + 1),
+                format!("({:.0}, {:.0}) Mbps", phase.offered.0, phase.offered.1),
+                percent(phase.drop_rate),
+            ]);
+        }
+        rows.push(vec![
+            r.scheme.clone(),
+            "cumulative".to_string(),
+            "-".to_string(),
+            percent(r.cumulative_drop_rate()),
+        ]);
+    }
+    let headers = ["scheme", "phase", "offered (t1, t2)", "drop rate"];
+    Ok(Rendered::new(
+        headed(caption, &headers, &rows),
+        &results,
+        None,
+    ))
 }
 
 #[cfg(test)]
@@ -616,14 +827,61 @@ mod tests {
     }
 
     #[test]
-    fn margin_lists_are_ordered_and_in_range() {
+    fn effort_lists_are_ordered_and_in_range() {
         for effort in [Effort::Quick, Effort::Full] {
-            for m in [fig6_margins(effort), table1_margins(effort)] {
+            let scale = scale(effort);
+            for m in [scale.fig6_margins, scale.table1_margins] {
                 assert!(m.windows(2).all(|w| w[0] < w[1]));
                 assert!(m.iter().all(|&x| (1.0..=5.0).contains(&x)));
             }
-            assert!(!table1_topologies(effort).is_empty());
-            assert!(!fig11_topologies(effort).is_empty());
+            for names in [scale.table1_topologies, scale.fig11_topologies] {
+                assert!(!names.is_empty());
+                assert!(names
+                    .iter()
+                    .all(|n| coyote_topology::zoo::by_name(n).is_some()));
+            }
+            assert!(coyote_topology::zoo::by_name(scale.fig10_instance.0).is_some());
+        }
+    }
+
+    #[test]
+    fn ratio_artefacts_are_selections_of_the_one_grid() {
+        for name in ["fig6", "fig7", "fig8", "fig9", "table1"] {
+            let grid = artefact(name).unwrap().grid(Effort::Quick).unwrap();
+            assert!(!grid.is_empty(), "{name}");
+        }
+        let table1 = artefact("table1").unwrap().grid(Effort::Quick).unwrap();
+        // Topology-major, as Table I prints it.
+        assert_eq!(table1.len(), 16);
+        assert!(table1.specs[..4].iter().all(|s| s.topology == "Abilene"));
+        assert!(artefact("fig1").unwrap().grid(Effort::Quick).is_none());
+        assert!(artefact("sweep").is_none());
+    }
+
+    #[test]
+    fn all_is_one_json_document_keyed_by_artefact_name_in_registry_order() {
+        // The three cheap entries the registry starts with;
+        // `ci/results.json` (tests/results_artefact.rs) pins the same shape
+        // over the whole registry.
+        let names = ["fig1", "gadget", "lowerbound"];
+        let all = run_entries(&ARTEFACTS[..3], Effort::Quick, 1).unwrap();
+        let Value::Object(sections) = all.json() else {
+            panic!("`all` must be one object");
+        };
+        let keys: Vec<&str> = sections.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, names);
+        let text = all.clone().render(ReportFormat::Text).unwrap();
+        assert!(text.starts_with("== Fig. 1 / Appendix B"), "{text}");
+        assert_eq!(
+            text.matches("\n== ").count(),
+            2,
+            "one heading per section:\n{text}"
+        );
+        assert!(all.clone().render(ReportFormat::Csv).is_none());
+        let json = all.render(ReportFormat::Json).unwrap();
+        let parsed = coyote_serve::json::parse(&json).expect("one JSON document");
+        for name in names {
+            assert!(parsed.get(name).is_some(), "{name}");
         }
     }
 }

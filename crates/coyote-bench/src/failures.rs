@@ -541,8 +541,7 @@ fn cell_base(spec: &SweepSpec) -> Result<CellBase, CoreError> {
     let topo = zoo::by_name(&spec.topology).ok_or_else(|| {
         CoreError::DimensionMismatch(format!("unknown topology {}", spec.topology))
     })?;
-    let scenario = spec.to_scenario()?;
-    let eval = evaluate_scenario(&scenario)?;
+    let eval = evaluate_scenario(spec)?;
     let program = compute_program(
         &eval.graph,
         &eval.coyote_routing,

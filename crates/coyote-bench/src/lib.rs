@@ -1,11 +1,13 @@
 //! # coyote-bench
 //!
-//! The experiment harness of the COYOTE reproduction: scenario definitions,
-//! drivers that regenerate every table and figure of the paper's evaluation
-//! (Section VI–VII), a parallel scenario-sweep engine ([`sweep`]) over the
-//! full evaluation grid, a full-stack conformance engine ([`conformance`])
-//! that drives every cell through compile → realized Fibbing routing →
-//! flow-level simulation, and text/JSON/CSV report rendering ([`report`]).
+//! The experiment harness of the COYOTE reproduction: the four-protocol
+//! scenario evaluation ([`scenario`]), the registry of every table and
+//! figure of the paper's evaluation (Section VI–VII, [`experiments`]), a
+//! parallel scenario-sweep engine ([`sweep`]) over the full evaluation grid,
+//! a full-stack conformance engine ([`conformance`]) that drives every cell
+//! through compile → realized Fibbing routing → flow-level simulation, a
+//! failure-scenario engine ([`failures`]), and text/JSON/CSV report
+//! rendering ([`report`]).
 //!
 //! Run the harness with the `experiments` binary:
 //!
@@ -17,10 +19,10 @@
 //!     sweep --threads 0 --filter Abilene --format csv --out report.csv
 //! ```
 //!
-//! Scenario evaluations are independent, so the sweep engine (and the
-//! multi-scenario drivers `margin_sweep`/`table1`/`fig11_stretch`) fan out
-//! across a [`coyote_runtime::WorkerPool`]; thread count changes wall-clock
-//! time only, never results.
+//! Scenario evaluations are independent, so the sweep engine — which also
+//! runs the ratio figures and Table I, each a selection of the one grid —
+//! fans out across a [`coyote_runtime::WorkerPool`]; thread count changes
+//! wall-clock time only, never results.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -45,12 +47,10 @@ pub use failures::{
 };
 
 pub use experiments::{
-    fig10_approximation, fig11_stretch, fig11_topologies, fig12_prototype, fig1_running_example,
-    fig6_margins, margin_sweep, table1, table1_margins, table1_topologies, theorem1_gadget,
-    theorem4_lower_bound,
+    artefact, fig10_approximation, fig11_stretch, fig12_prototype, fig1_running_example, run_all,
+    theorem1_gadget, theorem4_lower_bound, Artefact, Rendered, ARTEFACTS,
 };
 pub use scenario::{
-    evaluate_scenario, BaseModel, Effort, ProtocolRatios, Scenario, ScenarioEvaluation,
-    WeightHeuristic,
+    evaluate_scenario, BaseModel, Effort, ProtocolRatios, ScenarioEvaluation, WeightHeuristic,
 };
 pub use sweep::{run_sweep, SweepGrid, SweepRecord, SweepReport, SweepSpec};

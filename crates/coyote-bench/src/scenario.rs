@@ -1,11 +1,10 @@
-//! Scenario specification and the four-protocol evaluation shared by every
-//! figure and by Table I.
+//! The four-protocol evaluation shared by every figure and by Table I.
 //!
-//! A *scenario* is a topology, a base demand-matrix model, an uncertainty
-//! margin and a link-weight heuristic. Evaluating a scenario produces the
-//! performance ratio (worst case over the evaluation family, normalized by
-//! the demands-aware optimum within the same DAGs) of the four protocols the
-//! paper compares:
+//! A *scenario* is one [`SweepSpec`]: a topology, a base demand-matrix
+//! model, an uncertainty margin and a link-weight heuristic. Evaluating it
+//! produces the performance ratio (worst case over the evaluation family,
+//! normalized by the demands-aware optimum within the same DAGs) of the four
+//! protocols the paper compares:
 //!
 //! 1. traditional TE with ECMP,
 //! 2. **Base**: the optimal demands-aware routing for the base matrix,
@@ -15,9 +14,10 @@
 //! 4. **COYOTE (partial knowledge)**: splitting ratios optimized for the
 //!    margin box.
 
+use crate::sweep::SweepSpec;
 use coyote_core::prelude::*;
 use coyote_graph::Graph;
-use coyote_topology::{zoo, Topology};
+use coyote_topology::zoo;
 use coyote_traffic::{BimodalModel, DemandMatrix, GravityModel, UncertaintySet};
 use serde::{Deserialize, Serialize};
 
@@ -77,64 +77,38 @@ pub enum Effort {
     Full,
 }
 
-/// A fully specified experiment scenario.
-#[derive(Debug, Clone)]
-pub struct Scenario {
-    /// The topology under test.
-    pub topology: Topology,
-    /// Base traffic model.
-    pub model: BaseModel,
-    /// Uncertainty margin (≥ 1).
-    pub margin: f64,
-    /// Link-weight heuristic.
-    pub heuristic: WeightHeuristic,
-    /// Effort level.
-    pub effort: Effort,
-}
-
-impl Scenario {
-    /// Convenience constructor using a topology registered in the zoo.
-    pub fn from_zoo(
-        name: &str,
-        model: BaseModel,
-        margin: f64,
-        heuristic: WeightHeuristic,
-        effort: Effort,
-    ) -> Option<Self> {
-        Some(Self {
-            topology: zoo::by_name(name)?,
-            model,
-            margin,
-            heuristic,
-            effort,
-        })
-    }
-
-    fn evaluation_options(&self) -> EvaluationOptions {
-        match self.effort {
-            Effort::Quick => EvaluationOptions {
-                corners: 6,
-                samples: 2,
-                spikes: 3,
-                seed: 0xC0707E,
-            },
-            Effort::Full => EvaluationOptions::default(),
-        }
-    }
-
-    fn coyote_config(&self) -> CoyoteConfig {
-        match self.effort {
-            Effort::Quick => CoyoteConfig {
-                cg_rounds: 2,
-                cg_candidate_edges: 1,
-                adam_iterations: 500,
-                evaluation: self.evaluation_options(),
-                ..CoyoteConfig::fast()
-            },
-            Effort::Full => CoyoteConfig {
-                evaluation: self.evaluation_options(),
-                ..CoyoteConfig::default()
-            },
+impl Effort {
+    /// What the level means to the optimizers: the splitting optimizer's
+    /// budget (its `evaluation` field sizes the shared evaluation family)
+    /// and the local-search budget.
+    fn budgets(self) -> (CoyoteConfig, LocalSearchConfig) {
+        match self {
+            Effort::Quick => (
+                CoyoteConfig {
+                    cg_rounds: 2,
+                    cg_candidate_edges: 1,
+                    adam_iterations: 500,
+                    evaluation: EvaluationOptions {
+                        corners: 6,
+                        samples: 2,
+                        spikes: 3,
+                        seed: 0xC0707E,
+                    },
+                    ..CoyoteConfig::fast()
+                },
+                LocalSearchConfig {
+                    outer_iterations: 2,
+                    moves_per_iteration: 3,
+                    ..Default::default()
+                },
+            ),
+            Effort::Full => (
+                CoyoteConfig {
+                    evaluation: EvaluationOptions::default(),
+                    ..CoyoteConfig::default()
+                },
+                LocalSearchConfig::default(),
+            ),
         }
     }
 }
@@ -183,48 +157,42 @@ pub struct ScenarioEvaluation {
     pub ratios: ProtocolRatios,
     /// The COYOTE (partial knowledge) routing, for downstream experiments.
     pub coyote_routing: PdRouting,
+    /// The COYOTE (oblivious) routing behind `ratios.coyote_oblivious`.
+    pub oblivious_routing: PdRouting,
     /// The ECMP routing under the same weights.
     pub ecmp_routing: PdRouting,
 }
 
-/// Evaluates one scenario: builds the four protocols and measures them on a
+/// Evaluates one grid cell: builds the four protocols and measures them on a
 /// shared evaluation family.
-pub fn evaluate_scenario(scenario: &Scenario) -> Result<ScenarioEvaluation, CoreError> {
+pub fn evaluate_scenario(spec: &SweepSpec) -> Result<ScenarioEvaluation, CoreError> {
     let _span = coyote_obs::span("bench.evaluate_scenario");
     coyote_obs::counter("bench.scenario_evaluations", 1);
-    let mut graph = scenario.topology.to_graph()?;
+    let topology = zoo::by_name(&spec.topology).ok_or_else(|| {
+        CoreError::DimensionMismatch(format!("unknown topology {}", spec.topology))
+    })?;
+    let mut graph = topology.to_graph()?;
+    let (cfg, local_search) = spec.effort.budgets();
 
     // Step I weights.
-    match scenario.heuristic {
+    match spec.heuristic {
         WeightHeuristic::InverseCapacity => graph.set_inverse_capacity_weights(10.0),
         WeightHeuristic::LocalSearch => {
-            let base = scenario.model.generate(&graph);
-            let unc = UncertaintySet::from_margin(&base, scenario.margin);
-            let cfg = match scenario.effort {
-                Effort::Quick => LocalSearchConfig {
-                    outer_iterations: 2,
-                    moves_per_iteration: 3,
-                    ..Default::default()
-                },
-                Effort::Full => LocalSearchConfig::default(),
-            };
-            let result = coyote_core::local_search::local_search_weights(&graph, &unc, &cfg)?;
+            let base = spec.model.generate(&graph);
+            let unc = UncertaintySet::from_margin(&base, spec.margin);
+            let result =
+                coyote_core::local_search::local_search_weights(&graph, &unc, &local_search)?;
             graph = coyote_core::local_search::apply_weights(&graph, &result.weights)?;
         }
     }
 
-    let base = scenario.model.generate(&graph);
-    let uncertainty = UncertaintySet::from_margin(&base, scenario.margin);
+    let base = spec.model.generate(&graph);
+    let uncertainty = UncertaintySet::from_margin(&base, spec.margin);
 
     // COYOTE's augmented DAGs are also the normalization scope.
     let dags = build_all_dags(&graph, DagMode::Augmented)?;
-    let evaluation = EvaluationSet::build(
-        &graph,
-        &dags,
-        &uncertainty,
-        Some(&base),
-        &scenario.evaluation_options(),
-    )?;
+    let evaluation =
+        EvaluationSet::build(&graph, &dags, &uncertainty, Some(&base), &cfg.evaluation)?;
 
     // 1. ECMP.
     let ecmp = ecmp_routing(&graph)?;
@@ -238,7 +206,6 @@ pub fn evaluate_scenario(scenario: &Scenario) -> Result<ScenarioEvaluation, Core
     //    set (its optima are already computed); the constraint-generation
     //    adversary is unconstrained, so the optimizer still guards against
     //    arbitrary matrices.
-    let cfg = scenario.coyote_config();
     let oblivious_set = UncertaintySet::oblivious(graph.node_count());
     let coyote_obl = optimize_splitting_with_working_set(
         &graph,
@@ -262,8 +229,8 @@ pub fn evaluate_scenario(scenario: &Scenario) -> Result<ScenarioEvaluation, Core
     let partial_ratio = evaluation.performance_ratio(&graph, &coyote_partial.routing);
 
     let ratios = ProtocolRatios {
-        topology: scenario.topology.name.clone(),
-        margin: scenario.margin,
+        topology: topology.name,
+        margin: spec.margin,
         ecmp: ecmp_ratio,
         base: base_ratio,
         coyote_oblivious: obl_ratio,
@@ -277,6 +244,7 @@ pub fn evaluate_scenario(scenario: &Scenario) -> Result<ScenarioEvaluation, Core
         evaluation,
         ratios,
         coyote_routing: coyote_partial.routing,
+        oblivious_routing: coyote_obl.routing,
         ecmp_routing: ecmp,
     })
 }
@@ -287,15 +255,14 @@ mod tests {
 
     #[test]
     fn abilene_quick_scenario_orders_the_protocols_sensibly() {
-        let scenario = Scenario::from_zoo(
-            "Abilene",
-            BaseModel::Gravity,
-            2.0,
-            WeightHeuristic::InverseCapacity,
-            Effort::Quick,
-        )
+        let eval = evaluate_scenario(&SweepSpec {
+            topology: "Abilene".into(),
+            model: BaseModel::Gravity,
+            margin: 2.0,
+            heuristic: WeightHeuristic::InverseCapacity,
+            effort: Effort::Quick,
+        })
         .unwrap();
-        let eval = evaluate_scenario(&scenario).unwrap();
         let r = &eval.ratios;
         // All ratios are valid performance ratios.
         for v in [r.ecmp, r.base, r.coyote_oblivious, r.coyote_partial] {
@@ -310,18 +277,6 @@ mod tests {
             r.coyote_partial,
             r.ecmp
         );
-    }
-
-    #[test]
-    fn unknown_topology_name_is_rejected() {
-        assert!(Scenario::from_zoo(
-            "NoSuchNet",
-            BaseModel::Gravity,
-            2.0,
-            WeightHeuristic::InverseCapacity,
-            Effort::Quick
-        )
-        .is_none());
     }
 
     #[test]

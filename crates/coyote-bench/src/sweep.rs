@@ -14,17 +14,15 @@
 //! bit-identical to `threads = 1` (asserted by the
 //! `sweep_determinism` integration test).
 
-use crate::scenario::{
-    evaluate_scenario, BaseModel, Effort, ProtocolRatios, Scenario, WeightHeuristic,
-};
+use crate::scenario::{evaluate_scenario, BaseModel, Effort, ProtocolRatios, WeightHeuristic};
 use coyote_core::prelude::CoreError;
 use coyote_runtime::WorkerPool;
 use coyote_topology::zoo;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-/// One cell of the evaluation grid: everything needed to reconstruct a
-/// [`Scenario`] by name.
+/// One cell of the evaluation grid: everything
+/// [`evaluate_scenario`] needs, by name.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSpec {
     /// Topology-Zoo name (see `coyote_topology::zoo::ALL_NAMES`).
@@ -51,18 +49,6 @@ impl SweepSpec {
             self.heuristic.name(),
             self.margin
         )
-    }
-
-    /// Resolves the spec against the topology zoo.
-    pub fn to_scenario(&self) -> Result<Scenario, CoreError> {
-        Scenario::from_zoo(
-            &self.topology,
-            self.model,
-            self.margin,
-            self.heuristic,
-            self.effort,
-        )
-        .ok_or_else(|| CoreError::DimensionMismatch(format!("unknown topology {}", self.topology)))
     }
 }
 
@@ -110,7 +96,7 @@ impl SweepGrid {
         Self::cross(
             &names,
             &[BaseModel::Gravity, BaseModel::Bimodal],
-            &crate::experiments::table1_margins(effort),
+            crate::experiments::scale(effort).table1_margins,
             &[WeightHeuristic::InverseCapacity],
             effort,
         )
@@ -209,9 +195,8 @@ pub fn run_sweep(grid: &SweepGrid, threads: usize) -> Result<SweepReport, CoreEr
     let records = pool.try_par_map(&grid.specs, |spec| -> Result<SweepRecord, CoreError> {
         let _cell_span = coyote_obs::span("sweep.cell");
         coyote_obs::counter("sweep.cells", 1);
-        let scenario = spec.to_scenario()?;
         let eval_started = Instant::now();
-        let eval = evaluate_scenario(&scenario)?;
+        let eval = evaluate_scenario(spec)?;
         Ok(SweepRecord {
             spec: spec.clone(),
             ratios: eval.ratios,
@@ -233,7 +218,7 @@ mod tests {
     #[test]
     fn full_grid_covers_every_dimension() {
         let grid = SweepGrid::full(Effort::Quick);
-        let margins = crate::experiments::table1_margins(Effort::Quick);
+        let margins = crate::experiments::scale(Effort::Quick).table1_margins;
         assert_eq!(grid.len(), zoo::ALL_NAMES.len() * 2 * margins.len());
         // Topology-major order: the first |models × margins| specs all
         // belong to the first zoo name.

@@ -3,7 +3,7 @@
 //! the same `ProtocolRatios` — bit-for-bit, not approximately — as the
 //! serial path, in the same (grid) order.
 
-use coyote_bench::{margin_sweep, run_sweep, BaseModel, Effort, SweepGrid, WeightHeuristic};
+use coyote_bench::{run_sweep, BaseModel, Effort, SweepGrid, WeightHeuristic};
 
 fn small_grid() -> SweepGrid {
     SweepGrid::cross(
@@ -34,33 +34,6 @@ fn parallel_sweep_is_bit_identical_to_serial() {
         // not an epsilon comparison.
         assert_eq!(s.ratios, p.ratios, "diverged on {}", s.spec.id());
     }
-}
-
-#[test]
-fn margin_sweep_driver_is_thread_count_invariant() {
-    let margins = [1.0, 2.0];
-    let serial = margin_sweep(
-        "Abilene",
-        BaseModel::Gravity,
-        WeightHeuristic::InverseCapacity,
-        &margins,
-        Effort::Quick,
-        1,
-    )
-    .expect("serial margin sweep");
-    let parallel = margin_sweep(
-        "Abilene",
-        BaseModel::Gravity,
-        WeightHeuristic::InverseCapacity,
-        &margins,
-        Effort::Quick,
-        4,
-    )
-    .expect("parallel margin sweep");
-    assert_eq!(serial, parallel);
-    // Rows come back in margin order.
-    let got: Vec<f64> = serial.iter().map(|r| r.margin).collect();
-    assert_eq!(got, margins);
 }
 
 #[test]

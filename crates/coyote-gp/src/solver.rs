@@ -8,8 +8,8 @@
 //! optima on the problem sizes of the evaluation (verified against analytic
 //! solutions and LP lower bounds in `coyote-core`).
 //!
-//! [`minimize_adam`] and [`minimize_gradient_descent`] work over any
-//! [`Objective`] (a function returning value + gradient).
+//! [`minimize_adam`] works over any [`Objective`] (a function returning
+//! value + gradient).
 
 /// A differentiable objective: returns the value at `x` and writes the
 /// gradient into `grad` (which is zeroed by the caller).
@@ -147,66 +147,6 @@ pub fn minimize_adam(objective: &dyn Objective, x0: &[f64], opts: &AdamOptions) 
     }
 }
 
-/// Plain gradient descent with backtracking line search (Armijo rule).
-/// Slower than Adam on the TE objectives but useful as a deterministic
-/// cross-check in tests.
-pub fn minimize_gradient_descent(
-    objective: &dyn Objective,
-    x0: &[f64],
-    max_iters: usize,
-    tolerance: f64,
-) -> OptResult {
-    let n = objective.dim();
-    let mut x = x0.to_vec();
-    let mut grad = vec![0.0; n];
-    let mut converged = false;
-    let mut iterations = 0usize;
-    let mut value = {
-        grad.iter_mut().for_each(|g| *g = 0.0);
-        objective.eval(&x, &mut grad)
-    };
-
-    for it in 1..=max_iters {
-        iterations = it;
-        let gnorm2: f64 = grad.iter().map(|g| g * g).sum();
-        if gnorm2.sqrt() < tolerance {
-            converged = true;
-            break;
-        }
-        // Backtracking line search.
-        let mut step = 1.0;
-        let mut improved = false;
-        for _ in 0..40 {
-            let cand: Vec<f64> = x
-                .iter()
-                .zip(&grad)
-                .map(|(&xi, &gi)| xi - step * gi)
-                .collect();
-            let mut cand_grad = vec![0.0; n];
-            let cand_val = objective.eval(&cand, &mut cand_grad);
-            if cand_val <= value - 1e-4 * step * gnorm2 {
-                x = cand;
-                value = cand_val;
-                grad = cand_grad;
-                improved = true;
-                break;
-            }
-            step *= 0.5;
-        }
-        if !improved {
-            converged = true;
-            break;
-        }
-    }
-
-    OptResult {
-        x,
-        value,
-        iterations,
-        converged,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,17 +171,6 @@ mod tests {
         assert!(res.value < 1e-6, "value = {}", res.value);
         assert!((res.x[0] - 3.0).abs() < 1e-2);
         assert!((res.x[1] + 1.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn gradient_descent_minimizes_a_quadratic() {
-        let obj = (1usize, |x: &[f64], g: &mut [f64]| -> f64 {
-            g[0] += 2.0 * (x[0] - 5.0);
-            (x[0] - 5.0).powi(2)
-        });
-        let res = minimize_gradient_descent(&obj, &[0.0], 500, 1e-10);
-        assert!((res.x[0] - 5.0).abs() < 1e-4);
-        assert!(res.converged);
     }
 
     #[test]
