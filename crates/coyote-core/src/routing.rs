@@ -213,19 +213,33 @@ impl PdRouting {
         flow
     }
 
-    /// Per-edge loads induced by routing `dm` with this configuration.
+    /// Per-edge loads induced by routing `dm` with this configuration: the
+    /// active destinations' [`add_destination_loads`](Self::add_destination_loads)
+    /// in ascending order, from `0.0`.
     pub fn edge_loads(&self, graph: &Graph, dm: &DemandMatrix) -> Vec<f64> {
         let mut loads = vec![0.0; graph.edge_count()];
         for t in dm.active_destinations() {
-            let flow = self.destination_node_flow(graph, dm, t);
-            let dag = &self.dags[t.index()];
-            let phi = &self.phi[t.index()];
-            for e in dag.edges() {
-                let u = graph.edge(e).src;
-                loads[e.index()] += flow[u.index()] * phi[e.index()];
-            }
+            self.add_destination_loads(graph, dm, t, &mut loads);
         }
         loads
+    }
+
+    /// Adds destination `t`'s share of the edge loads, `F_t(src(e)) · φ_t(e)`
+    /// on every edge `e` of its DAG, to `loads`.
+    pub fn add_destination_loads(
+        &self,
+        graph: &Graph,
+        dm: &DemandMatrix,
+        t: NodeId,
+        loads: &mut [f64],
+    ) {
+        let flow = self.destination_node_flow(graph, dm, t);
+        let dag = &self.dags[t.index()];
+        let phi = &self.phi[t.index()];
+        for e in dag.edges() {
+            let u = graph.edge(e).src;
+            loads[e.index()] += flow[u.index()] * phi[e.index()];
+        }
     }
 
     /// Maximum link utilization `MxLU(φ, D) = max_e load(e) / c_e`.

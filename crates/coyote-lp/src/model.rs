@@ -5,6 +5,7 @@ use crate::revised::{self, LpSession};
 use crate::simplex;
 use crate::solution::LpSolution;
 use std::fmt;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Which simplex implementation solves the problem.
@@ -122,8 +123,9 @@ impl Variable {
 #[derive(Debug, Clone)]
 pub(crate) struct Constraint {
     pub name: Name,
-    /// Sparse row: (variable, coefficient). Duplicate variables are summed.
-    pub terms: Vec<(VarId, f64)>,
+    /// The row's `(variable, coefficient)` terms, a range of the problem's
+    /// term arena (`LpProblem::row_terms`). Duplicate variables are summed.
+    pub terms: Range<usize>,
     pub relation: Relation,
     pub rhs: f64,
 }
@@ -137,6 +139,9 @@ pub struct LpProblem {
     pub(crate) sense: Sense,
     pub(crate) vars: Vec<Variable>,
     pub(crate) constraints: Vec<Constraint>,
+    /// Every constraint's terms, row after row: one allocation for the
+    /// whole model, not one per row.
+    pub(crate) terms: Vec<(VarId, f64)>,
     /// Hard cap on simplex pivots; defaults to a generous bound derived from
     /// the problem size when `None`.
     pub(crate) iteration_limit: Option<usize>,
@@ -151,6 +156,7 @@ impl LpProblem {
             sense,
             vars: Vec::new(),
             constraints: Vec::new(),
+            terms: Vec::new(),
             iteration_limit: None,
             backend: None,
         }
@@ -202,13 +208,20 @@ impl LpProblem {
         rhs: f64,
     ) -> usize {
         let idx = self.constraints.len();
+        let start = self.terms.len();
+        self.terms.extend_from_slice(terms);
         self.constraints.push(Constraint {
             name: name.into(),
-            terms: terms.to_vec(),
+            terms: start..self.terms.len(),
             relation,
             rhs,
         });
         idx
+    }
+
+    /// The terms of `constraint`, a constraint of this problem.
+    pub(crate) fn row_terms(&self, constraint: &Constraint) -> &[(VarId, f64)] {
+        &self.terms[constraint.terms.clone()]
     }
 
     /// Sets an explicit pivot limit (default: `200 * (rows + columns) +
@@ -252,7 +265,7 @@ impl LpProblem {
                     context: format!("right-hand side of {}", c.name),
                 });
             }
-            for &(v, coeff) in &c.terms {
+            for &(v, coeff) in self.row_terms(c) {
                 if v.0 >= self.vars.len() {
                     return Err(LpError::UnknownVariable { index: v.0 });
                 }

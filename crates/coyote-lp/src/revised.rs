@@ -144,76 +144,61 @@ impl SparseForm {
             }
         }
 
-        // --- Rows: user constraints then bound rows, as sparse triplets. ---
-        struct Row {
-            terms: Vec<(usize, f64)>,
-            rhs: f64,
-            relation: Relation,
-        }
-        let mut rows: Vec<Row> = Vec::with_capacity(problem.constraints.len() + bound_rows.len());
-        for cons in &problem.constraints {
-            let mut terms: Vec<(usize, f64)> = Vec::new();
-            let mut rhs = cons.rhs;
-            for &(var, coeff) in &cons.terms {
-                match var_map[var.index()] {
-                    VarMap::Shifted { col, lower } => {
-                        terms.push((col, coeff));
-                        rhs -= coeff * lower;
-                    }
-                    VarMap::Mirrored { col, upper } => {
-                        terms.push((col, -coeff));
-                        rhs -= coeff * upper;
-                    }
-                    VarMap::Split { pos, neg } => {
-                        terms.push((pos, coeff));
-                        terms.push((neg, -coeff));
-                    }
-                }
-            }
-            rows.push(Row {
-                terms,
-                rhs,
-                relation: cons.relation,
-            });
-        }
-        for &(col, ub) in &bound_rows {
-            rows.push(Row {
-                terms: vec![(col, 1.0)],
-                rhs: ub,
-                relation: Relation::Le,
-            });
-        }
-
-        let m = rows.len();
-        let rhs_scale = rows.iter().map(|r| r.rhs.abs()).fold(1.0_f64, f64::max);
-        let num_slack = rows
-            .iter()
-            .filter(|r| matches!(r.relation, Relation::Le | Relation::Ge))
-            .count();
-        let slack_base = num_structural;
-        let art_base = num_structural + num_slack;
-
-        // --- Assemble columns, flips, perturbation, initial basis. ---
-        let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
+        // --- Rows (user constraints, then bound rows) straight into column
+        // triplets: flips, slacks, initial basis. ---
+        let user_rows = problem.constraints.len();
+        let m = user_rows + bound_rows.len();
+        let mut triplets: Vec<(usize, usize, f64)> =
+            Vec::with_capacity(problem.terms.len() + 2 * m);
         let mut b = Vec::with_capacity(m);
+        let mut rhs_scale = 1.0_f64;
         let mut initial_basis = vec![usize::MAX; m];
         let mut art_of_row = vec![usize::MAX; m];
         let mut slack_of_row = vec![usize::MAX; m];
-        let mut total_cols = art_base;
+        let slack_base = num_structural;
         let mut slack_idx = 0usize;
         // Artificial columns are appended after this loop, behind every
         // slack column; remember which rows need one.
         let mut art_rows: Vec<usize> = Vec::new();
-        for (i, row) in rows.iter().enumerate() {
-            let flip = row.rhs < 0.0;
-            let rhs = row.rhs.abs();
-            for &(col, coeff) in &row.terms {
-                let v = if flip { -coeff } else { coeff };
-                // `from_triplets` coalesces repeated variables exactly like
-                // the dense `row[col] += coeff` accumulation.
-                triplets.push((col, i, v));
+        for i in 0..m {
+            // `from_triplets` coalesces repeated variables exactly like the
+            // dense `row[col] += coeff` accumulation.
+            let first = triplets.len();
+            let (rhs, relation) = match problem.constraints.get(i) {
+                Some(cons) => {
+                    let mut rhs = cons.rhs;
+                    for &(var, coeff) in problem.row_terms(cons) {
+                        match var_map[var.index()] {
+                            VarMap::Shifted { col, lower } => {
+                                triplets.push((col, i, coeff));
+                                rhs -= coeff * lower;
+                            }
+                            VarMap::Mirrored { col, upper } => {
+                                triplets.push((col, i, -coeff));
+                                rhs -= coeff * upper;
+                            }
+                            VarMap::Split { pos, neg } => {
+                                triplets.push((pos, i, coeff));
+                                triplets.push((neg, i, -coeff));
+                            }
+                        }
+                    }
+                    (rhs, cons.relation)
+                }
+                None => {
+                    let (col, ub) = bound_rows[i - user_rows];
+                    triplets.push((col, i, 1.0));
+                    (ub, Relation::Le)
+                }
+            };
+            rhs_scale = rhs_scale.max(rhs.abs());
+            let flip = rhs < 0.0;
+            if flip {
+                for entry in &mut triplets[first..] {
+                    entry.2 = -entry.2;
+                }
             }
-            let rel = match (row.relation, flip) {
+            let rel = match (relation, flip) {
                 (Relation::Le, false) | (Relation::Ge, true) => Relation::Le,
                 (Relation::Ge, false) | (Relation::Le, true) => Relation::Ge,
                 (Relation::Eq, _) => Relation::Eq,
@@ -237,16 +222,18 @@ impl SparseForm {
             if initial_basis[i] == usize::MAX {
                 art_rows.push(i);
             }
-            // Anti-degeneracy perturbation: same rule as the dense solver —
-            // only original *equality* rows, scaled by the rhs magnitude and
-            // a deterministic row-dependent factor.
-            let rhs = if matches!(row.relation, Relation::Eq) {
-                rhs + RHS_PERTURBATION * rhs_scale * ((i % 97) as f64 + 1.0) / 97.0
-            } else {
-                rhs
-            };
-            b.push(rhs);
+            b.push(rhs.abs());
         }
+        // Anti-degeneracy perturbation: same rule as the dense solver — only
+        // original *equality* rows, scaled by the rhs magnitude and a
+        // deterministic row-dependent factor.
+        for (i, cons) in problem.constraints.iter().enumerate() {
+            if cons.relation == Relation::Eq {
+                b[i] += RHS_PERTURBATION * rhs_scale * ((i % 97) as f64 + 1.0) / 97.0;
+            }
+        }
+        let art_base = slack_base + slack_idx;
+        let mut total_cols = art_base;
         for &i in &art_rows {
             let col = total_cols;
             total_cols += 1;

@@ -107,7 +107,7 @@ fn build_standard_form(problem: &LpProblem) -> StandardForm {
     for cons in &problem.constraints {
         let mut row = vec![0.0; num_cols];
         let mut b = cons.rhs;
-        for &(var, coeff) in &cons.terms {
+        for &(var, coeff) in problem.row_terms(cons) {
             match var_map[var.index()] {
                 VarMap::Shifted { col, lower } => {
                     row[col] += coeff;

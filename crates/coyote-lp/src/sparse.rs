@@ -29,9 +29,14 @@ pub(crate) struct CsrMatrix {
 impl CsrMatrix {
     /// Builds the matrix from `(row, col, value)` triplets.
     ///
-    /// Duplicate `(row, col)` entries are summed (coalesced); entries whose
-    /// coalesced sum is exactly `0.0` are dropped, as are explicit zero
-    /// triplets. Triplet order is irrelevant — the result is canonical.
+    /// Duplicate `(row, col)` entries are summed (coalesced) in triplet
+    /// order; entries whose coalesced sum is exactly `0.0` are dropped, as
+    /// are explicit zero triplets. The layout is canonical whatever the
+    /// triplet order. Triplets are bucketed by row with a stable counting
+    /// sort, and a row whose columns arrived out of order is then stably
+    /// sorted by column — together a stable `(row, col)` sort, in `O(nnz)`
+    /// when every row's columns arrive in order (the revised simplex emits
+    /// its column store that way).
     ///
     /// # Panics
     ///
@@ -41,34 +46,49 @@ impl CsrMatrix {
         ncols: usize,
         triplets: &[(usize, usize, f64)],
     ) -> Self {
+        let mut row_ptr = vec![0usize; nrows + 1];
         for &(r, c, _) in triplets {
             assert!(
                 r < nrows && c < ncols,
                 "triplet ({r}, {c}) out of {nrows}x{ncols}"
             );
-        }
-        let mut sorted: Vec<(usize, usize, f64)> = triplets.to_vec();
-        sorted.sort_by_key(|&(r, c, _)| (r, c));
-
-        let mut row_ptr = vec![0usize; nrows + 1];
-        let mut col_idx = Vec::with_capacity(sorted.len());
-        let mut values = Vec::with_capacity(sorted.len());
-        let mut i = 0;
-        while i < sorted.len() {
-            let (r, c, mut v) = sorted[i];
-            i += 1;
-            while i < sorted.len() && sorted[i].0 == r && sorted[i].1 == c {
-                v += sorted[i].2;
-                i += 1;
-            }
-            if v != 0.0 {
-                col_idx.push(c);
-                values.push(v);
-                row_ptr[r + 1] += 1;
-            }
+            row_ptr[r + 1] += 1;
         }
         for r in 0..nrows {
             row_ptr[r + 1] += row_ptr[r];
+        }
+        // `ends[r]` is where row `r`'s next entry goes — its end once every
+        // triplet is placed.
+        let mut ends = row_ptr[..nrows].to_vec();
+        let mut entries = vec![(0usize, 0.0f64); triplets.len()];
+        for &(r, c, v) in triplets {
+            entries[ends[r]] = (c, v);
+            ends[r] += 1;
+        }
+
+        let mut col_idx = Vec::with_capacity(entries.len());
+        let mut values = Vec::with_capacity(entries.len());
+        let mut start = 0;
+        for (r, &end) in ends.iter().enumerate() {
+            let row = &mut entries[start..end];
+            start = end;
+            if !row.is_sorted_by_key(|&(c, _)| c) {
+                row.sort_by_key(|&(c, _)| c);
+            }
+            let mut i = 0;
+            while i < row.len() {
+                let (c, mut v) = row[i];
+                i += 1;
+                while i < row.len() && row[i].0 == c {
+                    v += row[i].1;
+                    i += 1;
+                }
+                if v != 0.0 {
+                    col_idx.push(c);
+                    values.push(v);
+                }
+            }
+            row_ptr[r + 1] = col_idx.len();
         }
         Self {
             ncols,
@@ -148,6 +168,41 @@ impl CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The comparison sort `from_triplets` replaced, kept as its oracle:
+    /// one stable `(row, col)` sort, then coalescing.
+    fn sorted_by_key(nrows: usize, ncols: usize, triplets: &[(usize, usize, f64)]) -> CsrMatrix {
+        let mut sorted: Vec<(usize, usize, f64)> = triplets.to_vec();
+        sorted.sort_by_key(|&(r, c, _)| (r, c));
+
+        let mut row_ptr = vec![0usize; nrows + 1];
+        let mut col_idx = Vec::with_capacity(sorted.len());
+        let mut values = Vec::with_capacity(sorted.len());
+        let mut i = 0;
+        while i < sorted.len() {
+            let (r, c, mut v) = sorted[i];
+            i += 1;
+            while i < sorted.len() && sorted[i].0 == r && sorted[i].1 == c {
+                v += sorted[i].2;
+                i += 1;
+            }
+            if v != 0.0 {
+                col_idx.push(c);
+                values.push(v);
+                row_ptr[r + 1] += 1;
+            }
+        }
+        for r in 0..nrows {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        CsrMatrix {
+            ncols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
 
     fn row(m: &CsrMatrix, i: usize) -> Vec<(usize, f64)> {
         m.iter_row(i).collect()
@@ -215,5 +270,36 @@ mod tests {
     #[should_panic(expected = "out of")]
     fn out_of_range_triplets_panic() {
         let _ = CsrMatrix::from_triplets(2, 2, &[(2, 0, 1.0)]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The counting sort equals the comparison sort `to_bits`: on
+        /// duplicates (summed in an order that rounds), entries that cancel
+        /// to `0.0`, explicit zeros, out-of-order columns inside a row and
+        /// empty rows — and on triplets whose columns arrive in order, the
+        /// path that sorts nothing.
+        #[test]
+        fn counting_sort_equals_the_comparison_sort(
+            nrows in 1usize..9,
+            ncols in 1usize..9,
+            raw in collection::vec((0usize..9, 0usize..9, -5i32..6), 0..48),
+            columns_in_order in 0usize..2,
+        ) {
+            let mut triplets: Vec<(usize, usize, f64)> = raw
+                .iter()
+                .map(|&(r, c, k)| (r % nrows, c % ncols, f64::from(k) / 10.0))
+                .collect();
+            if columns_in_order == 1 {
+                triplets.sort_by_key(|&(_, c, _)| c);
+            }
+            let counted = CsrMatrix::from_triplets(nrows, ncols, &triplets);
+            let oracle = sorted_by_key(nrows, ncols, &triplets);
+            prop_assert_eq!(&counted.row_ptr, &oracle.row_ptr);
+            prop_assert_eq!(&counted.col_idx, &oracle.col_idx);
+            let bits = |m: &CsrMatrix| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&counted), bits(&oracle));
+        }
     }
 }

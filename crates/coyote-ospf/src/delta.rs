@@ -5,14 +5,19 @@
 //! destination prefix, the replacement lie list (empty = retract all lies
 //! for that prefix) and, for topology events, the replacement router LSAs.
 //!
-//! [`LsaDelta::apply`] reconstructs the successor LSDB from the old one by
-//! re-assembling fakes in destination order, exactly like a cold
-//! [`crate::fibbing::compute_program`] run does: untouched prefixes keep
-//! their old lies, updated prefixes take the replacement list, and
-//! [`Lsdb::inject`] renumbers everything densely. Because the per-prefix
-//! compile is separable ([`crate::fibbing::compile_destination`]), applying
-//! the delta is **bit-identical** to cold-recompiling the new scenario —
-//! the differential guarantee `coyote-serve` tests at every step.
+//! [`LsaDelta::apply`] patches the LSDB in place. A cold
+//! [`crate::fibbing::compute_program`] run injects the fakes in destination
+//! order, so each prefix's lies are one contiguous run of the fake list:
+//! apply finds an updated prefix's run by binary search, splices the
+//! replacement list (moved, not cloned) over it and renumbers the fakes
+//! behind it densely; untouched prefixes keep their lies where they are.
+//! The result equals re-assembling every prefix's lies in destination
+//! order — the rebuild this module's tests keep as the oracle — and,
+//! because the per-prefix compile is separable
+//! ([`crate::fibbing::compile_destination`]), it is **bit-identical** to
+//! cold-recompiling the new scenario: the differential guarantee
+//! `coyote-serve` tests at every step. A delta costs what the prefixes it
+//! touches cost, plus one pass over the fakes to check the LSDB's shape.
 //!
 //! Deltas are defined over *uncompressed* programs (one prefix per fake).
 //! Compressed programs share fakes across destinations, so a per-prefix
@@ -20,11 +25,10 @@
 //! LSDBs instead of silently duplicating shared fakes.
 
 use crate::error::OspfError;
-use crate::lsa::{FakeNodeLsa, RouterLsa};
+use crate::lsa::{FakeNodeId, FakeNodeLsa, RouterLsa};
 use crate::lsdb::Lsdb;
 use coyote_graph::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Replacement lie list for one destination prefix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -73,31 +77,104 @@ impl LsaDelta {
         self.updates.iter().map(|u| u.retracted).sum()
     }
 
-    /// Applies the delta to `old`, producing the successor LSDB.
+    /// Advances `lsdb` by this delta, in place: the router LSAs are swapped
+    /// when the delta carries them, each updated prefix's lies are replaced
+    /// by its list (the last update wins when a destination repeats) and
+    /// the fakes from the first replaced run on are renumbered densely. The
+    /// result is the cold compiler's assembly — every prefix's lies in
+    /// destination order, ids dense — which is what makes it bit-identical
+    /// to a cold compile. An LSDB whose fakes are not in destination order
+    /// is first stably sorted by destination, as that assembly would.
     ///
-    /// Fakes are re-assembled in destination order over `node_count`
-    /// prefixes: updated prefixes take their replacement list, untouched
-    /// prefixes carry their old lies over, and ids are re-assigned densely
-    /// — the exact assembly order of a cold compile, which is what makes
-    /// the result bit-identical to one.
-    pub fn apply(&self, old: &Lsdb, node_count: usize) -> Result<Lsdb, OspfError> {
+    /// An LSDB with a fake advertising other than exactly one prefix (a
+    /// compressed one) is an error, and `lsdb` is left untouched.
+    pub fn apply(self, lsdb: &mut Lsdb) -> Result<(), OspfError> {
+        let fakes = &mut lsdb.fakes;
+        let mut renumber_from = fakes.len();
+        let mut sorted = true;
+        for (i, fake) in fakes.iter().enumerate() {
+            if fake.prefix_count() != 1 {
+                return Err(OspfError::DimensionMismatch(format!(
+                    "LSA deltas are defined over uncompressed programs (one prefix \
+                     per fake), but fake node {} advertises {}",
+                    fake.id.0,
+                    fake.prefix_count()
+                )));
+            }
+            sorted &= i == 0 || destination(&fakes[i - 1]) <= destination(fake);
+        }
+        if !sorted {
+            fakes.sort_by_key(destination);
+            renumber_from = 0;
+        }
+        if let Some(router_lsas) = self.router_lsas {
+            lsdb.router_lsas = router_lsas;
+        }
+        let mut updates = self.updates;
+        updates.sort_by_key(|u| u.destination);
+        let mut updates = updates.into_iter().peekable();
+        // Everything from `cursor` on is still the sorted old list, so each
+        // run is found by binary search even when a replacement list held a
+        // lie for another prefix.
+        let mut cursor = 0;
+        while let Some(update) = updates.next() {
+            let t = update.destination;
+            if updates.peek().is_some_and(|next| next.destination == t) {
+                continue;
+            }
+            let start = cursor + fakes[cursor..].partition_point(|f| destination(f) < t);
+            let end = start + fakes[start..].partition_point(|f| destination(f) == t);
+            cursor = start + update.lies.len();
+            fakes.splice(start..end, update.lies);
+            renumber_from = renumber_from.min(start);
+        }
+        for (i, fake) in fakes.iter_mut().enumerate().skip(renumber_from) {
+            fake.id = FakeNodeId(i);
+        }
+        Ok(())
+    }
+}
+
+/// The one prefix an uncompressed fake advertises.
+fn destination(fake: &FakeNodeLsa) -> NodeId {
+    fake.prefixes[0].destination
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fibbing::{compile_destination, compute_program, VirtualLinkBudget};
+    use crate::lsa::{PrefixAdvertisement, RouterLink};
+    use coyote_core::example_fig1;
+    use coyote_graph::Graph;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The whole-LSDB rebuild [`LsaDelta::apply`] replaced, kept as its
+    /// oracle: fakes re-assembled in destination order over `node_count`
+    /// prefixes, updated prefixes taking their replacement list (the last
+    /// one for a repeated destination), untouched ones carrying their old
+    /// lies over, ids re-assigned densely by [`Lsdb::inject`].
+    fn rebuild(delta: &LsaDelta, old: &Lsdb, node_count: usize) -> Result<Lsdb, OspfError> {
         if let Some(shared) = old.fakes().iter().find(|f| f.prefix_count() > 1) {
             return Err(OspfError::DimensionMismatch(format!(
-                "LSA deltas are defined over uncompressed programs, but fake \
-                 node {} advertises {} prefixes (compressed LSDB)",
+                "fake node {} advertises {} prefixes (compressed LSDB)",
                 shared.id.0,
                 shared.prefix_count()
             )));
         }
-        let updates: BTreeMap<usize, &PrefixUpdate> = self
+        let updates: BTreeMap<usize, &PrefixUpdate> = delta
             .updates
             .iter()
             .map(|u| (u.destination.index(), u))
             .collect();
-        let mut next = Lsdb::with_router_lsas(match &self.router_lsas {
-            Some(replacement) => replacement.clone(),
-            None => old.router_lsas().to_vec(),
-        });
+        let mut next = Lsdb {
+            router_lsas: match &delta.router_lsas {
+                Some(replacement) => replacement.clone(),
+                None => old.router_lsas().to_vec(),
+            },
+            fakes: Vec::new(),
+        };
         for t in 0..node_count {
             match updates.get(&t) {
                 Some(update) => {
@@ -114,14 +191,13 @@ impl LsaDelta {
         }
         Ok(next)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::fibbing::{compile_destination, compute_program, VirtualLinkBudget};
-    use coyote_core::example_fig1;
-    use coyote_graph::Graph;
+    /// `apply` on a copy of `old`.
+    fn patched(delta: LsaDelta, old: &Lsdb) -> Result<Lsdb, OspfError> {
+        let mut lsdb = old.clone();
+        delta.apply(&mut lsdb)?;
+        Ok(lsdb)
+    }
 
     fn program_under_test() -> (Graph, crate::fibbing::FibbingProgram) {
         let (g, nodes) = example_fig1::topology();
@@ -132,11 +208,10 @@ mod tests {
 
     #[test]
     fn empty_delta_reproduces_the_old_lsdb_bit_identically() {
-        let (g, program) = program_under_test();
+        let (_, program) = program_under_test();
         let delta = LsaDelta::default();
         assert!(delta.is_empty());
-        let next = delta.apply(&program.lsdb, g.node_count()).unwrap();
-        assert_eq!(next, program.lsdb);
+        assert_eq!(patched(delta, &program.lsdb).unwrap(), program.lsdb);
     }
 
     #[test]
@@ -161,11 +236,10 @@ mod tests {
             router_lsas: None,
             updates,
         };
-        let next = delta.apply(&old.lsdb, g.node_count()).unwrap();
         let cold = compute_program(&g, &new_target, budget).unwrap();
-        assert_eq!(next, cold.lsdb);
         assert_eq!(delta.fakes_retracted(), old.stats.fake_nodes);
         assert_eq!(delta.fakes_added(), cold.stats.fake_nodes);
+        assert_eq!(patched(delta, &old.lsdb).unwrap(), cold.lsdb);
     }
 
     #[test]
@@ -186,7 +260,7 @@ mod tests {
                 retracted,
             }],
         };
-        let next = delta.apply(&program.lsdb, g.node_count()).unwrap();
+        let next = patched(delta, &program.lsdb).unwrap();
         assert_eq!(next.fake_count(), program.lsdb.fake_count() - retracted);
         assert_eq!(next.fakes_for(t).count(), 0);
         for (i, fake) in next.fakes().iter().enumerate() {
@@ -196,7 +270,7 @@ mod tests {
         for other in g.nodes().filter(|&o| o != t) {
             let strip = |f: &FakeNodeLsa| {
                 let mut f = f.clone();
-                f.id = crate::lsa::FakeNodeId(0);
+                f.id = FakeNodeId(0);
                 f
             };
             let before: Vec<_> = program.lsdb.fakes_for(other).map(&strip).collect();
@@ -207,16 +281,119 @@ mod tests {
 
     #[test]
     fn compressed_lsdbs_are_rejected() {
-        let (g, program) = program_under_test();
+        let (_, program) = program_under_test();
         // Force a shared (multi-prefix) fake to exercise the guard.
         let mut lsdb = program.lsdb.clone();
         let mut lie = lsdb.fakes()[0].clone();
-        lie.prefixes.push(crate::lsa::PrefixAdvertisement {
+        lie.prefixes.push(PrefixAdvertisement {
             destination: NodeId(0),
             cost_fake_to_destination: 1.0,
         });
         lsdb.clear_fakes();
         lsdb.inject(lie);
-        assert!(LsaDelta::default().apply(&lsdb, g.node_count()).is_err());
+        assert!(patched(LsaDelta::default(), &lsdb).is_err());
+    }
+
+    /// A ring of router LSAs over `n` routers with metric `weight`.
+    fn ring(n: usize, weight: f64) -> Vec<RouterLsa> {
+        (0..n)
+            .map(|r| RouterLsa {
+                router: NodeId(r),
+                links: vec![RouterLink {
+                    neighbor: NodeId((r + 1) % n),
+                    weight,
+                }],
+            })
+            .collect()
+    }
+
+    /// One single-prefix lie towards `destination`, its other fields drawn
+    /// from `seed`; its id is a placeholder `apply` must overwrite.
+    fn lie(n: usize, destination: usize, seed: usize) -> FakeNodeLsa {
+        let mut lie = FakeNodeLsa::single(
+            NodeId(seed % n),
+            NodeId(destination % n),
+            (seed % 13) as f64 / 4.0,
+            (seed % 7) as f64 / 8.0,
+            NodeId(seed / 3 % n),
+        );
+        lie.id = FakeNodeId(seed);
+        lie
+    }
+
+    /// An LSDB over `n` routers with one lie per `(destination, seed)`,
+    /// injected in the order given — not destination order.
+    fn lsdb_of(n: usize, fakes: &[(usize, usize)]) -> Lsdb {
+        let mut lsdb = Lsdb {
+            router_lsas: ring(n, 1.0),
+            fakes: Vec::new(),
+        };
+        for &(destination, seed) in fakes {
+            lsdb.inject(lie(n, destination, seed));
+        }
+        lsdb
+    }
+
+    /// A delta of one update per `(destination, lie count, seed)` — empty
+    /// lists, repeated destinations and the odd lie for the next prefix
+    /// included — with replacement router LSAs when `replace` is odd.
+    fn delta_of(n: usize, updates: &[(usize, usize, usize)], replace: usize) -> LsaDelta {
+        LsaDelta {
+            router_lsas: (replace % 2 == 1).then(|| ring(n, 2.0 + replace as f64)),
+            updates: updates
+                .iter()
+                .map(|&(destination, count, seed)| PrefixUpdate {
+                    destination: NodeId(destination % n),
+                    lies: (seed..seed + count)
+                        .map(|s| lie(n, destination + usize::from(s % 11 == 0), s))
+                        .collect(),
+                    retracted: seed % 3,
+                })
+                .collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The in-place apply equals the rebuild, ids included — on an LSDB
+        /// injected in random order (sorted first) and again on the
+        /// destination-ordered LSDB it produced.
+        #[test]
+        fn in_place_apply_equals_the_rebuild(
+            n in 1usize..9,
+            fakes in collection::vec((0usize..9, 0usize..1000), 0..40),
+            updates in collection::vec((0usize..9, 0usize..5, 0usize..1000), 0..6),
+            second in (collection::vec((0usize..9, 0usize..5, 0usize..1000), 0..4), 0usize..4),
+        ) {
+            let old = lsdb_of(n, &fakes);
+            let first = delta_of(n, &updates, updates.len());
+            let expected = rebuild(&first, &old, n).unwrap();
+            let next = patched(first, &old).unwrap();
+            prop_assert_eq!(&next, &expected);
+            let again = delta_of(n, &second.0, second.1);
+            prop_assert_eq!(patched(again.clone(), &next).unwrap(), rebuild(&again, &next, n).unwrap());
+        }
+
+        /// A fake advertising two prefixes makes both refuse the LSDB, and
+        /// the in-place apply leaves it as it was.
+        #[test]
+        fn a_compressed_lsdb_is_still_rejected(
+            n in 2usize..9,
+            fakes in collection::vec((0usize..9, 0usize..1000), 1..20),
+            shared in (0usize..20, 0usize..9),
+            updates in collection::vec((0usize..9, 0usize..3, 0usize..1000), 0..4),
+        ) {
+            let mut old = lsdb_of(n, &fakes);
+            old.fakes[shared.0 % fakes.len()].prefixes.push(PrefixAdvertisement {
+                destination: NodeId(shared.1 % n),
+                cost_fake_to_destination: 0.5,
+            });
+            let delta = delta_of(n, &updates, 1);
+            prop_assert!(rebuild(&delta, &old, n).is_err());
+            let mut lsdb = old.clone();
+            prop_assert!(delta.apply(&mut lsdb).is_err());
+            prop_assert_eq!(lsdb, old);
+        }
     }
 }

@@ -37,22 +37,12 @@ pub struct PruneStats {
 /// injected by the Fibbing controller.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Lsdb {
-    router_lsas: Vec<RouterLsa>,
-    fakes: Vec<FakeNodeLsa>,
+    pub(crate) router_lsas: Vec<RouterLsa>,
+    /// Every mutator keeps `fakes[i].id == FakeNodeId(i)`.
+    pub(crate) fakes: Vec<FakeNodeLsa>,
 }
 
 impl Lsdb {
-    /// Builds an LSDB from an explicit router-LSA set with no lies — the
-    /// starting point of [`crate::delta::LsaDelta::apply`], which replaces
-    /// the topology advertisements wholesale on link/node events and then
-    /// re-injects the surviving and updated lies in destination order.
-    pub fn with_router_lsas(router_lsas: Vec<RouterLsa>) -> Self {
-        Self {
-            router_lsas,
-            fakes: Vec::new(),
-        }
-    }
-
     /// Builds the LSDB describing the physical topology of `graph` (no lies).
     pub fn from_graph(graph: &Graph) -> Self {
         let router_lsas = graph

@@ -158,11 +158,15 @@ pub struct ColdState {
 
 /// Everything derived from `(surviving graph, demands)`: the DAGs and
 /// splitting ratios (both inside `routing`), the per-destination solves
-/// behind the ratios and the per-prefix lies compiled from them.
+/// behind the ratios, the edge loads each destination's demand induces
+/// under its ratios and the per-prefix lies compiled from them.
 struct Program {
     graph: Graph,
     routing: PdRouting,
     solves: Vec<DestinationSolve>,
+    /// `loads[t][e]`: destination `t`'s flow on edge `e`, `F_t(src(e)) ·
+    /// φ_t(e)` (`0.0` off its DAG and when `t` has no demand).
+    loads: Vec<Vec<f64>>,
     lies: Vec<DestinationLies>,
 }
 
@@ -176,6 +180,7 @@ impl Program {
         Ok(Program {
             routing: PdRouting::uniform(&graph, dags),
             solves: vec![DestinationSolve::default(); graph.node_count()],
+            loads: vec![vec![0.0; graph.edge_count()]; graph.node_count()],
             lies,
             graph,
         })
@@ -196,10 +201,10 @@ impl Program {
     }
 
     /// The engine's one recompute step: re-solve `dirty` under `demands`,
-    /// rewrite exactly their rows of the routing and recompile their
-    /// prefixes. Returns the replacement lie lists that differ content-wise
-    /// from what the prefix carried before (a re-solved destination whose
-    /// lies came out identical emits nothing).
+    /// rewrite exactly their rows of the routing and of the loads and
+    /// recompile their prefixes. Returns the replacement lie lists that
+    /// differ content-wise from what the prefix carried before (a re-solved
+    /// destination whose lies came out identical emits nothing).
     fn recompute(
         &mut self,
         demands: &DemandMatrix,
@@ -214,6 +219,10 @@ impl Program {
             let solve = solve_destination(&self.graph, self.routing.dag(t), demands, t)?;
             self.routing.set_ratios(&self.graph, t, &solve.flows);
             self.solves[t.index()] = solve;
+            let loads = &mut self.loads[t.index()];
+            loads.fill(0.0);
+            self.routing
+                .add_destination_loads(&self.graph, demands, t, loads);
         }
         let mut updates = Vec::new();
         for &t in dirty {
@@ -229,6 +238,20 @@ impl Program {
             }
         }
         Ok(updates)
+    }
+
+    /// Per-edge loads of the served routing on the demands it was solved
+    /// for. Summed from `0.0` in ascending destination order — `PdRouting`'s
+    /// own order, in which a destination without demand would add `+0.0` —
+    /// so every total is `to_bits`-equal to the one it computes.
+    fn edge_totals(&self) -> Vec<f64> {
+        let mut totals = vec![0.0; self.graph.edge_count()];
+        for loads in &self.loads {
+            for (total, load) in totals.iter_mut().zip(loads) {
+                *total += load;
+            }
+        }
+        totals
     }
 
     /// The LSDB a cold compile floods: the physical topology plus every
@@ -371,17 +394,16 @@ impl TeEngine {
     /// Max link utilization of the current routing on the current demands.
     pub fn max_utilization(&self) -> f64 {
         let graph = self.current_graph();
-        if graph.edge_count() == 0 {
-            return 0.0;
-        }
-        self.routing().max_link_utilization(graph, &self.demands)
+        let loads = self.program.edge_totals();
+        let utilization = graph.edges().map(|e| loads[e.index()] / graph.capacity(e));
+        utilization.fold(0.0, f64::max)
     }
 
     /// Per-link utilizations of the current routing on the current demands,
     /// as `(src_name, dst_name, utilization)` in edge order.
     pub fn link_utilizations(&self) -> Vec<(String, String, f64)> {
         let graph = self.current_graph();
-        let loads = self.routing().edge_loads(graph, &self.demands);
+        let loads = self.program.edge_totals();
         graph
             .edges()
             .map(|e| {
@@ -423,7 +445,7 @@ impl TeEngine {
         let dirty = demand_dirty_destinations(&self.demands, &new_dm);
         let updates = self.program.recompute(&new_dm, self.budget, &dirty)?;
         self.demands = new_dm;
-        self.commit(None, updates, "demand", &dirty, None, start)
+        self.commit(None, updates, Kind::Demand, &dirty, None, start)
     }
 
     /// Applies a link up/down event. `a`/`b` name the physical link's
@@ -441,15 +463,19 @@ impl TeEngine {
         if a == b {
             return Err(ServeError::BadRequest("link endpoints must differ".into()));
         }
-        let what = format!("link {}-{}", self.pristine.node_name(a), self.pristine.node_name(b));
-        if self.pristine.find_edge(a, b).is_none() && self.pristine.find_edge(b, a).is_none() {
-            return Err(ServeError::BadRequest(format!("{what} is not in the topology")));
+        let pristine = &self.pristine;
+        let what = || format!("link {}-{}", pristine.node_name(a), pristine.node_name(b));
+        if pristine.find_edge(a, b).is_none() && pristine.find_edge(b, a).is_none() {
+            return Err(ServeError::BadRequest(format!(
+                "{} is not in the topology",
+                what()
+            )));
         }
-        toggle(&mut self.failed_links, canonical(a, b), up, &what)?;
+        toggle(&mut self.failed_links, canonical(a, b), up, what)?;
         // OSPF's immediate reaction, before the controller re-optimizes:
         // how much state the failure withdraws on its own.
         let prune = (!up).then(|| self.lsdb.pruned(&[], &[(a, b)]).1);
-        self.apply_topology_event("link", prune, start)
+        self.apply_topology_event(Kind::Link, prune, start)
     }
 
     /// Applies a node up/down event: all links incident to the router fail
@@ -458,10 +484,10 @@ impl TeEngine {
     /// as unroutable while it is down.
     pub fn apply_node_event(&mut self, node: NodeId, up: bool) -> Result<UpdateOutcome, ServeError> {
         let start = Instant::now();
-        let what = format!("node {}", self.pristine.node_name(node));
-        toggle(&mut self.failed_nodes, node.index(), up, &what)?;
+        let what = || format!("node {}", self.pristine.node_name(node));
+        toggle(&mut self.failed_nodes, node.index(), up, what)?;
         let prune = (!up).then(|| self.lsdb.pruned(&[node], &[]).1);
-        self.apply_topology_event("node", prune, start)
+        self.apply_topology_event(Kind::Node, prune, start)
     }
 
     /// Recomputes everything from `(pristine, failure sets, demands)` — the
@@ -524,7 +550,7 @@ impl TeEngine {
     /// replacement router LSAs.
     fn apply_topology_event(
         &mut self,
-        kind: &'static str,
+        kind: Kind,
         prune: Option<PruneStats>,
         start: Instant,
     ) -> Result<UpdateOutcome, ServeError> {
@@ -543,7 +569,7 @@ impl TeEngine {
         &mut self,
         router_lsas: Option<Vec<coyote_ospf::RouterLsa>>,
         updates: Vec<PrefixUpdate>,
-        kind: &'static str,
+        kind: Kind,
         dirty: &[NodeId],
         prune: Option<PruneStats>,
         start: Instant,
@@ -552,30 +578,40 @@ impl TeEngine {
             router_lsas,
             updates,
         };
+        let router_lsas_replaced = delta.router_lsas.is_some();
+        let delta_prefixes = delta.touched_prefixes();
+        let delta_fakes_added = delta.fakes_added();
+        let delta_fakes_retracted = delta.fakes_retracted();
         // The router-LSA section of the LSDB changes on topology events even
         // when no prefix update survived the content comparison, so the
         // delta must be applied unconditionally.
-        self.lsdb = delta.apply(&self.lsdb, self.pristine.node_count())?;
+        delta.apply(&mut self.lsdb)?;
         self.epoch += 1;
         let reopt = start.elapsed();
         let reopt_micros = reopt.as_micros() as u64;
-        match delta.router_lsas {
-            Some(_) => self.event_reopt.record(reopt_micros),
-            None => self.demand_reopt.record(reopt_micros),
+        if router_lsas_replaced {
+            self.event_reopt.record(reopt_micros);
+        } else {
+            self.demand_reopt.record(reopt_micros);
         }
+        let (kind, counter) = match kind {
+            Kind::Demand => ("demand", "serve.updates.demand"),
+            Kind::Link => ("link", "serve.updates.link"),
+            Kind::Node => ("node", "serve.updates.node"),
+        };
         coyote_obs::counter("serve.updates", 1);
-        coyote_obs::counter(&format!("serve.updates.{kind}"), 1);
-        coyote_obs::observe("serve.delta.prefixes", delta.touched_prefixes() as u64);
-        coyote_obs::observe("serve.delta.fakes_added", delta.fakes_added() as u64);
+        coyote_obs::counter(counter, 1);
+        coyote_obs::observe("serve.delta.prefixes", delta_prefixes as u64);
+        coyote_obs::observe("serve.delta.fakes_added", delta_fakes_added as u64);
         coyote_obs::observe_duration("serve.reopt", reopt);
         Ok(UpdateOutcome {
             epoch: self.epoch,
             kind,
             dirty_destinations: dirty.iter().map(|t| t.index()).collect(),
-            delta_prefixes: delta.touched_prefixes(),
-            delta_fakes_added: delta.fakes_added(),
-            delta_fakes_retracted: delta.fakes_retracted(),
-            router_lsas_replaced: delta.router_lsas.is_some(),
+            delta_prefixes,
+            delta_fakes_added,
+            delta_fakes_retracted,
+            router_lsas_replaced,
             reopt_micros,
             max_utilization: self.max_utilization(),
             unroutable_volume: self.unroutable_volume(),
@@ -584,25 +620,34 @@ impl TeEngine {
     }
 }
 
+/// What an update was; `commit` names it in its outcome and counter.
+#[derive(Clone, Copy)]
+enum Kind {
+    Demand,
+    Link,
+    Node,
+}
+
 fn canonical(a: NodeId, b: NodeId) -> (usize, usize) {
     let (x, y) = (a.index(), b.index());
     (x.min(y), x.max(y))
 }
 
 /// Moves `key` out of (`up`) or into the failure set `failed`; an element
-/// that is already in the requested state is a client error.
+/// that is already in the requested state is a client error, labelled by
+/// `what`.
 fn toggle<K: Ord>(
     failed: &mut BTreeSet<K>,
     key: K,
     up: bool,
-    what: &str,
+    what: impl FnOnce() -> String,
 ) -> Result<(), ServeError> {
     let changed = if up { failed.remove(&key) } else { failed.insert(key) };
     if changed {
         return Ok(());
     }
     let state = if up { "not down" } else { "already down" };
-    Err(ServeError::BadRequest(format!("{what} is {state}")))
+    Err(ServeError::BadRequest(format!("{} is {state}", what())))
 }
 
 #[cfg(test)]

@@ -222,3 +222,83 @@ fn reopt_telemetry_stays_fixed_size_over_5000_updates() {
     assert!(state.demand_reopt.p99_micros <= state.demand_reopt.max_micros);
     assert_eq!(state.demand_reopt.max_micros, slowest);
 }
+
+/// The engine serves loads it keeps per destination and sums itself; they
+/// must be `PdRouting`'s own, bit for bit, after every demand update, link
+/// event and node event.
+fn assert_loads_equal_the_routing(engine: &TeEngine, context: &str) {
+    let (graph, demands) = (engine.current_graph(), engine.demands());
+    let routing = engine.routing();
+    assert_eq!(
+        engine.max_utilization().to_bits(),
+        routing.max_link_utilization(graph, demands).to_bits(),
+        "max utilization after {context}"
+    );
+    let loads = routing.edge_loads(graph, demands);
+    let served = engine.link_utilizations();
+    assert_eq!(served.len(), graph.edge_count());
+    for (e, (_, _, utilization)) in graph.edges().zip(served) {
+        let expected = loads[e.index()] / graph.capacity(e);
+        assert_eq!(
+            utilization.to_bits(),
+            expected.to_bits(),
+            "edge {e} after {context}"
+        );
+    }
+}
+
+#[test]
+fn served_loads_equal_the_routings_at_every_step() {
+    for (topology, seed) in [("abilene", 0x5EED), ("geant", 0xD1CE)] {
+        let mut engine = TeEngine::new(&EngineConfig {
+            topology: topology.to_string(),
+            model: DemandModel::Bimodal { seed },
+            budget: 5,
+        })
+        .unwrap();
+        assert_loads_equal_the_routing(&engine, "startup");
+        let n = engine.pristine_graph().node_count() as u64;
+        let edges = engine.pristine_graph().edge_count() as u64;
+        let mut rng = Rng(seed);
+        let (mut link_down, mut node_down) = (None, None);
+        for step in 0..60 {
+            let context = format!("{topology} step {step}");
+            match step % 10 {
+                4 => {
+                    let e = coyote_graph::EdgeId(rng.below(edges) as usize);
+                    let (a, b) = engine.pristine_graph().endpoints(e);
+                    engine.apply_link_event(a, b, false).unwrap();
+                    link_down = Some((a, b));
+                }
+                6 => {
+                    let (a, b) = link_down.take().unwrap();
+                    engine.apply_link_event(a, b, true).unwrap();
+                }
+                7 => {
+                    let node = coyote_graph::NodeId(rng.below(n) as usize);
+                    engine.apply_node_event(node, false).unwrap();
+                    node_down = Some(node);
+                }
+                9 => {
+                    engine.apply_node_event(node_down.take().unwrap(), true).unwrap();
+                }
+                _ => {
+                    // One to three overrides, zero rates included.
+                    let updates: Vec<DemandUpdate> = (0..1 + rng.below(3))
+                        .map(|_| {
+                            let src = rng.below(n) as usize;
+                            let dst = (src + 1 + rng.below(n - 1) as usize) % n as usize;
+                            DemandUpdate {
+                                src: coyote_graph::NodeId(src),
+                                dst: coyote_graph::NodeId(dst),
+                                rate: rng.below(4) as f64 * rng.below(1000) as f64 / 37.0,
+                            }
+                        })
+                        .collect();
+                    engine.apply_demand_update(&updates).unwrap();
+                }
+            }
+            assert_loads_equal_the_routing(&engine, &context);
+        }
+    }
+}
