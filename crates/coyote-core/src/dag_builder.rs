@@ -48,10 +48,13 @@ pub fn augment(graph: &Graph, spf: &ShortestPathDag) -> Result<Dag, GraphError> 
     let t = spf.destination;
     let dist = &spf.dist_to_dest;
     let mut edges: Vec<EdgeId> = spf.edges();
-    let in_spf: std::collections::HashSet<EdgeId> = edges.iter().copied().collect();
+    let mut in_spf = vec![false; graph.edge_count()];
+    for e in &edges {
+        in_spf[e.index()] = true;
+    }
 
     for e in graph.edges() {
-        if in_spf.contains(&e) {
+        if in_spf[e.index()] {
             continue;
         }
         let (u, v) = graph.endpoints(e);

@@ -146,6 +146,7 @@ mod tests {
     use crate::fibbing::{compile_destination, compute_program, VirtualLinkBudget};
     use crate::lsa::{PrefixAdvertisement, RouterLink};
     use coyote_core::example_fig1;
+    use coyote_graph::spf::shortest_path_dag;
     use coyote_graph::Graph;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
@@ -225,7 +226,7 @@ mod tests {
             .nodes()
             .map(|t| PrefixUpdate {
                 destination: t,
-                lies: compile_destination(&g, &new_target, t, budget)
+                lies: compile_destination(&g, &shortest_path_dag(&g, t), &new_target, t, budget)
                     .unwrap()
                     .lies,
                 retracted: old.lsdb.fakes_for(t).count(),

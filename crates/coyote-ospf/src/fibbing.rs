@@ -34,7 +34,7 @@ use crate::lsdb::Lsdb;
 use crate::spf::compute_fib;
 use crate::wecmp::approximate_split;
 use coyote_core::PdRouting;
-use coyote_graph::spf::shortest_path_dag;
+use coyote_graph::spf::{shortest_path_dag, ShortestPathDag};
 use coyote_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -114,12 +114,19 @@ pub struct DestinationLies {
 /// Computes the lies realizing `target`'s DAG and splitting ratios for the
 /// single destination `t`.
 ///
-/// The result for `t` depends only on the physical topology (plain SPF
-/// towards `t`; lies never alter real distances), `target.dag(t)` and
+/// `plain` is the physical graph's shortest-path DAG towards `t`
+/// ([`shortest_path_dag`]`(graph, t)`): what plain OSPF does, and the real
+/// distances every lie must undercut. The caller passes it in, so a caller
+/// that already ran that Dijkstra — to build `t`'s augmented DAG, say —
+/// does not pay for it twice; this function runs none.
+///
+/// The result for `t` depends only on the physical topology (through
+/// `plain`; lies never alter real distances), `target.dag(t)` and
 /// `target`'s ratios towards `t` — the separability that the incremental
 /// re-optimization layer relies on.
 pub fn compile_destination(
     graph: &Graph,
+    plain: &ShortestPathDag,
     target: &PdRouting,
     t: NodeId,
     budget: VirtualLinkBudget,
@@ -131,8 +138,16 @@ pub fn compile_destination(
             graph.node_count()
         )));
     }
+    if plain.destination != t || plain.dist_to_dest.len() != graph.node_count() {
+        return Err(OspfError::DimensionMismatch(format!(
+            "shortest-path DAG towards {} over {} nodes, expected towards {} over {}",
+            plain.destination.index(),
+            plain.dist_to_dest.len(),
+            t.index(),
+            graph.node_count()
+        )));
+    }
     let mut out_lies = DestinationLies::default();
-    let plain = shortest_path_dag(graph, t);
     let dag = target.dag(t);
     for u in graph.nodes() {
         if u == t {
@@ -222,7 +237,8 @@ pub fn compute_program(
     let mut stats = FibbingStats::default();
 
     for t in graph.nodes() {
-        let per_dest = compile_destination(graph, target, t, budget)?;
+        let plain = shortest_path_dag(graph, t);
+        let per_dest = compile_destination(graph, &plain, target, t, budget)?;
         coyote_obs::observe(
             "ospf.fake_nodes_per_destination",
             per_dest.lies.len() as u64,

@@ -16,8 +16,9 @@
 /// Zero fractions get multiplicity zero. Every admissible total is
 /// allocated with the largest-remainder method and the total with the
 /// smallest maximum error is returned (the smallest such total on ties, so
-/// the FIB never grows without an accuracy payoff). The search is trivially
-/// cheap: budgets are small integers.
+/// the FIB never grows without an accuracy payoff). A lone positive
+/// fraction is answered without the search: one entry is exact, and the
+/// search never replaces an error of zero, so it would return the same.
 pub fn approximate_split(fractions: &[f64], max_total_entries: usize) -> Vec<u32> {
     let positive: Vec<usize> = fractions
         .iter()
@@ -26,8 +27,13 @@ pub fn approximate_split(fractions: &[f64], max_total_entries: usize) -> Vec<u32
         .map(|(i, _)| i)
         .collect();
     let mut result = vec![0u32; fractions.len()];
-    if positive.is_empty() {
-        return result;
+    match positive[..] {
+        [] => return result,
+        [only] => {
+            result[only] = 1;
+            return result;
+        }
+        _ => {}
     }
     let total: f64 = positive.iter().map(|&i| fractions[i]).sum();
     let shares: Vec<f64> = positive.iter().map(|&i| fractions[i] / total).collect();
@@ -171,6 +177,94 @@ pub fn max_split_error(fractions: &[f64], multiplicities: &[u32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// [`approximate_split`] before its lone-next-hop shortcut: the budget
+    /// search over every admissible total, kept as the shortcut's oracle.
+    fn searched_split(fractions: &[f64], max_total_entries: usize) -> Vec<u32> {
+        let positive: Vec<usize> = fractions
+            .iter()
+            .enumerate()
+            .filter(|(_, &f)| f > 0.0)
+            .map(|(i, _)| i)
+            .collect();
+        let mut result = vec![0u32; fractions.len()];
+        if positive.is_empty() {
+            return result;
+        }
+        let total: f64 = positive.iter().map(|&i| fractions[i]).sum();
+        let shares: Vec<f64> = positive.iter().map(|&i| fractions[i] / total).collect();
+        let budget = max_total_entries.max(positive.len());
+
+        let mut best: Option<(f64, Vec<u32>)> = None;
+        for entries in positive.len()..=budget {
+            let assigned = largest_remainder(&shares, entries as u32);
+            let err = shares
+                .iter()
+                .zip(&assigned)
+                .map(|(&s, &m)| (s - m as f64 / entries as f64).abs())
+                .fold(0.0, f64::max);
+            if best.as_ref().is_none_or(|(e, _)| err < *e - 1e-12) {
+                best = Some((err, assigned));
+            }
+        }
+        let (_, assigned) = best.expect("at least one admissible total");
+        for (slot, &i) in positive.iter().enumerate() {
+            result[i] = assigned[slot];
+        }
+        result
+    }
+
+    /// A fraction of kind `kind` drawn with `x ∈ [0, 1)`: zeros and
+    /// negatives (never a next hop), tied thirds, plain values, subnormals,
+    /// values near `f64::MAX`, infinity and NaN.
+    fn fraction(kind: usize, x: f64) -> f64 {
+        match kind {
+            0 => 0.0,
+            1 => -x,
+            2 => (1.0 + (3.0 * x).floor()) / 3.0,
+            3 => x,
+            4 => x * 4.9e-322 + 5e-324,
+            5 => f64::MAX * (0.5 + x / 2.0),
+            6 => f64::INFINITY,
+            _ => f64::NAN,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Every split, lone next hops included, equals the budget search.
+        #[test]
+        fn the_split_equals_the_budget_search(
+            drawn in collection::vec((0usize..8, 0.0f64..1.0), 0..9),
+            budget in 1usize..257,
+        ) {
+            let fractions: Vec<f64> = drawn.iter().map(|&(k, x)| fraction(k, x)).collect();
+            prop_assert_eq!(
+                approximate_split(&fractions, budget),
+                searched_split(&fractions, budget),
+                "fractions {:?}, budget {}", fractions, budget
+            );
+        }
+
+        /// Exactly one positive fraction among zeros and negatives, of
+        /// every magnitude: one entry for it, as the search finds.
+        #[test]
+        fn a_lone_next_hop_gets_one_entry(
+            others in collection::vec((0usize..2, 0.0f64..1.0), 0..8),
+            lone in (0usize..8, 3usize..7, 0.0f64..1.0),
+            budget in 1usize..257,
+        ) {
+            let mut fractions: Vec<f64> = others.iter().map(|&(k, x)| fraction(k, x)).collect();
+            let at = lone.0 % (fractions.len() + 1);
+            fractions.insert(at, fraction(lone.1, lone.2).max(5e-324));
+            let split = approximate_split(&fractions, budget);
+            prop_assert_eq!(split.iter().sum::<u32>(), 1);
+            prop_assert_eq!(split[at], 1);
+            prop_assert_eq!(split, searched_split(&fractions, budget));
+        }
+    }
 
     #[test]
     fn exact_fractions_are_reproduced_when_the_budget_allows() {

@@ -1,46 +1,59 @@
 //! The incremental TE engine: the daemon's in-memory state machine.
 //!
 //! The engine holds a scenario (topology + demand matrix + failure set) and
-//! the *compiled* artifacts derived from it — augmented DAGs, per-destination
-//! splitting ratios, and the lied-to LSDB — and reacts to three kinds of
-//! updates:
+//! the *compiled* artifacts derived from it — shortest-path DAGs, augmented
+//! DAGs, per-destination splitting ratios, and the lied-to LSDB — and reacts
+//! to three kinds of updates:
 //!
 //! * **Demand updates** dirty exactly the destinations whose demand column
 //!   changed ([`coyote_core::demand_dirty_destinations`]); only those are
 //!   re-solved, only their rows of the routing rewritten, only their
-//!   prefixes recompiled.
-//! * **Link events** and **node events** dirty *every* destination: augmented
-//!   DAGs contain each surviving physical link in some orientation, so there
-//!   is no per-destination locality to exploit: the DAGs are rebuilt and
-//!   every destination goes through the same step.
+//!   prefixes recompiled. No Dijkstra runs: the compiler reads the
+//!   shortest-path DAG the destination's augmented DAG was built from.
+//! * **Link events** and **node events** change the surviving graph. An
+//!   augmented DAG holds every surviving link in some orientation, and one
+//!   link failure moves the shortest-path DAG of 58–81 % of the destinations
+//!   on the daemon's five topologies, so no per-destination dirty rule pays
+//!   for itself. An event therefore builds the surviving graph, one
+//!   shortest-path DAG per destination and the augmented DAGs over them, and
+//!   re-solves every destination — unless it **restores**.
+//! * **Restore.** The engine keeps exactly one previous program: the one its
+//!   last topology event replaced, with the failure sets and the demand
+//!   matrix it was serving. An event that returns the failure sets to that
+//!   key — typically the recovery of the link that just failed — serves that
+//!   program again and re-solves only the destinations whose demand column
+//!   moved in between. It runs no Dijkstra.
 //!
 //! Start-up, [`TeEngine::cold_rebuild`], topology events and demand updates
-//! all run that one step (`Program::recompute`: solve these destinations,
-//! compile these destinations); they differ only in the set they hand it.
+//! all run one step (`Program::recompute`: solve these destinations, compile
+//! these destinations); they differ only in the program and the set they
+//! hand it.
 //!
-//! Every update is materialized as an [`LsaDelta`] and the engine advances
-//! its own LSDB **by applying that delta** — the same object a real Fibbing
-//! controller would flood — so the differential guarantee ("delta applied to
-//! the old LSDB is bit-identical to a cold recompile") is exercised on the
-//! production path, not just in tests. [`TeEngine::verify_against_cold`]
-//! checks it on demand.
+//! Every update is materialized as an [`LsaDelta`] — per prefix, the lies
+//! of the program now served wherever they differ from the lies the LSDB
+//! carries — and the engine advances its own LSDB **by applying that
+//! delta**, the same object a real Fibbing controller would flood. So the
+//! differential guarantee ("delta applied to the old LSDB is bit-identical
+//! to a cold recompile") is exercised on the production path, not just in
+//! tests. [`TeEngine::verify_against_cold`] checks it on demand.
 //!
 //! The per-destination policy is deliberately *separable* (see
-//! [`coyote_core::incremental`]): destination `t`'s solution is a pure
-//! function of `(current graph, dag_t, demand column t)`, which is what
-//! makes "recompute only the dirty part" equal to "recompute everything"
-//! bit for bit.
+//! [`coyote_core::incremental`]): destination `t`'s solution, load row and
+//! lies are a pure function of `(surviving graph, dag_t, demand column t)`,
+//! and the surviving graph and `dag_t` are a pure function of the failure
+//! sets. That is what makes "recompute only the dirty part" and "restore
+//! the kept program, recompute the columns that moved" equal to "recompute
+//! everything" bit for bit.
 
 use crate::error::ServeError;
-use coyote_core::{
-    build_all_dags, demand_dirty_destinations, solve_destination, DagMode, DestinationSolve,
-    PdRouting,
-};
+use coyote_core::dag_builder::augment;
+use coyote_core::{demand_dirty_destinations, solve_destination, PdRouting};
+use coyote_graph::spf::{shortest_path_dag, ShortestPathDag};
 use coyote_graph::{EdgeId, Graph, NodeId};
 use coyote_obs::Histogram;
 use coyote_ospf::{
     compile_destination, compute_fib, DestinationLies, Fib, LsaDelta, Lsdb, PrefixUpdate,
-    PruneStats, VirtualLinkBudget,
+    PruneStats, RouterLsa, VirtualLinkBudget,
 };
 use coyote_topology::zoo;
 use coyote_traffic::{BimodalModel, DemandMatrix, GravityModel};
@@ -114,8 +127,8 @@ pub struct UpdateOutcome {
     pub kind: &'static str,
     /// Destinations that were re-solved and recompiled.
     pub dirty_destinations: Vec<usize>,
-    /// Prefixes the emitted delta actually re-advertises (dirty destinations
-    /// whose lie set changed content-wise).
+    /// Prefixes the emitted delta actually re-advertises (destinations whose
+    /// lie set changed content-wise).
     pub delta_prefixes: usize,
     /// Lies injected by the delta.
     pub delta_fakes_added: usize,
@@ -156,14 +169,46 @@ pub struct ColdState {
     pub micros: u64,
 }
 
-/// Everything derived from `(surviving graph, demands)`: the DAGs and
-/// splitting ratios (both inside `routing`), the per-destination solves
-/// behind the ratios, the edge loads each destination's demand induces
-/// under its ratios and the per-prefix lies compiled from them.
+/// The failure sets: physical links as canonical `(low, high)` node-index
+/// pairs, and routers. The surviving graph is a pure function of them.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Failures {
+    links: BTreeSet<(usize, usize)>,
+    nodes: BTreeSet<usize>,
+}
+
+impl Failures {
+    /// The graph that survives these failures, rebuilt from `pristine`
+    /// (node ids are preserved; edge ids are renumbered densely over the
+    /// survivors).
+    fn surviving(&self, pristine: &Graph) -> Graph {
+        let dead: Vec<EdgeId> = pristine
+            .edges()
+            .filter(|&e| {
+                let (a, b) = pristine.endpoints(e);
+                self.links.contains(&canonical(a, b))
+                    || self.nodes.contains(&a.index())
+                    || self.nodes.contains(&b.index())
+            })
+            .collect();
+        pristine.without_edges(&dead)
+    }
+}
+
+/// Everything derived from `(surviving graph, demands)`: the plain
+/// shortest-path DAG towards every destination, the augmented DAGs built
+/// from them and the splitting ratios (both inside `routing`), the demand
+/// each destination masks as unroutable, the edge loads each destination's
+/// demand induces under its ratios and the per-prefix lies compiled from
+/// them.
 struct Program {
     graph: Graph,
+    /// `spfs[t]`: plain OSPF towards `t` on `graph` — the one Dijkstra per
+    /// destination that both `t`'s augmented DAG and its compile read.
+    spfs: Vec<ShortestPathDag>,
     routing: PdRouting,
-    solves: Vec<DestinationSolve>,
+    /// `unroutable[t]`: demand towards `t` whose source has no DAG out-edge.
+    unroutable: Vec<f64>,
     /// `loads[t][e]`: destination `t`'s flow on edge `e`, `F_t(src(e)) ·
     /// φ_t(e)` (`0.0` off its DAG and when `t` has no demand).
     loads: Vec<Vec<f64>>,
@@ -171,46 +216,55 @@ struct Program {
 }
 
 impl Program {
-    /// A program over `graph` with nothing solved yet: its freshly built
-    /// augmented DAGs move into a placeholder routing, `lies` is what the
-    /// LSDB carries per prefix today.
-    fn unsolved(graph: Graph, lies: Vec<DestinationLies>) -> Result<Program, ServeError> {
-        let dags =
-            build_all_dags(&graph, DagMode::Augmented).map_err(coyote_core::CoreError::from)?;
+    /// A program for `pristine` under `failures` with nothing solved or
+    /// compiled yet: the surviving graph, its shortest-path DAG towards
+    /// every destination, and those augmented into a placeholder routing.
+    fn unsolved(pristine: &Graph, failures: &Failures) -> Result<Program, ServeError> {
+        let _span = coyote_obs::span("serve.rebuild");
+        let graph = failures.surviving(pristine);
+        let spfs: Vec<ShortestPathDag> = graph
+            .nodes()
+            .map(|t| shortest_path_dag(&graph, t))
+            .collect();
+        let dags = spfs
+            .iter()
+            .map(|spf| augment(&graph, spf))
+            .collect::<Result<Vec<_>, _>>()?;
+        let (n, m) = (graph.node_count(), graph.edge_count());
         Ok(Program {
             routing: PdRouting::uniform(&graph, dags),
-            solves: vec![DestinationSolve::default(); graph.node_count()],
-            loads: vec![vec![0.0; graph.edge_count()]; graph.node_count()],
-            lies,
+            spfs,
+            unroutable: vec![0.0; n],
+            loads: vec![vec![0.0; m]; n],
+            lies: vec![DestinationLies::default(); n],
             graph,
         })
     }
 
-    /// The cold protocol: fresh DAGs, every destination through
+    /// The cold protocol: a fresh program, every destination through
     /// [`Program::recompute`].
     fn cold(
-        graph: Graph,
+        pristine: &Graph,
+        failures: &Failures,
         demands: &DemandMatrix,
         budget: VirtualLinkBudget,
     ) -> Result<Program, ServeError> {
-        let all: Vec<NodeId> = graph.nodes().collect();
-        let no_lies = vec![DestinationLies::default(); all.len()];
-        let mut program = Program::unsolved(graph, no_lies)?;
+        let mut program = Program::unsolved(pristine, failures)?;
+        let all: Vec<NodeId> = pristine.nodes().collect();
         program.recompute(demands, budget, &all)?;
         Ok(program)
     }
 
     /// The engine's one recompute step: re-solve `dirty` under `demands`,
     /// rewrite exactly their rows of the routing and of the loads and
-    /// recompile their prefixes. Returns the replacement lie lists that
-    /// differ content-wise from what the prefix carried before (a re-solved
-    /// destination whose lies came out identical emits nothing).
+    /// recompile their prefixes. Returns the lies each of them carried
+    /// before, in `dirty`'s order.
     fn recompute(
         &mut self,
         demands: &DemandMatrix,
         budget: VirtualLinkBudget,
         dirty: &[NodeId],
-    ) -> Result<Vec<PrefixUpdate>, ServeError> {
+    ) -> Result<Vec<DestinationLies>, ServeError> {
         // Solve every dirty destination before compiling any. A compile reads
         // only its own row, so the order cannot change a result; a link
         // event's n solves just run ~5 % faster back to back than interleaved
@@ -218,26 +272,21 @@ impl Program {
         for &t in dirty {
             let solve = solve_destination(&self.graph, self.routing.dag(t), demands, t)?;
             self.routing.set_ratios(&self.graph, t, &solve.flows);
-            self.solves[t.index()] = solve;
+            self.unroutable[t.index()] = solve.unroutable_volume;
             let loads = &mut self.loads[t.index()];
             loads.fill(0.0);
             self.routing
                 .add_destination_loads(&self.graph, demands, t, loads);
         }
-        let mut updates = Vec::new();
-        for &t in dirty {
-            let compiled = compile_destination(&self.graph, &self.routing, t, budget)?;
-            let old = std::mem::replace(&mut self.lies[t.index()], compiled);
-            let new = &self.lies[t.index()].lies;
-            if old.lies != *new {
-                updates.push(PrefixUpdate {
-                    destination: t,
-                    lies: new.clone(),
-                    retracted: old.lies.len(),
-                });
-            }
-        }
-        Ok(updates)
+        let _span = coyote_obs::span("serve.compile");
+        dirty
+            .iter()
+            .map(|&t| {
+                let plain = &self.spfs[t.index()];
+                let compiled = compile_destination(&self.graph, plain, &self.routing, t, budget)?;
+                Ok(std::mem::replace(&mut self.lies[t.index()], compiled))
+            })
+            .collect()
     }
 
     /// Per-edge loads of the served routing on the demands it was solved
@@ -265,15 +314,24 @@ impl Program {
     }
 }
 
+/// The program the engine's last topology event replaced, with the failure
+/// sets and the demand matrix it was serving: what a recovery restores.
+struct Kept {
+    failures: Failures,
+    demands: DemandMatrix,
+    program: Program,
+}
+
 /// The long-running incremental TE engine.
 pub struct TeEngine {
     name: String,
     budget: VirtualLinkBudget,
     pristine: Graph,
-    failed_links: BTreeSet<(usize, usize)>,
-    failed_nodes: BTreeSet<usize>,
+    failures: Failures,
     demands: DemandMatrix,
     program: Program,
+    /// `None` until the first topology event.
+    kept: Option<Kept>,
     lsdb: Lsdb,
     epoch: u64,
     demand_reopt: Histogram,
@@ -291,17 +349,18 @@ impl TeEngine {
         pristine.set_inverse_capacity_weights(10.0);
         let demands = config.model.generate(&pristine);
         let budget = VirtualLinkBudget::per_prefix(config.budget);
-        let program = Program::cold(pristine.clone(), &demands, budget)?;
+        let failures = Failures::default();
+        let program = Program::cold(&pristine, &failures, &demands, budget)?;
         coyote_obs::counter("serve.engine.starts", 1);
         Ok(TeEngine {
             name: config.topology.clone(),
             budget,
             pristine,
-            failed_links: BTreeSet::new(),
-            failed_nodes: BTreeSet::new(),
+            failures,
             demands,
             lsdb: program.cold_lsdb(),
             program,
+            kept: None,
             epoch: 0,
             demand_reopt: Histogram::new(),
             event_reopt: Histogram::new(),
@@ -343,19 +402,14 @@ impl TeEngine {
         &self.lsdb
     }
 
-    /// Per-destination solves (indexed by destination).
-    pub fn solves(&self) -> &[DestinationSolve] {
-        &self.program.solves
-    }
-
     /// Currently failed links as canonical `(low, high)` node-index pairs.
     pub fn failed_links(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.failed_links.iter().copied()
+        self.failures.links.iter().copied()
     }
 
     /// Currently failed nodes.
     pub fn failed_nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.failed_nodes.iter().copied()
+        self.failures.nodes.iter().copied()
     }
 
     /// Re-optimization latencies recorded so far, microseconds, as
@@ -373,22 +427,32 @@ impl TeEngine {
     /// Resolves a router given either its name or its decimal index.
     pub fn resolve_node(&self, ident: &str) -> Result<NodeId, ServeError> {
         if let Ok(idx) = ident.parse::<usize>() {
-            if idx < self.pristine.node_count() {
-                return Ok(NodeId(idx));
-            }
-            return Err(ServeError::BadRequest(format!(
-                "node index {idx} out of range (topology has {} nodes)",
-                self.pristine.node_count()
-            )));
+            return self.check_node(NodeId(idx));
         }
         self.pristine
             .node_by_name(ident)
             .map_err(|_| ServeError::BadRequest(format!("unknown router {ident:?}")))
     }
 
+    /// `node` when it names a router of the topology, else a client error.
+    /// Every mutator checks its ids here before it changes anything: a
+    /// `NodeId` can be built for any index, and one past the topology would
+    /// alias into the flat demand matrix, enter the failure sets or panic in
+    /// the graph.
+    fn check_node(&self, node: NodeId) -> Result<NodeId, ServeError> {
+        let n = self.pristine.node_count();
+        if node.index() < n {
+            return Ok(node);
+        }
+        Err(ServeError::BadRequest(format!(
+            "node index {} out of range (topology has {n} nodes)",
+            node.index()
+        )))
+    }
+
     /// Total demand volume currently masked as unroutable.
     pub fn unroutable_volume(&self) -> f64 {
-        self.solves().iter().map(|s| s.unroutable_volume).sum()
+        self.program.unroutable.iter().sum()
     }
 
     /// Max link utilization of the current routing on the current demands.
@@ -427,11 +491,12 @@ impl TeEngine {
         let start = Instant::now();
         let mut new_dm = self.demands.clone();
         for u in updates {
-            if u.src == u.dst {
+            let (src, dst) = (self.check_node(u.src)?, self.check_node(u.dst)?);
+            if src == dst {
                 return Err(ServeError::BadRequest(format!(
                     "self-demand {} -> {} is not allowed",
-                    u.src.index(),
-                    u.dst.index()
+                    src.index(),
+                    dst.index()
                 )));
             }
             if !u.rate.is_finite() || u.rate < 0.0 {
@@ -440,19 +505,19 @@ impl TeEngine {
                     u.rate
                 )));
             }
-            new_dm.set(u.src, u.dst, u.rate);
+            new_dm.set(src, dst, u.rate);
         }
         let dirty = demand_dirty_destinations(&self.demands, &new_dm);
-        let updates = self.program.recompute(&new_dm, self.budget, &dirty)?;
+        let served = self.program.recompute(&new_dm, self.budget, &dirty)?;
         self.demands = new_dm;
-        self.commit(None, updates, Kind::Demand, &dirty, None, start)
+        let served = dirty.iter().copied().zip(&served);
+        self.commit(None, served, Kind::Demand, &dirty, None, start)
     }
 
     /// Applies a link up/down event. `a`/`b` name the physical link's
-    /// endpoints; both directed edges fail together. Every destination is
-    /// dirty (augmented DAGs contain each link in some orientation), so the
-    /// whole program is re-solved on the surviving graph — still through the
-    /// delta path, so the differential guarantee holds.
+    /// endpoints; both directed edges fail together. The new failure sets'
+    /// program is restored or rebuilt (see the module docs) and served
+    /// through the delta path, so the differential guarantee holds.
     pub fn apply_link_event(
         &mut self,
         a: NodeId,
@@ -460,6 +525,7 @@ impl TeEngine {
         up: bool,
     ) -> Result<UpdateOutcome, ServeError> {
         let start = Instant::now();
+        let (a, b) = (self.check_node(a)?, self.check_node(b)?);
         if a == b {
             return Err(ServeError::BadRequest("link endpoints must differ".into()));
         }
@@ -471,11 +537,10 @@ impl TeEngine {
                 what()
             )));
         }
-        toggle(&mut self.failed_links, canonical(a, b), up, what)?;
-        // OSPF's immediate reaction, before the controller re-optimizes:
-        // how much state the failure withdraws on its own.
-        let prune = (!up).then(|| self.lsdb.pruned(&[], &[(a, b)]).1);
-        self.apply_topology_event(Kind::Link, prune, start)
+        let mut failures = self.failures.clone();
+        toggle(&mut failures.links, canonical(a, b), up, what)?;
+        let prune = (!up).then(|| self.prune(&[], &[(a, b)]));
+        self.apply_topology_event(failures, Kind::Link, prune, start)
     }
 
     /// Applies a node up/down event: all links incident to the router fail
@@ -484,17 +549,19 @@ impl TeEngine {
     /// as unroutable while it is down.
     pub fn apply_node_event(&mut self, node: NodeId, up: bool) -> Result<UpdateOutcome, ServeError> {
         let start = Instant::now();
+        let node = self.check_node(node)?;
         let what = || format!("node {}", self.pristine.node_name(node));
-        toggle(&mut self.failed_nodes, node.index(), up, what)?;
-        let prune = (!up).then(|| self.lsdb.pruned(&[node], &[]).1);
-        self.apply_topology_event(Kind::Node, prune, start)
+        let mut failures = self.failures.clone();
+        toggle(&mut failures.nodes, node.index(), up, what)?;
+        let prune = (!up).then(|| self.prune(&[node], &[]));
+        self.apply_topology_event(failures, Kind::Node, prune, start)
     }
 
     /// Recomputes everything from `(pristine, failure sets, demands)` — the
     /// reference the incremental path must match bit for bit.
     pub fn cold_rebuild(&self) -> Result<ColdState, ServeError> {
         let start = Instant::now();
-        let program = Program::cold(self.surviving_graph(), &self.demands, self.budget)?;
+        let program = Program::cold(&self.pristine, &self.failures, &self.demands, self.budget)?;
         Ok(ColdState {
             lsdb: program.cold_lsdb(),
             routing: program.routing,
@@ -527,53 +594,79 @@ impl TeEngine {
         })
     }
 
-    /// The graph that survives the current failure sets, rebuilt from the
-    /// pristine topology (node ids are preserved; edge ids are renumbered
-    /// densely over the survivors).
-    fn surviving_graph(&self) -> Graph {
-        let dead: Vec<EdgeId> = self
-            .pristine
-            .edges()
-            .filter(|&e| {
-                let (a, b) = self.pristine.endpoints(e);
-                self.failed_links.contains(&canonical(a, b))
-                    || self.failed_nodes.contains(&a.index())
-                    || self.failed_nodes.contains(&b.index())
-            })
-            .collect();
-        self.pristine.without_edges(&dead)
+    /// OSPF's immediate reaction to a failure, before the controller
+    /// re-optimizes: how much state it withdraws on its own.
+    fn prune(&self, nodes: &[NodeId], links: &[(NodeId, NodeId)]) -> PruneStats {
+        let _span = coyote_obs::span("serve.prune");
+        self.lsdb.pruned(nodes, links).1
     }
 
-    /// Shared tail of link/node events: rebuild the surviving graph and its
-    /// DAGs (moved into the routing, not copied), put every destination
-    /// through the recompute step, and commit through the delta path with
-    /// replacement router LSAs.
+    /// Shared tail of link/node events: serve the program of `failures`,
+    /// keep the one it replaces, and commit through the delta path with
+    /// replacement router LSAs. When `failures` is the kept program's key,
+    /// that program is served again with only the columns that moved since
+    /// re-solved; otherwise one is rebuilt and every destination solved.
     fn apply_topology_event(
         &mut self,
+        failures: Failures,
         kind: Kind,
         prune: Option<PruneStats>,
         start: Instant,
     ) -> Result<UpdateOutcome, ServeError> {
-        let graph = self.surviving_graph();
-        let router_lsas = Lsdb::from_graph(&graph).router_lsas().to_vec();
-        let lies = std::mem::take(&mut self.program.lies);
-        self.program = Program::unsolved(graph, lies)?;
-        let dirty: Vec<NodeId> = self.pristine.nodes().collect();
-        let updates = self.program.recompute(&self.demands, self.budget, &dirty)?;
-        self.commit(Some(router_lsas), updates, kind, &dirty, prune, start)
+        let restorable = self.kept.take().filter(|kept| kept.failures == failures);
+        let (program, dirty) = match restorable {
+            Some(Kept {
+                demands,
+                mut program,
+                ..
+            }) => {
+                let dirty = demand_dirty_destinations(&demands, &self.demands);
+                program.recompute(&self.demands, self.budget, &dirty)?;
+                let restored = self.pristine.node_count() - dirty.len();
+                coyote_obs::counter("serve.event.restored", restored as u64);
+                coyote_obs::counter("serve.event.resolved", dirty.len() as u64);
+                (program, dirty)
+            }
+            None => {
+                let program = Program::cold(&self.pristine, &failures, &self.demands, self.budget)?;
+                (program, self.pristine.nodes().collect())
+            }
+        };
+        let router_lsas = Lsdb::from_graph(&program.graph).router_lsas().to_vec();
+        let kept = Kept {
+            failures: std::mem::replace(&mut self.failures, failures),
+            demands: self.demands.clone(),
+            program: std::mem::replace(&mut self.program, program),
+        };
+        let served = (0..).map(NodeId).zip(&kept.program.lies);
+        let outcome = self.commit(Some(router_lsas), served, kind, &dirty, prune, start);
+        self.kept = Some(kept);
+        outcome
     }
 
-    /// Packages the recompute step's prefix updates into an [`LsaDelta`],
-    /// advances the LSDB by applying it, and reports the update.
-    fn commit(
+    /// Diffs the program now served against the `served` lies — the LSDB's,
+    /// per prefix — packages every prefix whose lies changed into an
+    /// [`LsaDelta`], advances the LSDB by applying it, and reports the
+    /// update.
+    fn commit<'a>(
         &mut self,
-        router_lsas: Option<Vec<coyote_ospf::RouterLsa>>,
-        updates: Vec<PrefixUpdate>,
+        router_lsas: Option<Vec<RouterLsa>>,
+        served: impl Iterator<Item = (NodeId, &'a DestinationLies)>,
         kind: Kind,
         dirty: &[NodeId],
         prune: Option<PruneStats>,
         start: Instant,
     ) -> Result<UpdateOutcome, ServeError> {
+        let apply = coyote_obs::span("serve.apply");
+        let lies = &self.program.lies;
+        let updates = served
+            .filter(|(t, served)| served.lies != lies[t.index()].lies)
+            .map(|(t, served)| PrefixUpdate {
+                destination: t,
+                lies: lies[t.index()].lies.clone(),
+                retracted: served.lies.len(),
+            })
+            .collect();
         let delta = LsaDelta {
             router_lsas,
             updates,
@@ -586,6 +679,7 @@ impl TeEngine {
         // when no prefix update survived the content comparison, so the
         // delta must be applied unconditionally.
         delta.apply(&mut self.lsdb)?;
+        drop(apply);
         self.epoch += 1;
         let reopt = start.elapsed();
         let reopt_micros = reopt.as_micros() as u64;
@@ -724,5 +818,47 @@ mod tests {
             }])
             .unwrap_err();
         assert!(err.is_bad_request());
+    }
+
+    /// A rejected update leaves demands, failure sets, epoch and LSDB as
+    /// they were.
+    fn assert_untouched(e: &TeEngine, before: &TeEngine, err: ServeError) {
+        assert!(err.is_bad_request(), "{err}");
+        assert_eq!(e.demands(), before.demands());
+        assert_eq!(e.failures, before.failures);
+        assert_eq!(e.epoch(), before.epoch());
+        assert_eq!(e.lsdb(), before.lsdb());
+    }
+
+    #[test]
+    fn a_demand_update_naming_a_router_outside_the_topology_is_refused() {
+        // 1 -> 12 on 11-node Abilene would alias entry (2, 1) of the flat
+        // matrix.
+        let (mut e, before) = (engine(), engine());
+        assert_eq!(e.pristine_graph().node_count(), 11);
+        let err = e
+            .apply_demand_update(&[DemandUpdate {
+                src: NodeId(1),
+                dst: NodeId(12),
+                rate: 42.0,
+            }])
+            .unwrap_err();
+        assert_untouched(&e, &before, err);
+    }
+
+    #[test]
+    fn a_node_event_outside_the_topology_is_refused() {
+        let (mut e, before) = (engine(), engine());
+        let err = e.apply_node_event(NodeId(16), false).unwrap_err();
+        assert_untouched(&e, &before, err);
+    }
+
+    #[test]
+    fn a_link_event_outside_the_topology_is_refused() {
+        let (mut e, before) = (engine(), engine());
+        let err = e
+            .apply_link_event(NodeId(0), NodeId(14), false)
+            .unwrap_err();
+        assert_untouched(&e, &before, err);
     }
 }

@@ -7,7 +7,8 @@
 //!
 //! * [`engine`] — the [`TeEngine`] state machine: dirty-set tracking,
 //!   per-destination re-solves ([`coyote_core::incremental`]), per-prefix
-//!   recompiles and [`coyote_ospf::LsaDelta`] emission. The engine advances
+//!   recompiles, the one previous program a recovery restores, and
+//!   [`coyote_ospf::LsaDelta`] emission. The engine advances
 //!   its own LSDB by *applying the delta it emits*, so the differential
 //!   guarantee — delta applied to the old LSDB is bit-identical to a cold
 //!   recompile — is the production path, checked by

@@ -7,11 +7,15 @@
 //! sets, replica counts and splitting ratios included; see
 //! `TeEngine::verify_against_cold`). The abilene and nsf traces also pin a
 //! digest of what the engine served, so a reordering inside the shared LP
-//! builder or the row update fails here and not only in the benchmark.
+//! builder or the row update fails here and not only in the benchmark. The
+//! flap suite adds Germany and GEANT and checks the restore: a recovery to
+//! the previous failure sets re-solves exactly the columns that moved.
 
+use coyote_graph::NodeId;
 use coyote_serve::{
-    DemandModel, DemandUpdate, EngineConfig, StateResponse, TeEngine, UpdateOutcome,
+    DemandModel, DemandUpdate, EngineConfig, ServeError, StateResponse, TeEngine, UpdateOutcome,
 };
+use coyote_traffic::DemandMatrix;
 
 /// xorshift64* — deterministic without a rand dependency.
 struct Rng(u64);
@@ -29,6 +33,21 @@ impl Rng {
     fn below(&mut self, n: u64) -> u64 {
         self.next() % n.max(1)
     }
+}
+
+/// Physical links of the pristine graph as canonical node pairs.
+fn physical_links(engine: &TeEngine) -> Vec<(usize, usize)> {
+    let g = engine.pristine_graph();
+    let mut pairs: Vec<(usize, usize)> = g
+        .edges()
+        .map(|e| {
+            let (a, b) = g.endpoints(e);
+            (a.index().min(b.index()), a.index().max(b.index()))
+        })
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
 }
 
 fn assert_identical(engine: &TeEngine, context: &str) {
@@ -53,20 +72,7 @@ fn drive(topology: &str, seed: u64, steps: usize) -> (u64, u64, usize) {
     assert_identical(&engine, "startup");
 
     let n = engine.pristine_graph().node_count() as u64;
-    // Physical links of the pristine graph as canonical node pairs.
-    let links: Vec<(usize, usize)> = {
-        let g = engine.pristine_graph();
-        let mut pairs: Vec<(usize, usize)> = g
-            .edges()
-            .map(|e| {
-                let (a, b) = g.endpoints(e);
-                (a.index().min(b.index()), a.index().max(b.index()))
-            })
-            .collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
-    };
+    let links = physical_links(&engine);
 
     let mut rng = Rng(seed);
     let mut down: Vec<(usize, usize)> = Vec::new();
@@ -283,22 +289,178 @@ fn served_loads_equal_the_routings_at_every_step() {
                     engine.apply_node_event(node_down.take().unwrap(), true).unwrap();
                 }
                 _ => {
-                    // One to three overrides, zero rates included.
-                    let updates: Vec<DemandUpdate> = (0..1 + rng.below(3))
-                        .map(|_| {
-                            let src = rng.below(n) as usize;
-                            let dst = (src + 1 + rng.below(n - 1) as usize) % n as usize;
-                            DemandUpdate {
-                                src: coyote_graph::NodeId(src),
-                                dst: coyote_graph::NodeId(dst),
-                                rate: rng.below(4) as f64 * rng.below(1000) as f64 / 37.0,
-                            }
-                        })
-                        .collect();
-                    engine.apply_demand_update(&updates).unwrap();
+                    engine.apply_demand_update(&overrides(&mut rng, n)).unwrap();
                 }
             }
             assert_loads_equal_the_routing(&engine, &context);
         }
+    }
+}
+
+/// One to three demand overrides between distinct routers of an `n`-router
+/// topology, zero rates included.
+fn overrides(rng: &mut Rng, n: u64) -> Vec<DemandUpdate> {
+    (0..1 + rng.below(3))
+        .map(|_| {
+            let src = rng.below(n) as usize;
+            let dst = (src + 1 + rng.below(n - 1) as usize) % n as usize;
+            DemandUpdate {
+                src: NodeId(src),
+                dst: NodeId(dst),
+                rate: rng.below(4) as f64 * rng.below(1000) as f64 / 37.0,
+            }
+        })
+        .collect()
+}
+
+/// Destinations whose demand column differs bit for bit between two
+/// matrices of one size.
+fn changed_columns(old: &DemandMatrix, new: &DemandMatrix) -> Vec<usize> {
+    let n = old.node_count();
+    let entry = |dm: &DemandMatrix, s: usize, t: usize| dm.get(NodeId(s), NodeId(t)).to_bits();
+    (0..n)
+        .filter(|&t| (0..n).any(|s| entry(old, s, t) != entry(new, s, t)))
+        .collect()
+}
+
+type FailureSets = (Vec<(usize, usize)>, Vec<usize>);
+
+fn failure_sets(engine: &TeEngine) -> FailureSets {
+    (
+        engine.failed_links().collect(),
+        engine.failed_nodes().collect(),
+    )
+}
+
+/// Drives one engine through link and node flaps, checking every step.
+struct Flaps {
+    engine: TeEngine,
+    rng: Rng,
+    links: Vec<(usize, usize)>,
+    /// The failure sets before the last topology event and the demands at
+    /// it: the key of the program the engine keeps, and what it was solved
+    /// for.
+    kept: Option<(FailureSets, DemandMatrix)>,
+    /// Restoring events whose outage moved no column / some column.
+    restores: (usize, usize),
+}
+
+impl Flaps {
+    fn check(&self, context: &str) {
+        assert_identical(&self.engine, context);
+        assert_loads_equal_the_routing(&self.engine, context);
+    }
+
+    fn demand(&mut self, context: &str) {
+        let n = self.engine.pristine_graph().node_count() as u64;
+        let updates = overrides(&mut self.rng, n);
+        self.engine.apply_demand_update(&updates).unwrap();
+        self.check(context);
+    }
+
+    /// A topology event. One that returns the failure sets to the kept key
+    /// re-solves exactly the columns that moved since that program was
+    /// replaced — none if none moved; any other re-solves every destination.
+    fn event(
+        &mut self,
+        context: &str,
+        apply: impl FnOnce(&mut TeEngine) -> Result<UpdateOutcome, ServeError>,
+    ) {
+        let before = failure_sets(&self.engine);
+        let demands = self.engine.demands().clone();
+        let out = apply(&mut self.engine).unwrap();
+        let expected = match &self.kept {
+            Some((key, kept)) if *key == failure_sets(&self.engine) => {
+                let moved = changed_columns(kept, &demands);
+                if moved.is_empty() {
+                    self.restores.0 += 1;
+                } else {
+                    self.restores.1 += 1;
+                }
+                moved
+            }
+            _ => (0..demands.node_count()).collect(),
+        };
+        assert_eq!(out.dirty_destinations, expected, "{context}");
+        self.kept = Some((before, demands));
+        self.check(context);
+    }
+
+    fn link(&mut self, (a, b): (usize, usize), up: bool, context: &str) {
+        let context = format!("{context}: link {a}-{b} up={up}");
+        self.event(&context, |e| e.apply_link_event(NodeId(a), NodeId(b), up));
+    }
+
+    fn node(&mut self, node: usize, up: bool, context: &str) {
+        let context = format!("{context}: node {node} up={up}");
+        self.event(&context, |e| e.apply_node_event(NodeId(node), up));
+    }
+
+    fn random_link(&mut self) -> (usize, usize) {
+        self.links[self.rng.below(self.links.len() as u64) as usize]
+    }
+}
+
+/// Forty rounds per topology: a link goes down, 0–5 demand updates land,
+/// the link comes back. Every fifth round a second link flaps inside the
+/// outage; every seventh a node flap with a demand update inside follows.
+/// Every step equals a cold rebuild, and every recovery to the failure sets
+/// of one event earlier re-solves exactly the columns its outage moved.
+#[test]
+fn recoveries_equal_cold_at_every_step_and_resolve_only_what_moved() {
+    for (topology, seed) in [
+        ("abilene", 0xF1A9),
+        ("nsf", 0xF1AB),
+        ("germany", 0xF1AC),
+        ("geant", 0xF1AD),
+    ] {
+        let engine = TeEngine::new(&EngineConfig {
+            topology: topology.to_string(),
+            model: DemandModel::Gravity { total: Some(100.0) },
+            budget: 5,
+        })
+        .unwrap();
+        let nodes = engine.pristine_graph().node_count() as u64;
+        let mut flaps = Flaps {
+            links: physical_links(&engine),
+            engine,
+            rng: Rng(seed),
+            kept: None,
+            restores: (0, 0),
+        };
+        for round in 1..=40 {
+            let context = format!("{topology} round {round}");
+            let first = flaps.random_link();
+            flaps.link(first, false, &context);
+            let updates = flaps.rng.below(6);
+            let second_at = (round % 5 == 0).then(|| flaps.rng.below(updates + 1));
+            for k in 0..=updates {
+                if second_at == Some(k) {
+                    let second = loop {
+                        let link = flaps.random_link();
+                        if link != first {
+                            break link;
+                        }
+                    };
+                    flaps.link(second, false, &context);
+                    flaps.link(second, true, &context);
+                }
+                if k < updates {
+                    flaps.demand(&format!("{context}: demand {k}"));
+                }
+            }
+            flaps.link(first, true, &context);
+            if round % 7 == 0 {
+                let node = flaps.rng.below(nodes) as usize;
+                flaps.node(node, false, &context);
+                flaps.demand(&format!("{context}: demand inside the node outage"));
+                flaps.node(node, true, &context);
+            }
+        }
+        let (still, moved) = flaps.restores;
+        assert!(
+            still > 0 && moved > 0,
+            "{topology}: restores {still} / {moved}"
+        );
     }
 }

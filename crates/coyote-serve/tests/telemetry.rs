@@ -66,6 +66,10 @@ fn run_session(threads: usize) -> coyote_obs::Snapshot {
     assert_eq!(request(&addr, "GET", "/healthz", "").0, 200);
     assert_eq!(request(&addr, "GET", "/state", "").0, 200);
     assert_eq!(request(&addr, "GET", "/program", "").0, 200);
+    // What an update cost, read off the deterministic counters around it.
+    let count = |name: &str| registry.snapshot().counters.get(name).copied().unwrap_or(0);
+    let work = || (count("graph.spf.runs"), count("core.incremental.solves"));
+    let before = work();
     let (status, body) = request(
         &addr,
         "POST",
@@ -73,10 +77,27 @@ fn run_session(threads: usize) -> coyote_obs::Snapshot {
         r#"{"updates":[{"src":0,"dst":4,"rate":7.5}]}"#,
     );
     assert_eq!(status, 200, "{body}");
+    let (spf_runs, solves) = work();
+    assert_eq!(
+        (spf_runs - before.0, solves - before.1),
+        (0, 1),
+        "a demand update re-solves its column and runs no Dijkstra"
+    );
     let (status, body) = request(&addr, "POST", "/link", r#"{"a":0,"b":1,"up":false}"#);
     assert_eq!(status, 200, "{body}");
+    let outage = work();
     let (status, body) = request(&addr, "POST", "/link", r#"{"a":0,"b":1,"up":true}"#);
     assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        work(),
+        outage,
+        "a recovery with no demand update since the failure restores: no solve, no Dijkstra"
+    );
+    assert_eq!(
+        (count("serve.event.restored"), count("serve.event.resolved")),
+        (11, 0),
+        "all of Abilene's 11 destinations restored"
+    );
     let (status, body) = request(&addr, "POST", "/recompile", "");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"identical\":true"), "{body}");
