@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use coyote_bench::conformance::DEFAULT_TOLERANCE;
 use coyote_bench::{conformance_record_with, BaseModel, Effort, SweepSpec, WeightHeuristic};
 use coyote_ospf::CompressionLevel;
-use coyote_serve::json::JsonValue;
+use serde_json::Value;
 
 /// One pinned grid cell from `ci/compress-fakecounts.json`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,10 +43,10 @@ struct Baseline {
 }
 
 /// A non-negative integer member of a baseline object.
-fn count(object: &JsonValue, key: &str) -> usize {
+fn count(object: &Value, key: &str) -> usize {
     let n = object
         .get(key)
-        .and_then(JsonValue::as_f64)
+        .and_then(Value::as_f64)
         .unwrap_or_else(|| panic!("baseline is missing the number {key:?}"));
     assert!(n >= 0.0 && n.fract() == 0.0, "bad integer {n} for {key:?}");
     n as usize
@@ -55,14 +55,14 @@ fn count(object: &JsonValue, key: &str) -> usize {
 fn load_baseline() -> Baseline {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/compress-fakecounts.json");
     let text = std::fs::read_to_string(path).expect("ci/compress-fakecounts.json is checked in");
-    let doc = coyote_serve::json::parse(&text).expect("baseline is valid JSON");
+    let doc = serde_json::from_str(&text).expect("baseline is valid JSON");
     let member = |key: &str| {
         doc.get(key)
             .unwrap_or_else(|| panic!("baseline lacks {key:?}"))
     };
 
     let totals = member("totals");
-    let JsonValue::Object(cells) = member("cells") else {
+    let Value::Object(cells) = member("cells") else {
         panic!("baseline \"cells\" is not an object");
     };
     Baseline {
@@ -83,7 +83,7 @@ fn load_baseline() -> Baseline {
                     ),
                     within_tolerance: cell
                         .get("within_tolerance")
-                        .and_then(JsonValue::as_bool)
+                        .and_then(Value::as_bool)
                         .unwrap_or_else(|| panic!("{id}: no within_tolerance verdict")),
                 };
                 (id.clone(), pinned)

@@ -5,8 +5,8 @@
 //!   trace that is valid JSON and whose span names cover every pipeline
 //!   stage (compile → SPF → LP → flow simulation);
 //! * the deterministic snapshot sections (counters + value histograms) are
-//!   bit-identical between `threads = 1` and `threads = 2` — the property
-//!   the CI profile smoke step asserts on the full artifacts.
+//!   bit-identical between `threads = 1` and `threads = 2`, and CI runs
+//!   that test alone in a fresh release process.
 
 use coyote_bench::conformance::DEFAULT_TOLERANCE;
 use coyote_bench::{run_conformance, BaseModel, Effort, SweepGrid, WeightHeuristic};
@@ -49,7 +49,7 @@ fn profiled_run(threads: usize) -> Arc<Registry> {
 
 /// Asserts `text` is exactly one JSON value (plus surrounding whitespace).
 fn assert_valid_json(text: &str, what: &str) {
-    if let Err(e) = coyote_serve::json::parse(text) {
+    if let Err(e) = serde_json::from_str(text) {
         panic!("{what} is not valid JSON: {e}");
     }
 }

@@ -23,8 +23,8 @@ use coyote_bench::{run_conformance, run_sweep, Effort, SweepGrid};
 use coyote_obs::{install, uninstall, Registry};
 use std::sync::Arc;
 
-/// `Snapshot::deterministic()` counters of `conform --filter Abilene`.
-/// `.github/workflows/ci.yml` pins the same `gp.adam.iterations`.
+/// `Snapshot::deterministic()` counters of `conform --filter Abilene` (at
+/// any `--threads`: `obs_pipeline.rs` holds them thread-count invariant).
 const PINNED_COUNTERS: [(&str, u64); 4] = [
     ("gp.adam.iterations", 3_742),
     ("gp.adam.runs", 8),

@@ -1,19 +1,20 @@
-//! Exporters: chrome://tracing JSON and flat metrics JSON/text.
+//! Exporters: chrome://tracing JSON and the metrics snapshot as JSON.
 //!
-//! Both exporters are hand-rolled (the crate is dependency-free) and emit
-//! keys in deterministic order: trace events are sorted by `(start, lane)`,
-//! metric sections iterate `BTreeMap`s. Two profiled runs of the same
-//! workload therefore produce diffable output, and the `counters` /
-//! `histograms` sections are bit-identical across `--threads` values.
+//! Both print through the vendored `serde_json`, the workspace's one JSON
+//! writer, and emit keys in deterministic order: trace events are sorted by
+//! `(start, lane)`, metric sections iterate `BTreeMap`s. Two profiled runs
+//! of the same workload therefore produce diffable output, and the
+//! `counters` / `histograms` sections are bit-identical across `--threads`
+//! values.
 
-use crate::hist::HistogramSnapshot;
 use crate::registry::{Registry, Snapshot, TraceEvent};
 use std::fmt::Write as _;
 
 /// Serializes the registry's trace buffer in the chrome://tracing "JSON
 /// array" format (also accepted by Perfetto): one complete (`"ph": "X"`)
 /// event per span, `pid` fixed at 1, one `tid` lane per recording thread,
-/// timestamps in microseconds since the registry epoch.
+/// timestamps in microseconds since the registry epoch. Events are printed
+/// one at a time, so a long trace is never held twice as a `Value` tree.
 pub fn chrome_trace_json(registry: &Registry) -> String {
     let mut events = registry.trace_events();
     events.sort_by_key(|e| (e.start_ns, e.lane, std::cmp::Reverse(e.dur_ns)));
@@ -30,11 +31,10 @@ pub fn chrome_trace_json(registry: &Registry) -> String {
 }
 
 fn write_trace_event(out: &mut String, event: &TraceEvent) {
-    out.push_str("{\"name\":");
-    write_json_string(out, event.name);
+    let name = serde_json::to_string(event.name).expect("printing a string cannot fail");
     let _ = write!(
         out,
-        ",\"cat\":\"coyote\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"depth\":{}}}}}",
+        "{{\"name\":{name},\"cat\":\"coyote\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"depth\":{}}}}}",
         event.lane,
         Micros(event.start_ns),
         Micros(event.dur_ns),
@@ -58,142 +58,22 @@ impl std::fmt::Display for Micros {
 }
 
 /// Serializes a metrics snapshot as pretty-printed JSON with four sections
-/// (`counters`, `gauges`, `histograms`, `timings`), each with sorted keys.
+/// (`counters`, `gauges`, `histograms`, `timings`), each with sorted keys;
+/// a histogram is `{count, sum, min, max, buckets}`, its buckets
+/// `[lower bound, count]` pairs.
 ///
 /// `counters` and `histograms` record deterministic work quantities and
 /// compare bit-identical across `--threads` values; `timings` holds wall
 /// time and varies run to run — strip it (see
 /// [`Snapshot::deterministic`]) before diffing two runs.
 pub fn metrics_json(snapshot: &Snapshot) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\n  \"counters\": {");
-    let mut first = true;
-    for (name, value) in &snapshot.counters {
-        push_entry_sep(&mut out, &mut first);
-        write_json_string(&mut out, name);
-        let _ = write!(out, ": {value}");
-    }
-    close_section(&mut out, first);
-    out.push_str(",\n  \"gauges\": {");
-    first = true;
-    for (name, value) in &snapshot.gauges {
-        push_entry_sep(&mut out, &mut first);
-        write_json_string(&mut out, name);
-        out.push_str(": ");
-        write_json_f64(&mut out, *value);
-    }
-    close_section(&mut out, first);
-    for (label, section) in [
-        ("histograms", &snapshot.histograms),
-        ("timings", &snapshot.timings),
-    ] {
-        let _ = write!(out, ",\n  \"{label}\": {{");
-        first = true;
-        for (name, hist) in section {
-            push_entry_sep(&mut out, &mut first);
-            write_json_string(&mut out, name);
-            out.push_str(": ");
-            write_histogram(&mut out, hist);
-        }
-        close_section(&mut out, first);
-    }
-    out.push_str("\n}\n");
-    out
-}
-
-fn push_entry_sep(out: &mut String, first: &mut bool) {
-    if *first {
-        *first = false;
-    } else {
-        out.push(',');
-    }
-    out.push_str("\n    ");
-}
-
-fn close_section(out: &mut String, was_empty: bool) {
-    if was_empty {
-        out.push('}');
-    } else {
-        out.push_str("\n  }");
-    }
-}
-
-fn write_histogram(out: &mut String, hist: &HistogramSnapshot) {
-    let _ = write!(
-        out,
-        "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
-        hist.count, hist.sum, hist.min, hist.max
-    );
-    for (i, (lo, count)) in hist.buckets.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "[{lo}, {count}]");
-    }
-    out.push_str("]}");
-}
-
-/// Serializes a metrics snapshot as flat `name value` text lines, one
-/// metric per line, sections in the same order as [`metrics_json`] and
-/// keys sorted within each section.
-pub fn metrics_text(snapshot: &Snapshot) -> String {
-    let mut out = String::with_capacity(2048);
-    for (name, value) in &snapshot.counters {
-        let _ = writeln!(out, "counter {name} {value}");
-    }
-    for (name, value) in &snapshot.gauges {
-        let _ = writeln!(out, "gauge {name} {value}");
-    }
-    for (label, section) in [
-        ("histogram", &snapshot.histograms),
-        ("timing", &snapshot.timings),
-    ] {
-        for (name, hist) in section {
-            let _ = writeln!(
-                out,
-                "{label} {name} count={} sum={} min={} max={} mean={:.3}",
-                hist.count,
-                hist.sum,
-                hist.min,
-                hist.max,
-                hist.mean()
-            );
-        }
-    }
-    out
-}
-
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_json_f64(out: &mut String, value: f64) {
-    if value.is_finite() {
-        let _ = write!(out, "{value}");
-        // Bare integers are valid JSON numbers but ambiguous to some
-        // consumers; keep them as-is (e.g. `2` for a thread count).
-    } else {
-        out.push_str("null");
-    }
+    serde_json::to_string_pretty(snapshot).expect("printing a snapshot cannot fail") + "\n"
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
     use std::sync::Arc;
 
     #[test]
@@ -205,10 +85,16 @@ mod tests {
     }
 
     #[test]
-    fn json_strings_are_escaped() {
-        let mut out = String::new();
-        write_json_string(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
+    fn trace_names_are_escaped() {
+        let registry = Registry::new();
+        registry.record_span("a\"b\\c\nd\u{1}", 1_500, 2_000, 0);
+        let trace = serde_json::from_str(&chrome_trace_json(&registry)).unwrap();
+        let events = trace.get("traceEvents").and_then(Value::as_array).unwrap();
+        let names: Vec<_> = events
+            .iter()
+            .filter_map(|e| e.get("name")?.as_str())
+            .collect();
+        assert!(names.contains(&"a\"b\\c\nd\u{1}"), "{names:?}");
     }
 
     #[test]
@@ -234,7 +120,26 @@ mod tests {
         let a = json.find("a.first").unwrap();
         let z = json.find("z.last").unwrap();
         assert!(a < z);
-        assert!(json.contains("\"g.value\": 0.5"));
-        assert!(json.contains("\"buckets\": [[2, 1]]"));
+        let doc = serde_json::from_str(&json).unwrap();
+        let sections: Vec<_> = match &doc {
+            Value::Object(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => panic!("{json}"),
+        };
+        assert_eq!(sections, ["counters", "gauges", "histograms", "timings"]);
+        assert_eq!(
+            doc.get("gauges").and_then(|g| g.get("g.value")?.as_f64()),
+            Some(0.5)
+        );
+        let hist = doc.get("histograms").and_then(|h| h.get("m.hist")).unwrap();
+        let field = |k| hist.get(k).and_then(Value::as_f64);
+        assert_eq!(
+            [field("count"), field("sum"), field("min"), field("max")],
+            [Some(1.0), Some(3.0), Some(3.0), Some(3.0)]
+        );
+        let pair = |lo: f64, n: f64| Value::Array(vec![Value::Float(lo), Value::Float(n)]);
+        assert_eq!(
+            hist.get("buckets"),
+            Some(&Value::Array(vec![pair(2.0, 1.0)]))
+        );
     }
 }

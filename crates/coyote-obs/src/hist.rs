@@ -112,7 +112,7 @@ impl Histogram {
 
 /// An immutable copy of a histogram, as captured by
 /// [`Registry::snapshot`](crate::Registry::snapshot).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct HistogramSnapshot {
     /// Number of observations.
     pub count: u64,

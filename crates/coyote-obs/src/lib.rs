@@ -1,10 +1,10 @@
 //! # coyote-obs
 //!
-//! Zero-dependency observability for the COYOTE pipeline: hierarchical
-//! timed spans, monotonic counters, gauges and log2-bucketed histograms
-//! behind a thread-safe [`Registry`], with two exporters —
-//! [`chrome_trace_json`] (open in chrome://tracing or Perfetto) and
-//! [`metrics_json`] / [`metrics_text`] (flat, sorted, diffable).
+//! Observability for the COYOTE pipeline: hierarchical timed spans,
+//! monotonic counters, gauges and log2-bucketed histograms behind a
+//! thread-safe [`Registry`], with two exporters — [`chrome_trace_json`]
+//! (open in chrome://tracing or Perfetto) and [`metrics_json`] (sorted,
+//! diffable) — that print through the vendored `serde_json`.
 //!
 //! ## Zero cost when disabled
 //!
@@ -49,7 +49,7 @@ pub mod hist;
 pub mod registry;
 pub mod span;
 
-pub use export::{chrome_trace_json, metrics_json, metrics_text};
+pub use export::{chrome_trace_json, metrics_json};
 pub use hist::{bucket_index, bucket_lower_bound, Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{enabled, install, installed, uninstall, Registry, Snapshot, TraceEvent};
 pub use span::Span;

@@ -209,8 +209,9 @@ impl Registry {
 }
 
 /// A point-in-time copy of a registry's metrics, with deterministic
-/// (`BTreeMap`) key ordering in every section.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// (`BTreeMap`) key ordering in every section. It serializes as
+/// [`metrics_json`](crate::metrics_json) prints it.
+#[derive(Debug, Clone, PartialEq, Default, serde::Serialize)]
 pub struct Snapshot {
     /// Monotonic counters (deterministic across thread counts).
     pub counters: BTreeMap<String, u64>,

@@ -1,11 +1,12 @@
 //! The daemon itself: a hand-rolled threaded HTTP/1.1 server.
 //!
-//! Zero dependencies beyond `std`, in keeping with the workspace's vendored
-//! offline style: a `TcpListener` shared by N worker threads (each `accept`s
-//! on its own clone), one request per connection (`Connection: close`), and
-//! a `Mutex<TeEngine>` as the single source of truth — updates serialize,
-//! which is exactly the semantics a Fibbing controller wants (deltas are
-//! ordered by epoch).
+//! The transport is `std` alone: a `TcpListener` shared by N worker threads
+//! (each `accept`s on its own clone), one request per connection
+//! (`Connection: close`), and a `Mutex<TeEngine>` as the single source of
+//! truth — updates serialize, which is exactly the semantics a Fibbing
+//! controller wants (deltas are ordered by epoch). Bodies are JSON, read
+//! with `serde_json::from_str` (anything it rejects is a 400) and printed
+//! with `serde_json::to_string`.
 //!
 //! | Method | Path         | Body                                   | Reply |
 //! |--------|--------------|----------------------------------------|-------|
@@ -24,8 +25,8 @@
 use crate::api::{ErrorResponse, ProgramResponse, StateResponse};
 use crate::engine::{ColdCheck, DemandUpdate, TeEngine, UpdateOutcome};
 use crate::error::ServeError;
-use crate::json::{self, JsonValue};
 use coyote_graph::NodeId;
+use serde_json::Value;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,6 +67,8 @@ struct Shared {
     engine: Mutex<TeEngine>,
     shutdown: AtomicBool,
     batch_recompile_micros: Option<u64>,
+    /// Worker threads: how many parked `accept`s a shutdown must wake.
+    workers: usize,
 }
 
 impl Server {
@@ -77,10 +80,10 @@ impl Server {
             engine: Mutex::new(engine),
             shutdown: AtomicBool::new(false),
             batch_recompile_micros: config.batch_recompile_micros,
+            workers: config.threads.max(1),
         });
-        let threads = config.threads.max(1);
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
+        let mut handles = Vec::with_capacity(shared.workers);
+        for _ in 0..shared.workers {
             let listener = listener.try_clone()?;
             let shared = Arc::clone(&shared);
             handles.push(std::thread::spawn(move || worker(listener, shared)));
@@ -100,7 +103,7 @@ impl Server {
     /// Requests shutdown (same effect as POST `/shutdown`).
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        wake_workers(self.addr, self.handles.len());
+        wake_workers(self.addr, self.shared.workers);
     }
 
     /// Waits for every worker to exit.
@@ -133,7 +136,10 @@ fn worker(listener: TcpListener, shared: Arc<Shared>) {
         let should_stop = handle_connection(stream, &shared);
         if should_stop {
             shared.shutdown.store(true, Ordering::SeqCst);
-            wake_workers(listener.local_addr().expect("listener has an address"), 8);
+            wake_workers(
+                listener.local_addr().expect("listener has an address"),
+                shared.workers,
+            );
             return;
         }
     }
@@ -285,11 +291,11 @@ fn encode<T: serde::Serialize>(value: &T) -> Result<String, ServeError> {
 
 /// Resolves a router identifier that may be a JSON string (name or decimal
 /// index) or a JSON number.
-fn node_of(engine: &TeEngine, value: Option<&JsonValue>, field: &str) -> Result<NodeId, ServeError> {
+fn node_of(engine: &TeEngine, value: Option<&Value>, field: &str) -> Result<NodeId, ServeError> {
     let value = value.ok_or_else(|| ServeError::BadRequest(format!("missing field {field:?}")))?;
     match value {
-        JsonValue::String(s) => engine.resolve_node(s),
-        JsonValue::Number(n) if n.fract() == 0.0 && *n >= 0.0 => {
+        Value::String(s) => engine.resolve_node(s),
+        Value::Float(n) if n.fract() == 0.0 && *n >= 0.0 => {
             engine.resolve_node(&format!("{}", *n as u64))
         }
         _ => Err(ServeError::BadRequest(format!(
@@ -298,13 +304,14 @@ fn node_of(engine: &TeEngine, value: Option<&JsonValue>, field: &str) -> Result<
     }
 }
 
-fn parse_body(body: &str) -> Result<JsonValue, ServeError> {
-    json::parse(body).map_err(|e| ServeError::BadRequest(format!("invalid JSON body: {e}")))
+fn parse_body(body: &str) -> Result<Value, ServeError> {
+    serde_json::from_str(body)
+        .map_err(|e| ServeError::BadRequest(format!("invalid JSON body: {e}")))
 }
 
 /// The mandatory boolean `"up"` of a link or node event: a body that omits
 /// it or sends another type is a client error, never a failure event.
-fn up_of(doc: &JsonValue) -> Result<bool, ServeError> {
+fn up_of(doc: &Value) -> Result<bool, ServeError> {
     doc.get("up")
         .and_then(|u| u.as_bool())
         .ok_or_else(|| ServeError::BadRequest("body needs a boolean \"up\"".into()))

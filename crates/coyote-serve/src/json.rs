@@ -1,298 +1,6 @@
-//! A minimal JSON parser for request bodies.
-//!
-//! The workspace's vendored `serde_json` stand-in is serialize-only (the
-//! batch pipeline never needed to read JSON), so the daemon brings its own
-//! recursive-descent parser: objects, arrays, strings with the standard
-//! escapes, numbers, booleans and null. Depth-limited; no trailing garbage.
+//! The daemon's JSON names for the workspace's one reader: [`parse`] is
+//! `serde_json::from_str` and [`JsonValue`] its `serde_json::Value` (see
+//! there for what is accepted and how documents are normalized).
 
-use std::collections::BTreeMap;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number (kept as `f64`).
-    Number(f64),
-    /// A string.
-    String(String),
-    /// An array.
-    Array(Vec<JsonValue>),
-    /// An object with deterministic key order.
-    Object(BTreeMap<String, JsonValue>),
-}
-
-impl JsonValue {
-    /// Member lookup on objects (`None` elsewhere).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(map) => map.get(key),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a number, if it is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is one.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a complete JSON document; rejects trailing non-whitespace.
-pub fn parse(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(value)
-}
-
-const MAX_DEPTH: usize = 64;
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\r' | b'\n') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    if depth > MAX_DEPTH {
-        return Err("nesting too deep".to_string());
-    }
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos, depth),
-        Some(b'[') => parse_array(bytes, pos, depth),
-        Some(b'"') => parse_string(bytes, pos).map(JsonValue::String),
-        Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &str,
-    value: JsonValue,
-) -> Result<JsonValue, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}"))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(JsonValue::Number)
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(bytes[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err("invalid escape".to_string()),
-                }
-                *pos += 1;
-            }
-            Some(&b) if b < 0x80 => {
-                out.push(b as char);
-                *pos += 1;
-            }
-            Some(_) => {
-                // Multi-byte UTF-8: copy the whole scalar.
-                let tail = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let ch = tail.chars().next().ok_or("invalid utf-8")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    *pos += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos, depth + 1)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    *pos += 1; // consume '{'
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Object(map));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}"));
-        }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos, depth + 1)?;
-        map.insert(key, value);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Object(map));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_nested_documents() {
-        let v = parse(r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\ny", "d": true}, "e": null}"#)
-            .unwrap();
-        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
-        assert_eq!(v.get("a").unwrap().as_array().unwrap()[2].as_f64(), Some(-300.0));
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
-        assert_eq!(v.get("b").unwrap().get("d").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("e"), Some(&JsonValue::Null));
-    }
-
-    #[test]
-    fn round_trips_with_the_vendored_serializer() {
-        // What our serializer emits, our parser must read back.
-        #[derive(serde::Serialize)]
-        struct Probe {
-            name: String,
-            values: Vec<f64>,
-            flag: bool,
-        }
-        let text = serde_json::to_string(&Probe {
-            name: "αβ \"quoted\"".to_string(),
-            values: vec![1.0, 0.25],
-            flag: false,
-        })
-        .unwrap();
-        let v = parse(&text).unwrap();
-        assert_eq!(v.get("name").unwrap().as_str(), Some("αβ \"quoted\""));
-        assert_eq!(v.get("values").unwrap().as_array().unwrap()[1].as_f64(), Some(0.25));
-        assert_eq!(v.get("flag").unwrap().as_bool(), Some(false));
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        for bad in [
-            "",
-            "{",
-            "[1, 2",
-            "{\"a\": }",
-            "\"unterminated",
-            "123 456",
-            "{\"a\": 1,}",
-            "nul",
-        ] {
-            assert!(parse(bad).is_err(), "{bad:?} should not parse");
-        }
-    }
-
-    #[test]
-    fn depth_limit_is_enforced() {
-        let deep = "[".repeat(100) + &"]".repeat(100);
-        assert!(parse(&deep).is_err());
-    }
-}
+pub use serde_json::from_str as parse;
+pub use serde_json::Value as JsonValue;

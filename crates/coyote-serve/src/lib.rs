@@ -13,11 +13,12 @@
 //!   guarantee — delta applied to the old LSDB is bit-identical to a cold
 //!   recompile — is the production path, checked by
 //!   [`TeEngine::verify_against_cold`].
-//! * [`http`] — a dependency-free threaded HTTP/1.1 server exposing
+//! * [`http`] — a threaded HTTP/1.1 server on `std` alone, exposing
 //!   telemetry (`GET /state`, `/program`, `/metrics`) and updates
-//!   (`POST /demand`, `/link`, `/node`, `/recompile`, `/shutdown`).
-//! * [`json`] — a minimal JSON parser for request bodies (the vendored
-//!   `serde_json` stand-in is serialize-only).
+//!   (`POST /demand`, `/link`, `/node`, `/recompile`, `/shutdown`). Request
+//!   bodies are read and replies printed by the vendored `serde_json`.
+//! * [`json`] — `parse` and `JsonValue`, the daemon's names for
+//!   `serde_json::from_str` and `serde_json::Value`.
 //! * [`api`] — the wire types of the JSON responses.
 //!
 //! The load harness is the repo's benchmark (`benchmark/`, workload
@@ -48,4 +49,3 @@ pub use engine::{
 };
 pub use error::ServeError;
 pub use http::{Server, ServerConfig};
-pub use json::JsonValue;

@@ -131,7 +131,7 @@ fn run_session(threads: usize) -> coyote_obs::Snapshot {
     assert_eq!(raw_request(&addr, &head, update), 400, "short body");
     let (status, state) = request(&addr, "GET", "/state", "");
     assert_eq!(status, 200);
-    let state = coyote_serve::json::parse(&state).unwrap();
+    let state = serde_json::from_str(&state).unwrap();
     let failed = |key| state.get(key).and_then(|v| v.as_array()).map(<[_]>::len);
     assert_eq!((failed("failed_links"), failed("failed_nodes")), (Some(0), Some(0)));
     assert_eq!(state.get("epoch").and_then(|e| e.as_f64()), Some(3.0));

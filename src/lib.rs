@@ -25,7 +25,7 @@
 //!   and per-prefix LSA deltas (`experiments serve`).
 //! * [`runtime`] — the scoped worker pool / ordered `par_map` the
 //!   experiment harness uses to fan scenario evaluations across cores.
-//! * [`obs`] — zero-dependency spans/counters/histograms wired through the
+//! * [`obs`] — spans/counters/histograms wired through the
 //!   whole pipeline; exports chrome://tracing traces and flat metrics
 //!   summaries (`experiments … --profile`).
 //! * [`bench`](mod@bench) — the experiment harness itself: scenario grid, parallel
