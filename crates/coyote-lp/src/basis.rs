@@ -169,13 +169,10 @@ impl Elimination {
 }
 
 /// Why a factorization attempt failed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Singular {
     /// Basis position whose column turned out dependent on its predecessors.
     pub position: usize,
-    /// Rows still unpivoted when the failure was detected (candidates for a
-    /// repair column).
-    pub unpivoted_rows: Vec<usize>,
 }
 
 impl LuFactors {
@@ -278,10 +275,7 @@ impl LuFactors {
             }
             el.touched.clear();
             if singular {
-                return Err(Singular {
-                    position: j,
-                    unpivoted_rows: (0..m).filter(|&r| el.pinv[r] == usize::MAX).collect(),
-                });
+                return Err(Singular { position: j });
             }
         }
         Ok(())
@@ -473,9 +467,10 @@ pub(crate) mod tests {
         all
     }
 
-    /// The kernel this file replaced, kept verbatim (visibility aside) as
-    /// the oracle of the differential tests: two `0..j` scans per basis
-    /// column, `Vec<Vec<(usize, f64)>>` factors, a fresh `Vec` per solve.
+    /// The kernel this file replaced, kept verbatim (visibility and the
+    /// error's payload aside) as the oracle of the differential tests: two
+    /// `0..j` scans per basis column, `Vec<Vec<(usize, f64)>>` factors, a
+    /// fresh `Vec` per solve.
     mod reference {
         use crate::basis::Singular;
         use crate::sparse::CsrMatrix;
@@ -570,12 +565,7 @@ pub(crate) mod tests {
                     if pivot_row == usize::MAX
                         || pivot_mag <= SINGULAR_TOL * col_max.max(MIN_COLUMN_SCALE)
                     {
-                        let unpivoted_rows: Vec<usize> =
-                            (0..m).filter(|&r| pinv[r] == usize::MAX).collect();
-                        return Err(Singular {
-                            position: j,
-                            unpivoted_rows,
-                        });
+                        return Err(Singular { position: j });
                     }
                     let d = work[pivot_row];
                     let mut lcol = Vec::new();
@@ -782,6 +772,14 @@ pub(crate) mod tests {
         y
     }
 
+    /// The rows no elimination step pivoted on: after a failed
+    /// factorization, the rows the columns before the dependent one left
+    /// uncovered.
+    fn unpivoted_rows(fact: &Factorization) -> Vec<usize> {
+        let pinv = &fact.lu.scratch.pinv;
+        (0..pinv.len()).filter(|&r| pinv[r] == usize::MAX).collect()
+    }
+
     #[test]
     fn lu_solves_a_permuted_system() {
         // Columns chosen so that partial pivoting must permute rows.
@@ -823,11 +821,10 @@ pub(crate) mod tests {
             vec![1.0, 1.0, 0.0],
         ];
         let store = col_store(&cols);
-        let err = Factorization::new(&store)
-            .refactorize(&store, &[0, 1, 2])
-            .unwrap_err();
-        assert_eq!(err.position, 2);
-        assert_eq!(err.unpivoted_rows, vec![2]);
+        let mut fact = Factorization::new(&store);
+        let err = fact.refactorize(&store, &[0, 1, 2]).unwrap_err();
+        assert_eq!(err, Singular { position: 2 });
+        assert_eq!(unpivoted_rows(&fact), vec![2]);
     }
 
     #[test]
@@ -983,11 +980,11 @@ pub(crate) mod tests {
         CsrMatrix::from_triplets(2 * m, m, &triplets)
     }
 
-    /// Factorizes `basis` with both kernels — repairing a singular basis
-    /// the way the solver does, so the in-place kernel is also re-entered
-    /// after an `Err` — and compares every factor; then FTRAN and BTRAN of
-    /// random right-hand sides after 0, 1 and `REFRESH_PIVOTS − 1` eta
-    /// updates.
+    /// Factorizes `basis` with both kernels — replacing a dependent column
+    /// by the unit column of an uncovered row until the basis is
+    /// nonsingular, so the in-place kernel is also re-entered after an
+    /// `Err` — and compares every factor; then FTRAN and BTRAN of random
+    /// right-hand sides after 0, 1 and `REFRESH_PIVOTS − 1` eta updates.
     fn differential(
         rng: &mut TestRng,
         store: &CsrMatrix,
@@ -1000,10 +997,10 @@ pub(crate) mod tests {
             match (new, reference::LuFactors::factorize(store, basis)) {
                 (Ok(()), Ok(old)) => break old,
                 (Err(new), Err(old)) => {
-                    if (new.position, &new.unpivoted_rows) != (old.position, &old.unpivoted_rows) {
+                    if new != old {
                         return Err(format!("singular: {new:?} vs {old:?}"));
                     }
-                    basis[new.position] = m + new.unpivoted_rows[0];
+                    basis[new.position] = m + unpivoted_rows(fact)[0];
                 }
                 (new, old) => {
                     return Err(format!("{new:?} vs {:?}", old.map(|_| "factors")));

@@ -47,8 +47,8 @@ pub enum LpError {
         context: String,
     },
     /// The solver hit an unrecoverable numerical failure (e.g. a basis that
-    /// could not be factorized or repaired). Should not occur on
-    /// well-scaled problems; reported rather than panicking.
+    /// turned singular mid-solve). Should not occur on well-scaled
+    /// problems; reported rather than panicking.
     Numerical {
         /// Description of the failure.
         context: String,

@@ -4,7 +4,10 @@
 //! backends: a revised simplex over a sparse CSR constraint matrix with an
 //! incrementally updated LU basis factorization (the default), and the
 //! original dense tableau kept as a differential oracle
-//! ([`SolverBackend::Dense`], env `COYOTE_LP_BACKEND=dense`).
+//! ([`SolverBackend::Dense`], env `COYOTE_LP_BACKEND=dense`). The revised
+//! solver carries only the mechanisms that change a result; the dense
+//! tableau keeps the defences against its own rounding drift (see
+//! [`simplex`]).
 //!
 //! The COYOTE paper solves several families of linear programs:
 //!

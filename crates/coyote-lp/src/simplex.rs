@@ -7,9 +7,12 @@
 //! Dantzig's rule with an automatic switch to Bland's rule when progress
 //! stalls, which guarantees termination.
 //!
-//! The implementation favours robustness over raw speed: the LPs produced by
-//! the COYOTE pipeline have a few thousand variables at most, well within
-//! reach of a dense tableau.
+//! This is the differential oracle the revised solver ([`crate::revised`])
+//! is judged by, and it favours robustness over raw speed. Its tableau is
+//! updated in place pivot after pivot, so rounding error accumulates in it,
+//! and four defences that the revised solver does without stay here: the
+//! pivot-size guard, the noise-column clamp, the zero-snap of elimination
+//! residue and the capped reprice-and-verify loop (`run_phase`).
 
 use crate::error::LpError;
 use crate::model::{default_iteration_limit, LpProblem, Relation, Sense};
@@ -157,16 +160,8 @@ struct Tableau {
     basis: Vec<usize>,
     m: usize,
     total_cols: usize,
-    /// Numerical-event tallies, accumulated locally (plain integers, no
-    /// global sink traffic) and reported to `coyote-obs` once per solve.
+    /// Optimize→reprice rounds, reported to `coyote-obs` once per solve.
     refresh_rounds: usize,
-    pivot_guard_triggers: usize,
-    noise_clamps: usize,
-    snapped_entries: usize,
-    /// Whether an observability sink was installed when the solve started;
-    /// keeps the per-entry snap tally out of the hot elimination loop on
-    /// unprofiled runs (the tally accumulator blocks vectorization).
-    track_tallies: bool,
 }
 
 impl Tableau {
@@ -201,26 +196,9 @@ impl Tableau {
                 // that cancels to below SNAP_TOL is noise, and letting it linger
                 // seeds ghost columns that later look like descent
                 // directions with no valid pivot (spurious "unbounded").
-                //
-                // Two bodies for the hottest loop in the solver: the snap
-                // tally adds a serial accumulator that blocks
-                // vectorization, so it only runs when a profiling sink was
-                // installed at solve start. The snap decision itself (and
-                // thus every number produced) is identical on both paths.
-                if self.track_tallies {
-                    let mut snapped = 0usize;
-                    for c in 0..=self.total_cols {
-                        let x = self.a[r][c] - factor * self.a[row][c];
-                        let snap = x.abs() < SNAP_TOL;
-                        snapped += (snap && x != 0.0) as usize;
-                        self.a[r][c] = if snap { 0.0 } else { x };
-                    }
-                    self.snapped_entries += snapped;
-                } else {
-                    for c in 0..=self.total_cols {
-                        let x = self.a[r][c] - factor * self.a[row][c];
-                        self.a[r][c] = if x.abs() < SNAP_TOL { 0.0 } else { x };
-                    }
+                for c in 0..=self.total_cols {
+                    let x = self.a[r][c] - factor * self.a[row][c];
+                    self.a[r][c] = if x.abs() < SNAP_TOL { 0.0 } else { x };
                 }
                 self.a[r][col] = 0.0;
             }
@@ -326,10 +304,7 @@ impl Tableau {
                             }
                         }
                     }
-                    if let Some(ar) = alt {
-                        leave = Some(ar);
-                        self.pivot_guard_triggers += 1;
-                    }
+                    leave = alt.or(leave);
                 }
             }
             let Some(row) = leave else {
@@ -339,7 +314,6 @@ impl Tableau {
                     // extreme ray keeps its decisive (negative) entries and
                     // still reports unbounded below.
                     self.cost[col] = 0.0;
-                    self.noise_clamps += 1;
                     continue;
                 }
                 return Err(LpError::Unbounded);
@@ -530,10 +504,6 @@ pub(crate) fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
         m,
         total_cols,
         refresh_rounds: 0,
-        pivot_guard_triggers: 0,
-        noise_clamps: 0,
-        snapped_entries: 0,
-        track_tallies: coyote_obs::enabled(),
     };
 
     let limit = problem
@@ -612,37 +582,13 @@ pub(crate) fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
     };
 
     stats.refresh_rounds = tab.refresh_rounds;
-    stats.pivot_guard_triggers = tab.pivot_guard_triggers;
-    stats.noise_clamps = tab.noise_clamps;
-    stats.snapped_entries = tab.snapped_entries;
-    report_solve(&stats);
+    stats.report();
 
     Ok(LpSolution {
         objective,
         values,
         stats,
     })
-}
-
-/// Publishes one completed solve's tallies to the global obs sink (a single
-/// `enabled()` atomic load when profiling is off). All quantities are exact
-/// per-solve workload counts, so their totals are bit-identical no matter
-/// how solves are distributed over worker threads.
-pub(crate) fn report_solve(stats: &SolveStats) {
-    if !coyote_obs::enabled() {
-        return;
-    }
-    let pivots = (stats.phase1_pivots + stats.phase2_pivots) as u64;
-    coyote_obs::counter("lp.solves", 1);
-    coyote_obs::counter("lp.pivots", pivots);
-    coyote_obs::counter("lp.phase1_pivots", stats.phase1_pivots as u64);
-    coyote_obs::counter("lp.phase2_pivots", stats.phase2_pivots as u64);
-    coyote_obs::counter("lp.refresh_rounds", stats.refresh_rounds as u64);
-    coyote_obs::counter("lp.pivot_guard_triggers", stats.pivot_guard_triggers as u64);
-    coyote_obs::counter("lp.noise_clamps", stats.noise_clamps as u64);
-    coyote_obs::counter("lp.snapped_entries", stats.snapped_entries as u64);
-    coyote_obs::observe("lp.pivots_per_solve", pivots);
-    coyote_obs::observe("lp.rows_per_solve", stats.rows as u64);
 }
 
 #[cfg(test)]

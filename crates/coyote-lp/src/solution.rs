@@ -31,18 +31,10 @@ pub struct SolveStats {
     pub standard_vars: usize,
     /// Number of rows of the tableau.
     pub rows: usize,
-    /// Optimize→reprice→re-run rounds across both phases (each phase runs
+    /// Optimize→verify→re-run rounds across both phases (each phase runs
     /// at least one).
     pub refresh_rounds: usize,
-    /// Times the pivot-size guard replaced a tiny ratio-test pivot with a
-    /// decisively-sized one.
-    pub pivot_guard_triggers: usize,
-    /// Numerically-zero descent columns neutralized instead of being
-    /// reported as unbounded rays.
-    pub noise_clamps: usize,
-    /// Elimination residues snapped to an exact zero during pivoting.
-    pub snapped_entries: usize,
-    /// Basis refactorizations performed (revised backend only; the dense
+    /// Completed basis factorizations (revised backend only; the dense
     /// backend reports zero).
     pub refactorizations: usize,
     /// `nnz(L) + nnz(U)`, diagonals excluded, summed over those
@@ -52,14 +44,32 @@ pub struct SolveStats {
     /// Pivots whose step length θ was at most the feasibility tolerance:
     /// the basis changed and the vertex did not (revised backend only).
     pub degenerate_pivots: usize,
-    /// Singular basis columns replaced during factorization repair
-    /// (revised backend only).
-    pub basis_repairs: usize,
     /// Which basis the solve started from.
     pub start: SolveStart,
     /// Phase-one pivots avoided by the warm start (the count the session's
     /// cold solve paid).
     pub warm_pivots_saved: usize,
+}
+
+impl SolveStats {
+    /// Publishes what every completed solve reports, on either backend, to
+    /// the global obs sink (a single `enabled()` atomic load when profiling
+    /// is off). All quantities are exact per-solve workload counts, so their
+    /// totals are bit-identical no matter how solves are distributed over
+    /// worker threads.
+    pub(crate) fn report(&self) {
+        if !coyote_obs::enabled() {
+            return;
+        }
+        let pivots = (self.phase1_pivots + self.phase2_pivots) as u64;
+        coyote_obs::counter("lp.solves", 1);
+        coyote_obs::counter("lp.pivots", pivots);
+        coyote_obs::counter("lp.phase1_pivots", self.phase1_pivots as u64);
+        coyote_obs::counter("lp.phase2_pivots", self.phase2_pivots as u64);
+        coyote_obs::counter("lp.refresh_rounds", self.refresh_rounds as u64);
+        coyote_obs::observe("lp.pivots_per_solve", pivots);
+        coyote_obs::observe("lp.rows_per_solve", self.rows as u64);
+    }
 }
 
 /// An optimal solution of an [`crate::LpProblem`].
