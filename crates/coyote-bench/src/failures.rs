@@ -16,9 +16,11 @@
 //!    and derive the post-failure demand matrix (dead-endpoint demands
 //!    zeroed, flash-crowd spikes applied).
 //! 2. **Oblivious mode** — keep the pre-failure Fibbing program, withdraw
-//!    the failed elements from the lied-to LSDB ([`Lsdb::pruned`]), re-run
-//!    the routers' SPF over the pruned database, and flow-simulate the
-//!    post-failure matrix on the reconverged routing.
+//!    the failed elements and the lies they invalidate from the lied-to
+//!    LSDB without copying it ([`Lsdb::withdraw`]), reconverge the routers'
+//!    SPF — retracting the lies of any prefix that now loops
+//!    ([`Withdrawal::reconverge`]) — and flow-simulate the post-failure
+//!    matrix on the reconverged routing.
 //! 3. **Re-optimized mode** — rebuild DAGs on the post-failure topology,
 //!    re-solve the demands-aware LP on the routable part of the matrix
 //!    ([`split_routable_within_dags`]), recompile the Fibbing program, and
@@ -36,7 +38,8 @@
 //! every healthy cell still completes and the report stays bit-identical
 //! across thread counts.
 //!
-//! [`Lsdb::pruned`]: coyote_ospf::Lsdb::pruned
+//! [`Lsdb::withdraw`]: coyote_ospf::Lsdb::withdraw
+//! [`Withdrawal::reconverge`]: coyote_ospf::Withdrawal::reconverge
 //! [`split_routable_within_dags`]: coyote_core::split_routable_within_dags
 //! [`Graph::without_edges`]: coyote_graph::Graph::without_edges
 //! [`WorkerPool::par_map_results`]: coyote_runtime::WorkerPool::par_map_results
@@ -50,7 +53,7 @@ use coyote_core::{
 };
 use coyote_graph::{EdgeId, Graph, NodeId};
 use coyote_ospf::{
-    compute_fib, compute_program, realized_routing, FibbingProgram, OspfError, VirtualLinkBudget,
+    compute_program, realized_routing, FibbingProgram, OspfError, VirtualLinkBudget,
 };
 use coyote_runtime::WorkerPool;
 use coyote_sim::{FlowSimulator, SimOutcome};
@@ -287,6 +290,9 @@ impl FailureCell {
 pub struct FailureGrid {
     /// The cells, in evaluation (and report) order.
     pub cells: Vec<FailureCell>,
+    /// Event-generator seed the cells were enumerated with; the report
+    /// echoes it.
+    pub seed: u64,
 }
 
 impl FailureGrid {
@@ -306,7 +312,7 @@ impl FailureGrid {
                 });
             }
         }
-        Ok(Self { cells })
+        Ok(Self { cells, seed })
     }
 
     /// The standard failure registry: the Table-I-eligible conformance grid
@@ -650,47 +656,39 @@ fn failure_record(
         );
     }
 
-    // 3. Oblivious mode: prune the lied-to LSDB, reconverge SPF, keep going
-    //    even if the surviving lies now form a transient forwarding loop.
-    let (pruned_lsdb, prune_stats) = {
+    // 3. Oblivious mode: withdraw the failed elements from the lied-to LSDB
+    //    and reconverge SPF. A surviving lie can close a forwarding loop
+    //    once real shortest paths move; the controller's emergency fallback
+    //    withdraws that prefix's lies (plain SPF is loop-free), and a loop
+    //    with no lie left to blame gives up on this mode.
+    let withdrawal = {
         let _span = coyote_obs::span("failures.prune");
-        base.program.lsdb.pruned(&dead_nodes, &dead_pairs)
+        base.program.lsdb.withdraw(&dead_nodes, &dead_pairs)
     };
-    // Surviving lies were loop-free on the pre-failure topology, but real
-    // shortest paths change under the failure and can close a cycle through
-    // a lie. The controller's emergency fallback is to withdraw the looping
-    // prefix's lies entirely (plain SPF is provably loop-free), so we
-    // retract prefix by prefix until the reconverged FIB validates.
-    let mut emergency_retractions = 0usize;
-    let (oblivious, oblivious_err) = {
+    let prune_stats = withdrawal.stats();
+    let (oblivious, oblivious_err, emergency_retractions) = {
         let _span = coyote_obs::span("failures.reconverge");
-        let mut lsdb = pruned_lsdb;
-        let result = loop {
-            coyote_obs::counter("failures.reconvergence.spf_runs", n as u64);
-            let fib = compute_fib(&lsdb, n);
-            match fib.to_routing(&pruned_graph) {
-                Ok(routing) => break Ok((routing, lsdb.fake_count())),
-                Err(OspfError::ForwardingLoop { destination, .. }) => {
-                    let dropped = lsdb.retract_fakes_for(NodeId(destination));
-                    if dropped == 0 {
-                        // A loop with no lies left to blame cannot be
-                        // repaired by retraction; give up on this mode.
-                        break Err(format!(
-                            "oblivious reconvergence: unrepairable loop towards {destination}"
-                        ));
-                    }
-                    emergency_retractions += dropped;
-                }
-                Err(e) => break Err(format!("oblivious reconvergence: {e}")),
-            }
-        };
-        match result {
-            Ok((routing, fakes)) => (
-                Some(measure_mode(&pruned_graph, &routing, &post, fakes)),
+        coyote_obs::counter("failures.reconvergence.spf_runs", n as u64);
+        let reconverged = withdrawal.reconverge(&pruned_graph);
+        let (oblivious, err) = match reconverged.routing {
+            Ok(routing) => (
+                Some(measure_mode(
+                    &pruned_graph,
+                    &routing,
+                    &post,
+                    reconverged.fake_count,
+                )),
                 None,
             ),
-            Err(e) => (None, Some(e)),
-        }
+            Err(OspfError::ForwardingLoop { destination, .. }) => (
+                None,
+                Some(format!(
+                    "oblivious reconvergence: unrepairable loop towards {destination}"
+                )),
+            ),
+            Err(e) => (None, Some(format!("oblivious reconvergence: {e}"))),
+        };
+        (oblivious, err, reconverged.retracted)
     };
 
     // 4. Re-optimized mode: rebuild DAGs and the LP on the post-failure
@@ -840,7 +838,7 @@ pub fn run_failures(
         threads: pool.threads(),
         cells: grid.cells.len(),
         tolerance,
-        seed: DEFAULT_FAILURE_SEED,
+        seed: grid.seed,
         wall_secs: started.elapsed().as_secs_f64(),
         records,
     })
@@ -1004,6 +1002,23 @@ mod tests {
         let obl = r.oblivious.as_ref().expect("oblivious");
         // The spiked matrix offers more than the base matrix.
         assert!(obl.sim.offered > 0.0);
+    }
+
+    #[test]
+    fn the_report_echoes_the_seed_the_grid_was_built_with() {
+        let grid = FailureGrid::build(
+            &SweepGrid {
+                specs: vec![abilene_spec()],
+            },
+            EventClass::Spike,
+            7,
+        )
+        .unwrap()
+        .filter("spike")
+        .limit(1);
+        assert_eq!(grid.seed, 7);
+        let report = run_failures(&grid, 1, DEFAULT_TOLERANCE).expect("run");
+        assert_eq!(report.seed, 7);
     }
 
     #[test]

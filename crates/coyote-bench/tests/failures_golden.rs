@@ -23,11 +23,19 @@ fn regenerate() -> String {
     let grid = FailureGrid::standard(Effort::Quick, EventClass::All)
         .expect("standard failure grid")
         .filter("Abilene/gravity");
-    assert_eq!(grid.len(), 39, "Abilene: 14 links, 11 nodes, 11 SRLGs, 3 spikes");
+    assert_eq!(
+        grid.len(),
+        39,
+        "Abilene: 14 links, 11 nodes, 11 SRLGs, 3 spikes"
+    );
     let report = run_failures(&grid, 1, DEFAULT_TOLERANCE).expect("failure run");
     let report = FailureReport {
         wall_secs: 0.0,
-        records: report.records.iter().map(|r| r.deterministic_view()).collect(),
+        records: report
+            .records
+            .iter()
+            .map(|r| r.deterministic_view())
+            .collect(),
         ..report
     };
     serde_json::to_string_pretty(&report).expect("report serializes") + "\n"

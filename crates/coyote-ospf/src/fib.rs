@@ -82,11 +82,27 @@ impl Fib {
         &mut self.entries[destination.index()][router.index()]
     }
 
+    /// Every router's entry towards `destination`, indexed by router.
+    pub(crate) fn column_mut(&mut self, destination: NodeId) -> &mut [FibEntry] {
+        &mut self.entries[destination.index()]
+    }
+
     /// Converts the FIB into a [`PdRouting`] so the core evaluation machinery
     /// (worst-case ratios, stretch, …) can be applied to the *realized*
     /// configuration. Fails if the forwarding state contains a loop for some
     /// destination.
     pub fn to_routing(&self, graph: &Graph) -> Result<PdRouting, OspfError> {
+        self.check_routers(graph)?;
+        let columns = graph
+            .nodes()
+            .map(|t| self.column_routing(graph, t))
+            .collect::<Result<Vec<_>, _>>()?;
+        let (dags, ratios) = columns.into_iter().unzip();
+        Ok(PdRouting::from_ratios(graph, dags, ratios))
+    }
+
+    /// Fails unless `graph` has exactly this FIB's routers.
+    pub(crate) fn check_routers(&self, graph: &Graph) -> Result<(), OspfError> {
         if graph.node_count() != self.node_count {
             return Err(OspfError::DimensionMismatch(format!(
                 "FIB has {} routers, graph has {}",
@@ -94,40 +110,40 @@ impl Fib {
                 graph.node_count()
             )));
         }
-        let mut dags = Vec::with_capacity(self.node_count);
-        let mut ratios = Vec::with_capacity(self.node_count);
-        for t in graph.nodes() {
-            let mut edges: Vec<EdgeId> = Vec::new();
-            let mut raw = vec![0.0; graph.edge_count()];
-            for u in graph.nodes() {
-                if u == t {
-                    continue;
-                }
-                let entry = self.entry(u, t);
-                let total = entry.total_entries();
-                if total == 0 {
-                    continue;
-                }
-                for (neighbor, mult) in entry.iter() {
-                    let e =
-                        graph
-                            .find_edge(u, neighbor)
-                            .ok_or_else(|| OspfError::InvalidNextHop {
-                                router: u.index(),
-                                neighbor: neighbor.index(),
-                            })?;
-                    edges.push(e);
-                    raw[e.index()] = mult as f64 / total as f64;
-                }
+        Ok(())
+    }
+
+    /// One destination's column as a forwarding DAG over `graph` and its
+    /// split ratios (indexed by edge). The first next hop that is not a
+    /// physical neighbor fails the column, and so does a loop.
+    pub(crate) fn column_routing(
+        &self,
+        graph: &Graph,
+        t: NodeId,
+    ) -> Result<(Dag, Vec<f64>), OspfError> {
+        let mut edges: Vec<EdgeId> = Vec::new();
+        let mut raw = vec![0.0; graph.edge_count()];
+        for (u, entry) in graph.nodes().zip(&self.entries[t.index()]) {
+            let total = entry.total_entries();
+            if u == t || total == 0 {
+                continue;
             }
-            let dag = Dag::new(graph, t, &edges).map_err(|e| OspfError::ForwardingLoop {
-                destination: t.index(),
-                detail: e.to_string(),
-            })?;
-            dags.push(dag);
-            ratios.push(raw);
+            for (neighbor, mult) in entry.iter() {
+                let e = graph
+                    .find_edge(u, neighbor)
+                    .ok_or_else(|| OspfError::InvalidNextHop {
+                        router: u.index(),
+                        neighbor: neighbor.index(),
+                    })?;
+                edges.push(e);
+                raw[e.index()] = mult as f64 / total as f64;
+            }
         }
-        Ok(PdRouting::from_ratios(graph, dags, ratios))
+        let dag = Dag::new(graph, t, &edges).map_err(|e| OspfError::ForwardingLoop {
+            destination: t.index(),
+            detail: e.to_string(),
+        })?;
+        Ok((dag, raw))
     }
 }
 

@@ -15,6 +15,9 @@
 //!   target [`coyote_core::PdRouting`] (Fibbing \[8\], \[9\]).
 //! * [`delta`] — per-prefix LSA deltas for the long-running controller:
 //!   applying a delta to the old LSDB is bit-identical to a cold recompile.
+//! * [`withdraw`] — OSPF's reaction to a failure, read off the healthy
+//!   LSDB: withdrawn lies, one SPF per destination, and reconvergence that
+//!   retracts a looping prefix's lies.
 //! * [`verify`] — checks that the realized forwarding state matches the
 //!   target (DAG equality, splitting-ratio error).
 //!
@@ -43,6 +46,7 @@ pub mod lsdb;
 pub mod spf;
 pub mod verify;
 pub mod wecmp;
+pub mod withdraw;
 
 pub use compress::{
     compress_program, compute_program_with, CompressionLevel, CompressionStats, DEFAULT_EPSILON,
@@ -61,3 +65,4 @@ pub use verify::{
     compare_routings, fake_nodes_per_destination, verify_program, VerificationReport,
 };
 pub use wecmp::{approximate_split, max_split_error, quantize_split, realized_fractions};
+pub use withdraw::{Reconvergence, Withdrawal};

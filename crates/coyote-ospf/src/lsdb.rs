@@ -6,7 +6,7 @@ use coyote_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 
-/// What [`Lsdb::pruned`] removed while simulating OSPF's reaction to a
+/// What [`Lsdb::withdraw`] removes while simulating OSPF's reaction to a
 /// failure: dead router advertisements, withdrawn adjacencies, and lies the
 /// Fibbing controller must retract because the failure invalidated them.
 /// `dropped_fakes` is the *reconvergence fake-LSA delta* reported by the
@@ -80,9 +80,34 @@ impl Lsdb {
     /// plain OSPF do" on the router side. Panics if an LSA names a router
     /// outside `0..node_count` or lists itself as a neighbor.
     pub fn real_topology(&self, node_count: usize) -> Graph {
+        self.surviving_topology(node_count, &[], &[], &mut PruneStats::default())
+    }
+
+    /// [`real_topology`](Self::real_topology) after a failure: the LSAs of
+    /// `dead_nodes` are left out, and so is every adjacency towards a dead
+    /// router or across one of `dead_links` (unordered endpoint pairs).
+    /// Counts what it leaves out into `stats.dead_routers` and
+    /// `stats.dropped_links`.
+    pub(crate) fn surviving_topology(
+        &self,
+        node_count: usize,
+        dead_nodes: &[NodeId],
+        dead_links: &[(NodeId, NodeId)],
+        stats: &mut PruneStats,
+    ) -> Graph {
         let mut graph = Graph::with_nodes(node_count);
         for lsa in &self.router_lsas {
+            if dead_nodes.contains(&lsa.router) {
+                stats.dead_routers += 1;
+                continue;
+            }
             for link in &lsa.links {
+                if dead_nodes.contains(&link.neighbor)
+                    || link_is_dead(dead_links, lsa.router, link.neighbor)
+                {
+                    stats.dropped_links += 1;
+                    continue;
+                }
                 graph
                     .add_edge(lsa.router, link.neighbor, 1.0, link.weight)
                     .expect("router LSAs name distinct routers inside the node-id space");
@@ -138,6 +163,9 @@ impl Lsdb {
     /// failed element. Withdrawing the whole prefix's lies returns that
     /// destination to plain (provably loop-free) OSPF forwarding — without
     /// disturbing the other prefixes a shared fake still advertises.
+    /// [`Withdrawal::reconverge`](crate::Withdrawal::reconverge) does the
+    /// same on its view of the database; this copy-and-edit form stays as
+    /// the reference its differential test checks it against.
     pub fn retract_fakes_for(&mut self, destination: NodeId) -> usize {
         let mut withdrawn = 0usize;
         self.fakes.retain_mut(|f| {
@@ -155,6 +183,10 @@ impl Lsdb {
     /// Simulates OSPF's reaction to a failure: returns a copy of this LSDB
     /// with the `dead_nodes` and `dead_links` (unordered endpoint pairs)
     /// withdrawn, plus [`PruneStats`] describing what was removed.
+    ///
+    /// [`withdraw`](Self::withdraw) answers the same question without the
+    /// copy and is what the failure engine and the daemon call; this method
+    /// stays as the reference its differential test checks it against.
     ///
     /// Real state first: router LSAs of dead routers disappear entirely
     /// (their neighbors stop hearing them), and surviving LSAs lose every
@@ -260,7 +292,7 @@ impl Lsdb {
     /// Upper bound of the node-id space referenced anywhere in this LSDB
     /// (1 + the largest node index among router LSAs, adjacencies, and
     /// lies). Robust to withdrawn router LSAs, unlike `router_lsas.len()`.
-    fn node_id_space(&self) -> usize {
+    pub(crate) fn node_id_space(&self) -> usize {
         let mut max = 0usize;
         for lsa in &self.router_lsas {
             max = max.max(lsa.router.index() + 1);
@@ -278,6 +310,15 @@ impl Lsdb {
         }
         max
     }
+}
+
+/// True when the adjacency `a -> b` crosses one of `dead_links` (unordered
+/// endpoint pairs). A failure names a handful of links, so a scan beats
+/// hashing.
+pub(crate) fn link_is_dead(dead_links: &[(NodeId, NodeId)], a: NodeId, b: NodeId) -> bool {
+    dead_links
+        .iter()
+        .any(|&(x, y)| (x, y) == (a, b) || (y, x) == (a, b))
 }
 
 #[cfg(test)]

@@ -14,10 +14,12 @@
 //! in Fibbing they are crafted per destination and only influence the
 //! router they are attached to.
 
-use crate::fib::Fib;
+use crate::fib::{Fib, FibEntry};
+use crate::lsa::FakeNodeLsa;
 use crate::lsdb::Lsdb;
-use coyote_graph::spf::shortest_path_dag;
-use coyote_graph::NodeId;
+use coyote_graph::spf::{shortest_path_dag, ShortestPathDag};
+use coyote_graph::{Graph, NodeId};
+use std::borrow::Borrow;
 
 /// Relative tolerance when comparing a lie's advertised cost against the
 /// real distance (or against another lie's cost).
@@ -40,68 +42,108 @@ fn winning_cost(u: NodeId, t: NodeId, real_dist: f64, cheapest_lie: f64) -> Opti
     (u != t && real_dist.is_finite()).then(|| real_dist.min(cheapest_lie))
 }
 
+/// Prefix advertisements grouped by destination: `ads[t]` holds the
+/// `(fake, prefix)` index pairs, into an LSDB's fakes, that advertise `t`.
+pub(crate) type ByDestination = Vec<Vec<(usize, usize)>>;
+
 /// Computes the full FIB: for every destination prefix and every router, the
-/// ECMP next-hop multiset after taking the injected lies into account.
-///
-/// One pass over the lies finds the cheapest one per (prefix, router); one
-/// plain SPF per prefix installs the real next hops wherever the real route
-/// ties with the winning cost; a second pass over the lies adds one entry
-/// per lie at the winning cost.
+/// ECMP next-hop multiset after taking the injected lies into account. One
+/// plain SPF per prefix, then one pass per prefix over its lies.
 pub fn compute_fib(lsdb: &Lsdb, node_count: usize) -> Fib {
     let _span = coyote_obs::span("ospf.spf");
     coyote_obs::counter("ospf.spf.runs", node_count as u64);
-    let mut fib = Fib::new(node_count);
-
-    // `cheapest_lie[t][u]`: the lowest total cost any lie attached at `u`
-    // advertises towards `t` (shared fakes carry per-prefix costs).
-    let mut cheapest_lie = vec![vec![f64::INFINITY; node_count]; node_count];
-    for fake in lsdb.fakes() {
-        for p in &fake.prefixes {
-            let slot = &mut cheapest_lie[p.destination.index()][fake.attachment.index()];
-            *slot = slot.min(fake.cost_to_fake + p.cost_fake_to_destination);
+    let mut ads: ByDestination = vec![Vec::new(); node_count];
+    for (f, fake) in lsdb.fakes().iter().enumerate() {
+        for (p, prefix) in fake.prefixes.iter().enumerate() {
+            ads[prefix.destination.index()].push((f, p));
         }
     }
-
-    // Plain OSPF, one run per prefix; only the distance rows are kept.
     let real = lsdb.real_topology(node_count);
-    let mut real_dist = Vec::with_capacity(node_count);
-    for t in real.nodes() {
-        let dag = shortest_path_dag(&real, t);
-        for u in real.nodes() {
-            let d = dag.dist_to_dest[u.index()];
-            let lie = cheapest_lie[t.index()][u.index()];
-            if winning_cost(u, t, d, lie).is_some_and(|best| ties(d, best)) {
-                let entry = fib.entry_mut(u, t);
-                for &e in dag.next_hops(u) {
-                    entry.add(real.edge(e).dst, 1);
-                }
+    let spfs = real.nodes().map(|t| shortest_path_dag(&real, t));
+    build_fib(&real, spfs, lsdb.fakes(), &ads)
+}
+
+/// The FIB builder behind both [`compute_fib`] and
+/// [`Withdrawal`](crate::Withdrawal): one column per shortest-path DAG in
+/// `spfs` (plain OSPF over `real`, one per destination), filled from that
+/// destination's advertisements in `ads`.
+pub(crate) fn build_fib<S: Borrow<ShortestPathDag>>(
+    real: &Graph,
+    spfs: impl Iterator<Item = S>,
+    fakes: &[FakeNodeLsa],
+    ads: &ByDestination,
+) -> Fib {
+    let mut fib = Fib::new(real.node_count());
+    let mut cheapest = vec![f64::INFINITY; real.node_count()];
+    for spf in spfs {
+        let spf = spf.borrow();
+        let t = spf.destination;
+        fill_column(
+            fib.column_mut(t),
+            &mut cheapest,
+            real,
+            spf,
+            fakes,
+            &ads[t.index()],
+        );
+    }
+    fib
+}
+
+/// Fills every router's entry towards `spf.destination` from scratch.
+///
+/// One pass over the prefix's advertisements `ads` finds the cheapest lie
+/// per router (into the scratch row `cheapest`); the real next hops are
+/// installed wherever the real route ties with the winning cost; a second
+/// pass adds one entry per lie at the winning cost.
+pub(crate) fn fill_column(
+    column: &mut [FibEntry],
+    cheapest: &mut [f64],
+    real: &Graph,
+    spf: &ShortestPathDag,
+    fakes: &[FakeNodeLsa],
+    ads: &[(usize, usize)],
+) {
+    let t = spf.destination;
+    // A lie and its total cost towards `t` (shared fakes carry per-prefix
+    // costs).
+    let lie = |&(f, p): &(usize, usize)| {
+        let fake = &fakes[f];
+        (
+            fake,
+            fake.cost_to_fake + fake.prefixes[p].cost_fake_to_destination,
+        )
+    };
+    cheapest.fill(f64::INFINITY);
+    for (fake, cost) in ads.iter().map(lie) {
+        let slot = &mut cheapest[fake.attachment.index()];
+        *slot = slot.min(cost);
+    }
+
+    for (u, entry) in real.nodes().zip(column.iter_mut()) {
+        entry.next_hops.clear();
+        let d = spf.dist_to_dest[u.index()];
+        if winning_cost(u, t, d, cheapest[u.index()]).is_some_and(|best| ties(d, best)) {
+            for &e in spf.next_hops(u) {
+                entry.add(real.edge(e).dst, 1);
             }
         }
-        real_dist.push(dag.dist_to_dest);
     }
 
     // Lies at the winning cost add one entry each towards their forwarding
     // address.
-    for fake in lsdb.fakes() {
+    for (fake, cost) in ads.iter().map(lie) {
         let u = fake.attachment;
-        for p in &fake.prefixes {
-            let t = p.destination;
-            let d = real_dist[t.index()][u.index()];
-            let lie = cheapest_lie[t.index()][u.index()];
-            let cost = fake.cost_to_fake + p.cost_fake_to_destination;
-            if winning_cost(u, t, d, lie).is_some_and(|best| ties(cost, best)) {
-                fib.entry_mut(u, t).add(fake.forwarding_address, 1);
-            }
+        let d = spf.dist_to_dest[u.index()];
+        if winning_cost(u, t, d, cheapest[u.index()]).is_some_and(|best| ties(cost, best)) {
+            column[u.index()].add(fake.forwarding_address, 1);
         }
     }
-    fib
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lsa::FakeNodeLsa;
-    use coyote_graph::Graph;
 
     fn fig1() -> (Graph, NodeId, NodeId, NodeId, NodeId) {
         let mut g = Graph::new();

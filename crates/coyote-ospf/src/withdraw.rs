@@ -1,0 +1,293 @@
+//! OSPF's reaction to a failure, read off the healthy LSDB.
+//!
+//! [`Lsdb::withdraw`] takes the failed routers and links and answers two
+//! questions without copying the database. Which real adjacencies survive,
+//! and which lies does the controller have to retract? A lie goes when the
+//! failure invalidates it structurally, or when its forwarding address can
+//! no longer reach the prefix. The survivors are kept as indices into the
+//! borrowed advertisements, grouped by destination, next to one
+//! shortest-path DAG per destination over the surviving real topology. The
+//! blackhole test and the reconverged FIB read those same SPFs.
+//!
+//! [`Withdrawal::reconverge`] is then the controller's emergency fallback,
+//! one column at a time. Surviving lies were loop-free before the failure,
+//! but real shortest paths move under it and can close a cycle through a
+//! lie. When destination `t`'s column loops, `t`'s advertisements are
+//! withdrawn and only that column is rebuilt from the plain next hops. Plain
+//! OSPF is loop-free, so a column that still loops cannot be repaired.
+//! Withdrawing `t`'s lies changes column `t` and no other, so this gives the
+//! same routing and the same first error as withdrawing and recomputing the
+//! whole FIB until it validates.
+
+use crate::error::OspfError;
+use crate::fib::Fib;
+use crate::lsa::FakeNodeLsa;
+use crate::lsdb::{link_is_dead, Lsdb, PruneStats};
+use crate::spf::{build_fib, fill_column, ByDestination};
+use coyote_core::PdRouting;
+use coyote_graph::spf::{shortest_path_dag, ShortestPathDag};
+use coyote_graph::{Graph, NodeId};
+
+/// A failure applied to a borrowed [`Lsdb`]: the surviving real topology,
+/// its shortest-path DAGs, and which prefix advertisements are still live.
+#[derive(Debug)]
+pub struct Withdrawal<'a> {
+    fakes: &'a [FakeNodeLsa],
+    topology: Graph,
+    /// `spf[t]`: plain OSPF towards `t` over `topology`.
+    spf: Vec<ShortestPathDag>,
+    /// The live advertisements, grouped by destination.
+    live: ByDestination,
+    /// Live advertisements per fake, indexed like `fakes`.
+    live_per_fake: Vec<usize>,
+    stats: PruneStats,
+}
+
+/// What [`Withdrawal::reconverge`] ends with.
+#[derive(Debug)]
+pub struct Reconvergence {
+    /// The reconverged routing, or the first destination whose column fails.
+    /// An [`OspfError::ForwardingLoop`] here is unrepairable: that
+    /// destination's lies were already withdrawn, or it had none.
+    pub routing: Result<PdRouting, OspfError>,
+    /// Prefix advertisements withdrawn to break forwarding loops.
+    pub retracted: usize,
+    /// Fake-node LSAs still advertising at least one prefix.
+    pub fake_count: usize,
+}
+
+impl Lsdb {
+    /// Simulates OSPF's reaction to the failure of `dead_nodes` and
+    /// `dead_links` (unordered endpoint pairs) without copying the database.
+    ///
+    /// Real state first: the router LSAs of dead routers are ignored, and so
+    /// is every adjacency towards a dead neighbor or across a dead link. One
+    /// shortest-path DAG per destination is run over what survives. Then the
+    /// lies: a fake-node LSA is retracted whole when its attachment or
+    /// forwarding address died, or the physical link `attachment ->
+    /// forwarding_address` it relies on died. Otherwise each of its prefix
+    /// advertisements is withdrawn when the destination died or the
+    /// forwarding address can no longer reach it over the surviving real
+    /// topology (forwarding into a dead end would blackhole traffic). A fake
+    /// left with no advertisement is retracted. Retained lies keep their
+    /// metrics.
+    pub fn withdraw(
+        &self,
+        dead_nodes: &[NodeId],
+        dead_links: &[(NodeId, NodeId)],
+    ) -> Withdrawal<'_> {
+        let mut stats = PruneStats::default();
+        // The node-id space of the healthy database, so that ids keep their
+        // meaning after a router's LSA is gone.
+        let topology =
+            self.surviving_topology(self.node_id_space(), dead_nodes, dead_links, &mut stats);
+        let spf: Vec<ShortestPathDag> = topology
+            .nodes()
+            .map(|t| shortest_path_dag(&topology, t))
+            .collect();
+
+        let mut live: ByDestination = vec![Vec::new(); topology.node_count()];
+        let mut live_per_fake = vec![0; self.fakes.len()];
+        for (f, fake) in self.fakes.iter().enumerate() {
+            let (u, via) = (fake.attachment, fake.forwarding_address);
+            if dead_nodes.contains(&u)
+                || dead_nodes.contains(&via)
+                || link_is_dead(dead_links, u, via)
+            {
+                stats.dropped_fakes += 1;
+                stats.dropped_advertisements += fake.prefix_count();
+                continue;
+            }
+            for (p, prefix) in fake.prefixes.iter().enumerate() {
+                let t = prefix.destination;
+                if dead_nodes.contains(&t) || !spf[t.index()].dist_to_dest[via.index()].is_finite()
+                {
+                    stats.dropped_advertisements += 1;
+                } else {
+                    live[t.index()].push((f, p));
+                    live_per_fake[f] += 1;
+                }
+            }
+            if live_per_fake[f] == 0 {
+                stats.dropped_fakes += 1;
+            } else {
+                stats.retained_fakes += 1;
+            }
+        }
+        Withdrawal {
+            fakes: &self.fakes,
+            topology,
+            spf,
+            live,
+            live_per_fake,
+            stats,
+        }
+    }
+}
+
+impl Withdrawal<'_> {
+    /// What the failure withdrew.
+    pub fn stats(&self) -> PruneStats {
+        self.stats
+    }
+
+    /// The surviving real topology, as the routers see it (see
+    /// [`Lsdb::real_topology`]): a dead router stays as an isolated node.
+    pub fn topology(&self) -> &Graph {
+        &self.topology
+    }
+
+    /// The routers' FIB over the surviving topology and the live lies,
+    /// before any loop is repaired.
+    pub fn fib(&self) -> Fib {
+        build_fib(&self.topology, self.spf.iter(), self.fakes, &self.live)
+    }
+
+    /// Reconverges the routers on the post-failure `graph`: builds the
+    /// [`fib`](Self::fib) once, then converts it destination by destination.
+    /// A destination whose column loops has its live advertisements
+    /// withdrawn and its column rebuilt from plain next hops, once.
+    pub fn reconverge(mut self, graph: &Graph) -> Reconvergence {
+        coyote_obs::counter("ospf.spf.runs", self.spf.len() as u64);
+        let mut retracted = 0;
+        let routing = self.repaired_routing(graph, &mut retracted);
+        Reconvergence {
+            routing,
+            retracted,
+            fake_count: self.live_per_fake.iter().filter(|&&c| c > 0).count(),
+        }
+    }
+
+    fn repaired_routing(
+        &mut self,
+        graph: &Graph,
+        retracted: &mut usize,
+    ) -> Result<PdRouting, OspfError> {
+        let mut fib = self.fib();
+        fib.check_routers(graph)?;
+        let mut cheapest = vec![f64::INFINITY; graph.node_count()];
+        let mut columns = Vec::with_capacity(graph.node_count());
+        for t in graph.nodes() {
+            let column = match fib.column_routing(graph, t) {
+                Err(OspfError::ForwardingLoop { .. }) if !self.live[t.index()].is_empty() => {
+                    for (f, _) in self.live[t.index()].drain(..) {
+                        self.live_per_fake[f] -= 1;
+                        *retracted += 1;
+                    }
+                    let (spf, ads) = (&self.spf[t.index()], &self.live[t.index()]);
+                    let column = fib.column_mut(t);
+                    fill_column(column, &mut cheapest, &self.topology, spf, self.fakes, ads);
+                    fib.column_routing(graph, t)
+                }
+                column => column,
+            }?;
+            columns.push(column);
+        }
+        let (dags, ratios) = columns.into_iter().unzip();
+        Ok(PdRouting::from_ratios(graph, dags, ratios))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lsa::PrefixAdvertisement;
+
+    /// Path a - b - c - d at unit weights.
+    fn path() -> Graph {
+        let mut g = Graph::with_nodes(4);
+        for i in 0..3 {
+            g.add_bidirectional_edge(NodeId(i), NodeId(i + 1), 1.0, 1.0)
+                .unwrap();
+        }
+        g
+    }
+
+    #[test]
+    fn a_failure_withdraws_what_the_copy_drops() {
+        let g = path();
+        let mut lsdb = Lsdb::from_graph(&g);
+        let (a, b, c, d) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+        lsdb.inject(FakeNodeLsa::single(a, d, 0.1, 0.1, b)); // b no longer reaches d
+        lsdb.inject(FakeNodeLsa::single(b, c, 0.1, 0.1, c)); // survives
+        let mut shared = FakeNodeLsa::single(c, b, 0.1, 0.1, b);
+        shared.prefixes.push(PrefixAdvertisement {
+            destination: d,
+            cost_fake_to_destination: 0.1,
+        });
+        lsdb.inject(shared); // keeps b, loses d
+        lsdb.inject(FakeNodeLsa::single(c, d, 0.1, 0.1, d)); // its link dies
+        let dead_links = [(d, c)];
+        let withdrawal = lsdb.withdraw(&[], &dead_links);
+        assert_eq!(withdrawal.stats(), lsdb.pruned(&[], &dead_links).1);
+        assert_eq!(
+            withdrawal.stats(),
+            PruneStats {
+                dead_routers: 0,
+                dropped_links: 2,
+                dropped_fakes: 2,
+                retained_fakes: 2,
+                dropped_advertisements: 3,
+            }
+        );
+        assert_eq!(withdrawal.topology().edge_count(), 4);
+        let reconverged = withdrawal.reconverge(
+            &g.without_edges(&[g.find_edge(c, d).unwrap(), g.find_edge(d, c).unwrap()]),
+        );
+        assert_eq!(reconverged.fake_count, 2);
+        assert_eq!(reconverged.retracted, 0);
+        reconverged.routing.expect("no loop");
+    }
+
+    #[test]
+    fn a_looping_prefix_loses_its_lies_and_nothing_else() {
+        // Ring a - b - c - d - a. Lies at b and at d send c-traffic to a,
+        // which splits it back over b and d: the column towards c loops
+        // until its lies are withdrawn. The shared fake at b also advertises
+        // d, and that advertisement survives the retraction.
+        let mut g = Graph::with_nodes(4);
+        for i in 0..4 {
+            g.add_bidirectional_edge(NodeId(i), NodeId((i + 1) % 4), 1.0, 1.0)
+                .unwrap();
+        }
+        let (a, b, c, d) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+        let mut lsdb = Lsdb::from_graph(&g);
+        let mut shared = FakeNodeLsa::single(b, c, 0.1, 0.1, a);
+        shared.prefixes.push(PrefixAdvertisement {
+            destination: d,
+            cost_fake_to_destination: 1.9,
+        });
+        lsdb.inject(shared);
+        lsdb.inject(FakeNodeLsa::single(d, c, 0.1, 0.1, a));
+
+        let withdrawal = lsdb.withdraw(&[], &[]);
+        assert!(matches!(
+            withdrawal.fib().to_routing(&g),
+            Err(OspfError::ForwardingLoop { destination: 2, .. })
+        ));
+        let reconverged = withdrawal.reconverge(&g);
+        assert_eq!(reconverged.retracted, 2);
+        assert_eq!(reconverged.fake_count, 1);
+        let routing = reconverged.routing.expect("plain OSPF repairs the loop");
+        let edge = |u, v| g.find_edge(u, v).unwrap();
+        // Towards c: plain ECMP again, a splits over b and d.
+        assert_eq!(routing.ratio(c, edge(a, b)), 0.5);
+        assert_eq!(routing.ratio(c, edge(a, d)), 0.5);
+        assert_eq!(routing.ratio(c, edge(b, c)), 1.0);
+        // Towards d: the surviving lie ties b's real routes and adds a
+        // second entry towards a.
+        assert!((routing.ratio(d, edge(b, a)) - 2.0 / 3.0).abs() < 1e-12);
+        assert!((routing.ratio(d, edge(b, c)) - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_graph_with_other_routers_is_a_dimension_error() {
+        let g = path();
+        let lsdb = Lsdb::from_graph(&g);
+        let reconverged = lsdb.withdraw(&[], &[]).reconverge(&Graph::with_nodes(3));
+        assert!(matches!(
+            reconverged.routing,
+            Err(OspfError::DimensionMismatch(_))
+        ));
+    }
+}

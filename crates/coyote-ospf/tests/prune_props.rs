@@ -1,4 +1,4 @@
-//! Property-based tests for LSDB pruning (the failure engine's OSPF
+//! Property-based tests for failure withdrawal (the failure engine's OSPF
 //! reconvergence model): after withdrawing a failed link or router from a
 //! lied-to LSDB, no reconverged forwarding entry may ever traverse the
 //! failed element — neither through a real adjacency nor through a
@@ -8,7 +8,7 @@ mod common;
 
 use common::{random_graph, random_routing};
 use coyote_graph::NodeId;
-use coyote_ospf::{compute_fib, compute_program, Fib, VirtualLinkBudget};
+use coyote_ospf::{compute_program, Fib, VirtualLinkBudget};
 use proptest::prelude::*;
 
 /// Asserts that no FIB entry forwards across a dead adjacency or towards a
@@ -53,7 +53,7 @@ fn assert_fib_avoids(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Failing one bidirectional link: the pruned LSDB's SPF never routes
+    /// Failing one bidirectional link: the withdrawal's SPF never routes
     /// across it, in either direction, for any destination.
     #[test]
     fn no_reconverged_path_traverses_a_failed_link(
@@ -75,14 +75,13 @@ proptest! {
         let (a, b) = g.endpoints(e);
         let dead_links = [(a, b)];
 
-        let (pruned, stats) = program.lsdb.pruned(&[], &dead_links);
-        prop_assert_eq!(stats.dead_routers, 0);
-        prop_assert_eq!(stats.dropped_links, 2);
-        let fib = compute_fib(&pruned, n);
-        assert_fib_avoids(&fib, n, &[], &dead_links)?;
+        let withdrawal = program.lsdb.withdraw(&[], &dead_links);
+        prop_assert_eq!(withdrawal.stats().dead_routers, 0);
+        prop_assert_eq!(withdrawal.stats().dropped_links, 2);
+        assert_fib_avoids(&withdrawal.fib(), n, &[], &dead_links)?;
     }
 
-    /// Failing one router: the pruned LSDB's SPF never forwards to it and
+    /// Failing one router: the withdrawal's SPF never forwards to it and
     /// the router itself holds no forwarding state.
     #[test]
     fn no_reconverged_path_traverses_a_failed_node(
@@ -100,14 +99,14 @@ proptest! {
 
         let dead = NodeId(node_pick % n);
         let dead_nodes = [dead];
-        let (pruned, stats) = program.lsdb.pruned(&dead_nodes, &[]);
-        prop_assert_eq!(stats.dead_routers, 1);
-        let fib = compute_fib(&pruned, n);
-        assert_fib_avoids(&fib, n, &dead_nodes, &[])?;
+        let withdrawal = program.lsdb.withdraw(&dead_nodes, &[]);
+        prop_assert_eq!(withdrawal.stats().dead_routers, 1);
+        assert_fib_avoids(&withdrawal.fib(), n, &dead_nodes, &[])?;
     }
 
-    /// Pruning is idempotent: withdrawing the same failure twice changes
-    /// nothing beyond the first withdrawal.
+    /// Withdrawing is idempotent: a dead router's links, withdrawn a second
+    /// time by name (as the failure engine names them), change nothing —
+    /// not the stats, not the FIB.
     #[test]
     fn pruning_is_idempotent(
         n in 4usize..8,
@@ -121,13 +120,16 @@ proptest! {
         let Ok(program) = compute_program(&g, &target, VirtualLinkBudget::per_prefix(8)) else {
             return Ok(());
         };
-        let dead = [NodeId(node_pick % n)];
-        let (once, _) = program.lsdb.pruned(&dead, &[]);
-        let (twice, stats2) = once.pruned(&dead, &[]);
-        prop_assert_eq!(stats2.dead_routers, 0);
-        prop_assert_eq!(stats2.dropped_links, 0);
-        prop_assert_eq!(stats2.dropped_fakes, 0);
-        prop_assert_eq!(once.fake_count(), twice.fake_count());
-        prop_assert_eq!(once.router_lsas().len(), twice.router_lsas().len());
+        let dead = NodeId(node_pick % n);
+        let incident: Vec<(NodeId, NodeId)> = g
+            .edges()
+            .map(|e| g.endpoints(e))
+            .filter(|&(a, b)| a == dead || b == dead)
+            .collect();
+        let once = program.lsdb.withdraw(&[dead], &[]);
+        let twice = program.lsdb.withdraw(&[dead], &incident);
+        prop_assert_eq!(once.stats().dead_routers, 1);
+        prop_assert_eq!(once.stats(), twice.stats());
+        prop_assert_eq!(once.fib(), twice.fib());
     }
 }

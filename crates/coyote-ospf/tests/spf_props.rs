@@ -1,11 +1,12 @@
 //! The routers' SPF against independent references.
 //!
-//! `compute_fib` is plain OSPF from `coyote_graph::spf` over the LSDB's
-//! graph view, plus two passes over the lies. Two things can go wrong in
-//! that arrangement, and each has its own check here:
+//! `compute_fib` and `Withdrawal::fib` are plain OSPF from
+//! `coyote_graph::spf` over the LSDB's graph view, plus two passes over the
+//! lies. Two things can go wrong in that arrangement, and each has its own
+//! check here:
 //!
 //! * the lies are combined wrongly — so random lied-to LSDBs (cheaper,
-//!   equal-cost and dearer lies, shared multi-prefix fakes, a withdrawn
+//!   equal-cost and dearer lies, shared multi-prefix fakes, a failed
 //!   router) are compared entry by entry against a brute-force reference
 //!   that asks the question per (router, prefix), with Bellman–Ford
 //!   distances and its own next-hop test;
@@ -91,12 +92,7 @@ proptest! {
             g.edge(out[pick % out.len()]).dst
         };
 
-        // Half the cases withdraw one router's LSA; lies attached at it,
-        // forwarding to it or advertising it are injected all the same.
         let mut lsdb = Lsdb::from_graph(&g);
-        if withdrawn < n {
-            lsdb = lsdb.pruned(&[NodeId(withdrawn)], &[]).0;
-        }
         for &(u, t, fwd, kind) in &lies {
             let (u, t) = (NodeId(u % n), NodeId(t % n));
             let half = half_lie_cost(real_dist[t.index()][u.index()], kind);
@@ -118,8 +114,15 @@ proptest! {
             lsdb.inject(fake);
         }
 
-        let fib = compute_fib(&lsdb, n);
-        let reference = reference_fib(&lsdb, n);
+        // Half the cases fail one router after the lies are in. The
+        // reference reads the copy that has its LSA and the lies it
+        // invalidates removed.
+        let (fib, reference) = if withdrawn < n {
+            let dead = [NodeId(withdrawn)];
+            (lsdb.withdraw(&dead, &[]).fib(), reference_fib(&lsdb.pruned(&dead, &[]).0, n))
+        } else {
+            (compute_fib(&lsdb, n), reference_fib(&lsdb, n))
+        };
         for t in g.nodes() {
             for u in g.nodes() {
                 prop_assert_eq!(
@@ -180,11 +183,11 @@ fn the_lsdb_view_is_the_physical_graph_on_every_zoo_topology() {
             .edges()
             .filter(|&e| g.edge(e).src == hub || g.edge(e).dst == hub)
             .collect();
-        let (pruned, stats) = lsdb.pruned(&[hub], &[]);
-        assert_eq!(stats.dead_routers, 1);
+        let withdrawal = lsdb.withdraw(&[hub], &[]);
+        assert_eq!(withdrawal.stats().dead_routers, 1);
         assert_same_plain_ospf(
             &g.without_edges(&incident),
-            &pruned.real_topology(n),
+            withdrawal.topology(),
             &format!("{} without {hub}", topology.name),
         );
     }

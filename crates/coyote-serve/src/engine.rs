@@ -598,7 +598,7 @@ impl TeEngine {
     /// re-optimizes: how much state it withdraws on its own.
     fn prune(&self, nodes: &[NodeId], links: &[(NodeId, NodeId)]) -> PruneStats {
         let _span = coyote_obs::span("serve.prune");
-        self.lsdb.pruned(nodes, links).1
+        self.lsdb.withdraw(nodes, links).stats()
     }
 
     /// Shared tail of link/node events: serve the program of `failures`,
