@@ -149,8 +149,6 @@ pub struct ScenarioEvaluation {
     pub graph: Graph,
     /// The base demand matrix.
     pub base: DemandMatrix,
-    /// The uncertainty set.
-    pub uncertainty: UncertaintySet,
     /// The shared evaluation family.
     pub evaluation: EvaluationSet,
     /// The headline ratios.
@@ -240,7 +238,6 @@ pub fn evaluate_scenario(spec: &SweepSpec) -> Result<ScenarioEvaluation, CoreErr
     Ok(ScenarioEvaluation {
         graph,
         base,
-        uncertainty,
         evaluation,
         ratios,
         coyote_routing: coyote_partial.routing,

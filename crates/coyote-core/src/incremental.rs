@@ -36,7 +36,6 @@
 
 use crate::error::CoreError;
 use crate::opt_mcf::{routable_within, solve_commodities, EdgeScope, Reads};
-use crate::routing::PdRouting;
 use coyote_graph::{Dag, Graph, NodeId};
 use coyote_traffic::DemandMatrix;
 
@@ -124,32 +123,11 @@ pub fn demand_dirty_destinations(old: &DemandMatrix, new: &DemandMatrix) -> Vec<
         .collect()
 }
 
-/// Solves every destination independently and assembles the separable
-/// routing — the *cold* protocol the incremental engine must reproduce.
-pub fn separable_routing(
-    graph: &Graph,
-    dags: &[Dag],
-    dm: &DemandMatrix,
-) -> Result<(PdRouting, Vec<DestinationSolve>), CoreError> {
-    if dags.len() != graph.node_count() {
-        return Err(CoreError::DimensionMismatch(format!(
-            "{} DAGs for {} nodes",
-            dags.len(),
-            graph.node_count()
-        )));
-    }
-    let solves = graph
-        .nodes()
-        .map(|t| solve_destination(graph, &dags[t.index()], dm, t))
-        .collect::<Result<Vec<_>, _>>()?;
-    let raw: Vec<Vec<f64>> = solves.iter().map(|s| s.flows.clone()).collect();
-    Ok((PdRouting::from_ratios(graph, dags.to_vec(), raw), solves))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dag_builder::{build_all_dags, DagMode};
+    use crate::routing::PdRouting;
     use coyote_graph::EdgeId;
 
     fn fig1() -> (Graph, NodeId, NodeId, NodeId, NodeId) {
@@ -164,6 +142,21 @@ mod tests {
         g.add_bidirectional_edge(s2, t, 1.0, 1.0).unwrap();
         g.add_bidirectional_edge(v, t, 1.0, 1.0).unwrap();
         (g, s1, s2, v, t)
+    }
+
+    /// Solves every destination independently and assembles the separable
+    /// routing — the *cold* protocol the incremental engine must reproduce.
+    fn separable_routing(
+        graph: &Graph,
+        dags: &[Dag],
+        dm: &DemandMatrix,
+    ) -> (PdRouting, Vec<DestinationSolve>) {
+        let solves: Vec<DestinationSolve> = graph
+            .nodes()
+            .map(|t| solve_destination(graph, &dags[t.index()], dm, t).unwrap())
+            .collect();
+        let raw: Vec<Vec<f64>> = solves.iter().map(|s| s.flows.clone()).collect();
+        (PdRouting::from_ratios(graph, dags.to_vec(), raw), solves)
     }
 
     /// The daemon's start-up scenario for a zoo topology, optionally with the
@@ -227,7 +220,7 @@ mod tests {
         ];
         for (name, cut, masked, pinned) in pins {
             let (g, dags, dm) = daemon_scenario(name, cut);
-            let (_, solves) = separable_routing(&g, &dags, &dm).unwrap();
+            let (_, solves) = separable_routing(&g, &dags, &dm);
             let unroutable: usize = solves.iter().map(|s| s.unroutable_sources).sum();
             assert_eq!((unroutable, digest(&solves)), (masked, pinned), "{name} {cut:?}");
             for (t, solve) in g.nodes().zip(&solves) {
@@ -319,7 +312,7 @@ mod tests {
         let mut dm = DemandMatrix::zeros(4);
         dm.set(s1, t, 1.0);
         dm.set(s2, t, 1.0);
-        let (routing, solves) = separable_routing(&g, &dags, &dm).unwrap();
+        let (routing, solves) = separable_routing(&g, &dags, &dm);
         routing.validate(&g).unwrap();
         assert_eq!(solves.len(), 4);
         let util = routing.max_link_utilization(&g, &dm);

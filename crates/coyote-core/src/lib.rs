@@ -61,9 +61,7 @@ pub use certificate::{certify_edge, certify_routing, EdgeCertificate, ObliviousC
 pub use dag_builder::{build_all_dags, build_dag, DagMode};
 pub use ecmp::{ecmp_routing, ecmp_routing_inverse_capacity, uniform_augmented_routing};
 pub use error::CoreError;
-pub use incremental::{
-    demand_dirty_destinations, separable_routing, solve_destination, DestinationSolve,
-};
+pub use incremental::{demand_dirty_destinations, solve_destination, DestinationSolve};
 pub use local_search::{local_search_weights, LocalSearchConfig, LocalSearchResult};
 pub use oblivious::{
     coyote, optimize_splitting, optimize_splitting_with_working_set, CoyoteConfig, CoyoteResult,

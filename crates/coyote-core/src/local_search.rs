@@ -94,7 +94,8 @@ pub fn local_search_weights(
                 &g,
                 &ecmp,
                 &reference,
-                config.adversary_candidates,
+                // An empty candidate list would find no edge to scan.
+                config.adversary_candidates.max(1),
             ))
         };
         let wc = performance_ratio_exact(
@@ -257,6 +258,25 @@ mod tests {
             tuned_ratio <= start_ratio + 1e-6,
             "tuned {tuned_ratio} vs start {start_ratio}"
         );
+    }
+
+    /// Zero adversary candidates probe one bottleneck edge.
+    #[test]
+    fn zero_adversary_candidates_probe_one() {
+        let g = skewed();
+        let base = DemandMatrix::from_pairs(5, &[(NodeId(0), NodeId(4), 1.5)]);
+        let unc = UncertaintySet::from_margin(&base, 2.0);
+        let run = |adversary_candidates| {
+            let config = LocalSearchConfig {
+                adversary_candidates,
+                ..Default::default()
+            };
+            local_search_weights(&g, &unc, &config).unwrap()
+        };
+        let (zero, one) = (run(0), run(1));
+        let bits = |w: &[f64]| -> Vec<u64> { w.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(bits(&zero.weights), bits(&one.weights));
+        assert_eq!(zero.final_ratio.to_bits(), one.final_ratio.to_bits());
     }
 
     #[test]

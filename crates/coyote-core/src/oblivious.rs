@@ -623,8 +623,13 @@ pub fn optimize_splitting_with_working_set(
                     .map(|(dm, _)| dm.clone())
                     .unwrap_or_else(|| DemandMatrix::zeros(graph.node_count()))
             });
-        let candidates =
-            bottleneck_candidates(graph, &routing, &reference, config.cg_candidate_edges);
+        // An empty candidate list would find no edge to scan.
+        let candidates = bottleneck_candidates(
+            graph,
+            &routing,
+            &reference,
+            config.cg_candidate_edges.max(1),
+        );
         let wc = performance_ratio_exact(
             graph,
             &routing,
@@ -1170,6 +1175,28 @@ mod tests {
             partial_ratio <= obl_ratio + 0.1,
             "partial {partial_ratio} should not lose to oblivious {obl_ratio} on the box"
         );
+    }
+
+    /// Zero candidate edges probe one, as `cg_rounds = 0` runs one round.
+    #[test]
+    fn zero_candidate_edges_probe_one() {
+        let (g, s1, s2, _v, t) = fig1();
+        let unc = fig1_uncertainty(s1, s2, t);
+        let run = |cg_candidate_edges| {
+            let cfg = CoyoteConfig {
+                cg_candidate_edges,
+                ..CoyoteConfig::fast()
+            };
+            coyote(&g, &unc, None, &cfg).unwrap()
+        };
+        let (zero, one) = (run(0), run(1));
+        assert_eq!(zero.rounds, one.rounds);
+        for t in g.nodes() {
+            let bits = |r: &CoyoteResult| -> Vec<u64> {
+                r.routing.ratios(t).iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(&zero), bits(&one), "destination {t}");
+        }
     }
 
     #[test]

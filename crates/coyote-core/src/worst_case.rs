@@ -15,13 +15,38 @@
 //! matrices drive COYOTE's constraint-generation loop
 //! ([`crate::oblivious`]) and the local-search DAG heuristic
 //! ([`crate::local_search`]).
+//!
+//! A full scan over a box `[lo, hi]` does not solve every edge. Each
+//! feasible point of edge `e`'s LP is `λ·x` with `x ∈ [lo, hi]` and
+//! `λ·OPTU(x) ≤ 1`, OPTU only grows with demand, and the objective
+//! coefficients `a_e` are non-negative, so the LP's value is at most
+//! `B_e = a_e·hi / OPTU(lo)`. The scan computes `OPTU(lo)` once (within the
+//! routing's DAGs for [`RoutabilityScope::WithinDags`]), solves the edges in
+//! descending `B_e` and stops at the first edge whose bound, widened by
+//! `BOUND_SLACK`, is below the best ratio found. Ties go to the earlier
+//! edge, and a solve does not depend on the order, so the result is the
+//! exhaustive scan's bit for bit. A scan over a candidate list, an
+//! oblivious set, a zero lower envelope or a lower envelope the scope
+//! cannot route computes no bound and solves every edge in the given order.
 
 use crate::error::CoreError;
-use crate::opt_mcf::{flow_block, EdgeScope};
+use crate::opt_mcf::{flow_block, optu, optu_within_dags, EdgeScope};
 use crate::routing::PdRouting;
 use coyote_graph::{EdgeId, Graph, NodeId};
 use coyote_lp::{LpProblem, LpSession, Relation, Sense, VarId};
 use coyote_traffic::{DemandMatrix, UncertaintySet};
+
+/// Relative slack on an edge's bound before it may end a scan. The LPs are
+/// solved with `RHS_PERTURBATION` and `DUAL_TOL`, which put a computed value
+/// up to 2e-6 above its computed bound on tight edges (Geant and Germany,
+/// over the 14 Table-I topologies at margins 1.5–3); a slack below that can
+/// stop a scan before the edge that wins.
+const BOUND_SLACK: f64 = 1e-4;
+
+/// Witness entries at or below this are dropped from the demand matrix.
+/// Raised, it drops real demand from the witness the constraint-generation
+/// working set adds; lowered, it admits the LP's round-off as demand.
+const WITNESS_ZERO: f64 = 1e-9;
 
 /// Which edges the *adversary's certifying flow* may use when proving that
 /// its demand matrix is routable.
@@ -223,24 +248,39 @@ impl<'a> SlaveLp<'a> {
         })
     }
 
+    /// Objective coefficient of the `s → t` demand in `edge`'s LP, the
+    /// utilization of `edge` per unit of that demand: `f_st(u_e)·φ_t(e)/c_e`.
+    /// The scan's per-edge bound is built from the same coefficients.
+    fn coefficient(&self, s: NodeId, t: NodeId, edge: EdgeId) -> f64 {
+        let phi = self.routing.ratio(t, edge);
+        if phi <= 0.0 {
+            return 0.0;
+        }
+        let (u_e, _v_e) = self.graph.endpoints(edge);
+        self.fractions.fraction(s, t, u_e) * phi / self.graph.capacity(edge)
+    }
+
+    /// `B_e = a_e·hi / OPTU(lo)`, an upper bound on `edge`'s LP value.
+    fn bound(&self, edge: EdgeId, uncertainty: &UncertaintySet, optu_lo: f64) -> f64 {
+        let mut load = 0.0;
+        for &(s, t) in &self.pairs {
+            let a = self.coefficient(s, t, edge);
+            if a > 0.0 {
+                load += a * uncertainty.upper(s, t);
+            }
+        }
+        load / optu_lo
+    }
+
     /// Finds the demand matrix maximizing the utilization of `edge`, or
     /// `None` when the edge can never carry traffic under this routing (all
     /// of its splitting ratios are zero).
     pub fn solve_edge(&mut self, edge: EdgeId) -> Result<Option<(DemandMatrix, f64)>, CoreError> {
         coyote_obs::counter("core.worst_case.lp_solves", 1);
-        let (u_e, _v_e) = self.graph.endpoints(edge);
-        let cap_e = self.graph.capacity(edge);
-
-        // Objective coefficient of each pair: f_st(u_e) · φ_t(e) / c_e.
         let mut any_positive = false;
         for &(s, t) in &self.pairs {
             let dv = self.d_var[s.index()][t.index()].expect("pair variable exists");
-            let phi = self.routing.ratio(t, edge);
-            let c = if phi <= 0.0 {
-                0.0
-            } else {
-                self.fractions.fraction(s, t, u_e) * phi / cap_e
-            };
+            let c = self.coefficient(s, t, edge);
             if c > 0.0 {
                 any_positive = true;
             }
@@ -257,7 +297,7 @@ impl<'a> SlaveLp<'a> {
             for (t, entry) in row.iter().enumerate() {
                 if let Some(var) = *entry {
                     let v = sol.value(var);
-                    if v > 1e-9 {
+                    if v > WITNESS_ZERO {
                         dm.set(NodeId(s), NodeId(t), v);
                     }
                 }
@@ -269,9 +309,18 @@ impl<'a> SlaveLp<'a> {
 
 /// Exact performance ratio of `routing` over `uncertainty`: the maximum over
 /// all edges of the per-edge worst case. Also returns the witness demand
-/// matrix and edge. `candidate_edges` restricts the search (e.g. to the few
-/// most-utilized edges during constraint generation); `None` checks every
-/// edge.
+/// matrix and edge; of several edges attaining the maximum, the first in
+/// scan order. `candidate_edges` restricts the search (e.g. to the few
+/// most-utilized edges during constraint generation) and solves every
+/// candidate in the given order.
+///
+/// `None` checks every edge. Over a box with a routable, non-zero lower
+/// envelope it computes `OPTU(lo)` once, solves the edges in descending
+/// order of their bound `a_e·hi / OPTU(lo)` and stops at the first edge
+/// whose bound times `1 + BOUND_SLACK` is below the best ratio; the result
+/// is the exhaustive scan's bit for bit. An oblivious set, a zero lower
+/// envelope or one whose `OPTU` errs has no bound, and the scan solves
+/// every edge in index order.
 pub fn performance_ratio_exact(
     graph: &Graph,
     routing: &PdRouting,
@@ -282,24 +331,98 @@ pub fn performance_ratio_exact(
     let _span = coyote_obs::span("core.worst_case");
     coyote_obs::counter("core.worst_case.scans", 1);
     let fractions = FractionTable::new(graph, routing);
-    let all_edges: Vec<EdgeId> = graph.edges().collect();
-    let edges = candidate_edges.unwrap_or(&all_edges);
     // One session for the whole edge scan: the standard form is built once
     // and every solve after the first skips phase one.
     let mut slave = SlaveLp::new(graph, routing, &fractions, uncertainty, scope)?;
-    let mut best: Option<WorstCase> = None;
-    for &e in edges {
-        if let Some((dm, ratio)) = slave.solve_edge(e)? {
-            if best.as_ref().is_none_or(|b| ratio > b.ratio) {
-                best = Some(WorstCase {
-                    demand: dm,
-                    ratio,
-                    edge: e,
-                });
-            }
+    let (best, _solved) = scan(&mut slave, uncertainty, scope, candidate_edges)?;
+    best.ok_or_else(|| CoreError::InvalidRouting("routing carries no traffic on any edge".into()))
+}
+
+/// The scan behind [`performance_ratio_exact`]; also returns how many edges
+/// it solved.
+fn scan(
+    slave: &mut SlaveLp<'_>,
+    uncertainty: &UncertaintySet,
+    scope: RoutabilityScope,
+    candidate_edges: Option<&[EdgeId]>,
+) -> Result<(Option<WorstCase>, usize), CoreError> {
+    let (edges, bounds): (Vec<EdgeId>, _) = match candidate_edges {
+        Some(edges) => (edges.to_vec(), None),
+        None => {
+            let bounds = edge_bounds(slave, uncertainty, scope);
+            (slave.graph.edges().collect(), bounds)
+        }
+    };
+    let bound_of = |e: EdgeId| bounds.as_ref().map_or(f64::INFINITY, |b| b[e.index()]);
+    // (scan position, edge, bound); an edge without a bound never stops the
+    // scan.
+    let mut order: Vec<(usize, EdgeId, f64)> = edges
+        .into_iter()
+        .enumerate()
+        .map(|(pos, e)| (pos, e, bound_of(e)))
+        .collect();
+    // Stable, so equal bounds keep their scan order.
+    order.sort_by(|a, b| b.2.total_cmp(&a.2));
+
+    let mut best: Option<(usize, WorstCase)> = None;
+    let mut solved = 0;
+    for (pos, e, bound) in order {
+        if best
+            .as_ref()
+            .is_some_and(|(_, b)| bound * (1.0 + BOUND_SLACK) < b.ratio)
+        {
+            break;
+        }
+        solved += 1;
+        let Some((dm, ratio)) = slave.solve_edge(e)? else {
+            continue;
+        };
+        let wins = best
+            .as_ref()
+            .is_none_or(|(at, b)| ratio > b.ratio || (ratio == b.ratio && pos < *at));
+        if wins {
+            let wc = WorstCase {
+                demand: dm,
+                ratio,
+                edge: e,
+            };
+            best = Some((pos, wc));
         }
     }
-    best.ok_or_else(|| CoreError::InvalidRouting("routing carries no traffic on any edge".into()))
+    Ok((best.map(|(_, wc)| wc), solved))
+}
+
+/// `B_e` for every edge, indexed by edge, or `None` when the scan has no
+/// bound: `OPTU` of the lower envelope (over the pairs the LP carries) is
+/// zero, as for an oblivious set, or errs because the scope cannot route it.
+fn edge_bounds(
+    slave: &SlaveLp<'_>,
+    uncertainty: &UncertaintySet,
+    scope: RoutabilityScope,
+) -> Option<Vec<f64>> {
+    let graph = slave.graph;
+    let mut lo = DemandMatrix::zeros(graph.node_count());
+    for &(s, t) in &slave.pairs {
+        let l = uncertainty.lower(s, t);
+        if l > 0.0 {
+            lo.set(s, t, l);
+        }
+    }
+    if lo.is_zero() {
+        return None;
+    }
+    let optu_lo = match scope {
+        RoutabilityScope::AllEdges => optu(graph, &lo),
+        RoutabilityScope::WithinDags => optu_within_dags(graph, slave.routing.dags(), &lo),
+    }
+    .ok()
+    .filter(|&o| o > 0.0)?;
+    Some(
+        graph
+            .edges()
+            .map(|e| slave.bound(e, uncertainty, optu_lo))
+            .collect(),
+    )
 }
 
 /// The edges most likely to be the bottleneck for `routing`: edges sorted by
@@ -550,6 +673,140 @@ mod tests {
                 eat(v.to_bits());
             }
             assert_eq!(h, pinned, "{name} {scope:?}: digest {h:#018x}");
+        }
+    }
+
+    /// The scan as it was before bounds: every edge in index order, the first
+    /// strict maximum wins. Also returns every edge's value.
+    fn exhaustive_scan(
+        g: &Graph,
+        routing: &PdRouting,
+        unc: &UncertaintySet,
+        scope: RoutabilityScope,
+    ) -> (WorstCase, Vec<Option<f64>>) {
+        let fractions = FractionTable::new(g, routing);
+        let mut slave = SlaveLp::new(g, routing, &fractions, unc, scope).unwrap();
+        let mut best: Option<WorstCase> = None;
+        let mut values = Vec::new();
+        for edge in g.edges() {
+            let solved = slave.solve_edge(edge).unwrap();
+            values.push(solved.as_ref().map(|(_, ratio)| *ratio));
+            if let Some((demand, ratio)) = solved {
+                if best.as_ref().is_none_or(|b| ratio > b.ratio) {
+                    best = Some(WorstCase {
+                        demand,
+                        ratio,
+                        edge,
+                    });
+                }
+            }
+        }
+        (best.unwrap(), values)
+    }
+
+    /// Ratio bits, edge and every witness entry's bits.
+    fn assert_same_worst_case(got: &WorstCase, want: &WorstCase, label: &str) {
+        assert_eq!(got.ratio.to_bits(), want.ratio.to_bits(), "{label}: ratio");
+        assert_eq!(got.edge, want.edge, "{label}: edge");
+        let entries = |wc: &WorstCase| -> Vec<(NodeId, NodeId, u64)> {
+            wc.demand
+                .pairs()
+                .map(|(s, t, v)| (s, t, v.to_bits()))
+                .collect()
+        };
+        assert_eq!(entries(got), entries(want), "{label}: witness");
+    }
+
+    /// The bounded scan against the exhaustive one on five topologies, both
+    /// scopes and three margins (uniform augmented routing, gravity box,
+    /// inverse-capacity weights): the same worst case bit for bit, every
+    /// edge's value under its bound, and edges really skipped. The
+    /// exhaustive scans take ≈ 40 s optimized, so an unoptimized build
+    /// checks Abilene only; CI runs the whole grid in release.
+    #[test]
+    fn bounded_scan_equals_the_exhaustive_scan() {
+        let scopes = [RoutabilityScope::WithinDags, RoutabilityScope::AllEdges];
+        let names: &[&str] = if cfg!(debug_assertions) {
+            &["abilene"]
+        } else {
+            &["abilene", "nsf", "germany", "grnet", "bics"]
+        };
+        let mut most_skipped = 0.0f64;
+        for &name in names {
+            let mut g = coyote_topology::zoo::by_name(name)
+                .unwrap()
+                .to_graph()
+                .unwrap();
+            g.set_inverse_capacity_weights(10.0);
+            let routing = crate::ecmp::uniform_augmented_routing(&g).unwrap();
+            let fractions = FractionTable::new(&g, &routing);
+            let base = coyote_traffic::GravityModel::default().generate(&g);
+            for (scope, margin) in scopes.iter().flat_map(|&s| [(s, 1.5), (s, 2.0), (s, 3.0)]) {
+                let label = format!("{name} {scope:?} m{margin}");
+                let unc = UncertaintySet::from_margin(&base, margin);
+                let (want, values) = exhaustive_scan(&g, &routing, &unc, scope);
+
+                let mut slave = SlaveLp::new(&g, &routing, &fractions, &unc, scope).unwrap();
+                let bounds = edge_bounds(&slave, &unc, scope).expect("a margin box has a bound");
+                for (e, value) in g.edges().zip(&values) {
+                    let Some(value) = *value else { continue };
+                    let bound = bounds[e.index()] * (1.0 + BOUND_SLACK / 100.0);
+                    assert!(value <= bound, "{label} {e:?}: LP {value} > bound {bound}");
+                }
+                let (got, solved) = scan(&mut slave, &unc, scope, None).unwrap();
+                assert_same_worst_case(&got.unwrap(), &want, &label);
+                let skipped = 1.0 - solved as f64 / g.edge_count() as f64;
+                most_skipped = most_skipped.max(skipped);
+            }
+        }
+        assert!(
+            most_skipped > 0.5,
+            "at most {most_skipped} of the edges skipped"
+        );
+    }
+
+    /// An oblivious set, a zero lower envelope and a lower envelope the
+    /// scope cannot route give no bound, and the scan solves every edge.
+    #[test]
+    fn scans_without_a_bound_solve_every_edge() {
+        let (g, s1, s2, _v, t) = fig1();
+        let routing = ecmp_routing(&g).unwrap();
+        // s1 cut off: a lower bound on its demand cannot be routed.
+        let s1_links: Vec<EdgeId> = g
+            .out_edges(s1)
+            .iter()
+            .chain(g.in_edges(s1))
+            .copied()
+            .collect();
+        let cut = g.without_edges(&s1_links);
+        let cut_routing = crate::ecmp::uniform_augmented_routing(&cut).unwrap();
+        let base = DemandMatrix::from_pairs(4, &[(s1, t, 1.0), (s2, t, 1.0)]);
+        let cases = [
+            ("oblivious", &g, &routing, UncertaintySet::oblivious(4)),
+            (
+                "zero lower envelope",
+                &g,
+                &routing,
+                fig1_uncertainty(s1, s2, t),
+            ),
+            (
+                "unroutable lower envelope",
+                &cut,
+                &cut_routing,
+                UncertaintySet::from_margin(&base, 2.0),
+            ),
+        ];
+        for (label, g, routing, unc) in cases {
+            for scope in [RoutabilityScope::AllEdges, RoutabilityScope::WithinDags] {
+                let label = format!("{label} {scope:?}");
+                let fractions = FractionTable::new(g, routing);
+                let mut slave = SlaveLp::new(g, routing, &fractions, &unc, scope).unwrap();
+                assert!(edge_bounds(&slave, &unc, scope).is_none(), "{label}");
+                let (got, solved) = scan(&mut slave, &unc, scope, None).unwrap();
+                assert_eq!(solved, g.edge_count(), "{label}");
+                let (want, _) = exhaustive_scan(g, routing, &unc, scope);
+                assert_same_worst_case(&got.unwrap(), &want, &label);
+            }
         }
     }
 
