@@ -21,10 +21,11 @@
 //!    drop-rate deltas and a tolerance verdict.
 //!
 //! Cells are independent, so [`run_conformance`] fans them out over a
-//! [`coyote_runtime::WorkerPool`] exactly like `run_sweep`: records come
-//! back in grid order, bit-identical for every thread count (asserted by
-//! the `conformance_pipeline` integration test).
+//! [`WorkerPool`] exactly like `run_sweep`: records come back in grid
+//! order, bit-identical for every thread count (asserted by the
+//! `conformance_pipeline` integration test).
 
+use crate::pool::WorkerPool;
 use crate::scenario::evaluate_scenario;
 use crate::sweep::{SweepGrid, SweepSpec};
 use coyote_core::prelude::CoreError;
@@ -33,7 +34,6 @@ use coyote_ospf::{
     compare_routings, compute_program_with, fake_nodes_per_destination, realized_routing,
     CompressionLevel, FibbingProgram, VirtualLinkBudget, DEFAULT_EPSILON,
 };
-use coyote_runtime::WorkerPool;
 use coyote_sim::{FlowSimulator, SimOutcome};
 use coyote_traffic::DemandMatrix;
 use serde::{Deserialize, Serialize};

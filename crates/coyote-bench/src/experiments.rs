@@ -19,6 +19,7 @@
 //! topologies, which Fig. 10 instance — is decided once, in `scale`.
 //! Thread count changes wall-clock time only, never a number.
 
+use crate::pool::WorkerPool;
 use crate::report::{format_table, percent, ratio, ratios_table, ReportFormat};
 use crate::scenario::{evaluate_scenario, BaseModel, Effort, ProtocolRatios, WeightHeuristic};
 use crate::sweep::{run_sweep, SweepGrid, SweepSpec};
@@ -26,7 +27,6 @@ use coyote_core::example_fig1;
 use coyote_core::prelude::*;
 use coyote_graph::{Graph, NodeId};
 use coyote_ospf::{compute_program, realized_routing, VirtualLinkBudget};
-use coyote_runtime::WorkerPool;
 use coyote_sim::scenario::{run_all as run_prototype_all, PrototypeResult};
 use coyote_traffic::DemandMatrix;
 use serde::{Deserialize, Serialize};

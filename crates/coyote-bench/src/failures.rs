@@ -34,7 +34,7 @@
 //! demand whose endpoint died, or an infeasible post-failure LP must never
 //! abort the grid. Per-cell failures are captured into
 //! [`CellOutcome::Degraded`]/[`CellOutcome::Unroutable`] verdicts — the fan-
-//! out uses the non-short-circuiting [`WorkerPool::par_map_results`], so
+//! out maps every cell to its own `Result` with [`WorkerPool::par_map`], so
 //! every healthy cell still completes and the report stays bit-identical
 //! across thread counts.
 //!
@@ -42,9 +42,10 @@
 //! [`Withdrawal::reconverge`]: coyote_ospf::Withdrawal::reconverge
 //! [`split_routable_within_dags`]: coyote_core::split_routable_within_dags
 //! [`Graph::without_edges`]: coyote_graph::Graph::without_edges
-//! [`WorkerPool::par_map_results`]: coyote_runtime::WorkerPool::par_map_results
+//! [`WorkerPool::par_map`]: crate::pool::WorkerPool::par_map
 
 use crate::conformance::COMPILE_BUDGET;
+use crate::pool::WorkerPool;
 use crate::scenario::{evaluate_scenario, Effort};
 use crate::sweep::{SweepGrid, SweepSpec};
 use coyote_core::{
@@ -55,7 +56,6 @@ use coyote_graph::{EdgeId, Graph, NodeId};
 use coyote_ospf::{
     compute_program, realized_routing, FibbingProgram, OspfError, VirtualLinkBudget,
 };
-use coyote_runtime::WorkerPool;
 use coyote_sim::{FlowSimulator, SimOutcome};
 use coyote_topology::{zoo, Topology};
 use coyote_traffic::DemandMatrix;
@@ -784,7 +784,7 @@ fn reoptimize(graph: &Graph, dm: &DemandMatrix) -> Result<(PdRouting, usize), Co
 
 /// Runs the failure grid: phase 1 evaluates each distinct healthy scenario
 /// once (fatal on configuration errors, exactly like the sweep), phase 2
-/// fans the event cells out with [`WorkerPool::par_map_results`] so no
+/// fans the event cells out with [`WorkerPool::par_map`] so no
 /// per-cell failure can abort the run — a cell whose evaluation errs
 /// becomes an [`CellOutcome::Unroutable`] record instead. Records come back
 /// in grid order, bit-identical for every thread count under
@@ -808,7 +808,7 @@ pub fn run_failures(
     let by_id: HashMap<String, CellBase> = specs.iter().map(|s| s.id()).zip(bases).collect();
 
     // Phase 2: every event cell, failures captured per cell.
-    let results = pool.par_map_results(&grid.cells, |cell| {
+    let results = pool.par_map(&grid.cells, |cell| {
         failure_record(cell, &by_id[&cell.spec.id()], tolerance)
     });
     let records = results

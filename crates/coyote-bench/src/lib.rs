@@ -21,7 +21,7 @@
 //!
 //! Scenario evaluations are independent, so the sweep engine — which also
 //! runs the ratio figures and Table I, each a selection of the one grid —
-//! fans out across a [`coyote_runtime::WorkerPool`]; thread count changes
+//! fans out across a [`pool::WorkerPool`]; thread count changes
 //! wall-clock time only, never results.
 
 #![warn(missing_docs)]
@@ -30,6 +30,7 @@
 pub mod conformance;
 pub mod experiments;
 pub mod failures;
+pub mod pool;
 pub mod report;
 pub mod scenario;
 pub mod sweep;

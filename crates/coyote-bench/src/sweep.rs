@@ -5,8 +5,8 @@
 //! uncertainty margins × a link-weight heuristic. [`SweepGrid`] enumerates
 //! that grid (with substring filtering and a record limit for bounded
 //! runs), and [`run_sweep`] fans the independent scenario evaluations out
-//! across a [`coyote_runtime::WorkerPool`], producing a machine-readable
-//! [`SweepReport`] with per-scenario ratios and wall-clock timings.
+//! across a [`WorkerPool`], producing a machine-readable [`SweepReport`]
+//! with per-scenario ratios and wall-clock timings.
 //!
 //! Parallelism never changes results: each scenario evaluation is a pure
 //! deterministic function of its [`SweepSpec`], and the pool's ordered
@@ -14,9 +14,9 @@
 //! bit-identical to `threads = 1` (asserted by the
 //! `sweep_determinism` integration test).
 
+use crate::pool::WorkerPool;
 use crate::scenario::{evaluate_scenario, BaseModel, Effort, ProtocolRatios, WeightHeuristic};
 use coyote_core::prelude::CoreError;
-use coyote_runtime::WorkerPool;
 use coyote_topology::zoo;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;

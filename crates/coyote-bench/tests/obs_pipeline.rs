@@ -6,11 +6,16 @@
 //!   stage (compile → SPF → LP → flow simulation);
 //! * the deterministic snapshot sections (counters + value histograms) are
 //!   bit-identical between `threads = 1` and `threads = 2`, and CI runs
-//!   that test alone in a fresh release process.
+//!   that test alone in a fresh release process;
+//! * spans recorded under the worker pool nest properly on every trace
+//!   lane, for every item/thread configuration (a proptest).
 
 use coyote_bench::conformance::DEFAULT_TOLERANCE;
+use coyote_bench::pool::WorkerPool;
 use coyote_bench::{run_conformance, BaseModel, Effort, SweepGrid, WeightHeuristic};
-use coyote_obs::{chrome_trace_json, install, metrics_json, uninstall, Registry};
+use coyote_obs::{chrome_trace_json, install, metrics_json, uninstall, Registry, TraceEvent};
+use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The observability sink is process-global; tests that install a registry
@@ -136,5 +141,105 @@ fn deterministic_metrics_are_bit_identical_across_thread_counts() {
     for view in [&serial_view, &parallel_view] {
         assert_eq!(view.counters.get("lp.crash_starts"), Some(&1));
         assert_eq!(view.counters.get("lp.crash_rejects"), None);
+    }
+}
+
+/// Opens `depth` nested `prop.nest` spans, innermost last.
+fn nest(depth: usize) {
+    if depth == 0 {
+        std::hint::black_box(0u64);
+        return;
+    }
+    let _span = coyote_obs::span("prop.nest");
+    nest(depth - 1);
+}
+
+/// Checks that on every lane, span intervals are disjoint or properly
+/// nested, and that a span running inside another is recorded deeper.
+///
+/// Spans carry (start, duration) intervals stamped from each worker's
+/// monotonic clock and a per-thread nesting depth. On any single trace
+/// lane (= one worker thread of one registry) two spans must therefore be
+/// disjoint or nested; partial overlap would mean the exporter
+/// reconstructs a broken hierarchy in chrome://tracing.
+fn assert_lanes_well_nested(events: &[TraceEvent]) -> Result<(), TestCaseError> {
+    let mut by_lane: BTreeMap<u32, Vec<&TraceEvent>> = BTreeMap::new();
+    for e in events {
+        by_lane.entry(e.lane).or_default().push(e);
+    }
+    for (lane, mut evs) in by_lane {
+        // Outer spans first at equal start times.
+        evs.sort_by_key(|e| (e.start_ns, std::cmp::Reverse(e.dur_ns)));
+        for i in 0..evs.len() {
+            for j in (i + 1)..evs.len() {
+                let (a, b) = (evs[i], evs[j]);
+                let a_end = a.start_ns + a.dur_ns;
+                let b_end = b.start_ns + b.dur_ns;
+                let disjoint = b.start_ns >= a_end;
+                let contained = b.start_ns >= a.start_ns && b_end <= a_end;
+                prop_assert!(
+                    disjoint || contained,
+                    "partial overlap on lane {lane}: {} [{}, {}) vs {} [{}, {})",
+                    a.name,
+                    a.start_ns,
+                    a_end,
+                    b.name,
+                    b.start_ns,
+                    b_end
+                );
+                if !disjoint {
+                    // b ran strictly inside a on the same thread, so it was
+                    // opened while a was open: it must be recorded deeper.
+                    prop_assert!(
+                        b.depth > a.depth,
+                        "lane {lane}: {} (depth {}) inside {} (depth {})",
+                        b.name,
+                        b.depth,
+                        a.name,
+                        a.depth
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn pool_spans_nest_properly_on_every_lane(
+        depths in proptest::collection::vec(0usize..4, 1..12),
+        threads in 1usize..5,
+    ) {
+        let _guard = exclusive();
+        let registry = Arc::new(Registry::new());
+        install(registry.clone());
+        let pool = WorkerPool::new(threads);
+        let out = pool.par_map(&depths, |d| {
+            let _item = coyote_obs::span("prop.item");
+            nest(*d);
+            *d
+        });
+        uninstall();
+        prop_assert_eq!(&out, &depths);
+
+        let events = registry.trace_events();
+        // Every span was recorded exactly once: one prop.item per item and
+        // one prop.nest per nesting level, regardless of thread count.
+        let items = events.iter().filter(|e| e.name == "prop.item").count();
+        prop_assert_eq!(items, depths.len());
+        let nests = events.iter().filter(|e| e.name == "prop.nest").count();
+        prop_assert_eq!(nests, depths.iter().sum::<usize>());
+        assert_lanes_well_nested(&events)?;
+
+        // The deterministic snapshot view is identical no matter how many
+        // workers recorded it: counters and value histograms commute.
+        let snapshot = registry.snapshot();
+        prop_assert_eq!(
+            snapshot.counters.get("runtime.pool.items").copied(),
+            Some(depths.len() as u64)
+        );
     }
 }

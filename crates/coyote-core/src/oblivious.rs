@@ -14,9 +14,9 @@
 //!    smooth function of the parameters (products of ratios along paths, as
 //!    in the paper's GP view).
 //! 2. **Smoothed worst case.** The maximum utilization over (edge, demand
-//!    matrix) pairs is smoothed with log-sum-exp and minimized with Adam
-//!    (`coyote-gp`); gradients are computed analytically with an adjoint
-//!    sweep over each DAG.
+//!    matrix) pairs is smoothed with log-sum-exp and minimized with Adam;
+//!    gradients are computed analytically with an adjoint sweep over each
+//!    DAG.
 //! 3. **Constraint generation (the dualization step's practical twin).** The
 //!    finite working set of demand matrices is grown by solving the exact
 //!    slave LP of Appendix C for the current bottleneck edges; the witness
@@ -45,8 +45,6 @@ use crate::error::CoreError;
 use crate::perf::{EvaluationOptions, EvaluationSet};
 use crate::routing::PdRouting;
 use crate::worst_case::{bottleneck_candidates, performance_ratio_exact, RoutabilityScope};
-use coyote_gp::logspace::{smooth_max_and_weights_into, softmax_into};
-use coyote_gp::solver::{minimize_adam, AdamOptions, Objective};
 use coyote_graph::{Dag, Graph};
 use coyote_traffic::{DemandMatrix, UncertaintySet};
 use std::cell::RefCell;
@@ -419,14 +417,9 @@ impl<'a> SplittingObjective<'a> {
             .collect();
         PdRouting::from_ratios(self.graph, self.dags.to_vec(), phi)
     }
-}
 
-impl Objective for SplittingObjective<'_> {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Evaluates the smoothed objective and accumulates the gradient.
+    /// Evaluates the smoothed objective and accumulates the gradient into
+    /// `grad` (which the caller zeroes).
     /// Allocates nothing after the first call: [`SplittingObjective::load_lanes`]
     /// sized the lane buffers, and the softmax scratch has grown to the
     /// widest group by then.
@@ -537,6 +530,126 @@ impl Objective for SplittingObjective<'_> {
     }
 }
 
+/// Stable softmax of `xs` into `out` (cleared first, capacity reused):
+/// shift by the maximum, exponentiate, divide by the sequential sum.
+fn softmax_into(xs: &[f64], out: &mut Vec<f64>) {
+    out.clear();
+    if xs.is_empty() {
+        return;
+    }
+    let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    out.reserve(xs.len());
+    for &x in xs {
+        out.push((x - m).exp());
+    }
+    let sum: f64 = out.iter().sum();
+    for e in out.iter_mut() {
+        *e /= sum;
+    }
+}
+
+/// The smoothed maximum `τ · log Σ exp(x_i / τ)` of `xs`, with its
+/// gradient weights `softmax(x / τ)` written into `weights` (cleared first,
+/// capacity reused). One pass and no temporary: `xs` is the full (matrix ×
+/// edge) utilization vector, evaluated once per Adam iteration. The tests
+/// hold it, bit for bit, to the allocating log-sum-exp and softmax it fuses.
+fn smooth_max_and_weights_into(xs: &[f64], tau: f64, weights: &mut Vec<f64>) -> f64 {
+    assert!(tau > 0.0, "smoothing temperature must be positive");
+    weights.clear();
+    if xs.is_empty() {
+        return f64::NEG_INFINITY;
+    }
+    let m = xs
+        .iter()
+        .map(|&x| x / tau)
+        .fold(f64::NEG_INFINITY, f64::max);
+    if m == f64::NEG_INFINITY {
+        // What softmax gives an all-(-∞) input (NaN weights), and
+        // log-sum-exp's -∞ guard for the value.
+        weights.extend(xs.iter().map(|_| f64::NAN));
+        return f64::NEG_INFINITY;
+    }
+    weights.reserve(xs.len());
+    let mut sum = 0.0;
+    for &x in xs {
+        let e = (x / tau - m).exp();
+        weights.push(e);
+        sum += e;
+    }
+    for w in weights.iter_mut() {
+        *w /= sum;
+    }
+    tau * (m + sum.ln())
+}
+
+// Adam's moment decays and the floor under the second-moment root.
+const ADAM_BETA1: f64 = 0.9;
+const ADAM_BETA2: f64 = 0.999;
+const ADAM_EPSILON: f64 = 1e-8;
+// Adam stops once the gradient's infinity norm falls below the gradient
+// tolerance, or after `ADAM_PATIENCE` evaluations none of which lowered
+// the best value by more than the value tolerance.
+const ADAM_GRADIENT_TOLERANCE: f64 = 1e-7;
+const ADAM_VALUE_TOLERANCE: f64 = 1e-9;
+const ADAM_PATIENCE: usize = 150;
+
+/// Minimizes `objective` from `theta` with Adam and returns the best point
+/// it evaluated. The paper solves this inner problem as a geometric program
+/// with an interior-point solver; Adam on the softmax parameters reaches
+/// the same optima on the evaluation's problem sizes.
+fn adam(
+    objective: &SplittingObjective,
+    mut theta: Vec<f64>,
+    learning_rate: f64,
+    max_iters: usize,
+) -> Vec<f64> {
+    let n = objective.dim;
+    debug_assert_eq!(theta.len(), n);
+    let mut m = vec![0.0; n];
+    let mut v = vec![0.0; n];
+    let mut grad = vec![0.0; n];
+    let mut best = theta.clone();
+    let mut best_val = f64::INFINITY;
+    let mut since_improvement = 0usize;
+    let mut iterations = 0usize;
+
+    for t in 1..=max_iters {
+        iterations = t;
+        grad.iter_mut().for_each(|g| *g = 0.0);
+        let val = objective.eval(&theta, &mut grad);
+        if val < best_val - ADAM_VALUE_TOLERANCE {
+            best_val = val;
+            best.copy_from_slice(&theta);
+            since_improvement = 0;
+        } else {
+            if val < best_val {
+                best_val = val;
+                best.copy_from_slice(&theta);
+            }
+            since_improvement += 1;
+        }
+
+        let gnorm = grad.iter().fold(0.0_f64, |a, &g| a.max(g.abs()));
+        if gnorm < ADAM_GRADIENT_TOLERANCE || since_improvement >= ADAM_PATIENCE {
+            break;
+        }
+
+        let b1t = 1.0 - ADAM_BETA1.powi(t as i32);
+        let b2t = 1.0 - ADAM_BETA2.powi(t as i32);
+        for i in 0..n {
+            m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * grad[i];
+            v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * grad[i] * grad[i];
+            let mh = m[i] / b1t;
+            let vh = v[i] / b2t;
+            theta[i] -= learning_rate * mh / (vh.sqrt() + ADAM_EPSILON);
+        }
+    }
+
+    coyote_obs::counter("gp.adam.runs", 1);
+    coyote_obs::counter("gp.adam.iterations", iterations as u64);
+    best
+}
+
 /// Optimizes the splitting ratios within the given DAGs for the uncertainty
 /// set. `base` is the base demand matrix the margins were derived from (it
 /// seeds the working set); pass `None` in the fully oblivious setting.
@@ -586,22 +699,20 @@ pub fn optimize_splitting_with_working_set(
     }
 
     let mut objective = SplittingObjective::new(graph, &dags, config.smoothing);
-    let mut theta = vec![0.0; objective.dim()];
+    let mut theta = vec![0.0; objective.dim];
     let mut rounds = 0usize;
 
     for round in 0..config.cg_rounds.max(1) {
         rounds = round + 1;
         // ---- Inner optimization over the current working set. ----
-        if objective.dim() > 0 {
+        if objective.dim > 0 {
             objective.load_lanes(working.entries());
-            let opts = AdamOptions {
-                learning_rate: config.learning_rate,
-                max_iters: config.adam_iterations,
-                patience: 150,
-                ..AdamOptions::default()
-            };
-            let res = minimize_adam(&objective, &theta, &opts);
-            theta = res.x;
+            theta = adam(
+                &objective,
+                theta,
+                config.learning_rate,
+                config.adam_iterations,
+            );
         }
 
         // Current routing and its ratio over the working set.
@@ -912,7 +1023,7 @@ mod tests {
             assert_eq!(working_set[2].0.active_destinations(), vec![NodeId(0)]);
 
             let mut objective = SplittingObjective::new(&graph, &dags, 0.02);
-            let dim = objective.dim();
+            let dim = objective.dim;
             assert!(dim > 0);
             // The last matrix joins after the first evaluations, the way a
             // constraint-generation round adds the adversary's witness.
@@ -939,7 +1050,7 @@ mod tests {
         let working_set = lane_shapes(&base);
         let mut objective = SplittingObjective::new(&graph, &dags, 0.02);
         objective.load_lanes(working_set.iter().map(|(dm, r)| (dm, *r)));
-        let dim = objective.dim();
+        let dim = objective.dim;
         let footprint = |objective: &SplittingObjective| {
             let s = objective.scratch.borrow();
             [
@@ -967,7 +1078,7 @@ mod tests {
         dm.set(s2, t, 0.5);
         let mut objective = SplittingObjective::new(&g, &dags, 0.05);
         objective.load_lanes([(&dm, 1.0)].into_iter());
-        let dim = objective.dim();
+        let dim = objective.dim;
         let theta: Vec<f64> = (0..dim).map(|i| 0.1 * (i as f64) - 0.3).collect();
         let mut grad = vec![0.0; dim];
         let f0 = objective.eval(&theta, &mut grad);
@@ -1081,7 +1192,7 @@ mod tests {
                     }
                 }
             }
-            prop_assert_eq!(dim, objective.dim());
+            prop_assert_eq!(dim, objective.dim);
 
             let theta: Vec<f64> = theta.iter().copied().cycle().take(dim).collect();
             let routing = objective.routing(&theta);
@@ -1216,5 +1327,125 @@ mod tests {
         assert!(result.rounds >= 1);
         assert!(result.working_set_size >= 1);
         assert!(result.working_set_ratio.is_finite());
+    }
+
+    #[test]
+    fn adam_returns_a_point_no_worse_than_its_start() {
+        let (g, s1, s2, _v, t) = fig1();
+        let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
+        let mut dm = DemandMatrix::zeros(4);
+        dm.set(s1, t, 2.0);
+        dm.set(s2, t, 2.0);
+        let mut objective = SplittingObjective::new(&g, &dags, 0.05);
+        objective.load_lanes([(&dm, 1.0)].into_iter());
+        let value = |theta: &[f64]| objective.eval(theta, &mut vec![0.0; objective.dim]);
+        let start = vec![0.0; objective.dim];
+        assert_eq!(adam(&objective, start.clone(), 0.05, 0), start);
+        let theta = adam(&objective, start.clone(), 0.05, 400);
+        assert!(value(&theta) < value(&start) - 1e-3);
+    }
+
+    /// The allocating log-space functions the fused kernels replaced: the
+    /// reference they are held to, bit for bit.
+    mod logspace {
+        pub fn log_sum_exp(xs: &[f64]) -> f64 {
+            if xs.is_empty() {
+                return f64::NEG_INFINITY;
+            }
+            let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            if m == f64::NEG_INFINITY {
+                return f64::NEG_INFINITY;
+            }
+            let sum: f64 = xs.iter().map(|&x| (x - m).exp()).sum();
+            m + sum.ln()
+        }
+
+        pub fn softmax(xs: &[f64]) -> Vec<f64> {
+            if xs.is_empty() {
+                return Vec::new();
+            }
+            let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let exps: Vec<f64> = xs.iter().map(|&x| (x - m).exp()).collect();
+            let sum: f64 = exps.iter().sum();
+            exps.into_iter().map(|e| e / sum).collect()
+        }
+
+        pub fn smooth_max(xs: &[f64], tau: f64) -> f64 {
+            let scaled: Vec<f64> = xs.iter().map(|&x| x / tau).collect();
+            tau * log_sum_exp(&scaled)
+        }
+
+        pub fn smooth_max_weights(xs: &[f64], tau: f64) -> Vec<f64> {
+            let scaled: Vec<f64> = xs.iter().map(|&x| x / tau).collect();
+            softmax(&scaled)
+        }
+    }
+
+    fn to_bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_smooth_max_is_bit_identical_to_the_allocating_reference() {
+        let xs = [0.31, 0.94, 0.72, 0.11, 0.94];
+        let mut weights = vec![999.0; 2]; // stale contents must be cleared
+        for &tau in &[1.0, 0.05, 1e-4] {
+            let fused = smooth_max_and_weights_into(&xs, tau, &mut weights);
+            assert_eq!(fused.to_bits(), logspace::smooth_max(&xs, tau).to_bits());
+            assert_eq!(
+                to_bits(&weights),
+                to_bits(&logspace::smooth_max_weights(&xs, tau))
+            );
+        }
+        assert_eq!(
+            smooth_max_and_weights_into(&[], 1.0, &mut weights),
+            f64::NEG_INFINITY
+        );
+        assert!(weights.is_empty());
+    }
+
+    #[test]
+    fn softmax_into_is_bit_identical_to_the_allocating_reference() {
+        let mut out = vec![999.0; 7]; // stale contents must be cleared
+        for xs in [
+            &[1.0, 2.0, 3.0][..],
+            &[-1e6, 0.0, 1e6],
+            &[0.25, -0.5, 0.25, 4.0],
+            &[],
+        ] {
+            softmax_into(xs, &mut out);
+            assert_eq!(to_bits(&out), to_bits(&logspace::softmax(xs)));
+        }
+        softmax_into(&[1.0, 2.0, 3.0], &mut out);
+        assert!((out.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert!(out[2] > out[1] && out[1] > out[0]);
+        softmax_into(&[-1e6, 0.0, 1e6], &mut out);
+        assert!(out.iter().all(|v| v.is_finite()));
+        assert!((out[2] - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn smooth_max_is_stable_and_converges_to_the_max_from_above() {
+        let mut weights = Vec::new();
+        // A naive log-sum-exp would overflow (or underflow) here.
+        let large = smooth_max_and_weights_into(&[1000.0, 1000.0], 1.0, &mut weights);
+        assert!((large - (1000.0 + 2f64.ln())).abs() < 1e-9);
+        let small = smooth_max_and_weights_into(&[-1000.0, -1000.0], 1.0, &mut weights);
+        assert!((small - (-1000.0 + 2f64.ln())).abs() < 1e-9);
+
+        let xs = [0.3, 0.9, 0.7];
+        for &tau in &[1.0, 0.1, 0.01, 0.001] {
+            assert!(smooth_max_and_weights_into(&xs, tau, &mut weights) >= 0.9 - 1e-12);
+        }
+        assert!((smooth_max_and_weights_into(&xs, 1e-4, &mut weights) - 0.9).abs() < 1e-3);
+        smooth_max_and_weights_into(&xs, 0.01, &mut weights);
+        assert!((weights.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        assert!(weights[1] > 0.99);
+    }
+
+    #[test]
+    #[should_panic(expected = "temperature must be positive")]
+    fn smooth_max_rejects_non_positive_tau() {
+        smooth_max_and_weights_into(&[1.0], 0.0, &mut Vec::new());
     }
 }

@@ -23,6 +23,8 @@ use std::collections::BinaryHeap;
 
 /// Relative tolerance used when comparing path lengths for equality
 /// (two paths whose lengths differ by less than this are "equal cost").
+/// The routers of `coyote-ospf` tie a lie's cost with a real distance under
+/// the same tolerance.
 pub const ECMP_EPSILON: f64 = 1e-9;
 
 /// Result of a single-destination Dijkstra run.

@@ -17,20 +17,17 @@
 use crate::fib::{Fib, FibEntry};
 use crate::lsa::FakeNodeLsa;
 use crate::lsdb::Lsdb;
-use coyote_graph::spf::{shortest_path_dag, ShortestPathDag};
+use coyote_graph::spf::{shortest_path_dag, ShortestPathDag, ECMP_EPSILON};
 use coyote_graph::{Graph, NodeId};
 use std::borrow::Borrow;
 
-/// Relative tolerance when comparing a lie's advertised cost against the
-/// real distance (or against another lie's cost).
-const COST_EPSILON: f64 = 1e-9;
-
-/// True when a route at `cost` ties with the winning cost `best`. The
-/// compressor groups lies with the same test, so it keeps exactly the lies
-/// the routers would install.
+/// True when a route at `cost` ties with the winning cost `best`, under the
+/// one relative ECMP tie tolerance ([`ECMP_EPSILON`]) the real shortest-path
+/// DAG uses too. The compressor groups lies with the same test, so it keeps
+/// exactly the lies the routers would install.
 #[inline]
 pub(crate) fn ties(cost: f64, best: f64) -> bool {
-    (cost - best).abs() <= COST_EPSILON * (1.0 + best.abs())
+    (cost - best).abs() <= ECMP_EPSILON * (1.0 + best.abs())
 }
 
 /// The cost at which `u` routes towards `t`: the cheaper of its real

@@ -75,6 +75,7 @@ pub fn parse(text: &str) -> Result<Topology, ParseError> {
                     line: line_number,
                     message: "node requires a name".into(),
                 })?;
+                no_trailing_token(parts, line_number, "node")?;
                 if index.contains_key(name) {
                     return Err(ParseError::BadLine {
                         line: line_number,
@@ -111,6 +112,7 @@ pub fn parse(text: &str) -> Result<Topology, ParseError> {
                             line: line_number,
                             message: "weight must be a number".into(),
                         })?;
+                no_trailing_token(parts, line_number, "link")?;
                 let &ai = index.get(a).ok_or_else(|| ParseError::UnknownNode {
                     line: line_number,
                     name: a.to_string(),
@@ -132,7 +134,25 @@ pub fn parse(text: &str) -> Result<Topology, ParseError> {
     Ok(topo)
 }
 
+/// Rejects a token left over on a `node` or `link` line. A node name with
+/// whitespace in it would otherwise be truncated to its first word.
+fn no_trailing_token<'a>(
+    mut rest: impl Iterator<Item = &'a str>,
+    line: usize,
+    keyword: &str,
+) -> Result<(), ParseError> {
+    match rest.next() {
+        None => Ok(()),
+        Some(extra) => Err(ParseError::BadLine {
+            line,
+            message: format!("{keyword} line has a trailing token {extra:?}"),
+        }),
+    }
+}
+
 /// Serializes a [`Topology`] into the text format accepted by [`parse`].
+/// Node names are written as they are, so a name with whitespace in it
+/// serializes to text that [`parse`] rejects.
 pub fn serialize(topo: &Topology) -> String {
     let mut out = String::new();
     out.push_str(&format!("topology {}\n", topo.name));
@@ -182,6 +202,24 @@ link a c
             let parsed = parse(&text).unwrap();
             assert_eq!(parsed, topo, "{} did not round trip", topo.name);
         }
+    }
+
+    #[test]
+    fn rejects_trailing_tokens_on_node_and_link_lines() {
+        let err = parse("node a b\n").unwrap_err();
+        assert!(matches!(err, ParseError::BadLine { line: 1, .. }), "{err}");
+        let err = parse("node a\nnode b\nlink a b 1 1 9\n").unwrap_err();
+        assert!(matches!(err, ParseError::BadLine { line: 3, .. }), "{err}");
+    }
+
+    #[test]
+    fn a_whitespace_named_node_does_not_parse_as_another_topology() {
+        let mut topo = Topology::new("Cities");
+        let a = topo.add_node("New York");
+        let b = topo.add_node("Boston");
+        topo.add_link(a, b, 10.0, 1.0);
+        let err = parse(&serialize(&topo)).unwrap_err();
+        assert!(matches!(err, ParseError::BadLine { line: 2, .. }), "{err}");
     }
 
     #[test]

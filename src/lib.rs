@@ -9,13 +9,14 @@
 //!
 //! * [`graph`] — directed capacitated graphs, DAGs, and plain OSPF (the one
 //!   SPF/ECMP kernel the compiler and the simulated routers share).
-//! * [`lp`] — the dense two-phase simplex LP solver.
-//! * [`gp`] — what the splitting optimizer needs of geometric programming:
-//!   log-space smooth-max helpers and first-order minimizers (Adam).
+//! * [`lp`] — the LP solver: a sparse revised simplex with an LU-factored
+//!   basis, and the dense two-phase tableau kept as its differential
+//!   oracle.
 //! * [`traffic`] — demand matrices (gravity, bimodal) and uncertainty sets.
 //! * [`topology`] — backbone topologies (Topology Zoo reconstructions).
-//! * [`core`] — COYOTE itself: DAG construction, splitting optimization,
-//!   ECMP and demands-aware baselines, performance-ratio evaluation.
+//! * [`core`] — COYOTE itself: DAG construction, splitting optimization
+//!   (log-space smooth max minimized with Adam), ECMP and demands-aware
+//!   baselines, performance-ratio evaluation.
 //! * [`ospf`] — the OSPF/ECMP + Fibbing substrate (fake LSAs, virtual
 //!   next-hops) that turns COYOTE's ratios into deployable router state.
 //! * [`sim`] — the flow-level emulator used by the prototype experiment.
@@ -23,14 +24,13 @@
 //!   control plane that holds the compiled Fibbing program in memory and
 //!   reacts to demand drift and link/node events with dirty-set re-solves
 //!   and per-prefix LSA deltas (`experiments serve`).
-//! * [`runtime`] — the scoped worker pool / ordered `par_map` the
-//!   experiment harness uses to fan scenario evaluations across cores.
 //! * [`obs`] — spans/counters/histograms wired through the
 //!   whole pipeline; exports chrome://tracing traces and flat metrics
 //!   summaries (`experiments … --profile`).
 //! * [`bench`](mod@bench) — the experiment harness itself: scenario grid, parallel
-//!   sweep engine, and the full-stack conformance engine that drives every
-//!   sweep cell through compile → realized Fibbing routing → simulation.
+//!   sweep engine on a scoped worker pool, and the full-stack conformance
+//!   engine that drives every sweep cell through compile → realized
+//!   Fibbing routing → simulation.
 //!
 //! See `examples/quickstart.rs` for an end-to-end walk-through.
 //!
@@ -61,12 +61,10 @@
 
 pub use coyote_bench as bench;
 pub use coyote_core as core;
-pub use coyote_gp as gp;
 pub use coyote_graph as graph;
 pub use coyote_lp as lp;
 pub use coyote_obs as obs;
 pub use coyote_ospf as ospf;
-pub use coyote_runtime as runtime;
 pub use coyote_serve as serve;
 pub use coyote_sim as sim;
 pub use coyote_topology as topology;
