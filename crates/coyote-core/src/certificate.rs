@@ -20,12 +20,153 @@
 //! *certified upper bound* on the oblivious ratio — the dual counterpart of
 //! the primal witness matrices produced by [`crate::worst_case`]; by LP
 //! duality the two coincide, which the tests check on the running example.
+//!
+//! The check behind R2 is also how a full adversary scan skips edges
+//! ([`crate::worst_case`]). Any non-negative link lengths `y` bound `OPTU`
+//! from below by weak duality: with `w(s, t)` the `y`-shortest `s → t`
+//! distance over the edges a routing of `x` may use, every unit of `x_st`
+//! crosses at least `w(s, t)` of length and link `e` carries at most
+//! `OPTU(x)·c_e`, so `w·x ≤ Σ_e y_e·load_e ≤ OPTU(x)·Σ_e c_e·y_e`. An edge
+//! whose utilization is `a·x` per matrix `x` therefore has ratio at most
+//! `Σ c·y · max_x a·x / w·x` over a box of matrices (`LengthBound`,
+//! `fractional_max`); at the oblivious corner `[0, ∞)` that is R1 × R2.
 
 use crate::error::CoreError;
+use crate::opt_mcf::EdgeScope;
 use crate::routing::PdRouting;
 use crate::worst_case::FractionTable;
 use coyote_graph::{EdgeId, Graph, NodeId};
 use coyote_lp::{LpProblem, Relation, Sense, VarId};
+
+/// Load coefficients at or below this are no load: the pair needs no cover
+/// by requirement R2. Raised, it drops real traffic from the certificate;
+/// lowered to zero, round-off in the fractions demands cover the LP then
+/// buys with larger weights.
+const LOAD_ZERO: f64 = 1e-12;
+
+/// One demand pair of a box `lo ≤ x ≤ hi`: its coefficient `a ≥ 0` in the
+/// numerator and its length `w ≥ 0` (possibly `+∞`) in the denominator.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pair {
+    pub(crate) a: f64,
+    pub(crate) w: f64,
+    pub(crate) lo: f64,
+    pub(crate) hi: f64,
+}
+
+/// `max a·x / w·x` over the box `lo ≤ x ≤ hi`, `x ≠ 0` (`hi` may be `+∞`):
+/// `+∞` when some `x` has `w·x = 0 < a·x`, `0` when `a·x` is. Raising one
+/// `x_st` moves the ratio towards `a_st / w_st` (a mediant), so the maximum
+/// starts from `lo` and raises the pairs in descending `a / w` while that
+/// exceeds the ratio: one sort. Reorders and drops entries of `pairs`.
+pub(crate) fn fractional_max(pairs: &mut Vec<Pair>) -> f64 {
+    let (mut num, mut den) = (0.0, 0.0);
+    for p in pairs.iter().filter(|p| p.lo > 0.0) {
+        num += p.a * p.lo;
+        den += p.w * p.lo;
+    }
+    let mut best = if num > 0.0 { num / den } else { 0.0 };
+    pairs.retain(|p| p.a > 0.0 && p.hi > p.lo);
+    pairs.sort_unstable_by(|x, y| (y.a / y.w).total_cmp(&(x.a / x.w)));
+    for p in pairs.iter() {
+        let q = p.a / p.w;
+        if q <= best {
+            break;
+        }
+        if p.hi == f64::INFINITY {
+            return q;
+        }
+        num += p.a * (p.hi - p.lo);
+        den += p.w * (p.hi - p.lo);
+        best = num / den;
+    }
+    best
+}
+
+/// `y`-shortest distances towards `t` over the edges `scope` lets `t` use,
+/// into `dist` (by node; `+∞` where `t` is out of reach). `lengths` are
+/// non-negative, indexed by edge: Dijkstra over the whole graph, one pass in
+/// topological order inside a DAG. Not `coyote_graph::spf::dijkstra_to`,
+/// which reads link metrics as OSPF does (zero raised to `ECMP_EPSILON`,
+/// ties within it): a distance it overstates would understate a bound.
+pub(crate) fn distances_to(
+    graph: &Graph,
+    scope: &EdgeScope<'_>,
+    t: NodeId,
+    lengths: &[f64],
+    dist: &mut [f64],
+) {
+    dist.fill(f64::INFINITY);
+    dist[t.index()] = 0.0;
+    if let Some(dag) = scope.dag(t) {
+        for &v in dag.topo_from_destination() {
+            for &e in dag.out_edges(v) {
+                let through = lengths[e.index()] + dist[graph.edge(e).dst.index()];
+                dist[v.index()] = dist[v.index()].min(through);
+            }
+        }
+        return;
+    }
+    let mut settled = vec![false; graph.node_count()];
+    while let Some(v) = graph
+        .nodes()
+        .filter(|v| !settled[v.index()] && dist[v.index()] < f64::INFINITY)
+        .min_by(|a, b| dist[a.index()].total_cmp(&dist[b.index()]))
+    {
+        settled[v.index()] = true;
+        for &e in graph.in_edges(v) {
+            let u = graph.edge(e).src.index();
+            dist[u] = dist[u].min(dist[v.index()] + lengths[e.index()]);
+        }
+    }
+}
+
+/// Link lengths `y ≥ 0` as a lower bound on `OPTU` within a scope (see the
+/// module docs): `OPTU(x) ≥ w·x / Σ_e c_e·y_e`.
+pub(crate) struct LengthBound {
+    n: usize,
+    /// `Σ_e c_e·y_e`.
+    scale: f64,
+    /// `dist[t·n + s]`: the `y`-shortest `s → t` distance, for every
+    /// destination the bound was built for (`+∞` elsewhere).
+    dist: Vec<f64>,
+}
+
+impl LengthBound {
+    /// The bound of `lengths` (indexed by edge) towards `destinations`, or
+    /// `None` when `Σ c·y` is not positive: zero lengths prove nothing.
+    pub(crate) fn new(
+        graph: &Graph,
+        scope: &EdgeScope<'_>,
+        destinations: &[NodeId],
+        lengths: &[f64],
+    ) -> Option<Self> {
+        let scale: f64 = graph
+            .edges()
+            .map(|e| graph.capacity(e) * lengths[e.index()])
+            .sum();
+        if !(scale > 0.0 && scale.is_finite()) {
+            return None;
+        }
+        let n = graph.node_count();
+        let mut dist = vec![f64::INFINITY; n * n];
+        for &t in destinations {
+            distances_to(graph, scope, t, lengths, &mut dist[t.index() * n..][..n]);
+        }
+        Some(Self { n, scale, dist })
+    }
+
+    /// The `y`-shortest `s → t` distance.
+    pub(crate) fn distance(&self, s: NodeId, t: NodeId) -> f64 {
+        self.dist[t.index() * self.n + s.index()]
+    }
+
+    /// An upper bound on `max a·x / OPTU(x)` over the box of `pairs`, whose
+    /// `w` are this bound's distances: `Σ c·y · max a·x / w·x`.
+    pub(crate) fn bound(&self, pairs: &mut Vec<Pair>) -> f64 {
+        self.scale * fractional_max(pairs)
+    }
+}
 
 /// A dual certificate for one edge: weights `π_e(h)` over all edges `h`.
 #[derive(Debug, Clone)]
@@ -73,7 +214,7 @@ pub fn certify_edge(
                 continue;
             }
             let l = fractions.fraction(s, t, u_e) * phi / cap_e;
-            if l > 1e-12 {
+            if l > LOAD_ZERO {
                 loads.push((s, t, l));
             }
         }
@@ -182,8 +323,9 @@ pub fn certify_routing(
 /// Verifies requirement R1/R2 of Theorem 5 for a given certificate and
 /// returns the certified bound it actually proves for its edge (the maximum
 /// of the R1 left-hand side and the smallest scaling that makes R2 hold).
-/// Used in tests and by operators who want to double-check a configuration
-/// produced elsewhere.
+/// The weights must be non-negative; a negative one certifies nothing and
+/// verifies as `+∞`. Used in tests and by operators who want to
+/// double-check a configuration produced elsewhere.
 pub fn verify_certificate(
     graph: &Graph,
     routing: &PdRouting,
@@ -192,6 +334,9 @@ pub fn verify_certificate(
 ) -> f64 {
     let (u_e, _) = graph.endpoints(certificate.edge);
     let cap_e = graph.capacity(certificate.edge);
+    if certificate.weights.iter().any(|&w| w < 0.0) {
+        return f64::INFINITY;
+    }
 
     // R1 value.
     let r1: f64 = certificate
@@ -201,47 +346,35 @@ pub fn verify_certificate(
         .map(|(&w, h)| w * graph.capacity(h))
         .sum();
 
-    // R2: for every pair, the load coefficient must be covered by the
-    // π-shortest-path distance in the full graph; compute the worst
-    // violation factor.
-    let mut needed = 0.0_f64;
+    // R2: every pair's load coefficient against its π-shortest distance
+    // over all edges. At the corner [0, ∞) the scan's bound routine is the
+    // worst of the factors load / distance.
+    let mut dist = vec![0.0; graph.node_count()];
+    let mut pairs = Vec::new();
     for t in graph.nodes() {
         let phi = routing.ratio(t, certificate.edge);
         if phi <= 0.0 {
             continue;
         }
-        // π-shortest distances to t over all edges (Bellman-Ford style
-        // relaxation; the graphs are small and π is non-negative).
-        let nn = graph.node_count();
-        let mut dist = vec![f64::INFINITY; nn];
-        dist[t.index()] = 0.0;
-        for _ in 0..nn {
-            let mut changed = false;
-            for a in graph.edges() {
-                let (j, k) = graph.endpoints(a);
-                let through = certificate.weights[a.index()] + dist[k.index()];
-                if through + 1e-15 < dist[j.index()] {
-                    dist[j.index()] = through;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        distances_to(graph, &EdgeScope::All, t, &certificate.weights, &mut dist);
         for s in graph.nodes() {
             if s == t {
                 continue;
             }
             let l = fractions.fraction(s, t, u_e) * phi / cap_e;
-            if l <= 1e-12 {
-                continue;
+            if l > LOAD_ZERO {
+                pairs.push(Pair {
+                    a: l,
+                    w: dist[s.index()],
+                    lo: 0.0,
+                    hi: f64::INFINITY,
+                });
             }
-            if dist[s.index()] <= 0.0 {
-                return f64::INFINITY;
-            }
-            needed = needed.max(l / dist[s.index()]);
         }
+    }
+    let needed = fractional_max(&mut pairs);
+    if needed == f64::INFINITY {
+        return f64::INFINITY;
     }
     // If R2 needs the weights scaled up by `needed`, the certified bound is
     // r1 * needed (scaling π scales both sides linearly).

@@ -65,9 +65,10 @@ pub struct LocalSearchResult {
     pub iterations: usize,
 }
 
-/// Runs the local-search weight heuristic. The input graph's weights are the
-/// starting point (callers typically set inverse-capacity weights first);
-/// the graph itself is not modified.
+/// Runs the local-search weight heuristic. The search always starts from
+/// inverse-capacity weights (scale 10): the input graph's own weights are
+/// discarded, and only its topology and capacities are read. The graph
+/// itself is not modified.
 pub fn local_search_weights(
     graph: &Graph,
     uncertainty: &UncertaintySet,

@@ -36,6 +36,11 @@ pub struct McfSolution {
     pub flows: Vec<Vec<f64>>,
     /// The active destinations, in the same order as `flows`.
     pub destinations: Vec<NodeId>,
+    /// Per edge, the length `y_e ≥ 0` the optimum prices its capacity at:
+    /// the capacity row's dual, negated (zero for an edge no commodity may
+    /// use). `None` unless the solve [`Reads::Lengths`], and under the dense
+    /// backend, which reports no duals.
+    pub(crate) lengths: Option<Vec<f64>>,
 }
 
 /// Edge set abstraction: every graph edge (unrestricted), the edges of each
@@ -48,7 +53,8 @@ pub(crate) enum EdgeScope<'a> {
 }
 
 impl EdgeScope<'_> {
-    fn dag(&self, t: NodeId) -> Option<&Dag> {
+    /// The DAG `t` is confined to, `None` for every edge.
+    pub(crate) fn dag(&self, t: NodeId) -> Option<&Dag> {
         match self {
             EdgeScope::All => None,
             EdgeScope::Dags(dags) => Some(&dags[t.index()]),
@@ -110,10 +116,14 @@ pub(crate) fn flow_block(
 /// ([`tree_arcs`]) and skips phase one. Value-only solves keep the slack
 /// start until moving the `OPTU` normalizers in their last bits has a
 /// stated tolerance (ROADMAP item 1 names the PR that deletes this type).
+/// A solve that reads the capacity lengths runs through an
+/// [`coyote_lp::LpSession`] for its row duals; any optimal vertex's duals
+/// are lengths, so inside DAGs it starts from the tree as well.
 #[derive(Clone, Copy)]
 pub(crate) enum Reads {
     Value,
     Flows,
+    Lengths,
 }
 
 /// Routes one commodity down its shortest-path tree inside `dag`: every node
@@ -192,9 +202,9 @@ fn solve_mcf(
 /// The one builder of the min-max-utilization flow LP: commodity `k` routes
 /// `columns[k][s]` from every `s` to `destinations[k]` over the edges `scope`
 /// allows it (the diagonal entry `columns[k][t]` is never read). A solve
-/// that [`Reads::Flows`] inside DAGs names its starting basis: the tree arcs
-/// of [`tree_arcs`], `α` on the capacity row of the link those trees load
-/// most, slacks elsewhere.
+/// that [`Reads::Flows`] or [`Reads::Lengths`] inside DAGs names its
+/// starting basis: the tree arcs of [`tree_arcs`], `α` on the capacity row
+/// of the link those trees load most, slacks elsewhere.
 pub(crate) fn solve_commodities(
     graph: &Graph,
     destinations: Vec<NodeId>,
@@ -207,6 +217,7 @@ pub(crate) fn solve_commodities(
             max_utilization: 0.0,
             flows: Vec::new(),
             destinations,
+            lengths: None,
         });
     }
 
@@ -281,12 +292,25 @@ pub(crate) fn solve_commodities(
         Some(start)
     };
     let start = match reads {
-        Reads::Flows => tree_start(),
+        Reads::Flows | Reads::Lengths => tree_start(),
         Reads::Value => None,
     };
-    let solved = match start {
-        Some(start) => lp.solve_from(&start),
-        None => lp.solve(),
+    let mut lengths = None;
+    let solved = match (reads, start) {
+        (Reads::Lengths, start) => lp.prepare().and_then(|mut session| {
+            let sol = match start {
+                Some(start) => session.solve_from(&start)?,
+                None => session.solve()?,
+            };
+            // A minimization prices a `≤` row at a non-positive dual.
+            lengths = session.row_duals().map(|duals| {
+                let length = |row: &Option<usize>| row.map_or(0.0, |r| (-duals[r]).max(0.0));
+                cap_rows.iter().map(length).collect()
+            });
+            Ok(sol)
+        }),
+        (_, Some(start)) => lp.solve_from(&start),
+        (_, None) => lp.solve(),
     };
     let sol = solved.map_err(|e| match e {
         coyote_lp::LpError::Infeasible { .. } => CoreError::UnroutableDemand {
@@ -309,7 +333,18 @@ pub(crate) fn solve_commodities(
         max_utilization: sol.value(alpha).max(0.0),
         flows,
         destinations,
+        lengths,
     })
+}
+
+/// The capacity lengths of `OPTU(dm)` within `scope` ([`McfSolution`]'s
+/// `lengths`): the certificate a full adversary scan starts from.
+pub(crate) fn capacity_lengths(
+    graph: &Graph,
+    dm: &DemandMatrix,
+    scope: EdgeScope<'_>,
+) -> Result<Option<Vec<f64>>, CoreError> {
+    Ok(solve_mcf(graph, dm, scope, Reads::Lengths)?.lengths)
 }
 
 /// `OPTU(D)`: the optimal max link utilization over *all* per-destination

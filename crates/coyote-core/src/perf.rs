@@ -7,12 +7,12 @@
 //!
 //! Evaluating the exact maximum over a box-shaped uncertainty set takes one
 //! `OPTU` of the lower envelope plus up to one slave LP per edge
-//! ([`crate::worst_case`]). Edges whose bound cannot beat the best ratio
-//! are skipped: the uniform augmented routing over a margin-2 gravity box,
-//! within the DAGs, solves 148 of 672 edges on 13 Table-I topologies, at
-//! ≈ 0.1 s per scan on one core. That is still exact but expensive when
-//! sweeping 14 topologies × 9 margins × 4 schemes, so the
-//! [`EvaluationSet`] used by the experiment harness evaluates all
+//! ([`crate::worst_case`]). Edges whose dual-certificate bound cannot beat
+//! the best ratio are skipped: the uniform augmented routing over a
+//! margin-2 gravity box, within the DAGs, solves 58 of 672 edges on 13
+//! Table-I topologies, at ≈ 0.07 s per scan on one core. That is still
+//! exact but expensive when sweeping 14 topologies × 9 margins × 4 schemes,
+//! so the [`EvaluationSet`] used by the experiment harness evaluates all
 //! schemes on the *same* finite family of demand matrices drawn from the
 //! uncertainty set — its corner points (every pair at its lower or upper
 //! bound), the envelopes, the base matrix, interior samples, and any

@@ -16,31 +16,42 @@
 //! ([`crate::oblivious`]) and the local-search DAG heuristic
 //! ([`crate::local_search`]).
 //!
-//! A full scan over a box `[lo, hi]` does not solve every edge. Each
-//! feasible point of edge `e`'s LP is `λ·x` with `x ∈ [lo, hi]` and
-//! `λ·OPTU(x) ≤ 1`, OPTU only grows with demand, and the objective
-//! coefficients `a_e` are non-negative, so the LP's value is at most
-//! `B_e = a_e·hi / OPTU(lo)`. The scan computes `OPTU(lo)` once (within the
-//! routing's DAGs for [`RoutabilityScope::WithinDags`]), solves the edges in
-//! descending `B_e` and stops at the first edge whose bound, widened by
-//! `BOUND_SLACK`, is below the best ratio found. Ties go to the earlier
-//! edge, and a solve does not depend on the order, so the result is the
-//! exhaustive scan's bit for bit. A scan over a candidate list, an
-//! oblivious set, a zero lower envelope or a lower envelope the scope
-//! cannot route computes no bound and solves every edge in the given order.
+//! A full scan does not solve every edge. It bounds them with dual
+//! certificates (Theorem 5, [`crate::certificate`]): any non-negative link
+//! lengths `y` give `OPTU(x) ≥ w·x / Σ_e c_e·y_e`, with `w(s, t)` the
+//! `y`-shortest `s → t` distance over the edges the scope lets `t` use, so
+//! edge `e`'s LP value `max_{x ∈ [lo, hi]} a_e·x / OPTU(x)` is at most
+//! `Σ c·y · max_x a_e·x / w·x`, a linear-fractional maximum over the box
+//! that one sort computes. The capacity duals of every LP the scan solves
+//! are such lengths, at no extra LP cost: first those of `OPTU(lo)` over
+//! the scope (whose bound is at most `a_e·hi / OPTU(lo)`), then those of
+//! each slave LP. The scan takes the edges in descending order of their
+//! least bound so far, re-bounds an edge against the certificates that are
+//! newer than its bound before taking it, and stops at the first edge whose
+//! bound, widened by `BOUND_SLACK`, is below the best ratio found. Ties go
+//! to the earlier edge, and a solve does not depend on the order, so the
+//! result is the exhaustive scan's bit for bit. A scan with no certificate
+//! yet (an oblivious set, a zero lower envelope, one the scope cannot
+//! route, the dense backend) takes the edges in index order until a solve
+//! gives it one; a scan over a candidate list computes no bound and solves
+//! every candidate in the given order.
 
+use crate::certificate::{LengthBound, Pair};
 use crate::error::CoreError;
-use crate::opt_mcf::{flow_block, optu, optu_within_dags, EdgeScope};
+use crate::opt_mcf::{capacity_lengths, flow_block, EdgeScope};
 use crate::routing::PdRouting;
 use coyote_graph::{EdgeId, Graph, NodeId};
 use coyote_lp::{LpProblem, LpSession, Relation, Sense, VarId};
 use coyote_traffic::{DemandMatrix, UncertaintySet};
 
-/// Relative slack on an edge's bound before it may end a scan. The LPs are
-/// solved with `RHS_PERTURBATION` and `DUAL_TOL`, which put a computed value
-/// up to 2e-6 above its computed bound on tight edges (Geant and Germany,
-/// over the 14 Table-I topologies at margins 1.5–3); a slack below that can
-/// stop a scan before the edge that wins.
+/// Relative slack on an edge's certificate bound before it may end a scan.
+/// The LPs are solved with `RHS_PERTURBATION` and `DUAL_TOL`, and a
+/// certificate read off a slave LP bounds its own edge at about its value:
+/// over the 14 Table-I topologies at margins 1.5–3 (within the DAGs; both
+/// scopes on five) every computed value sat at least 1.9e-7 below every
+/// certificate's computed bound of it, while the plain bound
+/// `a_e·hi / OPTU(lo)` had values up to 2e-6 above it. A slack of the
+/// solver's tolerances or below can stop a scan before the edge that wins.
 const BOUND_SLACK: f64 = 1e-4;
 
 /// Witness entries at or below this are dropped from the demand matrix.
@@ -119,9 +130,15 @@ pub struct SlaveLp<'a> {
     graph: &'a Graph,
     routing: &'a PdRouting,
     fractions: &'a FractionTable,
+    uncertainty: &'a UncertaintySet,
+    scope: RoutabilityScope,
     session: LpSession,
     d_var: Vec<Vec<Option<VarId>>>,
     pairs: Vec<(NodeId, NodeId)>,
+    /// The destinations of `pairs`, ascending.
+    destinations: Vec<NodeId>,
+    /// The capacity row of each edge, `None` for an edge no commodity uses.
+    cap_rows: Vec<Option<usize>>,
 }
 
 impl<'a> SlaveLp<'a> {
@@ -131,7 +148,7 @@ impl<'a> SlaveLp<'a> {
         graph: &'a Graph,
         routing: &'a PdRouting,
         fractions: &'a FractionTable,
-        uncertainty: &UncertaintySet,
+        uncertainty: &'a UncertaintySet,
         scope: RoutabilityScope,
     ) -> Result<Self, CoreError> {
         let n = graph.node_count();
@@ -166,14 +183,10 @@ impl<'a> SlaveLp<'a> {
         destinations.dedup();
         let commodities: Vec<(usize, NodeId)> =
             destinations.iter().map(|&t| (t.index(), t)).collect();
-        let edge_scope = match scope {
-            RoutabilityScope::AllEdges => EdgeScope::All,
-            RoutabilityScope::WithinDags => EdgeScope::Dags(routing.dags()),
-        };
         let flow_var = flow_block(
             &mut lp,
             graph,
-            &edge_scope,
+            &edge_scope(routing, scope),
             &commodities,
             |lp, k, v, terms| {
                 let t = destinations[k];
@@ -196,6 +209,7 @@ impl<'a> SlaveLp<'a> {
 
         // Capacity constraints on the certifying flow: OPTU(D) <= 1.
         let mut terms: Vec<(VarId, f64)> = Vec::new();
+        let mut cap_rows = vec![None; graph.edge_count()];
         for e in graph.edges() {
             terms.clear();
             terms.extend(
@@ -206,7 +220,9 @@ impl<'a> SlaveLp<'a> {
             if terms.is_empty() {
                 continue;
             }
-            lp.add_constraint(("cap", e.index()), &terms, Relation::Le, graph.capacity(e));
+            let cap = graph.capacity(e);
+            cap_rows[e.index()] =
+                Some(lp.add_constraint(("cap", e.index()), &terms, Relation::Le, cap));
         }
 
         // Box constraints (scaled by λ).
@@ -242,15 +258,19 @@ impl<'a> SlaveLp<'a> {
             graph,
             routing,
             fractions,
+            uncertainty,
+            scope,
             session: lp.prepare().map_err(CoreError::Lp)?,
             d_var,
             pairs,
+            destinations,
+            cap_rows,
         })
     }
 
     /// Objective coefficient of the `s → t` demand in `edge`'s LP, the
     /// utilization of `edge` per unit of that demand: `f_st(u_e)·φ_t(e)/c_e`.
-    /// The scan's per-edge bound is built from the same coefficients.
+    /// The scan's bounds are built from the same coefficients.
     fn coefficient(&self, s: NodeId, t: NodeId, edge: EdgeId) -> f64 {
         let phi = self.routing.ratio(t, edge);
         if phi <= 0.0 {
@@ -260,16 +280,53 @@ impl<'a> SlaveLp<'a> {
         self.fractions.fraction(s, t, u_e) * phi / self.graph.capacity(edge)
     }
 
-    /// `B_e = a_e·hi / OPTU(lo)`, an upper bound on `edge`'s LP value.
-    fn bound(&self, edge: EdgeId, uncertainty: &UncertaintySet, optu_lo: f64) -> f64 {
-        let mut load = 0.0;
+    /// The certificate of link lengths `lengths` (indexed by edge) over
+    /// this LP's scope and destinations.
+    fn certificate(&self, lengths: &[f64]) -> Option<LengthBound> {
+        let scope = edge_scope(self.routing, self.scope);
+        LengthBound::new(self.graph, &scope, &self.destinations, lengths)
+    }
+
+    /// The certificate of `OPTU(lo)`'s capacity lengths over the pairs this
+    /// LP carries, or `None` when the lower envelope is zero (as for an
+    /// oblivious set), the scope cannot route it, or the backend reports
+    /// no duals.
+    fn lower_envelope_certificate(&self) -> Option<LengthBound> {
+        let mut lo = DemandMatrix::zeros(self.graph.node_count());
         for &(s, t) in &self.pairs {
-            let a = self.coefficient(s, t, edge);
-            if a > 0.0 {
-                load += a * uncertainty.upper(s, t);
+            let l = self.uncertainty.lower(s, t);
+            if l > 0.0 {
+                lo.set(s, t, l);
             }
         }
-        load / optu_lo
+        if lo.is_zero() {
+            return None;
+        }
+        let scope = edge_scope(self.routing, self.scope);
+        let lengths = capacity_lengths(self.graph, &lo, scope).ok()??;
+        self.certificate(&lengths)
+    }
+
+    /// The certificate of the last solve's capacity duals (`≥ 0` in a
+    /// maximization), or `None` under the dense backend.
+    fn solved_certificate(&self) -> Option<LengthBound> {
+        let duals = self.session.row_duals()?;
+        let length = |row: &Option<usize>| row.map_or(0.0, |r| duals[r].max(0.0));
+        let lengths: Vec<f64> = self.cap_rows.iter().map(length).collect();
+        self.certificate(&lengths)
+    }
+
+    /// An upper bound on `edge`'s LP value from one certificate; `scratch`
+    /// is the pair buffer, reused.
+    fn bound_by(&self, edge: EdgeId, certificate: &LengthBound, scratch: &mut Vec<Pair>) -> f64 {
+        scratch.clear();
+        scratch.extend(self.pairs.iter().map(|&(s, t)| Pair {
+            a: self.coefficient(s, t, edge),
+            w: certificate.distance(s, t),
+            lo: self.uncertainty.lower(s, t),
+            hi: self.uncertainty.upper(s, t),
+        }));
+        certificate.bound(scratch)
     }
 
     /// Finds the demand matrix maximizing the utilization of `edge`, or
@@ -307,6 +364,14 @@ impl<'a> SlaveLp<'a> {
     }
 }
 
+/// The edges the certifying flow towards each destination may use.
+fn edge_scope(routing: &PdRouting, scope: RoutabilityScope) -> EdgeScope<'_> {
+    match scope {
+        RoutabilityScope::AllEdges => EdgeScope::All,
+        RoutabilityScope::WithinDags => EdgeScope::Dags(routing.dags()),
+    }
+}
+
 /// Exact performance ratio of `routing` over `uncertainty`: the maximum over
 /// all edges of the per-edge worst case. Also returns the witness demand
 /// matrix and edge; of several edges attaining the maximum, the first in
@@ -314,13 +379,12 @@ impl<'a> SlaveLp<'a> {
 /// most-utilized edges during constraint generation) and solves every
 /// candidate in the given order.
 ///
-/// `None` checks every edge. Over a box with a routable, non-zero lower
-/// envelope it computes `OPTU(lo)` once, solves the edges in descending
-/// order of their bound `a_e·hi / OPTU(lo)` and stops at the first edge
-/// whose bound times `1 + BOUND_SLACK` is below the best ratio; the result
-/// is the exhaustive scan's bit for bit. An oblivious set, a zero lower
-/// envelope or one whose `OPTU` errs has no bound, and the scan solves
-/// every edge in index order.
+/// `None` checks every edge, skipping those that certificates prove cannot
+/// win: it takes the edges in descending order of their bound, starting
+/// from the capacity lengths of `OPTU` of the lower envelope and adding the
+/// capacity duals of every slave LP it solves, and stops at the first edge
+/// whose bound times `1 + BOUND_SLACK` is below the best ratio (see the
+/// module docs). The result is the exhaustive scan's bit for bit.
 pub fn performance_ratio_exact(
     graph: &Graph,
     routing: &PdRouting,
@@ -334,49 +398,80 @@ pub fn performance_ratio_exact(
     // One session for the whole edge scan: the standard form is built once
     // and every solve after the first skips phase one.
     let mut slave = SlaveLp::new(graph, routing, &fractions, uncertainty, scope)?;
-    let (best, _solved) = scan(&mut slave, uncertainty, scope, candidate_edges)?;
+    let (best, _solved) = scan(&mut slave, candidate_edges)?;
     best.ok_or_else(|| CoreError::InvalidRouting("routing carries no traffic on any edge".into()))
+}
+
+/// An edge the scan has not solved: its scan position, the least of its
+/// bounds so far (`+∞` before the first) and how many certificates those
+/// came from.
+struct Open {
+    pos: usize,
+    edge: EdgeId,
+    bound: f64,
+    seen: usize,
 }
 
 /// The scan behind [`performance_ratio_exact`]; also returns how many edges
 /// it solved.
 fn scan(
     slave: &mut SlaveLp<'_>,
-    uncertainty: &UncertaintySet,
-    scope: RoutabilityScope,
     candidate_edges: Option<&[EdgeId]>,
 ) -> Result<(Option<WorstCase>, usize), CoreError> {
-    let (edges, bounds): (Vec<EdgeId>, _) = match candidate_edges {
-        Some(edges) => (edges.to_vec(), None),
-        None => {
-            let bounds = edge_bounds(slave, uncertainty, scope);
-            (slave.graph.edges().collect(), bounds)
-        }
+    let bounded = candidate_edges.is_none();
+    let edges: Vec<EdgeId> = match candidate_edges {
+        Some(edges) => edges.to_vec(),
+        None => slave.graph.edges().collect(),
     };
-    let bound_of = |e: EdgeId| bounds.as_ref().map_or(f64::INFINITY, |b| b[e.index()]);
-    // (scan position, edge, bound); an edge without a bound never stops the
-    // scan.
-    let mut order: Vec<(usize, EdgeId, f64)> = edges
+    let mut open: Vec<Open> = edges
         .into_iter()
         .enumerate()
-        .map(|(pos, e)| (pos, e, bound_of(e)))
+        .map(|(pos, edge)| Open {
+            pos,
+            edge,
+            bound: f64::INFINITY,
+            seen: 0,
+        })
         .collect();
-    // Stable, so equal bounds keep their scan order.
-    order.sort_by(|a, b| b.2.total_cmp(&a.2));
+    let mut certificates: Vec<LengthBound> = Vec::new();
+    if bounded {
+        certificates.extend(slave.lower_envelope_certificate());
+    }
+    let mut scratch = Vec::new();
 
     let mut best: Option<(usize, WorstCase)> = None;
     let mut solved = 0;
-    for (pos, e, bound) in order {
+    // The open edge of highest bound, the earlier of equal ones.
+    let top = |open: &[Open]| {
+        (0..open.len()).max_by(|&a, &b| {
+            let (a, b) = (&open[a], &open[b]);
+            a.bound.total_cmp(&b.bound).then(b.pos.cmp(&a.pos))
+        })
+    };
+    while let Some(i) = top(&open) {
+        let next = &mut open[i];
+        if next.seen < certificates.len() {
+            for certificate in &certificates[next.seen..] {
+                let bound = slave.bound_by(next.edge, certificate, &mut scratch);
+                next.bound = next.bound.min(bound);
+            }
+            next.seen = certificates.len();
+            continue;
+        }
         if best
             .as_ref()
-            .is_some_and(|(_, b)| bound * (1.0 + BOUND_SLACK) < b.ratio)
+            .is_some_and(|(_, b)| next.bound * (1.0 + BOUND_SLACK) < b.ratio)
         {
             break;
         }
+        let Open { pos, edge, .. } = open.swap_remove(i);
         solved += 1;
-        let Some((dm, ratio)) = slave.solve_edge(e)? else {
+        let Some((dm, ratio)) = slave.solve_edge(edge)? else {
             continue;
         };
+        if bounded {
+            certificates.extend(slave.solved_certificate());
+        }
         let wins = best
             .as_ref()
             .is_none_or(|(at, b)| ratio > b.ratio || (ratio == b.ratio && pos < *at));
@@ -384,45 +479,12 @@ fn scan(
             let wc = WorstCase {
                 demand: dm,
                 ratio,
-                edge: e,
+                edge,
             };
             best = Some((pos, wc));
         }
     }
     Ok((best.map(|(_, wc)| wc), solved))
-}
-
-/// `B_e` for every edge, indexed by edge, or `None` when the scan has no
-/// bound: `OPTU` of the lower envelope (over the pairs the LP carries) is
-/// zero, as for an oblivious set, or errs because the scope cannot route it.
-fn edge_bounds(
-    slave: &SlaveLp<'_>,
-    uncertainty: &UncertaintySet,
-    scope: RoutabilityScope,
-) -> Option<Vec<f64>> {
-    let graph = slave.graph;
-    let mut lo = DemandMatrix::zeros(graph.node_count());
-    for &(s, t) in &slave.pairs {
-        let l = uncertainty.lower(s, t);
-        if l > 0.0 {
-            lo.set(s, t, l);
-        }
-    }
-    if lo.is_zero() {
-        return None;
-    }
-    let optu_lo = match scope {
-        RoutabilityScope::AllEdges => optu(graph, &lo),
-        RoutabilityScope::WithinDags => optu_within_dags(graph, slave.routing.dags(), &lo),
-    }
-    .ok()
-    .filter(|&o| o > 0.0)?;
-    Some(
-        graph
-            .edges()
-            .map(|e| slave.bound(e, uncertainty, optu_lo))
-            .collect(),
-    )
 }
 
 /// The edges most likely to be the bottleneck for `routing`: edges sorted by
@@ -717,12 +779,26 @@ mod tests {
         assert_eq!(entries(got), entries(want), "{label}: witness");
     }
 
-    /// The bounded scan against the exhaustive one on five topologies, both
-    /// scopes and three margins (uniform augmented routing, gravity box,
-    /// inverse-capacity weights): the same worst case bit for bit, every
-    /// edge's value under its bound, and edges really skipped. The
-    /// exhaustive scans take ≈ 40 s optimized, so an unoptimized build
-    /// checks Abilene only; CI runs the whole grid in release.
+    /// A zoo topology with inverse-capacity weights, its uniform augmented
+    /// routing and its gravity matrix.
+    fn gravity_instance(name: &str) -> (Graph, PdRouting, DemandMatrix) {
+        let mut g = coyote_topology::zoo::by_name(name)
+            .unwrap()
+            .to_graph()
+            .unwrap();
+        g.set_inverse_capacity_weights(10.0);
+        let routing = crate::ecmp::uniform_augmented_routing(&g).unwrap();
+        let base = coyote_traffic::GravityModel::default().generate(&g);
+        (g, routing, base)
+    }
+
+    /// The certificate scan against the exhaustive one on five topologies,
+    /// both scopes and three margins (uniform augmented routing, gravity
+    /// box, inverse-capacity weights), and on two oblivious sets: the same
+    /// worst case bit for bit, every edge's value under its `OPTU(lo)`
+    /// bound, and edges really skipped. The exhaustive scans take ≈ 40 s
+    /// optimized, so an unoptimized build checks Abilene only; CI runs the
+    /// whole grid in release.
     #[test]
     fn bounded_scan_equals_the_exhaustive_scan() {
         let scopes = [RoutabilityScope::WithinDags, RoutabilityScope::AllEdges];
@@ -733,27 +809,25 @@ mod tests {
         };
         let mut most_skipped = 0.0f64;
         for &name in names {
-            let mut g = coyote_topology::zoo::by_name(name)
-                .unwrap()
-                .to_graph()
-                .unwrap();
-            g.set_inverse_capacity_weights(10.0);
-            let routing = crate::ecmp::uniform_augmented_routing(&g).unwrap();
+            let (g, routing, base) = gravity_instance(name);
             let fractions = FractionTable::new(&g, &routing);
-            let base = coyote_traffic::GravityModel::default().generate(&g);
             for (scope, margin) in scopes.iter().flat_map(|&s| [(s, 1.5), (s, 2.0), (s, 3.0)]) {
                 let label = format!("{name} {scope:?} m{margin}");
                 let unc = UncertaintySet::from_margin(&base, margin);
                 let (want, values) = exhaustive_scan(&g, &routing, &unc, scope);
 
                 let mut slave = SlaveLp::new(&g, &routing, &fractions, &unc, scope).unwrap();
-                let bounds = edge_bounds(&slave, &unc, scope).expect("a margin box has a bound");
+                let lower = slave
+                    .lower_envelope_certificate()
+                    .expect("a margin box has a certificate");
+                let mut scratch = Vec::new();
                 for (e, value) in g.edges().zip(&values) {
                     let Some(value) = *value else { continue };
-                    let bound = bounds[e.index()] * (1.0 + BOUND_SLACK / 100.0);
+                    let bound =
+                        slave.bound_by(e, &lower, &mut scratch) * (1.0 + BOUND_SLACK / 100.0);
                     assert!(value <= bound, "{label} {e:?}: LP {value} > bound {bound}");
                 }
-                let (got, solved) = scan(&mut slave, &unc, scope, None).unwrap();
+                let (got, solved) = scan(&mut slave, None).unwrap();
                 assert_same_worst_case(&got.unwrap(), &want, &label);
                 let skipped = 1.0 - solved as f64 / g.edge_count() as f64;
                 most_skipped = most_skipped.max(skipped);
@@ -763,12 +837,40 @@ mod tests {
             most_skipped > 0.5,
             "at most {most_skipped} of the edges skipped"
         );
+
+        // Oblivious sets: no certificate until the first solve.
+        let (fig1, ..) = fig1();
+        let (abilene, ..) = gravity_instance("abilene");
+        for (label, g) in [("fig1", &fig1), ("abilene", &abilene)] {
+            let routing = crate::ecmp::uniform_augmented_routing(g).unwrap();
+            let unc = UncertaintySet::oblivious(g.node_count());
+            let scope = RoutabilityScope::AllEdges;
+            let (want, _) = exhaustive_scan(g, &routing, &unc, scope);
+            let got = performance_ratio_exact(g, &routing, &unc, scope, None).unwrap();
+            assert_same_worst_case(&got, &want, &format!("{label} oblivious"));
+        }
+    }
+
+    /// How many slave LPs the certificate scan solves on the `lp-families`
+    /// instance of Abilene (margin 2.0, within the DAGs): a pruning
+    /// regression shows here first. The `OPTU(lo)` certificate alone solves
+    /// 10 of the 28 edges.
+    #[test]
+    fn the_certificate_scan_solves_a_pinned_number_of_edges() {
+        let (g, routing, base) = gravity_instance("abilene");
+        let fractions = FractionTable::new(&g, &routing);
+        let unc = UncertaintySet::from_margin(&base, 2.0);
+        let scope = RoutabilityScope::WithinDags;
+        let mut slave = SlaveLp::new(&g, &routing, &fractions, &unc, scope).unwrap();
+        let (_, solved) = scan(&mut slave, None).unwrap();
+        assert_eq!(solved, 6);
     }
 
     /// An oblivious set, a zero lower envelope and a lower envelope the
-    /// scope cannot route give no bound, and the scan solves every edge.
+    /// scope cannot route have no certificate before the first solve, and
+    /// the scan still finds the exhaustive scan's worst case.
     #[test]
-    fn scans_without_a_bound_solve_every_edge() {
+    fn scans_without_a_lower_envelope_certificate_match_the_exhaustive_scan() {
         let (g, s1, s2, _v, t) = fig1();
         let routing = ecmp_routing(&g).unwrap();
         // s1 cut off: a lower bound on its demand cannot be routed.
@@ -801,11 +903,63 @@ mod tests {
                 let label = format!("{label} {scope:?}");
                 let fractions = FractionTable::new(g, routing);
                 let mut slave = SlaveLp::new(g, routing, &fractions, &unc, scope).unwrap();
-                assert!(edge_bounds(&slave, &unc, scope).is_none(), "{label}");
-                let (got, solved) = scan(&mut slave, &unc, scope, None).unwrap();
-                assert_eq!(solved, g.edge_count(), "{label}");
+                assert!(slave.lower_envelope_certificate().is_none(), "{label}");
+                let (got, _) = scan(&mut slave, None).unwrap();
                 let (want, _) = exhaustive_scan(g, routing, &unc, scope);
                 assert_same_worst_case(&got.unwrap(), &want, &label);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Weak duality on random inputs: for any non-negative link lengths,
+        /// every edge's slave-LP value is at most its certificate bound, on
+        /// random small graphs, random boxes (margins 1–3, some lower
+        /// bounds zero) and both scopes.
+        #[test]
+        fn any_lengths_bound_every_edge_on_random_graphs(
+            n in 4usize..8,
+            extra_links in 0usize..4,
+            seed in 0u64..1_000_000,
+            margin in 1.0f64..3.0,
+            zero_lower in proptest::collection::vec(0usize..4, 64..65),
+            lengths in proptest::collection::vec(0.0f64..3.0, 64..65),
+            zero_length in proptest::collection::vec(0usize..3, 64..65),
+        ) {
+            let g = coyote_topology::BackboneSpec::mesh("random", n, extra_links, seed)
+                .generate()
+                .to_graph()
+                .unwrap();
+            let routing = crate::ecmp::uniform_augmented_routing(&g).unwrap();
+            let fractions = FractionTable::new(&g, &routing);
+            let base = coyote_traffic::GravityModel::default().generate(&g);
+            let mut lower = DemandMatrix::zeros(n);
+            let mut upper = DemandMatrix::zeros(n);
+            for (k, (s, t, d)) in base.pairs().enumerate() {
+                if zero_lower[k % 64] != 0 {
+                    lower.set(s, t, d / margin);
+                }
+                upper.set(s, t, d * margin);
+            }
+            let unc = UncertaintySet::from_bounds(lower, upper);
+            let y: Vec<f64> = g
+                .edges()
+                .map(|e| if zero_length[e.index() % 64] == 0 { 0.0 } else { lengths[e.index() % 64] })
+                .collect();
+            for scope in [RoutabilityScope::AllEdges, RoutabilityScope::WithinDags] {
+                let mut slave = SlaveLp::new(&g, &routing, &fractions, &unc, scope).unwrap();
+                let Some(certificate) = slave.certificate(&y) else { continue };
+                let mut scratch = Vec::new();
+                for e in g.edges() {
+                    let Some((_, value)) = slave.solve_edge(e).unwrap() else { continue };
+                    let bound = slave.bound_by(e, &certificate, &mut scratch);
+                    proptest::prop_assert!(
+                        value <= bound * (1.0 + 1e-6),
+                        "{:?} {:?}: LP {} > bound {}", scope, e, value, bound
+                    );
+                }
             }
         }
     }

@@ -316,7 +316,7 @@ impl LpProblem {
     /// standard-form column measured from its lower bound, nothing is named
     /// twice, and every equality row — which has no slack to keep — is
     /// covered.
-    fn check_start(&self, start: &[(usize, VarId)]) -> Result<(), LpError> {
+    pub(crate) fn check_start(&self, start: &[(usize, VarId)]) -> Result<(), LpError> {
         let invalid = |context: String| Err(LpError::InvalidStart { context });
         let mut row_taken = vec![false; self.constraints.len()];
         let mut var_taken = vec![false; self.vars.len()];

@@ -43,6 +43,13 @@
 //! scan of `coyote-core::worst_case` solves one session per scan, one
 //! objective per edge.
 //!
+//! A session solve also leaves its row duals behind
+//! ([`LpSession::row_duals`]): the multipliers the last pricing of phase
+//! two computed anyway, mapped back to the problem's sense and row signs,
+//! in one buffer the session owns. The adversary scan reads the capacity
+//! rows' duals as link lengths that bound the edges it has not solved yet;
+//! a one-shot solve reads none and pays nothing for them.
+//!
 //! Re-solves that move the *right-hand side* (the `OPTU` family of
 //! `coyote-core::perf::EvaluationSet`, the daemon's per-destination LPs)
 //! are one-shot [`crate::LpProblem::solve`] calls: the previous optimal
@@ -54,7 +61,9 @@
 //!
 //! A one-shot solve whose caller knows a feasible basis from the problem's
 //! structure names it ([`crate::LpProblem::solve_from`]; the flow LPs of
-//! `coyote-core::opt_mcf` name their shortest-path tree). The list goes
+//! `coyote-core::opt_mcf` name their shortest-path tree), and so does a
+//! session solve whose duals are wanted ([`LpSession::solve_from`]: the
+//! `OPTU` of an adversary scan's lower envelope). The list goes
 //! through the same `try_install` as a session's recorded basis — the only
 //! place a basis is accepted — and an accepted one skips phase one. Unlike
 //! a recorded basis it is not where the cold solve's phase one would have
@@ -108,6 +117,11 @@ struct SparseForm {
     /// Slack column of each row (`usize::MAX` if none).
     slack_of_row: Vec<usize>,
     has_artificials: bool,
+    /// Rows of the problem's own constraints (the bound rows follow them).
+    user_rows: usize,
+    /// The user rows whose sign the conversion flipped (a negative
+    /// right-hand side); empty on every flow LP of the workspace.
+    flipped: Vec<usize>,
 }
 
 impl SparseForm {
@@ -157,6 +171,7 @@ impl SparseForm {
         // Artificial columns are appended after this loop, behind every
         // slack column; remember which rows need one.
         let mut art_rows: Vec<usize> = Vec::new();
+        let mut flipped: Vec<usize> = Vec::new();
         for i in 0..m {
             // `from_triplets` coalesces repeated variables exactly like the
             // dense `row[col] += coeff` accumulation.
@@ -193,6 +208,9 @@ impl SparseForm {
             if flip {
                 for entry in &mut triplets[first..] {
                     entry.2 = -entry.2;
+                }
+                if i < user_rows {
+                    flipped.push(i);
                 }
             }
             let rel = match (relation, flip) {
@@ -264,6 +282,8 @@ impl SparseForm {
             initial_basis,
             slack_of_row,
             has_artificials,
+            user_rows,
+            flipped,
         };
         form.derive_costs(&problem.vars);
         form
@@ -637,11 +657,13 @@ impl<'a> Solver<'a> {
 /// vouches for it — [`SolveStart::Recorded`]: the post-phase-one basis an
 /// earlier solve of this same form returned; [`SolveStart::Supplied`]: the
 /// caller's — `None` for a cold solve. Returns the solution and, unless the
-/// solve entered from `named`, the basis its own phase one ended on.
+/// solve entered from `named`, the basis its own phase one ended on; `duals`,
+/// when given, receives the user rows' duals (see [`LpSession::row_duals`]).
 fn solve_inner(
     sf: &SparseForm,
     iteration_limit: Option<usize>,
     named: Option<(&[usize], SolveStart)>,
+    duals: Option<&mut Vec<f64>>,
 ) -> Result<(LpSolution, Option<Vec<usize>>), LpError> {
     let _span = coyote_obs::span("lp.solve");
     let limit = iteration_limit.unwrap_or_else(|| default_iteration_limit(sf.m, sf.total_cols));
@@ -679,6 +701,21 @@ fn solve_inner(
 
     solver.stats.phase2_pivots = solver.run_phase(&sf.phase2_cost, true)?;
 
+    // `run_phase` returns after pricing the final basis, so `solver.y`
+    // holds its multipliers: minimization duals of the standard form's
+    // rows, mapped back to the problem's sense and row signs.
+    if let Some(duals) = duals {
+        let sign = match sf.sense {
+            Sense::Minimize => 1.0,
+            Sense::Maximize => -1.0,
+        };
+        duals.clear();
+        duals.extend(solver.y[..sf.user_rows].iter().map(|&y| sign * y));
+        for &i in &sf.flipped {
+            duals[i] = -duals[i];
+        }
+    }
+
     // ---- Extract the solution. ----
     let mut std_values = vec![0.0; sf.total_cols];
     for (i, &c) in solver.basis.iter().enumerate() {
@@ -706,6 +743,20 @@ fn solve_inner(
 }
 
 impl SparseForm {
+    /// The basis a checked start names: `var` basic on each named `row`,
+    /// the row's slack on every other. User rows come first in the
+    /// standard form, bound rows after them.
+    fn named_basis(&self, start: &[(usize, VarId)]) -> Vec<usize> {
+        let mut basis = self.slack_of_row.clone();
+        for &(row, var) in start {
+            let VarMap::Shifted { col, .. } = self.var_map[var.index()] else {
+                unreachable!("check_start admits only variables with a finite lower bound");
+            };
+            basis[row] = col;
+        }
+        basis
+    }
+
     fn slack_count(&self) -> usize {
         self.slack_of_row
             .iter()
@@ -750,19 +801,9 @@ pub(crate) fn solve(
     start: Option<&[(usize, VarId)]>,
 ) -> Result<LpSolution, LpError> {
     let sf = SparseForm::build(problem);
-    let basis = start.map(|start| {
-        // User rows come first in the standard form, bound rows after them.
-        let mut basis = sf.slack_of_row.clone();
-        for &(row, var) in start {
-            let VarMap::Shifted { col, .. } = sf.var_map[var.index()] else {
-                unreachable!("check_start admits only variables with a finite lower bound");
-            };
-            basis[row] = col;
-        }
-        basis
-    });
+    let basis = start.map(|start| sf.named_basis(start));
     let named = basis.as_deref().map(|basis| (basis, SolveStart::Supplied));
-    let (solution, _) = solve_inner(&sf, problem.iteration_limit, named)?;
+    let (solution, _) = solve_inner(&sf, problem.iteration_limit, named, None)?;
     report(&solution.stats);
     Ok(solution)
 }
@@ -779,8 +820,10 @@ struct PhaseOne {
 /// objective. The first [`solve`](Self::solve) runs both phases and the
 /// session keeps the basis phase one ended on; every later one re-enters
 /// phase two from it, bit-identical to a one-shot [`LpProblem::solve`] of
-/// the same model (see the module docs). Under [`SolverBackend::Dense`] a
-/// session simply re-solves its problem.
+/// the same model (see the module docs). Every solve also leaves its row
+/// duals behind ([`row_duals`](Self::row_duals)). Under
+/// [`SolverBackend::Dense`] a session simply re-solves its problem and has
+/// no duals.
 pub struct LpSession {
     problem: LpProblem,
     /// `None` under the dense backend.
@@ -788,6 +831,10 @@ pub struct LpSession {
     /// An objective coefficient changed since `form`'s cost row was derived.
     costs_stale: bool,
     phase_one: Option<PhaseOne>,
+    /// The last solve's row duals, one buffer for the session's lifetime.
+    duals: Vec<f64>,
+    /// `duals` belongs to the last solve, which succeeded.
+    has_duals: bool,
 }
 
 impl LpSession {
@@ -802,6 +849,8 @@ impl LpSession {
             form,
             costs_stale: false,
             phase_one: None,
+            duals: Vec::new(),
+            has_duals: false,
         }
     }
 
@@ -815,6 +864,24 @@ impl LpSession {
 
     /// Solves the model under its current objective.
     pub fn solve(&mut self) -> Result<LpSolution, LpError> {
+        self.run(None)
+    }
+
+    /// Solves the model under its current objective from the basis `start`
+    /// names, as [`LpProblem::solve_from`] does: a hint, never an answer.
+    /// An accepted start skips phase one and leaves the recorded basis as it
+    /// was; a refused one is a cold solve, which records its own.
+    pub fn solve_from(&mut self, start: &[(usize, VarId)]) -> Result<LpSolution, LpError> {
+        self.run(Some(start))
+    }
+
+    /// Either solve: from the named `start`, else from the recorded basis
+    /// when there is one.
+    fn run(&mut self, start: Option<&[(usize, VarId)]>) -> Result<LpSolution, LpError> {
+        self.has_duals = false;
+        if let Some(start) = start {
+            self.problem.check_start(start)?;
+        }
         if self.costs_stale {
             self.problem
                 .vars
@@ -828,21 +895,45 @@ impl LpSession {
         let Some(sf) = &self.form else {
             return crate::simplex::solve(&self.problem);
         };
+        let named_basis = start.map(|start| sf.named_basis(start));
         let recorded = self.phase_one.as_ref();
+        let named = match &named_basis {
+            Some(basis) => Some((basis.as_slice(), SolveStart::Supplied)),
+            None => recorded.map(|p| (p.basis.as_slice(), SolveStart::Recorded)),
+        };
         let (mut solution, post_phase1_basis) = solve_inner(
             sf,
             self.problem.iteration_limit,
-            recorded.map(|p| (p.basis.as_slice(), SolveStart::Recorded)),
+            named,
+            Some(&mut self.duals),
         )?;
+        self.has_duals = true;
         match post_phase1_basis {
             Some(basis) => {
                 let pivots = solution.stats.phase1_pivots;
                 self.phase_one = Some(PhaseOne { basis, pivots });
             }
-            None => solution.stats.warm_pivots_saved = recorded.map_or(0, |p| p.pivots),
+            None if solution.stats.start == SolveStart::Recorded => {
+                solution.stats.warm_pivots_saved = recorded.map_or(0, |p| p.pivots);
+            }
+            None => {}
         }
         report(&solution.stats);
         Ok(solution)
+    }
+
+    /// The row duals of the last solve, indexed like the
+    /// rows [`LpProblem::add_constraint`] returned, in the problem's own
+    /// sense: the multipliers `y` of its constraints with `b·y` equal to the
+    /// objective (up to the solver's tolerances) and every reduced cost
+    /// `c_j − yᵀA_j` non-negative when minimizing, non-positive when
+    /// maximizing. So a `Le` row's dual is `≤ 0` when minimizing and `≥ 0`
+    /// when maximizing, a `Ge` row's the opposite, an `Eq` row's free. A
+    /// variable's finite bounds have duals of their own, which this does not
+    /// report. `None` before the first solve, after a failed one, and under
+    /// [`SolverBackend::Dense`].
+    pub fn row_duals(&self) -> Option<&[f64]> {
+        self.has_duals.then_some(self.duals.as_slice())
     }
 }
 

@@ -121,6 +121,29 @@ impl LpSpec {
         (lp, ids)
     }
 
+    /// Re-centres every row on a point inside the variables' bounds, so
+    /// that most draws are feasible.
+    fn recentre(&mut self) {
+        let inside: Vec<f64> = self
+            .vars
+            .iter()
+            .map(|v| match (v.lower.is_finite(), v.upper.is_finite()) {
+                (true, true) => (v.lower + v.upper) / 2.0,
+                (true, false) => v.lower + 1.0,
+                (false, true) => v.upper - 1.0,
+                (false, false) => 0.5,
+            })
+            .collect();
+        for c in &mut self.cons {
+            let at: f64 = c.terms.iter().map(|&(v, k)| k * inside[v]).sum();
+            c.rhs = match c.relation {
+                Relation::Le => at + c.rhs.abs(),
+                Relation::Ge => at - c.rhs.abs(),
+                Relation::Eq => at,
+            };
+        }
+    }
+
     /// Largest absolute coefficient/rhs, for scaling feasibility tolerances.
     fn scale(&self) -> f64 {
         self.cons
@@ -396,29 +419,155 @@ proptest! {
                 c.relation = Relation::Eq;
             }
         }
-        // Re-centre every row on a point inside the bounds: most draws are
-        // then feasible and reach the phase-two re-entry under test.
-        let inside: Vec<f64> = spec
-            .vars
-            .iter()
-            .map(|v| match (v.lower.is_finite(), v.upper.is_finite()) {
-                (true, true) => (v.lower + v.upper) / 2.0,
-                (true, false) => v.lower + 1.0,
-                (false, true) => v.upper - 1.0,
-                (false, false) => 0.5,
-            })
-            .collect();
-        for c in &mut spec.cons {
-            let at: f64 = c.terms.iter().map(|&(v, k)| k * inside[v]).sum();
-            c.rhs = match c.relation {
-                Relation::Le => at + c.rhs.abs(),
-                Relation::Ge => at - c.rhs.abs(),
-                Relation::Eq => at,
-            };
-        }
+        // Most draws are then feasible and reach the phase-two re-entry
+        // under test.
+        spec.recentre();
         // Round 0 re-sets the objective the model was built with.
         let rounds = [&obj[..], &later[..6], &later[6..]];
         if let Err(msg) = session_matches_cold(&spec, &rounds) {
+            prop_assert!(false, "{}", msg);
+        }
+    }
+}
+
+/// The solver's entering threshold on a reduced cost (`DUAL_TOL` in
+/// `coyote_lp`'s tolerance table).
+const DUAL_TOL: f64 = 1e-7;
+
+/// Checks that `duals` certify `objective` optimal for `spec`, whose
+/// variables are all non-negative: each row's dual has the sign its
+/// relation and the sense require, every column's reduced cost is
+/// `≥ −DUAL_TOL` in the solve's sense, and `b·y` is the objective up to the
+/// solver's right-hand-side perturbation.
+fn duals_certify(spec: &LpSpec, objective: f64, duals: &[f64]) -> Result<(), String> {
+    if duals.len() != spec.cons.len() {
+        return Err(format!(
+            "{} duals for {} rows",
+            duals.len(),
+            spec.cons.len()
+        ));
+    }
+    // Everything below in the solve's sense: a maximization's duals and
+    // reduced costs negated.
+    let sense = match spec.sense {
+        Sense::Minimize => 1.0,
+        Sense::Maximize => -1.0,
+    };
+    for (i, (c, &y)) in spec.cons.iter().zip(duals).enumerate() {
+        let signed = match c.relation {
+            Relation::Le => sense * y <= DUAL_TOL,
+            Relation::Ge => sense * y >= -DUAL_TOL,
+            Relation::Eq => true,
+        };
+        if !signed {
+            return Err(format!("c{i} ({:?}): dual {y}", c.relation));
+        }
+    }
+    for (j, v) in spec.vars.iter().enumerate() {
+        let priced: f64 = spec
+            .cons
+            .iter()
+            .zip(duals)
+            .flat_map(|(c, &y)| c.terms.iter().filter(|t| t.0 == j).map(move |t| y * t.1))
+            .sum();
+        let reduced = sense * (v.objective - priced);
+        if reduced < -DUAL_TOL {
+            return Err(format!("x{j}: reduced cost {reduced}"));
+        }
+    }
+    let by: f64 = spec.cons.iter().zip(duals).map(|(c, &y)| c.rhs * y).sum();
+    let b_max = spec.cons.iter().fold(1.0_f64, |m, c| m.max(c.rhs.abs()));
+    if (by - objective).abs() > 1e-6 * b_max {
+        return Err(format!("b·y = {by}, objective {objective}"));
+    }
+    Ok(())
+}
+
+/// Solves `spec` through one session once per entry of `rounds` and
+/// requires, after every optimal solve, duals that certify its objective
+/// and equal — bit for bit — those of a fresh session's cold solve of the
+/// same objective (so a warm solve reports its own duals, not the last
+/// solve's); after a failed solve, none. A dense-backend session has none.
+fn session_duals_certify(spec: &LpSpec, rounds: &[&[f64]]) -> Result<(), String> {
+    let session_of = |spec: &LpSpec, backend| {
+        let (mut lp, ids) = spec.build();
+        lp.set_backend(backend);
+        lp.prepare().map(|session| (session, ids))
+    };
+    let (mut session, ids) =
+        session_of(spec, SolverBackend::Revised).map_err(|e| format!("prepare: {e}"))?;
+    let mut current = spec.clone();
+    for (k, objective) in rounds.iter().enumerate() {
+        for (v, &id) in ids.iter().enumerate() {
+            session.set_objective(id, objective[v]);
+            current.vars[v].objective = objective[v];
+        }
+        let solved = session.solve();
+        let (mut fresh, _) =
+            session_of(&current, SolverBackend::Revised).map_err(|e| format!("prepare: {e}"))?;
+        let cold = fresh.solve();
+        match (&solved, session.row_duals()) {
+            (Ok(sol), Some(duals)) => {
+                duals_certify(&current, sol.objective, duals)
+                    .map_err(|e| format!("round {k}: {e} on {current:?}"))?;
+                let cold_duals = fresh.row_duals().unwrap_or_default();
+                let same = cold.is_ok()
+                    && duals.len() == cold_duals.len()
+                    && duals
+                        .iter()
+                        .zip(cold_duals)
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                if !same {
+                    return Err(format!("round {k}: {duals:?} vs cold {cold_duals:?}"));
+                }
+            }
+            (Err(_), None) => {}
+            (result, duals) => return Err(format!("round {k}: {result:?} with duals {duals:?}")),
+        }
+    }
+    let (mut dense, _) =
+        session_of(spec, SolverBackend::Dense).map_err(|e| format!("prepare: {e}"))?;
+    let _ = dense.solve();
+    match dense.row_duals() {
+        None => Ok(()),
+        Some(duals) => Err(format!("dense session reported duals {duals:?}")),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(240))]
+
+    /// A session's row duals are a dual certificate of each solve, over the
+    /// general family (all three relations) and the equality family, both
+    /// with non-negative variables: the duals cover constraint rows, and a
+    /// finite bound's own dual is not reported.
+    #[test]
+    fn session_duals_are_a_dual_certificate(
+        family in 0usize..2,
+        sense_raw in 0usize..2,
+        nvars in 1usize..7,
+        ncons in 0usize..9,
+        obj in collection::vec(-4.0f64..4.0, 6..7),
+        rel in collection::vec(0usize..3, 8..9),
+        rhs in collection::vec(-6.0f64..6.0, 8..9),
+        coeff in collection::vec(-3.0f64..3.0, 48..49),
+        term_mask in collection::vec(0usize..4, 48..49),
+        later in collection::vec(-4.0f64..4.0, 12..13),
+    ) {
+        let zeros = [0usize; 6];
+        let unused = [0.0f64; 6];
+        let mut spec = LpSpec::decode(
+            sense_raw, nvars.min(6), ncons.min(8), &zeros, &unused, &unused,
+            &obj, &rel, &rhs, &coeff, &term_mask,
+        );
+        if family == 1 {
+            for c in &mut spec.cons {
+                c.relation = Relation::Eq;
+            }
+        }
+        spec.recentre();
+        let rounds = [&obj[..], &later[..6], &later[6..]];
+        if let Err(msg) = session_duals_certify(&spec, &rounds) {
             prop_assert!(false, "{}", msg);
         }
     }
@@ -567,6 +716,52 @@ impl FlowLp {
         start
     }
 
+    /// The same model as an [`LpSpec`]: `α`, then every commodity's arc
+    /// columns; the conservation rows, then the capacity rows.
+    fn spec(&self) -> LpSpec {
+        let n = self.layer.len();
+        let k = self.demand.len();
+        let column = |c: usize, e: usize| 1 + c * self.arcs.len() + e;
+        let nonneg = |objective| VarSpec {
+            lower: 0.0,
+            upper: f64::INFINITY,
+            objective,
+        };
+        let mut vars = vec![nonneg(1.0)];
+        vars.extend((0..k * self.arcs.len()).map(|_| nonneg(0.0)));
+        let mut cons = Vec::new();
+        for c in 0..k {
+            for u in 1..n {
+                let terms = (0..self.arcs.len())
+                    .filter_map(|e| match self.arcs[e] {
+                        (tail, _, _) if tail == u => Some((column(c, e), 1.0)),
+                        (_, head, _) if head == u => Some((column(c, e), -1.0)),
+                        _ => None,
+                    })
+                    .collect();
+                cons.push(ConsSpec {
+                    terms,
+                    relation: Relation::Eq,
+                    rhs: self.demand[c][u],
+                });
+            }
+        }
+        for (e, &(.., capacity)) in self.arcs.iter().enumerate() {
+            let mut terms: Vec<(usize, f64)> = (0..k).map(|c| (column(c, e), 1.0)).collect();
+            terms.push((0, -capacity));
+            cons.push(ConsSpec {
+                terms,
+                relation: Relation::Le,
+                rhs: 0.0,
+            });
+        }
+        LpSpec {
+            sense: Sense::Minimize,
+            vars,
+            cons,
+        }
+    }
+
     fn solve_from(
         &self,
         start: &[(usize, VarId)],
@@ -702,6 +897,46 @@ proptest! {
         let flow = FlowLp::decode(&widths[..layers], &arc_mask, &capacity, &demand, &choice);
         if let Err(msg) = start_is_a_hint(&flow) {
             prop_assert!(false, "{} on arcs {:?} demand {:?} tree {:?}", msg, flow.arcs, flow.demand, flow.tree);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(120))]
+
+    /// A session solved from the flow LP's tree basis (how an adversary
+    /// scan solves `OPTU` of its lower envelope) is the one-shot
+    /// `solve_from`, bit for bit, and its duals certify the optimum.
+    #[test]
+    fn session_duals_from_a_named_start_are_a_dual_certificate(
+        layers in 2usize..5,
+        commodities in 1usize..5,
+        widths in collection::vec(1usize..4, 4..5),
+        arc_mask in collection::vec(0usize..3, 169..170),
+        capacity in collection::vec(0.5f64..4.0, 169..170),
+        volume in collection::vec(0.0f64..3.0, 52..53),
+        choice in collection::vec(0usize..6, 52..53),
+    ) {
+        let demand: Vec<Vec<f64>> =
+            volume.chunks(13).take(commodities).map(<[f64]>::to_vec).collect();
+        let choice: Vec<Vec<usize>> = choice.chunks(13).map(<[usize]>::to_vec).collect();
+        let flow = FlowLp::decode(&widths[..layers], &arc_mask, &capacity, &demand, &choice);
+        // `α` on the first link of maximal tree utilization: a feasible basis.
+        let utilization = flow.tree_utilization();
+        let first_max = |best: usize, e: usize| {
+            if utilization[e] > utilization[best] { e } else { best }
+        };
+        let tree = flow.start((0..flow.arcs.len()).fold(0, first_max));
+        let one_shot = flow.solve_from(&tree, SolverBackend::Revised).unwrap();
+        let mut lp = flow.lp.clone();
+        lp.set_backend(SolverBackend::Revised);
+        let mut session = lp.prepare().unwrap();
+        let sol = session.solve_from(&tree).unwrap();
+        prop_assert_eq!(sol.stats.start, SolveStart::Supplied);
+        prop_assert_eq!(sol.objective.to_bits(), one_shot.objective.to_bits());
+        let duals = session.row_duals().unwrap();
+        if let Err(msg) = duals_certify(&flow.spec(), sol.objective, duals) {
+            prop_assert!(false, "{} on arcs {:?} demand {:?}", msg, flow.arcs, flow.demand);
         }
     }
 }
