@@ -8,7 +8,9 @@
 //! (Section V) and behaves as predicted under load (Section VII). The
 //! conformance engine closes that loop for every grid cell:
 //!
-//! 1. evaluate the scenario as the sweep does (optimized COYOTE routing);
+//! 1. build the scenario as the sweep does and optimize the splitting for
+//!    its margin box (the COYOTE partial-knowledge routing; the sweep's
+//!    other three protocols are not run);
 //! 2. compile the routing into a [`FibbingProgram`] and reconstruct the
 //!    routing the *real* routers would compute from the lied-to LSDB
 //!    (`realized_routing`: LSDB → SPF → FIB → `PdRouting`);
@@ -26,7 +28,7 @@
 //! `conformance_pipeline` integration test).
 
 use crate::pool::WorkerPool;
-use crate::scenario::evaluate_scenario;
+use crate::scenario::Scenario;
 use crate::sweep::{SweepGrid, SweepSpec};
 use coyote_core::prelude::CoreError;
 use coyote_graph::Graph;
@@ -250,40 +252,41 @@ pub fn conformance_record_with(
     let _cell_span = coyote_obs::span("conform.cell");
     coyote_obs::counter("conform.cells", 1);
     let started = Instant::now();
-    let eval = {
+    let (scenario, intended) = {
         let _span = coyote_obs::span("conform.evaluate");
-        evaluate_scenario(spec)?
+        let scenario = Scenario::build(spec)?;
+        let intended = scenario.optimize(&scenario.uncertainty)?;
+        (scenario, intended)
     };
-    let graph = &eval.graph;
-    let intended = &eval.coyote_routing;
+    let graph = &scenario.graph;
 
     // Compile the optimized routing into OSPF lies and reconstruct what the
     // real routers would compute (budget: see [`COMPILE_BUDGET`]). The
     // compile itself opens the "ospf.compile" span; `realized_routing` runs
     // the routers' SPF under "ospf.spf"; compression (when on) runs under
     // "ospf.compress".
-    let program = compile(graph, intended, level)?;
+    let program = compile(graph, &intended, level)?;
     let realized =
         realized_routing(graph, &program).map_err(|e| CoreError::InvalidRouting(e.to_string()))?;
     let verification = {
         let _span = coyote_obs::span("conform.verify");
-        compare_routings(graph, intended, &realized)
+        compare_routings(graph, &intended, &realized)
     };
     let per_destination = fake_nodes_per_destination(graph, &program);
     let max_fakes = per_destination.iter().map(|&(_, c)| c).max().unwrap_or(0);
 
     // The two matrices the paper's story hinges on: the operator's base
     // estimate and the adversarial worst case of the evaluation family.
-    let worst_dm = eval
+    let worst_dm = scenario
         .evaluation
-        .worst_matrix(graph, intended)
+        .worst_matrix(graph, &intended)
         .cloned()
-        .unwrap_or_else(|| eval.base.clone());
+        .unwrap_or_else(|| scenario.base.clone());
 
     let _flowsim_span = coyote_obs::span("conform.flowsim");
-    let intended_sim = FlowSimulator::from_pd_routing(graph, intended);
+    let intended_sim = FlowSimulator::from_pd_routing(graph, &intended);
     let realized_sim = FlowSimulator::from_pd_routing(graph, &realized);
-    let base = MatrixConformance::measure(&intended_sim, &realized_sim, &eval.base);
+    let base = MatrixConformance::measure(&intended_sim, &realized_sim, &scenario.base);
     let worst = MatrixConformance::measure(&intended_sim, &realized_sim, &worst_dm);
     drop(_flowsim_span);
 

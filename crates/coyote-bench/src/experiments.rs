@@ -21,14 +21,14 @@
 
 use crate::pool::WorkerPool;
 use crate::report::{format_table, percent, ratio, ratios_table, ReportFormat};
-use crate::scenario::{evaluate_scenario, BaseModel, Effort, ProtocolRatios, WeightHeuristic};
+use crate::scenario::{BaseModel, Effort, ProtocolRatios, Scenario, WeightHeuristic};
 use crate::sweep::{run_sweep, SweepGrid, SweepSpec};
 use coyote_core::example_fig1;
 use coyote_core::prelude::*;
 use coyote_graph::{Graph, NodeId};
 use coyote_ospf::{compute_program, realized_routing, VirtualLinkBudget};
 use coyote_sim::scenario::{run_all as run_prototype_all, PrototypeResult};
-use coyote_traffic::DemandMatrix;
+use coyote_traffic::{DemandMatrix, UncertaintySet};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use BaseModel::{Bimodal, Gravity};
@@ -604,13 +604,15 @@ pub fn fig10_approximation(
     margin: f64,
     effort: Effort,
 ) -> Result<ApproximationResult, CoreError> {
-    let eval = evaluate_scenario(&SweepSpec {
+    let scenario = Scenario::build(&SweepSpec {
         topology: topology.to_string(),
         model: Gravity,
         margin,
         heuristic: InverseCapacity,
         effort,
     })?;
+    let (graph, evaluation) = (&scenario.graph, &scenario.evaluation);
+    let coyote = scenario.optimize(&scenario.uncertainty)?;
 
     let mut points = Vec::new();
     for budget in [Some(3usize), Some(5), Some(10), None] {
@@ -618,11 +620,11 @@ pub fn fig10_approximation(
             Some(n) => VirtualLinkBudget::per_prefix(n),
             None => VirtualLinkBudget::unlimited(),
         };
-        let program = compute_program(&eval.graph, &eval.coyote_routing, vl)
+        let program = compute_program(graph, &coyote, vl)
             .map_err(|e| CoreError::InvalidRouting(e.to_string()))?;
-        let realized = realized_routing(&eval.graph, &program)
+        let realized = realized_routing(graph, &program)
             .map_err(|e| CoreError::InvalidRouting(e.to_string()))?;
-        let ratio = eval.evaluation.performance_ratio(&eval.graph, &realized);
+        let ratio = evaluation.performance_ratio(graph, &realized);
         points.push(ApproximationPoint {
             budget,
             ratio,
@@ -631,9 +633,9 @@ pub fn fig10_approximation(
     }
 
     Ok(ApproximationResult {
-        topology: eval.ratios.topology,
+        topology: scenario.topology.name,
         margin,
-        ecmp_ratio: eval.ratios.ecmp,
+        ecmp_ratio: evaluation.performance_ratio(graph, &ecmp_routing(graph)?),
         points,
     })
 }
@@ -678,26 +680,30 @@ pub struct StretchResult {
 
 /// Reproduces Fig. 11 for the given topologies at margin 2.5, one pool
 /// worker per topology (`threads` as in [`run_sweep`]): the stretch of the
-/// two COYOTE routings [`evaluate_scenario`] scores, relative to ECMP.
+/// two COYOTE routings Table I scores, relative to ECMP. Only the routings
+/// are read, so neither the Base LP nor any ratio is computed.
 pub fn fig11_stretch(
     topologies: &[&str],
     effort: Effort,
     threads: usize,
 ) -> Result<Vec<StretchResult>, CoreError> {
     WorkerPool::new(threads).try_par_map(topologies, |name| {
-        let eval = evaluate_scenario(&SweepSpec {
+        let scenario = Scenario::build(&SweepSpec {
             topology: name.to_string(),
             model: Gravity,
             margin: 2.5,
             heuristic: InverseCapacity,
             effort,
         })?;
-        let stretch =
-            |routing| average_stretch(&eval.graph, routing, &eval.ecmp_routing).unwrap_or(1.0);
+        let graph = &scenario.graph;
+        let oblivious = scenario.optimize(&UncertaintySet::oblivious(graph.node_count()))?;
+        let partial = scenario.optimize(&scenario.uncertainty)?;
+        let ecmp = ecmp_routing(graph)?;
+        let stretch = |routing| average_stretch(graph, routing, &ecmp).unwrap_or(1.0);
         Ok(StretchResult {
-            oblivious_stretch: stretch(&eval.oblivious_routing),
-            partial_stretch: stretch(&eval.coyote_routing),
-            topology: eval.ratios.topology,
+            oblivious_stretch: stretch(&oblivious),
+            partial_stretch: stretch(&partial),
+            topology: scenario.topology.name,
         })
     })
 }

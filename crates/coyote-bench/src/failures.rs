@@ -20,7 +20,10 @@
 //!    LSDB without copying it ([`Lsdb::withdraw`]), reconverge the routers'
 //!    SPF — retracting the lies of any prefix that now loops
 //!    ([`Withdrawal::reconverge`]) — and flow-simulate the post-failure
-//!    matrix on the reconverged routing.
+//!    matrix on the reconverged routing. "Oblivious" means blind to the
+//!    failure, not COYOTE-oblivious: the kept program compiles the
+//!    partial-knowledge routing ([`Scenario::optimize`] on the margin box),
+//!    and this engine never runs the demands-oblivious optimizer.
 //! 3. **Re-optimized mode** — rebuild DAGs on the post-failure topology,
 //!    re-solve the demands-aware LP on the routable part of the matrix
 //!    ([`split_routable_within_dags`]), recompile the Fibbing program, and
@@ -46,7 +49,7 @@
 
 use crate::conformance::COMPILE_BUDGET;
 use crate::pool::WorkerPool;
-use crate::scenario::{evaluate_scenario, Effort};
+use crate::scenario::{Effort, Scenario};
 use crate::sweep::{SweepGrid, SweepSpec};
 use coyote_core::{
     build_all_dags, optimal_routing_within_dags, split_routable_within_dags, CoreError, DagMode,
@@ -544,20 +547,18 @@ struct CellBase {
 
 fn cell_base(spec: &SweepSpec) -> Result<CellBase, CoreError> {
     let _span = coyote_obs::span("failures.base");
-    let topo = zoo::by_name(&spec.topology).ok_or_else(|| {
-        CoreError::DimensionMismatch(format!("unknown topology {}", spec.topology))
-    })?;
-    let eval = evaluate_scenario(spec)?;
+    let scenario = Scenario::build(spec)?;
+    let routing = scenario.optimize(&scenario.uncertainty)?;
     let program = compute_program(
-        &eval.graph,
-        &eval.coyote_routing,
+        &scenario.graph,
+        &routing,
         VirtualLinkBudget::per_prefix(COMPILE_BUDGET),
     )
     .map_err(|e| CoreError::InvalidRouting(e.to_string()))?;
     Ok(CellBase {
-        topo,
-        graph: eval.graph,
-        base: eval.base,
+        topo: scenario.topology,
+        graph: scenario.graph,
+        base: scenario.base,
         program,
     })
 }

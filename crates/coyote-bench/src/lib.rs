@@ -52,6 +52,6 @@ pub use experiments::{
     theorem1_gadget, theorem4_lower_bound, Artefact, Rendered, ARTEFACTS,
 };
 pub use scenario::{
-    evaluate_scenario, BaseModel, Effort, ProtocolRatios, ScenarioEvaluation, WeightHeuristic,
+    evaluate_scenario, BaseModel, Effort, ProtocolRatios, Scenario, WeightHeuristic,
 };
 pub use sweep::{run_sweep, SweepGrid, SweepRecord, SweepReport, SweepSpec};

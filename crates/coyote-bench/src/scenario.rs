@@ -13,11 +13,17 @@
 //!    of the demands,
 //! 4. **COYOTE (partial knowledge)**: splitting ratios optimized for the
 //!    margin box.
+//!
+//! The four share one step, [`Scenario`]: weights, base matrix, margin box,
+//! DAGs and evaluation family, plus [`Scenario::optimize`] for whichever
+//! uncertainty set a caller reads the routing of. [`evaluate_scenario`]
+//! builds Table I's row on it; the conformance and failure engines and
+//! Fig. 10 optimize the margin box only, and Fig. 11 both sets.
 
 use crate::sweep::SweepSpec;
 use coyote_core::prelude::*;
-use coyote_graph::Graph;
-use coyote_topology::zoo;
+use coyote_graph::{Dag, Graph};
+use coyote_topology::{zoo, Topology};
 use coyote_traffic::{BimodalModel, DemandMatrix, GravityModel, UncertaintySet};
 use serde::{Deserialize, Serialize};
 
@@ -142,117 +148,132 @@ impl ProtocolRatios {
     }
 }
 
-/// Everything produced while evaluating a scenario, for callers that need
-/// more than the headline ratios (e.g. Fig. 10 re-uses the COYOTE routing).
-pub struct ScenarioEvaluation {
+/// Steps 1–5 of a scenario evaluation: the weighted graph, the base matrix,
+/// the margin box, COYOTE's augmented DAGs and the evaluation family. Every
+/// engine builds this once per spec, then optimizes the splitting for the
+/// uncertainty sets whose routings it reads ([`Scenario::optimize`]).
+pub struct Scenario {
+    /// The zoo topology the spec names.
+    pub topology: Topology,
     /// The graph with the heuristic's weights applied.
     pub graph: Graph,
     /// The base demand matrix.
     pub base: DemandMatrix,
+    /// The margin box around `base`.
+    pub uncertainty: UncertaintySet,
+    /// COYOTE's augmented DAGs, also the normalization scope.
+    dags: Vec<Dag>,
     /// The shared evaluation family.
     pub evaluation: EvaluationSet,
-    /// The headline ratios.
-    pub ratios: ProtocolRatios,
-    /// The COYOTE (partial knowledge) routing, for downstream experiments.
-    pub coyote_routing: PdRouting,
-    /// The COYOTE (oblivious) routing behind `ratios.coyote_oblivious`.
-    pub oblivious_routing: PdRouting,
-    /// The ECMP routing under the same weights.
-    pub ecmp_routing: PdRouting,
+    /// The splitting optimizer's budget at the spec's effort.
+    config: CoyoteConfig,
 }
 
-/// Evaluates one grid cell: builds the four protocols and measures them on a
-/// shared evaluation family.
-pub fn evaluate_scenario(spec: &SweepSpec) -> Result<ScenarioEvaluation, CoreError> {
-    let _span = coyote_obs::span("bench.evaluate_scenario");
-    coyote_obs::counter("bench.scenario_evaluations", 1);
-    let topology = zoo::by_name(&spec.topology).ok_or_else(|| {
-        CoreError::DimensionMismatch(format!("unknown topology {}", spec.topology))
-    })?;
-    let mut graph = topology.to_graph()?;
-    let (cfg, local_search) = spec.effort.budgets();
-
-    // Step I weights.
-    match spec.heuristic {
-        WeightHeuristic::InverseCapacity => graph.set_inverse_capacity_weights(10.0),
-        WeightHeuristic::LocalSearch => {
-            let base = spec.model.generate(&graph);
-            let unc = UncertaintySet::from_margin(&base, spec.margin);
-            let result =
-                coyote_core::local_search::local_search_weights(&graph, &unc, &local_search)?;
-            graph = coyote_core::local_search::apply_weights(&graph, &result.weights)?;
+impl Scenario {
+    /// Runs steps 1–5 for `spec`. An unknown topology, or a margin that is
+    /// not a finite number ≥ 1, is an error.
+    pub fn build(spec: &SweepSpec) -> Result<Self, CoreError> {
+        let _span = coyote_obs::span("bench.scenario");
+        if !(spec.margin.is_finite() && spec.margin >= 1.0) {
+            return Err(CoreError::DimensionMismatch(format!(
+                "uncertainty margin must be a finite number >= 1, got {}",
+                spec.margin
+            )));
         }
+        let topology = zoo::by_name(&spec.topology).ok_or_else(|| {
+            CoreError::DimensionMismatch(format!("unknown topology {}", spec.topology))
+        })?;
+        let mut graph = topology.to_graph()?;
+        let (config, local_search) = spec.effort.budgets();
+
+        // Step I weights.
+        match spec.heuristic {
+            WeightHeuristic::InverseCapacity => graph.set_inverse_capacity_weights(10.0),
+            WeightHeuristic::LocalSearch => {
+                let base = spec.model.generate(&graph);
+                let unc = UncertaintySet::from_margin(&base, spec.margin);
+                let result =
+                    coyote_core::local_search::local_search_weights(&graph, &unc, &local_search)?;
+                graph = coyote_core::local_search::apply_weights(&graph, &result.weights)?;
+            }
+        }
+
+        let base = spec.model.generate(&graph);
+        let uncertainty = UncertaintySet::from_margin(&base, spec.margin);
+        let dags = build_all_dags(&graph, DagMode::Augmented)?;
+        let evaluation =
+            EvaluationSet::build(&graph, &dags, &uncertainty, Some(&base), &config.evaluation)?;
+        Ok(Scenario {
+            topology,
+            graph,
+            base,
+            uncertainty,
+            dags,
+            evaluation,
+            config,
+        })
     }
 
-    let base = spec.model.generate(&graph);
-    let uncertainty = UncertaintySet::from_margin(&base, spec.margin);
+    /// COYOTE's splitting optimized for `set` within the DAGs. The shared
+    /// evaluation family seeds the working set (its optima are already
+    /// computed); the constraint-generation adversary ranges over `set`.
+    /// Calls share no mutable state, so each routing is the same whatever
+    /// else was optimized before it.
+    pub fn optimize(&self, set: &UncertaintySet) -> Result<PdRouting, CoreError> {
+        let result = optimize_splitting_with_working_set(
+            &self.graph,
+            self.dags.clone(),
+            set,
+            Some(&self.base),
+            &self.config,
+            self.evaluation.clone(),
+        )?;
+        Ok(result.routing)
+    }
+}
 
-    // COYOTE's augmented DAGs are also the normalization scope.
-    let dags = build_all_dags(&graph, DagMode::Augmented)?;
-    let evaluation =
-        EvaluationSet::build(&graph, &dags, &uncertainty, Some(&base), &cfg.evaluation)?;
+/// Table I's row for one grid cell: the four protocols, built on the shared
+/// [`Scenario`] step and scored on its evaluation family.
+pub fn evaluate_scenario(spec: &SweepSpec) -> Result<ProtocolRatios, CoreError> {
+    let _span = coyote_obs::span("bench.evaluate_scenario");
+    coyote_obs::counter("bench.scenario_evaluations", 1);
+    let scenario = Scenario::build(spec)?;
+    let (graph, evaluation) = (&scenario.graph, &scenario.evaluation);
 
     // 1. ECMP.
-    let ecmp = ecmp_routing(&graph)?;
-    let ecmp_ratio = evaluation.performance_ratio(&graph, &ecmp);
+    let ecmp = evaluation.performance_ratio(graph, &ecmp_routing(graph)?);
 
     // 2. Base: optimal for the base matrix within the DAGs.
-    let (base_routing, _) = optimal_routing_within_dags(&graph, &dags, &base)?;
-    let base_ratio = evaluation.performance_ratio(&graph, &base_routing);
+    let (base_routing, _) = optimal_routing_within_dags(graph, &scenario.dags, &scenario.base)?;
+    let base = evaluation.performance_ratio(graph, &base_routing);
 
-    // 3. COYOTE oblivious. The shared evaluation family seeds the working
-    //    set (its optima are already computed); the constraint-generation
-    //    adversary is unconstrained, so the optimizer still guards against
-    //    arbitrary matrices.
-    let oblivious_set = UncertaintySet::oblivious(graph.node_count());
-    let coyote_obl = optimize_splitting_with_working_set(
-        &graph,
-        dags.clone(),
-        &oblivious_set,
-        Some(&base),
-        &cfg,
-        evaluation.clone(),
-    )?;
-    let obl_ratio = evaluation.performance_ratio(&graph, &coyote_obl.routing);
+    // 3. COYOTE oblivious: the adversary is unconstrained, so the optimizer
+    //    guards against arbitrary matrices.
+    let oblivious = scenario.optimize(&UncertaintySet::oblivious(graph.node_count()))?;
+    let coyote_oblivious = evaluation.performance_ratio(graph, &oblivious);
 
     // 4. COYOTE partial knowledge.
-    let coyote_partial = optimize_splitting_with_working_set(
-        &graph,
-        dags,
-        &uncertainty,
-        Some(&base),
-        &cfg,
-        evaluation.clone(),
-    )?;
-    let partial_ratio = evaluation.performance_ratio(&graph, &coyote_partial.routing);
+    let partial = scenario.optimize(&scenario.uncertainty)?;
+    let coyote_partial = evaluation.performance_ratio(graph, &partial);
 
-    let ratios = ProtocolRatios {
-        topology: topology.name,
+    Ok(ProtocolRatios {
+        topology: scenario.topology.name,
         margin: spec.margin,
-        ecmp: ecmp_ratio,
-        base: base_ratio,
-        coyote_oblivious: obl_ratio,
-        coyote_partial: partial_ratio,
-    };
-
-    Ok(ScenarioEvaluation {
-        graph,
+        ecmp,
         base,
-        evaluation,
-        ratios,
-        coyote_routing: coyote_partial.routing,
-        oblivious_routing: coyote_obl.routing,
-        ecmp_routing: ecmp,
+        coyote_oblivious,
+        coyote_partial,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coyote_graph::{EdgeId, NodeId};
 
     #[test]
     fn abilene_quick_scenario_orders_the_protocols_sensibly() {
-        let eval = evaluate_scenario(&SweepSpec {
+        let r = &evaluate_scenario(&SweepSpec {
             topology: "Abilene".into(),
             model: BaseModel::Gravity,
             margin: 2.0,
@@ -260,7 +281,6 @@ mod tests {
             effort: Effort::Quick,
         })
         .unwrap();
-        let r = &eval.ratios;
         // All ratios are valid performance ratios.
         for v in [r.ecmp, r.base, r.coyote_oblivious, r.coyote_partial] {
             assert!(v >= 1.0 - 1e-6, "ratio {v} below 1");
@@ -274,6 +294,157 @@ mod tests {
             r.coyote_partial,
             r.ecmp
         );
+    }
+
+    /// Reference: the four-protocol path as one inline sequence with no
+    /// shared step — ECMP, Base, oblivious and partial in that order, the
+    /// last two on one DAG set (cloned once, moved once). Returns the
+    /// evaluation family, the partial routing and the four ratios.
+    /// Inverse-capacity cells only, as the conformance grid is.
+    fn four_protocol_reference(spec: &SweepSpec) -> (EvaluationSet, PdRouting, [f64; 4]) {
+        assert_eq!(spec.heuristic, WeightHeuristic::InverseCapacity);
+        let mut graph = zoo::by_name(&spec.topology).unwrap().to_graph().unwrap();
+        let (cfg, _) = spec.effort.budgets();
+        graph.set_inverse_capacity_weights(10.0);
+        let base = spec.model.generate(&graph);
+        let uncertainty = UncertaintySet::from_margin(&base, spec.margin);
+        let dags = build_all_dags(&graph, DagMode::Augmented).unwrap();
+        let evaluation =
+            EvaluationSet::build(&graph, &dags, &uncertainty, Some(&base), &cfg.evaluation)
+                .unwrap();
+        let ecmp = evaluation.performance_ratio(&graph, &ecmp_routing(&graph).unwrap());
+        let (base_routing, _) = optimal_routing_within_dags(&graph, &dags, &base).unwrap();
+        let base_ratio = evaluation.performance_ratio(&graph, &base_routing);
+        let oblivious = optimize_splitting_with_working_set(
+            &graph,
+            dags.clone(),
+            &UncertaintySet::oblivious(graph.node_count()),
+            Some(&base),
+            &cfg,
+            evaluation.clone(),
+        )
+        .unwrap();
+        let partial = optimize_splitting_with_working_set(
+            &graph,
+            dags,
+            &uncertainty,
+            Some(&base),
+            &cfg,
+            evaluation.clone(),
+        )
+        .unwrap();
+        let ratios = [
+            ecmp,
+            base_ratio,
+            evaluation.performance_ratio(&graph, &oblivious.routing),
+            evaluation.performance_ratio(&graph, &partial.routing),
+        ];
+        (evaluation, partial.routing, ratios)
+    }
+
+    /// Every entry of every family matrix, then every optimum, as bits.
+    fn family_bits(evaluation: &EvaluationSet) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for (dm, optu) in evaluation.entries() {
+            let n = dm.node_count();
+            for s in 0..n {
+                for t in 0..n {
+                    bits.push(dm.get(NodeId(s), NodeId(t)).to_bits());
+                }
+            }
+            bits.push(optu.to_bits());
+        }
+        bits
+    }
+
+    /// Per destination: its DAG's edges and every split, as bits.
+    fn routing_bits(routing: &PdRouting) -> Vec<(Vec<EdgeId>, Vec<u64>)> {
+        (0..routing.destination_count())
+            .map(|t| {
+                let t = NodeId(t);
+                let splits = routing.ratios(t).iter().map(|r| r.to_bits()).collect();
+                (routing.dag(t).edges(), splits)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_shared_step_changes_nothing_it_feeds() {
+        // Each cell runs three CG optimizations; an unoptimized build
+        // checks Abilene only.
+        let topologies: &[&str] = if cfg!(debug_assertions) {
+            &["Abilene"]
+        } else {
+            &["Abilene", "NSF"]
+        };
+        let specs: Vec<SweepSpec> = crate::sweep::SweepGrid::conformance(Effort::Quick)
+            .specs
+            .into_iter()
+            .filter(|s| topologies.contains(&s.topology.as_str()))
+            .collect();
+        assert_eq!(specs.len(), 2 * topologies.len(), "both models per topology");
+        for spec in &specs {
+            let (evaluation, partial, ratios) = four_protocol_reference(spec);
+            let scenario = Scenario::build(spec).unwrap();
+            assert!(!evaluation.is_empty());
+            assert_eq!(
+                family_bits(&scenario.evaluation),
+                family_bits(&evaluation),
+                "{}: evaluation family",
+                spec.id()
+            );
+            let routing = scenario.optimize(&scenario.uncertainty).unwrap();
+            assert_eq!(
+                routing_bits(&routing),
+                routing_bits(&partial),
+                "{}: partial routing",
+                spec.id()
+            );
+            let r = evaluate_scenario(spec).unwrap();
+            assert_eq!(
+                [r.ecmp, r.base, r.coyote_oblivious, r.coyote_partial].map(f64::to_bits),
+                ratios.map(f64::to_bits),
+                "{}: Table I row",
+                spec.id()
+            );
+        }
+    }
+
+    #[test]
+    fn a_margin_below_one_or_not_finite_is_an_error_not_a_panic() {
+        for margin in [0.5, 0.0, -2.0, f64::NAN, f64::INFINITY] {
+            let spec = SweepSpec {
+                topology: "Abilene".into(),
+                model: BaseModel::Gravity,
+                margin,
+                heuristic: WeightHeuristic::InverseCapacity,
+                effort: Effort::Quick,
+            };
+            for result in [
+                Scenario::build(&spec).map(|_| ()),
+                evaluate_scenario(&spec).map(|_| ()),
+            ] {
+                match result {
+                    Err(CoreError::DimensionMismatch(msg)) => {
+                        assert!(msg.contains("margin"), "{margin}: {msg}")
+                    }
+                    other => panic!("margin {margin}: {other:?}"),
+                }
+            }
+        }
+        // The local-search heuristic builds its own box first; the same
+        // check guards it.
+        let spec = SweepSpec {
+            topology: "Abilene".into(),
+            model: BaseModel::Gravity,
+            margin: 0.5,
+            heuristic: WeightHeuristic::LocalSearch,
+            effort: Effort::Quick,
+        };
+        assert!(matches!(
+            Scenario::build(&spec),
+            Err(CoreError::DimensionMismatch(_))
+        ));
     }
 
     #[test]

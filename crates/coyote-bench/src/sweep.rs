@@ -196,10 +196,10 @@ pub fn run_sweep(grid: &SweepGrid, threads: usize) -> Result<SweepReport, CoreEr
         let _cell_span = coyote_obs::span("sweep.cell");
         coyote_obs::counter("sweep.cells", 1);
         let eval_started = Instant::now();
-        let eval = evaluate_scenario(spec)?;
+        let ratios = evaluate_scenario(spec)?;
         Ok(SweepRecord {
             spec: spec.clone(),
-            ratios: eval.ratios,
+            ratios,
             wall_secs: eval_started.elapsed().as_secs_f64(),
         })
     })?;

@@ -7,12 +7,14 @@
 //! * the deterministic snapshot sections (counters + value histograms) are
 //!   bit-identical between `threads = 1` and `threads = 2`, and CI runs
 //!   that test alone in a fresh release process;
+//! * a profiled sweep of the same cell shows the Base routing's LP taking
+//!   its named start, on one thread as on two;
 //! * spans recorded under the worker pool nest properly on every trace
 //!   lane, for every item/thread configuration (a proptest).
 
 use coyote_bench::conformance::DEFAULT_TOLERANCE;
 use coyote_bench::pool::WorkerPool;
-use coyote_bench::{run_conformance, BaseModel, Effort, SweepGrid, WeightHeuristic};
+use coyote_bench::{run_conformance, run_sweep, BaseModel, Effort, SweepGrid, WeightHeuristic};
 use coyote_obs::{chrome_trace_json, install, metrics_json, uninstall, Registry, TraceEvent};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -52,6 +54,17 @@ fn profiled_run(threads: usize) -> Arc<Registry> {
     registry
 }
 
+/// [`profiled_run`] for the sweep of the same cell, which also solves the
+/// Base routing's LP and runs the oblivious optimization.
+fn profiled_sweep(threads: usize) -> Arc<Registry> {
+    let registry = Arc::new(Registry::new());
+    install(registry.clone());
+    let report = run_sweep(&abilene_grid(), threads).expect("sweep run");
+    uninstall();
+    assert_eq!(report.scenarios, 1);
+    registry
+}
+
 /// Asserts `text` is exactly one JSON value (plus surrounding whitespace).
 fn assert_valid_json(text: &str, what: &str) {
     if let Err(e) = serde_json::from_str(text) {
@@ -75,7 +88,7 @@ fn chrome_trace_is_valid_json_and_covers_every_pipeline_stage() {
         "conform.evaluate",
         "conform.verify",
         "conform.flowsim",
-        "bench.evaluate_scenario",
+        "bench.scenario",
         "core.optimize_splitting",
         "core.opt_mcf",
         "core.worst_case",
@@ -125,7 +138,6 @@ fn deterministic_metrics_are_bit_identical_across_thread_counts() {
         "lp.solves",
         "lp.lu.nnz",
         "lp.degenerate_pivots",
-        "lp.crash_starts",
         "core.cg.rounds",
         "ospf.fake_nodes",
         "sim.flowsim.rounds",
@@ -136,11 +148,22 @@ fn deterministic_metrics_are_bit_identical_across_thread_counts() {
             "counter {counter} was never incremented"
         );
     }
-    // The Base routing's LP named its start and the guard took it, on one
-    // thread as on two (a refused start is published once per solve too).
-    for view in [&serial_view, &parallel_view] {
-        assert_eq!(view.counters.get("lp.crash_starts"), Some(&1));
-        assert_eq!(view.counters.get("lp.crash_rejects"), None);
+}
+
+#[test]
+fn base_lp_takes_its_named_start_in_a_profiled_sweep() {
+    let _guard = exclusive();
+    for threads in [1, 2] {
+        let registry = profiled_sweep(threads);
+        assert!(
+            chrome_trace_json(&registry).contains("\"name\":\"bench.evaluate_scenario\""),
+            "the sweep scores the four protocols"
+        );
+        // The Base routing's LP named its start and the guard took it (a
+        // refused start is published once per solve too).
+        let view = registry.snapshot().deterministic();
+        assert_eq!(view.counters.get("lp.crash_starts"), Some(&1), "{threads} threads");
+        assert_eq!(view.counters.get("lp.crash_rejects"), None, "{threads} threads");
     }
 }
 

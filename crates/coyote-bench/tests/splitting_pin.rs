@@ -17,19 +17,38 @@
 //! (`0x3ff7_1c71_976a_51af` → `0x3ff3_c825_15bf_e23b`, `0x3ffb_a5b3_cbe9_70e6`
 //! → `0x3ff8_e26c_9262_7d0c`). The Adam counters and the `ecmp` /
 //! `coyote_oblivious` / `coyote_partial` bits did not move.
+//!
+//! The four-protocol counters were first read from the conformance run.
+//! Since the conformance engine optimizes the margin box only (no Base LP,
+//! no oblivious optimization: no record reads them) they are read from the
+//! sweep, which still runs all four and read the same values. The
+//! conformance run has a pin of its own.
 
 use coyote_bench::conformance::DEFAULT_TOLERANCE;
 use coyote_bench::{run_conformance, run_sweep, Effort, SweepGrid};
 use coyote_obs::{install, uninstall, Registry};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// `Snapshot::deterministic()` counters of `conform --filter Abilene` (at
-/// any `--threads`: `obs_pipeline.rs` holds them thread-count invariant).
+/// `Snapshot::deterministic()` counters of `sweep --filter Abilene` on the
+/// two conformance cells: ECMP, Base, COYOTE-oblivious and COYOTE-partial
+/// per cell.
 const PINNED_COUNTERS: [(&str, u64); 4] = [
     ("gp.adam.iterations", 3_742),
     ("gp.adam.runs", 8),
     ("core.cg.rounds", 8),
     ("lp.pivots", 5_130),
+];
+
+/// `Snapshot::deterministic()` counters of `conform --filter Abilene` (at
+/// any `--threads`: `obs_pipeline.rs` holds them thread-count invariant):
+/// one COYOTE-partial optimization per cell.
+const CONFORM_COUNTERS: [(&str, u64); 5] = [
+    ("gp.adam.iterations", 1_742),
+    ("gp.adam.runs", 4),
+    ("core.cg.rounds", 4),
+    ("core.cg.optimizations", 2),
+    ("lp.pivots", 4_822),
 ];
 
 /// `[ecmp, base, coyote_oblivious, coyote_partial]` as `f64::to_bits`, one
@@ -49,28 +68,40 @@ const PINNED_RATIO_BITS: [[u64; 4]; 2] = [
     ],
 ];
 
+/// Runs `f` with a fresh registry installed and returns its deterministic
+/// counters. This file holds one test, so nothing else in the process can
+/// touch the process-global sink while the registry is installed.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, BTreeMap<String, u64>) {
+    let registry = Arc::new(Registry::new());
+    install(registry.clone());
+    let out = f();
+    uninstall();
+    (out, registry.snapshot().deterministic().counters)
+}
+
+fn read(
+    counters: &BTreeMap<String, u64>,
+    pinned: &[(&'static str, u64)],
+) -> Vec<(&'static str, u64)> {
+    pinned
+        .iter()
+        .map(|&(name, _)| (name, counters.get(name).copied().unwrap_or(0)))
+        .collect()
+}
+
 #[test]
 fn abilene_cells_reproduce_the_recorded_counters_and_ratio_bits() {
     let grid = SweepGrid::conformance(Effort::Quick).filter("Abilene");
     assert_eq!(grid.len(), 2, "Abilene × {{gravity, bimodal}}");
 
-    // This file holds one test, so nothing else in the process can touch
-    // the process-global sink while the registry is installed.
-    let registry = Arc::new(Registry::new());
-    install(registry.clone());
-    let report = run_conformance(&grid, 1, DEFAULT_TOLERANCE);
-    uninstall();
+    let (report, counters) = counted(|| run_conformance(&grid, 1, DEFAULT_TOLERANCE));
     assert!(report.expect("conformance run").all_within_tolerance());
+    assert_eq!(read(&counters, &CONFORM_COUNTERS), CONFORM_COUNTERS);
 
-    let counters = registry.snapshot().deterministic().counters;
-    let got: Vec<(&str, u64)> = PINNED_COUNTERS
-        .iter()
-        .map(|&(name, _)| (name, counters.get(name).copied().unwrap_or(0)))
-        .collect();
-    assert_eq!(got, PINNED_COUNTERS);
-
-    let sweep = run_sweep(&grid, 1).expect("sweep run");
+    let (sweep, counters) = counted(|| run_sweep(&grid, 1));
+    assert_eq!(read(&counters, &PINNED_COUNTERS), PINNED_COUNTERS);
     let bits: Vec<[u64; 4]> = sweep
+        .expect("sweep run")
         .records
         .iter()
         .map(|r| {
