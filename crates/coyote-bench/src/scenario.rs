@@ -175,10 +175,7 @@ impl Scenario {
     pub fn build(spec: &SweepSpec) -> Result<Self, CoreError> {
         let _span = coyote_obs::span("bench.scenario");
         if !(spec.margin.is_finite() && spec.margin >= 1.0) {
-            return Err(CoreError::DimensionMismatch(format!(
-                "uncertainty margin must be a finite number >= 1, got {}",
-                spec.margin
-            )));
+            return Err(CoreError::InvalidMargin(spec.margin));
         }
         let topology = zoo::by_name(&spec.topology).ok_or_else(|| {
             CoreError::DimensionMismatch(format!("unknown topology {}", spec.topology))
@@ -425,9 +422,7 @@ mod tests {
                 evaluate_scenario(&spec).map(|_| ()),
             ] {
                 match result {
-                    Err(CoreError::DimensionMismatch(msg)) => {
-                        assert!(msg.contains("margin"), "{margin}: {msg}")
-                    }
+                    Err(CoreError::InvalidMargin(m)) => assert_eq!(m.to_bits(), margin.to_bits()),
                     other => panic!("margin {margin}: {other:?}"),
                 }
             }
@@ -443,7 +438,7 @@ mod tests {
         };
         assert!(matches!(
             Scenario::build(&spec),
-            Err(CoreError::DimensionMismatch(_))
+            Err(CoreError::InvalidMargin(m)) if m == 0.5
         ));
     }
 

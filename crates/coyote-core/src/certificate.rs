@@ -14,14 +14,7 @@
 //! `s → t` path under the weights `π_e(·)`, it suffices that
 //! `f_st(u)·φ_t(u,v)/c_e ≤ p_e(s, t)`.
 //!
-//! This module computes, for a fixed routing and a single edge, the smallest
-//! certified bound `r_e = Σ_h π_e(h)·c_h` by linear programming, and
-//! verifies certificates. The maximum of `r_e` over the edges is a
-//! *certified upper bound* on the oblivious ratio — the dual counterpart of
-//! the primal witness matrices produced by [`crate::worst_case`]; by LP
-//! duality the two coincide, which the tests check on the running example.
-//!
-//! The check behind R2 is also how a full adversary scan skips edges
+//! That check is how a full adversary scan skips edges
 //! ([`crate::worst_case`]). Any non-negative link lengths `y` bound `OPTU`
 //! from below by weak duality: with `w(s, t)` the `y`-shortest `s → t`
 //! distance over the edges a routing of `x` may use, every unit of `x_st`
@@ -30,19 +23,13 @@
 //! whose utilization is `a·x` per matrix `x` therefore has ratio at most
 //! `Σ c·y · max_x a·x / w·x` over a box of matrices (`LengthBound`,
 //! `fractional_max`); at the oblivious corner `[0, ∞)` that is R1 × R2.
+//!
+//! The tests keep the certificate LP itself: per edge, the smallest
+//! certified bound `r_e = Σ_h π_e(h)·c_h`, whose maximum over the edges
+//! meets the primal adversary's ratio by LP duality.
 
-use crate::error::CoreError;
 use crate::opt_mcf::EdgeScope;
-use crate::routing::PdRouting;
-use crate::worst_case::FractionTable;
-use coyote_graph::{EdgeId, Graph, NodeId};
-use coyote_lp::{LpProblem, Relation, Sense, VarId};
-
-/// Load coefficients at or below this are no load: the pair needs no cover
-/// by requirement R2. Raised, it drops real traffic from the certificate;
-/// lowered to zero, round-off in the fractions demands cover the LP then
-/// buys with larger weights.
-const LOAD_ZERO: f64 = 1e-12;
+use coyote_graph::{Graph, NodeId};
 
 /// One demand pair of a box `lo ≤ x ≤ hi`: its coefficient `a ≥ 0` in the
 /// numerator and its length `w ≥ 0` (possibly `+∞`) in the denominator.
@@ -168,226 +155,235 @@ impl LengthBound {
     }
 }
 
-/// A dual certificate for one edge: weights `π_e(h)` over all edges `h`.
-#[derive(Debug, Clone)]
-pub struct EdgeCertificate {
-    /// The edge whose utilization this certificate bounds.
-    pub edge: EdgeId,
-    /// The weights `π_e(h)`, indexed by edge id.
-    pub weights: Vec<f64>,
-    /// The certified bound `Σ_h π_e(h) · c_h` (requirement R1's left side).
-    pub bound: f64,
-}
-
-/// A full certificate: one [`EdgeCertificate`] per edge that can carry
-/// traffic, plus the overall certified oblivious ratio.
-#[derive(Debug, Clone)]
-pub struct ObliviousCertificate {
-    /// Per-edge certificates.
-    pub edges: Vec<EdgeCertificate>,
-    /// The certified oblivious performance ratio (max of the edge bounds).
-    pub ratio: f64,
-}
-
-/// Computes the best (smallest-bound) certificate for a single edge of the
-/// given routing, over the *unconstrained* demand set (the oblivious case of
-/// Theorem 5). Returns `None` if the edge never carries traffic.
-pub fn certify_edge(
-    graph: &Graph,
-    routing: &PdRouting,
-    fractions: &FractionTable,
-    edge: EdgeId,
-) -> Result<Option<EdgeCertificate>, CoreError> {
-    let n = graph.node_count();
-    let (u_e, _) = graph.endpoints(edge);
-    let cap_e = graph.capacity(edge);
-
-    // Load coefficients per pair: l_st = f_st(u_e) · φ_t(e) / c_e.
-    let mut loads: Vec<(NodeId, NodeId, f64)> = Vec::new();
-    for t in graph.nodes() {
-        let phi = routing.ratio(t, edge);
-        if phi <= 0.0 {
-            continue;
-        }
-        for s in graph.nodes() {
-            if s == t {
-                continue;
-            }
-            let l = fractions.fraction(s, t, u_e) * phi / cap_e;
-            if l > LOAD_ZERO {
-                loads.push((s, t, l));
-            }
-        }
-    }
-    if loads.is_empty() {
-        return Ok(None);
-    }
-
-    // LP over π_e(h) >= 0 and shortest-path potentials p_e(i, j) for the
-    // pairs we need. Minimizing Σ_h π_e(h)·c_h subject to
-    //   p_e(s, t) >= l_st                     (R2, shortest-path form)
-    //   p_e(j, t) <= p_e(k, t) + π_e(a)        for every DAG edge a=(j,k)
-    //   p_e(t, t) == 0
-    // where the triangle inequalities define p as a lower bound on the true
-    // shortest path, which is exactly what R2 needs.
-    let mut lp = LpProblem::new(Sense::Minimize);
-    let pi: Vec<VarId> = graph
-        .edges()
-        .map(|h| lp.add_nonneg_var(("pi", h.index()), graph.capacity(h)))
-        .collect();
-
-    // Potentials per (node, destination) actually referenced.
-    let mut dests: Vec<NodeId> = loads.iter().map(|&(_, t, _)| t).collect();
-    dests.sort();
-    dests.dedup();
-    let mut potential = vec![vec![None; n]; n];
-    for &t in &dests {
-        for v in graph.nodes() {
-            let var = lp.add_nonneg_var(("p", v.index(), t.index()), 0.0);
-            potential[v.index()][t.index()] = Some(var);
-        }
-    }
-
-    // p(t, t) == 0.
-    for &t in &dests {
-        let var = potential[t.index()][t.index()].expect("created above");
-        lp.add_constraint(("root", t.index()), &[(var, 1.0)], Relation::Eq, 0.0);
-    }
-
-    // Triangle inequalities over *all* edges: the adversary certifying that
-    // its demand matrix is routable may use any path, so the potentials must
-    // lower-bound the π-shortest path in the full graph:
-    // p(j, t) - p(k, t) - π(a) <= 0 for every edge a = (j, k).
-    for &t in &dests {
-        for a in graph.edges() {
-            let (j, k) = graph.endpoints(a);
-            let pj = potential[j.index()][t.index()].expect("created");
-            let pk = potential[k.index()][t.index()].expect("created");
-            lp.add_constraint(
-                ("tri", a.index(), t.index()),
-                &[(pj, 1.0), (pk, -1.0), (pi[a.index()], -1.0)],
-                Relation::Le,
-                0.0,
-            );
-        }
-    }
-
-    // R2: p(s, t) >= l_st.
-    for &(s, t, l) in &loads {
-        let ps = potential[s.index()][t.index()].expect("created");
-        lp.add_constraint(
-            ("cover", s.index(), t.index()),
-            &[(ps, 1.0)],
-            Relation::Ge,
-            l,
-        );
-    }
-
-    let sol = lp.solve().map_err(CoreError::Lp)?;
-    let weights: Vec<f64> = pi.iter().map(|&v| sol.value(v).max(0.0)).collect();
-    let bound: f64 = weights
-        .iter()
-        .zip(graph.edges())
-        .map(|(&w, h)| w * graph.capacity(h))
-        .sum();
-    Ok(Some(EdgeCertificate {
-        edge,
-        weights,
-        bound,
-    }))
-}
-
-/// Computes a certificate for every traffic-carrying edge and the certified
-/// oblivious ratio of the routing.
-pub fn certify_routing(
-    graph: &Graph,
-    routing: &PdRouting,
-) -> Result<ObliviousCertificate, CoreError> {
-    let fractions = FractionTable::new(graph, routing);
-    let mut edges = Vec::new();
-    let mut ratio = 0.0_f64;
-    for e in graph.edges() {
-        if let Some(cert) = certify_edge(graph, routing, &fractions, e)? {
-            ratio = ratio.max(cert.bound);
-            edges.push(cert);
-        }
-    }
-    if edges.is_empty() {
-        return Err(CoreError::InvalidRouting(
-            "routing carries no traffic on any edge".into(),
-        ));
-    }
-    Ok(ObliviousCertificate { edges, ratio })
-}
-
-/// Verifies requirement R1/R2 of Theorem 5 for a given certificate and
-/// returns the certified bound it actually proves for its edge (the maximum
-/// of the R1 left-hand side and the smallest scaling that makes R2 hold).
-/// The weights must be non-negative; a negative one certifies nothing and
-/// verifies as `+∞`. Used in tests and by operators who want to
-/// double-check a configuration produced elsewhere.
-pub fn verify_certificate(
-    graph: &Graph,
-    routing: &PdRouting,
-    fractions: &FractionTable,
-    certificate: &EdgeCertificate,
-) -> f64 {
-    let (u_e, _) = graph.endpoints(certificate.edge);
-    let cap_e = graph.capacity(certificate.edge);
-    if certificate.weights.iter().any(|&w| w < 0.0) {
-        return f64::INFINITY;
-    }
-
-    // R1 value.
-    let r1: f64 = certificate
-        .weights
-        .iter()
-        .zip(graph.edges())
-        .map(|(&w, h)| w * graph.capacity(h))
-        .sum();
-
-    // R2: every pair's load coefficient against its π-shortest distance
-    // over all edges. At the corner [0, ∞) the scan's bound routine is the
-    // worst of the factors load / distance.
-    let mut dist = vec![0.0; graph.node_count()];
-    let mut pairs = Vec::new();
-    for t in graph.nodes() {
-        let phi = routing.ratio(t, certificate.edge);
-        if phi <= 0.0 {
-            continue;
-        }
-        distances_to(graph, &EdgeScope::All, t, &certificate.weights, &mut dist);
-        for s in graph.nodes() {
-            if s == t {
-                continue;
-            }
-            let l = fractions.fraction(s, t, u_e) * phi / cap_e;
-            if l > LOAD_ZERO {
-                pairs.push(Pair {
-                    a: l,
-                    w: dist[s.index()],
-                    lo: 0.0,
-                    hi: f64::INFINITY,
-                });
-            }
-        }
-    }
-    let needed = fractional_max(&mut pairs);
-    if needed == f64::INFINITY {
-        return f64::INFINITY;
-    }
-    // If R2 needs the weights scaled up by `needed`, the certified bound is
-    // r1 * needed (scaling π scales both sides linearly).
-    r1 * needed.max(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ecmp::ecmp_routing;
+    use crate::error::CoreError;
     use crate::example_fig1;
-    use crate::worst_case::{performance_ratio_exact, RoutabilityScope};
+    use crate::routing::PdRouting;
+    use crate::worst_case::{performance_ratio_exact, FractionTable, RoutabilityScope};
+    use coyote_graph::EdgeId;
+    use coyote_lp::{LpProblem, Relation, Sense, VarId};
     use coyote_traffic::UncertaintySet;
+
+    /// Load coefficients at or below this are no load: the pair needs no cover
+    /// by requirement R2. Raised, it drops real traffic from the certificate;
+    /// lowered to zero, round-off in the fractions demands cover the LP then
+    /// buys with larger weights.
+    const LOAD_ZERO: f64 = 1e-12;
+
+    /// A dual certificate for one edge: weights `π_e(h)` over all edges `h`.
+    #[derive(Debug, Clone)]
+    struct EdgeCertificate {
+        /// The edge whose utilization this certificate bounds.
+        edge: EdgeId,
+        /// The weights `π_e(h)`, indexed by edge id.
+        weights: Vec<f64>,
+        /// The certified bound `Σ_h π_e(h) · c_h` (requirement R1's left side).
+        bound: f64,
+    }
+
+    /// A full certificate: one [`EdgeCertificate`] per edge that can carry
+    /// traffic, plus the overall certified oblivious ratio.
+    #[derive(Debug, Clone)]
+    struct ObliviousCertificate {
+        /// Per-edge certificates.
+        edges: Vec<EdgeCertificate>,
+        /// The certified oblivious performance ratio (max of the edge bounds).
+        ratio: f64,
+    }
+
+    /// Computes the best (smallest-bound) certificate for a single edge of the
+    /// given routing, over the *unconstrained* demand set (the oblivious case of
+    /// Theorem 5). Returns `None` if the edge never carries traffic.
+    fn certify_edge(
+        graph: &Graph,
+        routing: &PdRouting,
+        fractions: &FractionTable,
+        edge: EdgeId,
+    ) -> Result<Option<EdgeCertificate>, CoreError> {
+        let n = graph.node_count();
+        let (u_e, _) = graph.endpoints(edge);
+        let cap_e = graph.capacity(edge);
+
+        // Load coefficients per pair: l_st = f_st(u_e) · φ_t(e) / c_e.
+        let mut loads: Vec<(NodeId, NodeId, f64)> = Vec::new();
+        for t in graph.nodes() {
+            let phi = routing.ratio(t, edge);
+            if phi <= 0.0 {
+                continue;
+            }
+            for s in graph.nodes() {
+                if s == t {
+                    continue;
+                }
+                let l = fractions.fraction(s, t, u_e) * phi / cap_e;
+                if l > LOAD_ZERO {
+                    loads.push((s, t, l));
+                }
+            }
+        }
+        if loads.is_empty() {
+            return Ok(None);
+        }
+
+        // LP over π_e(h) >= 0 and shortest-path potentials p_e(i, j) for the
+        // pairs we need. Minimizing Σ_h π_e(h)·c_h subject to
+        //   p_e(s, t) >= l_st                     (R2, shortest-path form)
+        //   p_e(j, t) <= p_e(k, t) + π_e(a)        for every DAG edge a=(j,k)
+        //   p_e(t, t) == 0
+        // where the triangle inequalities define p as a lower bound on the true
+        // shortest path, which is exactly what R2 needs.
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let pi: Vec<VarId> = graph
+            .edges()
+            .map(|h| lp.add_nonneg_var(("pi", h.index()), graph.capacity(h)))
+            .collect();
+
+        // Potentials per (node, destination) actually referenced.
+        let mut dests: Vec<NodeId> = loads.iter().map(|&(_, t, _)| t).collect();
+        dests.sort();
+        dests.dedup();
+        let mut potential = vec![vec![None; n]; n];
+        for &t in &dests {
+            for v in graph.nodes() {
+                let var = lp.add_nonneg_var(("p", v.index(), t.index()), 0.0);
+                potential[v.index()][t.index()] = Some(var);
+            }
+        }
+
+        // p(t, t) == 0.
+        for &t in &dests {
+            let var = potential[t.index()][t.index()].expect("created above");
+            lp.add_constraint(("root", t.index()), &[(var, 1.0)], Relation::Eq, 0.0);
+        }
+
+        // Triangle inequalities over *all* edges: the adversary certifying that
+        // its demand matrix is routable may use any path, so the potentials must
+        // lower-bound the π-shortest path in the full graph:
+        // p(j, t) - p(k, t) - π(a) <= 0 for every edge a = (j, k).
+        for &t in &dests {
+            for a in graph.edges() {
+                let (j, k) = graph.endpoints(a);
+                let pj = potential[j.index()][t.index()].expect("created");
+                let pk = potential[k.index()][t.index()].expect("created");
+                lp.add_constraint(
+                    ("tri", a.index(), t.index()),
+                    &[(pj, 1.0), (pk, -1.0), (pi[a.index()], -1.0)],
+                    Relation::Le,
+                    0.0,
+                );
+            }
+        }
+
+        // R2: p(s, t) >= l_st.
+        for &(s, t, l) in &loads {
+            let ps = potential[s.index()][t.index()].expect("created");
+            lp.add_constraint(
+                ("cover", s.index(), t.index()),
+                &[(ps, 1.0)],
+                Relation::Ge,
+                l,
+            );
+        }
+
+        let sol = lp.solve().map_err(CoreError::Lp)?;
+        let weights: Vec<f64> = pi.iter().map(|&v| sol.value(v).max(0.0)).collect();
+        let bound: f64 = weights
+            .iter()
+            .zip(graph.edges())
+            .map(|(&w, h)| w * graph.capacity(h))
+            .sum();
+        Ok(Some(EdgeCertificate {
+            edge,
+            weights,
+            bound,
+        }))
+    }
+
+    /// Computes a certificate for every traffic-carrying edge and the certified
+    /// oblivious ratio of the routing.
+    fn certify_routing(
+        graph: &Graph,
+        routing: &PdRouting,
+    ) -> Result<ObliviousCertificate, CoreError> {
+        let fractions = FractionTable::new(graph, routing);
+        let mut edges = Vec::new();
+        let mut ratio = 0.0_f64;
+        for e in graph.edges() {
+            if let Some(cert) = certify_edge(graph, routing, &fractions, e)? {
+                ratio = ratio.max(cert.bound);
+                edges.push(cert);
+            }
+        }
+        if edges.is_empty() {
+            return Err(CoreError::InvalidRouting(
+                "routing carries no traffic on any edge".into(),
+            ));
+        }
+        Ok(ObliviousCertificate { edges, ratio })
+    }
+
+    /// Verifies requirement R1/R2 of Theorem 5 for a given certificate and
+    /// returns the certified bound it actually proves for its edge (the maximum
+    /// of the R1 left-hand side and the smallest scaling that makes R2 hold).
+    /// The weights must be non-negative; a negative one certifies nothing and
+    /// verifies as `+∞`.
+    fn verify_certificate(
+        graph: &Graph,
+        routing: &PdRouting,
+        fractions: &FractionTable,
+        certificate: &EdgeCertificate,
+    ) -> f64 {
+        let (u_e, _) = graph.endpoints(certificate.edge);
+        let cap_e = graph.capacity(certificate.edge);
+        if certificate.weights.iter().any(|&w| w < 0.0) {
+            return f64::INFINITY;
+        }
+
+        // R1 value.
+        let r1: f64 = certificate
+            .weights
+            .iter()
+            .zip(graph.edges())
+            .map(|(&w, h)| w * graph.capacity(h))
+            .sum();
+
+        // R2: every pair's load coefficient against its π-shortest distance
+        // over all edges. At the corner [0, ∞) the scan's bound routine is the
+        // worst of the factors load / distance.
+        let mut dist = vec![0.0; graph.node_count()];
+        let mut pairs = Vec::new();
+        for t in graph.nodes() {
+            let phi = routing.ratio(t, certificate.edge);
+            if phi <= 0.0 {
+                continue;
+            }
+            distances_to(graph, &EdgeScope::All, t, &certificate.weights, &mut dist);
+            for s in graph.nodes() {
+                if s == t {
+                    continue;
+                }
+                let l = fractions.fraction(s, t, u_e) * phi / cap_e;
+                if l > LOAD_ZERO {
+                    pairs.push(Pair {
+                        a: l,
+                        w: dist[s.index()],
+                        lo: 0.0,
+                        hi: f64::INFINITY,
+                    });
+                }
+            }
+        }
+        let needed = fractional_max(&mut pairs);
+        if needed == f64::INFINITY {
+            return f64::INFINITY;
+        }
+        // If R2 needs the weights scaled up by `needed`, the certified bound is
+        // r1 * needed (scaling π scales both sides linearly).
+        r1 * needed.max(1.0)
+    }
 
     #[test]
     fn certificate_matches_the_primal_worst_case_on_fig1_ecmp() {
@@ -433,6 +429,8 @@ mod tests {
             primal.ratio
         );
         assert!(cert.ratio >= example_fig1::OPTIMAL_WORST_UTILIZATION - 1e-3);
+        let worst_edge = cert.edges.iter().map(|e| e.bound).fold(0.0, f64::max);
+        assert_eq!(cert.ratio, worst_edge);
     }
 
     #[test]
@@ -464,6 +462,101 @@ mod tests {
         // every returned certificate has a positive bound.
         if let Some(cert) = certify_edge(&graph, &routing, &fractions, ts2).unwrap() {
             assert!(cert.bound > 0.0);
+        }
+    }
+
+    fn pair(a: f64, w: f64, lo: f64, hi: f64) -> Pair {
+        Pair { a, w, lo, hi }
+    }
+
+    #[test]
+    fn fractional_max_is_infinite_on_a_free_load_and_zero_without_load() {
+        // Some x has w·x = 0 < a·x: raised from zero, or already at its lower
+        // bound.
+        let mut free = vec![pair(1.0, 2.0, 0.0, 1.0), pair(0.5, 0.0, 0.0, 1.0)];
+        assert_eq!(fractional_max(&mut free), f64::INFINITY);
+        // Not when every x with a·x > 0 has length: (1 + 0.5) / 2.
+        let mut held = vec![pair(1.0, 2.0, 1.0, 1.0), pair(0.5, 0.0, 0.0, 1.0)];
+        assert_eq!(fractional_max(&mut held), 0.75);
+        let mut free_at_lo = vec![pair(1.0, 0.0, 1.0, 1.0), pair(1.0, 1.0, 0.0, 3.0)];
+        assert_eq!(fractional_max(&mut free_at_lo), f64::INFINITY);
+        // a·x is 0 on the whole box, whatever the lengths.
+        for mut pairs in [
+            vec![],
+            vec![pair(0.0, 1.0, 1.0, 2.0), pair(0.0, 0.0, 0.0, f64::INFINITY)],
+            vec![pair(3.0, 1.0, 0.0, 0.0)],
+        ] {
+            assert_eq!(fractional_max(&mut pairs), 0.0);
+        }
+    }
+
+    #[test]
+    fn fractional_max_handles_an_unbounded_box() {
+        // Raising the unbounded pair drives the ratio up to its own a / w.
+        let mut pairs = vec![pair(1.0, 1.0, 1.0, 1.0), pair(3.0, 1.0, 0.0, f64::INFINITY)];
+        assert_eq!(fractional_max(&mut pairs), 3.0);
+        // An unbounded pair below the ratio already reached is never raised.
+        let mut pairs = vec![pair(4.0, 1.0, 1.0, 1.0), pair(1.0, 1.0, 0.0, f64::INFINITY)];
+        assert_eq!(fractional_max(&mut pairs), 4.0);
+        // A finite pair above the unbounded one's a / w is raised first.
+        let mut pairs = vec![
+            pair(2.0, 1.0, 0.0, f64::INFINITY),
+            pair(6.0, 1.0, 0.0, 1.0),
+            pair(1.0, 1.0, 1.0, 1.0),
+        ];
+        assert_eq!(fractional_max(&mut pairs), 3.5);
+    }
+
+    #[test]
+    fn zero_lengths_are_no_length_bound() {
+        let (graph, nodes) = example_fig1::topology();
+        let zero = vec![0.0; graph.edge_count()];
+        assert!(LengthBound::new(&graph, &EdgeScope::All, &[nodes.t], &zero).is_none());
+        let unit = vec![1.0; graph.edge_count()];
+        assert!(LengthBound::new(&graph, &EdgeScope::All, &[nodes.t], &unit).is_some());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// A linear-fractional function is quasi-convex, so its maximum over
+        /// a box sits on a vertex: every corner of small random boxes is
+        /// enumerated. About a fifth of the coefficients, a third of the
+        /// lower bounds and a fifth of the widths are zero.
+        #[test]
+        fn fractional_max_is_the_best_box_vertex(
+            raw in proptest::collection::vec(
+                (-1.0f64..4.0, 0.1f64..4.0, -1.0f64..2.0, -0.5f64..2.0),
+                1..7,
+            ),
+        ) {
+            let box_pairs: Vec<Pair> = raw
+                .iter()
+                .map(|&(a, w, lo, width)| {
+                    let lo = lo.max(0.0);
+                    pair(a.max(0.0), w, lo, lo + width.max(0.0))
+                })
+                .collect();
+            let mut best = 0.0_f64;
+            for corner in 0..1u32 << box_pairs.len() {
+                let (mut num, mut den) = (0.0, 0.0);
+                for (i, p) in box_pairs.iter().enumerate() {
+                    let x = if corner >> i & 1 == 1 { p.hi } else { p.lo };
+                    num += p.a * x;
+                    den += p.w * x;
+                }
+                if den > 0.0 {
+                    best = best.max(num / den);
+                }
+            }
+            let got = fractional_max(&mut box_pairs.clone());
+            proptest::prop_assert!(
+                (got - best).abs() <= 1e-12 * best.max(1.0),
+                "fractional_max {} vs best vertex {} on {:?}",
+                got,
+                best,
+                box_pairs
+            );
         }
     }
 }

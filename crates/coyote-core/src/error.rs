@@ -21,6 +21,8 @@ pub enum CoreError {
     },
     /// Mismatched dimensions between inputs (graphs, matrices, DAG sets).
     DimensionMismatch(String),
+    /// An uncertainty margin that is not a finite number ≥ 1.
+    InvalidMargin(f64),
 }
 
 impl fmt::Display for CoreError {
@@ -33,6 +35,10 @@ impl fmt::Display for CoreError {
                 write!(f, "demand matrix cannot be routed: {detail}")
             }
             CoreError::DimensionMismatch(msg) => write!(f, "dimension mismatch: {msg}"),
+            CoreError::InvalidMargin(margin) => write!(
+                f,
+                "uncertainty margin must be a finite number >= 1, got {margin}"
+            ),
         }
     }
 }
@@ -69,5 +75,7 @@ mod tests {
         assert!(e.to_string().contains("bad"));
         let e = CoreError::DimensionMismatch("n".into());
         assert!(e.to_string().contains("mismatch"));
+        let e = CoreError::InvalidMargin(0.5);
+        assert!(e.to_string().contains("margin") && e.to_string().contains("0.5"));
     }
 }

@@ -44,7 +44,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod certificate;
+mod certificate;
 pub mod dag_builder;
 pub mod ecmp;
 pub mod error;
@@ -57,7 +57,6 @@ pub mod perf;
 pub mod routing;
 pub mod worst_case;
 
-pub use certificate::{certify_edge, certify_routing, EdgeCertificate, ObliviousCertificate};
 pub use dag_builder::{build_all_dags, build_dag, DagMode};
 pub use ecmp::{ecmp_routing, ecmp_routing_inverse_capacity, uniform_augmented_routing};
 pub use error::CoreError;

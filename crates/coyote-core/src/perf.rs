@@ -370,6 +370,10 @@ mod tests {
         let ecmp = ecmp_routing(&g).unwrap();
         let s = average_stretch(&g, &ecmp, &ecmp).unwrap();
         assert!((s - 1.0).abs() < 1e-12);
+        // Two routers and no link: no pair has a hop count, so no stretch.
+        let apart = Graph::with_nodes(2);
+        let ecmp = ecmp_routing(&apart).unwrap();
+        assert_eq!(average_stretch(&apart, &ecmp, &ecmp), None);
     }
 
     #[test]

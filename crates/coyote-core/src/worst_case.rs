@@ -17,7 +17,7 @@
 //! ([`crate::local_search`]).
 //!
 //! A full scan does not solve every edge. It bounds them with dual
-//! certificates (Theorem 5, [`crate::certificate`]): any non-negative link
+//! certificates (Theorem 5, `certificate.rs`): any non-negative link
 //! lengths `y` give `OPTU(x) ≥ w·x / Σ_e c_e·y_e`, with `w(s, t)` the
 //! `y`-shortest `s → t` distance over the edges the scope lets `t` use, so
 //! edge `e`'s LP value `max_{x ∈ [lo, hi]} a_e·x / OPTU(x)` is at most

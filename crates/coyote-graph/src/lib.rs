@@ -18,8 +18,8 @@
 //! * [`dag`] — per-destination DAG representation with topological orders,
 //!   acyclicity validation and reverse-topological traversal (the order in
 //!   which splitting ratios and loads are propagated).
-//! * [`path`] — hop counts and average path length under a routing function,
-//!   used by the Fig. 11 "path stretch" experiment.
+//! * [`path`] — expected hop counts under a routing function, used by the
+//!   Fig. 11 "path stretch" experiment.
 //!
 //! The crate is dependency-free (besides `serde` for persisting topologies)
 //! and deterministic: iteration orders are fixed so that experiments are

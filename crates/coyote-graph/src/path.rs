@@ -6,10 +6,11 @@
 //! OSPF/ECMP) stays within ~10%. Given per-node next-hop splitting fractions,
 //! the expected hop count from a source to the destination satisfies
 //! `E[hops(u)] = Σ_e φ(e)·(1 + E[hops(head(e))])`, solved by walking the DAG
-//! in topological order.
+//! in topological order. The average over pairs is
+//! `coyote_core::perf::average_stretch`.
 
 use crate::dag::Dag;
-use crate::graph::{EdgeId, Graph, NodeId};
+use crate::graph::{EdgeId, Graph};
 
 /// Expected number of hops from every node to `dag.destination()` when, at
 /// every node, the fraction of traffic leaving on edge `e` is `split(e)`
@@ -57,39 +58,10 @@ where
     hops
 }
 
-/// Average stretch of routing A versus routing B over a set of
-/// (source, destination) pairs: `mean( hops_A(s,t) / hops_B(s,t) )`.
-/// Pairs where either expected hop count is undefined or zero are skipped.
-pub fn average_stretch(
-    pairs: &[(NodeId, NodeId)],
-    hops_a: &dyn Fn(NodeId, NodeId) -> Option<f64>,
-    hops_b: &dyn Fn(NodeId, NodeId) -> Option<f64>,
-) -> Option<f64> {
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    for &(s, t) in pairs {
-        if s == t {
-            continue;
-        }
-        let (Some(a), Some(b)) = (hops_a(s, t), hops_b(s, t)) else {
-            continue;
-        };
-        if b <= 0.0 {
-            continue;
-        }
-        sum += a / b;
-        count += 1;
-    }
-    if count == 0 {
-        None
-    } else {
-        Some(sum / count as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::NodeId;
     use crate::spf::shortest_path_dag;
 
     fn fig1() -> (Graph, NodeId, NodeId, NodeId, NodeId) {
@@ -156,25 +128,5 @@ mod tests {
         assert_eq!(hops[t.index()], Some(0.0));
         assert_eq!(hops[s1.index()], None);
         assert_eq!(hops[v.index()], None);
-    }
-
-    #[test]
-    fn stretch_of_identical_routings_is_one() {
-        let (g, s1, s2, v, t) = fig1();
-        let spf = shortest_path_dag(&g, t);
-        let dag = Dag::from_shortest_paths(&g, &spf).unwrap();
-        let hops = expected_hops(&g, &dag, |_e| 1.0);
-        let lookup = |_s: NodeId, d: NodeId| hops[d.index()].map(|_| 1.0);
-        let pairs = vec![(s1, t), (s2, t), (v, t)];
-        let s = average_stretch(&pairs, &lookup, &lookup).unwrap();
-        assert!((s - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stretch_skips_undefined_pairs() {
-        let (_, s1, s2, _v, t) = fig1();
-        let a = |_s: NodeId, _t: NodeId| -> Option<f64> { None };
-        let b = |_s: NodeId, _t: NodeId| -> Option<f64> { Some(1.0) };
-        assert_eq!(average_stretch(&[(s1, t), (s2, t)], &a, &b), None);
     }
 }

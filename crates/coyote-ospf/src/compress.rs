@@ -166,7 +166,10 @@ pub fn compress_program(
     }
     let mut groups: BTreeMap<(usize, usize), LieGroup> = BTreeMap::new();
     for (key, adverts) in raw {
-        let cost = adverts.iter().map(|&(_, c)| c).fold(f64::INFINITY, f64::min);
+        let cost = adverts
+            .iter()
+            .map(|&(_, c)| c)
+            .fold(f64::INFINITY, f64::min);
         let mut hops = BTreeMap::new();
         for (n, c) in adverts {
             if ties(c, cost) {
@@ -214,8 +217,7 @@ pub fn compress_program(
                 if group.hops.keys().eq(desired.keys()) && !group.hops.is_empty() {
                     let fractions: Vec<f64> = desired.values().copied().collect();
                     let current_total: u32 = group.hops.values().sum();
-                    let quantized =
-                        quantize_split(&fractions, epsilon, current_total as usize);
+                    let quantized = quantize_split(&fractions, epsilon, current_total as usize);
                     let new_total: u32 = quantized.iter().sum();
                     quantized_entries += current_total.saturating_sub(new_total) as usize;
                     for (slot, m) in group.hops.values_mut().zip(&quantized) {
@@ -330,10 +332,14 @@ pub fn compute_program_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{random_graph, random_routing};
     use crate::fibbing::{compute_program, program_fib, realized_routing};
+    use crate::spf::compute_fib;
     use crate::verify::compare_routings;
     use coyote_core::example_fig1;
     use coyote_core::{ecmp_routing, uniform_augmented_routing};
+    use coyote_graph::NodeId;
+    use proptest::prelude::*;
 
     #[test]
     fn off_is_the_plain_compiler() {
@@ -352,8 +358,7 @@ mod tests {
         let (g, _) = example_fig1::topology();
         let target = uniform_augmented_routing(&g).unwrap();
         let plain = compute_program(&g, &target, VirtualLinkBudget::per_prefix(5)).unwrap();
-        let lossless =
-            compress_program(&g, &target, &plain, CompressionLevel::Lossless).unwrap();
+        let lossless = compress_program(&g, &target, &plain, CompressionLevel::Lossless).unwrap();
         let fib_plain = program_fib(&g, &plain);
         let fib_lossless = program_fib(&g, &lossless);
         for u in g.nodes() {
@@ -373,7 +378,10 @@ mod tests {
             lossless.compression.merged_fake_nodes,
             lossless.compression.advertisements - lossless.compression.fake_nodes_after
         );
-        assert_eq!(lossless.compression.fake_nodes_before, plain.stats.fake_nodes);
+        assert_eq!(
+            lossless.compression.fake_nodes_before,
+            plain.stats.fake_nodes
+        );
     }
 
     #[test]
@@ -470,5 +478,57 @@ mod tests {
         assert!(CompressionLevel::default().is_off());
         assert_eq!(CompressionLevel::Lossless.epsilon(), 0.0);
         assert_eq!(CompressionLevel::lossy().epsilon(), DEFAULT_EPSILON);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Per-prefix retraction on shared fakes: withdrawing one destination's
+        /// advertisements from a compressed LSDB leaves every other prefix's
+        /// FIB entries bit-identical, and no lie for the retracted prefix
+        /// survives.
+        #[test]
+        fn retracting_one_prefix_never_disturbs_the_others(
+            n in 4usize..8,
+            extra in proptest::collection::vec((0usize..12, 0usize..12), 0..4),
+            raw in proptest::collection::vec(0.0f64..4.0, 8..16),
+            pick in 0usize..64,
+            eps in 0.0f64..0.1,
+        ) {
+            let caps = [1.0, 2.0, 5.0];
+            let g = random_graph(n, &extra, &caps);
+            let target = random_routing(&g, &raw);
+            let Ok(plain) = compute_program(&g, &target, VirtualLinkBudget::per_prefix(8)) else {
+                return Ok(());
+            };
+            let compressed =
+                compress_program(&g, &target, &plain, CompressionLevel::Lossy { epsilon: eps })
+                    .unwrap();
+            let before = compute_fib(&compressed.lsdb, n);
+
+            let d = NodeId(pick % n);
+            let mut lsdb = compressed.lsdb.clone();
+            let withdrawn = lsdb.retract_fakes_for(d);
+            prop_assert_eq!(lsdb.fakes_for(d).count(), 0, "lies for {} survived", d);
+            prop_assert!(
+                withdrawn <= compressed.stats.prefix_advertisements,
+                "withdrew more advertisements than the program carried"
+            );
+
+            let after = compute_fib(&lsdb, n);
+            for t in 0..n {
+                if t == d.index() {
+                    continue;
+                }
+                for u in 0..n {
+                    prop_assert_eq!(
+                        before.entry(NodeId(u), NodeId(t)),
+                        after.entry(NodeId(u), NodeId(t)),
+                        "retracting {} changed router {}'s entry towards {}",
+                        d, u, t
+                    );
+                }
+            }
+        }
     }
 }

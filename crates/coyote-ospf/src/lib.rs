@@ -66,3 +66,8 @@ pub use verify::{
 };
 pub use wecmp::{approximate_split, max_split_error, quantize_split, realized_fractions};
 pub use withdraw::{Reconvergence, Withdrawal};
+
+#[cfg(test)]
+/// The random inputs the property suites share with the integration tests.
+#[path = "../tests/common/mod.rs"]
+mod common;

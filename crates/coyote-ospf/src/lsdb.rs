@@ -1,10 +1,8 @@
 //! The OSPF link-state database, including injected lies.
 
 use crate::lsa::{FakeNodeId, FakeNodeLsa, RouterLink, RouterLsa};
-use coyote_graph::spf::dijkstra_to;
 use coyote_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
 
 /// What [`Lsdb::withdraw`] removes while simulating OSPF's reaction to a
 /// failure: dead router advertisements, withdrawn adjacencies, and lies the
@@ -152,143 +150,6 @@ impl Lsdb {
         self.fakes.clear();
     }
 
-    /// Retracts every advertisement for one destination prefix, drops fakes
-    /// left with no prefixes, and renumbers the survivors densely. Returns
-    /// how many prefix advertisements were withdrawn (for single-prefix
-    /// programs: how many lies).
-    ///
-    /// This is the Fibbing controller's emergency fallback after a failure:
-    /// lies that were loop-free on the pre-failure topology can form a
-    /// forwarding loop once real shortest paths reconverge around the
-    /// failed element. Withdrawing the whole prefix's lies returns that
-    /// destination to plain (provably loop-free) OSPF forwarding — without
-    /// disturbing the other prefixes a shared fake still advertises.
-    /// [`Withdrawal::reconverge`](crate::Withdrawal::reconverge) does the
-    /// same on its view of the database; this copy-and-edit form stays as
-    /// the reference its differential test checks it against.
-    pub fn retract_fakes_for(&mut self, destination: NodeId) -> usize {
-        let mut withdrawn = 0usize;
-        self.fakes.retain_mut(|f| {
-            let before = f.prefixes.len();
-            f.prefixes.retain(|p| p.destination != destination);
-            withdrawn += before - f.prefixes.len();
-            !f.prefixes.is_empty()
-        });
-        for (i, fake) in self.fakes.iter_mut().enumerate() {
-            fake.id = FakeNodeId(i);
-        }
-        withdrawn
-    }
-
-    /// Simulates OSPF's reaction to a failure: returns a copy of this LSDB
-    /// with the `dead_nodes` and `dead_links` (unordered endpoint pairs)
-    /// withdrawn, plus [`PruneStats`] describing what was removed.
-    ///
-    /// [`withdraw`](Self::withdraw) answers the same question without the
-    /// copy and is what the failure engine and the daemon call; this method
-    /// stays as the reference its differential test checks it against.
-    ///
-    /// Real state first: router LSAs of dead routers disappear entirely
-    /// (their neighbors stop hearing them), and surviving LSAs lose every
-    /// adjacency towards a dead neighbor or across a dead link. Then the
-    /// lies: a fake-node LSA is retracted whole when the failure invalidates
-    /// it structurally — its attachment or forwarding address died, or the
-    /// physical link `attachment -> forwarding_address` it relies on died.
-    /// Otherwise its advertisements are filtered per prefix: an
-    /// advertisement is withdrawn when its destination died or when the
-    /// forwarding address can no longer reach that destination over the
-    /// surviving *real* topology (forwarding into a dead end would blackhole
-    /// traffic, so the controller withdraws the advertisement — other
-    /// prefixes on a shared fake survive untouched). A fake left with no
-    /// advertisements is retracted. Retained lies keep their metrics;
-    /// re-running SPF on the pruned LSDB yields the obliviously reconverged
-    /// routing.
-    pub fn pruned(
-        &self,
-        dead_nodes: &[NodeId],
-        dead_links: &[(NodeId, NodeId)],
-    ) -> (Lsdb, PruneStats) {
-        let dead: HashSet<NodeId> = dead_nodes.iter().copied().collect();
-        let dead_pairs: HashSet<(NodeId, NodeId)> = dead_links
-            .iter()
-            .flat_map(|&(a, b)| [(a, b), (b, a)])
-            .collect();
-        let mut stats = PruneStats::default();
-
-        let mut router_lsas = Vec::with_capacity(self.router_lsas.len());
-        for lsa in &self.router_lsas {
-            if dead.contains(&lsa.router) {
-                stats.dead_routers += 1;
-                continue;
-            }
-            let links: Vec<RouterLink> = lsa
-                .links
-                .iter()
-                .filter(|l| {
-                    let gone = dead.contains(&l.neighbor)
-                        || dead_pairs.contains(&(lsa.router, l.neighbor));
-                    if gone {
-                        stats.dropped_links += 1;
-                    }
-                    !gone
-                })
-                .cloned()
-                .collect();
-            router_lsas.push(RouterLsa {
-                router: lsa.router,
-                links,
-            });
-        }
-
-        let mut pruned = Lsdb {
-            router_lsas,
-            fakes: Vec::new(),
-        };
-        // Reachability of each destination over the surviving real topology,
-        // computed lazily (one SPF per distinct destination among the lies).
-        // The node-id space is the *original* one — a previous prune may
-        // already have withdrawn LSAs, so `router_lsas.len()` undercounts.
-        let surviving = pruned.real_topology(self.node_id_space());
-        let mut dist_cache: BTreeMap<NodeId, Vec<f64>> = BTreeMap::new();
-        for fake in &self.fakes {
-            let structurally_dead = dead.contains(&fake.attachment)
-                || dead.contains(&fake.forwarding_address)
-                || dead_pairs.contains(&(fake.attachment, fake.forwarding_address));
-            if structurally_dead {
-                stats.dropped_fakes += 1;
-                stats.dropped_advertisements += fake.prefix_count();
-                continue;
-            }
-            // Per-prefix filtering: dead destinations and blackholed
-            // forwarding addresses lose their advertisement; the fake node
-            // itself survives as long as any prefix remains.
-            let mut survivor = fake.clone();
-            survivor.prefixes.retain(|p| {
-                let gone = dead.contains(&p.destination) || {
-                    let dist = dist_cache
-                        .entry(p.destination)
-                        .or_insert_with(|| dijkstra_to(&surviving, p.destination).dist);
-                    !dist[fake.forwarding_address.index()].is_finite()
-                };
-                if gone {
-                    stats.dropped_advertisements += 1;
-                }
-                !gone
-            });
-            if survivor.prefixes.is_empty() {
-                stats.dropped_fakes += 1;
-            } else {
-                stats.retained_fakes += 1;
-                pruned.fakes.push(survivor);
-            }
-        }
-        // Re-number the surviving lies so ids stay dense and deterministic.
-        for (i, fake) in pruned.fakes.iter_mut().enumerate() {
-            fake.id = FakeNodeId(i);
-        }
-        (pruned, stats)
-    }
-
     /// Upper bound of the node-id space referenced anywhere in this LSDB
     /// (1 + the largest node index among router LSAs, adjacencies, and
     /// lies). Robust to withdrawn router LSAs, unlike `router_lsas.len()`.
@@ -319,6 +180,154 @@ pub(crate) fn link_is_dead(dead_links: &[(NodeId, NodeId)], a: NodeId, b: NodeId
     dead_links
         .iter()
         .any(|&(x, y)| (x, y) == (a, b) || (y, x) == (a, b))
+}
+
+#[cfg(test)]
+/// The copy-and-edit form of a failure, which [`Lsdb::withdraw`] replaced:
+/// the reference the differential tests check the view against.
+mod copy_and_edit {
+    use super::*;
+    use coyote_graph::spf::dijkstra_to;
+    use std::collections::{BTreeMap, HashSet};
+
+    impl Lsdb {
+        /// Retracts every advertisement for one destination prefix, drops fakes
+        /// left with no prefixes, and renumbers the survivors densely. Returns
+        /// how many prefix advertisements were withdrawn (for single-prefix
+        /// programs: how many lies).
+        ///
+        /// This is the Fibbing controller's emergency fallback after a failure:
+        /// lies that were loop-free on the pre-failure topology can form a
+        /// forwarding loop once real shortest paths reconverge around the
+        /// failed element. Withdrawing the whole prefix's lies returns that
+        /// destination to plain (provably loop-free) OSPF forwarding — without
+        /// disturbing the other prefixes a shared fake still advertises.
+        /// [`Withdrawal::reconverge`](crate::Withdrawal::reconverge) does the
+        /// same on its view of the database; this copy-and-edit form stays as
+        /// the reference its differential test checks it against.
+        pub(crate) fn retract_fakes_for(&mut self, destination: NodeId) -> usize {
+            let mut withdrawn = 0usize;
+            self.fakes.retain_mut(|f| {
+                let before = f.prefixes.len();
+                f.prefixes.retain(|p| p.destination != destination);
+                withdrawn += before - f.prefixes.len();
+                !f.prefixes.is_empty()
+            });
+            for (i, fake) in self.fakes.iter_mut().enumerate() {
+                fake.id = FakeNodeId(i);
+            }
+            withdrawn
+        }
+
+        /// Simulates OSPF's reaction to a failure: returns a copy of this LSDB
+        /// with the `dead_nodes` and `dead_links` (unordered endpoint pairs)
+        /// withdrawn, plus [`PruneStats`] describing what was removed.
+        ///
+        /// [`withdraw`](Self::withdraw) answers the same question without the
+        /// copy and is what the failure engine and the daemon call; this method
+        /// stays as the reference its differential test checks it against.
+        ///
+        /// Real state first: router LSAs of dead routers disappear entirely
+        /// (their neighbors stop hearing them), and surviving LSAs lose every
+        /// adjacency towards a dead neighbor or across a dead link. Then the
+        /// lies: a fake-node LSA is retracted whole when the failure invalidates
+        /// it structurally — its attachment or forwarding address died, or the
+        /// physical link `attachment -> forwarding_address` it relies on died.
+        /// Otherwise its advertisements are filtered per prefix: an
+        /// advertisement is withdrawn when its destination died or when the
+        /// forwarding address can no longer reach that destination over the
+        /// surviving *real* topology (forwarding into a dead end would blackhole
+        /// traffic, so the controller withdraws the advertisement — other
+        /// prefixes on a shared fake survive untouched). A fake left with no
+        /// advertisements is retracted. Retained lies keep their metrics;
+        /// re-running SPF on the pruned LSDB yields the obliviously reconverged
+        /// routing.
+        pub(crate) fn pruned(
+            &self,
+            dead_nodes: &[NodeId],
+            dead_links: &[(NodeId, NodeId)],
+        ) -> (Lsdb, PruneStats) {
+            let dead: HashSet<NodeId> = dead_nodes.iter().copied().collect();
+            let dead_pairs: HashSet<(NodeId, NodeId)> = dead_links
+                .iter()
+                .flat_map(|&(a, b)| [(a, b), (b, a)])
+                .collect();
+            let mut stats = PruneStats::default();
+
+            let mut router_lsas = Vec::with_capacity(self.router_lsas.len());
+            for lsa in &self.router_lsas {
+                if dead.contains(&lsa.router) {
+                    stats.dead_routers += 1;
+                    continue;
+                }
+                let links: Vec<RouterLink> = lsa
+                    .links
+                    .iter()
+                    .filter(|l| {
+                        let gone = dead.contains(&l.neighbor)
+                            || dead_pairs.contains(&(lsa.router, l.neighbor));
+                        if gone {
+                            stats.dropped_links += 1;
+                        }
+                        !gone
+                    })
+                    .cloned()
+                    .collect();
+                router_lsas.push(RouterLsa {
+                    router: lsa.router,
+                    links,
+                });
+            }
+
+            let mut pruned = Lsdb {
+                router_lsas,
+                fakes: Vec::new(),
+            };
+            // Reachability of each destination over the surviving real topology,
+            // computed lazily (one SPF per distinct destination among the lies).
+            // The node-id space is the *original* one — a previous prune may
+            // already have withdrawn LSAs, so `router_lsas.len()` undercounts.
+            let surviving = pruned.real_topology(self.node_id_space());
+            let mut dist_cache: BTreeMap<NodeId, Vec<f64>> = BTreeMap::new();
+            for fake in &self.fakes {
+                let structurally_dead = dead.contains(&fake.attachment)
+                    || dead.contains(&fake.forwarding_address)
+                    || dead_pairs.contains(&(fake.attachment, fake.forwarding_address));
+                if structurally_dead {
+                    stats.dropped_fakes += 1;
+                    stats.dropped_advertisements += fake.prefix_count();
+                    continue;
+                }
+                // Per-prefix filtering: dead destinations and blackholed
+                // forwarding addresses lose their advertisement; the fake node
+                // itself survives as long as any prefix remains.
+                let mut survivor = fake.clone();
+                survivor.prefixes.retain(|p| {
+                    let gone = dead.contains(&p.destination) || {
+                        let dist = dist_cache
+                            .entry(p.destination)
+                            .or_insert_with(|| dijkstra_to(&surviving, p.destination).dist);
+                        !dist[fake.forwarding_address.index()].is_finite()
+                    };
+                    if gone {
+                        stats.dropped_advertisements += 1;
+                    }
+                    !gone
+                });
+                if survivor.prefixes.is_empty() {
+                    stats.dropped_fakes += 1;
+                } else {
+                    stats.retained_fakes += 1;
+                    pruned.fakes.push(survivor);
+                }
+            }
+            // Re-number the surviving lies so ids stay dense and deterministic.
+            for (i, fake) in pruned.fakes.iter_mut().enumerate() {
+                fake.id = FakeNodeId(i);
+            }
+            (pruned, stats)
+        }
+    }
 }
 
 #[cfg(test)]

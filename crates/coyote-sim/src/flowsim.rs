@@ -172,21 +172,6 @@ impl FlowSimulator {
         id
     }
 
-    /// Registers a prefix whose forwarding state is taken from a
-    /// [`coyote_core::PdRouting`] (the DAG and ratios towards `egress`).
-    pub fn add_prefix_from_routing(
-        &mut self,
-        routing: &coyote_core::PdRouting,
-        egress: NodeId,
-    ) -> PrefixId {
-        let ratios: Vec<f64> = self
-            .graph
-            .edges()
-            .map(|e| routing.ratio(egress, e))
-            .collect();
-        self.add_prefix(egress, ratios)
-    }
-
     /// Number of registered prefixes.
     pub fn prefix_count(&self) -> usize {
         self.prefixes.len()
