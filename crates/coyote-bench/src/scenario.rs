@@ -100,21 +100,13 @@ impl Effort {
                         spikes: 3,
                         seed: 0xC0707E,
                     },
-                    ..CoyoteConfig::fast()
                 },
                 LocalSearchConfig {
                     outer_iterations: 2,
                     moves_per_iteration: 3,
-                    ..Default::default()
                 },
             ),
-            Effort::Full => (
-                CoyoteConfig {
-                    evaluation: EvaluationOptions::default(),
-                    ..CoyoteConfig::default()
-                },
-                LocalSearchConfig::default(),
-            ),
+            Effort::Full => (CoyoteConfig::default(), LocalSearchConfig::default()),
         }
     }
 }

@@ -18,15 +18,6 @@ pub fn ecmp_routing(graph: &Graph) -> Result<PdRouting, GraphError> {
     Ok(PdRouting::uniform(graph, dags))
 }
 
-/// Builds the ECMP routing for the *reverse capacities* weight heuristic
-/// (Cisco's default: weight ∝ 1 / capacity), leaving the input graph
-/// untouched.
-pub fn ecmp_routing_inverse_capacity(graph: &Graph) -> Result<PdRouting, GraphError> {
-    let mut g = graph.clone();
-    g.set_inverse_capacity_weights(10.0);
-    ecmp_routing(&g)
-}
-
 /// Uniform splitting over the *augmented* DAGs. This is COYOTE's starting
 /// point before the splitting ratios are optimized, and the ablation
 /// baseline that isolates the value of DAG augmentation alone.
@@ -72,16 +63,15 @@ mod tests {
 
     #[test]
     fn inverse_capacity_weights_steer_away_from_thin_links() {
-        let g = square();
-        let routing = ecmp_routing_inverse_capacity(&g).unwrap();
+        let mut g = square();
+        g.set_inverse_capacity_weights(10.0);
+        let routing = ecmp_routing(&g).unwrap();
         let d = NodeId(3);
         let a = NodeId(0);
         // The a-b-d path (capacity 10) is now strictly shorter than a-c-d.
         let out = routing.dag(d).out_edges(a);
         assert_eq!(out.len(), 1);
         assert_eq!(g.edge(out[0]).dst, NodeId(1));
-        // Original graph weights must be untouched.
-        assert!((g.weight(g.find_edge(a, NodeId(1)).unwrap()) - 1.0).abs() < 1e-12);
     }
 
     #[test]

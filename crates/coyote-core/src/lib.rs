@@ -58,7 +58,7 @@ pub mod routing;
 pub mod worst_case;
 
 pub use dag_builder::{build_all_dags, build_dag, DagMode};
-pub use ecmp::{ecmp_routing, ecmp_routing_inverse_capacity, uniform_augmented_routing};
+pub use ecmp::{ecmp_routing, uniform_augmented_routing};
 pub use error::CoreError;
 pub use incremental::{demand_dirty_destinations, solve_destination, DestinationSolve};
 pub use local_search::{local_search_weights, LocalSearchConfig, LocalSearchResult};
@@ -75,7 +75,7 @@ pub use worst_case::{performance_ratio_exact, FractionTable, RoutabilityScope, W
 /// Convenient glob import for downstream users and examples.
 pub mod prelude {
     pub use crate::dag_builder::{build_all_dags, DagMode};
-    pub use crate::ecmp::{ecmp_routing, ecmp_routing_inverse_capacity, uniform_augmented_routing};
+    pub use crate::ecmp::{ecmp_routing, uniform_augmented_routing};
     pub use crate::error::CoreError;
     pub use crate::local_search::{local_search_weights, LocalSearchConfig};
     pub use crate::oblivious::{

@@ -58,17 +58,8 @@ pub struct CoyoteConfig {
     pub cg_candidate_edges: usize,
     /// Adam iterations per inner optimization.
     pub adam_iterations: usize,
-    /// Adam learning rate.
-    pub learning_rate: f64,
-    /// Smoothing temperature of the max (relative to the current maximum).
-    pub smoothing: f64,
     /// Options for the initial finite working set of demand matrices.
     pub evaluation: EvaluationOptions,
-    /// Stop constraint generation once the exact adversary cannot raise the
-    /// working-set ratio by more than this factor.
-    pub cg_tolerance: f64,
-    /// Routability scope for the adversary's certifying flow.
-    pub scope: RoutabilityScope,
 }
 
 impl Default for CoyoteConfig {
@@ -77,11 +68,7 @@ impl Default for CoyoteConfig {
             cg_rounds: 3,
             cg_candidate_edges: 3,
             adam_iterations: 1_500,
-            learning_rate: 0.08,
-            smoothing: 0.02,
             evaluation: EvaluationOptions::default(),
-            cg_tolerance: 1.02,
-            scope: RoutabilityScope::WithinDags,
         }
     }
 }
@@ -99,7 +86,6 @@ impl CoyoteConfig {
                 spikes: 4,
                 seed: 0xC0707E,
             },
-            ..Self::default()
         }
     }
 }
@@ -256,6 +242,9 @@ struct EvalScratch {
     dphi: Vec<f64>,
 }
 
+// The smoothing temperature of the max, relative to the current maximum.
+const SMOOTHING: f64 = 0.02;
+
 /// The differentiable objective: smoothed maximum over (matrix, edge) of
 /// `load / (capacity · OPTU(D))`, as a function of the softmax parameters.
 ///
@@ -289,7 +278,6 @@ struct SplittingObjective<'a> {
     plans: Vec<DagPlan>,
     /// Length of the parameter vector.
     dim: usize,
-    smoothing: f64,
     /// Number of lanes `K`.
     lanes: usize,
     /// `demand[(t·n + s)·K + k] = d_st` of matrix `k`: the columns of every
@@ -305,7 +293,7 @@ struct SplittingObjective<'a> {
 impl<'a> SplittingObjective<'a> {
     /// Compiles the DAGs; the objective has no lanes until
     /// [`Self::load_lanes`] is called.
-    fn new(graph: &'a Graph, dags: &'a [Dag], smoothing: f64) -> Self {
+    fn new(graph: &'a Graph, dags: &'a [Dag]) -> Self {
         let (n, ne) = (graph.node_count(), graph.edge_count());
         let mut dim = 0;
         let plans: Vec<DagPlan> = dags
@@ -325,7 +313,6 @@ impl<'a> SplittingObjective<'a> {
             dags,
             plans,
             dim,
-            smoothing,
             lanes: 0,
             demand: Vec::new(),
             scale: Vec::new(),
@@ -474,7 +461,7 @@ impl<'a> SplittingObjective<'a> {
             }
         }
         let max_val = values.iter().copied().fold(0.0_f64, f64::max);
-        let tau = (self.smoothing * max_val).max(1e-6);
+        let tau = (SMOOTHING * max_val).max(1e-6);
         let objective = smooth_max_and_weights_into(values, tau, weights);
         // Per-edge weight of each matrix in the smoothed max.
         for e in 0..ne {
@@ -582,7 +569,9 @@ fn smooth_max_and_weights_into(xs: &[f64], tau: f64, weights: &mut Vec<f64>) -> 
     tau * (m + sum.ln())
 }
 
-// Adam's moment decays and the floor under the second-moment root.
+// Adam's step size, its moment decays and the floor under the
+// second-moment root.
+const ADAM_LEARNING_RATE: f64 = 0.08;
 const ADAM_BETA1: f64 = 0.9;
 const ADAM_BETA2: f64 = 0.999;
 const ADAM_EPSILON: f64 = 1e-8;
@@ -597,12 +586,7 @@ const ADAM_PATIENCE: usize = 150;
 /// it evaluated. The paper solves this inner problem as a geometric program
 /// with an interior-point solver; Adam on the softmax parameters reaches
 /// the same optima on the evaluation's problem sizes.
-fn adam(
-    objective: &SplittingObjective,
-    mut theta: Vec<f64>,
-    learning_rate: f64,
-    max_iters: usize,
-) -> Vec<f64> {
+fn adam(objective: &SplittingObjective, mut theta: Vec<f64>, max_iters: usize) -> Vec<f64> {
     let n = objective.dim;
     debug_assert_eq!(theta.len(), n);
     let mut m = vec![0.0; n];
@@ -641,7 +625,7 @@ fn adam(
             v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * grad[i] * grad[i];
             let mh = m[i] / b1t;
             let vh = v[i] / b2t;
-            theta[i] -= learning_rate * mh / (vh.sqrt() + ADAM_EPSILON);
+            theta[i] -= ADAM_LEARNING_RATE * mh / (vh.sqrt() + ADAM_EPSILON);
         }
     }
 
@@ -649,6 +633,12 @@ fn adam(
     coyote_obs::counter("gp.adam.iterations", iterations as u64);
     best
 }
+
+// Constraint generation stops once the exact adversary cannot raise the
+// working-set ratio by more than this factor; its certifying flow stays
+// within the augmented DAGs.
+const CG_TOLERANCE: f64 = 1.02;
+const CG_SCOPE: RoutabilityScope = RoutabilityScope::WithinDags;
 
 /// Optimizes the splitting ratios within the given DAGs for the uncertainty
 /// set. `base` is the base demand matrix the margins were derived from (it
@@ -698,7 +688,7 @@ pub fn optimize_splitting_with_working_set(
         working = EvaluationSet::build(graph, &dags, uncertainty, base, &config.evaluation)?;
     }
 
-    let mut objective = SplittingObjective::new(graph, &dags, config.smoothing);
+    let mut objective = SplittingObjective::new(graph, &dags);
     let mut theta = vec![0.0; objective.dim];
     let mut rounds = 0usize;
 
@@ -707,12 +697,7 @@ pub fn optimize_splitting_with_working_set(
         // ---- Inner optimization over the current working set. ----
         if objective.dim > 0 {
             objective.load_lanes(working.entries());
-            theta = adam(
-                &objective,
-                theta,
-                config.learning_rate,
-                config.adam_iterations,
-            );
+            theta = adam(&objective, theta, config.adam_iterations);
         }
 
         // Current routing and its ratio over the working set.
@@ -741,14 +726,9 @@ pub fn optimize_splitting_with_working_set(
             &reference,
             config.cg_candidate_edges.max(1),
         );
-        let wc = performance_ratio_exact(
-            graph,
-            &routing,
-            uncertainty,
-            config.scope,
-            Some(&candidates),
-        )?;
-        if wc.ratio <= current * config.cg_tolerance {
+        let wc =
+            performance_ratio_exact(graph, &routing, uncertainty, CG_SCOPE, Some(&candidates))?;
+        if wc.ratio <= current * CG_TOLERANCE {
             break;
         }
         working.try_add(graph, &dags, wc.demand)?;
@@ -884,7 +864,6 @@ mod tests {
             graph: &Graph,
             dags: &[Dag],
             working_set: &[(DemandMatrix, f64)],
-            smoothing: f64,
             theta: &[f64],
             grad: &mut [f64],
         ) -> f64 {
@@ -912,7 +891,7 @@ mod tests {
             }
 
             let max_val = values.iter().copied().fold(0.0_f64, f64::max);
-            let tau = (smoothing * max_val).max(1e-6);
+            let tau = (SMOOTHING * max_val).max(1e-6);
             let mut weights = Vec::new();
             let objective = smooth_max_and_weights_into(&values, tau, &mut weights);
 
@@ -1022,7 +1001,7 @@ mod tests {
                 .all(|(dm, _)| dm.total_to(NodeId(dead)) == 0.0));
             assert_eq!(working_set[2].0.active_destinations(), vec![NodeId(0)]);
 
-            let mut objective = SplittingObjective::new(&graph, &dags, 0.02);
+            let mut objective = SplittingObjective::new(&graph, &dags);
             let dim = objective.dim;
             assert!(dim > 0);
             // The last matrix joins after the first evaluations, the way a
@@ -1034,7 +1013,7 @@ mod tests {
                     let (mut grad, mut expected_grad) = (vec![0.0; dim], vec![0.0; dim]);
                     let value = objective.eval(&theta, &mut grad);
                     let expected =
-                        reference::eval(&graph, &dags, lanes, 0.02, &theta, &mut expected_grad);
+                        reference::eval(&graph, &dags, lanes, &theta, &mut expected_grad);
                     assert!(value.is_finite() && value > 0.0);
                     assert_eq!(bits(value, &grad), bits(expected, &expected_grad));
                 }
@@ -1048,7 +1027,7 @@ mod tests {
         let dags = build_all_dags(&graph, DagMode::Augmented).unwrap();
         let base = coyote_traffic::GravityModel::with_total(100.0).generate(&graph);
         let working_set = lane_shapes(&base);
-        let mut objective = SplittingObjective::new(&graph, &dags, 0.02);
+        let mut objective = SplittingObjective::new(&graph, &dags);
         objective.load_lanes(working_set.iter().map(|(dm, r)| (dm, *r)));
         let dim = objective.dim;
         let footprint = |objective: &SplittingObjective| {
@@ -1076,7 +1055,7 @@ mod tests {
         let mut dm = DemandMatrix::zeros(4);
         dm.set(s1, t, 1.5);
         dm.set(s2, t, 0.5);
-        let mut objective = SplittingObjective::new(&g, &dags, 0.05);
+        let mut objective = SplittingObjective::new(&g, &dags);
         objective.load_lanes([(&dm, 1.0)].into_iter());
         let dim = objective.dim;
         let theta: Vec<f64> = (0..dim).map(|i| 0.1 * (i as f64) - 0.3).collect();
@@ -1122,7 +1101,7 @@ mod tests {
                 .to_graph()
                 .unwrap();
             let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
-            let objective = SplittingObjective::new(&g, &dags, 0.02);
+            let objective = SplittingObjective::new(&g, &dags);
             let sorted = |mut edges: Vec<usize>| { edges.sort_unstable(); edges };
             let mut dim = 0;
             for (plan, dag) in objective.plans.iter().zip(&dags) {
@@ -1336,12 +1315,12 @@ mod tests {
         let mut dm = DemandMatrix::zeros(4);
         dm.set(s1, t, 2.0);
         dm.set(s2, t, 2.0);
-        let mut objective = SplittingObjective::new(&g, &dags, 0.05);
+        let mut objective = SplittingObjective::new(&g, &dags);
         objective.load_lanes([(&dm, 1.0)].into_iter());
         let value = |theta: &[f64]| objective.eval(theta, &mut vec![0.0; objective.dim]);
         let start = vec![0.0; objective.dim];
-        assert_eq!(adam(&objective, start.clone(), 0.05, 0), start);
-        let theta = adam(&objective, start.clone(), 0.05, 400);
+        assert_eq!(adam(&objective, start.clone(), 0), start);
+        let theta = adam(&objective, start.clone(), 400);
         assert!(value(&theta) < value(&start) - 1e-3);
     }
 

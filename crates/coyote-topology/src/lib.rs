@@ -9,13 +9,11 @@
 //!   what is synthesized).
 //! * [`generators`] — the deterministic synthetic backbone generator used
 //!   for the non-redistributable networks.
-//! * [`parser`] — a small text format for user-supplied topologies.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod generators;
-pub mod parser;
 pub mod topology;
 pub mod zoo;
 

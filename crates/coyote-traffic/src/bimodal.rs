@@ -11,40 +11,29 @@ use coyote_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Bimodal model generator.
+// Fraction of ordered pairs that are "elephant" pairs.
+const LARGE_FRACTION: f64 = 0.1;
+// Mean demand of an elephant pair, as a multiple of the mean mouse demand.
+const LARGE_TO_SMALL_RATIO: f64 = 10.0;
+
+/// Bimodal model generator. The matrix carries the gravity model's default
+/// total: the sum of all link capacities divided by the number of nodes.
 #[derive(Debug, Clone)]
 pub struct BimodalModel {
-    /// Fraction of ordered pairs that are "elephant" pairs (default 0.1).
-    pub large_fraction: f64,
-    /// Mean demand of an elephant pair, as a multiple of the mean mouse
-    /// demand (default 10).
-    pub large_to_small_ratio: f64,
-    /// Total traffic in the generated matrix (same convention as the gravity
-    /// model: `None` means "sum of capacities / n").
-    pub total_demand: Option<f64>,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl Default for BimodalModel {
     fn default() -> Self {
-        Self {
-            large_fraction: 0.1,
-            large_to_small_ratio: 10.0,
-            total_demand: None,
-            seed: 0xC0707E,
-        }
+        Self::with_seed(0xC0707E)
     }
 }
 
 impl BimodalModel {
-    /// Creates a bimodal model with an explicit seed (other parameters are
-    /// the defaults).
+    /// Creates a bimodal model with an explicit seed.
     pub fn with_seed(seed: u64) -> Self {
-        Self {
-            seed,
-            ..Self::default()
-        }
+        Self { seed }
     }
 
     /// Generates the bimodal matrix for `graph`.
@@ -62,24 +51,18 @@ impl BimodalModel {
                 if s == t {
                     continue;
                 }
-                let is_large = rng.gen::<f64>() < self.large_fraction;
+                let is_large = rng.gen::<f64>() < LARGE_FRACTION;
                 // Uniform jitter around the mode's mean keeps the matrix
                 // generic (no exactly-equal demands).
                 let jitter = 0.5 + rng.gen::<f64>();
-                let base = if is_large {
-                    self.large_to_small_ratio
-                } else {
-                    1.0
-                };
+                let base = if is_large { LARGE_TO_SMALL_RATIO } else { 1.0 };
                 let v = base * jitter;
                 raw[s * n + t] = v;
                 raw_total += v;
             }
         }
-        let total = self.total_demand.unwrap_or_else(|| {
-            let cap_sum: f64 = graph.edges().map(|e| graph.capacity(e)).sum();
-            cap_sum / n as f64
-        });
+        let cap_sum: f64 = graph.edges().map(|e| graph.capacity(e)).sum();
+        let total = cap_sum / n as f64;
         if raw_total <= 0.0 {
             return dm;
         }
@@ -119,25 +102,16 @@ mod tests {
 
     #[test]
     fn respects_total_demand() {
-        let g = ring(6);
-        let dm = BimodalModel {
-            total_demand: Some(100.0),
-            ..BimodalModel::default()
-        }
-        .generate(&g);
-        assert!((dm.total() - 100.0).abs() < 1e-9);
+        // The sum of capacities over the node count: twelve links of
+        // capacity 10 over six nodes.
+        let dm = BimodalModel::default().generate(&ring(6));
+        assert!((dm.total() - 20.0).abs() < 1e-9);
     }
 
     #[test]
     fn exhibits_two_modes() {
         let g = ring(12);
-        let dm = BimodalModel {
-            large_fraction: 0.2,
-            large_to_small_ratio: 50.0,
-            total_demand: Some(1000.0),
-            seed: 3,
-        }
-        .generate(&g);
+        let dm = BimodalModel::with_seed(3).generate(&g);
         let mut values: Vec<f64> = dm.pairs().map(|(_, _, d)| d).collect();
         values.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let small_median = values[values.len() / 4];

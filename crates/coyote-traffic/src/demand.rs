@@ -115,21 +115,6 @@ impl DemandMatrix {
             .sum()
     }
 
-    /// Entry-wise maximum of two matrices (used to build envelope matrices
-    /// for uncertainty sets).
-    pub fn entrywise_max(&self, other: &DemandMatrix) -> DemandMatrix {
-        assert_eq!(self.n, other.n, "node count mismatch");
-        DemandMatrix {
-            n: self.n,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| a.max(b))
-                .collect(),
-        }
-    }
-
     /// Builds a matrix from explicit (source, destination, demand) triples.
     pub fn from_pairs(n: usize, pairs: &[(NodeId, NodeId, f64)]) -> Self {
         let mut dm = Self::zeros(n);
@@ -204,24 +189,5 @@ mod tests {
         );
         assert_eq!(dm.get(NodeId(0), NodeId(1)), 3.0);
         assert_eq!(dm.get(NodeId(1), NodeId(2)), 0.5);
-    }
-
-    #[test]
-    fn entrywise_max_is_an_envelope() {
-        let mut a = DemandMatrix::zeros(2);
-        a.set(NodeId(0), NodeId(1), 1.0);
-        let mut b = DemandMatrix::zeros(2);
-        b.set(NodeId(1), NodeId(0), 2.0);
-        let m = a.entrywise_max(&b);
-        assert_eq!(m.get(NodeId(0), NodeId(1)), 1.0);
-        assert_eq!(m.get(NodeId(1), NodeId(0)), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "node count mismatch")]
-    fn entrywise_max_requires_same_size() {
-        let a = DemandMatrix::zeros(2);
-        let b = DemandMatrix::zeros(3);
-        let _ = a.entrywise_max(&b);
     }
 }

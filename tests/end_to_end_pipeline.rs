@@ -90,7 +90,6 @@ fn local_search_weights_plug_into_the_same_pipeline() {
     let cfg = LocalSearchConfig {
         outer_iterations: 2,
         moves_per_iteration: 3,
-        ..Default::default()
     };
     let search = local_search_weights(&graph, &uncertainty, &cfg).expect("local search runs");
     assert_eq!(search.weights.len(), graph.edge_count());
