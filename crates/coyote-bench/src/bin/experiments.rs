@@ -20,7 +20,9 @@
 //! pool; the thread count changes wall-clock time only, never the numbers
 //! in the report.
 
-use coyote_bench::conformance::{default_pareto_levels, run_pareto, DEFAULT_TOLERANCE};
+use coyote_bench::conformance::{
+    default_pareto_levels, run_pareto, COMPILE_BUDGET, DEFAULT_TOLERANCE,
+};
 use coyote_bench::report::{profile_text, ReportFormat, Table};
 use coyote_bench::{
     artefact, run_all, run_conformance_with, run_failures, run_sweep, ConformanceReport, Effort,
@@ -229,12 +231,17 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--budget", value: Some("N"), scope: SERVE,
            set: |c, v| {
                c.budget = number("--budget", v)?;
-               if c.budget == 0 {
-                   return Err("--budget must be at least 1".to_string());
+               // Start-up splits every lied pair once per total up to the
+               // budget, so the largest compile budget bounds it.
+               if !(1..=COMPILE_BUDGET).contains(&c.budget) {
+                   return Err(format!(
+                       "--budget must be at least 1 and at most {COMPILE_BUDGET}, got {}",
+                       c.budget
+                   ));
                }
                Ok(())
            },
-           help: "wECMP FIB-entry budget per prefix (default 5)" },
+           help: "wECMP FIB-entry budget per prefix, 1 to 256 (default 5)" },
 ];
 
 /// The usage text: the synopsis line, then one line per command and flag.
@@ -714,6 +721,9 @@ mod tests {
         assert!(err.contains("gravity or bimodal"), "{err}");
         let err = parse(&["serve", "--budget", "0"]).unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
+        let err = parse(&["serve", "--budget", "257"]).unwrap_err();
+        assert!(err.contains("at most 256"), "{err}");
+        assert_eq!(parse(&["serve", "--budget", "256"]).unwrap().budget, 256);
         let err = parse(&["serve", "--port", "notaport"]).unwrap_err();
         assert!(err.contains("--port"), "{err}");
     }

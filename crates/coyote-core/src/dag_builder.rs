@@ -87,24 +87,11 @@ pub fn augment(graph: &Graph, spf: &ShortestPathDag) -> Result<Dag, GraphError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fig1() -> (Graph, NodeId, NodeId, NodeId, NodeId) {
-        let mut g = Graph::new();
-        let s1 = g.add_node("s1").unwrap();
-        let s2 = g.add_node("s2").unwrap();
-        let v = g.add_node("v").unwrap();
-        let t = g.add_node("t").unwrap();
-        g.add_bidirectional_edge(s1, s2, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s1, v, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s2, v, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s2, t, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(v, t, 1.0, 1.0).unwrap();
-        (g, s1, s2, v, t)
-    }
+    use crate::example_fig1::{self, Fig1};
 
     #[test]
     fn augmented_dag_contains_the_shortest_path_dag() {
-        let (g, _, _, _, t) = fig1();
+        let (g, Fig1 { t, .. }) = example_fig1::topology();
         let spf_dag = build_dag(&g, t, DagMode::ShortestPath).unwrap();
         let aug = build_dag(&g, t, DagMode::Augmented).unwrap();
         for e in spf_dag.edges() {
@@ -115,7 +102,7 @@ mod tests {
 
     #[test]
     fn fig1_augmentation_adds_the_s2_v_link_as_in_the_paper() {
-        let (g, _s1, s2, v, t) = fig1();
+        let (g, Fig1 { s2, v, t, .. }) = example_fig1::topology();
         let aug = build_dag(&g, t, DagMode::Augmented).unwrap();
         let s2v = g.find_edge(s2, v).unwrap();
         let vs2 = g.find_edge(v, s2).unwrap();
@@ -127,7 +114,7 @@ mod tests {
 
     #[test]
     fn augmentation_never_routes_out_of_the_destination() {
-        let (g, _, _, _, t) = fig1();
+        let (g, Fig1 { t, .. }) = example_fig1::topology();
         let aug = build_dag(&g, t, DagMode::Augmented).unwrap();
         assert!(aug.out_edges(t).is_empty());
     }
@@ -170,7 +157,7 @@ mod tests {
 
     #[test]
     fn augmented_dag_uses_every_physical_link_in_some_direction() {
-        let (g, _, _, _, t) = fig1();
+        let (g, Fig1 { t, .. }) = example_fig1::topology();
         let aug = build_dag(&g, t, DagMode::Augmented).unwrap();
         for e in g.edges() {
             let (u, _v) = g.endpoints(e);
@@ -187,7 +174,7 @@ mod tests {
 
     #[test]
     fn shortest_path_mode_matches_spf() {
-        let (g, s1, _, _, t) = fig1();
+        let (g, Fig1 { s1, t, .. }) = example_fig1::topology();
         let dag = build_dag(&g, t, DagMode::ShortestPath).unwrap();
         assert_eq!(dag.edge_count(), 4);
         assert_eq!(dag.out_edges(s1).len(), 2);
@@ -198,7 +185,7 @@ mod tests {
         // Make (s2,t) expensive so s2's shortest path goes via v; the
         // augmented DAG must then orient the direct (s2,t) link towards t
         // anyway (it points at the destination, distance 0 < distance of s2).
-        let (mut g, _s1, s2, v, t) = fig1();
+        let (mut g, Fig1 { s2, v, t, .. }) = example_fig1::topology();
         let s2t = g.find_edge(s2, t).unwrap();
         g.set_symmetric_weight(s2t, 10.0);
         let aug = build_dag(&g, t, DagMode::Augmented).unwrap();

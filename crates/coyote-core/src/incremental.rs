@@ -127,22 +127,9 @@ pub fn demand_dirty_destinations(old: &DemandMatrix, new: &DemandMatrix) -> Vec<
 mod tests {
     use super::*;
     use crate::dag_builder::{build_all_dags, DagMode};
+    use crate::example_fig1::{self, Fig1};
     use crate::routing::PdRouting;
     use coyote_graph::EdgeId;
-
-    fn fig1() -> (Graph, NodeId, NodeId, NodeId, NodeId) {
-        let mut g = Graph::new();
-        let s1 = g.add_node("s1").unwrap();
-        let s2 = g.add_node("s2").unwrap();
-        let v = g.add_node("v").unwrap();
-        let t = g.add_node("t").unwrap();
-        g.add_bidirectional_edge(s1, s2, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s1, v, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s2, v, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s2, t, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(v, t, 1.0, 1.0).unwrap();
-        (g, s1, s2, v, t)
-    }
 
     /// Solves every destination independently and assembles the separable
     /// routing — the *cold* protocol the incremental engine must reproduce.
@@ -238,7 +225,7 @@ mod tests {
     fn single_destination_solve_matches_the_joint_optimum_for_one_column() {
         // With only one active destination the separable LP *is* the joint
         // MCF, so the objectives must agree.
-        let (g, s1, _, _, t) = fig1();
+        let (g, Fig1 { s1, t, .. }) = example_fig1::topology();
         let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
         let mut dm = DemandMatrix::zeros(4);
         dm.set(s1, t, 2.0);
@@ -254,7 +241,7 @@ mod tests {
     #[test]
     fn solutions_are_separable_across_columns() {
         // Changing another destination's column must not change t's solve.
-        let (g, s1, s2, v, t) = fig1();
+        let (g, Fig1 { s1, s2, v, t }) = example_fig1::topology();
         let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
         let mut dm = DemandMatrix::zeros(4);
         dm.set(s1, t, 1.0);
@@ -268,7 +255,7 @@ mod tests {
 
     #[test]
     fn unroutable_sources_are_masked_not_fatal() {
-        let (g, s1, s2, _, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         // Hand the solver a DAG with no out-edges for s1 by failing both of
         // s1's links: rebuild on a pruned graph, then ask for s1's demand.
         let dead: Vec<_> = g
@@ -290,7 +277,7 @@ mod tests {
 
     #[test]
     fn demand_dirty_set_is_exactly_the_changed_columns() {
-        let (g, s1, s2, v, t) = fig1();
+        let (g, Fig1 { s1, s2, v, t }) = example_fig1::topology();
         let mut old = DemandMatrix::zeros(g.node_count());
         old.set(s1, t, 1.0);
         old.set(s2, v, 2.0);
@@ -307,7 +294,7 @@ mod tests {
 
     #[test]
     fn separable_routing_round_trips_through_pd_routing() {
-        let (g, s1, s2, _, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
         let mut dm = DemandMatrix::zeros(4);
         dm.set(s1, t, 1.0);

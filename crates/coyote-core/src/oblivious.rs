@@ -764,23 +764,10 @@ pub fn coyote(
 mod tests {
     use super::*;
     use crate::ecmp::ecmp_routing;
+    use crate::example_fig1::{self, Fig1};
     use crate::worst_case::performance_ratio_exact;
     use coyote_graph::{EdgeId, NodeId};
     use proptest::prelude::*;
-
-    fn fig1() -> (Graph, NodeId, NodeId, NodeId, NodeId) {
-        let mut g = Graph::new();
-        let s1 = g.add_node("s1").unwrap();
-        let s2 = g.add_node("s2").unwrap();
-        let v = g.add_node("v").unwrap();
-        let t = g.add_node("t").unwrap();
-        g.add_bidirectional_edge(s1, s2, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s1, v, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s2, v, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s2, t, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(v, t, 1.0, 1.0).unwrap();
-        (g, s1, s2, v, t)
-    }
 
     fn fig1_uncertainty(s1: NodeId, s2: NodeId, t: NodeId) -> UncertaintySet {
         let mut upper = coyote_traffic::DemandMatrix::zeros(4);
@@ -985,7 +972,7 @@ mod tests {
 
     #[test]
     fn lane_kernel_matches_the_scalar_reference_bit_for_bit() {
-        let (fig1, ..) = fig1();
+        let (fig1, _) = example_fig1::topology();
         let zoo = |t: coyote_topology::Topology| t.to_graph().unwrap();
         for graph in [
             fig1,
@@ -1050,7 +1037,7 @@ mod tests {
 
     #[test]
     fn gradient_matches_finite_differences() {
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
         let mut dm = DemandMatrix::zeros(4);
         dm.set(s1, t, 1.5);
@@ -1192,7 +1179,7 @@ mod tests {
         // The paper: traditional ECMP cannot do better than 3/2 on Fig. 1,
         // while COYOTE achieves 4/3 (and its optimization even reaches the
         // golden-ratio optimum ≈ 1.236 within the Fig. 1c DAG).
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let unc = fig1_uncertainty(s1, s2, t);
         let result = coyote(&g, &unc, None, &CoyoteConfig::fast()).unwrap();
         result.routing.validate(&g).unwrap();
@@ -1221,7 +1208,7 @@ mod tests {
 
     #[test]
     fn optimizer_improves_over_uniform_starting_point() {
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let unc = fig1_uncertainty(s1, s2, t);
         let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
         let uniform = PdRouting::uniform(&g, dags.clone());
@@ -1241,7 +1228,7 @@ mod tests {
     fn partial_knowledge_beats_full_obliviousness_on_its_own_box() {
         // Optimizing for the (tight) box around the base matrix should do at
         // least as well on that box as optimizing for "anything goes".
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let base = DemandMatrix::from_pairs(4, &[(s1, t, 1.0), (s2, t, 1.0)]);
         let margin_box = UncertaintySet::from_margin(&base, 1.5);
         let oblivious = UncertaintySet::oblivious(4);
@@ -1270,7 +1257,7 @@ mod tests {
     /// Zero candidate edges probe one, as `cg_rounds = 0` runs one round.
     #[test]
     fn zero_candidate_edges_probe_one() {
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let unc = fig1_uncertainty(s1, s2, t);
         let run = |cg_candidate_edges| {
             let cfg = CoyoteConfig {
@@ -1291,7 +1278,7 @@ mod tests {
 
     #[test]
     fn dimension_mismatch_is_reported() {
-        let (g, ..) = fig1();
+        let (g, _) = example_fig1::topology();
         let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
         let unc = UncertaintySet::oblivious(4);
         let err = optimize_splitting(&g, dags[..2].to_vec(), &unc, None, &CoyoteConfig::fast());
@@ -1300,7 +1287,7 @@ mod tests {
 
     #[test]
     fn result_metadata_is_populated() {
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let unc = fig1_uncertainty(s1, s2, t);
         let result = coyote(&g, &unc, None, &CoyoteConfig::fast()).unwrap();
         assert!(result.rounds >= 1);
@@ -1310,7 +1297,7 @@ mod tests {
 
     #[test]
     fn adam_returns_a_point_no_worse_than_its_start() {
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
         let mut dm = DemandMatrix::zeros(4);
         dm.set(s1, t, 2.0);

@@ -116,9 +116,9 @@ pub(crate) fn flow_block(
 /// ([`tree_arcs`]) and skips phase one. Value-only solves keep the slack
 /// start until moving the `OPTU` normalizers in their last bits has a
 /// stated tolerance (ROADMAP item 1 names the PR that deletes this type).
-/// A solve that reads the capacity lengths runs through an
-/// [`coyote_lp::LpSession`] for its row duals; any optimal vertex's duals
-/// are lengths, so inside DAGs it starts from the tree as well.
+/// A solve that reads the capacity lengths reads its session's row duals;
+/// any optimal vertex's duals are lengths, so inside DAGs it starts from
+/// the tree as well.
 #[derive(Clone, Copy)]
 pub(crate) enum Reads {
     Value,
@@ -296,22 +296,20 @@ pub(crate) fn solve_commodities(
         Reads::Value => None,
     };
     let mut lengths = None;
-    let solved = match (reads, start) {
-        (Reads::Lengths, start) => lp.prepare().and_then(|mut session| {
-            let sol = match start {
-                Some(start) => session.solve_from(&start)?,
-                None => session.solve()?,
-            };
+    let solved = lp.prepare().and_then(|mut session| {
+        let sol = match start {
+            Some(start) => session.solve_from(&start)?,
+            None => session.solve()?,
+        };
+        if let Reads::Lengths = reads {
             // A minimization prices a `≤` row at a non-positive dual.
             lengths = session.row_duals().map(|duals| {
                 let length = |row: &Option<usize>| row.map_or(0.0, |r| (-duals[r]).max(0.0));
                 cap_rows.iter().map(length).collect()
             });
-            Ok(sol)
-        }),
-        (_, Some(start)) => lp.solve_from(&start),
-        (_, None) => lp.solve(),
-    };
+        }
+        Ok(sol)
+    });
     let sol = solved.map_err(|e| match e {
         coyote_lp::LpError::Infeasible { .. } => CoreError::UnroutableDemand {
             detail: "flow conservation cannot be satisfied inside the allowed edge set".into(),
@@ -452,26 +450,13 @@ pub fn split_routable_within_dags(
 mod tests {
     use super::*;
     use crate::dag_builder::{build_all_dags, DagMode};
-
-    fn fig1() -> (Graph, NodeId, NodeId, NodeId, NodeId) {
-        let mut g = Graph::new();
-        let s1 = g.add_node("s1").unwrap();
-        let s2 = g.add_node("s2").unwrap();
-        let v = g.add_node("v").unwrap();
-        let t = g.add_node("t").unwrap();
-        g.add_bidirectional_edge(s1, s2, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s1, v, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s2, v, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s2, t, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(v, t, 1.0, 1.0).unwrap();
-        (g, s1, s2, v, t)
-    }
+    use crate::example_fig1::{self, Fig1};
 
     #[test]
     fn optu_of_the_fig1_worst_case_demand_is_one() {
         // The paper: demands (2, 0) "can send all traffic without exceeding
         // any link capacity" by splitting between (s1 s2 t) and (s1 v t).
-        let (g, s1, _s2, _v, t) = fig1();
+        let (g, Fig1 { s1, t, .. }) = example_fig1::topology();
         let mut dm = DemandMatrix::zeros(4);
         dm.set(s1, t, 2.0);
         let u = optu(&g, &dm).unwrap();
@@ -480,7 +465,7 @@ mod tests {
 
     #[test]
     fn optu_scales_linearly_with_demands() {
-        let (g, s1, _s2, _v, t) = fig1();
+        let (g, Fig1 { s1, t, .. }) = example_fig1::topology();
         let mut dm = DemandMatrix::zeros(4);
         dm.set(s1, t, 1.0);
         let u1 = optu(&g, &dm).unwrap();
@@ -493,7 +478,7 @@ mod tests {
         // With unit weights the SPF DAG towards t does not use (s2,v); a
         // demand from s2 alone then has only the direct path, utilization 2,
         // while the unrestricted optimum splits and achieves 1.
-        let (g, _s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s2, t, .. }) = example_fig1::topology();
         let mut dm = DemandMatrix::zeros(4);
         dm.set(s2, t, 2.0);
         let spf = build_all_dags(&g, DagMode::ShortestPath).unwrap();
@@ -508,7 +493,7 @@ mod tests {
         // The augmented DAG restores the (s2,v) path diversity, so for the
         // single-source demands of the running example it is as good as the
         // unrestricted optimum.
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let aug = build_all_dags(&g, DagMode::Augmented).unwrap();
         for (src, amount) in [(s1, 2.0), (s2, 2.0)] {
             let mut dm = DemandMatrix::zeros(4);
@@ -524,7 +509,7 @@ mod tests {
 
     #[test]
     fn zero_demand_has_zero_utilization() {
-        let (g, ..) = fig1();
+        let (g, _) = example_fig1::topology();
         let dm = DemandMatrix::zeros(4);
         assert_eq!(optu(&g, &dm).unwrap(), 0.0);
     }
@@ -544,7 +529,7 @@ mod tests {
 
     #[test]
     fn base_routing_is_optimal_for_its_own_matrix() {
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let aug = build_all_dags(&g, DagMode::Augmented).unwrap();
         let mut dm = DemandMatrix::zeros(4);
         dm.set(s1, t, 1.0);
@@ -597,7 +582,7 @@ mod tests {
     /// slack start as before, and still the right answer.
     #[test]
     fn a_dead_end_with_a_conservation_row_takes_the_slack_start() {
-        let (g, s1, s2, v, t) = fig1();
+        let (g, Fig1 { s1, s2, v, t }) = example_fig1::topology();
         let edge = |a, b| g.find_edge(a, b).unwrap();
         // v is a dead end of t's DAG: s1 may enter it, nothing leaves.
         let arcs = [edge(s1, s2), edge(s1, v), edge(s2, t)];
@@ -668,7 +653,7 @@ mod tests {
 
     #[test]
     fn split_routable_is_a_noop_on_connected_graphs() {
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
         let mut dm = DemandMatrix::zeros(4);
         dm.set(s1, t, 1.0);
@@ -681,7 +666,7 @@ mod tests {
 
     #[test]
     fn dimension_mismatches_are_rejected() {
-        let (g, ..) = fig1();
+        let (g, _) = example_fig1::topology();
         let dm = DemandMatrix::zeros(3);
         assert!(matches!(
             optu(&g, &dm),

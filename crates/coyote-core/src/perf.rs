@@ -258,22 +258,9 @@ mod tests {
     use super::*;
     use crate::dag_builder::{build_all_dags, DagMode};
     use crate::ecmp::{ecmp_routing, uniform_augmented_routing};
+    use crate::example_fig1::{self, Fig1};
     use crate::opt_mcf::optu_within_dags;
     use coyote_graph::NodeId;
-
-    fn fig1() -> (Graph, NodeId, NodeId, NodeId, NodeId) {
-        let mut g = Graph::new();
-        let s1 = g.add_node("s1").unwrap();
-        let s2 = g.add_node("s2").unwrap();
-        let v = g.add_node("v").unwrap();
-        let t = g.add_node("t").unwrap();
-        g.add_bidirectional_edge(s1, s2, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s1, v, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s2, v, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s2, t, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(v, t, 1.0, 1.0).unwrap();
-        (g, s1, s2, v, t)
-    }
 
     fn base_dm(s1: NodeId, s2: NodeId, t: NodeId) -> DemandMatrix {
         DemandMatrix::from_pairs(4, &[(s1, t, 1.0), (s2, t, 1.0)])
@@ -281,7 +268,7 @@ mod tests {
 
     #[test]
     fn evaluation_set_contains_base_and_envelopes() {
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
         let base = base_dm(s1, s2, t);
         let unc = UncertaintySet::from_margin(&base, 2.0);
@@ -306,7 +293,7 @@ mod tests {
 
     #[test]
     fn performance_ratio_is_at_least_one_for_any_routing() {
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
         let base = base_dm(s1, s2, t);
         let unc = UncertaintySet::from_margin(&base, 2.0);
@@ -320,7 +307,7 @@ mod tests {
 
     #[test]
     fn ecmp_is_no_better_than_the_dag_optimum_on_the_worst_matrix() {
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
         let base = base_dm(s1, s2, t);
         let unc = UncertaintySet::from_margin(&base, 3.0);
@@ -334,7 +321,7 @@ mod tests {
 
     #[test]
     fn adding_an_adversarial_matrix_can_only_raise_the_ratio() {
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
         let base = base_dm(s1, s2, t);
         let unc = UncertaintySet::from_margin(&base, 2.0);
@@ -352,7 +339,7 @@ mod tests {
 
     #[test]
     fn zero_matrices_are_skipped_silently() {
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
         let base = base_dm(s1, s2, t);
         let unc = UncertaintySet::from_margin(&base, 2.0);
@@ -366,7 +353,7 @@ mod tests {
 
     #[test]
     fn stretch_of_a_routing_against_itself_is_one() {
-        let (g, ..) = fig1();
+        let (g, _) = example_fig1::topology();
         let ecmp = ecmp_routing(&g).unwrap();
         let s = average_stretch(&g, &ecmp, &ecmp).unwrap();
         assert!((s - 1.0).abs() < 1e-12);
@@ -380,7 +367,7 @@ mod tests {
     fn augmented_uniform_routing_has_bounded_stretch() {
         // Uniform splitting over the augmented DAG takes some longer detours
         // but on the 4-node example stays well under 2x.
-        let (g, ..) = fig1();
+        let (g, _) = example_fig1::topology();
         let ecmp = ecmp_routing(&g).unwrap();
         let aug = uniform_augmented_routing(&g).unwrap();
         let s = average_stretch(&g, &aug, &ecmp).unwrap();

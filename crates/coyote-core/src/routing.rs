@@ -267,22 +267,8 @@ impl PdRouting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::example_fig1::{self, Fig1};
     use coyote_graph::spf::shortest_path_dag;
-
-    /// Fig. 1 topology with the Fig. 1b shortest-path DAG for t.
-    fn fig1() -> (Graph, NodeId, NodeId, NodeId, NodeId) {
-        let mut g = Graph::new();
-        let s1 = g.add_node("s1").unwrap();
-        let s2 = g.add_node("s2").unwrap();
-        let v = g.add_node("v").unwrap();
-        let t = g.add_node("t").unwrap();
-        g.add_bidirectional_edge(s1, s2, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s1, v, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s2, v, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s2, t, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(v, t, 1.0, 1.0).unwrap();
-        (g, s1, s2, v, t)
-    }
 
     fn all_spf_dags(g: &Graph) -> Vec<Dag> {
         g.nodes()
@@ -292,7 +278,7 @@ mod tests {
 
     #[test]
     fn uniform_routing_is_valid_and_matches_ecmp_splits() {
-        let (g, s1, _s2, _v, t) = fig1();
+        let (g, Fig1 { s1, t, .. }) = example_fig1::topology();
         let routing = PdRouting::uniform(&g, all_spf_dags(&g));
         routing.validate(&g).unwrap();
         // s1 has two equal-cost next hops towards t.
@@ -310,7 +296,7 @@ mod tests {
         // exactly one unit. (The paper's 3/2 figure for Fig. 1b assumes
         // weights under which s2 also splits; that configuration is covered
         // by the oblivious-ratio tests in `example_fig1`.)
-        let (g, s1, s2, v, t) = fig1();
+        let (g, Fig1 { s1, s2, v, t }) = example_fig1::topology();
         let routing = PdRouting::uniform(&g, all_spf_dags(&g));
         let mut dm = DemandMatrix::zeros(g.node_count());
         dm.set(s1, t, 2.0);
@@ -326,7 +312,7 @@ mod tests {
 
     #[test]
     fn source_fractions_sum_correctly_along_the_dag() {
-        let (g, s1, s2, v, t) = fig1();
+        let (g, Fig1 { s1, s2, v, t }) = example_fig1::topology();
         let routing = PdRouting::uniform(&g, all_spf_dags(&g));
         let f = routing.source_fractions(&g, s1, t);
         assert_eq!(f[s1.index()], 1.0);
@@ -341,7 +327,7 @@ mod tests {
 
     #[test]
     fn from_ratios_normalizes_and_rejects_off_dag_entries() {
-        let (g, s1, s2, v, t) = fig1();
+        let (g, Fig1 { s1, s2, v, t }) = example_fig1::topology();
         let dags = all_spf_dags(&g);
         let dag_t = &dags[t.index()];
         let s1s2 = g.find_edge(s1, s2).unwrap();
@@ -361,7 +347,7 @@ mod tests {
 
     #[test]
     fn set_ratios_falls_back_to_uniform_for_all_zero_nodes() {
-        let (g, s1, _s2, _v, t) = fig1();
+        let (g, Fig1 { s1, t, .. }) = example_fig1::topology();
         let mut routing = PdRouting::uniform(&g, all_spf_dags(&g));
         let raw = vec![0.0; g.edge_count()];
         routing.set_ratios(&g, t, &raw);
@@ -377,7 +363,7 @@ mod tests {
         // Fig. 1c: s1 splits 2/3 towards s2 and 1/3 towards v (via the DAG of
         // Fig 1b), s2 and v forward everything to t. For demands (2, 0) the
         // load on (s2,t) is 4/3 and on (v,t) is 2/3.
-        let (g, s1, s2, v, t) = fig1();
+        let (g, Fig1 { s1, s2, v, t }) = example_fig1::topology();
         let dags = all_spf_dags(&g);
         let s1s2 = g.find_edge(s1, s2).unwrap();
         let s1v = g.find_edge(s1, v).unwrap();
@@ -397,7 +383,7 @@ mod tests {
 
     #[test]
     fn expected_hops_under_ecmp() {
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let routing = PdRouting::uniform(&g, all_spf_dags(&g));
         assert_eq!(routing.expected_hops(&g, t, t), Some(0.0));
         assert!((routing.expected_hops(&g, s2, t).unwrap() - 1.0).abs() < 1e-12);
@@ -406,7 +392,7 @@ mod tests {
 
     #[test]
     fn validate_catches_corrupted_ratios() {
-        let (g, _s1, _s2, _v, t) = fig1();
+        let (g, Fig1 { t, .. }) = example_fig1::topology();
         let mut routing = PdRouting::uniform(&g, all_spf_dags(&g));
         // Corrupt: put mass on an edge outside the DAG of t.
         let s2v = g.find_edge(NodeId(1), NodeId(2)).unwrap();
@@ -417,7 +403,7 @@ mod tests {
 
     #[test]
     fn multi_destination_loads_superimpose() {
-        let (g, s1, s2, v, t) = fig1();
+        let (g, Fig1 { s1, s2, v, t }) = example_fig1::topology();
         let routing = PdRouting::uniform(&g, all_spf_dags(&g));
         let mut dm = DemandMatrix::zeros(g.node_count());
         dm.set(s1, t, 1.0);

@@ -126,7 +126,7 @@ pub struct WorstCase {
 /// [`SlaveLp::solve_edge`] after the first re-enters phase two from the
 /// basis the session recorded — with results bit-identical to building and
 /// solving from scratch.
-pub struct SlaveLp<'a> {
+struct SlaveLp<'a> {
     graph: &'a Graph,
     routing: &'a PdRouting,
     fractions: &'a FractionTable,
@@ -144,7 +144,7 @@ pub struct SlaveLp<'a> {
 impl<'a> SlaveLp<'a> {
     /// Builds the constraint system (certifying-flow conservation,
     /// capacities, scaled box bounds) with an all-zero objective.
-    pub fn new(
+    fn new(
         graph: &'a Graph,
         routing: &'a PdRouting,
         fractions: &'a FractionTable,
@@ -332,7 +332,7 @@ impl<'a> SlaveLp<'a> {
     /// Finds the demand matrix maximizing the utilization of `edge`, or
     /// `None` when the edge can never carry traffic under this routing (all
     /// of its splitting ratios are zero).
-    pub fn solve_edge(&mut self, edge: EdgeId) -> Result<Option<(DemandMatrix, f64)>, CoreError> {
+    fn solve_edge(&mut self, edge: EdgeId) -> Result<Option<(DemandMatrix, f64)>, CoreError> {
         coyote_obs::counter("core.worst_case.lp_solves", 1);
         let mut any_positive = false;
         for &(s, t) in &self.pairs {
@@ -511,21 +511,8 @@ mod tests {
     use super::*;
     use crate::dag_builder::{build_all_dags, DagMode};
     use crate::ecmp::ecmp_routing;
+    use crate::example_fig1::{self, Fig1};
     use crate::routing::PdRouting;
-
-    fn fig1() -> (Graph, NodeId, NodeId, NodeId, NodeId) {
-        let mut g = Graph::new();
-        let s1 = g.add_node("s1").unwrap();
-        let s2 = g.add_node("s2").unwrap();
-        let v = g.add_node("v").unwrap();
-        let t = g.add_node("t").unwrap();
-        g.add_bidirectional_edge(s1, s2, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s1, v, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s2, v, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s2, t, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(v, t, 1.0, 1.0).unwrap();
-        (g, s1, s2, v, t)
-    }
 
     /// Restricts the uncertainty set to the two users of the running example
     /// (everything else pinned to zero), each able to send up to 2 units.
@@ -542,7 +529,7 @@ mod tests {
     fn ecmp_on_fig1_has_oblivious_ratio_two_with_unit_weights() {
         // With unit weights s2 has a single shortest path; the demand
         // (0, 2) then loads (s2,t) at 2 while the optimum is 1.
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let routing = ecmp_routing(&g).unwrap();
         let unc = fig1_uncertainty(s1, s2, t);
         let wc =
@@ -556,7 +543,7 @@ mod tests {
     fn fig1c_routing_has_ratio_four_thirds() {
         // The paper's Fig. 1c configuration: within the augmented DAG,
         // s1 splits 1/2 - 1/2, s2 sends 2/3 to t and 1/3 to v.
-        let (g, s1, s2, v, t) = fig1();
+        let (g, Fig1 { s1, s2, v, t }) = example_fig1::topology();
         let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
         let mut raw = vec![vec![0.0; g.edge_count()]; g.node_count()];
         let s1s2 = g.find_edge(s1, s2).unwrap();
@@ -586,7 +573,7 @@ mod tests {
         // Pin both demands to exactly 1 (margin 1 around the base matrix):
         // ECMP with unit weights then has ratio equal to its utilization on
         // that single matrix divided by the optimum.
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let routing = ecmp_routing(&g).unwrap();
         let mut base = DemandMatrix::zeros(4);
         base.set(s1, t, 1.0);
@@ -606,7 +593,7 @@ mod tests {
 
     #[test]
     fn edges_that_never_carry_traffic_are_skipped() {
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let routing = ecmp_routing(&g).unwrap();
         let fractions = FractionTable::new(&g, &routing);
         let unc = fig1_uncertainty(s1, s2, t);
@@ -619,7 +606,7 @@ mod tests {
 
     #[test]
     fn fraction_table_matches_direct_computation() {
-        let (g, s1, _s2, _v, t) = fig1();
+        let (g, Fig1 { s1, t, .. }) = example_fig1::topology();
         let routing = ecmp_routing(&g).unwrap();
         let table = FractionTable::new(&g, &routing);
         let direct = routing.source_fractions(&g, s1, t);
@@ -631,7 +618,7 @@ mod tests {
 
     #[test]
     fn bottleneck_candidates_rank_by_utilization() {
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let routing = ecmp_routing(&g).unwrap();
         let mut dm = DemandMatrix::zeros(4);
         dm.set(s1, t, 1.0);
@@ -647,7 +634,7 @@ mod tests {
         // When the adversary's certifying flow is restricted to the SPF DAGs
         // (no (s2,v) path), demands from s2 cannot be counter-routed any
         // better than ECMP does, so the ratio can only go down or stay equal.
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let routing = ecmp_routing(&g).unwrap();
         let unc = fig1_uncertainty(s1, s2, t);
         let all =
@@ -663,7 +650,7 @@ mod tests {
     /// ratio and witness, bit for bit.
     #[test]
     fn scan_is_bit_identical_with_one_session_and_with_one_per_edge() {
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let routing = ecmp_routing(&g).unwrap();
         let fractions = FractionTable::new(&g, &routing);
         // A margin box has lower bounds, so phase one does real work.
@@ -839,7 +826,7 @@ mod tests {
         );
 
         // Oblivious sets: no certificate until the first solve.
-        let (fig1, ..) = fig1();
+        let (fig1, _) = example_fig1::topology();
         let (abilene, ..) = gravity_instance("abilene");
         for (label, g) in [("fig1", &fig1), ("abilene", &abilene)] {
             let routing = crate::ecmp::uniform_augmented_routing(g).unwrap();
@@ -871,7 +858,7 @@ mod tests {
     /// the scan still finds the exhaustive scan's worst case.
     #[test]
     fn scans_without_a_lower_envelope_certificate_match_the_exhaustive_scan() {
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let routing = ecmp_routing(&g).unwrap();
         // s1 cut off: a lower bound on its demand cannot be routed.
         let s1_links: Vec<EdgeId> = g
@@ -966,7 +953,7 @@ mod tests {
 
     #[test]
     fn candidate_edge_restriction_is_respected() {
-        let (g, s1, s2, _v, t) = fig1();
+        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
         let routing = ecmp_routing(&g).unwrap();
         let unc = fig1_uncertainty(s1, s2, t);
         let s2t = g.find_edge(s2, t).unwrap();

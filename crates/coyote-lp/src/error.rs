@@ -1,6 +1,5 @@
 //! Error type for the LP solver.
 
-use crate::model::Name;
 use std::fmt;
 
 /// Errors reported by [`crate::LpProblem::solve`].
@@ -23,25 +22,16 @@ pub enum LpError {
         /// The offending index.
         index: usize,
     },
-    /// A coefficient, bound or right-hand side was NaN/infinite where a
-    /// finite value is required.
+    /// A coefficient or right-hand side was NaN/infinite where a finite
+    /// value is required.
     NotFinite {
         /// Description of where the bad value appeared.
         context: String,
     },
-    /// Lower bound exceeds upper bound for a variable.
-    EmptyDomain {
-        /// Variable name.
-        name: Name,
-        /// Lower bound.
-        lower: f64,
-        /// Upper bound.
-        upper: f64,
-    },
     /// The starting basis handed to [`crate::LpProblem::solve_from`] is not
-    /// a basis of this problem at all: an unknown row or variable, a
-    /// variable without a finite lower bound, a row or variable named twice,
-    /// or an equality row left without a basic variable.
+    /// a basis of this problem at all: an unknown row or variable, a row or
+    /// variable named twice, or an equality row left without a basic
+    /// variable.
     InvalidStart {
         /// What is wrong with the list.
         context: String,
@@ -70,9 +60,6 @@ impl fmt::Display for LpError {
             }
             LpError::UnknownVariable { index } => write!(f, "unknown variable index {index}"),
             LpError::NotFinite { context } => write!(f, "non-finite value in {context}"),
-            LpError::EmptyDomain { name, lower, upper } => {
-                write!(f, "variable {name} has empty domain [{lower}, {upper}]")
-            }
             LpError::InvalidStart { context } => write!(f, "invalid starting basis: {context}"),
             LpError::Numerical { context } => write!(f, "numerical failure: {context}"),
         }
@@ -94,12 +81,5 @@ mod tests {
         assert!(LpError::IterationLimit { limit: 10 }
             .to_string()
             .contains("10"));
-        assert!(LpError::EmptyDomain {
-            name: "x".into(),
-            lower: 2.0,
-            upper: 1.0
-        }
-        .to_string()
-        .contains("x"));
     }
 }

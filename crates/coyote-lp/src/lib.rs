@@ -25,16 +25,17 @@
 //! The original work delegates these to AMPL/MOSEK; this crate implements the
 //! solver from scratch so that the whole reproduction is dependency-free.
 //!
-//! Repeated solves of one constraint system under changing objectives (the
-//! per-edge slave LPs of `coyote-core::worst_case`) go through the crate's
-//! one prepared-model type, [`LpSession`] ([`LpProblem::prepare`]): the
-//! model is validated and converted to standard form once, and every solve
-//! after the first re-enters phase two from the basis the session itself
-//! recorded — bit-identical to a cold solve by construction and therefore
-//! not switchable. Everything else is a one-shot [`LpProblem::solve`], or
+//! Every variable is non-negative, as in every LP the paper poses (flows,
+//! demands, `α`, `λ`), and every solve runs through the crate's one
+//! prepared-model type, [`LpSession`] ([`LpProblem::prepare`]): the model
+//! is validated and converted to standard form once. Repeated solves of one
+//! constraint system under changing objectives (the per-edge slave LPs of
+//! `coyote-core::worst_case`) re-enter phase two from the basis the session
+//! itself recorded — bit-identical to a cold solve by construction and
+//! therefore not switchable. A single solve is [`LpProblem::solve`], or
 //! [`LpProblem::solve_from`] when the caller can name a feasible starting
 //! basis from the problem's structure (a hint the solver checks, never an
-//! answer it trusts).
+//! answer it trusts): each is a fresh session's first solve.
 //!
 //! ## Usage
 //!
@@ -43,8 +44,8 @@
 //!
 //! // maximize 3x + 2y  s.t.  x + y <= 4,  x + 3y <= 6,  x,y >= 0
 //! let mut lp = LpProblem::new(Sense::Maximize);
-//! let x = lp.add_var("x", 0.0, f64::INFINITY, 3.0);
-//! let y = lp.add_var("y", 0.0, f64::INFINITY, 2.0);
+//! let x = lp.add_nonneg_var("x", 3.0);
+//! let y = lp.add_nonneg_var("y", 2.0);
 //! lp.add_constraint("c1", &[(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
 //! lp.add_constraint("c2", &[(x, 1.0), (y, 3.0)], Relation::Le, 6.0);
 //! let sol = lp.solve().unwrap();

@@ -1,8 +1,8 @@
-//! Problem-builder API: variables, bounds, linear constraints, objective.
+//! Problem-builder API: non-negative variables, linear constraints,
+//! objective.
 
 use crate::error::LpError;
-use crate::revised::{self, LpSession};
-use crate::simplex;
+use crate::revised::LpSession;
 use crate::solution::LpSolution;
 use std::fmt;
 use std::ops::Range;
@@ -102,8 +102,6 @@ pub enum Relation {
 #[derive(Debug, Clone)]
 pub(crate) struct Variable {
     pub name: Name,
-    pub lower: f64,
-    pub upper: f64,
     pub objective: f64,
 }
 
@@ -132,8 +130,8 @@ pub(crate) struct Constraint {
 
 /// A linear program under construction.
 ///
-/// Variables have box bounds `[lower, upper]` (use `f64::NEG_INFINITY` /
-/// `f64::INFINITY` for free/unbounded sides). Constraints are sparse rows.
+/// Every variable is non-negative: variable `i` is column `i` of the
+/// standard form. Constraints are sparse rows.
 #[derive(Debug, Clone)]
 pub struct LpProblem {
     pub(crate) sense: Sense,
@@ -168,33 +166,17 @@ impl LpProblem {
         self.backend = Some(backend);
     }
 
-    /// Adds a variable with bounds `[lower, upper]` and objective
-    /// coefficient `objective`; returns its handle.
-    pub fn add_var(
-        &mut self,
-        name: impl Into<Name>,
-        lower: f64,
-        upper: f64,
-        objective: f64,
-    ) -> VarId {
+    /// Adds a non-negative variable (`0 <= x`) with objective coefficient
+    /// `objective`; returns its handle.
+    pub fn add_nonneg_var(&mut self, name: impl Into<Name>, objective: f64) -> VarId {
         let id = VarId(self.vars.len());
-        self.vars.push(Variable {
-            name: name.into(),
-            lower,
-            upper,
-            objective,
-        });
+        let name = name.into();
+        self.vars.push(Variable { name, objective });
         id
     }
 
-    /// Convenience: adds a non-negative variable (`0 <= x`) with an objective
-    /// coefficient.
-    pub fn add_nonneg_var(&mut self, name: impl Into<Name>, objective: f64) -> VarId {
-        self.add_var(name, 0.0, f64::INFINITY, objective)
-    }
-
     /// Changes the objective coefficient of an existing variable.
-    pub fn set_objective(&mut self, var: VarId, coefficient: f64) {
+    pub(crate) fn set_objective(&mut self, var: VarId, coefficient: f64) {
         self.vars[var.0].objective = coefficient;
     }
 
@@ -230,35 +212,14 @@ impl LpProblem {
         self.iteration_limit = Some(limit);
     }
 
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.vars.len()
-    }
-
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
         self.constraints.len()
     }
 
-    /// Validates the model: finite coefficients, sane bounds, known ids.
-    pub fn validate(&self) -> Result<(), LpError> {
-        for v in &self.vars {
-            // `lower = +∞` / `upper = −∞` admit no value either, though
-            // neither compares above/below its partner at the same infinity.
-            if v.lower > v.upper || v.lower == f64::INFINITY || v.upper == f64::NEG_INFINITY {
-                return Err(LpError::EmptyDomain {
-                    name: v.name,
-                    lower: v.lower,
-                    upper: v.upper,
-                });
-            }
-            v.check_objective()?;
-            if v.lower.is_nan() || v.upper.is_nan() {
-                return Err(LpError::NotFinite {
-                    context: format!("bounds of {}", v.name),
-                });
-            }
-        }
+    /// Validates the model: finite coefficients, known ids.
+    pub(crate) fn validate(&self) -> Result<(), LpError> {
+        self.vars.iter().try_for_each(Variable::check_objective)?;
         for c in &self.constraints {
             if !c.rhs.is_finite() {
                 return Err(LpError::NotFinite {
@@ -286,12 +247,8 @@ impl LpProblem {
 
     /// Solves the problem once with the configured backend (sparse revised
     /// simplex by default, dense tableau when selected).
-    pub fn solve(&self) -> Result<LpSolution, LpError> {
-        self.validate()?;
-        match self.backend() {
-            SolverBackend::Revised => revised::solve(self, None),
-            SolverBackend::Dense => simplex::solve(self),
-        }
+    pub fn solve(self) -> Result<LpSolution, LpError> {
+        self.prepare()?.solve()
     }
 
     /// Solves the problem once, starting from the basis `start` names instead
@@ -302,20 +259,13 @@ impl LpProblem {
     /// that is singular or not primal-feasible is refused and the solve runs
     /// cold ([`crate::SolveStart::Refused`]); an accepted one skips phase
     /// one. The dense oracle checks the list and otherwise ignores it.
-    pub fn solve_from(&self, start: &[(usize, VarId)]) -> Result<LpSolution, LpError> {
-        self.validate()?;
-        self.check_start(start)?;
-        match self.backend() {
-            SolverBackend::Revised => revised::solve(self, Some(start)),
-            SolverBackend::Dense => simplex::solve(self),
-        }
+    pub fn solve_from(self, start: &[(usize, VarId)]) -> Result<LpSolution, LpError> {
+        self.prepare()?.solve_from(start)
     }
 
     /// The structural half of judging a starting basis: every pair names a
-    /// row and a variable of this model, the variable maps to one
-    /// standard-form column measured from its lower bound, nothing is named
-    /// twice, and every equality row — which has no slack to keep — is
-    /// covered.
+    /// row and a variable of this model, nothing is named twice, and every
+    /// equality row — which has no slack to keep — is covered.
     pub(crate) fn check_start(&self, start: &[(usize, VarId)]) -> Result<(), LpError> {
         let invalid = |context: String| Err(LpError::InvalidStart { context });
         let mut row_taken = vec![false; self.constraints.len()];
@@ -327,9 +277,6 @@ impl LpProblem {
             let Some(v) = self.vars.get(var.0) else {
                 return invalid(format!("unknown variable index {}", var.0));
             };
-            if !v.lower.is_finite() {
-                return invalid(format!("{} has no finite lower bound", v.name));
-            }
             if std::mem::replace(&mut row_taken[row], true) {
                 return invalid(format!("row {} is named twice", cons.name));
             }
@@ -366,34 +313,16 @@ mod tests {
     fn builder_tracks_counts() {
         let mut lp = LpProblem::new(Sense::Minimize);
         let x = lp.add_nonneg_var("x", 1.0);
-        let y = lp.add_var("y", -1.0, 1.0, 2.0);
+        let y = lp.add_nonneg_var("y", 2.0);
         lp.add_constraint("c", &[(x, 1.0), (y, 1.0)], Relation::Ge, 1.0);
-        assert_eq!(lp.num_vars(), 2);
+        assert_eq!(lp.vars.len(), 2);
         assert_eq!(lp.num_constraints(), 1);
     }
 
     #[test]
     fn validation_rejects_bad_models() {
         let mut lp = LpProblem::new(Sense::Minimize);
-        let _x = lp.add_var("x", 1.0, 0.0, 0.0); // empty domain
-        assert!(matches!(lp.validate(), Err(LpError::EmptyDomain { .. })));
-
-        // Both bounds at the same infinity leave nothing to choose from; the
-        // standard-form conversions would read the variable as free.
-        for (lower, upper) in [
-            (f64::INFINITY, f64::INFINITY),
-            (f64::NEG_INFINITY, f64::NEG_INFINITY),
-        ] {
-            for backend in [SolverBackend::Revised, SolverBackend::Dense] {
-                let mut lp = LpProblem::new(Sense::Minimize);
-                lp.add_var("x", lower, upper, 1.0);
-                lp.set_backend(backend);
-                assert!(matches!(lp.solve(), Err(LpError::EmptyDomain { .. })));
-            }
-        }
-
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let _ = lp.add_var("x", 0.0, 1.0, f64::NAN);
+        let _ = lp.add_nonneg_var("x", f64::NAN);
         assert!(matches!(lp.validate(), Err(LpError::NotFinite { .. })));
 
         let mut lp = LpProblem::new(Sense::Minimize);
@@ -408,7 +337,6 @@ mod tests {
         let x = lp.add_nonneg_var("x", 0.0);
         lp.add_constraint("bad", &[(x, 1.0)], Relation::Le, f64::INFINITY);
         assert!(matches!(lp.validate(), Err(LpError::NotFinite { .. })));
-        let _ = x;
     }
 
     /// Tagged names render exactly as the `format!`-built strings they
@@ -416,12 +344,12 @@ mod tests {
     #[test]
     fn tagged_names_keep_their_error_text() {
         let mut lp = LpProblem::new(Sense::Minimize);
-        lp.add_var(("g", 3, 17), 2.0, 1.0, 0.0);
+        let g = lp.add_nonneg_var(("g", 3, 17), f64::NAN);
         assert_eq!(
             lp.validate().unwrap_err().to_string(),
-            "variable g_3_17 has empty domain [2, 1]"
+            "non-finite value in objective coefficient of g_3_17"
         );
-        let mut lp = LpProblem::new(Sense::Minimize);
+        lp.set_objective(g, 0.0);
         let alpha = lp.add_nonneg_var("alpha", f64::NAN);
         assert_eq!(
             lp.validate().unwrap_err().to_string(),
@@ -438,7 +366,8 @@ mod tests {
     #[test]
     fn set_objective_overrides_coefficient() {
         let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_var("x", 0.0, 5.0, 0.0);
+        let x = lp.add_nonneg_var("x", 0.0);
+        lp.add_constraint("ub", &[(x, 1.0)], Relation::Le, 5.0);
         lp.set_objective(x, 3.0);
         let sol = lp.solve().unwrap();
         // Tolerance accounts for the solver's deterministic anti-degeneracy

@@ -1,11 +1,12 @@
-//! Revised simplex over a sparse column store, and the session that re-solves
-//! one prepared model under changing objectives.
+//! Revised simplex over a sparse column store, and the session every solve
+//! runs through.
 //!
 //! This is the production solver behind [`crate::LpProblem::solve`]. It
 //! implements the same two-phase method as the dense oracle
-//! ([`crate::simplex`]) — identical standard-form conversion, Dantzig
-//! pricing with the stall-triggered switch to Bland's rule, identical
-//! ratio-test tie-breaks — but instead of a dense tableau it keeps:
+//! ([`crate::simplex`]) — identical standard form (variable `i` is column
+//! `i`), Dantzig pricing with the stall-triggered switch to Bland's rule,
+//! identical ratio-test tie-breaks — but instead of a dense tableau it
+//! keeps:
 //!
 //! * the constraint matrix by columns in CSR form (the private `sparse` module), so
 //!   pricing is one BTRAN plus an `O(nnz)` sweep instead of a dense row scan;
@@ -26,9 +27,10 @@
 //!
 //! ## Sessions
 //!
-//! [`LpSession`] ([`crate::LpProblem::prepare`]) is the one object that
-//! outlives a solve: it owns the validated model and its standard form,
-//! built once, and its only mutator is [`LpSession::set_objective`]. Phase
+//! [`LpSession`] ([`crate::LpProblem::prepare`]) owns the validated model
+//! and its standard form, built once, and its only mutator is
+//! [`LpSession::set_objective`]. [`crate::LpProblem::solve`] and
+//! [`crate::LpProblem::solve_from`] are a session's first solve. Phase
 //! one never sees the objective, so the session records the feasible basis
 //! its first solve reaches at the end of phase one and every later solve
 //! re-enters phase two from it. That is **bit-identical** to a cold solve
@@ -43,27 +45,24 @@
 //! scan of `coyote-core::worst_case` solves one session per scan, one
 //! objective per edge.
 //!
-//! A session solve also leaves its row duals behind
+//! Every solve also leaves its row duals behind
 //! ([`LpSession::row_duals`]): the multipliers the last pricing of phase
 //! two computed anyway, mapped back to the problem's sense and row signs,
 //! in one buffer the session owns. The adversary scan reads the capacity
-//! rows' duals as link lengths that bound the edges it has not solved yet;
-//! a one-shot solve reads none and pays nothing for them.
+//! rows' duals as link lengths that bound the edges it has not solved yet.
 //!
 //! Re-solves that move the *right-hand side* (the `OPTU` family of
 //! `coyote-core::perf::EvaluationSet`, the daemon's per-destination LPs)
-//! are one-shot [`crate::LpProblem::solve`] calls: the previous optimal
-//! basis stays dual-feasible there, not primal-feasible, so they want a
-//! dual method rather than a primal basis restore (see
-//! `docs/ARCHITECTURE.md`).
+//! build a fresh problem each: the previous optimal basis stays
+//! dual-feasible there, not primal-feasible, so they want a dual method
+//! rather than a primal basis restore (see `docs/ARCHITECTURE.md`).
 //!
 //! ## Named starts
 //!
-//! A one-shot solve whose caller knows a feasible basis from the problem's
-//! structure names it ([`crate::LpProblem::solve_from`]; the flow LPs of
-//! `coyote-core::opt_mcf` name their shortest-path tree), and so does a
-//! session solve whose duals are wanted ([`LpSession::solve_from`]: the
-//! `OPTU` of an adversary scan's lower envelope). The list goes
+//! A solve whose caller knows a feasible basis from the problem's
+//! structure names it ([`LpSession::solve_from`], or
+//! [`crate::LpProblem::solve_from`]: the flow LPs of `coyote-core::opt_mcf`
+//! name their shortest-path tree). The list goes
 //! through the same `try_install` as a session's recorded basis — the only
 //! place a basis is accepted — and an accepted one skips phase one. Unlike
 //! a recorded basis it is not where the cold solve's phase one would have
@@ -79,21 +78,10 @@ use crate::solution::{LpSolution, SolveStart, SolveStats};
 use crate::sparse::CsrMatrix;
 use crate::tol::{DRIVE_OUT_TOL, DUAL_TOL, EPS, PHASE1_TOL, RHS_PERTURBATION, STALL_LIMIT};
 
-/// How an original variable maps to standard-form column(s). Mirrors the
-/// dense solver's conversion exactly so both backends solve the same
-/// standard-form problem.
-#[derive(Debug, Clone)]
-enum VarMap {
-    /// `x = lower + x_std[col]`
-    Shifted { col: usize, lower: f64 },
-    /// `x = upper - x_std[col]`
-    Mirrored { col: usize, upper: f64 },
-    /// `x = x_std[pos] - x_std[neg]`
-    Split { pos: usize, neg: usize },
-}
-
-/// Sparse standard form: the same conversion as the dense solver's
-/// `build_standard_form` + tableau assembly, stored by columns.
+/// Sparse standard form, stored by columns: variable `i` is column `i`,
+/// then one slack or surplus column per inequality row, then one
+/// artificial column per row that has no slack to start from. The dense
+/// oracle builds the same form as a tableau.
 struct SparseForm {
     sense: Sense,
     m: usize,
@@ -109,111 +97,52 @@ struct SparseForm {
     phase2_cost: Vec<f64>,
     /// Phase-one cost: one on artificial columns.
     phase1_cost: Vec<f64>,
-    objective_offset: f64,
-    var_map: Vec<VarMap>,
+    /// Number of structural columns, one per variable.
+    num_vars: usize,
     is_artificial: Vec<bool>,
     /// Initial basis: slack (effective-`<=` rows) or artificial.
     initial_basis: Vec<usize>,
     /// Slack column of each row (`usize::MAX` if none).
     slack_of_row: Vec<usize>,
     has_artificials: bool,
-    /// Rows of the problem's own constraints (the bound rows follow them).
-    user_rows: usize,
-    /// The user rows whose sign the conversion flipped (a negative
-    /// right-hand side); empty on every flow LP of the workspace.
+    /// The rows whose sign the conversion flipped (a negative right-hand
+    /// side); empty on every flow LP of the workspace.
     flipped: Vec<usize>,
 }
 
 impl SparseForm {
     fn build(problem: &LpProblem) -> Self {
-        // --- Variable mapping (identical to the dense conversion). ---
-        let mut var_map = Vec::with_capacity(problem.vars.len());
-        let mut num_structural = 0usize;
-        let mut bound_rows: Vec<(usize, f64)> = Vec::new(); // (col, ub)
-        for v in &problem.vars {
-            if v.lower.is_finite() {
-                let col = num_structural;
-                num_structural += 1;
-                if v.upper.is_finite() {
-                    bound_rows.push((col, v.upper - v.lower));
-                }
-                var_map.push(VarMap::Shifted {
-                    col,
-                    lower: v.lower,
-                });
-            } else if v.upper.is_finite() {
-                let col = num_structural;
-                num_structural += 1;
-                var_map.push(VarMap::Mirrored {
-                    col,
-                    upper: v.upper,
-                });
-            } else {
-                let pos = num_structural;
-                let neg = num_structural + 1;
-                num_structural += 2;
-                var_map.push(VarMap::Split { pos, neg });
-            }
-        }
-
-        // --- Rows (user constraints, then bound rows) straight into column
-        // triplets: flips, slacks, initial basis. ---
-        let user_rows = problem.constraints.len();
-        let m = user_rows + bound_rows.len();
+        // Rows straight into column triplets: flips, slacks, initial basis.
+        let num_vars = problem.vars.len();
+        let m = problem.constraints.len();
         let mut triplets: Vec<(usize, usize, f64)> =
             Vec::with_capacity(problem.terms.len() + 2 * m);
         let mut b = Vec::with_capacity(m);
         let mut rhs_scale = 1.0_f64;
         let mut initial_basis = vec![usize::MAX; m];
         let mut slack_of_row = vec![usize::MAX; m];
-        let slack_base = num_structural;
+        let slack_base = num_vars;
         let mut slack_idx = 0usize;
         // Artificial columns are appended after this loop, behind every
         // slack column; remember which rows need one.
         let mut art_rows: Vec<usize> = Vec::new();
         let mut flipped: Vec<usize> = Vec::new();
-        for i in 0..m {
+        for (i, cons) in problem.constraints.iter().enumerate() {
             // `from_triplets` coalesces repeated variables exactly like the
             // dense `row[col] += coeff` accumulation.
             let first = triplets.len();
-            let (rhs, relation) = match problem.constraints.get(i) {
-                Some(cons) => {
-                    let mut rhs = cons.rhs;
-                    for &(var, coeff) in problem.row_terms(cons) {
-                        match var_map[var.index()] {
-                            VarMap::Shifted { col, lower } => {
-                                triplets.push((col, i, coeff));
-                                rhs -= coeff * lower;
-                            }
-                            VarMap::Mirrored { col, upper } => {
-                                triplets.push((col, i, -coeff));
-                                rhs -= coeff * upper;
-                            }
-                            VarMap::Split { pos, neg } => {
-                                triplets.push((pos, i, coeff));
-                                triplets.push((neg, i, -coeff));
-                            }
-                        }
-                    }
-                    (rhs, cons.relation)
-                }
-                None => {
-                    let (col, ub) = bound_rows[i - user_rows];
-                    triplets.push((col, i, 1.0));
-                    (ub, Relation::Le)
-                }
-            };
+            let terms = problem.row_terms(cons);
+            triplets.extend(terms.iter().map(|&(var, coeff)| (var.index(), i, coeff)));
+            let rhs = cons.rhs;
             rhs_scale = rhs_scale.max(rhs.abs());
             let flip = rhs < 0.0;
             if flip {
                 for entry in &mut triplets[first..] {
                     entry.2 = -entry.2;
                 }
-                if i < user_rows {
-                    flipped.push(i);
-                }
+                flipped.push(i);
             }
-            let rel = match (relation, flip) {
+            let rel = match (cons.relation, flip) {
                 (Relation::Le, false) | (Relation::Ge, true) => Relation::Le,
                 (Relation::Ge, false) | (Relation::Le, true) => Relation::Ge,
                 (Relation::Eq, _) => Relation::Eq,
@@ -240,8 +169,8 @@ impl SparseForm {
             b.push(rhs.abs());
         }
         // Anti-degeneracy perturbation: same rule as the dense solver — only
-        // original *equality* rows, scaled by the rhs magnitude and a
-        // deterministic row-dependent factor.
+        // equality rows, scaled by the rhs magnitude and a deterministic
+        // row-dependent factor.
         for (i, cons) in problem.constraints.iter().enumerate() {
             if cons.relation == Relation::Eq {
                 b[i] += RHS_PERTURBATION * rhs_scale * ((i % 97) as f64 + 1.0) / 97.0;
@@ -276,49 +205,42 @@ impl SparseForm {
             b,
             phase2_cost: vec![0.0; total_cols],
             phase1_cost,
-            objective_offset: 0.0,
-            var_map,
+            num_vars,
             is_artificial,
             initial_basis,
             slack_of_row,
             has_artificials,
-            user_rows,
             flipped,
         };
         form.derive_costs(&problem.vars);
         form
     }
 
-    /// Derives the phase-two (minimization) cost row and the objective
-    /// offset from the variables' objective coefficients. [`Self::build`]
-    /// and a session whose objective changed run this one loop, so a
-    /// re-derived row equals a freshly built one bit for bit.
+    /// Derives the phase-two (minimization) cost row from the variables'
+    /// objective coefficients. [`Self::build`] and a session whose
+    /// objective changed run this one loop, so a re-derived row equals a
+    /// freshly built one bit for bit.
     fn derive_costs(&mut self, vars: &[Variable]) {
         let sign = match self.sense {
             Sense::Minimize => 1.0,
             Sense::Maximize => -1.0,
         };
-        let objective = &mut self.phase2_cost;
-        objective.fill(0.0);
-        let mut objective_offset = 0.0;
-        for (v, map) in vars.iter().zip(&self.var_map) {
-            let c = sign * v.objective;
-            match *map {
-                VarMap::Shifted { col, lower } => {
-                    objective[col] += c;
-                    objective_offset += c * lower;
-                }
-                VarMap::Mirrored { col, upper } => {
-                    objective[col] -= c;
-                    objective_offset += c * upper;
-                }
-                VarMap::Split { pos, neg } => {
-                    objective[pos] += c;
-                    objective[neg] -= c;
-                }
-            }
+        // Added onto `+0.0`, not stored: a maximization's `-1 × 0.0` is
+        // `−0.0`, and the cost row holds `+0.0` there.
+        self.phase2_cost.fill(0.0);
+        for (cost, v) in self.phase2_cost.iter_mut().zip(vars) {
+            *cost += sign * v.objective;
         }
-        self.objective_offset = objective_offset;
+    }
+
+    /// The basis a checked start names: `var` basic on each named `row`,
+    /// the row's slack on every other.
+    fn named_basis(&self, start: &[(usize, VarId)]) -> Vec<usize> {
+        let mut basis = self.slack_of_row.clone();
+        for &(row, var) in start {
+            basis[row] = var.index();
+        }
+        basis
     }
 }
 
@@ -361,7 +283,7 @@ impl<'a> Solver<'a> {
             w: vec![0.0; sf.m],
             rhs: vec![0.0; sf.m],
             stats: SolveStats {
-                standard_vars: sf.art_base - sf.slack_count(),
+                standard_vars: sf.num_vars,
                 rows: sf.m,
                 ..Default::default()
             },
@@ -710,26 +632,22 @@ fn solve_inner(
             Sense::Maximize => -1.0,
         };
         duals.clear();
-        duals.extend(solver.y[..sf.user_rows].iter().map(|&y| sign * y));
+        duals.extend(solver.y.iter().map(|&y| sign * y));
         for &i in &sf.flipped {
             duals[i] = -duals[i];
         }
     }
 
     // ---- Extract the solution. ----
-    let mut std_values = vec![0.0; sf.total_cols];
-    for (i, &c) in solver.basis.iter().enumerate() {
-        std_values[c] = solver.x_b[i];
+    // Values and objective are added onto `+0.0`, which turns a `−0.0` left
+    // by the pivots into `+0.0`.
+    let mut values = vec![0.0; sf.num_vars];
+    for (&c, &x) in solver.basis.iter().zip(&solver.x_b) {
+        if c < sf.num_vars {
+            values[c] += x;
+        }
     }
-    let mut values = vec![0.0; sf.var_map.len()];
-    for (i, map) in sf.var_map.iter().enumerate() {
-        values[i] = match *map {
-            VarMap::Shifted { col, lower } => lower + std_values[col],
-            VarMap::Mirrored { col, upper } => upper - std_values[col],
-            VarMap::Split { pos, neg } => std_values[pos] - std_values[neg],
-        };
-    }
-    let internal_obj = solver.phase_objective(&sf.phase2_cost) + sf.objective_offset;
+    let internal_obj = solver.phase_objective(&sf.phase2_cost) + 0.0;
     let objective = match sf.sense {
         Sense::Minimize => internal_obj,
         Sense::Maximize => -internal_obj,
@@ -740,29 +658,6 @@ fn solve_inner(
         stats: solver.stats,
     };
     Ok((solution, post_phase1_basis))
-}
-
-impl SparseForm {
-    /// The basis a checked start names: `var` basic on each named `row`,
-    /// the row's slack on every other. User rows come first in the
-    /// standard form, bound rows after them.
-    fn named_basis(&self, start: &[(usize, VarId)]) -> Vec<usize> {
-        let mut basis = self.slack_of_row.clone();
-        for &(row, var) in start {
-            let VarMap::Shifted { col, .. } = self.var_map[var.index()] else {
-                unreachable!("check_start admits only variables with a finite lower bound");
-            };
-            basis[row] = col;
-        }
-        basis
-    }
-
-    fn slack_count(&self) -> usize {
-        self.slack_of_row
-            .iter()
-            .filter(|&&c| c != usize::MAX)
-            .count()
-    }
 }
 
 /// Publishes a completed revised-simplex solve to the obs sink: what every
@@ -793,21 +688,6 @@ fn report(stats: &SolveStats) {
     }
 }
 
-/// One-shot revised-simplex solve (problem and `start` already validated):
-/// cold, or from the basis `start` names — `var` basic on each named `row`,
-/// the row's slack on every other.
-pub(crate) fn solve(
-    problem: &LpProblem,
-    start: Option<&[(usize, VarId)]>,
-) -> Result<LpSolution, LpError> {
-    let sf = SparseForm::build(problem);
-    let basis = start.map(|start| sf.named_basis(start));
-    let named = basis.as_deref().map(|basis| (basis, SolveStart::Supplied));
-    let (solution, _) = solve_inner(&sf, problem.iteration_limit, named, None)?;
-    report(&solution.stats);
-    Ok(solution)
-}
-
 /// The feasible basis a session's cold solve reached at the end of phase
 /// one, and the pivots that solve paid for it.
 struct PhaseOne {
@@ -819,7 +699,7 @@ struct PhaseOne {
 /// ([`LpProblem::prepare`]), for a family of solves that differ only in the
 /// objective. The first [`solve`](Self::solve) runs both phases and the
 /// session keeps the basis phase one ended on; every later one re-enters
-/// phase two from it, bit-identical to a one-shot [`LpProblem::solve`] of
+/// phase two from it, bit-identical to a fresh session's first solve of
 /// the same model (see the module docs). Every solve also leaves its row
 /// duals behind ([`row_duals`](Self::row_duals)). Under
 /// [`SolverBackend::Dense`] a session simply re-solves its problem and has
@@ -856,7 +736,7 @@ impl LpSession {
 
     /// Changes the objective coefficient of a variable for the solves that
     /// follow. A non-finite coefficient is reported by the next
-    /// [`solve`](Self::solve), as [`LpProblem::validate`] would.
+    /// [`solve`](Self::solve), as [`LpProblem::prepare`] would.
     pub fn set_objective(&mut self, var: VarId, coefficient: f64) {
         self.problem.set_objective(var, coefficient);
         self.costs_stale = true;
@@ -928,10 +808,10 @@ impl LpSession {
     /// objective (up to the solver's tolerances) and every reduced cost
     /// `c_j − yᵀA_j` non-negative when minimizing, non-positive when
     /// maximizing. So a `Le` row's dual is `≤ 0` when minimizing and `≥ 0`
-    /// when maximizing, a `Ge` row's the opposite, an `Eq` row's free. A
-    /// variable's finite bounds have duals of their own, which this does not
-    /// report. `None` before the first solve, after a failed one, and under
-    /// [`SolverBackend::Dense`].
+    /// when maximizing, a `Ge` row's the opposite, an `Eq` row's free. Every
+    /// variable is non-negative and has no bound of its own, so these duals
+    /// are a complete dual certificate of the solve. `None` before the first
+    /// solve, after a failed one, and under [`SolverBackend::Dense`].
     pub fn row_duals(&self) -> Option<&[f64]> {
         self.has_duals.then_some(self.duals.as_slice())
     }
@@ -953,11 +833,14 @@ mod tests {
     /// A small LP that needs both phases.
     fn two_phase_lp() -> LpProblem {
         let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_var("x", 0.0, 4.0, 1.0);
-        let y = lp.add_var("y", 0.0, 4.0, 2.0);
-        let z = lp.add_var("z", 0.0, 4.0, 3.0);
+        let x = lp.add_nonneg_var("x", 1.0);
+        let y = lp.add_nonneg_var("y", 2.0);
+        let z = lp.add_nonneg_var("z", 3.0);
         lp.add_constraint("supply", &[(x, 1.0), (y, 1.0), (z, 1.0)], Relation::Eq, 6.0);
         lp.add_constraint("mix", &[(y, 1.0), (z, 1.0)], Relation::Ge, 3.0);
+        for v in [x, y, z] {
+            lp.add_constraint("ub", &[(v, 1.0)], Relation::Le, 4.0);
+        }
         lp.set_backend(SolverBackend::Revised);
         lp
     }
@@ -1047,7 +930,7 @@ mod tests {
     #[test]
     fn infeasible_recorded_basis_falls_back_to_a_cold_solve() {
         let lp = two_phase_lp();
-        let cold = lp.solve().unwrap();
+        let cold = lp.clone().solve().unwrap();
 
         let mut session = lp.prepare().unwrap();
         let rows = session.form.as_ref().unwrap().m;

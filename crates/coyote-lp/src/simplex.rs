@@ -1,7 +1,7 @@
 //! Dense two-phase simplex implementation.
 //!
-//! The solver converts the user model to standard form (non-negative
-//! variables, all constraints as rows with non-negative right-hand sides),
+//! The solver brings the model to standard form (its variables are
+//! non-negative already; every row gets a non-negative right-hand side),
 //! runs phase one with artificial variables to find a basic feasible
 //! solution, then phase two on the user objective. Pivot selection uses
 //! Dantzig's rule with an automatic switch to Bland's rule when progress
@@ -22,131 +22,42 @@ use crate::tol::{
     RHS_PERTURBATION, SNAP_TOL, STALL_LIMIT,
 };
 
-/// How an original variable maps to standard-form column(s).
-#[derive(Debug, Clone)]
-enum VarMap {
-    /// `x = lower + x_std[col]`
-    Shifted { col: usize, lower: f64 },
-    /// `x = upper - x_std[col]` (used when only the upper bound is finite)
-    Mirrored { col: usize, upper: f64 },
-    /// `x = x_std[pos] - x_std[neg]` (free variable)
-    Split { pos: usize, neg: usize },
-}
-
+/// The problem's rows as dense coefficient rows: variable `i` is column `i`.
 struct StandardForm {
-    /// rows[i] = dense coefficient row over standard columns.
+    /// rows[i] = dense coefficient row over the variables.
     rows: Vec<Vec<f64>>,
     rhs: Vec<f64>,
     relations: Vec<Relation>,
-    /// Minimization objective over standard columns.
+    /// Minimization objective over the variables.
     objective: Vec<f64>,
-    /// Constant added to the objective by the variable shifts.
-    objective_offset: f64,
-    var_map: Vec<VarMap>,
-    num_cols: usize,
 }
 
 fn build_standard_form(problem: &LpProblem) -> StandardForm {
-    let mut var_map = Vec::with_capacity(problem.vars.len());
-    let mut num_cols = 0usize;
-    // Extra rows produced by finite upper bounds of shifted variables.
-    let mut bound_rows: Vec<(usize, f64)> = Vec::new();
-
-    for v in &problem.vars {
-        if v.lower.is_finite() {
-            let col = num_cols;
-            num_cols += 1;
-            if v.upper.is_finite() {
-                bound_rows.push((col, v.upper - v.lower));
-            }
-            var_map.push(VarMap::Shifted {
-                col,
-                lower: v.lower,
-            });
-        } else if v.upper.is_finite() {
-            let col = num_cols;
-            num_cols += 1;
-            var_map.push(VarMap::Mirrored {
-                col,
-                upper: v.upper,
-            });
-        } else {
-            let pos = num_cols;
-            let neg = num_cols + 1;
-            num_cols += 2;
-            var_map.push(VarMap::Split { pos, neg });
-        }
-    }
-
-    // Objective over standard columns (always minimization internally).
+    let num_cols = problem.vars.len();
+    // Objective over the columns (always minimization internally), added
+    // onto `+0.0`: a maximization's `-1 × 0.0` is `−0.0`.
     let sign = match problem.sense {
         Sense::Minimize => 1.0,
         Sense::Maximize => -1.0,
     };
     let mut objective = vec![0.0; num_cols];
-    let mut objective_offset = 0.0;
-    for (v, map) in problem.vars.iter().zip(&var_map) {
-        let c = sign * v.objective;
-        match *map {
-            VarMap::Shifted { col, lower } => {
-                objective[col] += c;
-                objective_offset += c * lower;
-            }
-            VarMap::Mirrored { col, upper } => {
-                objective[col] -= c;
-                objective_offset += c * upper;
-            }
-            VarMap::Split { pos, neg } => {
-                objective[pos] += c;
-                objective[neg] -= c;
-            }
-        }
+    for (cost, v) in objective.iter_mut().zip(&problem.vars) {
+        *cost += sign * v.objective;
     }
 
-    let mut rows = Vec::with_capacity(problem.constraints.len() + bound_rows.len());
-    let mut rhs = Vec::with_capacity(rows.capacity());
-    let mut relations = Vec::with_capacity(rows.capacity());
-
+    let mut rows = Vec::with_capacity(problem.constraints.len());
     for cons in &problem.constraints {
         let mut row = vec![0.0; num_cols];
-        let mut b = cons.rhs;
         for &(var, coeff) in problem.row_terms(cons) {
-            match var_map[var.index()] {
-                VarMap::Shifted { col, lower } => {
-                    row[col] += coeff;
-                    b -= coeff * lower;
-                }
-                VarMap::Mirrored { col, upper } => {
-                    row[col] -= coeff;
-                    b -= coeff * upper;
-                }
-                VarMap::Split { pos, neg } => {
-                    row[pos] += coeff;
-                    row[neg] -= coeff;
-                }
-            }
+            row[var.index()] += coeff;
         }
         rows.push(row);
-        rhs.push(b);
-        relations.push(cons.relation);
     }
-
-    for (col, ub) in bound_rows {
-        let mut row = vec![0.0; num_cols];
-        row[col] = 1.0;
-        rows.push(row);
-        rhs.push(ub);
-        relations.push(Relation::Le);
-    }
-
     StandardForm {
         rows,
-        rhs,
-        relations,
+        rhs: problem.constraints.iter().map(|c| c.rhs).collect(),
+        relations: problem.constraints.iter().map(|c| c.relation).collect(),
         objective,
-        objective_offset,
-        var_map,
-        num_cols,
     }
 }
 
@@ -399,7 +310,7 @@ pub(crate) fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
     let _span = coyote_obs::span("lp.solve");
     let sf = build_standard_form(problem);
     let m = sf.rows.len();
-    let n = sf.num_cols;
+    let n = problem.vars.len();
 
     // Column layout: [structural | slack/surplus | artificial].
     // Count slack and artificial columns.
@@ -560,22 +471,18 @@ pub(crate) fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
     stats.phase2_pivots = run_phase(&mut tab, &phase2_cost, &|c| !art_cols[c], limit)?;
 
     // ---- Extract the solution. ----
-    let mut std_values = vec![0.0; tab.total_cols];
+    // Values and objective are added onto `+0.0`, which turns a `−0.0` left
+    // by the pivots into `+0.0`.
+    let mut values = vec![0.0; n];
     for r in 0..m {
         let b = tab.basis[r];
-        std_values[b] = tab.a[r][tab.rhs_col()];
-    }
-    let mut values = vec![0.0; problem.vars.len()];
-    for (i, map) in sf.var_map.iter().enumerate() {
-        values[i] = match *map {
-            VarMap::Shifted { col, lower } => lower + std_values[col],
-            VarMap::Mirrored { col, upper } => upper - std_values[col],
-            VarMap::Split { pos, neg } => std_values[pos] - std_values[neg],
-        };
+        if b < n {
+            values[b] += tab.a[r][tab.rhs_col()];
+        }
     }
 
     // Internal objective is a minimization; cost row's rhs holds its negative.
-    let internal_obj = -tab.cost[tab.rhs_col()] + sf.objective_offset;
+    let internal_obj = -tab.cost[tab.rhs_col()] + 0.0;
     let objective = match problem.sense {
         Sense::Minimize => internal_obj,
         Sense::Maximize => -internal_obj,
@@ -618,9 +525,11 @@ mod tests {
     fn minimize_with_ge_constraints_needs_phase_one() {
         // min 2x + 3y s.t. x + y >= 10, x >= 2, y >= 3  -> x=7, y=3, obj 23.
         let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_var("x", 2.0, f64::INFINITY, 2.0);
-        let y = lp.add_var("y", 3.0, f64::INFINITY, 3.0);
+        let x = lp.add_nonneg_var("x", 2.0);
+        let y = lp.add_nonneg_var("y", 3.0);
         lp.add_constraint("sum", &[(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
+        lp.add_constraint("lx", &[(x, 1.0)], Relation::Ge, 2.0);
+        lp.add_constraint("ly", &[(y, 1.0)], Relation::Ge, 3.0);
         let sol = lp.solve().unwrap();
         assert_close(sol.objective, 23.0);
         assert_close(sol.value(x), 7.0);
@@ -644,8 +553,9 @@ mod tests {
     #[test]
     fn detects_infeasible() {
         let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_var("x", 0.0, 1.0, 1.0);
+        let x = lp.add_nonneg_var("x", 1.0);
         lp.add_constraint("c", &[(x, 1.0)], Relation::Ge, 5.0);
+        lp.add_constraint("ub", &[(x, 1.0)], Relation::Le, 1.0);
         assert!(matches!(lp.solve(), Err(LpError::Infeasible { .. })));
     }
 
@@ -655,40 +565,6 @@ mod tests {
         let x = lp.add_nonneg_var("x", 1.0);
         lp.add_constraint("c", &[(x, -1.0)], Relation::Le, 1.0);
         assert!(matches!(lp.solve(), Err(LpError::Unbounded)));
-    }
-
-    #[test]
-    fn free_variables_are_split() {
-        // min |style| problem: min x s.t. x >= -5 with x free -> -5.
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_var("x", f64::NEG_INFINITY, f64::INFINITY, 1.0);
-        lp.add_constraint("lb", &[(x, 1.0)], Relation::Ge, -5.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, -5.0);
-        assert_close(sol.value(x), -5.0);
-    }
-
-    #[test]
-    fn upper_bounded_only_variable() {
-        // max x with x <= 3 (no lower bound) and x >= -10 as a row.
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_var("x", f64::NEG_INFINITY, 3.0, 1.0);
-        lp.add_constraint("lb", &[(x, 1.0)], Relation::Ge, -10.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 3.0);
-        assert_close(sol.value(x), 3.0);
-    }
-
-    #[test]
-    fn shifted_lower_bounds_and_finite_upper_bounds() {
-        // max x + y with 1 <= x <= 2, 0.5 <= y <= 0.75.
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_var("x", 1.0, 2.0, 1.0);
-        let y = lp.add_var("y", 0.5, 0.75, 1.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 2.75);
-        assert_close(sol.value(x), 2.0);
-        assert_close(sol.value(y), 0.75);
     }
 
     #[test]
@@ -724,8 +600,9 @@ mod tests {
         lp.add_constraint("c2", &[(x, 1.0), (y, 2.0)], Relation::Le, 6.0);
         let sol = lp.solve().unwrap();
         assert_close(sol.objective, 21.0);
-        assert!(sol.eval(&[(x, 6.0), (y, 4.0)]) <= 24.0 + 1e-6);
-        assert!(sol.eval(&[(x, 1.0), (y, 2.0)]) <= 6.0 + 1e-6);
+        let (x, y) = (sol.value(x), sol.value(y));
+        assert!(6.0 * x + 4.0 * y <= 24.0 + 1e-6);
+        assert!(x + 2.0 * y <= 6.0 + 1e-6);
     }
 
     #[test]
@@ -733,22 +610,16 @@ mod tests {
         // Send 2 units from s to t over two parallel paths with costs 1 and 3
         // and capacities 1.5 each: cheapest sends 1.5 on the cheap path.
         let mut lp = LpProblem::new(Sense::Minimize);
-        let f1 = lp.add_var("f1", 0.0, 1.5, 1.0);
-        let f2 = lp.add_var("f2", 0.0, 1.5, 3.0);
+        let f1 = lp.add_nonneg_var("f1", 1.0);
+        let f2 = lp.add_nonneg_var("f2", 3.0);
         lp.add_constraint("demand", &[(f1, 1.0), (f2, 1.0)], Relation::Eq, 2.0);
+        for f in [f1, f2] {
+            lp.add_constraint("cap", &[(f, 1.0)], Relation::Le, 1.5);
+        }
         let sol = lp.solve().unwrap();
         assert_close(sol.value(f1), 1.5);
         assert_close(sol.value(f2), 0.5);
         assert_close(sol.objective, 3.0);
-    }
-
-    #[test]
-    fn zero_constraint_problem_uses_bounds_only() {
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_var("x", -2.0, 7.0, 1.5);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.value(x), -2.0);
-        assert_close(sol.objective, -3.0);
     }
 }
 
@@ -857,15 +728,6 @@ mod edge_case_tests {
         let x = lp.add_nonneg_var("x", -5.0e-7);
         let s = lp.add_nonneg_var("s", 0.0);
         lp.add_constraint("c", &[(s, 1.0), (x, -1.0)], Relation::Eq, 1.0);
-        assert!(matches!(lp.solve(), Err(LpError::Unbounded)));
-    }
-
-    /// A free variable pushed down by a minimization with no lower bound.
-    #[test]
-    fn free_variable_unbounded_below() {
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_var("x", f64::NEG_INFINITY, f64::INFINITY, 1.0);
-        lp.add_constraint("ub", &[(x, 1.0)], Relation::Le, 5.0);
         assert!(matches!(lp.solve(), Err(LpError::Unbounded)));
     }
 

@@ -27,7 +27,7 @@ pub struct SolveStats {
     pub phase1_pivots: usize,
     /// Simplex pivots performed in phase two.
     pub phase2_pivots: usize,
-    /// Number of structural (user) variables after standard-form expansion.
+    /// Number of structural columns of the standard form, one per variable.
     pub standard_vars: usize,
     /// Number of rows of the tableau.
     pub rows: usize,
@@ -89,16 +89,6 @@ impl LpSolution {
     pub fn value(&self, var: VarId) -> f64 {
         self.values[var.index()]
     }
-
-    /// Evaluates a sparse linear expression at the optimal point.
-    pub fn eval(&self, terms: &[(VarId, f64)]) -> f64 {
-        terms.iter().map(|&(v, c)| c * self.value(v)).sum()
-    }
-
-    /// Total number of pivots across both phases.
-    pub fn pivots(&self) -> usize {
-        self.stats.phase1_pivots + self.stats.phase2_pivots
-    }
 }
 
 #[cfg(test)]
@@ -106,14 +96,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn eval_and_value_agree() {
+    fn value_reads_by_variable() {
         let sol = LpSolution {
             objective: 1.0,
             values: vec![2.0, 3.0],
             stats: SolveStats::default(),
         };
-        assert_eq!(sol.value(VarId(0)), 2.0);
-        assert_eq!(sol.eval(&[(VarId(0), 1.0), (VarId(1), 2.0)]), 8.0);
-        assert_eq!(sol.pivots(), 0);
+        assert_eq!((sol.value(VarId(0)), sol.value(VarId(1))), (2.0, 3.0));
+        assert_eq!(sol.stats.phase1_pivots + sol.stats.phase2_pivots, 0);
     }
 }

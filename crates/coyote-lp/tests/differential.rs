@@ -20,7 +20,7 @@
 //! bit (`session_resolves_equal_cold_solves_bit_for_bit`).
 
 use coyote_lp::error::LpError;
-use coyote_lp::{LpProblem, Relation, Sense, SolveStart, SolverBackend, VarId};
+use coyote_lp::{LpProblem, LpSession, Relation, Sense, SolveStart, SolverBackend, VarId};
 use proptest::prelude::*;
 
 /// Bounds of one generated variable, decoded from generator draws.
@@ -29,6 +29,51 @@ struct VarSpec {
     lower: f64,
     upper: f64,
     objective: f64,
+}
+
+/// How [`LpSpec::build`] lowered one variable to non-negative columns.
+#[derive(Debug, Clone, Copy)]
+enum Lowered {
+    /// `x = lower + col`
+    Shifted(VarId, f64),
+    /// `x = upper − col`
+    Mirrored(VarId, f64),
+    /// `x = pos − neg`
+    Split(VarId, VarId),
+}
+
+impl Lowered {
+    /// The variable's value in `sol`.
+    fn value(self, sol: &coyote_lp::LpSolution) -> f64 {
+        match self {
+            Lowered::Shifted(col, lower) => lower + sol.value(col),
+            Lowered::Mirrored(col, upper) => upper - sol.value(col),
+            Lowered::Split(pos, neg) => sol.value(pos) - sol.value(neg),
+        }
+    }
+
+    /// The constant the lowering takes out of the objective term
+    /// `objective · x`.
+    fn offset(self, objective: f64) -> f64 {
+        match self {
+            Lowered::Shifted(_, lower) => objective * lower,
+            Lowered::Mirrored(_, upper) => objective * upper,
+            Lowered::Split(..) => 0.0,
+        }
+    }
+
+    /// Sets the objective coefficient `objective` of the variable on its
+    /// columns.
+    fn set_objective(self, session: &mut LpSession, objective: f64) {
+        match self {
+            Lowered::Shifted(col, _) => session.set_objective(col, objective),
+            Lowered::Mirrored(col, _) => session.set_objective(col, -objective),
+            Lowered::Split(pos, neg) => {
+                session.set_objective(pos, objective);
+                session.set_objective(neg, -objective);
+            }
+        }
+    }
 }
 
 /// One generated constraint over variable indices.
@@ -106,19 +151,55 @@ impl LpSpec {
         LpSpec { sense, vars, cons }
     }
 
-    fn build(&self) -> (LpProblem, Vec<VarId>) {
+    /// The spec as an LP over non-negative columns, each variable lowered
+    /// in order: a finite lower bound shifts it (`x = lower + col`, and a
+    /// finite upper bound adds the row `col ≤ upper − lower`), an upper
+    /// bound alone mirrors it (`x = upper − col`), a free one splits it
+    /// (`x = pos − neg`). The bound rows follow the spec's own rows.
+    fn build(&self) -> (LpProblem, Vec<Lowered>) {
         let mut lp = LpProblem::new(self.sense);
-        let ids: Vec<VarId> = self
+        let mut bound_rows = Vec::new();
+        let lowered: Vec<Lowered> = self
             .vars
             .iter()
             .enumerate()
-            .map(|(i, v)| lp.add_var(("x", i), v.lower, v.upper, v.objective))
+            .map(|(i, v)| {
+                if v.lower.is_finite() {
+                    let col = lp.add_nonneg_var(("x", i), v.objective);
+                    if v.upper.is_finite() {
+                        bound_rows.push((col, v.upper - v.lower));
+                    }
+                    Lowered::Shifted(col, v.lower)
+                } else if v.upper.is_finite() {
+                    Lowered::Mirrored(lp.add_nonneg_var(("x", i), -v.objective), v.upper)
+                } else {
+                    let pos = lp.add_nonneg_var(("x", i), v.objective);
+                    Lowered::Split(pos, lp.add_nonneg_var(("x_neg", i), -v.objective))
+                }
+            })
             .collect();
         for (i, c) in self.cons.iter().enumerate() {
-            let terms: Vec<(VarId, f64)> = c.terms.iter().map(|&(v, k)| (ids[v], k)).collect();
-            lp.add_constraint(("c", i), &terms, c.relation, c.rhs);
+            let mut rhs = c.rhs;
+            let mut terms = Vec::new();
+            for &(v, k) in &c.terms {
+                match lowered[v] {
+                    Lowered::Shifted(col, lower) => {
+                        terms.push((col, k));
+                        rhs -= k * lower;
+                    }
+                    Lowered::Mirrored(col, upper) => {
+                        terms.push((col, -k));
+                        rhs -= k * upper;
+                    }
+                    Lowered::Split(pos, neg) => terms.extend([(pos, k), (neg, -k)]),
+                }
+            }
+            lp.add_constraint(("c", i), &terms, c.relation, rhs);
         }
-        (lp, ids)
+        for (col, width) in bound_rows {
+            lp.add_constraint("bound", &[(col, 1.0)], Relation::Le, width);
+        }
+        (lp, lowered)
     }
 
     /// Re-centres every row on a point inside the variables' bounds, so
@@ -150,6 +231,13 @@ impl LpSpec {
             .iter()
             .flat_map(|c| c.terms.iter().map(|t| t.1.abs()).chain([c.rhs.abs()]))
             .fold(1.0_f64, f64::max)
+    }
+
+    /// The objective of `sol`, a solution of [`Self::build`]'s LP, in the
+    /// spec's own variables.
+    fn objective(&self, lowered: &[Lowered], sol: &coyote_lp::LpSolution) -> f64 {
+        let offset = |(v, l): (&VarSpec, &Lowered)| l.offset(v.objective);
+        sol.objective + self.vars.iter().zip(lowered).map(offset).sum::<f64>()
     }
 
     /// Checks that `values` (one per variable) satisfies every bound and
@@ -205,7 +293,7 @@ fn class(r: &Result<coyote_lp::LpSolution, LpError>) -> &'static str {
 /// Runs the full differential check for one spec; returns an error message
 /// on the first disagreement so proptest can report the failing seed.
 fn differential(spec: &LpSpec) -> Result<(), String> {
-    let (lp, ids) = spec.build();
+    let (lp, lowered) = spec.build();
     let (rev, den) = solve_both(&lp);
     if class(&rev) != class(&den) {
         return Err(format!(
@@ -215,18 +303,18 @@ fn differential(spec: &LpSpec) -> Result<(), String> {
         ));
     }
     if let (Ok(r), Ok(d)) = (&rev, &den) {
-        let tol = 1e-6 * (1.0 + d.objective.abs());
-        if (r.objective - d.objective).abs() > tol {
+        let (r_obj, d_obj) = (spec.objective(&lowered, r), spec.objective(&lowered, d));
+        let tol = 1e-6 * (1.0 + d_obj.abs());
+        if (r_obj - d_obj).abs() > tol {
             return Err(format!(
-                "objectives diverge: revised {} vs dense {} (tol {tol}) on {spec:?}",
-                r.objective, d.objective
+                "objectives diverge: revised {r_obj} vs dense {d_obj} (tol {tol}) on {spec:?}"
             ));
         }
         let feas_tol = 1e-5 * spec.scale();
-        let values: Vec<f64> = ids.iter().map(|&v| r.value(v)).collect();
+        let values: Vec<f64> = lowered.iter().map(|l| l.value(r)).collect();
         spec.check_feasible(&values, feas_tol)
             .map_err(|e| format!("revised solution infeasible: {e} on {spec:?}"))?;
-        let dvalues: Vec<f64> = ids.iter().map(|&v| d.value(v)).collect();
+        let dvalues: Vec<f64> = lowered.iter().map(|l| l.value(d)).collect();
         spec.check_feasible(&dvalues, feas_tol)
             .map_err(|e| format!("dense solution infeasible: {e} on {spec:?}"))?;
     }
@@ -349,15 +437,15 @@ proptest! {
 /// from it.
 fn session_matches_cold(spec: &LpSpec, rounds: &[&[f64]]) -> Result<(), String> {
     let mut current = spec.clone();
-    let (mut lp, ids) = current.build();
+    let (mut lp, lowered) = current.build();
     lp.set_backend(SolverBackend::Revised);
     let mut session = lp
         .prepare()
         .map_err(|e| format!("prepare: {e} on {spec:?}"))?;
     let mut recorded = false;
     for (k, objective) in rounds.iter().enumerate() {
-        for (v, &id) in ids.iter().enumerate() {
-            session.set_objective(id, objective[v]);
+        for (v, l) in lowered.iter().enumerate() {
+            l.set_objective(&mut session, objective[v]);
             current.vars[v].objective = objective[v];
         }
         let (mut cold, _) = current.build();
@@ -365,9 +453,9 @@ fn session_matches_cold(spec: &LpSpec, rounds: &[&[f64]]) -> Result<(), String> 
         match (session.solve(), cold.solve()) {
             (Ok(warm), Ok(cold)) => {
                 let same = warm.objective.to_bits() == cold.objective.to_bits()
-                    && ids
+                    && lowered
                         .iter()
-                        .all(|&v| warm.value(v).to_bits() == cold.value(v).to_bits());
+                        .all(|l| l.value(&warm).to_bits() == l.value(&cold).to_bits());
                 if !same {
                     return Err(format!("round {k}: session {warm:?} vs cold {cold:?}"));
                 }
@@ -490,16 +578,16 @@ fn duals_certify(spec: &LpSpec, objective: f64, duals: &[f64]) -> Result<(), Str
 /// solve's); after a failed solve, none. A dense-backend session has none.
 fn session_duals_certify(spec: &LpSpec, rounds: &[&[f64]]) -> Result<(), String> {
     let session_of = |spec: &LpSpec, backend| {
-        let (mut lp, ids) = spec.build();
+        let (mut lp, lowered) = spec.build();
         lp.set_backend(backend);
-        lp.prepare().map(|session| (session, ids))
+        lp.prepare().map(|session| (session, lowered))
     };
-    let (mut session, ids) =
+    let (mut session, lowered) =
         session_of(spec, SolverBackend::Revised).map_err(|e| format!("prepare: {e}"))?;
     let mut current = spec.clone();
     for (k, objective) in rounds.iter().enumerate() {
-        for (v, &id) in ids.iter().enumerate() {
-            session.set_objective(id, objective[v]);
+        for (v, l) in lowered.iter().enumerate() {
+            l.set_objective(&mut session, objective[v]);
             current.vars[v].objective = objective[v];
         }
         let solved = session.solve();
@@ -539,8 +627,8 @@ proptest! {
 
     /// A session's row duals are a dual certificate of each solve, over the
     /// general family (all three relations) and the equality family, both
-    /// with non-negative variables: the duals cover constraint rows, and a
-    /// finite bound's own dual is not reported.
+    /// with non-negative variables and no bound rows: the row duals alone
+    /// certify the optimum.
     #[test]
     fn session_duals_are_a_dual_certificate(
         family in 0usize..2,
@@ -947,20 +1035,16 @@ proptest! {
 fn malformed_starts_are_invalid_on_both_backends() {
     let mut lp = LpProblem::new(Sense::Minimize);
     let x = lp.add_nonneg_var("x", 1.0);
-    let y = lp.add_var("y", 1.0, 5.0, 2.0);
-    let mirrored = lp.add_var("m", f64::NEG_INFINITY, 3.0, -1.0);
-    let free = lp.add_var("f", f64::NEG_INFINITY, f64::INFINITY, 0.0);
-    let eq = lp.add_constraint("eq", &[(x, 1.0), (y, 1.0), (free, 1.0)], Relation::Eq, 4.0);
-    let le = lp.add_constraint("le", &[(x, 1.0), (mirrored, 1.0)], Relation::Le, 6.0);
+    let y = lp.add_nonneg_var("y", 2.0);
+    let eq = lp.add_constraint("eq", &[(x, 1.0), (y, 1.0)], Relation::Eq, 4.0);
+    let le = lp.add_constraint("le", &[(x, 1.0)], Relation::Le, 6.0);
     let stranger = {
         let mut other = lp.clone();
         other.add_nonneg_var("z", 0.0)
     };
-    let malformed: [(&str, Vec<(usize, VarId)>); 7] = [
+    let malformed: [(&str, Vec<(usize, VarId)>); 5] = [
         ("unknown row", vec![(eq, x), (7, y)]),
         ("unknown variable", vec![(eq, stranger)]),
-        ("no finite lower bound", vec![(eq, x), (le, mirrored)]),
-        ("no finite lower bound", vec![(eq, free)]),
         ("row eq is named twice", vec![(eq, x), (eq, y)]),
         ("variable x is named twice", vec![(eq, x), (le, x)]),
         ("equality row eq has no basic variable", vec![(le, x)]),
@@ -968,7 +1052,7 @@ fn malformed_starts_are_invalid_on_both_backends() {
     for backend in [SolverBackend::Revised, SolverBackend::Dense] {
         lp.set_backend(backend);
         for (why, start) in &malformed {
-            match lp.solve_from(start) {
+            match lp.clone().solve_from(start) {
                 Err(LpError::InvalidStart { context }) => {
                     assert!(context.contains(why), "{context}")
                 }
@@ -976,9 +1060,9 @@ fn malformed_starts_are_invalid_on_both_backends() {
             }
         }
         // A well-formed list on the same model is judged by the solver.
-        let cold = lp.solve().unwrap();
+        let cold = lp.clone().solve().unwrap();
         for start in [vec![(eq, x)], vec![(eq, y), (le, x)]] {
-            let sol = lp.solve_from(&start).unwrap();
+            let sol = lp.clone().solve_from(&start).unwrap();
             assert!(
                 (sol.objective - cold.objective).abs() < 1e-9,
                 "{sol:?} vs {cold:?}"
@@ -1095,9 +1179,12 @@ fn contradictory_equalities_match_on_both_backends() {
 #[test]
 fn min_cost_flow_style_lp_matches_on_both_backends() {
     let mut lp = LpProblem::new(Sense::Minimize);
-    let f1 = lp.add_var("f1", 0.0, 1.5, 1.0);
-    let f2 = lp.add_var("f2", 0.0, 1.5, 3.0);
+    let f1 = lp.add_nonneg_var("f1", 1.0);
+    let f2 = lp.add_nonneg_var("f2", 3.0);
     lp.add_constraint("demand", &[(f1, 1.0), (f2, 1.0)], Relation::Eq, 2.0);
+    for f in [f1, f2] {
+        lp.add_constraint("cap", &[(f, 1.0)], Relation::Le, 1.5);
+    }
     let (rev, den) = solve_both(&lp);
     let (rev, den) = (rev.unwrap(), den.unwrap());
     assert_close(rev.objective, 3.0);
@@ -1117,12 +1204,8 @@ fn ring_network_flow_lp_matches_on_both_backends() {
     let mut lp = LpProblem::new(Sense::Minimize);
     // Arc (i -> i+1) is `fwd[i]`, arc (i+1 -> i) is `bwd[i]`; unit cost,
     // capacity 0.6 so neither 3-hop path can carry the demand alone.
-    let fwd: Vec<VarId> = (0..N)
-        .map(|i| lp.add_var(("fwd", i), 0.0, 0.6, 1.0))
-        .collect();
-    let bwd: Vec<VarId> = (0..N)
-        .map(|i| lp.add_var(("bwd", i), 0.0, 0.6, 1.0))
-        .collect();
+    let fwd: Vec<VarId> = (0..N).map(|i| lp.add_nonneg_var(("fwd", i), 1.0)).collect();
+    let bwd: Vec<VarId> = (0..N).map(|i| lp.add_nonneg_var(("bwd", i), 1.0)).collect();
     for node in 0..N {
         // Outgoing: fwd[node] and bwd[node-1]; incoming: fwd[node-1], bwd[node].
         let prev = (node + N - 1) % N;
@@ -1142,6 +1225,9 @@ fn ring_network_flow_lp_matches_on_both_backends() {
             Relation::Eq,
             supply,
         );
+    }
+    for &arc in fwd.iter().chain(&bwd) {
+        lp.add_constraint("cap", &[(arc, 1.0)], Relation::Le, 0.6);
     }
     let (rev, den) = solve_both(&lp);
     let (rev, den) = (rev.unwrap(), den.unwrap());

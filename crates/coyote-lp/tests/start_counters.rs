@@ -11,21 +11,24 @@ use std::sync::Arc;
 #[test]
 fn every_solve_says_how_it_started_once() {
     let mut lp = LpProblem::new(Sense::Minimize);
-    let x = lp.add_var("x", 0.0, 4.0, 1.0);
-    let y = lp.add_var("y", 0.0, 4.0, 2.0);
-    let z = lp.add_var("z", 0.0, 4.0, 3.0);
+    let x = lp.add_nonneg_var("x", 1.0);
+    let y = lp.add_nonneg_var("y", 2.0);
+    let z = lp.add_nonneg_var("z", 3.0);
     let supply = lp.add_constraint("supply", &[(x, 1.0), (y, 1.0), (z, 1.0)], Relation::Eq, 6.0);
     let mix = lp.add_constraint("mix", &[(y, 1.0), (z, 1.0)], Relation::Ge, 3.0);
+    for v in [x, y, z] {
+        lp.add_constraint("cap", &[(v, 1.0)], Relation::Le, 4.0);
+    }
     lp.set_backend(SolverBackend::Revised);
 
     let registry = Arc::new(Registry::new());
     install(registry.clone());
-    let cold = lp.solve().unwrap();
+    let cold = lp.clone().solve().unwrap();
     // x = y = 3, z = 0: a vertex.
-    let supplied = lp.solve_from(&[(supply, x), (mix, y)]).unwrap();
+    let supplied = lp.clone().solve_from(&[(supply, x), (mix, y)]).unwrap();
     // `mix` keeps its surplus column, which would have to be −3.
-    let refused = lp.solve_from(&[(supply, x)]).unwrap();
-    let mut session = lp.clone().prepare().unwrap();
+    let refused = lp.clone().solve_from(&[(supply, x)]).unwrap();
+    let mut session = lp.prepare().unwrap();
     let first = session.solve().unwrap();
     let recorded = session.solve().unwrap();
     uninstall();

@@ -13,15 +13,18 @@
 
 use coyote_lp::{LpProblem, LpSession, Relation, Sense, SolveStart, VarId};
 
-/// A small transportation-style LP whose phase one does real work: two
-/// supply equalities, one demand inequality, bounded link variables.
+/// A small transportation-style LP whose phase one does real work: one
+/// supply equality, one demand inequality, a capacity row per link.
 fn transport_lp(cost_scale: f64) -> (LpProblem, Vec<VarId>) {
     let mut lp = LpProblem::new(Sense::Minimize);
-    let x = lp.add_var("x", 0.0, 4.0, 1.0 * cost_scale);
-    let y = lp.add_var("y", 0.0, 4.0, 2.0 * cost_scale);
-    let z = lp.add_var("z", 0.0, 4.0, 3.0 * cost_scale);
+    let x = lp.add_nonneg_var("x", 1.0 * cost_scale);
+    let y = lp.add_nonneg_var("y", 2.0 * cost_scale);
+    let z = lp.add_nonneg_var("z", 3.0 * cost_scale);
     lp.add_constraint("supply", &[(x, 1.0), (y, 1.0), (z, 1.0)], Relation::Eq, 6.0);
     lp.add_constraint("mix", &[(y, 1.0), (z, 1.0)], Relation::Ge, 3.0);
+    for v in [x, y, z] {
+        lp.add_constraint("cap", &[(v, 1.0)], Relation::Le, 4.0);
+    }
     (lp, vec![x, y, z])
 }
 

@@ -143,26 +143,13 @@ mod tests {
     use super::*;
     use crate::common::random_graph;
     use crate::lsa::PrefixAdvertisement;
+    use coyote_core::example_fig1::{self, Fig1};
     use coyote_graph::spf::dijkstra_to;
     use proptest::prelude::*;
 
-    fn fig1() -> (Graph, NodeId, NodeId, NodeId, NodeId) {
-        let mut g = Graph::new();
-        let s1 = g.add_node("s1").unwrap();
-        let s2 = g.add_node("s2").unwrap();
-        let v = g.add_node("v").unwrap();
-        let t = g.add_node("t").unwrap();
-        g.add_bidirectional_edge(s1, s2, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s1, v, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s2, v, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(s2, t, 1.0, 1.0).unwrap();
-        g.add_bidirectional_edge(v, t, 1.0, 1.0).unwrap();
-        (g, s1, s2, v, t)
-    }
-
     #[test]
     fn honest_lsdb_reproduces_plain_ecmp() {
-        let (g, s1, s2, v, t) = fig1();
+        let (g, Fig1 { s1, s2, v, t }) = example_fig1::topology();
         let lsdb = Lsdb::from_graph(&g);
         let fib = compute_fib(&lsdb, 4);
         // s1 splits equally between s2 and v; s2 and v go straight to t.
@@ -189,7 +176,7 @@ mod tests {
     fn a_cheaper_lie_overrides_the_real_route() {
         // Deceive s2 into sending t-traffic via v (instead of its direct
         // link) by advertising a fake node at total cost 0.5 < 1.
-        let (g, _s1, s2, v, t) = fig1();
+        let (g, Fig1 { s2, v, t, .. }) = example_fig1::topology();
         let mut lsdb = Lsdb::from_graph(&g);
         lsdb.inject(FakeNodeLsa::single(s2, t, 0.25, 0.25, v));
         let fib = compute_fib(&lsdb, 4);
@@ -205,7 +192,7 @@ mod tests {
         // give s1 a 2/3 - 1/3 split. We realize it with lies only: three
         // fake entries, two resolving to s2 and one to v, all cheaper than
         // the real distance.
-        let (g, s1, s2, v, t) = fig1();
+        let (g, Fig1 { s1, s2, v, t }) = example_fig1::topology();
         let mut lsdb = Lsdb::from_graph(&g);
         let lie = |fwd: NodeId| FakeNodeLsa::single(s1, t, 0.5, 0.5, fwd);
         lsdb.inject(lie(s2));
@@ -222,7 +209,7 @@ mod tests {
 
     #[test]
     fn lies_for_one_prefix_do_not_leak_to_others() {
-        let (g, s1, s2, v, t) = fig1();
+        let (g, Fig1 { s1, s2, v, t }) = example_fig1::topology();
         let mut lsdb = Lsdb::from_graph(&g);
         lsdb.inject(FakeNodeLsa::single(s1, t, 0.5, 0.5, s2));
         let fib = compute_fib(&lsdb, 4);
@@ -237,7 +224,7 @@ mod tests {
     fn equal_cost_lie_combines_with_real_routes() {
         // A lie at exactly the real distance adds a parallel entry instead
         // of replacing the real ones.
-        let (g, _s1, s2, v, t) = fig1();
+        let (g, Fig1 { s2, v, t, .. }) = example_fig1::topology();
         let mut lsdb = Lsdb::from_graph(&g);
         lsdb.inject(FakeNodeLsa::single(s2, t, 0.5, 0.5, v));
         let fib = compute_fib(&lsdb, 4);

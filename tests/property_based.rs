@@ -103,9 +103,11 @@ proptest! {
         budget in 1.0f64..6.0,
     ) {
         let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_var("x", 0.0, ub0, c0);
-        let y = lp.add_var("y", 0.0, ub1, c1);
+        let x = lp.add_nonneg_var("x", c0);
+        let y = lp.add_nonneg_var("y", c1);
         lp.add_constraint("sum", &[(x, 1.0), (y, 1.0)], Relation::Le, budget);
+        lp.add_constraint("ux", &[(x, 1.0)], Relation::Le, ub0);
+        lp.add_constraint("uy", &[(y, 1.0)], Relation::Le, ub1);
         let sol = lp.solve().unwrap();
 
         // Brute force over the polytope's vertices.
