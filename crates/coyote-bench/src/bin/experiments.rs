@@ -168,7 +168,7 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--threads", value: Some("N"), scope: Scope::All,
            set: |c, v| { c.threads = number("--threads", v)?; Ok(()) },
            help: "worker threads for multi-scenario commands: 0 = one per core (the default), \
-                  1 = serial; serve: HTTP workers (default 2)" },
+                  1 = serial; serve: HTTP workers, 1 to 64 (0 or unset = 2)" },
     Flag { name: "--format", value: Some("json|csv|text"), scope: Scope::Reports,
            set: |c, v| { c.format = v.parse()?; Ok(()) },
            help: "output format (default text)" },

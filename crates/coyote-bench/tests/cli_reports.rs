@@ -1,10 +1,9 @@
 //! What only the `experiments` command line decides, read back from the
 //! files it writes: every report echoes `--threads`, `--compress` selects a
 //! lossy level, `--pareto --format csv` writes the whole trade-off table,
-//! `--events all` covers the four event kinds, the dense LP backend
-//! (`COYOTE_LP_BACKEND=dense`, set on the child process only) keeps the
-//! committed Abilene verdicts, and a profiled run's trace names every
-//! pipeline stage.
+//! `--events all` covers the four event kinds, `conform` keeps the
+//! committed Abilene verdicts and fake-node counts, and a profiled run's
+//! trace names every pipeline stage.
 //!
 //! Each case runs the binary on the Abilene slice and leaves its output in
 //! `CARGO_TARGET_TMPDIR` (`target/tmp`), from where CI uploads it. What the
@@ -22,11 +21,10 @@ fn artifact(name: &str) -> String {
     format!("{}/{name}", env!("CARGO_TARGET_TMPDIR"))
 }
 
-/// Runs `experiments args…` with `env` added to its environment.
-fn experiments(args: &[&str], env: &[(&str, &str)]) {
+/// Runs `experiments args…`.
+fn experiments(args: &[&str]) {
     let run = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(args)
-        .envs(env.iter().copied())
         .output()
         .expect("experiments runs");
     assert!(
@@ -43,9 +41,9 @@ fn read_json(path: &str) -> Value {
 }
 
 /// Runs `experiments args… --format json --out <name>` and reads the report.
-fn json_report(name: &str, args: &[&str], env: &[(&str, &str)]) -> Value {
+fn json_report(name: &str, args: &[&str]) -> Value {
     let out = artifact(name);
-    experiments(&[args, &["--format", "json", "--out", &out]].concat(), env);
+    experiments(&[args, &["--format", "json", "--out", &out]].concat());
     read_json(&out)
 }
 
@@ -107,7 +105,6 @@ fn sweep_report_echoes_threads() {
     let report = json_report(
         "sweep-report.json",
         &["sweep", "--filter", "Abilene", "--threads", "2"],
-        &[],
     );
     assert_eq!(number(&report, "threads"), 2.0);
     assert!(number(&report, "scenarios") > 0.0);
@@ -115,24 +112,15 @@ fn sweep_report_echoes_threads() {
 }
 
 #[test]
-fn conform_reports_keep_the_committed_verdicts_on_both_lp_backends() {
+fn conform_report_keeps_the_committed_verdicts() {
     let args = ["conform", "--filter", "Abilene", "--threads", "2"];
-    let revised = json_report("conform-report.json", &args, &[]);
-    assert_eq!(number(&revised, "threads"), 2.0);
-    assert!(number(&revised, "cells") > 0.0);
-    assert!(records(&revised)
-        .iter()
-        .all(|r| flag(r, "within_tolerance")));
-    // The default backend reproduces the baseline exactly, deterministic
-    // fake-node count included; the dense oracle lands on other optimal
-    // vertices (other compiled programs), so only its verdicts must agree.
-    assert_baseline_verdicts(&revised, &[&VERDICTS[..], &["fake_nodes"]].concat());
-    let dense = json_report(
-        "conform-dense.json",
-        &args,
-        &[("COYOTE_LP_BACKEND", "dense")],
-    );
-    assert_baseline_verdicts(&dense, &VERDICTS);
+    let report = json_report("conform-report.json", &args);
+    assert_eq!(number(&report, "threads"), 2.0);
+    assert!(number(&report, "cells") > 0.0);
+    assert!(records(&report).iter().all(|r| flag(r, "within_tolerance")));
+    // The baseline is reproduced exactly, deterministic fake-node count
+    // included.
+    assert_baseline_verdicts(&report, &[&VERDICTS[..], &["fake_nodes"]].concat());
 }
 
 #[test]
@@ -147,7 +135,6 @@ fn compress_selects_a_lossy_level_that_keeps_every_verdict() {
             "--threads",
             "2",
         ],
-        &[],
     );
     let level = report.get("compression").and_then(Value::as_str);
     assert!(level.is_some_and(|l| l.starts_with("lossy")), "{level:?}");
@@ -165,10 +152,7 @@ fn pareto_csv_has_its_header_and_a_row_per_level() {
         "--threads",
         "2",
     ];
-    experiments(
-        &[&args[..], &["--format", "csv", "--out", &out]].concat(),
-        &[],
-    );
+    experiments(&[&args[..], &["--format", "csv", "--out", &out]].concat());
     let text = std::fs::read_to_string(&out).expect("the CSV was written");
     let lines: Vec<&str> = text.lines().collect();
     assert!(
@@ -195,7 +179,6 @@ fn failures_report_covers_every_event_kind() {
             "--threads",
             "2",
         ],
-        &[],
     );
     assert_eq!(number(&report, "threads"), 2.0);
     assert!(number(&report, "cells") > 0.0);
@@ -224,21 +207,18 @@ fn failures_report_covers_every_event_kind() {
 #[test]
 fn profile_trace_names_every_pipeline_stage() {
     let (trace, metrics) = (artifact("trace.json"), artifact("metrics.json"));
-    experiments(
-        &[
-            "conform",
-            "--filter",
-            "Abilene",
-            "--threads",
-            "2",
-            "--profile",
-            "--metrics-out",
-            &metrics,
-            "--trace-out",
-            &trace,
-        ],
-        &[],
-    );
+    experiments(&[
+        "conform",
+        "--filter",
+        "Abilene",
+        "--threads",
+        "2",
+        "--profile",
+        "--metrics-out",
+        &metrics,
+        "--trace-out",
+        &trace,
+    ]);
     let events = read_json(&trace);
     let events = events
         .get("traceEvents")

@@ -38,8 +38,7 @@ pub struct McfSolution {
     pub destinations: Vec<NodeId>,
     /// Per edge, the length `y_e ≥ 0` the optimum prices its capacity at:
     /// the capacity row's dual, negated (zero for an edge no commodity may
-    /// use). `None` unless the solve [`Reads::Lengths`], and under the dense
-    /// backend, which reports no duals.
+    /// use). `None` unless the solve [`Reads::Lengths`].
     pub(crate) lengths: Option<Vec<f64>>,
 }
 

@@ -32,7 +32,7 @@
 //! to the earlier edge, and a solve does not depend on the order, so the
 //! result is the exhaustive scan's bit for bit. A scan with no certificate
 //! yet (an oblivious set, a zero lower envelope, one the scope cannot
-//! route, the dense backend) takes the edges in index order until a solve
+//! route) takes the edges in index order until a solve
 //! gives it one; a scan over a candidate list computes no bound and solves
 //! every candidate in the given order.
 
@@ -289,8 +289,7 @@ impl<'a> SlaveLp<'a> {
 
     /// The certificate of `OPTU(lo)`'s capacity lengths over the pairs this
     /// LP carries, or `None` when the lower envelope is zero (as for an
-    /// oblivious set), the scope cannot route it, or the backend reports
-    /// no duals.
+    /// oblivious set) or the scope cannot route it.
     fn lower_envelope_certificate(&self) -> Option<LengthBound> {
         let mut lo = DemandMatrix::zeros(self.graph.node_count());
         for &(s, t) in &self.pairs {
@@ -308,7 +307,7 @@ impl<'a> SlaveLp<'a> {
     }
 
     /// The certificate of the last solve's capacity duals (`≥ 0` in a
-    /// maximization), or `None` under the dense backend.
+    /// maximization), or `None` when no solve has succeeded yet.
     fn solved_certificate(&self) -> Option<LengthBound> {
         let duals = self.session.row_duals()?;
         let length = |row: &Option<usize>| row.map_or(0.0, |r| duals[r].max(0.0));

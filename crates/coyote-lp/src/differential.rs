@@ -1,8 +1,9 @@
+#![cfg(test)]
 //! Differential tests: the revised simplex against the dense oracle.
 //!
-//! Every case builds one [`LpProblem`] and solves two clones of it — one
-//! pinned to [`SolverBackend::Revised`], one to [`SolverBackend::Dense`] —
-//! and requires the outcomes to agree:
+//! Every case builds one [`LpProblem`] and solves it twice — with
+//! [`LpProblem::solve`] and with the dense tableau, `crate::simplex::solve`,
+//! which is test-only code — and requires the outcomes to agree:
 //!
 //! * both optimal → objectives within `1e-6` (relative) and the revised
 //!   solution satisfies every constraint and bound;
@@ -11,16 +12,17 @@
 //!
 //! The generated families (520 cases per run between them) cover
 //! feasible, infeasible, unbounded and deliberately degenerate instances;
-//! the fixed cases replay the PR 5 regression LPs (Beale cycling,
-//! tiny-objective rays, duplicate and contradictory equalities, min-cost
-//! flow) plus a ring-network flow LP shaped like the worst-case pipeline's.
+//! the fixed cases replay the regression LPs that hardened the dense kernel
+//! (Beale cycling, tiny-objective rays, duplicate and contradictory
+//! equalities, min-cost flow) plus a ring-network flow LP shaped like the
+//! worst-case pipeline's.
 //!
-//! The same families drive [`coyote_lp::LpSession`]: a session re-solved
+//! The same families drive [`LpSession`]: a session re-solved
 //! under a sequence of objectives must equal a cold solve of each, bit for
 //! bit (`session_resolves_equal_cold_solves_bit_for_bit`).
 
-use coyote_lp::error::LpError;
-use coyote_lp::{LpProblem, LpSession, Relation, Sense, SolveStart, SolverBackend, VarId};
+use crate::tol::DUAL_TOL;
+use crate::{LpError, LpProblem, LpSession, LpSolution, Relation, Sense, SolveStart, VarId};
 use proptest::prelude::*;
 
 /// Bounds of one generated variable, decoded from generator draws.
@@ -44,7 +46,7 @@ enum Lowered {
 
 impl Lowered {
     /// The variable's value in `sol`.
-    fn value(self, sol: &coyote_lp::LpSolution) -> f64 {
+    fn value(self, sol: &LpSolution) -> f64 {
         match self {
             Lowered::Shifted(col, lower) => lower + sol.value(col),
             Lowered::Mirrored(col, upper) => upper - sol.value(col),
@@ -235,7 +237,7 @@ impl LpSpec {
 
     /// The objective of `sol`, a solution of [`Self::build`]'s LP, in the
     /// spec's own variables.
-    fn objective(&self, lowered: &[Lowered], sol: &coyote_lp::LpSolution) -> f64 {
+    fn objective(&self, lowered: &[Lowered], sol: &LpSolution) -> f64 {
         let offset = |(v, l): (&VarSpec, &Lowered)| l.offset(v.objective);
         sol.objective + self.vars.iter().zip(lowered).map(offset).sum::<f64>()
     }
@@ -266,22 +268,13 @@ impl LpSpec {
     }
 }
 
-/// Solves one problem with both backends.
-fn solve_both(
-    lp: &LpProblem,
-) -> (
-    Result<coyote_lp::LpSolution, LpError>,
-    Result<coyote_lp::LpSolution, LpError>,
-) {
-    let mut revised = lp.clone();
-    revised.set_backend(SolverBackend::Revised);
-    let mut dense = lp.clone();
-    dense.set_backend(SolverBackend::Dense);
-    (revised.solve(), dense.solve())
+/// Solves one problem with the revised solver and with the dense oracle.
+fn solve_both(lp: &LpProblem) -> (Result<LpSolution, LpError>, Result<LpSolution, LpError>) {
+    (lp.clone().solve(), crate::simplex::solve(lp))
 }
 
 /// Coarse outcome class used to compare error paths across backends.
-fn class(r: &Result<coyote_lp::LpSolution, LpError>) -> &'static str {
+fn class(r: &Result<LpSolution, LpError>) -> &'static str {
     match r {
         Ok(_) => "optimal",
         Err(LpError::Infeasible { .. }) => "infeasible",
@@ -429,7 +422,7 @@ proptest! {
     }
 }
 
-/// Solves `spec` through one [`coyote_lp::LpSession`] once per entry of
+/// Solves `spec` through one [`LpSession`] once per entry of
 /// `rounds`, an objective vector each, and requires every outcome to equal a
 /// one-shot cold solve of a problem built with that objective: same error,
 /// or the same objective and values bit for bit. Once a solve has succeeded
@@ -437,8 +430,7 @@ proptest! {
 /// from it.
 fn session_matches_cold(spec: &LpSpec, rounds: &[&[f64]]) -> Result<(), String> {
     let mut current = spec.clone();
-    let (mut lp, lowered) = current.build();
-    lp.set_backend(SolverBackend::Revised);
+    let (lp, lowered) = current.build();
     let mut session = lp
         .prepare()
         .map_err(|e| format!("prepare: {e} on {spec:?}"))?;
@@ -448,8 +440,7 @@ fn session_matches_cold(spec: &LpSpec, rounds: &[&[f64]]) -> Result<(), String> 
             l.set_objective(&mut session, objective[v]);
             current.vars[v].objective = objective[v];
         }
-        let (mut cold, _) = current.build();
-        cold.set_backend(SolverBackend::Revised);
+        let (cold, _) = current.build();
         match (session.solve(), cold.solve()) {
             (Ok(warm), Ok(cold)) => {
                 let same = warm.objective.to_bits() == cold.objective.to_bits()
@@ -518,10 +509,6 @@ proptest! {
     }
 }
 
-/// The solver's entering threshold on a reduced cost (`DUAL_TOL` in
-/// `coyote_lp`'s tolerance table).
-const DUAL_TOL: f64 = 1e-7;
-
 /// Checks that `duals` certify `objective` optimal for `spec`, whose
 /// variables are all non-negative: each row's dual has the sign its
 /// relation and the sense require, every column's reduced cost is
@@ -575,15 +562,13 @@ fn duals_certify(spec: &LpSpec, objective: f64, duals: &[f64]) -> Result<(), Str
 /// requires, after every optimal solve, duals that certify its objective
 /// and equal — bit for bit — those of a fresh session's cold solve of the
 /// same objective (so a warm solve reports its own duals, not the last
-/// solve's); after a failed solve, none. A dense-backend session has none.
+/// solve's); after a failed solve, none.
 fn session_duals_certify(spec: &LpSpec, rounds: &[&[f64]]) -> Result<(), String> {
-    let session_of = |spec: &LpSpec, backend| {
-        let (mut lp, lowered) = spec.build();
-        lp.set_backend(backend);
+    let session_of = |spec: &LpSpec| {
+        let (lp, lowered) = spec.build();
         lp.prepare().map(|session| (session, lowered))
     };
-    let (mut session, lowered) =
-        session_of(spec, SolverBackend::Revised).map_err(|e| format!("prepare: {e}"))?;
+    let (mut session, lowered) = session_of(spec).map_err(|e| format!("prepare: {e}"))?;
     let mut current = spec.clone();
     for (k, objective) in rounds.iter().enumerate() {
         for (v, l) in lowered.iter().enumerate() {
@@ -591,8 +576,7 @@ fn session_duals_certify(spec: &LpSpec, rounds: &[&[f64]]) -> Result<(), String>
             current.vars[v].objective = objective[v];
         }
         let solved = session.solve();
-        let (mut fresh, _) =
-            session_of(&current, SolverBackend::Revised).map_err(|e| format!("prepare: {e}"))?;
+        let (mut fresh, _) = session_of(&current).map_err(|e| format!("prepare: {e}"))?;
         let cold = fresh.solve();
         match (&solved, session.row_duals()) {
             (Ok(sol), Some(duals)) => {
@@ -613,13 +597,7 @@ fn session_duals_certify(spec: &LpSpec, rounds: &[&[f64]]) -> Result<(), String>
             (result, duals) => return Err(format!("round {k}: {result:?} with duals {duals:?}")),
         }
     }
-    let (mut dense, _) =
-        session_of(spec, SolverBackend::Dense).map_err(|e| format!("prepare: {e}"))?;
-    let _ = dense.solve();
-    match dense.row_duals() {
-        None => Ok(()),
-        Some(duals) => Err(format!("dense session reported duals {duals:?}")),
-    }
+    Ok(())
 }
 
 proptest! {
@@ -850,14 +828,8 @@ impl FlowLp {
         }
     }
 
-    fn solve_from(
-        &self,
-        start: &[(usize, VarId)],
-        backend: SolverBackend,
-    ) -> Result<coyote_lp::LpSolution, LpError> {
-        let mut lp = self.lp.clone();
-        lp.set_backend(backend);
-        lp.solve_from(start)
+    fn solve_from(&self, start: &[(usize, VarId)]) -> Result<LpSolution, LpError> {
+        self.lp.clone().solve_from(start)
     }
 }
 
@@ -869,7 +841,7 @@ fn start_is_a_hint(f: &FlowLp) -> Result<(), String> {
     let (cold, dense) = solve_both(&f.lp);
     let cold = cold.map_err(|e| format!("cold: {e}"))?;
     let dense = dense.map_err(|e| format!("dense: {e}"))?;
-    let same = |what: &str, got: &coyote_lp::LpSolution| {
+    let same = |what: &str, got: &LpSolution| {
         let gap = (got.objective - cold.objective).abs();
         if gap > 1e-9 * (1.0 + cold.objective.abs()) {
             return Err(format!(
@@ -890,9 +862,7 @@ fn start_is_a_hint(f: &FlowLp) -> Result<(), String> {
     };
     let worst = (0..f.arcs.len()).fold(0, first_max);
     let tree = f.start(worst);
-    let started = f
-        .solve_from(&tree, SolverBackend::Revised)
-        .map_err(|e| format!("tree: {e}"))?;
+    let started = f.solve_from(&tree).map_err(|e| format!("tree: {e}"))?;
     same("tree start", &started)?;
     if (started.stats.start, started.stats.phase1_pivots) != (SolveStart::Supplied, 0) {
         return Err(format!("tree start not taken: {:?}", started.stats));
@@ -903,18 +873,10 @@ fn start_is_a_hint(f: &FlowLp) -> Result<(), String> {
             started.objective, dense.objective
         ));
     }
-    // The oracle checks the list and otherwise ignores it.
-    let ignored = f
-        .solve_from(&tree, SolverBackend::Dense)
-        .map_err(|e| format!("dense: {e}"))?;
-    if ignored.objective.to_bits() != dense.objective.to_bits() {
-        return Err("the dense backend did not ignore the start".into());
-    }
-
     // The same basis listed in another order is the same basis.
     let reversed: Vec<_> = tree.iter().rev().copied().collect();
     let permuted = f
-        .solve_from(&reversed, SolverBackend::Revised)
+        .solve_from(&reversed)
         .map_err(|e| format!("permuted: {e}"))?;
     if permuted.objective.to_bits() != started.objective.to_bits()
         || permuted.stats != started.stats
@@ -923,9 +885,7 @@ fn start_is_a_hint(f: &FlowLp) -> Result<(), String> {
     }
 
     let spoiled = |what: &str, start: &[(usize, VarId)]| {
-        let got = f
-            .solve_from(start, SolverBackend::Revised)
-            .map_err(|e| format!("{what}: {e}"))?;
+        let got = f.solve_from(start).map_err(|e| format!("{what}: {e}"))?;
         if got.stats.start == SolveStart::Refused
             && got.objective.to_bits() == cold.objective.to_bits()
         {
@@ -1015,10 +975,8 @@ proptest! {
             if utilization[e] > utilization[best] { e } else { best }
         };
         let tree = flow.start((0..flow.arcs.len()).fold(0, first_max));
-        let one_shot = flow.solve_from(&tree, SolverBackend::Revised).unwrap();
-        let mut lp = flow.lp.clone();
-        lp.set_backend(SolverBackend::Revised);
-        let mut session = lp.prepare().unwrap();
+        let one_shot = flow.solve_from(&tree).unwrap();
+        let mut session = flow.lp.clone().prepare().unwrap();
         let sol = session.solve_from(&tree).unwrap();
         prop_assert_eq!(sol.stats.start, SolveStart::Supplied);
         prop_assert_eq!(sol.objective.to_bits(), one_shot.objective.to_bits());
@@ -1029,10 +987,10 @@ proptest! {
     }
 }
 
-/// A list that is no basis of the model is a typed error on both backends,
-/// before any solving: it is the caller's bug, not a numerical event.
+/// A list that is no basis of the model is a typed error, before any
+/// solving: it is the caller's bug, not a numerical event.
 #[test]
-fn malformed_starts_are_invalid_on_both_backends() {
+fn malformed_starts_are_typed_errors() {
     let mut lp = LpProblem::new(Sense::Minimize);
     let x = lp.add_nonneg_var("x", 1.0);
     let y = lp.add_nonneg_var("y", 2.0);
@@ -1049,25 +1007,20 @@ fn malformed_starts_are_invalid_on_both_backends() {
         ("variable x is named twice", vec![(eq, x), (le, x)]),
         ("equality row eq has no basic variable", vec![(le, x)]),
     ];
-    for backend in [SolverBackend::Revised, SolverBackend::Dense] {
-        lp.set_backend(backend);
-        for (why, start) in &malformed {
-            match lp.clone().solve_from(start) {
-                Err(LpError::InvalidStart { context }) => {
-                    assert!(context.contains(why), "{context}")
-                }
-                other => panic!("{why} on {backend:?}: {other:?}"),
-            }
+    for (why, start) in &malformed {
+        match lp.clone().solve_from(start) {
+            Err(LpError::InvalidStart { context }) => assert!(context.contains(why), "{context}"),
+            other => panic!("{why}: {other:?}"),
         }
-        // A well-formed list on the same model is judged by the solver.
-        let cold = lp.clone().solve().unwrap();
-        for start in [vec![(eq, x)], vec![(eq, y), (le, x)]] {
-            let sol = lp.clone().solve_from(&start).unwrap();
-            assert!(
-                (sol.objective - cold.objective).abs() < 1e-9,
-                "{sol:?} vs {cold:?}"
-            );
-        }
+    }
+    // A well-formed list on the same model is judged by the solver.
+    let cold = lp.clone().solve().unwrap();
+    for start in [vec![(eq, x)], vec![(eq, y), (le, x)]] {
+        let sol = lp.clone().solve_from(&start).unwrap();
+        assert!(
+            (sol.objective - cold.objective).abs() < 1e-9,
+            "{sol:?} vs {cold:?}"
+        );
     }
 }
 
@@ -1079,7 +1032,7 @@ fn assert_close(a: f64, b: f64) {
     assert!((a - b).abs() < 1e-6, "{a} != {b}");
 }
 
-/// Beale's cycling example (PR 5 regression): both backends must escape the
+/// Beale's cycling example: both backends must escape the
 /// Dantzig cycle via the stall-triggered Bland switch and agree on the
 /// optimum 1/20.
 #[test]
@@ -1110,7 +1063,7 @@ fn beale_cycling_instance_matches_on_both_backends() {
     assert_close(rev.value(x3), 1.0);
 }
 
-/// PR 5 regression: a genuinely unbounded ray whose reduced cost sits in
+/// A genuinely unbounded ray whose reduced cost sits in
 /// the noise-clamp window must still be reported as unbounded by both.
 #[test]
 fn tiny_objective_unbounded_ray_matches_on_both_backends() {
@@ -1123,7 +1076,7 @@ fn tiny_objective_unbounded_ray_matches_on_both_backends() {
     assert!(matches!(den, Err(LpError::Unbounded)), "dense: {den:?}");
 }
 
-/// PR 5 regression: three constraints meeting at the optimum (1, 1).
+/// Three constraints meeting at the optimum (1, 1).
 #[test]
 fn degenerate_vertex_matches_on_both_backends() {
     let mut lp = LpProblem::new(Sense::Maximize);
@@ -1140,7 +1093,7 @@ fn degenerate_vertex_matches_on_both_backends() {
     assert_close(rev.value(y), 1.0);
 }
 
-/// PR 5 regression: duplicated equality rows are redundant, not infeasible.
+/// Duplicated equality rows are redundant, not infeasible.
 #[test]
 fn duplicate_equality_rows_match_on_both_backends() {
     let mut lp = LpProblem::new(Sense::Minimize);
@@ -1155,7 +1108,7 @@ fn duplicate_equality_rows_match_on_both_backends() {
     assert_close(rev.value(x), 3.0);
 }
 
-/// PR 5 regression: contradictory equalities surface as `Infeasible` from
+/// Contradictory equalities surface as `Infeasible` from
 /// both backends, never as a silently wrong answer.
 #[test]
 fn contradictory_equalities_match_on_both_backends() {
@@ -1175,7 +1128,7 @@ fn contradictory_equalities_match_on_both_backends() {
     );
 }
 
-/// PR 5 regression: two parallel paths with capacities, cheapest first.
+/// Two parallel paths with capacities, cheapest first.
 #[test]
 fn min_cost_flow_style_lp_matches_on_both_backends() {
     let mut lp = LpProblem::new(Sense::Minimize);

@@ -1,13 +1,12 @@
 //! # coyote-lp
 //!
-//! A self-contained, two-phase **simplex** linear-programming solver with two
-//! backends: a revised simplex over a sparse CSR constraint matrix with an
-//! incrementally updated LU basis factorization (the default), and the
-//! original dense tableau kept as a differential oracle
-//! ([`SolverBackend::Dense`], env `COYOTE_LP_BACKEND=dense`). The revised
-//! solver carries only the mechanisms that change a result; the dense
-//! tableau keeps the defences against its own rounding drift (see
-//! [`simplex`]).
+//! A self-contained, two-phase **simplex** linear-programming solver: one
+//! revised simplex over a sparse CSR constraint matrix with an
+//! incrementally updated LU basis factorization, which carries only the
+//! mechanisms that change a result. The original dense tableau, with the
+//! defences against its own rounding drift, is test-only code
+//! (`simplex.rs`): the reference the differential suite
+//! (`differential.rs`) compares the solver against.
 //!
 //! The COYOTE paper solves several families of linear programs:
 //!
@@ -57,11 +56,12 @@
 #![deny(unsafe_code)]
 
 mod basis;
-pub mod error;
-pub mod model;
-pub mod revised;
-pub mod simplex;
-pub mod solution;
+mod differential;
+mod error;
+mod model;
+mod revised;
+mod simplex;
+mod solution;
 mod sparse;
 mod tol;
 

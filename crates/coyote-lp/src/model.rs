@@ -6,27 +6,20 @@ use crate::revised::LpSession;
 use crate::solution::LpSolution;
 use std::fmt;
 use std::ops::Range;
-use std::sync::OnceLock;
 
-/// Which simplex implementation solves the problem.
+/// The simplex implementation that solves every problem: there is one,
+/// the sparse revised simplex. Kept, with [`default_backend`], only for
+/// the benchmark's golden-file header, its one caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverBackend {
-    /// Sparse revised simplex with LU/eta basis updates (the default).
+    /// Sparse revised simplex with LU/eta basis updates.
     Revised,
-    /// Dense two-phase tableau — the differential oracle. Kept for
-    /// cross-checking the revised implementation; no warm-start support.
-    Dense,
 }
 
-/// Process-wide default backend. `COYOTE_LP_BACKEND=dense` selects the
-/// dense oracle; anything else (including unset) selects the revised
-/// simplex.
+/// The backend every solve runs on: [`SolverBackend::Revised`]. Its only
+/// caller is the benchmark's golden-file header.
 pub fn default_backend() -> SolverBackend {
-    static DEFAULT: OnceLock<SolverBackend> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("COYOTE_LP_BACKEND") {
-        Ok(v) if v.eq_ignore_ascii_case("dense") => SolverBackend::Dense,
-        _ => SolverBackend::Revised,
-    })
+    SolverBackend::Revised
 }
 
 /// Handle to a decision variable of an [`LpProblem`].
@@ -140,11 +133,6 @@ pub struct LpProblem {
     /// Every constraint's terms, row after row: one allocation for the
     /// whole model, not one per row.
     pub(crate) terms: Vec<(VarId, f64)>,
-    /// Hard cap on simplex pivots; defaults to a generous bound derived from
-    /// the problem size when `None`.
-    pub(crate) iteration_limit: Option<usize>,
-    /// Per-problem backend override; [`default_backend`] when `None`.
-    pub(crate) backend: Option<SolverBackend>,
 }
 
 impl LpProblem {
@@ -155,15 +143,7 @@ impl LpProblem {
             vars: Vec::new(),
             constraints: Vec::new(),
             terms: Vec::new(),
-            iteration_limit: None,
-            backend: None,
         }
-    }
-
-    /// Overrides the solver backend for this problem (default:
-    /// [`default_backend`]).
-    pub fn set_backend(&mut self, backend: SolverBackend) {
-        self.backend = Some(backend);
     }
 
     /// Adds a non-negative variable (`0 <= x`) with objective coefficient
@@ -206,12 +186,6 @@ impl LpProblem {
         &self.terms[constraint.terms.clone()]
     }
 
-    /// Sets an explicit pivot limit (default: `200 * (rows + columns) +
-    /// 20_000` of the standard form).
-    pub fn set_iteration_limit(&mut self, limit: usize) {
-        self.iteration_limit = Some(limit);
-    }
-
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
         self.constraints.len()
@@ -240,13 +214,7 @@ impl LpProblem {
         Ok(())
     }
 
-    /// The backend this problem solves with.
-    pub(crate) fn backend(&self) -> SolverBackend {
-        self.backend.unwrap_or_else(default_backend)
-    }
-
-    /// Solves the problem once with the configured backend (sparse revised
-    /// simplex by default, dense tableau when selected).
+    /// Solves the problem once.
     pub fn solve(self) -> Result<LpSolution, LpError> {
         self.prepare()?.solve()
     }
@@ -258,7 +226,7 @@ impl LpProblem {
     /// list that is no basis of this model is [`LpError::InvalidStart`]; one
     /// that is singular or not primal-feasible is refused and the solve runs
     /// cold ([`crate::SolveStart::Refused`]); an accepted one skips phase
-    /// one. The dense oracle checks the list and otherwise ignores it.
+    /// one.
     pub fn solve_from(self, start: &[(usize, VarId)]) -> Result<LpSolution, LpError> {
         self.prepare()?.solve_from(start)
     }
@@ -300,7 +268,7 @@ impl LpProblem {
     }
 }
 
-/// Pivot limit of a solve that sets none, from the standard form's size.
+/// Pivot limit of every solve, from the standard form's size.
 pub(crate) fn default_iteration_limit(rows: usize, cols: usize) -> usize {
     200 * (rows + cols) + 20_000
 }

@@ -1,12 +1,12 @@
 //! Revised simplex over a sparse column store, and the session every solve
 //! runs through.
 //!
-//! This is the production solver behind [`crate::LpProblem::solve`]. It
-//! implements the same two-phase method as the dense oracle
-//! ([`crate::simplex`]) — identical standard form (variable `i` is column
-//! `i`), Dantzig pricing with the stall-triggered switch to Bland's rule,
-//! identical ratio-test tie-breaks — but instead of a dense tableau it
-//! keeps:
+//! This is the crate's one solver, behind [`crate::LpProblem::solve`]. It
+//! implements the same two-phase method as the dense tableau the tests
+//! compare it against (`simplex.rs`, test-only code) — identical standard
+//! form (variable `i` is column `i`), Dantzig pricing with the
+//! stall-triggered switch to Bland's rule, identical ratio-test tie-breaks
+//! — but instead of a dense tableau it keeps:
 //!
 //! * the constraint matrix by columns in CSR form (the private `sparse` module), so
 //!   pricing is one BTRAN plus an `O(nnz)` sweep instead of a dense row scan;
@@ -71,9 +71,7 @@
 
 use crate::basis::Factorization;
 use crate::error::LpError;
-use crate::model::{
-    default_iteration_limit, LpProblem, Relation, Sense, SolverBackend, VarId, Variable,
-};
+use crate::model::{default_iteration_limit, LpProblem, Relation, Sense, VarId, Variable};
 use crate::solution::{LpSolution, SolveStart, SolveStats};
 use crate::sparse::CsrMatrix;
 use crate::tol::{DRIVE_OUT_TOL, DUAL_TOL, EPS, PHASE1_TOL, RHS_PERTURBATION, STALL_LIMIT};
@@ -81,7 +79,7 @@ use crate::tol::{DRIVE_OUT_TOL, DUAL_TOL, EPS, PHASE1_TOL, RHS_PERTURBATION, STA
 /// Sparse standard form, stored by columns: variable `i` is column `i`,
 /// then one slack or surplus column per inequality row, then one
 /// artificial column per row that has no slack to start from. The dense
-/// oracle builds the same form as a tableau.
+/// test oracle builds the same form as a tableau.
 struct SparseForm {
     sense: Sense,
     m: usize,
@@ -583,12 +581,11 @@ impl<'a> Solver<'a> {
 /// when given, receives the user rows' duals (see [`LpSession::row_duals`]).
 fn solve_inner(
     sf: &SparseForm,
-    iteration_limit: Option<usize>,
     named: Option<(&[usize], SolveStart)>,
     duals: Option<&mut Vec<f64>>,
 ) -> Result<(LpSolution, Option<Vec<usize>>), LpError> {
     let _span = coyote_obs::span("lp.solve");
-    let limit = iteration_limit.unwrap_or_else(|| default_iteration_limit(sf.m, sf.total_cols));
+    let limit = default_iteration_limit(sf.m, sf.total_cols);
     let mut solver = Solver::new(sf, limit);
 
     // `try_install` is the only place a named basis is accepted: it rejects
@@ -660,9 +657,8 @@ fn solve_inner(
     Ok((solution, post_phase1_basis))
 }
 
-/// Publishes a completed revised-simplex solve to the obs sink: what every
-/// solve reports ([`SolveStats::report`]), then what only this backend
-/// knows.
+/// Publishes a completed solve to the obs sink: what every solve reports
+/// ([`SolveStats::report`]), then what only this solver knows.
 fn report(stats: &SolveStats) {
     if !coyote_obs::enabled() {
         return;
@@ -701,13 +697,10 @@ struct PhaseOne {
 /// session keeps the basis phase one ended on; every later one re-enters
 /// phase two from it, bit-identical to a fresh session's first solve of
 /// the same model (see the module docs). Every solve also leaves its row
-/// duals behind ([`row_duals`](Self::row_duals)). Under
-/// [`SolverBackend::Dense`] a session simply re-solves its problem and has
-/// no duals.
+/// duals behind ([`row_duals`](Self::row_duals)).
 pub struct LpSession {
     problem: LpProblem,
-    /// `None` under the dense backend.
-    form: Option<SparseForm>,
+    form: SparseForm,
     /// An objective coefficient changed since `form`'s cost row was derived.
     costs_stale: bool,
     phase_one: Option<PhaseOne>,
@@ -720,10 +713,7 @@ pub struct LpSession {
 impl LpSession {
     /// Prepares an already validated problem.
     pub(crate) fn new(problem: LpProblem) -> Self {
-        let form = match problem.backend() {
-            SolverBackend::Revised => Some(SparseForm::build(&problem)),
-            SolverBackend::Dense => None,
-        };
+        let form = SparseForm::build(&problem);
         Self {
             problem,
             form,
@@ -767,26 +757,17 @@ impl LpSession {
                 .vars
                 .iter()
                 .try_for_each(Variable::check_objective)?;
-            if let Some(sf) = &mut self.form {
-                sf.derive_costs(&self.problem.vars);
-            }
+            self.form.derive_costs(&self.problem.vars);
             self.costs_stale = false;
         }
-        let Some(sf) = &self.form else {
-            return crate::simplex::solve(&self.problem);
-        };
+        let sf = &self.form;
         let named_basis = start.map(|start| sf.named_basis(start));
         let recorded = self.phase_one.as_ref();
         let named = match &named_basis {
             Some(basis) => Some((basis.as_slice(), SolveStart::Supplied)),
             None => recorded.map(|p| (p.basis.as_slice(), SolveStart::Recorded)),
         };
-        let (mut solution, post_phase1_basis) = solve_inner(
-            sf,
-            self.problem.iteration_limit,
-            named,
-            Some(&mut self.duals),
-        )?;
+        let (mut solution, post_phase1_basis) = solve_inner(sf, named, Some(&mut self.duals))?;
         self.has_duals = true;
         match post_phase1_basis {
             Some(basis) => {
@@ -811,7 +792,7 @@ impl LpSession {
     /// when maximizing, a `Ge` row's the opposite, an `Eq` row's free. Every
     /// variable is non-negative and has no bound of its own, so these duals
     /// are a complete dual certificate of the solve. `None` before the first
-    /// solve, after a failed one, and under [`SolverBackend::Dense`].
+    /// solve and after a failed one.
     pub fn row_duals(&self) -> Option<&[f64]> {
         self.has_duals.then_some(self.duals.as_slice())
     }
@@ -841,7 +822,6 @@ mod tests {
         for v in [x, y, z] {
             lp.add_constraint("ub", &[(v, 1.0)], Relation::Le, 4.0);
         }
-        lp.set_backend(SolverBackend::Revised);
         lp
     }
 
@@ -901,16 +881,13 @@ mod tests {
         let mut lp = LpProblem::new(Sense::Minimize);
         let x = lp.add_nonneg_var("x", 1.0);
         lp.add_constraint("cap", &[(x, 1.0)], Relation::Le, 4.0);
-        lp.set_backend(SolverBackend::Revised);
         let stats = lp.solve().unwrap().stats;
         assert_eq!((stats.phase2_pivots, stats.refactorizations), (0, 1));
         assert_eq!((stats.lu_nnz, stats.degenerate_pivots), (0, 0));
 
         // Two phases with pivots in each: cold start, end of phase one, end
         // of phase two (the parent factorized at the phase boundary as well).
-        let mut lp = transportation(6);
-        lp.set_backend(SolverBackend::Revised);
-        let mut session = lp.prepare().unwrap();
+        let mut session = transportation(6).prepare().unwrap();
         let cold = session.solve().unwrap().stats;
         assert!(cold.phase1_pivots > 0 && cold.phase2_pivots > 0);
         assert_eq!(cold.refactorizations, 3);
@@ -933,7 +910,7 @@ mod tests {
         let cold = lp.clone().solve().unwrap();
 
         let mut session = lp.prepare().unwrap();
-        let rows = session.form.as_ref().unwrap().m;
+        let rows = session.form.m;
         session.phase_one = Some(PhaseOne {
             basis: vec![0; rows],
             pivots: 7,
@@ -948,5 +925,254 @@ mod tests {
         assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
         assert_eq!(sol.values, cold.values);
         assert_eq!(session.solve().unwrap().stats.start, SolveStart::Recorded);
+    }
+
+    fn assert_close(a: f64, b: f64) {
+        assert!((a - b).abs() < 1e-6, "{a} != {b}");
+    }
+
+    #[test]
+    fn maximize_with_le_constraints() {
+        // Classic textbook LP: max 3x+2y, x+y<=4, x+3y<=6 -> (4, 0), obj 12.
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_nonneg_var("x", 3.0);
+        let y = lp.add_nonneg_var("y", 2.0);
+        lp.add_constraint("c1", &[(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
+        lp.add_constraint("c2", &[(x, 1.0), (y, 3.0)], Relation::Le, 6.0);
+        let sol = lp.solve().unwrap();
+        assert_close(sol.objective, 12.0);
+        assert_close(sol.value(x), 4.0);
+        assert_close(sol.value(y), 0.0);
+    }
+
+    #[test]
+    fn minimize_with_ge_constraints_needs_phase_one() {
+        // min 2x + 3y s.t. x + y >= 10, x >= 2, y >= 3  -> x=7, y=3, obj 23.
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_nonneg_var("x", 2.0);
+        let y = lp.add_nonneg_var("y", 3.0);
+        lp.add_constraint("sum", &[(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
+        lp.add_constraint("lx", &[(x, 1.0)], Relation::Ge, 2.0);
+        lp.add_constraint("ly", &[(y, 1.0)], Relation::Ge, 3.0);
+        let sol = lp.solve().unwrap();
+        assert_close(sol.objective, 23.0);
+        assert_close(sol.value(x), 7.0);
+        assert_close(sol.value(y), 3.0);
+    }
+
+    #[test]
+    fn equality_constraints() {
+        // min x + y s.t. x + 2y == 4, x - y == 1 -> x=2, y=1, obj 3.
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_nonneg_var("x", 1.0);
+        let y = lp.add_nonneg_var("y", 1.0);
+        lp.add_constraint("e1", &[(x, 1.0), (y, 2.0)], Relation::Eq, 4.0);
+        lp.add_constraint("e2", &[(x, 1.0), (y, -1.0)], Relation::Eq, 1.0);
+        let sol = lp.solve().unwrap();
+        assert_close(sol.objective, 3.0);
+        assert_close(sol.value(x), 2.0);
+        assert_close(sol.value(y), 1.0);
+    }
+
+    #[test]
+    fn detects_infeasible() {
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_nonneg_var("x", 1.0);
+        lp.add_constraint("c", &[(x, 1.0)], Relation::Ge, 5.0);
+        lp.add_constraint("ub", &[(x, 1.0)], Relation::Le, 1.0);
+        assert!(matches!(lp.solve(), Err(LpError::Infeasible { .. })));
+    }
+
+    #[test]
+    fn detects_unbounded() {
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_nonneg_var("x", 1.0);
+        lp.add_constraint("c", &[(x, -1.0)], Relation::Le, 1.0);
+        assert!(matches!(lp.solve(), Err(LpError::Unbounded)));
+    }
+
+    #[test]
+    fn negative_rhs_rows_are_handled() {
+        // min x s.t. -x <= -3  (i.e. x >= 3).
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_nonneg_var("x", 1.0);
+        lp.add_constraint("c", &[(x, -1.0)], Relation::Le, -3.0);
+        let sol = lp.solve().unwrap();
+        assert_close(sol.value(x), 3.0);
+    }
+
+    #[test]
+    fn degenerate_problems_terminate() {
+        // A problem with many redundant constraints (degeneracy stress).
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_nonneg_var("x", 1.0);
+        let y = lp.add_nonneg_var("y", 1.0);
+        for i in 0..20 {
+            let s = 1.0 + (i as f64) * 0.0; // identical rows
+            lp.add_constraint(("r", i), &[(x, 1.0), (y, 1.0)], Relation::Le, s);
+        }
+        let sol = lp.solve().unwrap();
+        assert_close(sol.objective, 1.0);
+    }
+
+    #[test]
+    fn eval_matches_constraints_at_optimum() {
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_nonneg_var("x", 5.0);
+        let y = lp.add_nonneg_var("y", 4.0);
+        lp.add_constraint("c1", &[(x, 6.0), (y, 4.0)], Relation::Le, 24.0);
+        lp.add_constraint("c2", &[(x, 1.0), (y, 2.0)], Relation::Le, 6.0);
+        let sol = lp.solve().unwrap();
+        assert_close(sol.objective, 21.0);
+        let (x, y) = (sol.value(x), sol.value(y));
+        assert!(6.0 * x + 4.0 * y <= 24.0 + 1e-6);
+        assert!(x + 2.0 * y <= 6.0 + 1e-6);
+    }
+
+    #[test]
+    fn min_cost_flow_style_lp() {
+        // Send 2 units from s to t over two parallel paths with costs 1 and 3
+        // and capacities 1.5 each: cheapest sends 1.5 on the cheap path.
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let f1 = lp.add_nonneg_var("f1", 1.0);
+        let f2 = lp.add_nonneg_var("f2", 3.0);
+        lp.add_constraint("demand", &[(f1, 1.0), (f2, 1.0)], Relation::Eq, 2.0);
+        for f in [f1, f2] {
+            lp.add_constraint("cap", &[(f, 1.0)], Relation::Le, 1.5);
+        }
+        let sol = lp.solve().unwrap();
+        assert_close(sol.value(f1), 1.5);
+        assert_close(sol.value(f2), 0.5);
+        assert_close(sol.objective, 3.0);
+    }
+
+    // Degenerate and pathological instances: cycling-prone pivots,
+    // redundant systems, and the error paths the worst-case LPs rely on.
+
+    /// Beale's classic cycling example: plain Dantzig pivoting loops forever
+    /// on it; the stall-triggered switch to Bland's rule must terminate at
+    /// the optimum (objective 1/20 at x = (1/25, 0, 1, 0)).
+    #[test]
+    fn beale_cycling_instance_terminates_at_optimum() {
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x1 = lp.add_nonneg_var("x1", 0.75);
+        let x2 = lp.add_nonneg_var("x2", -150.0);
+        let x3 = lp.add_nonneg_var("x3", 0.02);
+        let x4 = lp.add_nonneg_var("x4", -6.0);
+        lp.add_constraint(
+            "r1",
+            &[(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
+            Relation::Le,
+            0.0,
+        );
+        lp.add_constraint(
+            "r2",
+            &[(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
+            Relation::Le,
+            0.0,
+        );
+        lp.add_constraint("r3", &[(x3, 1.0)], Relation::Le, 1.0);
+        let sol = lp.solve().unwrap();
+        assert_close(sol.objective, 0.05);
+        assert_close(sol.value(x1), 0.04);
+        assert_close(sol.value(x3), 1.0);
+    }
+
+    /// A degenerate vertex where three constraints meet: the optimum (1, 1)
+    /// satisfies all of them with equality, forcing zero-progress pivots.
+    #[test]
+    fn degenerate_vertex_is_handled() {
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_nonneg_var("x", 1.0);
+        let y = lp.add_nonneg_var("y", 1.0);
+        lp.add_constraint("cx", &[(x, 1.0)], Relation::Le, 1.0);
+        lp.add_constraint("cy", &[(y, 1.0)], Relation::Le, 1.0);
+        lp.add_constraint("sum", &[(x, 1.0), (y, 1.0)], Relation::Le, 2.0);
+        let sol = lp.solve().unwrap();
+        assert_close(sol.objective, 2.0);
+        assert_close(sol.value(x), 1.0);
+        assert_close(sol.value(y), 1.0);
+    }
+
+    /// An all-zero objective is optimal at any feasible point; the solver
+    /// must still return one that satisfies the constraints.
+    #[test]
+    fn zero_objective_returns_a_feasible_point() {
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_nonneg_var("x", 0.0);
+        let y = lp.add_nonneg_var("y", 0.0);
+        lp.add_constraint("sum", &[(x, 1.0), (y, 1.0)], Relation::Eq, 4.0);
+        let sol = lp.solve().unwrap();
+        assert_close(sol.objective, 0.0);
+        assert_close(sol.value(x) + sol.value(y), 4.0);
+        assert!(sol.value(x) >= -1e-9 && sol.value(y) >= -1e-9);
+    }
+
+    /// Duplicated equality rows are redundant, not infeasible.
+    #[test]
+    fn duplicate_equality_rows_are_harmless() {
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_nonneg_var("x", 1.0);
+        let y = lp.add_nonneg_var("y", 2.0);
+        lp.add_constraint("e", &[(x, 1.0), (y, 1.0)], Relation::Eq, 3.0);
+        lp.add_constraint("e_again", &[(x, 1.0), (y, 1.0)], Relation::Eq, 3.0);
+        let sol = lp.solve().unwrap();
+        assert_close(sol.objective, 3.0);
+        assert_close(sol.value(x), 3.0);
+    }
+
+    /// Contradictory equalities must surface as `Infeasible`, not as a
+    /// silently wrong answer.
+    #[test]
+    fn contradictory_equalities_are_infeasible() {
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_nonneg_var("x", 1.0);
+        let y = lp.add_nonneg_var("y", 1.0);
+        lp.add_constraint("a", &[(x, 1.0), (y, 1.0)], Relation::Eq, 1.0);
+        lp.add_constraint("b", &[(x, 1.0), (y, 1.0)], Relation::Eq, 3.0);
+        assert!(matches!(lp.solve(), Err(LpError::Infeasible { .. })));
+    }
+
+    /// A genuinely unbounded ray whose reduced cost is tiny (−5e-7, inside
+    /// the dense oracle's noise-clamp window): the decisive −1 entry here
+    /// must still surface as `Unbounded`, not "optimal at 0".
+    #[test]
+    fn tiny_objective_unbounded_ray_is_still_detected() {
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_nonneg_var("x", -5.0e-7);
+        let s = lp.add_nonneg_var("s", 0.0);
+        lp.add_constraint("c", &[(s, 1.0), (x, -1.0)], Relation::Eq, 1.0);
+        assert!(matches!(lp.solve(), Err(LpError::Unbounded)));
+    }
+
+    /// The iteration limit aborts the solve with the limit echoed back (two
+    /// equality rows need at least two phase-one pivots). Every solve's
+    /// limit is `200 * (rows + columns) + 20_000` of the standard form —
+    /// here 2 rows and 2 structural + 2 artificial columns.
+    #[test]
+    fn iteration_limit_is_reported() {
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let x = lp.add_nonneg_var("x", 1.0);
+        let y = lp.add_nonneg_var("y", 1.0);
+        lp.add_constraint("e1", &[(x, 1.0), (y, 2.0)], Relation::Eq, 4.0);
+        lp.add_constraint("e2", &[(x, 1.0), (y, -1.0)], Relation::Eq, 1.0);
+        let sf = SparseForm::build(&lp);
+        assert_eq!(default_iteration_limit(sf.m, sf.total_cols), 21_200);
+        let mut solver = Solver::new(&sf, 1);
+        solver.cold_start().unwrap();
+        assert!(matches!(
+            solver.run_phase(&sf.phase1_cost, false),
+            Err(LpError::IterationLimit { limit: 1 })
+        ));
+    }
+
+    /// NaN input is rejected up front by validation rather than corrupting
+    /// the tableau.
+    #[test]
+    fn nan_coefficients_are_rejected() {
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_nonneg_var("x", f64::NAN);
+        lp.add_constraint("c", &[(x, 1.0)], Relation::Le, 1.0);
+        assert!(matches!(lp.solve(), Err(LpError::NotFinite { .. })));
     }
 }

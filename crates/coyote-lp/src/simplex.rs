@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! Dense two-phase simplex implementation.
 //!
 //! The solver brings the model to standard form (its variables are
@@ -7,20 +8,46 @@
 //! Dantzig's rule with an automatic switch to Bland's rule when progress
 //! stalls, which guarantees termination.
 //!
-//! This is the differential oracle the revised solver ([`crate::revised`])
-//! is judged by, and it favours robustness over raw speed. Its tableau is
-//! updated in place pivot after pivot, so rounding error accumulates in it,
-//! and four defences that the revised solver does without stay here: the
-//! pivot-size guard, the noise-column clamp, the zero-snap of elimination
-//! residue and the capped reprice-and-verify loop (`run_phase`).
+//! This is test-only code: the differential oracle the revised solver
+//! (`revised.rs`) is judged by in `differential.rs`, and it favours
+//! robustness over raw speed. Its tableau is updated in place pivot after
+//! pivot, so rounding error accumulates in it, and four defences that the
+//! revised solver does without stay here: the pivot-size guard, the
+//! noise-column clamp, the zero-snap of elimination residue and the capped
+//! reprice-and-verify loop (`run_phase`).
 
 use crate::error::LpError;
 use crate::model::{default_iteration_limit, LpProblem, Relation, Sense};
 use crate::solution::{LpSolution, SolveStats};
-use crate::tol::{
-    DRIVE_OUT_TOL, DUAL_TOL, EPS, MAX_REFRESH_ROUNDS, NOISE_RC_TOL, PHASE1_TOL, PIVOT_TOL,
-    RHS_PERTURBATION, SNAP_TOL, STALL_LIMIT,
-};
+use crate::tol::{DRIVE_OUT_TOL, DUAL_TOL, EPS, PHASE1_TOL, RHS_PERTURBATION, STALL_LIMIT};
+
+// The tableau's own tolerances. Its cost row and entries are updated in
+// place pivot after pivot, so rounding error accumulates there; these
+// four bound what it can do. The revised solver recomputes reduced costs
+// from a fresh BTRAN every pivot and its basic values from a fresh
+// factorization every refresh, so it has no cost-row drift to defend
+// against: on it the guard and the clamp never fired, no phase needed a
+// second round, and dropping its snap changed no result.
+
+/// A reduced cost above this (negative) threshold is treated as numerical
+/// noise when its column admits no pivot: after thousands of dense
+/// eliminations the incrementally-updated cost row drifts by ~1e-8, so a
+/// column with reduced cost −2e-9 and entries ~1e-10 is a zero column, not
+/// a certificate of unboundedness. Genuinely unbounded LPs enter with
+/// decisively negative reduced costs (|rc| ≫ this).
+const NOISE_RC_TOL: f64 = 1e-6;
+/// Refresh rounds per phase: after a phase claims optimality its reduced
+/// costs are recomputed from scratch against the current basis and the
+/// phase re-runs if they still show a descent direction. Bounds the
+/// optimize→verify loop that repairs drift.
+const MAX_REFRESH_ROUNDS: usize = 4;
+/// Minimum magnitude for a *preferred* pivot element in the ratio test;
+/// entries in (EPS, PIVOT_TOL] are used only when no better pivot exists.
+const PIVOT_TOL: f64 = 1e-7;
+/// Entries this close to zero after an elimination step are snapped to an
+/// exact zero (catastrophic-cancellation residue, ~1e3 × machine epsilon
+/// below the decision tolerance EPS).
+const SNAP_TOL: f64 = 1e-12;
 
 /// The problem's rows as dense coefficient rows: variable `i` is column `i`.
 struct StandardForm {
@@ -417,9 +444,7 @@ pub(crate) fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
         refresh_rounds: 0,
     };
 
-    let limit = problem
-        .iteration_limit
-        .unwrap_or_else(|| default_iteration_limit(m, total_cols));
+    let limit = default_iteration_limit(m, total_cols);
 
     let mut stats = SolveStats {
         standard_vars: n,
@@ -496,267 +521,4 @@ pub(crate) fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
         values,
         stats,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::model::{LpProblem, Relation, Sense};
-
-    fn assert_close(a: f64, b: f64) {
-        assert!((a - b).abs() < 1e-6, "{a} != {b}");
-    }
-
-    #[test]
-    fn maximize_with_le_constraints() {
-        // Classic textbook LP: max 3x+2y, x+y<=4, x+3y<=6 -> (4, 0), obj 12.
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_nonneg_var("x", 3.0);
-        let y = lp.add_nonneg_var("y", 2.0);
-        lp.add_constraint("c1", &[(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
-        lp.add_constraint("c2", &[(x, 1.0), (y, 3.0)], Relation::Le, 6.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 12.0);
-        assert_close(sol.value(x), 4.0);
-        assert_close(sol.value(y), 0.0);
-    }
-
-    #[test]
-    fn minimize_with_ge_constraints_needs_phase_one() {
-        // min 2x + 3y s.t. x + y >= 10, x >= 2, y >= 3  -> x=7, y=3, obj 23.
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_nonneg_var("x", 2.0);
-        let y = lp.add_nonneg_var("y", 3.0);
-        lp.add_constraint("sum", &[(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
-        lp.add_constraint("lx", &[(x, 1.0)], Relation::Ge, 2.0);
-        lp.add_constraint("ly", &[(y, 1.0)], Relation::Ge, 3.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 23.0);
-        assert_close(sol.value(x), 7.0);
-        assert_close(sol.value(y), 3.0);
-    }
-
-    #[test]
-    fn equality_constraints() {
-        // min x + y s.t. x + 2y == 4, x - y == 1 -> x=2, y=1, obj 3.
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_nonneg_var("x", 1.0);
-        let y = lp.add_nonneg_var("y", 1.0);
-        lp.add_constraint("e1", &[(x, 1.0), (y, 2.0)], Relation::Eq, 4.0);
-        lp.add_constraint("e2", &[(x, 1.0), (y, -1.0)], Relation::Eq, 1.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 3.0);
-        assert_close(sol.value(x), 2.0);
-        assert_close(sol.value(y), 1.0);
-    }
-
-    #[test]
-    fn detects_infeasible() {
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_nonneg_var("x", 1.0);
-        lp.add_constraint("c", &[(x, 1.0)], Relation::Ge, 5.0);
-        lp.add_constraint("ub", &[(x, 1.0)], Relation::Le, 1.0);
-        assert!(matches!(lp.solve(), Err(LpError::Infeasible { .. })));
-    }
-
-    #[test]
-    fn detects_unbounded() {
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_nonneg_var("x", 1.0);
-        lp.add_constraint("c", &[(x, -1.0)], Relation::Le, 1.0);
-        assert!(matches!(lp.solve(), Err(LpError::Unbounded)));
-    }
-
-    #[test]
-    fn negative_rhs_rows_are_handled() {
-        // min x s.t. -x <= -3  (i.e. x >= 3).
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_nonneg_var("x", 1.0);
-        lp.add_constraint("c", &[(x, -1.0)], Relation::Le, -3.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.value(x), 3.0);
-    }
-
-    #[test]
-    fn degenerate_problems_terminate() {
-        // A problem with many redundant constraints (degeneracy stress).
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_nonneg_var("x", 1.0);
-        let y = lp.add_nonneg_var("y", 1.0);
-        for i in 0..20 {
-            let s = 1.0 + (i as f64) * 0.0; // identical rows
-            lp.add_constraint(("r", i), &[(x, 1.0), (y, 1.0)], Relation::Le, s);
-        }
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 1.0);
-    }
-
-    #[test]
-    fn eval_matches_constraints_at_optimum() {
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_nonneg_var("x", 5.0);
-        let y = lp.add_nonneg_var("y", 4.0);
-        lp.add_constraint("c1", &[(x, 6.0), (y, 4.0)], Relation::Le, 24.0);
-        lp.add_constraint("c2", &[(x, 1.0), (y, 2.0)], Relation::Le, 6.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 21.0);
-        let (x, y) = (sol.value(x), sol.value(y));
-        assert!(6.0 * x + 4.0 * y <= 24.0 + 1e-6);
-        assert!(x + 2.0 * y <= 6.0 + 1e-6);
-    }
-
-    #[test]
-    fn min_cost_flow_style_lp() {
-        // Send 2 units from s to t over two parallel paths with costs 1 and 3
-        // and capacities 1.5 each: cheapest sends 1.5 on the cheap path.
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let f1 = lp.add_nonneg_var("f1", 1.0);
-        let f2 = lp.add_nonneg_var("f2", 3.0);
-        lp.add_constraint("demand", &[(f1, 1.0), (f2, 1.0)], Relation::Eq, 2.0);
-        for f in [f1, f2] {
-            lp.add_constraint("cap", &[(f, 1.0)], Relation::Le, 1.5);
-        }
-        let sol = lp.solve().unwrap();
-        assert_close(sol.value(f1), 1.5);
-        assert_close(sol.value(f2), 0.5);
-        assert_close(sol.objective, 3.0);
-    }
-}
-
-/// Degenerate and pathological instances: cycling-prone pivots, redundant
-/// systems, and the error paths the worst-case LPs rely on.
-#[cfg(test)]
-mod edge_case_tests {
-    use crate::error::LpError;
-    use crate::model::{LpProblem, Relation, Sense};
-
-    fn assert_close(a: f64, b: f64) {
-        assert!((a - b).abs() < 1e-6, "{a} != {b}");
-    }
-
-    /// Beale's classic cycling example: plain Dantzig pivoting loops forever
-    /// on it; the stall-triggered switch to Bland's rule must terminate at
-    /// the optimum (objective 1/20 at x = (1/25, 0, 1, 0)).
-    #[test]
-    fn beale_cycling_instance_terminates_at_optimum() {
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let x1 = lp.add_nonneg_var("x1", 0.75);
-        let x2 = lp.add_nonneg_var("x2", -150.0);
-        let x3 = lp.add_nonneg_var("x3", 0.02);
-        let x4 = lp.add_nonneg_var("x4", -6.0);
-        lp.add_constraint(
-            "r1",
-            &[(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
-            Relation::Le,
-            0.0,
-        );
-        lp.add_constraint(
-            "r2",
-            &[(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
-            Relation::Le,
-            0.0,
-        );
-        lp.add_constraint("r3", &[(x3, 1.0)], Relation::Le, 1.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 0.05);
-        assert_close(sol.value(x1), 0.04);
-        assert_close(sol.value(x3), 1.0);
-    }
-
-    /// A degenerate vertex where three constraints meet: the optimum (1, 1)
-    /// satisfies all of them with equality, forcing zero-progress pivots.
-    #[test]
-    fn degenerate_vertex_is_handled() {
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_nonneg_var("x", 1.0);
-        let y = lp.add_nonneg_var("y", 1.0);
-        lp.add_constraint("cx", &[(x, 1.0)], Relation::Le, 1.0);
-        lp.add_constraint("cy", &[(y, 1.0)], Relation::Le, 1.0);
-        lp.add_constraint("sum", &[(x, 1.0), (y, 1.0)], Relation::Le, 2.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 2.0);
-        assert_close(sol.value(x), 1.0);
-        assert_close(sol.value(y), 1.0);
-    }
-
-    /// An all-zero objective is optimal at any feasible point; the solver
-    /// must still return one that satisfies the constraints.
-    #[test]
-    fn zero_objective_returns_a_feasible_point() {
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_nonneg_var("x", 0.0);
-        let y = lp.add_nonneg_var("y", 0.0);
-        lp.add_constraint("sum", &[(x, 1.0), (y, 1.0)], Relation::Eq, 4.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 0.0);
-        assert_close(sol.value(x) + sol.value(y), 4.0);
-        assert!(sol.value(x) >= -1e-9 && sol.value(y) >= -1e-9);
-    }
-
-    /// Duplicated equality rows are redundant, not infeasible.
-    #[test]
-    fn duplicate_equality_rows_are_harmless() {
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_nonneg_var("x", 1.0);
-        let y = lp.add_nonneg_var("y", 2.0);
-        lp.add_constraint("e", &[(x, 1.0), (y, 1.0)], Relation::Eq, 3.0);
-        lp.add_constraint("e_again", &[(x, 1.0), (y, 1.0)], Relation::Eq, 3.0);
-        let sol = lp.solve().unwrap();
-        assert_close(sol.objective, 3.0);
-        assert_close(sol.value(x), 3.0);
-    }
-
-    /// Contradictory equalities must surface as `Infeasible`, not as a
-    /// silently wrong answer.
-    #[test]
-    fn contradictory_equalities_are_infeasible() {
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_nonneg_var("x", 1.0);
-        let y = lp.add_nonneg_var("y", 1.0);
-        lp.add_constraint("a", &[(x, 1.0), (y, 1.0)], Relation::Eq, 1.0);
-        lp.add_constraint("b", &[(x, 1.0), (y, 1.0)], Relation::Eq, 3.0);
-        assert!(matches!(lp.solve(), Err(LpError::Infeasible { .. })));
-    }
-
-    /// A genuinely unbounded ray whose reduced cost sits inside the
-    /// noise-clamp window (−NOISE_RC_TOL, −DUAL_TOL]: the clamp only
-    /// neutralizes numerically-zero columns, so the decisive −1 entry here
-    /// must still surface as `Unbounded`, not "optimal at 0".
-    #[test]
-    fn tiny_objective_unbounded_ray_is_still_detected() {
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_nonneg_var("x", -5.0e-7);
-        let s = lp.add_nonneg_var("s", 0.0);
-        lp.add_constraint("c", &[(s, 1.0), (x, -1.0)], Relation::Eq, 1.0);
-        assert!(matches!(lp.solve(), Err(LpError::Unbounded)));
-    }
-
-    /// The iteration limit aborts the solve with the configured limit echoed
-    /// back (two equality rows need at least two phase-one pivots). Left
-    /// unset it is `200 * (rows + columns) + 20_000` of the standard form —
-    /// here 2 rows and 2 structural + 2 artificial columns — on both backends.
-    #[test]
-    fn iteration_limit_is_reported() {
-        assert_eq!(crate::model::default_iteration_limit(2, 4), 21_200);
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let x = lp.add_nonneg_var("x", 1.0);
-        let y = lp.add_nonneg_var("y", 1.0);
-        lp.add_constraint("e1", &[(x, 1.0), (y, 2.0)], Relation::Eq, 4.0);
-        lp.add_constraint("e2", &[(x, 1.0), (y, -1.0)], Relation::Eq, 1.0);
-        lp.set_iteration_limit(1);
-        assert!(matches!(
-            lp.solve(),
-            Err(LpError::IterationLimit { limit: 1 })
-        ));
-    }
-
-    /// NaN input is rejected up front by validation rather than corrupting
-    /// the tableau.
-    #[test]
-    fn nan_coefficients_are_rejected() {
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_nonneg_var("x", f64::NAN);
-        lp.add_constraint("c", &[(x, 1.0)], Relation::Le, 1.0);
-        assert!(matches!(lp.solve(), Err(LpError::NotFinite { .. })));
-    }
 }

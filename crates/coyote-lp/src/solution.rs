@@ -6,7 +6,7 @@ use crate::model::VarId;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SolveStart {
     /// The slack/artificial basis of the standard form: a cold two-phase
-    /// solve (the dense backend knows no other).
+    /// solve.
     #[default]
     Slack,
     /// The post-phase-one basis its [`crate::LpSession`] recorded: phase one
@@ -34,15 +34,13 @@ pub struct SolveStats {
     /// Optimize→verify→re-run rounds across both phases (each phase runs
     /// at least one).
     pub refresh_rounds: usize,
-    /// Completed basis factorizations (revised backend only; the dense
-    /// backend reports zero).
+    /// Completed basis factorizations.
     pub refactorizations: usize,
     /// `nnz(L) + nnz(U)`, diagonals excluded, summed over those
-    /// factorizations: the fill the basis kernel paid for (revised backend
-    /// only).
+    /// factorizations: the fill the basis kernel paid for.
     pub lu_nnz: usize,
     /// Pivots whose step length θ was at most the feasibility tolerance:
-    /// the basis changed and the vertex did not (revised backend only).
+    /// the basis changed and the vertex did not.
     pub degenerate_pivots: usize,
     /// Which basis the solve started from.
     pub start: SolveStart,
@@ -52,11 +50,11 @@ pub struct SolveStats {
 }
 
 impl SolveStats {
-    /// Publishes what every completed solve reports, on either backend, to
-    /// the global obs sink (a single `enabled()` atomic load when profiling
-    /// is off). All quantities are exact per-solve workload counts, so their
-    /// totals are bit-identical no matter how solves are distributed over
-    /// worker threads.
+    /// Publishes what every completed solve reports, the dense test oracle's
+    /// included, to the global obs sink (a single `enabled()` atomic load
+    /// when profiling is off). All quantities are exact per-solve workload
+    /// counts, so their totals are bit-identical no matter how solves are
+    /// distributed over worker threads.
     pub(crate) fn report(&self) {
         if !coyote_obs::enabled() {
             return;

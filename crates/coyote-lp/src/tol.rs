@@ -1,9 +1,9 @@
-//! Every numerical tolerance of both simplex backends, in one place.
+//! Every numerical tolerance the revised simplex reads, in one place; one
+//! line per constant says what it guards.
 //!
-//! Where the revised solver and the dense oracle share a mechanism they
-//! share its constant, so they make the same decisions on the same numbers
-//! there; one line per constant says what it guards. The last group is the
-//! dense oracle's alone.
+//! The dense test oracle (`simplex.rs`) reads these too where it shares a
+//! mechanism, so the two make the same decisions on the same numbers there.
+//! The four tolerances of its drift defences live in that file.
 
 /// Numerical tolerance for pivot magnitudes, ratio tests and feasibility.
 pub(crate) const EPS: f64 = 1e-9;
@@ -37,31 +37,3 @@ pub(crate) const SINGULAR_TOL: f64 = 1e-9;
 /// Floor on the column magnitude [`SINGULAR_TOL`] is relative to, so an
 /// all-zero column compares against a positive threshold.
 pub(crate) const MIN_COLUMN_SCALE: f64 = 1e-30;
-
-// Dense oracle only. The tableau's cost row and entries are updated in
-// place pivot after pivot, so rounding error accumulates there; these
-// four bound what it can do. The revised solver recomputes reduced costs
-// from a fresh BTRAN every pivot and its basic values from a fresh
-// factorization every refresh, so it has no cost-row drift to defend
-// against: on it the guard and the clamp never fired, no phase needed a
-// second round, and dropping its snap changed no result.
-
-/// A reduced cost above this (negative) threshold is treated as numerical
-/// noise when its column admits no pivot: after thousands of dense
-/// eliminations the incrementally-updated cost row drifts by ~1e-8, so a
-/// column with reduced cost −2e-9 and entries ~1e-10 is a zero column, not
-/// a certificate of unboundedness. Genuinely unbounded LPs enter with
-/// decisively negative reduced costs (|rc| ≫ this).
-pub(crate) const NOISE_RC_TOL: f64 = 1e-6;
-/// Refresh rounds per phase: after a phase claims optimality its reduced
-/// costs are recomputed from scratch against the current basis and the
-/// phase re-runs if they still show a descent direction. Bounds the
-/// optimize→verify loop that repairs drift.
-pub(crate) const MAX_REFRESH_ROUNDS: usize = 4;
-/// Minimum magnitude for a *preferred* pivot element in the ratio test;
-/// entries in (EPS, PIVOT_TOL] are used only when no better pivot exists.
-pub(crate) const PIVOT_TOL: f64 = 1e-7;
-/// Entries this close to zero after an elimination step are snapped to an
-/// exact zero (catastrophic-cancellation residue, ~1e3 × machine epsilon
-/// below the decision tolerance EPS).
-pub(crate) const SNAP_TOL: f64 = 1e-12;

@@ -4,7 +4,7 @@
 //! process-global sink while the registry is installed: every count below
 //! is exact, once per solve.
 
-use coyote_lp::{LpProblem, Relation, Sense, SolveStart, SolverBackend};
+use coyote_lp::{LpProblem, Relation, Sense, SolveStart};
 use coyote_obs::{install, uninstall, Registry};
 use std::sync::Arc;
 
@@ -19,7 +19,6 @@ fn every_solve_says_how_it_started_once() {
     for v in [x, y, z] {
         lp.add_constraint("cap", &[(v, 1.0)], Relation::Le, 4.0);
     }
-    lp.set_backend(SolverBackend::Revised);
 
     let registry = Arc::new(Registry::new());
     install(registry.clone());

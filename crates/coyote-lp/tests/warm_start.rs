@@ -1,11 +1,10 @@
 //! Warm-start correctness for the revised simplex.
 //!
-//! The one mechanism is the session ([`LpSession`], see the
-//! `coyote_lp::revised` module docs): it records the basis its first solve
-//! reaches at the end of phase one and re-enters phase two from it on every
-//! later solve, and a warm solve must be **bit-identical** to a cold one —
-//! same objective bits, same value bits — because the pipeline's
-//! determinism guarantees ride on it.
+//! The one mechanism is the session ([`LpSession`], see its docs): it
+//! records the basis its first solve reaches at the end of phase one and
+//! re-enters phase two from it on every later solve, and a warm solve must
+//! be **bit-identical** to a cold one — same objective bits, same value
+//! bits — because the pipeline's determinism guarantees ride on it.
 //!
 //! A session's only mutator is `set_objective`, so a recorded basis cannot
 //! meet a different constraint system: the old "a changed right-hand side

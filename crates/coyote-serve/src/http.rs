@@ -39,7 +39,8 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Worker threads accepting connections.
+    /// Worker threads accepting connections: 0 counts as 1, and more than
+    /// `MAX_WORKERS` (64) is refused.
     pub threads: usize,
     /// Batch-pipeline comparator measured at startup (exposed in `/state`).
     pub batch_recompile_micros: Option<u64>,
@@ -72,8 +73,18 @@ struct Shared {
 }
 
 impl Server {
-    /// Binds the listener and spawns the worker threads.
+    /// Binds the listener and spawns the worker threads. A worker count above
+    /// `MAX_WORKERS` is an `InvalidInput` error, before anything is bound.
     pub fn start(engine: TeEngine, config: &ServerConfig) -> Result<Server, ServeError> {
+        if config.threads > MAX_WORKERS {
+            return Err(ServeError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "{} worker threads requested, at most {MAX_WORKERS} allowed",
+                    config.threads
+                ),
+            )));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -166,6 +177,14 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> bool {
     stop
 }
 
+/// Largest request head `read_request` buffers.
+const MAX_HEADER_BYTES: usize = 64 * 1024;
+/// Largest body `read_request` accepts.
+const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+/// Most worker threads `Server::start` spawns: each is an OS thread, so a
+/// larger request is refused rather than attempted.
+const MAX_WORKERS: usize = 64;
+
 /// Reads one request as `(method, path, body)`; `None` for a connection
 /// that closed without sending a byte.
 fn read_request(stream: &mut TcpStream) -> Result<Option<(String, String, String)>, ServeError> {
@@ -183,7 +202,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Option<(String, String, String
         if let Some(idx) = find_header_end(&buf) {
             break idx;
         }
-        if buf.len() > 64 * 1024 {
+        if buf.len() > MAX_HEADER_BYTES {
             return Err(ServeError::BadRequest("headers too large".into()));
         }
     };
@@ -206,7 +225,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Option<(String, String, String
         .find(|(name, _)| name.eq_ignore_ascii_case("content-length"))
         .map_or(Ok(0), |(_, value)| value.trim().parse::<usize>())
         .map_err(|_| ServeError::BadRequest("Content-Length is not a byte count".into()))?;
-    if content_length > 16 * 1024 * 1024 {
+    if content_length > MAX_BODY_BYTES {
         return Err(ServeError::BadRequest("body too large".into()));
     }
     let mut body = buf[header_end + 4..].to_vec();

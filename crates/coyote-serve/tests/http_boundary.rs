@@ -1,8 +1,9 @@
 //! The daemon's HTTP boundary: a body the JSON reader rejects is a 400 and
-//! changes nothing, whatever the class of the defect, and `POST /shutdown`
-//! stops a daemon of any worker count.
+//! changes nothing, whatever the class of the defect, `POST /shutdown`
+//! stops a daemon of any worker count, and a worker count no host could
+//! spawn is an error, not a panic.
 
-use coyote_serve::{EngineConfig, Server, ServerConfig, TeEngine};
+use coyote_serve::{EngineConfig, ServeError, Server, ServerConfig, TeEngine};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
@@ -94,4 +95,18 @@ fn post_shutdown_stops_a_daemon_with_sixteen_workers() {
         "16 workers still running 10 s after POST /shutdown"
     );
     joiner.join().expect("the joining thread finished");
+}
+
+#[test]
+fn an_unspawnable_worker_count_is_an_error() {
+    let engine = TeEngine::new(&EngineConfig::default()).unwrap();
+    let config = ServerConfig {
+        threads: usize::MAX,
+        ..ServerConfig::default()
+    };
+    match Server::start(engine, &config) {
+        Err(ServeError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+        Err(other) => panic!("not an InvalidInput error: {other}"),
+        Ok(_) => panic!("usize::MAX workers started"),
+    }
 }
