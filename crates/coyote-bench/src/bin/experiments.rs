@@ -11,9 +11,8 @@
 //! [`ENGINES`] (`sweep`, `conform`, `failures`, `serve`, `all`); dispatch,
 //! `all` and the usage text read the same lists. The flags are [`FLAGS`]:
 //! each row names the flag, its value, the commands that accept it and how
-//! it parses — a flag given to a command that does not take it, given twice
-//! (`--json` counts as `--format`), or given a malformed value is an error,
-//! never a guess.
+//! it parses — a flag given to a command that does not take it, given twice,
+//! or given a malformed value is an error, never a guess.
 //!
 //! Multi-scenario commands (fig6–fig9, fig11, table1, sweep, conform,
 //! failures) fan their independent scenario evaluations out across a worker
@@ -127,14 +126,6 @@ struct Flag {
 }
 
 impl Flag {
-    /// The at-most-once key: `--json` is `--format json`, so they share one.
-    fn slot(&self) -> &'static str {
-        match self.name {
-            "--json" => "--format",
-            name => name,
-        }
-    }
-
     /// `--name VALUE`, as the usage text and the README print it.
     fn spelled(&self) -> String {
         match self.value {
@@ -149,6 +140,21 @@ where
     T::Err: std::fmt::Display,
 {
     value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// The most worker threads any command takes: a grid command spawns up to
+/// this many, and `serve` refuses more HTTP workers (`coyote-serve`'s
+/// `MAX_WORKERS`).
+const MAX_THREADS: usize = 64;
+
+fn threads(value: &str) -> Result<usize, String> {
+    let n: usize = number("--threads", value)?;
+    if n > MAX_THREADS {
+        return Err(format!(
+            "--threads must be 0 (one per core) to {MAX_THREADS}, got {n}"
+        ));
+    }
+    Ok(n)
 }
 
 fn non_negative(flag: &str, value: &str) -> Result<f64, String> {
@@ -166,15 +172,12 @@ const FLAGS: &[Flag] = &[
            set: |c, _| { c.effort = Effort::Full; Ok(()) },
            help: "paper-scale sweeps (default: the quick configuration)" },
     Flag { name: "--threads", value: Some("N"), scope: Scope::All,
-           set: |c, v| { c.threads = number("--threads", v)?; Ok(()) },
-           help: "worker threads for multi-scenario commands: 0 = one per core (the default), \
-                  1 = serial; serve: HTTP workers, 1 to 64 (0 or unset = 2)" },
+           set: |c, v| { c.threads = threads(v)?; Ok(()) },
+           help: "worker threads, 0 to 64: for multi-scenario commands 0 = one per core (the \
+                  default), 1 = serial; serve: HTTP workers (0 or unset = 2)" },
     Flag { name: "--format", value: Some("json|csv|text"), scope: Scope::Reports,
            set: |c, v| { c.format = v.parse()?; Ok(()) },
            help: "output format (default text)" },
-    Flag { name: "--json", value: None, scope: Scope::Reports,
-           set: |c, _| { c.format = ReportFormat::Json; Ok(()) },
-           help: "shorthand for --format json" },
     Flag { name: "--out", value: Some("PATH"), scope: Scope::Reports,
            set: |c, v| { c.out = Some(v.to_string()); Ok(()) },
            help: "write the report to PATH instead of stdout" },
@@ -211,8 +214,7 @@ const FLAGS: &[Flag] = &[
            help: "write a chrome://tracing / Perfetto JSON trace (implies --profile)" },
     Flag { name: "--metrics-out", value: Some("PATH"), scope: GRIDS,
            set: |c, v| { c.metrics_out = Some(v.to_string()); Ok(()) },
-           help: "write the counters/gauges/histograms/timings snapshot as JSON (implies \
-                  --profile)" },
+           help: "write the counters/histograms/timings snapshot as JSON (implies --profile)" },
     Flag { name: "--port", value: Some("N"), scope: SERVE,
            set: |c, v| { c.port = number("--port", v)?; Ok(()) },
            help: "TCP port to listen on (default 7300)" },
@@ -320,11 +322,11 @@ impl Cli {
         let mut it = args.iter().peekable();
         while let Some(arg) = it.next() {
             if let Some(flag) = FLAGS.iter().find(|f| f.name == arg) {
-                if given.iter().any(|g| g.slot() == flag.slot()) {
+                if given.iter().any(|g| g.name == flag.name) {
                     return Err(format!(
                         "flag {} given more than once (repeated flags are rejected \
                          rather than letting the last occurrence win)",
-                        flag.slot()
+                        flag.name
                     ));
                 }
                 given.push(flag);
@@ -673,17 +675,11 @@ mod tests {
         assert!(err.contains("more than once"), "{err}");
         let err = parse(&["failures", "--filter", "a", "--filter", "b"]).unwrap_err();
         assert!(err.contains("more than once"), "{err}");
-    }
-
-    #[test]
-    fn json_and_format_share_one_slot() {
-        let err = parse(&["sweep", "--json", "--format", "csv"]).unwrap_err();
+        let err = parse(&["sweep", "--format", "json", "--format", "csv"]).unwrap_err();
         assert!(
             err.contains("--format") && err.contains("more than once"),
             "{err}"
         );
-        let err = parse(&["sweep", "--format", "csv", "--json"]).unwrap_err();
-        assert!(err.contains("more than once"), "{err}");
     }
 
     #[test]
@@ -738,6 +734,16 @@ mod tests {
         assert!(err.contains("non-negative"), "{err}");
         let err = parse(&["sweep", "--limit", "three"]).unwrap_err();
         assert!(err.contains("--limit"), "{err}");
+        // A grid command would spawn that many threads; serve would refuse
+        // them only after building its engine.
+        for command in ["failures", "serve"] {
+            let err = parse(&[command, "--threads", "65"]).unwrap_err();
+            assert!(
+                err.contains("0 (one per core) to 64, got 65"),
+                "{command}: {err}"
+            );
+        }
+        assert_eq!(parse(&["sweep", "--threads", "64"]).unwrap().threads, 64);
     }
 
     #[test]
@@ -746,6 +752,9 @@ mod tests {
         assert!(err.contains("unknown flag --frobnicate"), "{err}");
         let err = parse(&["sweep", "extra"]).unwrap_err();
         assert!(err.contains("unexpected argument extra"), "{err}");
+        // `--format json` has one spelling.
+        let err = parse(&["sweep", "--json"]).unwrap_err();
+        assert!(err.contains("unknown flag --json"), "{err}");
         // The retired epsilon flag is unknown now: `--compress` is lossy at
         // epsilon 0.02, `--pareto` sweeps the other levels. Its name is
         // assembled so that searching the sources for it finds no use.
@@ -789,7 +798,16 @@ mod tests {
         assert!(parse(&["--pareto", "sweep"]).is_err());
         assert!(parse(&["--pareto", "conform"]).is_ok());
         // `all` is a report like any other: `--out` yes, a grid selection no.
-        assert!(parse(&["all", "--json", "--out", "results.json", "--threads", "1"]).is_ok());
+        assert!(parse(&[
+            "all",
+            "--format",
+            "json",
+            "--out",
+            "results.json",
+            "--threads",
+            "1"
+        ])
+        .is_ok());
         assert!(parse(&["all", "--limit", "1"]).is_err());
     }
 
@@ -830,7 +848,7 @@ mod tests {
             .find(&format!("<{}>", names.join("|")))
             .expect("README lists the commands in usage order");
         let block = &readme[start..start + readme[start..].find("```").expect("fenced block")];
-        for flag in FLAGS.iter().filter(|f| f.name != "--json") {
+        for flag in FLAGS {
             let synopsis = format!("[{}]", flag.spelled());
             assert!(block.contains(&synopsis), "README lacks {synopsis}");
         }
@@ -842,7 +860,5 @@ mod tests {
                 );
             }
         }
-        // `--json` is described in the flag list below the block.
-        assert!(readme.contains("`--json`"));
     }
 }

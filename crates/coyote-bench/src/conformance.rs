@@ -38,7 +38,7 @@ use coyote_ospf::{
 };
 use coyote_sim::{FlowSimulator, SimOutcome};
 use coyote_traffic::DemandMatrix;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Instant;
 
 /// Default tolerance for the per-cell verdict: splitting-ratio error and
@@ -58,7 +58,7 @@ pub const DEFAULT_TOLERANCE: f64 = 0.05;
 pub const COMPILE_BUDGET: usize = 256;
 
 /// Headline numbers of one simulated steady state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimSummary {
     /// Total offered rate.
     pub offered: f64,
@@ -82,7 +82,7 @@ impl SimSummary {
 }
 
 /// Intended-vs-realized simulation of one demand matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MatrixConformance {
     /// Steady state under the optimizer's intended routing.
     pub intended: SimSummary,
@@ -114,7 +114,7 @@ impl MatrixConformance {
 }
 
 /// The conformance verdict of one grid cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ConformanceRecord {
     /// The sweep cell.
     pub spec: SweepSpec,
@@ -172,7 +172,7 @@ impl ConformanceRecord {
 
 /// A machine-readable conformance run: configuration, per-cell records in
 /// grid order, and the total wall-clock time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ConformanceReport {
     /// Worker threads the run used.
     pub threads: usize,
@@ -368,7 +368,7 @@ pub fn run_conformance_with(
 /// One point of a compression Pareto sweep: the whole grid compiled at one
 /// level, aggregated into the fake-node-count vs split-error trade-off.
 /// Time-free, so points are bit-identical across runs and thread counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ParetoPoint {
     /// The compression level ([`CompressionLevel::label`]).
     pub level: String,
@@ -391,7 +391,7 @@ pub struct ParetoPoint {
 
 /// A compression Pareto sweep over one grid: one [`ParetoPoint`] per level,
 /// in the order the levels were given.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ParetoReport {
     /// Worker threads the run used.
     pub threads: usize,

@@ -29,7 +29,7 @@ use coyote_graph::{Graph, NodeId};
 use coyote_ospf::{compute_program, realized_routing, VirtualLinkBudget};
 use coyote_sim::scenario::{run_all as run_prototype_all, PrototypeResult};
 use coyote_traffic::{DemandMatrix, UncertaintySet};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use serde_json::Value;
 use BaseModel::{Bimodal, Gravity};
 use WeightHeuristic::{InverseCapacity, LocalSearch};
@@ -278,7 +278,7 @@ pub fn run_all(effort: Effort, threads: usize) -> Result<Rendered, CoreError> {
 // ---------------------------------------------------------------------------
 
 /// Results of the running-example experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig1Result {
     /// Exact oblivious ratio of ECMP with unit weights.
     pub ecmp_ratio: f64,
@@ -332,7 +332,7 @@ fn render_fig1(caption: &str, _: Effort, _: usize) -> Result<Rendered, CoreError
 // ---------------------------------------------------------------------------
 
 /// Results of the NP-hardness gadget experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GadgetResult {
     /// The weights of the BIPARTITION instance.
     pub weights: Vec<f64>,
@@ -496,7 +496,7 @@ pub fn balanced_partition(weights: &[f64]) -> Vec<bool> {
 // ---------------------------------------------------------------------------
 
 /// Results of the lower-bound experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LowerBoundResult {
     /// Number of path nodes `n`.
     pub n: usize,
@@ -570,7 +570,7 @@ fn render_lowerbound(caption: &str, _: Effort, _: usize) -> Result<Rendered, Cor
 
 /// One point of Fig. 10: a virtual-next-hop budget and the resulting
 /// performance ratio of the realized configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ApproximationPoint {
     /// FIB entries allowed per (router, prefix); `None` is the ideal
     /// (unquantized) configuration.
@@ -583,7 +583,7 @@ pub struct ApproximationPoint {
 }
 
 /// Results of the Fig. 10 experiment for one topology and margin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ApproximationResult {
     /// Topology name.
     pub topology: String,
@@ -667,7 +667,7 @@ fn render_fig10(_: &str, effort: Effort, _: usize) -> Result<Rendered, CoreError
 // ---------------------------------------------------------------------------
 
 /// One bar of Fig. 11.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StretchResult {
     /// Topology name.
     pub topology: String,

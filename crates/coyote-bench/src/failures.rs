@@ -62,7 +62,7 @@ use coyote_ospf::{
 use coyote_sim::{FlowSimulator, SimOutcome};
 use coyote_topology::{zoo, Topology};
 use coyote_traffic::DemandMatrix;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -95,7 +95,7 @@ fn splitmix64(x: u64) -> u64 {
 
 /// One injectable event. Link indices refer to [`Topology::links`] (each
 /// bidirectional link lowers to two anti-parallel graph edges).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum FailureEvent {
     /// A single bidirectional link dies.
     LinkFailure {
@@ -168,7 +168,7 @@ impl FailureEvent {
 }
 
 /// Which event classes a failure grid enumerates (`--events` on the CLI).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum EventClass {
     /// Every single-link failure.
     Link,
@@ -271,7 +271,7 @@ fn srlg_at(hub: usize, incident: &[usize], seed: u64) -> FailureEvent {
 }
 
 /// One cell of the failure grid: a sweep scenario crossed with an event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FailureCell {
     /// The healthy scenario the event is injected into.
     pub spec: SweepSpec,
@@ -289,7 +289,7 @@ impl FailureCell {
 
 /// The work list of one failure run: scenarios × events, in deterministic
 /// (spec-major, event-enumeration) order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FailureGrid {
     /// The cells, in evaluation (and report) order.
     pub cells: Vec<FailureCell>,
@@ -356,7 +356,7 @@ impl FailureGrid {
 
 /// The structured per-cell verdict. Every cell gets one — cells never abort
 /// the grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum CellOutcome {
     /// Post-failure behaviour within tolerance: no demand lost to the
     /// failure and the oblivious routing degrades gracefully.
@@ -388,7 +388,7 @@ impl CellOutcome {
 }
 
 /// Headline numbers of one post-failure steady state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FailureSimSummary {
     /// Total offered rate (post-failure matrix).
     pub offered: f64,
@@ -415,7 +415,7 @@ impl FailureSimSummary {
 }
 
 /// One mode's (oblivious or re-optimized) post-failure measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ModeOutcome {
     /// Analytic max link utilization of the mode's routing on the
     /// post-failure matrix (uncapped — may exceed 1).
@@ -427,7 +427,7 @@ pub struct ModeOutcome {
 }
 
 /// The verdict of one failure cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FailureRecord {
     /// The healthy scenario.
     pub spec: SweepSpec,
@@ -474,7 +474,7 @@ impl FailureRecord {
 
 /// A machine-readable failure run: configuration, per-cell records in grid
 /// order, and the total wall-clock time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FailureReport {
     /// Worker threads the run used.
     pub threads: usize,

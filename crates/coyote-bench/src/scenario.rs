@@ -25,10 +25,10 @@ use coyote_core::prelude::*;
 use coyote_graph::{Dag, Graph};
 use coyote_topology::{zoo, Topology};
 use coyote_traffic::{BimodalModel, DemandMatrix, GravityModel, UncertaintySet};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Base demand-matrix model (Section VI-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum BaseModel {
     /// Gravity model \[22\].
     Gravity,
@@ -55,7 +55,7 @@ impl BaseModel {
 }
 
 /// Link-weight heuristic for the DAG construction (Section V-B Step I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum WeightHeuristic {
     /// Weights inversely proportional to capacities (Cisco default).
     InverseCapacity,
@@ -75,7 +75,7 @@ impl WeightHeuristic {
 
 /// Effort level of a run: `Quick` keeps every experiment to seconds-to-
 /// minutes on a laptop; `Full` uses the paper's full sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Effort {
     /// Reduced working sets / optimizer budgets.
     Quick,
@@ -113,7 +113,7 @@ impl Effort {
 
 /// Performance ratios of the four protocols for one scenario (the columns of
 /// Table I).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ProtocolRatios {
     /// Topology name.
     pub topology: String,

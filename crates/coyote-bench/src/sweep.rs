@@ -18,12 +18,12 @@ use crate::pool::WorkerPool;
 use crate::scenario::{evaluate_scenario, BaseModel, Effort, ProtocolRatios, WeightHeuristic};
 use coyote_core::prelude::CoreError;
 use coyote_topology::zoo;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Instant;
 
 /// One cell of the evaluation grid: everything
 /// [`evaluate_scenario`] needs, by name.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SweepSpec {
     /// Topology-Zoo name (see `coyote_topology::zoo::ALL_NAMES`).
     pub topology: String,
@@ -53,7 +53,7 @@ impl SweepSpec {
 }
 
 /// An ordered collection of [`SweepSpec`]s — the work list of one sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SweepGrid {
     /// The specs, in evaluation (and report) order.
     pub specs: Vec<SweepSpec>,
@@ -151,7 +151,7 @@ impl SweepGrid {
 }
 
 /// The outcome of one scenario evaluation inside a sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SweepRecord {
     /// The spec that was evaluated.
     pub spec: SweepSpec,
@@ -163,7 +163,7 @@ pub struct SweepRecord {
 
 /// A machine-readable sweep run: configuration, per-scenario records (in
 /// grid order) and the total wall-clock time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SweepReport {
     /// Worker threads the sweep ran with.
     pub threads: usize,

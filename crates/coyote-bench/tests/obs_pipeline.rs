@@ -105,12 +105,7 @@ fn chrome_trace_is_valid_json_and_covers_every_pipeline_stage() {
 
     let metrics = metrics_json(&registry.snapshot());
     assert_valid_json(&metrics, "metrics snapshot");
-    for section in [
-        "\"counters\"",
-        "\"gauges\"",
-        "\"histograms\"",
-        "\"timings\"",
-    ] {
+    for section in ["\"counters\"", "\"histograms\"", "\"timings\""] {
         assert!(
             metrics.contains(section),
             "metrics missing section {section}"

@@ -17,14 +17,14 @@
 
 use coyote_graph::{Dag, EdgeId, Graph, NodeId};
 use coyote_traffic::DemandMatrix;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Numerical tolerance for "splitting ratios sum to one" checks.
 pub const SPLIT_TOLERANCE: f64 = 1e-6;
 
 /// A destination-based routing configuration: one DAG and one set of
 /// splitting ratios per destination node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PdRouting {
     /// `dags[t]` is the DAG used for traffic destined to node `t`.
     dags: Vec<Dag>,

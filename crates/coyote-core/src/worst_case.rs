@@ -778,16 +778,80 @@ mod tests {
         (g, routing, base)
     }
 
-    /// The certificate scan against the exhaustive one on five topologies,
-    /// both scopes and three margins (uniform augmented routing, gravity
-    /// box, inverse-capacity weights), and on two oblivious sets: the same
-    /// worst case bit for bit, every edge's value under its `OPTU(lo)`
-    /// bound, and edges really skipped. The exhaustive scans take ≈ 40 s
-    /// optimized, so an unoptimized build checks Abilene only; CI runs the
-    /// whole grid in release.
+    const SCOPES: [RoutabilityScope; 2] =
+        [RoutabilityScope::WithinDags, RoutabilityScope::AllEdges];
+
+    /// One case of the certificate scan against the exhaustive one (uniform
+    /// augmented routing, gravity box, inverse-capacity weights), both
+    /// scopes: every edge's value under its `OPTU(lo)` bound and the same
+    /// worst case bit for bit.
+    fn bounded_scan_case(name: &str, margin: f64) {
+        let (g, routing, base) = gravity_instance(name);
+        let fractions = FractionTable::new(&g, &routing);
+        let unc = UncertaintySet::from_margin(&base, margin);
+        for scope in SCOPES {
+            let label = format!("{name} {scope:?} m{margin}");
+            let (want, values) = exhaustive_scan(&g, &routing, &unc, scope);
+
+            let mut slave = SlaveLp::new(&g, &routing, &fractions, &unc, scope).unwrap();
+            let lower = slave
+                .lower_envelope_certificate()
+                .expect("a margin box has a certificate");
+            let mut scratch = Vec::new();
+            for (e, value) in g.edges().zip(&values) {
+                let Some(value) = *value else { continue };
+                let bound = slave.bound_by(e, &lower, &mut scratch) * (1.0 + BOUND_SLACK / 100.0);
+                assert!(value <= bound, "{label} {e:?}: LP {value} > bound {bound}");
+            }
+            let (got, _) = scan(&mut slave, None).unwrap();
+            assert_same_worst_case(&got.unwrap(), &want, &label);
+        }
+    }
+
+    /// [`bounded_scan_case`] on the five topologies × three margins, one
+    /// test each (`…::nsf::m2_0`) so that libtest runs them in parallel.
+    /// The exhaustive scans take ≈ 35 s optimized, so an unoptimized build
+    /// runs Abilene's three only.
+    mod bounded_scan_equals_the_exhaustive_scan {
+        macro_rules! margins {
+            ($topology:ident $(, #[$attr:meta])?) => {
+                mod $topology {
+                    use super::super::bounded_scan_case;
+                    #[test]
+                    $(#[$attr])?
+                    fn m1_5() {
+                        bounded_scan_case(stringify!($topology), 1.5);
+                    }
+                    #[test]
+                    $(#[$attr])?
+                    fn m2_0() {
+                        bounded_scan_case(stringify!($topology), 2.0);
+                    }
+                    #[test]
+                    $(#[$attr])?
+                    fn m3_0() {
+                        bounded_scan_case(stringify!($topology), 3.0);
+                    }
+                }
+            };
+        }
+        macro_rules! release_only {
+            ($($topology:ident)*) => {$(
+                margins!($topology, #[cfg_attr(
+                    debug_assertions,
+                    ignore = "release only: minutes unoptimized"
+                )]);
+            )*};
+        }
+        margins!(abilene);
+        release_only!(nsf germany grnet bics);
+    }
+
+    /// The pruning pays: on some (topology, scope, margin) case the
+    /// certificate scan skips more than half the edges. Only the pruned
+    /// scans run; Abilene only in an unoptimized build.
     #[test]
-    fn bounded_scan_equals_the_exhaustive_scan() {
-        let scopes = [RoutabilityScope::WithinDags, RoutabilityScope::AllEdges];
+    fn the_certificate_scan_skips_most_edges_somewhere() {
         let names: &[&str] = if cfg!(debug_assertions) {
             &["abilene"]
         } else {
@@ -797,24 +861,10 @@ mod tests {
         for &name in names {
             let (g, routing, base) = gravity_instance(name);
             let fractions = FractionTable::new(&g, &routing);
-            for (scope, margin) in scopes.iter().flat_map(|&s| [(s, 1.5), (s, 2.0), (s, 3.0)]) {
-                let label = format!("{name} {scope:?} m{margin}");
+            for (scope, margin) in SCOPES.iter().flat_map(|&s| [(s, 1.5), (s, 2.0), (s, 3.0)]) {
                 let unc = UncertaintySet::from_margin(&base, margin);
-                let (want, values) = exhaustive_scan(&g, &routing, &unc, scope);
-
                 let mut slave = SlaveLp::new(&g, &routing, &fractions, &unc, scope).unwrap();
-                let lower = slave
-                    .lower_envelope_certificate()
-                    .expect("a margin box has a certificate");
-                let mut scratch = Vec::new();
-                for (e, value) in g.edges().zip(&values) {
-                    let Some(value) = *value else { continue };
-                    let bound =
-                        slave.bound_by(e, &lower, &mut scratch) * (1.0 + BOUND_SLACK / 100.0);
-                    assert!(value <= bound, "{label} {e:?}: LP {value} > bound {bound}");
-                }
-                let (got, solved) = scan(&mut slave, None).unwrap();
-                assert_same_worst_case(&got.unwrap(), &want, &label);
+                let (_, solved) = scan(&mut slave, None).unwrap();
                 let skipped = 1.0 - solved as f64 / g.edge_count() as f64;
                 most_skipped = most_skipped.max(skipped);
             }
@@ -823,8 +873,12 @@ mod tests {
             most_skipped > 0.5,
             "at most {most_skipped} of the edges skipped"
         );
+    }
 
-        // Oblivious sets: no certificate until the first solve.
+    /// Oblivious sets have no certificate until the first solve; the scan
+    /// still finds the exhaustive scan's worst case on Fig. 1 and Abilene.
+    #[test]
+    fn oblivious_scans_equal_the_exhaustive_scan() {
         let (fig1, _) = example_fig1::topology();
         let (abilene, ..) = gravity_instance("abilene");
         for (label, g) in [("fig1", &fig1), ("abilene", &abilene)] {

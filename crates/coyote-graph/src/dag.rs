@@ -9,11 +9,11 @@
 
 use crate::error::GraphError;
 use crate::graph::{EdgeId, Graph, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A validated per-destination DAG: a subset of graph edges that is acyclic
 /// and in which every participating node can reach the destination.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Dag {
     destination: NodeId,
     /// Membership bitmap indexed by edge id.

@@ -8,16 +8,16 @@
 //! orientation for a physical link).
 
 use crate::error::GraphError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
 /// Index of a node (router) in a [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct NodeId(pub usize);
 
 /// Index of a directed edge (link direction) in a [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct EdgeId(pub usize);
 
 impl NodeId {
@@ -49,7 +49,7 @@ impl fmt::Display for EdgeId {
 }
 
 /// A directed edge: one direction of a physical link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Edge {
     /// Tail (the router the traffic leaves).
     pub src: NodeId,
@@ -67,7 +67,7 @@ pub struct Edge {
 ///
 /// Node and edge iteration order is insertion order, making every algorithm
 /// built on top deterministic.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Graph {
     names: Vec<String>,
     name_index: HashMap<String, NodeId>,

@@ -57,8 +57,8 @@ impl std::fmt::Display for Micros {
     }
 }
 
-/// Serializes a metrics snapshot as pretty-printed JSON with four sections
-/// (`counters`, `gauges`, `histograms`, `timings`), each with sorted keys;
+/// Serializes a metrics snapshot as pretty-printed JSON with three sections
+/// (`counters`, `histograms`, `timings`), each with sorted keys;
 /// a histogram is `{count, sum, min, max, buckets}`, its buckets
 /// `[lower bound, count]` pairs.
 ///
@@ -115,7 +115,6 @@ mod tests {
         registry.counter("z.last", 1);
         registry.counter("a.first", 2);
         registry.observe("m.hist", 3);
-        registry.gauge("g.value", 0.5);
         let json = metrics_json(&Arc::new(registry).snapshot());
         let a = json.find("a.first").unwrap();
         let z = json.find("z.last").unwrap();
@@ -125,11 +124,7 @@ mod tests {
             Value::Object(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
             _ => panic!("{json}"),
         };
-        assert_eq!(sections, ["counters", "gauges", "histograms", "timings"]);
-        assert_eq!(
-            doc.get("gauges").and_then(|g| g.get("g.value")?.as_f64()),
-            Some(0.5)
-        );
+        assert_eq!(sections, ["counters", "histograms", "timings"]);
         let hist = doc.get("histograms").and_then(|h| h.get("m.hist")).unwrap();
         let field = |k| hist.get(k).and_then(Value::as_f64);
         assert_eq!(

@@ -1,7 +1,7 @@
 //! # coyote-obs
 //!
 //! Observability for the COYOTE pipeline: hierarchical timed spans,
-//! monotonic counters, gauges and log2-bucketed histograms behind a
+//! monotonic counters and log2-bucketed histograms behind a
 //! thread-safe [`Registry`], with two exporters — [`chrome_trace_json`]
 //! (open in chrome://tracing or Perfetto) and [`metrics_json`] (sorted,
 //! diffable) — that print through the vendored `serde_json`.
@@ -60,12 +60,6 @@ pub fn counter(name: &str, delta: u64) {
     registry::with_sink(|r| r.counter(name, delta));
 }
 
-/// Sets the gauge `name` to `value`; no-op when profiling is disabled.
-#[inline]
-pub fn gauge(name: &str, value: f64) {
-    registry::with_sink(|r| r.gauge(name, value));
-}
-
 /// Records `value` into the deterministic value histogram `name`; no-op
 /// when profiling is disabled.
 #[inline]
@@ -112,7 +106,6 @@ mod tests {
         assert!(!enabled());
         counter("ghost", 1);
         observe("ghost", 1);
-        gauge("ghost", 1.0);
         observe_duration("ghost", std::time::Duration::from_millis(1));
         let span = span("ghost");
         assert!(!span.is_recording());
@@ -124,7 +117,6 @@ mod tests {
         let snapshot = registry.snapshot();
         assert!(snapshot.counters.is_empty());
         assert!(snapshot.histograms.is_empty());
-        assert!(snapshot.gauges.is_empty());
         assert!(snapshot.timings.is_empty());
         assert!(registry.trace_events().is_empty());
     }
@@ -136,7 +128,6 @@ mod tests {
         install(registry.clone());
         counter("c", 2);
         counter("c", 3);
-        gauge("g", 1.25);
         observe("h", 7);
         observe_duration("t", std::time::Duration::from_nanos(1500));
         {
@@ -147,7 +138,6 @@ mod tests {
         assert!(!enabled());
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counters["c"], 5);
-        assert_eq!(snapshot.gauges["g"], 1.25);
         assert_eq!(snapshot.histograms["h"].count, 1);
         assert_eq!(snapshot.timings["t"].sum, 1500);
         assert_eq!(snapshot.timings["outer"].count, 1);

@@ -1,11 +1,9 @@
 //! The thread-safe metrics/trace registry and the global sink.
 //!
-//! A [`Registry`] collects four kinds of data behind one mutex:
+//! A [`Registry`] collects three kinds of data behind one mutex:
 //!
 //! * **counters** — monotonically increasing `u64` sums. Additions commute,
 //!   so totals are bit-identical no matter how work is spread over threads.
-//! * **gauges** — last-written `f64` values (use only for values that are
-//!   set once per run, e.g. configuration, if determinism matters).
 //! * **histograms** — log2-bucketed *value* distributions (pivots per
 //!   solve, fake nodes per destination). Deterministic across thread
 //!   counts for the same reason counters are.
@@ -45,13 +43,12 @@ pub struct TraceEvent {
 #[derive(Default)]
 struct State {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
     timings: BTreeMap<String, Histogram>,
     trace: Vec<TraceEvent>,
 }
 
-/// A thread-safe collector for counters, gauges, histograms, timings and
+/// A thread-safe collector for counters, histograms, timings and
 /// trace events. See the [module docs](self) for the data model.
 pub struct Registry {
     id: u64,
@@ -105,12 +102,6 @@ impl Registry {
     pub fn counter(&self, name: &str, delta: u64) {
         let mut state = self.state.lock().expect("obs registry poisoned");
         *state.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    /// Sets the gauge `name` to `value` (last write wins).
-    pub fn gauge(&self, name: &str, value: f64) {
-        let mut state = self.state.lock().expect("obs registry poisoned");
-        state.gauges.insert(name.to_string(), value);
     }
 
     /// Records `value` into the (deterministic) value histogram `name`.
@@ -176,12 +167,11 @@ impl Registry {
             .clone()
     }
 
-    /// Captures the current counters/gauges/histograms/timings.
+    /// Captures the current counters/histograms/timings.
     pub fn snapshot(&self) -> Snapshot {
         let state = self.state.lock().expect("obs registry poisoned");
         Snapshot {
             counters: state.counters.clone(),
-            gauges: state.gauges.clone(),
             histograms: state
                 .histograms
                 .iter()
@@ -215,8 +205,6 @@ impl Registry {
 pub struct Snapshot {
     /// Monotonic counters (deterministic across thread counts).
     pub counters: BTreeMap<String, u64>,
-    /// Last-written gauges.
-    pub gauges: BTreeMap<String, f64>,
     /// Value histograms (deterministic across thread counts).
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Duration histograms in nanoseconds (wall time: non-deterministic).
@@ -230,7 +218,6 @@ impl Snapshot {
     pub fn deterministic(&self) -> Snapshot {
         Snapshot {
             counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
             histograms: self.histograms.clone(),
             timings: BTreeMap::new(),
         }

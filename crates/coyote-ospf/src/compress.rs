@@ -41,7 +41,7 @@ use crate::spf::ties;
 use crate::wecmp::quantize_split;
 use coyote_graph::spf::shortest_path_dag;
 use coyote_graph::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Default split-error tolerance of the lossy compression level: well under
@@ -50,7 +50,7 @@ use std::collections::BTreeMap;
 pub const DEFAULT_EPSILON: f64 = 0.02;
 
 /// How aggressively to compress a compiled Fibbing program.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize)]
 pub enum CompressionLevel {
     /// No compression: the program is exactly what the compiler emitted.
     #[default]
@@ -98,7 +98,7 @@ impl CompressionLevel {
 }
 
 /// What compression did to a program.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CompressionStats {
     /// Fake nodes before compression.
     pub fake_nodes_before: usize,

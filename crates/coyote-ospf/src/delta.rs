@@ -28,10 +28,10 @@ use crate::error::OspfError;
 use crate::lsa::{FakeNodeId, FakeNodeLsa, RouterLsa};
 use crate::lsdb::Lsdb;
 use coyote_graph::NodeId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Replacement lie list for one destination prefix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PrefixUpdate {
     /// The destination prefix whose lies are replaced.
     pub destination: NodeId,
@@ -46,7 +46,7 @@ pub struct PrefixUpdate {
 /// An incremental update to a lied-to LSDB: replacement router LSAs (for
 /// link/node events; `None` when the topology is unchanged) plus per-prefix
 /// replacement lie lists for every re-optimized destination.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct LsaDelta {
     /// Replacement topology advertisements, present only when a link or
     /// node event changed the physical adjacencies.

@@ -10,11 +10,11 @@
 use crate::error::OspfError;
 use coyote_core::PdRouting;
 use coyote_graph::{Dag, EdgeId, Graph, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// One router's next-hop multiset towards one destination.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FibEntry {
     /// Next-hop neighbor and its ECMP multiplicity.
     pub next_hops: BTreeMap<usize, u32>,
@@ -51,7 +51,7 @@ impl FibEntry {
 
 /// The forwarding state of the whole network: per destination prefix, per
 /// router, a [`FibEntry`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fib {
     node_count: usize,
     /// `entries[destination][router]`.

@@ -36,10 +36,10 @@ use crate::wecmp::approximate_split;
 use coyote_core::PdRouting;
 use coyote_graph::spf::{shortest_path_dag, ShortestPathDag};
 use coyote_graph::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Operator budget for splitting-ratio approximation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct VirtualLinkBudget {
     /// Maximum number of ECMP FIB entries a router may hold towards one
     /// destination prefix (real next hops plus virtual replicas). The paper
@@ -65,7 +65,7 @@ impl VirtualLinkBudget {
 }
 
 /// Statistics about a computed Fibbing program.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FibbingStats {
     /// Total fake nodes injected.
     pub fake_nodes: usize,

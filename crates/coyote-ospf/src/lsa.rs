@@ -20,14 +20,14 @@
 //! mirroring the physical adjacencies); the lies are [`FakeNodeLsa`]s.
 
 use coyote_graph::NodeId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of a fake (virtual) node injected by the Fibbing controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct FakeNodeId(pub usize);
 
 /// One adjacency inside a [`RouterLsa`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RouterLink {
     /// The neighboring router.
     pub neighbor: NodeId,
@@ -37,7 +37,7 @@ pub struct RouterLink {
 
 /// The real link-state advertisement of one router: its physical
 /// adjacencies and metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RouterLsa {
     /// The advertising router.
     pub router: NodeId,
@@ -46,7 +46,7 @@ pub struct RouterLsa {
 }
 
 /// One destination prefix a fake node advertises.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PrefixAdvertisement {
     /// The destination node whose prefix is advertised.
     pub destination: NodeId,
@@ -57,7 +57,7 @@ pub struct PrefixAdvertisement {
 /// A Fibbing lie: a fake node attached to one router, advertising one or
 /// more destination prefixes, whose traffic is ultimately forwarded to a
 /// real next hop (the *forwarding address*).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FakeNodeLsa {
     /// Identifier of the fake node.
     pub id: FakeNodeId,

@@ -2,7 +2,7 @@
 
 use crate::lsa::{FakeNodeId, FakeNodeLsa, RouterLink, RouterLsa};
 use coyote_graph::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What [`Lsdb::withdraw`] removes while simulating OSPF's reaction to a
 /// failure: dead router advertisements, withdrawn adjacencies, and lies the
@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// strip individual prefix advertisements off a surviving shared fake;
 /// `dropped_advertisements` counts those withdrawals (for single-prefix
 /// programs it equals `dropped_fakes`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct PruneStats {
     /// Router LSAs withdrawn because the router itself failed.
     pub dead_routers: usize,
@@ -33,7 +33,7 @@ pub struct PruneStats {
 /// The link-state database every router's SPF computation reads: the real
 /// topology (one [`RouterLsa`] per router) plus the fake-node advertisements
 /// injected by the Fibbing controller.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Lsdb {
     pub(crate) router_lsas: Vec<RouterLsa>,
     /// Every mutator keeps `fakes[i].id == FakeNodeId(i)`.

@@ -11,10 +11,10 @@ use crate::error::OspfError;
 use crate::fibbing::{realized_routing, FibbingProgram};
 use coyote_core::PdRouting;
 use coyote_graph::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Outcome of verifying one Fibbing program against its target routing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VerificationReport {
     /// True if every edge that carries traffic in the target also carries
     /// traffic in the realized routing and vice versa (the DAGs match).

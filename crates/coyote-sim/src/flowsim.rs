@@ -23,12 +23,12 @@
 
 use coyote_graph::{EdgeId, Graph, NodeId};
 use coyote_traffic::DemandMatrix;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// A destination prefix: traffic addressed to it is routed by its own DAG /
 /// splitting ratios, all rooted at the prefix's egress node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct PrefixId(pub usize);
 
 /// Per-prefix forwarding state: for the egress node and every edge, the
@@ -43,7 +43,7 @@ pub struct PrefixRouting {
 }
 
 /// A constant-bit-rate flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CbrFlow {
     /// Ingress node.
     pub source: NodeId,
@@ -54,7 +54,7 @@ pub struct CbrFlow {
 }
 
 /// Result of simulating one steady-state traffic scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimOutcome {
     /// Total rate offered by all flows.
     pub offered: f64,

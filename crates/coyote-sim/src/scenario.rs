@@ -19,10 +19,10 @@
 
 use crate::flowsim::{CbrFlow, FlowSimulator, PrefixId, SimOutcome};
 use coyote_graph::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The TE configurations compared in the prototype experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum PrototypeScheme {
     /// Both sources forward both prefixes on their direct link.
     Te1,
@@ -56,7 +56,7 @@ impl PrototypeScheme {
 }
 
 /// One simulated traffic phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PhaseResult {
     /// Offered (s1 → t1, s2 → t2) rates in Mbps.
     pub offered: (f64, f64),
@@ -67,7 +67,7 @@ pub struct PhaseResult {
 }
 
 /// Result of the whole three-phase experiment for one scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PrototypeResult {
     /// Which scheme was emulated.
     pub scheme: String,

@@ -9,10 +9,10 @@
 //! available we use unit capacities and link weights."
 
 use coyote_graph::{Graph, GraphError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One bidirectional backbone link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Link {
     /// Index of one endpoint in [`Topology::nodes`].
     pub a: usize,
@@ -25,7 +25,7 @@ pub struct Link {
 }
 
 /// A named backbone topology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Topology {
     /// Human-readable name (e.g. `"Abilene"`).
     pub name: String,

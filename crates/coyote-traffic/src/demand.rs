@@ -8,10 +8,10 @@
 //! matrix, which several algorithms exploit.
 
 use coyote_graph::NodeId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A dense |V| × |V| demand matrix (diagonal is ignored / kept at zero).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DemandMatrix {
     n: usize,
     /// Row-major demands: `data[s * n + t]`.

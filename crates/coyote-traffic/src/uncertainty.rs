@@ -12,10 +12,10 @@ use crate::demand::DemandMatrix;
 use coyote_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The set of demand matrices the operator deems possible.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum UncertaintySet {
     /// Every non-negative demand matrix is possible ("oblivious" in the
     /// paper; only matrices that are routable at all matter, which the
