@@ -331,6 +331,11 @@ fn render_fig1(caption: &str, _: Effort, _: usize) -> Result<Rendered, CoreError
 // Theorem 1: the BIPARTITION gadget.
 // ---------------------------------------------------------------------------
 
+/// A matrix whose demands-aware optimum is at or below this carries no
+/// traffic: the gadget and the Theorem-4 instance leave it out of their
+/// worst ratio instead of dividing by it.
+const ZERO_OPTIMUM: f64 = 1e-9;
+
 /// Results of the NP-hardness gadget experiment.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GadgetResult {
@@ -443,7 +448,7 @@ pub fn theorem1_gadget(weights: &[f64]) -> Result<GadgetResult, CoreError> {
         let mut worst = 0.0_f64;
         for dm in [&d1, &d2] {
             let opt = optu(&g, dm)?;
-            if opt > 1e-9 {
+            if opt > ZERO_OPTIMUM {
                 worst = worst.max(routing.max_link_utilization(&g, dm) / opt);
             }
         }
@@ -536,7 +541,7 @@ pub fn theorem4_lower_bound(n: usize) -> Result<LowerBoundResult, CoreError> {
         let opt = optu(&g, &dm)?;
         worst_opt = worst_opt.max(opt);
         let util = ecmp.max_link_utilization(&g, &dm);
-        if opt > 1e-9 {
+        if opt > ZERO_OPTIMUM {
             worst_ratio = worst_ratio.max(util / opt);
         }
     }

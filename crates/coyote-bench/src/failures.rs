@@ -55,6 +55,7 @@ use coyote_core::{
     build_all_dags, optimal_routing_within_dags, split_routable_within_dags, CoreError, DagMode,
     PdRouting,
 };
+use coyote_graph::rng::splitmix64;
 use coyote_graph::{EdgeId, Graph, NodeId};
 use coyote_ospf::{
     compute_program, realized_routing, FibbingProgram, OspfError, VirtualLinkBudget,
@@ -82,16 +83,6 @@ const SPIKE_FRACTION: f64 = 0.2;
 
 /// Multiplier a flash crowd applies to the selected demand pairs.
 const SPIKE_FACTOR: f64 = 4.0;
-
-/// SplitMix64: the tiny, high-quality mixing function both deterministic
-/// event generators are built on. Implemented inline so the engine depends
-/// on nothing but the seed.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// One injectable event. Link indices refer to [`Topology::links`] (each
 /// bidirectional link lowers to two anti-parallel graph edges).

@@ -244,6 +244,8 @@ struct EvalScratch {
 
 // The smoothing temperature of the max, relative to the current maximum.
 const SMOOTHING: f64 = 0.02;
+// The temperature's floor: an all-zero load vector still has a positive one.
+const MIN_TEMPERATURE: f64 = 1e-6;
 
 /// The differentiable objective: smoothed maximum over (matrix, edge) of
 /// `load / (capacity · OPTU(D))`, as a function of the softmax parameters.
@@ -461,7 +463,7 @@ impl<'a> SplittingObjective<'a> {
             }
         }
         let max_val = values.iter().copied().fold(0.0_f64, f64::max);
-        let tau = (SMOOTHING * max_val).max(1e-6);
+        let tau = (SMOOTHING * max_val).max(MIN_TEMPERATURE);
         let objective = smooth_max_and_weights_into(values, tau, weights);
         // Per-edge weight of each matrix in the smoothed max.
         for e in 0..ne {
@@ -878,7 +880,7 @@ mod tests {
             }
 
             let max_val = values.iter().copied().fold(0.0_f64, f64::max);
-            let tau = (SMOOTHING * max_val).max(1e-6);
+            let tau = (SMOOTHING * max_val).max(MIN_TEMPERATURE);
             let mut weights = Vec::new();
             let objective = smooth_max_and_weights_into(&values, tau, &mut weights);
 

@@ -25,10 +25,9 @@
 use crate::error::CoreError;
 use crate::opt_mcf::optu_within_dags;
 use crate::routing::PdRouting;
+use coyote_graph::rng::SplitMix64;
 use coyote_graph::{Dag, Graph, NodeId};
 use coyote_traffic::{DemandMatrix, UncertaintySet};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// A finite family of demand matrices with precomputed normalization
 /// denominators (`OPTU` within a fixed DAG set).
@@ -67,6 +66,15 @@ impl Default for EvaluationOptions {
     }
 }
 
+/// The floor of the per-entry upper bound the oblivious set's corners and
+/// samples fall back to (the base matrix's largest entry), so a zero base
+/// still yields non-zero corners.
+const MIN_FALLBACK_UPPER: f64 = 1e-6;
+
+/// A matrix whose `OPTU` within the DAGs is at or below this is not added:
+/// normalizing by it would divide by round-off.
+const ZERO_OPTIMUM: f64 = 1e-12;
+
 impl EvaluationSet {
     /// An empty family; populate it with [`EvaluationSet::try_add`].
     pub fn empty() -> Self {
@@ -88,7 +96,7 @@ impl EvaluationSet {
         options: &EvaluationOptions,
     ) -> Result<Self, CoreError> {
         let n = graph.node_count();
-        let mut rng = StdRng::seed_from_u64(options.seed);
+        let mut rng = SplitMix64::new(options.seed);
         let mut matrices: Vec<DemandMatrix> = Vec::new();
 
         if let Some(b) = base {
@@ -103,7 +111,10 @@ impl EvaluationSet {
             }
         }
 
-        let fallback_upper = base.map(|b| b.max_entry()).unwrap_or(1.0).max(1e-6);
+        let fallback_upper = base
+            .map(|b| b.max_entry())
+            .unwrap_or(1.0)
+            .max(MIN_FALLBACK_UPPER);
         let pairs = uncertainty.active_pairs();
 
         // Corner matrices.
@@ -115,7 +126,7 @@ impl EvaluationSet {
                     u if u.is_finite() => u,
                     _ => fallback_upper,
                 };
-                let v = if rng.gen::<bool>() { hi } else { lo };
+                let v = if rng.coin() { hi } else { lo };
                 if v > 0.0 {
                     dm.set(s, t, v);
                 }
@@ -181,7 +192,7 @@ impl EvaluationSet {
             return Ok(());
         }
         let opt = optu_within_dags(graph, dags, &dm)?;
-        if opt <= 1e-12 {
+        if opt <= ZERO_OPTIMUM {
             return Ok(());
         }
         self.matrices.push(dm);

@@ -20,6 +20,9 @@
 //!   which splitting ratios and loads are propagated).
 //! * [`path`] — expected hop counts under a routing function, used by the
 //!   Fig. 11 "path stretch" experiment.
+//! * [`rng`] — the workspace's one seeded generator (SplitMix64), behind
+//!   every seeded draw: reconstructed topologies, bimodal matrices, the
+//!   evaluation family, the failure grid's events.
 //!
 //! The crate is dependency-free (besides `serde` for persisting topologies)
 //! and deterministic: iteration orders are fixed so that experiments are
@@ -32,6 +35,7 @@ pub mod dag;
 pub mod error;
 pub mod graph;
 pub mod path;
+pub mod rng;
 pub mod spf;
 
 pub use dag::Dag;

@@ -12,6 +12,10 @@
 use crate::dag::Dag;
 use crate::graph::{EdgeId, Graph};
 
+/// A node whose positive out-fractions sum to at most this carries no
+/// traffic and gets no hop count.
+const ZERO_FRACTION: f64 = 1e-9;
+
 /// Expected number of hops from every node to `dag.destination()` when, at
 /// every node, the fraction of traffic leaving on edge `e` is `split(e)`
 /// (fractions over each node's DAG out-edges must sum to 1 for nodes that
@@ -51,7 +55,7 @@ where
             }
             total_frac += f;
         }
-        if well_defined && total_frac > 1e-9 {
+        if well_defined && total_frac > ZERO_FRACTION {
             hops[u.index()] = Some(acc / total_frac);
         }
     }

@@ -46,6 +46,10 @@ pub fn verify_program(
     Ok(compare_routings(graph, target, &realized))
 }
 
+/// A splitting ratio above this puts the edge in its destination's DAG:
+/// the DAGs are compared, and the split errors taken, over such edges.
+const USED_RATIO: f64 = 1e-9;
+
 /// Compares two routings edge by edge (exposed separately so tests and the
 /// experiment harness can verify routings from other sources, e.g. an
 /// "ideal" configuration versus its budget-limited approximation).
@@ -64,10 +68,10 @@ pub fn compare_routings(
         for e in graph.edges() {
             let a = target.ratio(t, e);
             let b = realized.ratio(t, e);
-            if (a > 1e-9) != (b > 1e-9) {
+            if (a > USED_RATIO) != (b > USED_RATIO) {
                 dag_ok = false;
             }
-            if a > 1e-9 || b > 1e-9 {
+            if a > USED_RATIO || b > USED_RATIO {
                 let d = (a - b).abs();
                 max_err = max_err.max(d);
                 err_sum += d;

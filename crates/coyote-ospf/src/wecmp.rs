@@ -8,6 +8,10 @@
 //! interface, Fig. 10), so the multiplicities must approximate the desired
 //! fractions under a budget.
 
+/// A larger total replaces the best one found only if it lowers the
+/// maximum split error by more than this.
+const ERROR_GAIN: f64 = 1e-12;
+
 /// Approximates the desired `fractions` (non-negative, at least one
 /// positive) by integer multiplicities whose total is at most
 /// `max_total_entries` (and at least the number of strictly positive
@@ -47,7 +51,7 @@ pub fn approximate_split(fractions: &[f64], max_total_entries: usize) -> Vec<u32
             .zip(&assigned)
             .map(|(&s, &m)| (s - m as f64 / entries as f64).abs())
             .fold(0.0, f64::max);
-        if best.as_ref().is_none_or(|(e, _)| err < *e - 1e-12) {
+        if best.as_ref().is_none_or(|(e, _)| err < *e - ERROR_GAIN) {
             best = Some((err, assigned));
         }
     }
@@ -204,7 +208,7 @@ mod tests {
                 .zip(&assigned)
                 .map(|(&s, &m)| (s - m as f64 / entries as f64).abs())
                 .fold(0.0, f64::max);
-            if best.as_ref().is_none_or(|(e, _)| err < *e - 1e-12) {
+            if best.as_ref().is_none_or(|(e, _)| err < *e - ERROR_GAIN) {
                 best = Some((err, assigned));
             }
         }

@@ -97,6 +97,10 @@ impl SimOutcome {
     }
 }
 
+/// The fixed point has settled once no edge's delivery fraction moves by
+/// more than this in a round.
+const PASS_SETTLED: f64 = 1e-9;
+
 /// The emulator: a topology plus per-prefix forwarding state.
 #[derive(Debug, Clone)]
 pub struct FlowSimulator {
@@ -314,7 +318,7 @@ impl FlowSimulator {
                     1.0
                 };
                 let delta = (new_pass - pass[e.index()]).abs();
-                if delta > 1e-9 {
+                if delta > PASS_SETTLED {
                     changed = true;
                 }
                 residual = residual.max(delta);

@@ -9,8 +9,7 @@
 //! in its seed, so every experiment is reproducible bit-for-bit.
 
 use crate::topology::Topology;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use coyote_graph::rng::SplitMix64;
 
 /// Parameters of a synthetic backbone.
 #[derive(Debug, Clone)]
@@ -58,7 +57,7 @@ impl BackboneSpec {
 
     /// Generates the topology.
     pub fn generate(&self) -> Topology {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = SplitMix64::new(self.seed);
         let mut topo = Topology::new(self.name.clone());
         for i in 0..self.nodes {
             topo.add_node(format!("{}-{i}", self.name));
@@ -70,7 +69,7 @@ impl BackboneSpec {
         let mut has_link = vec![vec![false; self.nodes]; self.nodes];
         let add = |topo: &mut Topology,
                    has_link: &mut Vec<Vec<bool>>,
-                   rng: &mut StdRng,
+                   rng: &mut SplitMix64,
                    a: usize,
                    b: usize|
          -> bool {
@@ -79,7 +78,7 @@ impl BackboneSpec {
             }
             has_link[a][b] = true;
             has_link[b][a] = true;
-            let cap = self.capacity_classes[rng.gen_range(0..self.capacity_classes.len())];
+            let cap = self.capacity_classes[rng.below(self.capacity_classes.len())];
             topo.add_link(a, b, cap, 1.0);
             true
         };
@@ -88,13 +87,13 @@ impl BackboneSpec {
             // Random spanning tree (each node attaches to a random earlier
             // node) plus a single redundant link.
             for i in 1..self.nodes {
-                let parent = rng.gen_range(0..i);
+                let parent = rng.below(i);
                 add(&mut topo, &mut has_link, &mut rng, i, parent);
             }
             let mut added = false;
             while !added && self.nodes > 2 {
-                let a = rng.gen_range(0..self.nodes);
-                let b = rng.gen_range(0..self.nodes);
+                let a = rng.below(self.nodes);
+                let b = rng.below(self.nodes);
                 added = add(&mut topo, &mut has_link, &mut rng, a, b);
             }
         } else {
@@ -107,8 +106,8 @@ impl BackboneSpec {
             let mut attempts = 0;
             while remaining > 0 && attempts < 50 * self.extra_links + 100 {
                 attempts += 1;
-                let a = rng.gen_range(0..self.nodes);
-                let span = rng.gen_range(2..self.nodes.max(3));
+                let a = rng.below(self.nodes);
+                let span = 2 + rng.below(self.nodes.max(3) - 2);
                 let b = (a + span) % self.nodes;
                 if add(&mut topo, &mut has_link, &mut rng, a, b) {
                     remaining -= 1;

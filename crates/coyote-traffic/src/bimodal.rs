@@ -7,9 +7,8 @@
 //! reproducible.
 
 use crate::demand::DemandMatrix;
+use coyote_graph::rng::SplitMix64;
 use coyote_graph::{Graph, NodeId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 // Fraction of ordered pairs that are "elephant" pairs.
 const LARGE_FRACTION: f64 = 0.1;
@@ -43,7 +42,7 @@ impl BimodalModel {
         if n < 2 {
             return dm;
         }
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = SplitMix64::new(self.seed);
         let mut raw = vec![0.0; n * n];
         let mut raw_total = 0.0;
         for s in 0..n {
@@ -51,10 +50,10 @@ impl BimodalModel {
                 if s == t {
                     continue;
                 }
-                let is_large = rng.gen::<f64>() < LARGE_FRACTION;
+                let is_large = rng.unit() < LARGE_FRACTION;
                 // Uniform jitter around the mode's mean keeps the matrix
                 // generic (no exactly-equal demands).
-                let jitter = 0.5 + rng.gen::<f64>();
+                let jitter = 0.5 + rng.unit();
                 let base = if is_large { LARGE_TO_SMALL_RATIO } else { 1.0 };
                 let v = base * jitter;
                 raw[s * n + t] = v;

@@ -9,9 +9,8 @@
 //! every non-negative matrix is possible.
 
 use crate::demand::DemandMatrix;
+use coyote_graph::rng::SplitMix64;
 use coyote_graph::NodeId;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 /// The set of demand matrices the operator deems possible.
@@ -171,7 +170,7 @@ impl UncertaintySet {
     /// randomized robustness tests.
     pub fn sample(&self, count: usize, fallback_upper: f64, seed: u64) -> Vec<DemandMatrix> {
         let n = self.node_count();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         (0..count)
             .map(|_| {
                 let mut dm = DemandMatrix::zeros(n);
@@ -189,7 +188,7 @@ impl UncertaintySet {
                         if hi <= 0.0 {
                             continue;
                         }
-                        dm.set(s, t, rng.gen_range(lo..=hi.max(lo)));
+                        dm.set(s, t, rng.uniform(lo, hi.max(lo)));
                     }
                 }
                 dm
