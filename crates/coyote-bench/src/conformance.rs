@@ -255,10 +255,10 @@ pub fn conformance_record_with(
     let (scenario, intended) = {
         let _span = coyote_obs::span("conform.evaluate");
         let scenario = Scenario::build(spec)?;
-        let intended = scenario.optimize(&scenario.uncertainty)?;
+        let intended = scenario.pipeline.optimize(&scenario.uncertainty)?.routing;
         (scenario, intended)
     };
-    let graph = &scenario.graph;
+    let graph = scenario.pipeline.graph();
 
     // Compile the optimized routing into OSPF lies and reconstruct what the
     // real routers would compute (budget: see [`COMPILE_BUDGET`]). The
@@ -278,7 +278,8 @@ pub fn conformance_record_with(
     // The two matrices the paper's story hinges on: the operator's base
     // estimate and the adversarial worst case of the evaluation family.
     let worst_dm = scenario
-        .evaluation
+        .pipeline
+        .evaluation()
         .worst_matrix(graph, &intended)
         .cloned()
         .unwrap_or_else(|| scenario.base.clone());
@@ -447,7 +448,10 @@ pub fn run_pareto(
     let started = Instant::now();
     let mut runs = Vec::with_capacity(levels.len());
     for &level in levels {
-        runs.push((level, run_conformance_with(grid, threads, tolerance, level)?));
+        runs.push((
+            level,
+            run_conformance_with(grid, threads, tolerance, level)?,
+        ));
     }
     let baseline = runs
         .iter()

@@ -302,7 +302,8 @@ pub fn fig1_running_example() -> Result<Fig1Result, CoreError> {
     let ecmp = ecmp_routing(&graph)?;
     let fig1c = example_fig1::fig1c_routing(&graph, &nodes);
     let golden = example_fig1::golden_routing(&graph, &nodes);
-    let optimized = coyote(&graph, &unc, None, &CoyoteConfig::fast())?;
+    let optimized =
+        Pipeline::new(graph.clone(), &unc, None, CoyoteConfig::fast())?.optimize(&unc)?;
 
     Ok(Fig1Result {
         ecmp_ratio: exact(&ecmp)?,
@@ -614,8 +615,8 @@ pub fn fig10_approximation(
         heuristic: InverseCapacity,
         effort,
     })?;
-    let (graph, evaluation) = (&scenario.graph, &scenario.evaluation);
-    let coyote = scenario.optimize(&scenario.uncertainty)?;
+    let (graph, evaluation) = (scenario.pipeline.graph(), scenario.pipeline.evaluation());
+    let coyote = scenario.pipeline.optimize(&scenario.uncertainty)?.routing;
 
     let mut points = Vec::new();
     for budget in [Some(3usize), Some(5), Some(10), None] {
@@ -699,14 +700,15 @@ pub fn fig11_stretch(
             heuristic: InverseCapacity,
             effort,
         })?;
-        let graph = &scenario.graph;
-        let oblivious = scenario.optimize(&UncertaintySet::oblivious(graph.node_count()))?;
-        let partial = scenario.optimize(&scenario.uncertainty)?;
+        let pipeline = &scenario.pipeline;
+        let graph = pipeline.graph();
+        let oblivious = pipeline.optimize(&UncertaintySet::oblivious(graph.node_count()))?;
+        let partial = pipeline.optimize(&scenario.uncertainty)?;
         let ecmp = ecmp_routing(graph)?;
-        let stretch = |routing| average_stretch(graph, routing, &ecmp).unwrap_or(1.0);
+        let stretch = |r: CoyoteResult| average_stretch(graph, &r.routing, &ecmp).unwrap_or(1.0);
         Ok(StretchResult {
-            oblivious_stretch: stretch(&oblivious),
-            partial_stretch: stretch(&partial),
+            oblivious_stretch: stretch(oblivious),
+            partial_stretch: stretch(partial),
             topology: scenario.topology.name,
         })
     })

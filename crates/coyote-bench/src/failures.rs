@@ -22,7 +22,7 @@
 //!    ([`Withdrawal::reconverge`]) — and flow-simulate the post-failure
 //!    matrix on the reconverged routing. "Oblivious" means blind to the
 //!    failure, not COYOTE-oblivious: the kept program compiles the
-//!    partial-knowledge routing ([`Scenario::optimize`] on the margin box),
+//!    partial-knowledge routing (`Pipeline::optimize` on the margin box),
 //!    and this engine never runs the demands-oblivious optimizer.
 //! 3. **Re-optimized mode** — rebuild DAGs on the post-failure topology,
 //!    re-solve the demands-aware LP on the routable part of the matrix
@@ -539,16 +539,16 @@ struct CellBase {
 fn cell_base(spec: &SweepSpec) -> Result<CellBase, CoreError> {
     let _span = coyote_obs::span("failures.base");
     let scenario = Scenario::build(spec)?;
-    let routing = scenario.optimize(&scenario.uncertainty)?;
+    let routing = scenario.pipeline.optimize(&scenario.uncertainty)?.routing;
     let program = compute_program(
-        &scenario.graph,
+        scenario.pipeline.graph(),
         &routing,
         VirtualLinkBudget::per_prefix(COMPILE_BUDGET),
     )
     .map_err(|e| CoreError::InvalidRouting(e.to_string()))?;
     Ok(CellBase {
         topo: scenario.topology,
-        graph: scenario.graph,
+        graph: scenario.pipeline.graph().clone(),
         base: scenario.base,
         program,
     })

@@ -14,15 +14,17 @@
 //! 4. **COYOTE (partial knowledge)**: splitting ratios optimized for the
 //!    margin box.
 //!
-//! The four share one step, [`Scenario`]: weights, base matrix, margin box,
-//! DAGs and evaluation family, plus [`Scenario::optimize`] for whichever
-//! uncertainty set a caller reads the routing of. [`evaluate_scenario`]
-//! builds Table I's row on it; the conformance and failure engines and
-//! Fig. 10 optimize the margin box only, and Fig. 11 both sets.
+//! The four share one step, [`Scenario`]: it resolves the spec to weights,
+//! base matrix and margin box, and hands them to COYOTE's [`Pipeline`],
+//! which builds the DAGs and evaluation family and optimizes the splitting
+//! for whichever uncertainty set a caller reads the routing of.
+//! [`evaluate_scenario`] builds Table I's row on it; the conformance and
+//! failure engines and Fig. 10 optimize the margin box only, and Fig. 11
+//! both sets.
 
 use crate::sweep::SweepSpec;
 use coyote_core::prelude::*;
-use coyote_graph::{Dag, Graph};
+use coyote_graph::Graph;
 use coyote_topology::{zoo, Topology};
 use coyote_traffic::{BimodalModel, DemandMatrix, GravityModel, UncertaintySet};
 use serde::Serialize;
@@ -140,30 +142,25 @@ impl ProtocolRatios {
     }
 }
 
-/// Steps 1–5 of a scenario evaluation: the weighted graph, the base matrix,
-/// the margin box, COYOTE's augmented DAGs and the evaluation family. Every
-/// engine builds this once per spec, then optimizes the splitting for the
-/// uncertainty sets whose routings it reads ([`Scenario::optimize`]).
+/// One spec resolved: the zoo topology, the base matrix, the margin box,
+/// and COYOTE's [`Pipeline`] on the weighted graph at the spec's effort.
+/// Every engine builds this once per spec, then optimizes the splitting for
+/// the uncertainty sets whose routings it reads ([`Pipeline::optimize`]).
 pub struct Scenario {
     /// The zoo topology the spec names.
     pub topology: Topology,
-    /// The graph with the heuristic's weights applied.
-    pub graph: Graph,
     /// The base demand matrix.
     pub base: DemandMatrix,
     /// The margin box around `base`.
     pub uncertainty: UncertaintySet,
-    /// COYOTE's augmented DAGs, also the normalization scope.
-    dags: Vec<Dag>,
-    /// The shared evaluation family.
-    pub evaluation: EvaluationSet,
-    /// The splitting optimizer's budget at the spec's effort.
-    config: CoyoteConfig,
+    /// The graph with the heuristic's weights applied, its augmented DAGs
+    /// and the shared evaluation family.
+    pub pipeline: Pipeline,
 }
 
 impl Scenario {
-    /// Runs steps 1–5 for `spec`. An unknown topology, or a margin that is
-    /// not a finite number ≥ 1, is an error.
+    /// Resolves `spec` and builds its pipeline. An unknown topology, or a
+    /// margin that is not a finite number ≥ 1, is an error.
     pub fn build(spec: &SweepSpec) -> Result<Self, CoreError> {
         let _span = coyote_obs::span("bench.scenario");
         if !(spec.margin.is_finite() && spec.margin >= 1.0) {
@@ -181,43 +178,19 @@ impl Scenario {
             WeightHeuristic::LocalSearch => {
                 let base = spec.model.generate(&graph);
                 let unc = UncertaintySet::from_margin(&base, spec.margin);
-                let result =
-                    coyote_core::local_search::local_search_weights(&graph, &unc, &local_search)?;
-                graph = coyote_core::local_search::apply_weights(&graph, &result.weights)?;
+                graph = local_search_weights(&graph, &unc, &local_search)?.graph;
             }
         }
 
         let base = spec.model.generate(&graph);
         let uncertainty = UncertaintySet::from_margin(&base, spec.margin);
-        let dags = build_all_dags(&graph, DagMode::Augmented)?;
-        let evaluation =
-            EvaluationSet::build(&graph, &dags, &uncertainty, Some(&base), &config.evaluation)?;
+        let pipeline = Pipeline::new(graph, &uncertainty, Some(&base), config)?;
         Ok(Scenario {
             topology,
-            graph,
             base,
             uncertainty,
-            dags,
-            evaluation,
-            config,
+            pipeline,
         })
-    }
-
-    /// COYOTE's splitting optimized for `set` within the DAGs. The shared
-    /// evaluation family seeds the working set (its optima are already
-    /// computed); the constraint-generation adversary ranges over `set`.
-    /// Calls share no mutable state, so each routing is the same whatever
-    /// else was optimized before it.
-    pub fn optimize(&self, set: &UncertaintySet) -> Result<PdRouting, CoreError> {
-        let result = optimize_splitting_with_working_set(
-            &self.graph,
-            self.dags.clone(),
-            set,
-            Some(&self.base),
-            &self.config,
-            self.evaluation.clone(),
-        )?;
-        Ok(result.routing)
     }
 }
 
@@ -227,23 +200,24 @@ pub fn evaluate_scenario(spec: &SweepSpec) -> Result<ProtocolRatios, CoreError> 
     let _span = coyote_obs::span("bench.evaluate_scenario");
     coyote_obs::counter("bench.scenario_evaluations", 1);
     let scenario = Scenario::build(spec)?;
-    let (graph, evaluation) = (&scenario.graph, &scenario.evaluation);
+    let pipeline = &scenario.pipeline;
+    let (graph, evaluation) = (pipeline.graph(), pipeline.evaluation());
 
     // 1. ECMP.
     let ecmp = evaluation.performance_ratio(graph, &ecmp_routing(graph)?);
 
     // 2. Base: optimal for the base matrix within the DAGs.
-    let (base_routing, _) = optimal_routing_within_dags(graph, &scenario.dags, &scenario.base)?;
+    let (base_routing, _) = optimal_routing_within_dags(graph, pipeline.dags(), &scenario.base)?;
     let base = evaluation.performance_ratio(graph, &base_routing);
 
     // 3. COYOTE oblivious: the adversary is unconstrained, so the optimizer
     //    guards against arbitrary matrices.
-    let oblivious = scenario.optimize(&UncertaintySet::oblivious(graph.node_count()))?;
-    let coyote_oblivious = evaluation.performance_ratio(graph, &oblivious);
+    let oblivious = pipeline.optimize(&UncertaintySet::oblivious(graph.node_count()))?;
+    let coyote_oblivious = evaluation.performance_ratio(graph, &oblivious.routing);
 
     // 4. COYOTE partial knowledge.
-    let partial = scenario.optimize(&scenario.uncertainty)?;
-    let coyote_partial = evaluation.performance_ratio(graph, &partial);
+    let partial = pipeline.optimize(&scenario.uncertainty)?;
+    let coyote_partial = evaluation.performance_ratio(graph, &partial.routing);
 
     Ok(ProtocolRatios {
         topology: scenario.topology.name,
@@ -371,20 +345,24 @@ mod tests {
             .into_iter()
             .filter(|s| topologies.contains(&s.topology.as_str()))
             .collect();
-        assert_eq!(specs.len(), 2 * topologies.len(), "both models per topology");
+        assert_eq!(
+            specs.len(),
+            2 * topologies.len(),
+            "both models per topology"
+        );
         for spec in &specs {
             let (evaluation, partial, ratios) = four_protocol_reference(spec);
             let scenario = Scenario::build(spec).unwrap();
             assert!(!evaluation.is_empty());
             assert_eq!(
-                family_bits(&scenario.evaluation),
+                family_bits(scenario.pipeline.evaluation()),
                 family_bits(&evaluation),
                 "{}: evaluation family",
                 spec.id()
             );
-            let routing = scenario.optimize(&scenario.uncertainty).unwrap();
+            let optimized = scenario.pipeline.optimize(&scenario.uncertainty).unwrap();
             assert_eq!(
-                routing_bits(&routing),
+                routing_bits(&optimized.routing),
                 routing_bits(&partial),
                 "{}: partial routing",
                 spec.id()

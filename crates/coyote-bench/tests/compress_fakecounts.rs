@@ -53,7 +53,10 @@ fn count(object: &Value, key: &str) -> usize {
 }
 
 fn load_baseline() -> Baseline {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/compress-fakecounts.json");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../ci/compress-fakecounts.json"
+    );
     let text = std::fs::read_to_string(path).expect("ci/compress-fakecounts.json is checked in");
     let doc = serde_json::from_str(&text).expect("baseline is valid JSON");
     let member = |key: &str| {
@@ -114,12 +117,24 @@ fn the_golden_baseline_is_internally_consistent() {
         .values()
         .map(|c| c.compressed_prefix_advertisements)
         .sum();
-    assert_eq!(sum_un, base.total_uncompressed, "uncompressed total drifted from cells");
-    assert_eq!(sum_co, base.total_compressed, "compressed total drifted from cells");
-    assert_eq!(sum_ad, base.total_advertisements, "advertisement total drifted from cells");
+    assert_eq!(
+        sum_un, base.total_uncompressed,
+        "uncompressed total drifted from cells"
+    );
+    assert_eq!(
+        sum_co, base.total_compressed,
+        "compressed total drifted from cells"
+    );
+    assert_eq!(
+        sum_ad, base.total_advertisements,
+        "advertisement total drifted from cells"
+    );
 
     for (id, cell) in &base.cells {
-        assert!(cell.within_tolerance, "{id}: pinned run was out of tolerance");
+        assert!(
+            cell.within_tolerance,
+            "{id}: pinned run was out of tolerance"
+        );
         assert!(
             cell.compressed_fake_nodes <= cell.uncompressed_fake_nodes,
             "{id}: compression grew the program"
@@ -167,12 +182,17 @@ fn recomputed_cells_match_the_pinned_fake_counts() {
                 plain.fake_nodes, pinned.uncompressed_fake_nodes,
                 "{key}: uncompressed fake count drifted"
             );
-            assert!(plain.within_tolerance, "{key}: uncompressed verdict flipped");
+            assert!(
+                plain.within_tolerance,
+                "{key}: uncompressed verdict flipped"
+            );
 
             let lossy = conformance_record_with(
                 &spec,
                 DEFAULT_TOLERANCE,
-                CompressionLevel::Lossy { epsilon: base.epsilon },
+                CompressionLevel::Lossy {
+                    epsilon: base.epsilon,
+                },
             )
             .expect("compressed cell");
             assert_eq!(

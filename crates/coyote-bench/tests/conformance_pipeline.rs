@@ -106,7 +106,9 @@ fn parallel_conformance_is_bit_identical_to_serial() {
 fn compressed_conformance_keeps_verdicts_with_an_order_fewer_fakes() {
     let grid = small_grid();
     let plain = run_conformance(&grid, 1, DEFAULT_TOLERANCE).expect("plain run");
-    let level = CompressionLevel::Lossy { epsilon: DEFAULT_EPSILON };
+    let level = CompressionLevel::Lossy {
+        epsilon: DEFAULT_EPSILON,
+    };
     let compressed = run_conformance_with(&grid, 1, DEFAULT_TOLERANCE, level).expect("lossy run");
 
     assert_eq!(plain.compression, "off");
@@ -154,7 +156,9 @@ fn compressed_conformance_keeps_verdicts_with_an_order_fewer_fakes() {
 #[test]
 fn compressed_conformance_is_bit_identical_across_thread_counts() {
     let grid = small_grid();
-    let level = CompressionLevel::Lossy { epsilon: DEFAULT_EPSILON };
+    let level = CompressionLevel::Lossy {
+        epsilon: DEFAULT_EPSILON,
+    };
     let serial = run_conformance_with(&grid, 1, DEFAULT_TOLERANCE, level).expect("serial run");
     let parallel = run_conformance_with(&grid, 4, DEFAULT_TOLERANCE, level).expect("parallel run");
 

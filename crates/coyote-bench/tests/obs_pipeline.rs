@@ -157,8 +157,16 @@ fn base_lp_takes_its_named_start_in_a_profiled_sweep() {
         // The Base routing's LP named its start and the guard took it (a
         // refused start is published once per solve too).
         let view = registry.snapshot().deterministic();
-        assert_eq!(view.counters.get("lp.crash_starts"), Some(&1), "{threads} threads");
-        assert_eq!(view.counters.get("lp.crash_rejects"), None, "{threads} threads");
+        assert_eq!(
+            view.counters.get("lp.crash_starts"),
+            Some(&1),
+            "{threads} threads"
+        );
+        assert_eq!(
+            view.counters.get("lp.crash_rejects"),
+            None,
+            "{threads} threads"
+        );
     }
 }
 

@@ -113,7 +113,11 @@ pub fn demand_dirty_destinations(old: &DemandMatrix, new: &DemandMatrix) -> Vec<
     // An entry outside a matrix's dimension reads as no demand.
     let bits = |dm: &DemandMatrix, s: usize, t: usize| {
         let n = dm.node_count();
-        let entry = if s < n && t < n { dm.get(NodeId(s), NodeId(t)) } else { 0.0 };
+        let entry = if s < n && t < n {
+            dm.get(NodeId(s), NodeId(t))
+        } else {
+            0.0
+        };
         entry.to_bits()
     };
     let n = old.node_count().max(new.node_count());
@@ -149,7 +153,10 @@ mod tests {
     /// The daemon's start-up scenario for a zoo topology, optionally with the
     /// physical link of edge 0 down or with router 3 cut off.
     fn daemon_scenario(name: &str, cut: Option<bool>) -> (Graph, Vec<Dag>, DemandMatrix) {
-        let mut g = coyote_topology::zoo::by_name(name).unwrap().to_graph().unwrap();
+        let mut g = coyote_topology::zoo::by_name(name)
+            .unwrap()
+            .to_graph()
+            .unwrap();
         g.set_inverse_capacity_weights(10.0);
         let dm = coyote_traffic::GravityModel::with_total(100.0).generate(&g);
         let (a, b) = g.endpoints(EdgeId(0));
@@ -209,14 +216,24 @@ mod tests {
             let (g, dags, dm) = daemon_scenario(name, cut);
             let (_, solves) = separable_routing(&g, &dags, &dm);
             let unroutable: usize = solves.iter().map(|s| s.unroutable_sources).sum();
-            assert_eq!((unroutable, digest(&solves)), (masked, pinned), "{name} {cut:?}");
+            assert_eq!(
+                (unroutable, digest(&solves)),
+                (masked, pinned),
+                "{name} {cut:?}"
+            );
             for (t, solve) in g.nodes().zip(&solves) {
                 let mut column = DemandMatrix::zeros(g.node_count());
-                for s in g.nodes().filter(|&s| s != t && routable_within(&dags[t.index()], s)) {
+                for s in g
+                    .nodes()
+                    .filter(|&s| s != t && routable_within(&dags[t.index()], s))
+                {
                     column.set(s, t, dm.get(s, t));
                 }
                 let joint = crate::opt_mcf::optu_within_dags(&g, &dags, &column).unwrap();
-                assert!((solve.max_utilization - joint).abs() < 1e-9, "{name} {cut:?} {t}");
+                assert!(
+                    (solve.max_utilization - joint).abs() < 1e-9,
+                    "{name} {cut:?} {t}"
+                );
             }
         }
     }
@@ -233,7 +250,11 @@ mod tests {
         let joint = crate::opt_mcf::optu_within_dags(&g, &dags, &dm).unwrap();
         assert!((solve.max_utilization - joint).abs() < 1e-6);
         // Conservation: everything s1 sends arrives.
-        let outflow: f64 = g.out_edges(s1).iter().map(|&e| solve.flows[e.index()]).sum();
+        let outflow: f64 = g
+            .out_edges(s1)
+            .iter()
+            .map(|&e| solve.flows[e.index()])
+            .sum();
         let inflow: f64 = g.in_edges(s1).iter().map(|&e| solve.flows[e.index()]).sum();
         assert!((outflow - inflow - 2.0).abs() < 1e-6);
     }
@@ -289,7 +310,10 @@ mod tests {
         // Entries outside the smaller matrix read as no demand.
         let mut grown = DemandMatrix::zeros(g.node_count() + 1);
         grown.set(s1, NodeId(4), 1.0);
-        assert_eq!(demand_dirty_destinations(&DemandMatrix::zeros(4), &grown), vec![NodeId(4)]);
+        assert_eq!(
+            demand_dirty_destinations(&DemandMatrix::zeros(4), &grown),
+            vec![NodeId(4)]
+        );
     }
 
     #[test]

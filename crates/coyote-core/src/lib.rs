@@ -16,6 +16,9 @@
 //! 3. **Evaluation** ([`perf`], [`opt_mcf`]) — performance ratios against the
 //!    demands-aware optimum, ECMP baselines ([`ecmp`]), and path stretch.
 //!
+//! [`Pipeline`] runs steps 1–2 on one weighted graph: DAGs and evaluation
+//! family built once, the splitting optimized per uncertainty set.
+//!
 //! The OSPF/Fibbing translation (fake nodes and virtual links) lives in the
 //! `coyote-ospf` crate; the flow-level prototype emulation in `coyote-sim`.
 //!
@@ -30,7 +33,8 @@
 //! let uncertainty = coyote_core::example_fig1::uncertainty(&nodes);
 //!
 //! // COYOTE: augmented DAGs + optimized splitting ratios.
-//! let result = coyote(&graph, &uncertainty, None, &CoyoteConfig::fast()).unwrap();
+//! let pipeline = Pipeline::new(graph.clone(), &uncertainty, None, CoyoteConfig::fast()).unwrap();
+//! let result = pipeline.optimize(&uncertainty).unwrap();
 //! result.routing.validate(&graph).unwrap();
 //!
 //! // ECMP baseline for comparison.
@@ -62,9 +66,7 @@ pub use ecmp::{ecmp_routing, uniform_augmented_routing};
 pub use error::CoreError;
 pub use incremental::{demand_dirty_destinations, solve_destination, DestinationSolve};
 pub use local_search::{local_search_weights, LocalSearchConfig, LocalSearchResult};
-pub use oblivious::{
-    coyote, optimize_splitting, optimize_splitting_with_working_set, CoyoteConfig, CoyoteResult,
-};
+pub use oblivious::{optimize_splitting_with_working_set, CoyoteConfig, CoyoteResult, Pipeline};
 pub use opt_mcf::{
     optimal_routing_within_dags, optu, optu_within_dags, split_routable_within_dags, RoutableSplit,
 };
@@ -79,7 +81,7 @@ pub mod prelude {
     pub use crate::error::CoreError;
     pub use crate::local_search::{local_search_weights, LocalSearchConfig};
     pub use crate::oblivious::{
-        coyote, optimize_splitting, optimize_splitting_with_working_set, CoyoteConfig, CoyoteResult,
+        optimize_splitting_with_working_set, CoyoteConfig, CoyoteResult, Pipeline,
     };
     pub use crate::opt_mcf::{
         optimal_routing_within_dags, optu, optu_within_dags, split_routable_within_dags,

@@ -13,8 +13,8 @@
 //! 4. stop when the utilization target is met or the iteration budget runs
 //!    out.
 //!
-//! The heuristic returns the final link weights; COYOTE then builds its
-//! augmented DAGs from them.
+//! The heuristic returns the graph with the final link weights; COYOTE then
+//! builds its augmented DAGs from it.
 
 use crate::ecmp::ecmp_routing;
 use crate::error::CoreError;
@@ -55,8 +55,8 @@ const MOVE_GAIN: f64 = 1e-9;
 /// Result of the local search.
 #[derive(Debug, Clone)]
 pub struct LocalSearchResult {
-    /// The final link weights, indexed by edge.
-    pub weights: Vec<f64>,
+    /// The input graph with the final link weights.
+    pub graph: Graph,
     /// Worst ECMP performance ratio over the critical-matrix set at the end.
     pub final_ratio: f64,
     /// The critical demand matrices that were generated.
@@ -67,8 +67,8 @@ pub struct LocalSearchResult {
 
 /// Runs the local-search weight heuristic. The search always starts from
 /// inverse-capacity weights (scale 10): the input graph's own weights are
-/// discarded, and only its topology and capacities are read. The graph
-/// itself is not modified.
+/// discarded, and only its topology and capacities are read. The input
+/// graph itself is not modified: the result carries a re-weighted copy.
 pub fn local_search_weights(
     graph: &Graph,
     uncertainty: &UncertaintySet,
@@ -151,7 +151,7 @@ pub fn local_search_weights(
     }
 
     Ok(LocalSearchResult {
-        weights: g.edges().map(|e| g.weight(e)).collect(),
+        graph: g,
         final_ratio,
         critical_matrices: critical,
         iterations,
@@ -174,23 +174,6 @@ fn ratio_over(g: &Graph, matrices: &[DemandMatrix]) -> Result<f64, CoreError> {
         return Ok(0.0);
     }
     Ok(set.performance_ratio(g, &ecmp))
-}
-
-/// Applies a weight vector (as returned by [`local_search_weights`]) to a
-/// copy of the graph.
-pub fn apply_weights(graph: &Graph, weights: &[f64]) -> Result<Graph, CoreError> {
-    if weights.len() != graph.edge_count() {
-        return Err(CoreError::DimensionMismatch(format!(
-            "{} weights for {} edges",
-            weights.len(),
-            graph.edge_count()
-        )));
-    }
-    let mut g = graph.clone();
-    for e in graph.edges() {
-        g.set_weight(e, weights[e.index()]);
-    }
-    Ok(g)
 }
 
 #[cfg(test)]
@@ -229,7 +212,11 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(result.weights.len(), g.edge_count());
+        let tuned = &result.graph;
+        assert_eq!(tuned.edge_count(), g.edge_count());
+        assert!(tuned
+            .edges()
+            .all(|e| tuned.weight(e).is_finite() && tuned.weight(e) > 0.0));
         assert!(result.iterations >= 1);
         assert!(!result.critical_matrices.is_empty());
         assert!(result.final_ratio.is_finite());
@@ -251,20 +238,10 @@ mod tests {
         let mut start = g.clone();
         start.set_inverse_capacity_weights(10.0);
         let start_ratio = ratio_over(&start, &result.critical_matrices).unwrap();
-        let tuned = apply_weights(&g, &result.weights).unwrap();
-        let tuned_ratio = ratio_over(&tuned, &result.critical_matrices).unwrap();
+        let tuned_ratio = ratio_over(&result.graph, &result.critical_matrices).unwrap();
         assert!(
             tuned_ratio <= start_ratio + 1e-6,
             "tuned {tuned_ratio} vs start {start_ratio}"
         );
-    }
-
-    #[test]
-    fn apply_weights_validates_length() {
-        let g = skewed();
-        assert!(apply_weights(&g, &[1.0]).is_err());
-        let w: Vec<f64> = g.edges().map(|_| 2.0).collect();
-        let g2 = apply_weights(&g, &w).unwrap();
-        assert!(g2.edges().all(|e| (g2.weight(e) - 2.0).abs() < 1e-12));
     }
 }

@@ -643,30 +643,10 @@ const CG_TOLERANCE: f64 = 1.02;
 const CG_SCOPE: RoutabilityScope = RoutabilityScope::WithinDags;
 
 /// Optimizes the splitting ratios within the given DAGs for the uncertainty
-/// set. `base` is the base demand matrix the margins were derived from (it
-/// seeds the working set); pass `None` in the fully oblivious setting.
-pub fn optimize_splitting(
-    graph: &Graph,
-    dags: Vec<Dag>,
-    uncertainty: &UncertaintySet,
-    base: Option<&DemandMatrix>,
-    config: &CoyoteConfig,
-) -> Result<CoyoteResult, CoreError> {
-    if dags.len() != graph.node_count() {
-        return Err(CoreError::DimensionMismatch(format!(
-            "{} DAGs for {} nodes",
-            dags.len(),
-            graph.node_count()
-        )));
-    }
-    let working = EvaluationSet::build(graph, &dags, uncertainty, base, &config.evaluation)?;
-    optimize_splitting_with_working_set(graph, dags, uncertainty, base, config, working)
-}
-
-/// Same as [`optimize_splitting`] but starting from a caller-supplied
-/// working set of demand matrices (with their precomputed optima). The
-/// experiment harness reuses one evaluation family across the COYOTE
-/// variants to avoid recomputing the `OPTU` LPs.
+/// set, starting from the working set `initial_working_set` of demand
+/// matrices with their precomputed optima ([`Pipeline::optimize`] passes
+/// its evaluation family). `base` is the base demand matrix the margins
+/// were derived from; pass `None` in the fully oblivious setting.
 pub fn optimize_splitting_with_working_set(
     graph: &Graph,
     dags: Vec<Dag>,
@@ -686,9 +666,6 @@ pub fn optimize_splitting_with_working_set(
 
     // Working set of demand matrices with their LP optima.
     let mut working = initial_working_set;
-    if working.is_empty() {
-        working = EvaluationSet::build(graph, &dags, uncertainty, base, &config.evaluation)?;
-    }
 
     let mut objective = SplittingObjective::new(graph, &dags);
     let mut theta = vec![0.0; objective.dim];
@@ -749,17 +726,70 @@ pub fn optimize_splitting_with_working_set(
     })
 }
 
-/// End-to-end COYOTE: build the augmented DAGs from the graph's current OSPF
-/// weights (Section V-B) and optimize the splitting ratios for the given
-/// uncertainty set (Section V-C).
-pub fn coyote(
-    graph: &Graph,
-    uncertainty: &UncertaintySet,
-    base: Option<&DemandMatrix>,
-    config: &CoyoteConfig,
-) -> Result<CoyoteResult, CoreError> {
-    let dags = build_all_dags(graph, DagMode::Augmented)?;
-    optimize_splitting(graph, dags, uncertainty, base, config)
+/// COYOTE's pipeline (Fig. 5) on one weighted graph: the augmented DAGs of
+/// §V-B and the evaluation family, built once, and the §V-C splitting
+/// optimization over them for any uncertainty set ([`Pipeline::optimize`]).
+/// Each call starts from clones of both, so calls share no state: a routing
+/// is the same whatever was optimized before it.
+pub struct Pipeline {
+    graph: Graph,
+    base: Option<DemandMatrix>,
+    dags: Vec<Dag>,
+    evaluation: EvaluationSet,
+    config: CoyoteConfig,
+}
+
+impl Pipeline {
+    /// Builds the augmented DAGs of `graph` and the evaluation family of
+    /// `uncertainty`, sized by `config.evaluation`. `base` is the base
+    /// demand matrix the margins were derived from (it seeds the family and
+    /// every working set); pass `None` in the fully oblivious setting.
+    pub fn new(
+        graph: Graph,
+        uncertainty: &UncertaintySet,
+        base: Option<&DemandMatrix>,
+        config: CoyoteConfig,
+    ) -> Result<Self, CoreError> {
+        let dags = build_all_dags(&graph, DagMode::Augmented)?;
+        let evaluation =
+            EvaluationSet::build(&graph, &dags, uncertainty, base, &config.evaluation)?;
+        Ok(Self {
+            graph,
+            base: base.cloned(),
+            dags,
+            evaluation,
+            config,
+        })
+    }
+
+    /// The weighted graph.
+    pub fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    /// The augmented DAGs, one per destination: the family's scope.
+    pub fn dags(&self) -> &[Dag] {
+        &self.dags
+    }
+
+    /// The evaluation family: the demand matrices and their optima.
+    pub fn evaluation(&self) -> &EvaluationSet {
+        &self.evaluation
+    }
+
+    /// COYOTE's splitting optimized for `set`: the evaluation family seeds
+    /// the working set, and the constraint-generation adversary ranges
+    /// over `set`.
+    pub fn optimize(&self, set: &UncertaintySet) -> Result<CoyoteResult, CoreError> {
+        optimize_splitting_with_working_set(
+            &self.graph,
+            self.dags.clone(),
+            set,
+            self.base.as_ref(),
+            &self.config,
+            self.evaluation.clone(),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -771,11 +801,15 @@ mod tests {
     use coyote_graph::{EdgeId, NodeId};
     use proptest::prelude::*;
 
-    fn fig1_uncertainty(s1: NodeId, s2: NodeId, t: NodeId) -> UncertaintySet {
-        let mut upper = coyote_traffic::DemandMatrix::zeros(4);
-        upper.set(s1, t, 2.0);
-        upper.set(s2, t, 2.0);
-        UncertaintySet::from_bounds(coyote_traffic::DemandMatrix::zeros(4), upper)
+    /// A fresh pipeline on `g`, optimized for the set it was built from.
+    fn optimized(
+        g: &Graph,
+        unc: &UncertaintySet,
+        base: Option<&DemandMatrix>,
+        cfg: CoyoteConfig,
+    ) -> CoyoteResult {
+        let pipeline = Pipeline::new(g.clone(), unc, base, cfg).unwrap();
+        pipeline.optimize(unc).unwrap()
     }
 
     /// The scalar kernel the lane-batched one replaced, one (matrix,
@@ -1181,10 +1215,13 @@ mod tests {
         // The paper: traditional ECMP cannot do better than 3/2 on Fig. 1,
         // while COYOTE achieves 4/3 (and its optimization even reaches the
         // golden-ratio optimum ≈ 1.236 within the Fig. 1c DAG).
-        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
-        let unc = fig1_uncertainty(s1, s2, t);
-        let result = coyote(&g, &unc, None, &CoyoteConfig::fast()).unwrap();
+        let (g, nodes) = example_fig1::topology();
+        let unc = example_fig1::uncertainty(&nodes);
+        let result = optimized(&g, &unc, None, CoyoteConfig::fast());
         result.routing.validate(&g).unwrap();
+        assert!(result.rounds >= 1);
+        assert!(result.working_set_size >= 1);
+        assert!(result.working_set_ratio.is_finite());
 
         let coyote_exact =
             performance_ratio_exact(&g, &result.routing, &unc, RoutabilityScope::AllEdges, None)
@@ -1210,14 +1247,12 @@ mod tests {
 
     #[test]
     fn optimizer_improves_over_uniform_starting_point() {
-        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
-        let unc = fig1_uncertainty(s1, s2, t);
-        let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
-        let uniform = PdRouting::uniform(&g, dags.clone());
-        let working =
-            EvaluationSet::build(&g, &dags, &unc, None, &EvaluationOptions::default()).unwrap();
-        let uniform_ratio = working.performance_ratio(&g, &uniform);
-        let result = optimize_splitting(&g, dags, &unc, None, &CoyoteConfig::fast()).unwrap();
+        let (g, nodes) = example_fig1::topology();
+        let unc = example_fig1::uncertainty(&nodes);
+        let reference = Pipeline::new(g.clone(), &unc, None, CoyoteConfig::default()).unwrap();
+        let uniform = PdRouting::uniform(&g, reference.dags().to_vec());
+        let uniform_ratio = reference.evaluation().performance_ratio(&g, &uniform);
+        let result = optimized(&g, &unc, None, CoyoteConfig::fast());
         assert!(
             result.working_set_ratio <= uniform_ratio + 1e-6,
             "optimized {} vs uniform {}",
@@ -1236,18 +1271,12 @@ mod tests {
         let oblivious = UncertaintySet::oblivious(4);
 
         let cfg = CoyoteConfig::fast();
-        let partial = coyote(&g, &margin_box, Some(&base), &cfg).unwrap();
-        let obl = coyote(&g, &oblivious, Some(&base), &cfg).unwrap();
+        let partial = optimized(&g, &margin_box, Some(&base), cfg.clone());
+        let obl = optimized(&g, &oblivious, Some(&base), cfg);
 
-        let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
-        let eval = EvaluationSet::build(
-            &g,
-            &dags,
-            &margin_box,
-            Some(&base),
-            &EvaluationOptions::default(),
-        )
-        .unwrap();
+        let reference =
+            Pipeline::new(g.clone(), &margin_box, Some(&base), CoyoteConfig::default()).unwrap();
+        let eval = reference.evaluation();
         let partial_ratio = eval.performance_ratio(&g, &partial.routing);
         let obl_ratio = eval.performance_ratio(&g, &obl.routing);
         assert!(
@@ -1259,14 +1288,14 @@ mod tests {
     /// Zero candidate edges probe one, as `cg_rounds = 0` runs one round.
     #[test]
     fn zero_candidate_edges_probe_one() {
-        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
-        let unc = fig1_uncertainty(s1, s2, t);
+        let (g, nodes) = example_fig1::topology();
+        let unc = example_fig1::uncertainty(&nodes);
         let run = |cg_candidate_edges| {
             let cfg = CoyoteConfig {
                 cg_candidate_edges,
                 ..CoyoteConfig::fast()
             };
-            coyote(&g, &unc, None, &cfg).unwrap()
+            optimized(&g, &unc, None, cfg)
         };
         let (zero, one) = (run(0), run(1));
         assert_eq!(zero.rounds, one.rounds);
@@ -1283,18 +1312,44 @@ mod tests {
         let (g, _) = example_fig1::topology();
         let dags = build_all_dags(&g, DagMode::Augmented).unwrap();
         let unc = UncertaintySet::oblivious(4);
-        let err = optimize_splitting(&g, dags[..2].to_vec(), &unc, None, &CoyoteConfig::fast());
+        let err = optimize_splitting_with_working_set(
+            &g,
+            dags[..2].to_vec(),
+            &unc,
+            None,
+            &CoyoteConfig::fast(),
+            EvaluationSet::empty(),
+        );
         assert!(matches!(err, Err(CoreError::DimensionMismatch(_))));
     }
 
+    /// Table I and Fig. 11 optimize two sets on one pipeline: the first
+    /// call leaves nothing behind that the second reads, and neither
+    /// touches the evaluation family.
     #[test]
-    fn result_metadata_is_populated() {
-        let (g, Fig1 { s1, s2, t, .. }) = example_fig1::topology();
-        let unc = fig1_uncertainty(s1, s2, t);
-        let result = coyote(&g, &unc, None, &CoyoteConfig::fast()).unwrap();
-        assert!(result.rounds >= 1);
-        assert!(result.working_set_size >= 1);
-        assert!(result.working_set_ratio.is_finite());
+    fn a_pipelines_optimizations_share_no_state() {
+        let (g, nodes) = example_fig1::topology();
+        let unc = example_fig1::uncertainty(&nodes);
+        let shared = Pipeline::new(g.clone(), &unc, None, CoyoteConfig::fast()).unwrap();
+        let pairs = || g.nodes().flat_map(|s| g.nodes().map(move |t| (s, t)));
+        let family_bits = |p: &Pipeline| -> Vec<u64> {
+            let entries = p.evaluation().entries();
+            entries
+                .flat_map(|(dm, optu)| pairs().map(|(s, t)| dm.get(s, t)).chain([optu]))
+                .map(f64::to_bits)
+                .collect()
+        };
+        let family = family_bits(&shared);
+        shared.optimize(&UncertaintySet::oblivious(4)).unwrap();
+        let second = shared.optimize(&unc).unwrap();
+        let alone = optimized(&g, &unc, None, CoyoteConfig::fast());
+        for t in g.nodes() {
+            let bits = |r: &CoyoteResult| -> Vec<u64> {
+                r.routing.ratios(t).iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(&second), bits(&alone), "destination {t}");
+        }
+        assert_eq!(family_bits(&shared), family);
     }
 
     #[test]

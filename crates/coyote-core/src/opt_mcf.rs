@@ -84,7 +84,9 @@ pub(crate) fn flow_block(
     let mut columns = Vec::with_capacity(commodities.len());
     for &(label, t) in commodities {
         let mut per_edge = vec![None; graph.edge_count()];
-        let usable = scope.dag(t).map_or_else(|| graph.edges().collect(), Dag::edges);
+        let usable = scope
+            .dag(t)
+            .map_or_else(|| graph.edges().collect(), Dag::edges);
         for e in usable {
             per_edge[e.index()] = Some(lp.add_nonneg_var(("g", label, e.index()), 0.0));
         }
@@ -249,7 +251,11 @@ pub(crate) fn solve_commodities(
     let mut cap_rows = vec![None; graph.edge_count()];
     for e in graph.edges() {
         terms.clear();
-        terms.extend(flow_vars.iter().filter_map(|vars| Some((vars[e.index()]?, 1.0))));
+        terms.extend(
+            flow_vars
+                .iter()
+                .filter_map(|vars| Some((vars[e.index()]?, 1.0))),
+        );
         if terms.is_empty() {
             continue;
         }

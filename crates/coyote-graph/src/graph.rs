@@ -227,11 +227,6 @@ impl Graph {
         self.edge(edge).weight
     }
 
-    /// Sets the OSPF weight of an edge.
-    pub fn set_weight(&mut self, edge: EdgeId, weight: f64) {
-        self.edges[edge.index()].weight = weight;
-    }
-
     /// Sets the OSPF weight of an edge and of its anti-parallel twin, if any.
     pub fn set_symmetric_weight(&mut self, edge: EdgeId, weight: f64) {
         self.edges[edge.index()].weight = weight;

@@ -657,13 +657,22 @@ fn solve_inner(
     Ok((solution, post_phase1_basis))
 }
 
-/// Publishes a completed solve to the obs sink: what every solve reports
-/// ([`SolveStats::report`]), then what only this solver knows.
+/// Publishes a completed solve to the global obs sink (a single
+/// `enabled()` atomic load when profiling is off). All quantities are exact
+/// per-solve workload counts, so their totals are bit-identical no matter
+/// how solves are distributed over worker threads.
 fn report(stats: &SolveStats) {
     if !coyote_obs::enabled() {
         return;
     }
-    stats.report();
+    let pivots = (stats.phase1_pivots + stats.phase2_pivots) as u64;
+    coyote_obs::counter("lp.solves", 1);
+    coyote_obs::counter("lp.pivots", pivots);
+    coyote_obs::counter("lp.phase1_pivots", stats.phase1_pivots as u64);
+    coyote_obs::counter("lp.phase2_pivots", stats.phase2_pivots as u64);
+    coyote_obs::counter("lp.refresh_rounds", stats.refresh_rounds as u64);
+    coyote_obs::observe("lp.pivots_per_solve", pivots);
+    coyote_obs::observe("lp.rows_per_solve", stats.rows as u64);
     coyote_obs::counter("lp.backend.revised", 1);
     coyote_obs::counter("lp.refactorizations", stats.refactorizations as u64);
     coyote_obs::counter("lp.lu.nnz", stats.lu_nnz as u64);

@@ -98,7 +98,7 @@ struct Tableau {
     basis: Vec<usize>,
     m: usize,
     total_cols: usize,
-    /// Optimize→reprice rounds, reported to `coyote-obs` once per solve.
+    /// Optimize→reprice rounds, copied into the solve's stats.
     refresh_rounds: usize,
 }
 
@@ -514,7 +514,6 @@ pub(crate) fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
     };
 
     stats.refresh_rounds = tab.refresh_rounds;
-    stats.report();
 
     Ok(LpSolution {
         objective,

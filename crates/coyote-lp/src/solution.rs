@@ -49,27 +49,6 @@ pub struct SolveStats {
     pub warm_pivots_saved: usize,
 }
 
-impl SolveStats {
-    /// Publishes what every completed solve reports, the dense test oracle's
-    /// included, to the global obs sink (a single `enabled()` atomic load
-    /// when profiling is off). All quantities are exact per-solve workload
-    /// counts, so their totals are bit-identical no matter how solves are
-    /// distributed over worker threads.
-    pub(crate) fn report(&self) {
-        if !coyote_obs::enabled() {
-            return;
-        }
-        let pivots = (self.phase1_pivots + self.phase2_pivots) as u64;
-        coyote_obs::counter("lp.solves", 1);
-        coyote_obs::counter("lp.pivots", pivots);
-        coyote_obs::counter("lp.phase1_pivots", self.phase1_pivots as u64);
-        coyote_obs::counter("lp.phase2_pivots", self.phase2_pivots as u64);
-        coyote_obs::counter("lp.refresh_rounds", self.refresh_rounds as u64);
-        coyote_obs::observe("lp.pivots_per_solve", pivots);
-        coyote_obs::observe("lp.rows_per_solve", self.rows as u64);
-    }
-}
-
 /// An optimal solution of an [`crate::LpProblem`].
 #[derive(Debug, Clone)]
 pub struct LpSolution {

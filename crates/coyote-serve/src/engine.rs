@@ -547,7 +547,11 @@ impl TeEngine {
     /// (or recover) together. The router stays in the graph as an isolated
     /// node so ids and matrix dimensions are preserved; its demand is masked
     /// as unroutable while it is down.
-    pub fn apply_node_event(&mut self, node: NodeId, up: bool) -> Result<UpdateOutcome, ServeError> {
+    pub fn apply_node_event(
+        &mut self,
+        node: NodeId,
+        up: bool,
+    ) -> Result<UpdateOutcome, ServeError> {
         let start = Instant::now();
         let node = self.check_node(node)?;
         let what = || format!("node {}", self.pristine.node_name(node));
@@ -576,7 +580,9 @@ impl TeEngine {
         let n = self.pristine.node_count();
         let same_bits = |t: &NodeId| {
             let (warm, cold) = (self.routing().ratios(*t), cold.routing.ratios(*t));
-            warm.iter().zip(cold).all(|(a, b)| a.to_bits() == b.to_bits())
+            warm.iter()
+                .zip(cold)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
         };
         let detail = if cold.lsdb != self.lsdb {
             "LSDB differs from cold recompile".to_string()
@@ -736,7 +742,11 @@ fn toggle<K: Ord>(
     up: bool,
     what: impl FnOnce() -> String,
 ) -> Result<(), ServeError> {
-    let changed = if up { failed.remove(&key) } else { failed.insert(key) };
+    let changed = if up {
+        failed.remove(&key)
+    } else {
+        failed.insert(key)
+    };
     if changed {
         return Ok(());
     }

@@ -143,7 +143,10 @@ fn abilene_incremental_equals_cold_at_every_step() {
     // engine's single recompute step. The churn (Σ fakes added + retracted)
     // was 437 until the per-destination solves began from their
     // shortest-path tree: same objective, a vertex nearer plain OSPF.
-    assert_eq!(drive("abilene", 0xC0FFEE, 14), (17, 4613524059668531901, 423));
+    assert_eq!(
+        drive("abilene", 0xC0FFEE, 14),
+        (17, 4613524059668531901, 423)
+    );
 }
 
 #[test]
@@ -223,7 +226,10 @@ fn reopt_telemetry_stays_fixed_size_over_5000_updates() {
         slowest = slowest.max(out.reopt_micros);
     }
     let state = StateResponse::of(&engine, None);
-    assert_eq!((state.demand_reopt.count, state.event_reopt.count), (5000, 0));
+    assert_eq!(
+        (state.demand_reopt.count, state.event_reopt.count),
+        (5000, 0)
+    );
     assert!(state.demand_reopt.p50_micros <= state.demand_reopt.p99_micros);
     assert!(state.demand_reopt.p99_micros <= state.demand_reopt.max_micros);
     assert_eq!(state.demand_reopt.max_micros, slowest);
@@ -286,7 +292,9 @@ fn served_loads_equal_the_routings_at_every_step() {
                     node_down = Some(node);
                 }
                 9 => {
-                    engine.apply_node_event(node_down.take().unwrap(), true).unwrap();
+                    engine
+                        .apply_node_event(node_down.take().unwrap(), true)
+                        .unwrap();
                 }
                 _ => {
                     engine.apply_demand_update(&overrides(&mut rng, n)).unwrap();

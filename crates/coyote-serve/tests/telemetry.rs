@@ -133,7 +133,10 @@ fn run_session(threads: usize) -> coyote_obs::Snapshot {
     assert_eq!(status, 200);
     let state = serde_json::from_str(&state).unwrap();
     let failed = |key| state.get(key).and_then(|v| v.as_array()).map(<[_]>::len);
-    assert_eq!((failed("failed_links"), failed("failed_nodes")), (Some(0), Some(0)));
+    assert_eq!(
+        (failed("failed_links"), failed("failed_nodes")),
+        (Some(0), Some(0))
+    );
     assert_eq!(state.get("epoch").and_then(|e| e.as_f64()), Some(3.0));
 
     server.shutdown();
@@ -147,7 +150,12 @@ fn metrics_are_identical_across_worker_thread_counts() {
     let single = run_session(1);
     let quad = run_session(4);
     assert!(
-        single.counters.get("serve.http.requests").copied().unwrap_or(0) >= 10,
+        single
+            .counters
+            .get("serve.http.requests")
+            .copied()
+            .unwrap_or(0)
+            >= 10,
         "sanity: the sequence was actually recorded"
     );
     assert_eq!(

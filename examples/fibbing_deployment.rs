@@ -35,7 +35,9 @@ pub fn run(topology_name: &str, budget: usize) -> Result<(), Box<dyn std::error:
     // 1. Optimize COYOTE for a 2x uncertainty margin around a gravity matrix.
     let base = GravityModel::default().generate(&graph);
     let uncertainty = UncertaintySet::from_margin(&base, 2.0);
-    let result = coyote(&graph, &uncertainty, Some(&base), &CoyoteConfig::fast())?;
+    let pipeline = Pipeline::new(graph, &uncertainty, Some(&base), CoyoteConfig::fast())?;
+    let result = pipeline.optimize(&uncertainty)?;
+    let (graph, evaluation) = (pipeline.graph(), pipeline.evaluation());
     println!(
         "{}: optimized splitting ratios (working-set ratio {:.2})",
         topology.name, result.working_set_ratio
@@ -48,20 +50,13 @@ pub fn run(topology_name: &str, budget: usize) -> Result<(), Box<dyn std::error:
         } else {
             VirtualLinkBudget::per_prefix(entries)
         };
-        let program = compute_program(&graph, &result.routing, vl)?;
-        let report = verify_program(&graph, &result.routing, &program)?;
-        let realized = realized_routing(&graph, &program)?;
+        let program = compute_program(graph, &result.routing, vl)?;
+        let report = verify_program(graph, &result.routing, &program)?;
+        let realized = realized_routing(graph, &program)?;
 
-        // 3. Evaluate the *realized* configuration exactly like the target.
-        let dags = build_all_dags(&graph, DagMode::Augmented)?;
-        let evaluation = EvaluationSet::build(
-            &graph,
-            &dags,
-            &uncertainty,
-            Some(&base),
-            &EvaluationOptions::default(),
-        )?;
-        let ratio = evaluation.performance_ratio(&graph, &realized);
+        // 3. Score the *realized* configuration on the evaluation family
+        //    COYOTE was optimized on.
+        let ratio = evaluation.performance_ratio(graph, &realized);
 
         let label = if entries >= 64 {
             "ideal (unbounded)".to_string()

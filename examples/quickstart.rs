@@ -20,7 +20,8 @@ pub fn main() -> Result<(), CoreError> {
     println!("topology: {}", graph.summary("fig1"));
 
     // 2. COYOTE: augmented DAGs + optimized splitting ratios.
-    let result = coyote(&graph, &uncertainty, None, &CoyoteConfig::default())?;
+    let pipeline = Pipeline::new(graph.clone(), &uncertainty, None, CoyoteConfig::default())?;
+    let result = pipeline.optimize(&uncertainty)?;
     result.routing.validate(&graph).expect("valid PD routing");
     println!(
         "COYOTE optimized the splitting ratios over {} demand matrices in {} rounds",

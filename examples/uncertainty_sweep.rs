@@ -9,11 +9,11 @@
 //! matrix on a Topology-Zoo backbone, an uncertainty margin `x` (the real
 //! demand of every pair may be anywhere in `[base/x, base·x]`), and four
 //! schemes — ECMP, the demands-aware optimum for the base matrix, COYOTE
-//! with no knowledge, and COYOTE optimized for the margin box.
+//! with no knowledge, and COYOTE optimized for the margin box — scored by
+//! the experiment harness's Table I evaluation at quick effort.
 
-use coyote::core::prelude::*;
+use coyote::bench::{evaluate_scenario, BaseModel, Effort, SweepSpec, WeightHeuristic};
 use coyote::topology::zoo;
-use coyote::traffic::{GravityModel, UncertaintySet};
 
 pub fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,12 +33,7 @@ pub fn run(topology_name: &str, max_margin: f64) -> Result<(), Box<dyn std::erro
     let topology = zoo::by_name(topology_name).ok_or_else(|| {
         format!("unknown topology {topology_name:?}; try Abilene, Geant, NSF, ...")
     })?;
-    let mut graph = topology.to_graph()?;
-    graph.set_inverse_capacity_weights(10.0);
-    println!("{}", graph.summary(&topology.name));
-
-    let base = GravityModel::default().generate(&graph);
-    let dags = build_all_dags(&graph, DagMode::Augmented)?;
+    println!("{}", topology.to_graph()?.summary(&topology.name));
 
     println!(
         "{:>7}  {:>8}  {:>8}  {:>11}  {:>14}",
@@ -47,42 +42,16 @@ pub fn run(topology_name: &str, max_margin: f64) -> Result<(), Box<dyn std::erro
 
     let mut margin = 1.0;
     while margin <= max_margin + 1e-9 {
-        let uncertainty = UncertaintySet::from_margin(&base, margin);
-        let evaluation = EvaluationSet::build(
-            &graph,
-            &dags,
-            &uncertainty,
-            Some(&base),
-            &EvaluationOptions::default(),
-        )?;
-
-        let ecmp = ecmp_routing(&graph)?;
-        let (base_routing, _) = optimal_routing_within_dags(&graph, &dags, &base)?;
-        let cfg = CoyoteConfig::fast();
-        let obl = optimize_splitting_with_working_set(
-            &graph,
-            dags.clone(),
-            &UncertaintySet::oblivious(graph.node_count()),
-            Some(&base),
-            &cfg,
-            evaluation.clone(),
-        )?;
-        let partial = optimize_splitting_with_working_set(
-            &graph,
-            dags.clone(),
-            &uncertainty,
-            Some(&base),
-            &cfg,
-            evaluation.clone(),
-        )?;
-
+        let r = evaluate_scenario(&SweepSpec {
+            topology: topology.name.clone(),
+            model: BaseModel::Gravity,
+            margin,
+            heuristic: WeightHeuristic::InverseCapacity,
+            effort: Effort::Quick,
+        })?;
         println!(
             "{:>7.1}  {:>8.2}  {:>8.2}  {:>11.2}  {:>14.2}",
-            margin,
-            evaluation.performance_ratio(&graph, &ecmp),
-            evaluation.performance_ratio(&graph, &base_routing),
-            evaluation.performance_ratio(&graph, &obl.routing),
-            evaluation.performance_ratio(&graph, &partial.routing),
+            margin, r.ecmp, r.base, r.coyote_oblivious, r.coyote_partial,
         );
         margin += 1.0;
     }

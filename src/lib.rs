@@ -45,7 +45,8 @@
 //! let uncertainty = coyote::core::example_fig1::uncertainty(&nodes);
 //!
 //! // COYOTE's pipeline: augmented DAGs + worst-case-optimized splitting.
-//! let result = coyote(&graph, &uncertainty, None, &CoyoteConfig::fast()).unwrap();
+//! let pipeline = Pipeline::new(graph.clone(), &uncertainty, None, CoyoteConfig::fast()).unwrap();
+//! let result = pipeline.optimize(&uncertainty).unwrap();
 //! result.routing.validate(&graph).unwrap();
 //!
 //! // Both COYOTE and the ECMP baseline route this demand within twice the

@@ -20,7 +20,15 @@ fn abilene_pipeline_from_weights_to_realized_routing() {
     let uncertainty = UncertaintySet::from_margin(&base, 2.0);
 
     // --- COYOTE optimization ----------------------------------------------
-    let result = coyote(&graph, &uncertainty, Some(&base), &CoyoteConfig::fast())
+    let pipeline = Pipeline::new(
+        graph.clone(),
+        &uncertainty,
+        Some(&base),
+        CoyoteConfig::fast(),
+    )
+    .expect("DAGs and evaluation family build");
+    let result = pipeline
+        .optimize(&uncertainty)
         .expect("optimization succeeds");
     result.routing.validate(&graph).expect("valid PD routing");
 
@@ -92,10 +100,17 @@ fn local_search_weights_plug_into_the_same_pipeline() {
         moves_per_iteration: 3,
     };
     let search = local_search_weights(&graph, &uncertainty, &cfg).expect("local search runs");
-    assert_eq!(search.weights.len(), graph.edge_count());
+    assert_eq!(search.graph.edge_count(), graph.edge_count());
 
-    let tuned = coyote::core::local_search::apply_weights(&graph, &search.weights).unwrap();
-    let result = coyote(&tuned, &uncertainty, Some(&base), &CoyoteConfig::fast()).unwrap();
+    let tuned = search.graph;
+    let pipeline = Pipeline::new(
+        tuned.clone(),
+        &uncertainty,
+        Some(&base),
+        CoyoteConfig::fast(),
+    )
+    .unwrap();
+    let result = pipeline.optimize(&uncertainty).unwrap();
     result.routing.validate(&tuned).unwrap();
 
     let dags = build_all_dags(&tuned, DagMode::Augmented).unwrap();
@@ -148,18 +163,13 @@ fn evaluation_set_optima_equal_standalone_optu_bit_for_bit() {
         graph.set_inverse_capacity_weights(10.0);
         let base = GravityModel::default().generate(&graph);
         let uncertainty = UncertaintySet::from_margin(&base, 2.0);
-        let dags = build_all_dags(&graph, DagMode::Augmented).unwrap();
-        let evaluation = EvaluationSet::build(
-            &graph,
-            &dags,
-            &uncertainty,
-            Some(&base),
-            &EvaluationOptions::default(),
-        )
-        .unwrap();
+        // The default configuration sizes the family at the default options.
+        let pipeline =
+            Pipeline::new(graph, &uncertainty, Some(&base), CoyoteConfig::default()).unwrap();
+        let evaluation = pipeline.evaluation();
         assert!(evaluation.len() > 20, "{}", topology.name);
         for (dm, opt) in evaluation.entries() {
-            let standalone = optu_within_dags(&graph, &dags, dm).unwrap();
+            let standalone = optu_within_dags(pipeline.graph(), pipeline.dags(), dm).unwrap();
             assert_eq!(opt.to_bits(), standalone.to_bits(), "{}", topology.name);
         }
     }

@@ -47,7 +47,8 @@ fn running_example_ordering_ecmp_fig1c_golden() {
 fn coyote_never_loses_to_ecmp_on_its_working_set() {
     let (graph, nodes) = example_fig1::topology();
     let unc = example_fig1::uncertainty(&nodes);
-    let result = coyote(&graph, &unc, None, &CoyoteConfig::fast()).unwrap();
+    let pipeline = Pipeline::new(graph.clone(), &unc, None, CoyoteConfig::fast()).unwrap();
+    let result = pipeline.optimize(&unc).unwrap();
 
     // ECMP's augmented-DAG representation: uniform splits restricted to the
     // shortest-path edges — by construction a feasible point.
