@@ -11,13 +11,16 @@
 //!
 //! For every Table-I-eligible scenario × [`FailureEvent`] cell:
 //!
-//! 1. **Inject** — fail the event's links/nodes on the scenario graph
-//!    ([`Graph::without_edges`], node-set stable so all id spaces survive)
-//!    and derive the post-failure demand matrix (dead-endpoint demands
+//! 1. **Inject** — the event's dead routers and links become one
+//!    [`Failure`]; the scenario graph keeps what it spares
+//!    ([`Failure::surviving`], node-set stable so all id spaces survive),
+//!    and the post-failure demand matrix is derived (dead-endpoint demands
 //!    zeroed, flash-crowd spikes applied).
 //! 2. **Oblivious mode** — keep the pre-failure Fibbing program, withdraw
-//!    the failed elements and the lies they invalidate from the lied-to
-//!    LSDB without copying it ([`Lsdb::withdraw`]), reconverge the routers'
+//!    the same [`Failure`] and the lies it invalidates from the lied-to
+//!    LSDB without copying it ([`Lsdb::withdraw`]); that withdrawal's one
+//!    SPF per destination also says which live demand pairs lost every
+//!    path ([`Withdrawal::reaches`]). Then reconverge the routers'
 //!    SPF — retracting the lies of any prefix that now loops
 //!    ([`Withdrawal::reconverge`]) — and flow-simulate the post-failure
 //!    matrix on the reconverged routing. "Oblivious" means blind to the
@@ -43,8 +46,9 @@
 //!
 //! [`Lsdb::withdraw`]: coyote_ospf::Lsdb::withdraw
 //! [`Withdrawal::reconverge`]: coyote_ospf::Withdrawal::reconverge
+//! [`Withdrawal::reaches`]: coyote_ospf::Withdrawal::reaches
 //! [`split_routable_within_dags`]: coyote_core::split_routable_within_dags
-//! [`Graph::without_edges`]: coyote_graph::Graph::without_edges
+//! [`Failure::surviving`]: coyote_graph::Failure::surviving
 //! [`WorkerPool::par_map`]: crate::pool::WorkerPool::par_map
 
 use crate::conformance::COMPILE_BUDGET;
@@ -56,7 +60,7 @@ use coyote_core::{
     PdRouting,
 };
 use coyote_graph::rng::splitmix64;
-use coyote_graph::{EdgeId, Graph, NodeId};
+use coyote_graph::{Failure, Graph, NodeId};
 use coyote_ospf::{
     compute_program, realized_routing, FibbingProgram, OspfError, VirtualLinkBudget,
 };
@@ -139,21 +143,15 @@ impl FailureEvent {
         }
     }
 
-    /// The dead routers this event implies.
-    fn dead_nodes(&self) -> Vec<NodeId> {
+    /// The routers and links this event kills on `topo` (none for a flash
+    /// crowd).
+    fn failure(&self, topo: &Topology) -> Failure {
+        let link = |i: &usize| (NodeId(topo.links[*i].a), NodeId(topo.links[*i].b));
         match self {
-            FailureEvent::NodeFailure { node } => vec![NodeId(*node)],
-            _ => Vec::new(),
-        }
-    }
-
-    /// The dead bidirectional links (indices into `topo.links`).
-    fn dead_links(&self, topo: &Topology) -> Vec<usize> {
-        match self {
-            FailureEvent::LinkFailure { link } => vec![*link],
-            FailureEvent::NodeFailure { node } => topo.incident_links(*node),
-            FailureEvent::SrlgFailure { links, .. } => links.clone(),
-            FailureEvent::DemandSpike { .. } => Vec::new(),
+            FailureEvent::LinkFailure { link: i } => Failure::new([], [link(i)]),
+            FailureEvent::NodeFailure { node } => Failure::new([NodeId(*node)], []),
+            FailureEvent::SrlgFailure { links, .. } => Failure::new([], links.iter().map(link)),
+            FailureEvent::DemandSpike { .. } => Failure::default(),
         }
     }
 }
@@ -599,26 +597,15 @@ fn failure_record(
     let started = Instant::now();
     let n = base.graph.node_count();
 
-    // 1. Inject: translate the event into dead graph elements.
-    let dead_nodes = cell.event.dead_nodes();
-    let dead_link_ids = cell.event.dead_links(&base.topo);
-    let dead_pairs: Vec<(NodeId, NodeId)> = dead_link_ids
-        .iter()
-        .map(|&i| {
-            let l = &base.topo.links[i];
-            (NodeId(l.a), NodeId(l.b))
-        })
-        .collect();
-    let mut failed_edges: Vec<EdgeId> = Vec::with_capacity(2 * dead_pairs.len());
-    for &(a, b) in &dead_pairs {
-        if let Some(e) = base.graph.find_edge(a, b) {
-            failed_edges.push(e);
-        }
-        if let Some(e) = base.graph.find_edge(b, a) {
-            failed_edges.push(e);
-        }
-    }
-    let pruned_graph = base.graph.without_edges(&failed_edges);
+    // 1. Inject: the event's failure, the graph that survives it, and its
+    //    withdrawal from the lied-to LSDB (the failed elements and the lies
+    //    they invalidate), whose SPFs also say which pairs lost every path.
+    let failure = cell.event.failure(&base.topo);
+    let pruned_graph = failure.surviving(&base.graph);
+    let withdrawal = {
+        let _span = coyote_obs::span("failures.prune");
+        base.program.lsdb.withdraw(&failure)
+    };
 
     // 2. The post-failure demand matrix: spikes applied, dead-endpoint
     //    demands zeroed (their volume is unconditionally lost), partitioned
@@ -629,14 +616,14 @@ fn failure_record(
     };
     let mut dead_demand_volume = 0.0;
     for (s, t, v) in post.clone().pairs() {
-        if dead_nodes.contains(&s) || dead_nodes.contains(&t) {
+        if failure.kills_node(s) || failure.kills_node(t) {
             post.set(s, t, 0.0);
             dead_demand_volume += v;
         }
     }
     let mut unroutable_volume = 0.0;
     for (s, t, v) in post.pairs() {
-        if !pruned_graph.is_reachable(s, t) {
+        if !withdrawal.reaches(s, t) {
             unroutable_volume += v;
         }
     }
@@ -648,15 +635,11 @@ fn failure_record(
         );
     }
 
-    // 3. Oblivious mode: withdraw the failed elements from the lied-to LSDB
-    //    and reconverge SPF. A surviving lie can close a forwarding loop
-    //    once real shortest paths move; the controller's emergency fallback
-    //    withdraws that prefix's lies (plain SPF is loop-free), and a loop
-    //    with no lie left to blame gives up on this mode.
-    let withdrawal = {
-        let _span = coyote_obs::span("failures.prune");
-        base.program.lsdb.withdraw(&dead_nodes, &dead_pairs)
-    };
+    // 3. Oblivious mode: reconverge SPF on the withdrawal. A surviving lie
+    //    can close a forwarding loop once real shortest paths move; the
+    //    controller's emergency fallback withdraws that prefix's lies (plain
+    //    SPF is loop-free), and a loop with no lie left to blame gives up on
+    //    this mode.
     let prune_stats = withdrawal.stats();
     let (oblivious, oblivious_err, emergency_retractions) = {
         let _span = coyote_obs::span("failures.reconverge");

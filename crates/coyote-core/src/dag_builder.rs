@@ -160,11 +160,11 @@ mod tests {
         let (g, Fig1 { t, .. }) = example_fig1::topology();
         let aug = build_dag(&g, t, DagMode::Augmented).unwrap();
         for e in g.edges() {
-            let (u, _v) = g.endpoints(e);
+            let (u, v) = g.endpoints(e);
             if u == t {
                 continue;
             }
-            let rev = g.reverse_edge(e).unwrap();
+            let rev = g.find_edge(v, u).unwrap();
             assert!(
                 aug.contains(e) || aug.contains(rev),
                 "link {e} unused in both directions"

@@ -3,9 +3,8 @@
 //! The network model of the paper (Section III): a directed and capacitated
 //! graph `G = (V, E)` where `c_e` denotes the capacity of edge `e`. Links of
 //! real networks are bidirectional; they are modelled as two anti-parallel
-//! directed edges, and [`Graph::add_bidirectional_edge`] inserts both at once
-//! while remembering that they form a pair (useful when a DAG must pick an
-//! orientation for a physical link).
+//! directed edges, and [`Graph::add_bidirectional_edge`] inserts both at once.
+//! A link's twin is the edge [`Graph::find_edge`] finds running the other way.
 
 use crate::error::GraphError;
 use serde::Serialize;
@@ -59,8 +58,6 @@ pub struct Edge {
     pub capacity: f64,
     /// OSPF link weight (used by the shortest-path DAG heuristics).
     pub weight: f64,
-    /// The anti-parallel twin edge if the physical link is bidirectional.
-    pub reverse: Option<EdgeId>,
 }
 
 /// A directed, capacitated, weighted multigraph with named nodes.
@@ -179,7 +176,6 @@ impl Graph {
             dst,
             capacity,
             weight,
-            reverse: None,
         });
         self.out_adj[src.index()].push(id);
         self.in_adj[dst.index()].push(id);
@@ -197,8 +193,6 @@ impl Graph {
     ) -> Result<(EdgeId, EdgeId), GraphError> {
         let fwd = self.add_edge(a, b, capacity, weight)?;
         let bwd = self.add_edge(b, a, capacity, weight)?;
-        self.edges[fwd.index()].reverse = Some(bwd);
-        self.edges[bwd.index()].reverse = Some(fwd);
         Ok((fwd, bwd))
     }
 
@@ -227,10 +221,12 @@ impl Graph {
         self.edge(edge).weight
     }
 
-    /// Sets the OSPF weight of an edge and of its anti-parallel twin, if any.
+    /// Sets the OSPF weight of an edge and of its anti-parallel twin (the
+    /// first edge running the other way), if any.
     pub fn set_symmetric_weight(&mut self, edge: EdgeId, weight: f64) {
+        let (src, dst) = self.endpoints(edge);
         self.edges[edge.index()].weight = weight;
-        if let Some(rev) = self.edges[edge.index()].reverse {
+        if let Some(rev) = self.find_edge(dst, src) {
             self.edges[rev.index()].weight = weight;
         }
     }
@@ -253,13 +249,6 @@ impl Graph {
             .iter()
             .copied()
             .find(|&e| self.edge(e).dst == dst)
-    }
-
-    /// The anti-parallel twin of an edge, either the recorded pair or any
-    /// directed edge running the opposite way.
-    pub fn reverse_edge(&self, edge: EdgeId) -> Option<EdgeId> {
-        let e = self.edge(edge);
-        e.reverse.or_else(|| self.find_edge(e.dst, e.src))
     }
 
     /// Sets every link weight to the inverse of its capacity (Cisco's default
@@ -328,9 +317,8 @@ impl Graph {
     /// every link died stays in the graph as an isolated node — so `NodeId`s,
     /// demand matrices, and per-destination routings built against the
     /// original graph keep their dimensions. Surviving edges are re-added in
-    /// insertion order, and anti-parallel `reverse` pairings are remapped to
-    /// the new `EdgeId`s (a twin whose partner died loses its pairing).
-    /// Duplicate or out-of-range ids in `failed` are ignored.
+    /// insertion order, so the result does not depend on the order of
+    /// `failed`; duplicate or out-of-range ids in it are ignored.
     pub fn without_edges(&self, failed: &[EdgeId]) -> Graph {
         let mut dead = vec![false; self.edge_count()];
         for &e in failed {
@@ -344,21 +332,10 @@ impl Graph {
                 .add_node(name.clone())
                 .expect("names were unique in the source graph");
         }
-        // Map old EdgeId -> new EdgeId for the surviving edges, then fix up
-        // the reverse pairings in a second pass.
-        let mut remap: Vec<Option<EdgeId>> = vec![None; self.edge_count()];
-        for (i, e) in self.edges.iter().enumerate() {
-            if dead[i] {
-                continue;
-            }
-            let new_id = pruned
+        for (e, _) in self.edges.iter().zip(dead).filter(|&(_, dead)| !dead) {
+            pruned
                 .add_edge(e.src, e.dst, e.capacity, e.weight)
                 .expect("surviving edges were valid in the source graph");
-            remap[i] = Some(new_id);
-        }
-        for (i, e) in self.edges.iter().enumerate() {
-            let Some(new_id) = remap[i] else { continue };
-            pruned.edges[new_id.index()].reverse = e.reverse.and_then(|twin| remap[twin.index()]);
         }
         pruned
     }
@@ -447,13 +424,15 @@ mod tests {
     }
 
     #[test]
-    fn bidirectional_edges_know_their_twin() {
-        let g = triangle();
-        let ab = g.find_edge(NodeId(0), NodeId(1)).unwrap();
-        let ba = g.find_edge(NodeId(1), NodeId(0)).unwrap();
-        assert_eq!(g.reverse_edge(ab), Some(ba));
-        assert_eq!(g.reverse_edge(ba), Some(ab));
+    fn a_bidirectional_link_is_two_anti_parallel_edges() {
+        let mut g = Graph::with_nodes(2);
+        let (ab, ba) = g
+            .add_bidirectional_edge(NodeId(0), NodeId(1), 10.0, 2.0)
+            .unwrap();
+        assert_eq!(g.endpoints(ab), (NodeId(0), NodeId(1)));
+        assert_eq!(g.endpoints(ba), (NodeId(1), NodeId(0)));
         assert_eq!(g.edge(ab).capacity, g.edge(ba).capacity);
+        assert_eq!(g.weight(ab), g.weight(ba));
     }
 
     #[test]
@@ -488,10 +467,15 @@ mod tests {
     fn symmetric_weight_updates_both_directions() {
         let mut g = triangle();
         let ab = g.find_edge(NodeId(0), NodeId(1)).unwrap();
-        let ba = g.reverse_edge(ab).unwrap();
+        let ba = g.find_edge(NodeId(1), NodeId(0)).unwrap();
         g.set_symmetric_weight(ab, 7.5);
         assert_eq!(g.weight(ab), 7.5);
         assert_eq!(g.weight(ba), 7.5);
+        // A one-way edge has no twin to update.
+        let mut g = Graph::with_nodes(2);
+        let one_way = g.add_edge(NodeId(0), NodeId(1), 1.0, 1.0).unwrap();
+        g.set_symmetric_weight(one_way, 3.0);
+        assert_eq!(g.weight(one_way), 3.0);
     }
 
     #[test]
@@ -514,21 +498,21 @@ mod tests {
     }
 
     #[test]
-    fn without_edges_preserves_nodes_and_remaps_twins() {
+    fn without_edges_preserves_nodes_and_the_surviving_edges_in_order() {
         let g = triangle();
         let ab = g.find_edge(NodeId(0), NodeId(1)).unwrap();
-        let ba = g.reverse_edge(ab).unwrap();
-        // Fail the whole a<->b link (both directions).
+        let ba = g.find_edge(NodeId(1), NodeId(0)).unwrap();
+        // Fail the whole a<->b link (both directions), in either order.
         let pruned = g.without_edges(&[ab, ba]);
         assert_eq!(pruned.node_count(), 3);
         assert_eq!(pruned.edge_count(), 4);
         assert!(pruned.find_edge(NodeId(0), NodeId(1)).is_none());
         assert!(pruned.find_edge(NodeId(1), NodeId(0)).is_none());
-        // Surviving links keep their attributes and their twin pairing.
+        // The survivors in their order, whatever the order of the dead ids.
+        let edges = |h: &Graph| -> Vec<Edge> { h.edges().map(|e| h.edge(e).clone()).collect() };
+        assert_eq!(edges(&pruned), edges(&g)[2..]);
+        assert_eq!(edges(&g.without_edges(&[ba, ab])), edges(&pruned));
         let bc = pruned.find_edge(NodeId(1), NodeId(2)).unwrap();
-        let cb = pruned.find_edge(NodeId(2), NodeId(1)).unwrap();
-        assert_eq!(pruned.edge(bc).reverse, Some(cb));
-        assert_eq!(pruned.edge(cb).reverse, Some(bc));
         assert_eq!(pruned.capacity(bc), 5.0);
         // Node names survive unchanged.
         assert_eq!(pruned.node_name(NodeId(2)), "c");
@@ -557,13 +541,13 @@ mod tests {
     }
 
     #[test]
-    fn without_edges_one_direction_drops_the_twin_pairing() {
+    fn without_edges_can_fail_one_direction() {
         let g = triangle();
         let ab = g.find_edge(NodeId(0), NodeId(1)).unwrap();
         let pruned = g.without_edges(&[ab]);
         assert_eq!(pruned.edge_count(), 5);
-        let ba = pruned.find_edge(NodeId(1), NodeId(0)).unwrap();
-        assert_eq!(pruned.edge(ba).reverse, None);
+        assert!(pruned.find_edge(NodeId(0), NodeId(1)).is_none());
+        assert!(pruned.find_edge(NodeId(1), NodeId(0)).is_some());
         // Out-of-range and duplicate ids are ignored.
         let same = g.without_edges(&[EdgeId(999), EdgeId(999)]);
         assert_eq!(same.edge_count(), g.edge_count());

@@ -20,6 +20,9 @@
 //!   which splitting ratios and loads are propagated).
 //! * [`path`] — expected hop counts under a routing function, used by the
 //!   Fig. 11 "path stretch" experiment.
+//! * [`failure`] — [`Failure`], the dead routers and links of one failure
+//!   and the graph that survives it: what the failure grid, the daemon and
+//!   the LSDB withdrawal all read.
 //! * [`rng`] — the workspace's one seeded generator (SplitMix64), behind
 //!   every seeded draw: reconstructed topologies, bimodal matrices, the
 //!   evaluation family, the failure grid's events.
@@ -33,6 +36,7 @@
 
 pub mod dag;
 pub mod error;
+pub mod failure;
 pub mod graph;
 pub mod path;
 pub mod rng;
@@ -40,5 +44,6 @@ pub mod spf;
 
 pub use dag::Dag;
 pub use error::GraphError;
+pub use failure::Failure;
 pub use graph::{Edge, EdgeId, Graph, NodeId};
 pub use spf::{ShortestPathDag, SpfResult};

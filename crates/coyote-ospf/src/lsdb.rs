@@ -1,7 +1,7 @@
 //! The OSPF link-state database, including injected lies.
 
 use crate::lsa::{FakeNodeId, FakeNodeLsa, RouterLink, RouterLsa};
-use coyote_graph::{Graph, NodeId};
+use coyote_graph::{Failure, Graph, NodeId};
 use serde::Serialize;
 
 /// What [`Lsdb::withdraw`] removes while simulating OSPF's reaction to a
@@ -78,31 +78,27 @@ impl Lsdb {
     /// plain OSPF do" on the router side. Panics if an LSA names a router
     /// outside `0..node_count` or lists itself as a neighbor.
     pub fn real_topology(&self, node_count: usize) -> Graph {
-        self.surviving_topology(node_count, &[], &[], &mut PruneStats::default())
+        self.surviving_topology(node_count, &Failure::default(), &mut PruneStats::default())
     }
 
-    /// [`real_topology`](Self::real_topology) after a failure: the LSAs of
-    /// `dead_nodes` are left out, and so is every adjacency towards a dead
-    /// router or across one of `dead_links` (unordered endpoint pairs).
-    /// Counts what it leaves out into `stats.dead_routers` and
-    /// `stats.dropped_links`.
+    /// [`real_topology`](Self::real_topology) after `failure`: the LSAs of
+    /// its dead routers are left out, and so is every adjacency it
+    /// [kills](Failure::kills). Counts what it leaves out into
+    /// `stats.dead_routers` and `stats.dropped_links`.
     pub(crate) fn surviving_topology(
         &self,
         node_count: usize,
-        dead_nodes: &[NodeId],
-        dead_links: &[(NodeId, NodeId)],
+        failure: &Failure,
         stats: &mut PruneStats,
     ) -> Graph {
         let mut graph = Graph::with_nodes(node_count);
         for lsa in &self.router_lsas {
-            if dead_nodes.contains(&lsa.router) {
+            if failure.kills_node(lsa.router) {
                 stats.dead_routers += 1;
                 continue;
             }
             for link in &lsa.links {
-                if dead_nodes.contains(&link.neighbor)
-                    || link_is_dead(dead_links, lsa.router, link.neighbor)
-                {
+                if failure.kills(lsa.router, link.neighbor) {
                     stats.dropped_links += 1;
                     continue;
                 }
@@ -171,15 +167,6 @@ impl Lsdb {
         }
         max
     }
-}
-
-/// True when the adjacency `a -> b` crosses one of `dead_links` (unordered
-/// endpoint pairs). A failure names a handful of links, so a scan beats
-/// hashing.
-pub(crate) fn link_is_dead(dead_links: &[(NodeId, NodeId)], a: NodeId, b: NodeId) -> bool {
-    dead_links
-        .iter()
-        .any(|&(x, y)| (x, y) == (a, b) || (y, x) == (a, b))
 }
 
 #[cfg(test)]

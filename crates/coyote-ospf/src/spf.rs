@@ -145,6 +145,7 @@ mod tests {
     use crate::lsa::PrefixAdvertisement;
     use coyote_core::example_fig1::{self, Fig1};
     use coyote_graph::spf::dijkstra_to;
+    use coyote_graph::Failure;
     use proptest::prelude::*;
 
     #[test]
@@ -343,7 +344,8 @@ mod tests {
             // invalidates removed.
             let (fib, reference) = if withdrawn < n {
                 let dead = [NodeId(withdrawn)];
-                (lsdb.withdraw(&dead, &[]).fib(), reference_fib(&lsdb.pruned(&dead, &[]).0, n))
+                let fib = lsdb.withdraw(&Failure::new(dead, [])).fib();
+                (fib, reference_fib(&lsdb.pruned(&dead, &[]).0, n))
             } else {
                 (compute_fib(&lsdb, n), reference_fib(&lsdb, n))
             };

@@ -20,10 +20,34 @@ const ERROR_GAIN: f64 = 1e-12;
 /// Zero fractions get multiplicity zero. Every admissible total is
 /// allocated with the largest-remainder method and the total with the
 /// smallest maximum error is returned (the smallest such total on ties, so
-/// the FIB never grows without an accuracy payoff). A lone positive
-/// fraction is answered without the search: one entry is exact, and the
-/// search never replaces an error of zero, so it would return the same.
+/// the FIB never grows without an accuracy payoff).
 pub fn approximate_split(fractions: &[f64], max_total_entries: usize) -> Vec<u32> {
+    split_search(fractions, max_total_entries, None)
+}
+
+/// Quantizes the desired `fractions` to the *smallest* multiplicity
+/// vocabulary whose realized split stays within `epsilon` of the desired
+/// one: the budget search of [`approximate_split`] run for minimality
+/// instead of accuracy.
+///
+/// Totals are searched in increasing order (from the number of positive
+/// fractions up to `max_total_entries`) and the first total whose
+/// largest-remainder apportionment has maximum error `<= epsilon` wins —
+/// the compression pass's ratio-quantization leg. When no admissible total
+/// meets the tolerance the result is [`approximate_split`]'s (minimal error
+/// under the budget), so the quantized program is never *worse* than the
+/// budgeted one.
+pub fn quantize_split(fractions: &[f64], epsilon: f64, max_total_entries: usize) -> Vec<u32> {
+    split_search(fractions, max_total_entries, Some(epsilon))
+}
+
+/// The budget search of both: every admissible total in increasing order,
+/// each allocated with the largest-remainder method. The first total whose
+/// maximum error is `<= good_enough` wins; failing that, the total with the
+/// smallest maximum error (a larger total must beat it by more than
+/// [`ERROR_GAIN`]). A lone positive fraction gets one entry without the
+/// search: one entry is exact, so the search would return the same.
+fn split_search(fractions: &[f64], max_total_entries: usize, good_enough: Option<f64>) -> Vec<u32> {
     let positive: Vec<usize> = fractions
         .iter()
         .enumerate()
@@ -51,6 +75,10 @@ pub fn approximate_split(fractions: &[f64], max_total_entries: usize) -> Vec<u32
             .zip(&assigned)
             .map(|(&s, &m)| (s - m as f64 / entries as f64).abs())
             .fold(0.0, f64::max);
+        if good_enough.is_some_and(|eps| err <= eps) {
+            best = Some((err, assigned));
+            break;
+        }
         if best.as_ref().is_none_or(|(e, _)| err < *e - ERROR_GAIN) {
             best = Some((err, assigned));
         }
@@ -60,50 +88,6 @@ pub fn approximate_split(fractions: &[f64], max_total_entries: usize) -> Vec<u32
         result[i] = assigned[slot];
     }
     result
-}
-
-/// Quantizes the desired `fractions` to the *smallest* multiplicity
-/// vocabulary whose realized split stays within `epsilon` of the desired
-/// one: the budget search of [`approximate_split`] run for minimality
-/// instead of accuracy.
-///
-/// Totals are searched in increasing order (from the number of positive
-/// fractions up to `max_total_entries`) and the first total whose
-/// largest-remainder apportionment has maximum error `<= epsilon` wins —
-/// the compression pass's ratio-quantization leg. When no admissible total
-/// meets the tolerance the result falls back to [`approximate_split`]
-/// (minimal error under the budget), so the quantized program is never
-/// *worse* than the budgeted one.
-pub fn quantize_split(fractions: &[f64], epsilon: f64, max_total_entries: usize) -> Vec<u32> {
-    let positive: Vec<usize> = fractions
-        .iter()
-        .enumerate()
-        .filter(|(_, &f)| f > 0.0)
-        .map(|(i, _)| i)
-        .collect();
-    if positive.is_empty() {
-        return vec![0u32; fractions.len()];
-    }
-    let total: f64 = positive.iter().map(|&i| fractions[i]).sum();
-    let shares: Vec<f64> = positive.iter().map(|&i| fractions[i] / total).collect();
-    let budget = max_total_entries.max(positive.len());
-
-    for entries in positive.len()..=budget {
-        let assigned = largest_remainder(&shares, entries as u32);
-        let err = shares
-            .iter()
-            .zip(&assigned)
-            .map(|(&s, &m)| (s - m as f64 / entries as f64).abs())
-            .fold(0.0, f64::max);
-        if err <= epsilon {
-            let mut result = vec![0u32; fractions.len()];
-            for (slot, &i) in positive.iter().enumerate() {
-                result[i] = assigned[slot];
-            }
-            return result;
-        }
-    }
-    approximate_split(fractions, budget)
 }
 
 /// Largest-remainder apportionment of `entries` FIB slots over normalized
@@ -219,6 +203,39 @@ mod tests {
         result
     }
 
+    /// [`quantize_split`] before it shared [`approximate_split`]'s search:
+    /// its own loop over the totals, then the budget search as a fallback.
+    fn quantized_by_its_own_loop(fractions: &[f64], epsilon: f64, max_total: usize) -> Vec<u32> {
+        let positive: Vec<usize> = fractions
+            .iter()
+            .enumerate()
+            .filter(|(_, &f)| f > 0.0)
+            .map(|(i, _)| i)
+            .collect();
+        if positive.is_empty() {
+            return vec![0u32; fractions.len()];
+        }
+        let total: f64 = positive.iter().map(|&i| fractions[i]).sum();
+        let shares: Vec<f64> = positive.iter().map(|&i| fractions[i] / total).collect();
+        let budget = max_total.max(positive.len());
+        for entries in positive.len()..=budget {
+            let assigned = largest_remainder(&shares, entries as u32);
+            let err = shares
+                .iter()
+                .zip(&assigned)
+                .map(|(&s, &m)| (s - m as f64 / entries as f64).abs())
+                .fold(0.0, f64::max);
+            if err <= epsilon {
+                let mut result = vec![0u32; fractions.len()];
+                for (slot, &i) in positive.iter().enumerate() {
+                    result[i] = assigned[slot];
+                }
+                return result;
+            }
+        }
+        searched_split(fractions, budget)
+    }
+
     /// A fraction of kind `kind` drawn with `x ∈ [0, 1)`: zeros and
     /// negatives (never a next hop), tied thirds, plain values, subnormals,
     /// values near `f64::MAX`, infinity and NaN.
@@ -249,6 +266,24 @@ mod tests {
                 approximate_split(&fractions, budget),
                 searched_split(&fractions, budget),
                 "fractions {:?}, budget {}", fractions, budget
+            );
+        }
+
+        /// Quantizing equals the loop it ran before it shared the search,
+        /// at tolerances that are met, unmet, negative and NaN.
+        #[test]
+        fn quantizing_equals_its_own_loop(
+            drawn in collection::vec((0usize..8, 0.0f64..1.0), 0..9),
+            tolerance in (0usize..4, 0.0f64..0.2),
+            budget in 1usize..257,
+        ) {
+            let fractions: Vec<f64> = drawn.iter().map(|&(k, x)| fraction(k, x)).collect();
+            let (kind, x) = tolerance;
+            let epsilon = [x, 0.0, -x, f64::NAN][kind];
+            prop_assert_eq!(
+                quantize_split(&fractions, epsilon, budget),
+                quantized_by_its_own_loop(&fractions, epsilon, budget),
+                "fractions {:?}, epsilon {}, budget {}", fractions, epsilon, budget
             );
         }
 

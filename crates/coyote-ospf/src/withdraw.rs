@@ -1,13 +1,14 @@
 //! OSPF's reaction to a failure, read off the healthy LSDB.
 //!
-//! [`Lsdb::withdraw`] takes the failed routers and links and answers two
-//! questions without copying the database. Which real adjacencies survive,
-//! and which lies does the controller have to retract? A lie goes when the
-//! failure invalidates it structurally, or when its forwarding address can
-//! no longer reach the prefix. The survivors are kept as indices into the
+//! [`Lsdb::withdraw`] takes a [`Failure`] and answers two questions without
+//! copying the database. Which real adjacencies survive, and which lies
+//! does the controller have to retract? A lie goes when the failure
+//! invalidates it structurally, or when its forwarding address can no
+//! longer reach the prefix. The survivors are kept as indices into the
 //! borrowed advertisements, grouped by destination, next to one
 //! shortest-path DAG per destination over the surviving real topology. The
-//! blackhole test and the reconverged FIB read those same SPFs.
+//! blackhole test, the reconverged FIB and [`Withdrawal::reaches`] read
+//! those same SPFs.
 //!
 //! [`Withdrawal::reconverge`] is then the controller's emergency fallback,
 //! one column at a time. Surviving lies were loop-free before the failure,
@@ -22,11 +23,11 @@
 use crate::error::OspfError;
 use crate::fib::Fib;
 use crate::lsa::FakeNodeLsa;
-use crate::lsdb::{link_is_dead, Lsdb, PruneStats};
+use crate::lsdb::{Lsdb, PruneStats};
 use crate::spf::{build_fib, fill_column, ByDestination};
 use coyote_core::PdRouting;
 use coyote_graph::spf::{shortest_path_dag, ShortestPathDag};
-use coyote_graph::{Graph, NodeId};
+use coyote_graph::{Failure, Graph, NodeId};
 
 /// A failure applied to a borrowed [`Lsdb`]: the surviving real topology,
 /// its shortest-path DAGs, and which prefix advertisements are still live.
@@ -57,30 +58,24 @@ pub struct Reconvergence {
 }
 
 impl Lsdb {
-    /// Simulates OSPF's reaction to the failure of `dead_nodes` and
-    /// `dead_links` (unordered endpoint pairs) without copying the database.
+    /// Simulates OSPF's reaction to `failure` without copying the database.
     ///
     /// Real state first: the router LSAs of dead routers are ignored, and so
-    /// is every adjacency towards a dead neighbor or across a dead link. One
+    /// is every adjacency the failure [kills](Failure::kills). One
     /// shortest-path DAG per destination is run over what survives. Then the
-    /// lies: a fake-node LSA is retracted whole when its attachment or
-    /// forwarding address died, or the physical link `attachment ->
-    /// forwarding_address` it relies on died. Otherwise each of its prefix
+    /// lies: a fake-node LSA is retracted whole when the failure kills the
+    /// adjacency `attachment -> forwarding_address` it relies on (either
+    /// router or the link between them died). Otherwise each of its prefix
     /// advertisements is withdrawn when the destination died or the
     /// forwarding address can no longer reach it over the surviving real
     /// topology (forwarding into a dead end would blackhole traffic). A fake
     /// left with no advertisement is retracted. Retained lies keep their
     /// metrics.
-    pub fn withdraw(
-        &self,
-        dead_nodes: &[NodeId],
-        dead_links: &[(NodeId, NodeId)],
-    ) -> Withdrawal<'_> {
+    pub fn withdraw(&self, failure: &Failure) -> Withdrawal<'_> {
         let mut stats = PruneStats::default();
         // The node-id space of the healthy database, so that ids keep their
         // meaning after a router's LSA is gone.
-        let topology =
-            self.surviving_topology(self.node_id_space(), dead_nodes, dead_links, &mut stats);
+        let topology = self.surviving_topology(self.node_id_space(), failure, &mut stats);
         let spf: Vec<ShortestPathDag> = topology
             .nodes()
             .map(|t| shortest_path_dag(&topology, t))
@@ -89,19 +84,15 @@ impl Lsdb {
         let mut live: ByDestination = vec![Vec::new(); topology.node_count()];
         let mut live_per_fake = vec![0; self.fakes.len()];
         for (f, fake) in self.fakes.iter().enumerate() {
-            let (u, via) = (fake.attachment, fake.forwarding_address);
-            if dead_nodes.contains(&u)
-                || dead_nodes.contains(&via)
-                || link_is_dead(dead_links, u, via)
-            {
+            let via = fake.forwarding_address;
+            if failure.kills(fake.attachment, via) {
                 stats.dropped_fakes += 1;
                 stats.dropped_advertisements += fake.prefix_count();
                 continue;
             }
             for (p, prefix) in fake.prefixes.iter().enumerate() {
                 let t = prefix.destination;
-                if dead_nodes.contains(&t) || !spf[t.index()].dist_to_dest[via.index()].is_finite()
-                {
+                if failure.kills_node(t) || !spf[t.index()].dist_to_dest[via.index()].is_finite() {
                     stats.dropped_advertisements += 1;
                 } else {
                     live[t.index()].push((f, p));
@@ -135,6 +126,11 @@ impl Withdrawal<'_> {
     /// [`Lsdb::real_topology`]): a dead router stays as an isolated node.
     pub fn topology(&self) -> &Graph {
         &self.topology
+    }
+
+    /// True when `s` still reaches `t` over the surviving real topology.
+    pub fn reaches(&self, s: NodeId, t: NodeId) -> bool {
+        self.spf[t.index()].dist_to_dest[s.index()].is_finite()
     }
 
     /// The routers' FIB over the surviving topology and the live lies,
@@ -224,7 +220,8 @@ mod tests {
         lsdb.inject(shared); // keeps b, loses d
         lsdb.inject(FakeNodeLsa::single(c, d, 0.1, 0.1, d)); // its link dies
         let dead_links = [(d, c)];
-        let withdrawal = lsdb.withdraw(&[], &dead_links);
+        let failure = Failure::new([], dead_links);
+        let withdrawal = lsdb.withdraw(&failure);
         assert_eq!(withdrawal.stats(), lsdb.pruned(&[], &dead_links).1);
         assert_eq!(
             withdrawal.stats(),
@@ -237,9 +234,8 @@ mod tests {
             }
         );
         assert_eq!(withdrawal.topology().edge_count(), 4);
-        let reconverged = withdrawal.reconverge(
-            &g.without_edges(&[g.find_edge(c, d).unwrap(), g.find_edge(d, c).unwrap()]),
-        );
+        assert!(withdrawal.reaches(a, c) && !withdrawal.reaches(a, d));
+        let reconverged = withdrawal.reconverge(&failure.surviving(&g));
         assert_eq!(reconverged.fake_count, 2);
         assert_eq!(reconverged.retracted, 0);
         reconverged.routing.expect("no loop");
@@ -266,7 +262,7 @@ mod tests {
         lsdb.inject(shared);
         lsdb.inject(FakeNodeLsa::single(d, c, 0.1, 0.1, a));
 
-        let withdrawal = lsdb.withdraw(&[], &[]);
+        let withdrawal = lsdb.withdraw(&Failure::default());
         assert!(matches!(
             withdrawal.fib().to_routing(&g),
             Err(OspfError::ForwardingLoop { destination: 2, .. })
@@ -290,7 +286,9 @@ mod tests {
     fn a_graph_with_other_routers_is_a_dimension_error() {
         let g = path();
         let lsdb = Lsdb::from_graph(&g);
-        let reconverged = lsdb.withdraw(&[], &[]).reconverge(&Graph::with_nodes(3));
+        let reconverged = lsdb
+            .withdraw(&Failure::default())
+            .reconverge(&Graph::with_nodes(3));
         assert!(matches!(
             reconverged.routing,
             Err(OspfError::DimensionMismatch(_))
@@ -372,22 +370,6 @@ mod tests {
         (stats, outcome)
     }
 
-    /// The post-failure physical graph: the dead links and every edge of a
-    /// dead router removed, node ids kept.
-    fn surviving_graph(g: &Graph, dead_nodes: &[NodeId], dead_links: &[(NodeId, NodeId)]) -> Graph {
-        let failed: Vec<EdgeId> = g
-            .edges()
-            .filter(|&e| {
-                let (a, b) = g.endpoints(e);
-                dead_nodes.contains(&a)
-                    || dead_nodes.contains(&b)
-                    || dead_links.contains(&(a, b))
-                    || dead_links.contains(&(b, a))
-            })
-            .collect();
-        g.without_edges(&failed)
-    }
-
     /// Checks one failure of one program; returns the advertisements
     /// retracted.
     fn check(
@@ -396,9 +378,10 @@ mod tests {
         dead_nodes: &[NodeId],
         dead_links: &[(NodeId, NodeId)],
     ) -> Result<usize, TestCaseError> {
-        let after = surviving_graph(g, dead_nodes, dead_links);
+        let failure = Failure::new(dead_nodes.iter().copied(), dead_links.iter().copied());
+        let after = failure.surviving(g);
         let (stats, expected) = reference(&program.lsdb, dead_nodes, dead_links, &after);
-        let withdrawal = program.lsdb.withdraw(dead_nodes, dead_links);
+        let withdrawal = program.lsdb.withdraw(&failure);
         prop_assert_eq!(withdrawal.stats(), stats);
         let reconverged = withdrawal.reconverge(&after);
         let got = Outcome {

@@ -9,7 +9,7 @@
 //! brute-force per-(router, prefix) reference by `spf`'s unit tests.
 
 use coyote_graph::spf::shortest_path_dag;
-use coyote_graph::{Graph, NodeId};
+use coyote_graph::{Failure, Graph, NodeId};
 use coyote_ospf::Lsdb;
 
 /// Distances (bit for bit) and next-hop neighbor sets of plain OSPF on both
@@ -57,7 +57,7 @@ fn the_lsdb_view_is_the_physical_graph_on_every_zoo_topology() {
             .edges()
             .filter(|&e| g.edge(e).src == hub || g.edge(e).dst == hub)
             .collect();
-        let withdrawal = lsdb.withdraw(&[hub], &[]);
+        let withdrawal = lsdb.withdraw(&Failure::new([hub], []));
         assert_eq!(withdrawal.stats().dead_routers, 1);
         assert_same_plain_ospf(
             &g.without_edges(&incident),

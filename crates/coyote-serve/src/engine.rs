@@ -1,7 +1,8 @@
 //! The incremental TE engine: the daemon's in-memory state machine.
 //!
-//! The engine holds a scenario (topology + demand matrix + failure set) and
-//! the *compiled* artifacts derived from it — shortest-path DAGs, augmented
+//! The engine holds a scenario (topology, demand matrix, and one
+//! [`coyote_graph::Failure`]: the routers and links that are down) and the
+//! *compiled* artifacts derived from it — shortest-path DAGs, augmented
 //! DAGs, per-destination splitting ratios, and the lied-to LSDB — and reacts
 //! to three kinds of updates:
 //!
@@ -14,13 +15,17 @@
 //!   augmented DAG holds every surviving link in some orientation, and one
 //!   link failure moves the shortest-path DAG of 58–81 % of the destinations
 //!   on the daemon's five topologies, so no per-destination dirty rule pays
-//!   for itself. An event therefore builds the surviving graph, one
+//!   for itself. An event therefore sets or clears one router or link of
+//!   the failure, builds the graph that survives it
+//!   ([`Failure::surviving`](coyote_graph::Failure::surviving)), one
 //!   shortest-path DAG per destination and the augmented DAGs over them, and
-//!   re-solves every destination — unless it **restores**.
+//!   re-solves every destination — unless it **restores**. OSPF's own first
+//!   reaction, reported as `immediate_prune`, is the LSDB withdrawal
+//!   ([`Lsdb::withdraw`]) of a failure holding just the element that died.
 //! * **Restore.** The engine keeps exactly one previous program: the one its
-//!   last topology event replaced, with the failure sets and the demand
-//!   matrix it was serving. An event that returns the failure sets to that
-//!   key — typically the recovery of the link that just failed — serves that
+//!   last topology event replaced, with the failure and the demand matrix it
+//!   was serving. An event that returns the failure to that key —
+//!   typically the recovery of the link that just failed — serves that
 //!   program again and re-solves only the destinations whose demand column
 //!   moved in between. It runs no Dijkstra.
 //!
@@ -40,8 +45,8 @@
 //! The per-destination policy is deliberately *separable* (see
 //! [`coyote_core::incremental`]): destination `t`'s solution, load row and
 //! lies are a pure function of `(surviving graph, dag_t, demand column t)`,
-//! and the surviving graph and `dag_t` are a pure function of the failure
-//! sets. That is what makes "recompute only the dirty part" and "restore
+//! and the surviving graph and `dag_t` are a pure function of the failure.
+//! That is what makes "recompute only the dirty part" and "restore
 //! the kept program, recompute the columns that moved" equal to "recompute
 //! everything" bit for bit.
 
@@ -49,7 +54,7 @@ use crate::error::ServeError;
 use coyote_core::dag_builder::augment;
 use coyote_core::{demand_dirty_destinations, solve_destination, PdRouting};
 use coyote_graph::spf::{shortest_path_dag, ShortestPathDag};
-use coyote_graph::{EdgeId, Graph, NodeId};
+use coyote_graph::{Failure, Graph, NodeId};
 use coyote_obs::Histogram;
 use coyote_ospf::{
     compile_destination, compute_fib, DestinationLies, Fib, LsaDelta, Lsdb, PrefixUpdate,
@@ -58,7 +63,6 @@ use coyote_ospf::{
 use coyote_topology::zoo;
 use coyote_traffic::{BimodalModel, DemandMatrix, GravityModel};
 use serde::Serialize;
-use std::collections::BTreeSet;
 use std::time::Instant;
 
 /// How the engine synthesizes its initial demand matrix.
@@ -169,32 +173,6 @@ pub struct ColdState {
     pub micros: u64,
 }
 
-/// The failure sets: physical links as canonical `(low, high)` node-index
-/// pairs, and routers. The surviving graph is a pure function of them.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct Failures {
-    links: BTreeSet<(usize, usize)>,
-    nodes: BTreeSet<usize>,
-}
-
-impl Failures {
-    /// The graph that survives these failures, rebuilt from `pristine`
-    /// (node ids are preserved; edge ids are renumbered densely over the
-    /// survivors).
-    fn surviving(&self, pristine: &Graph) -> Graph {
-        let dead: Vec<EdgeId> = pristine
-            .edges()
-            .filter(|&e| {
-                let (a, b) = pristine.endpoints(e);
-                self.links.contains(&canonical(a, b))
-                    || self.nodes.contains(&a.index())
-                    || self.nodes.contains(&b.index())
-            })
-            .collect();
-        pristine.without_edges(&dead)
-    }
-}
-
 /// Everything derived from `(surviving graph, demands)`: the plain
 /// shortest-path DAG towards every destination, the augmented DAGs built
 /// from them and the splitting ratios (both inside `routing`), the demand
@@ -216,12 +194,12 @@ struct Program {
 }
 
 impl Program {
-    /// A program for `pristine` under `failures` with nothing solved or
+    /// A program for `pristine` under `failure` with nothing solved or
     /// compiled yet: the surviving graph, its shortest-path DAG towards
     /// every destination, and those augmented into a placeholder routing.
-    fn unsolved(pristine: &Graph, failures: &Failures) -> Result<Program, ServeError> {
+    fn unsolved(pristine: &Graph, failure: &Failure) -> Result<Program, ServeError> {
         let _span = coyote_obs::span("serve.rebuild");
-        let graph = failures.surviving(pristine);
+        let graph = failure.surviving(pristine);
         let spfs: Vec<ShortestPathDag> = graph
             .nodes()
             .map(|t| shortest_path_dag(&graph, t))
@@ -245,11 +223,11 @@ impl Program {
     /// [`Program::recompute`].
     fn cold(
         pristine: &Graph,
-        failures: &Failures,
+        failure: &Failure,
         demands: &DemandMatrix,
         budget: VirtualLinkBudget,
     ) -> Result<Program, ServeError> {
-        let mut program = Program::unsolved(pristine, failures)?;
+        let mut program = Program::unsolved(pristine, failure)?;
         let all: Vec<NodeId> = pristine.nodes().collect();
         program.recompute(demands, budget, &all)?;
         Ok(program)
@@ -315,9 +293,9 @@ impl Program {
 }
 
 /// The program the engine's last topology event replaced, with the failure
-/// sets and the demand matrix it was serving: what a recovery restores.
+/// and the demand matrix it was serving: what a recovery restores.
 struct Kept {
-    failures: Failures,
+    failure: Failure,
     demands: DemandMatrix,
     program: Program,
 }
@@ -327,7 +305,7 @@ pub struct TeEngine {
     name: String,
     budget: VirtualLinkBudget,
     pristine: Graph,
-    failures: Failures,
+    failure: Failure,
     demands: DemandMatrix,
     program: Program,
     /// `None` until the first topology event.
@@ -349,14 +327,14 @@ impl TeEngine {
         pristine.set_inverse_capacity_weights(10.0);
         let demands = config.model.generate(&pristine);
         let budget = VirtualLinkBudget::per_prefix(config.budget);
-        let failures = Failures::default();
-        let program = Program::cold(&pristine, &failures, &demands, budget)?;
+        let failure = Failure::default();
+        let program = Program::cold(&pristine, &failure, &demands, budget)?;
         coyote_obs::counter("serve.engine.starts", 1);
         Ok(TeEngine {
             name: config.topology.clone(),
             budget,
             pristine,
-            failures,
+            failure,
             demands,
             lsdb: program.cold_lsdb(),
             program,
@@ -404,12 +382,12 @@ impl TeEngine {
 
     /// Currently failed links as canonical `(low, high)` node-index pairs.
     pub fn failed_links(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.failures.links.iter().copied()
+        self.failure.links().map(|(a, b)| (a.index(), b.index()))
     }
 
     /// Currently failed nodes.
     pub fn failed_nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.failures.nodes.iter().copied()
+        self.failure.nodes().map(NodeId::index)
     }
 
     /// Re-optimization latencies recorded so far, microseconds, as
@@ -437,7 +415,7 @@ impl TeEngine {
     /// `node` when it names a router of the topology, else a client error.
     /// Every mutator checks its ids here before it changes anything: a
     /// `NodeId` can be built for any index, and one past the topology would
-    /// alias into the flat demand matrix, enter the failure sets or panic in
+    /// alias into the flat demand matrix, enter the failure or panic in
     /// the graph.
     fn check_node(&self, node: NodeId) -> Result<NodeId, ServeError> {
         let n = self.pristine.node_count();
@@ -515,7 +493,7 @@ impl TeEngine {
     }
 
     /// Applies a link up/down event. `a`/`b` name the physical link's
-    /// endpoints; both directed edges fail together. The new failure sets'
+    /// endpoints; both directed edges fail together. The new failure's
     /// program is restored or rebuilt (see the module docs) and served
     /// through the delta path, so the differential guarantee holds.
     pub fn apply_link_event(
@@ -537,10 +515,12 @@ impl TeEngine {
                 what()
             )));
         }
-        let mut failures = self.failures.clone();
-        toggle(&mut failures.links, canonical(a, b), up, what)?;
-        let prune = (!up).then(|| self.prune(&[], &[(a, b)]));
-        self.apply_topology_event(failures, Kind::Link, prune, start)
+        let mut failure = self.failure.clone();
+        if !failure.set_link(a, b, !up) {
+            return Err(not_toggled(what(), up));
+        }
+        let prune = (!up).then(|| self.prune(&Failure::new([], [(a, b)])));
+        self.apply_topology_event(failure, Kind::Link, prune, start)
     }
 
     /// Applies a node up/down event: all links incident to the router fail
@@ -554,18 +534,20 @@ impl TeEngine {
     ) -> Result<UpdateOutcome, ServeError> {
         let start = Instant::now();
         let node = self.check_node(node)?;
-        let what = || format!("node {}", self.pristine.node_name(node));
-        let mut failures = self.failures.clone();
-        toggle(&mut failures.nodes, node.index(), up, what)?;
-        let prune = (!up).then(|| self.prune(&[node], &[]));
-        self.apply_topology_event(failures, Kind::Node, prune, start)
+        let mut failure = self.failure.clone();
+        if !failure.set_node(node, !up) {
+            let what = format!("node {}", self.pristine.node_name(node));
+            return Err(not_toggled(what, up));
+        }
+        let prune = (!up).then(|| self.prune(&Failure::new([node], [])));
+        self.apply_topology_event(failure, Kind::Node, prune, start)
     }
 
-    /// Recomputes everything from `(pristine, failure sets, demands)` — the
+    /// Recomputes everything from `(pristine, failure, demands)` — the
     /// reference the incremental path must match bit for bit.
     pub fn cold_rebuild(&self) -> Result<ColdState, ServeError> {
         let start = Instant::now();
-        let program = Program::cold(&self.pristine, &self.failures, &self.demands, self.budget)?;
+        let program = Program::cold(&self.pristine, &self.failure, &self.demands, self.budget)?;
         Ok(ColdState {
             lsdb: program.cold_lsdb(),
             routing: program.routing,
@@ -600,26 +582,26 @@ impl TeEngine {
         })
     }
 
-    /// OSPF's immediate reaction to a failure, before the controller
+    /// OSPF's immediate reaction to `failure`, before the controller
     /// re-optimizes: how much state it withdraws on its own.
-    fn prune(&self, nodes: &[NodeId], links: &[(NodeId, NodeId)]) -> PruneStats {
+    fn prune(&self, failure: &Failure) -> PruneStats {
         let _span = coyote_obs::span("serve.prune");
-        self.lsdb.withdraw(nodes, links).stats()
+        self.lsdb.withdraw(failure).stats()
     }
 
-    /// Shared tail of link/node events: serve the program of `failures`,
+    /// Shared tail of link/node events: serve the program of `failure`,
     /// keep the one it replaces, and commit through the delta path with
-    /// replacement router LSAs. When `failures` is the kept program's key,
+    /// replacement router LSAs. When `failure` is the kept program's key,
     /// that program is served again with only the columns that moved since
     /// re-solved; otherwise one is rebuilt and every destination solved.
     fn apply_topology_event(
         &mut self,
-        failures: Failures,
+        failure: Failure,
         kind: Kind,
         prune: Option<PruneStats>,
         start: Instant,
     ) -> Result<UpdateOutcome, ServeError> {
-        let restorable = self.kept.take().filter(|kept| kept.failures == failures);
+        let restorable = self.kept.take().filter(|kept| kept.failure == failure);
         let (program, dirty) = match restorable {
             Some(Kept {
                 demands,
@@ -634,13 +616,13 @@ impl TeEngine {
                 (program, dirty)
             }
             None => {
-                let program = Program::cold(&self.pristine, &failures, &self.demands, self.budget)?;
+                let program = Program::cold(&self.pristine, &failure, &self.demands, self.budget)?;
                 (program, self.pristine.nodes().collect())
             }
         };
         let router_lsas = Lsdb::from_graph(&program.graph).router_lsas().to_vec();
         let kept = Kept {
-            failures: std::mem::replace(&mut self.failures, failures),
+            failure: std::mem::replace(&mut self.failure, failure),
             demands: self.demands.clone(),
             program: std::mem::replace(&mut self.program, program),
         };
@@ -728,30 +710,11 @@ enum Kind {
     Node,
 }
 
-fn canonical(a: NodeId, b: NodeId) -> (usize, usize) {
-    let (x, y) = (a.index(), b.index());
-    (x.min(y), x.max(y))
-}
-
-/// Moves `key` out of (`up`) or into the failure set `failed`; an element
-/// that is already in the requested state is a client error, labelled by
-/// `what`.
-fn toggle<K: Ord>(
-    failed: &mut BTreeSet<K>,
-    key: K,
-    up: bool,
-    what: impl FnOnce() -> String,
-) -> Result<(), ServeError> {
-    let changed = if up {
-        failed.remove(&key)
-    } else {
-        failed.insert(key)
-    };
-    if changed {
-        return Ok(());
-    }
+/// The client error for bringing `what` up when it is not down, or down
+/// when it already is.
+fn not_toggled(what: String, up: bool) -> ServeError {
     let state = if up { "not down" } else { "already down" };
-    Err(ServeError::BadRequest(format!("{} is {state}", what())))
+    ServeError::BadRequest(format!("{what} is {state}"))
 }
 
 #[cfg(test)]
@@ -830,12 +793,12 @@ mod tests {
         assert!(err.is_bad_request());
     }
 
-    /// A rejected update leaves demands, failure sets, epoch and LSDB as
-    /// they were.
+    /// A rejected update leaves demands, failure, epoch and LSDB as they
+    /// were.
     fn assert_untouched(e: &TeEngine, before: &TeEngine, err: ServeError) {
         assert!(err.is_bad_request(), "{err}");
         assert_eq!(e.demands(), before.demands());
-        assert_eq!(e.failures, before.failures);
+        assert_eq!(e.failure, before.failure);
         assert_eq!(e.epoch(), before.epoch());
         assert_eq!(e.lsdb(), before.lsdb());
     }

@@ -338,6 +338,7 @@ pub fn table1() -> Vec<Topology> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coyote_graph::{EdgeId, NodeId};
 
     #[test]
     fn abilene_matches_the_published_structure() {
@@ -373,6 +374,24 @@ mod tests {
             assert!(t.node_count() >= 10, "{} too small", t.name);
             assert!(t.is_connected(), "{} disconnected", t.name);
             assert!(t.to_graph().is_ok());
+        }
+    }
+
+    /// The local search (Fig. 9) moves a link's weight with
+    /// `set_symmetric_weight`: on every zoo topology that changes exactly
+    /// the two directions of the link.
+    #[test]
+    fn set_symmetric_weight_sets_exactly_both_directions_of_the_link() {
+        for t in all() {
+            let g = t.to_graph().unwrap();
+            for (i, l) in t.links.iter().enumerate() {
+                let mut h = g.clone();
+                let (fwd, bwd) = (EdgeId(2 * i), EdgeId(2 * i + 1));
+                h.set_symmetric_weight(fwd, -1.0);
+                let changed: Vec<EdgeId> = h.edges().filter(|&e| h.weight(e) == -1.0).collect();
+                assert_eq!(changed, [fwd, bwd], "{} link {i}", t.name);
+                assert_eq!(h.endpoints(bwd), (NodeId(l.b), NodeId(l.a)));
+            }
         }
     }
 
