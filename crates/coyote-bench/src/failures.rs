@@ -18,7 +18,8 @@
 //!    zeroed, flash-crowd spikes applied).
 //! 2. **Oblivious mode** — keep the pre-failure Fibbing program, withdraw
 //!    the same [`Failure`] and the lies it invalidates from the lied-to
-//!    LSDB without copying it ([`Lsdb::withdraw`]); that withdrawal's one
+//!    LSDB without copying it ([`Lsdb::withdraw`], over the program's lies
+//!    folded into runs once per scenario); that withdrawal's one
 //!    SPF per destination also says which live demand pairs lost every
 //!    path ([`Withdrawal::reaches`]). Then reconverge the routers'
 //!    SPF — retracting the lies of any prefix that now loops
@@ -62,7 +63,7 @@ use coyote_core::{
 use coyote_graph::rng::splitmix64;
 use coyote_graph::{Failure, Graph, NodeId};
 use coyote_ospf::{
-    compute_program, realized_routing, FibbingProgram, OspfError, VirtualLinkBudget,
+    compute_program, realized_routing, FibbingProgram, LieRuns, OspfError, VirtualLinkBudget,
 };
 use coyote_sim::{FlowSimulator, SimOutcome};
 use coyote_topology::{zoo, Topology};
@@ -523,15 +524,16 @@ impl FailureReport {
 }
 
 /// The per-spec state shared by every event cell of one scenario: the
-/// healthy graph, base matrix, optimized routing, and compiled Fibbing
-/// program. Computed once per spec (phase 1), then every event cell reuses
-/// it (phase 2) — recompiling the scenario per cell would multiply the grid
-/// cost by the event count.
+/// healthy graph, base matrix, compiled Fibbing program and its lies folded
+/// into runs. Computed once per spec (phase 1), then every event cell reuses
+/// it (phase 2) and only reads it — recompiling the scenario per cell would
+/// multiply the grid cost by the event count.
 struct CellBase {
     topo: Topology,
     graph: Graph,
     base: DemandMatrix,
     program: FibbingProgram,
+    lies: LieRuns,
 }
 
 fn cell_base(spec: &SweepSpec) -> Result<CellBase, CoreError> {
@@ -544,11 +546,13 @@ fn cell_base(spec: &SweepSpec) -> Result<CellBase, CoreError> {
         VirtualLinkBudget::per_prefix(COMPILE_BUDGET),
     )
     .map_err(|e| CoreError::InvalidRouting(e.to_string()))?;
+    let lies = LieRuns::new(&program.lsdb);
     Ok(CellBase {
         topo: scenario.topology,
         graph: scenario.pipeline.graph().clone(),
         base: scenario.base,
         program,
+        lies,
     })
 }
 
@@ -604,7 +608,7 @@ fn failure_record(
     let pruned_graph = failure.surviving(&base.graph);
     let withdrawal = {
         let _span = coyote_obs::span("failures.prune");
-        base.program.lsdb.withdraw(&failure)
+        base.program.lsdb.withdraw(&base.lies, &failure)
     };
 
     // 2. The post-failure demand matrix: spikes applied, dead-endpoint
@@ -994,6 +998,27 @@ mod tests {
         assert_eq!(grid.seed, 7);
         let report = run_failures(&grid, 1, DEFAULT_TOLERANCE).expect("run");
         assert_eq!(report.seed, 7);
+    }
+
+    /// The per-spec base carries no per-cell state: the Abilene grid's
+    /// cells, evaluated against one base in grid order and in reverse, give
+    /// the same records.
+    #[test]
+    fn cells_share_one_base_in_any_order() {
+        let grid = abilene_grid(EventClass::All);
+        let base = cell_base(&abilene_spec()).expect("base");
+        let record = |cell| {
+            failure_record(cell, &base, DEFAULT_TOLERANCE)
+                .expect("cell")
+                .deterministic_view()
+        };
+        let forward: Vec<FailureRecord> = grid.cells.iter().map(record).collect();
+        let mut backward: Vec<FailureRecord> = grid.cells.iter().rev().map(record).collect();
+        backward.reverse();
+        assert_eq!(
+            forward, backward,
+            "a cell's record depends on the cells before it"
+        );
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //!
 //! * [`lsa`] / [`lsdb`] — link-state advertisements (real and fake) and the
 //!   link-state database the routers flood.
+//! * [`runs`] — an LSDB's lies folded into runs of identical consecutive
+//!   lies, the shape the FIB builder and the failure withdrawal read.
 //! * [`spf`] — per-router SPF over the LSDB and the resulting [`fib::Fib`]:
 //!   plain OSPF from `coyote_graph::spf` over [`Lsdb::real_topology`], plus
 //!   the injected lies.
@@ -43,6 +45,7 @@ pub mod fib;
 pub mod fibbing;
 pub mod lsa;
 pub mod lsdb;
+pub mod runs;
 pub mod spf;
 pub mod verify;
 pub mod wecmp;
@@ -60,6 +63,7 @@ pub use fibbing::{
 };
 pub use lsa::{FakeNodeId, FakeNodeLsa, PrefixAdvertisement, RouterLink, RouterLsa};
 pub use lsdb::{Lsdb, PruneStats};
+pub use runs::LieRuns;
 pub use spf::compute_fib;
 pub use verify::{
     compare_routings, fake_nodes_per_destination, verify_program, VerificationReport,

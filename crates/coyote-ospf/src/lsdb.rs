@@ -145,28 +145,6 @@ impl Lsdb {
     pub fn clear_fakes(&mut self) {
         self.fakes.clear();
     }
-
-    /// Upper bound of the node-id space referenced anywhere in this LSDB
-    /// (1 + the largest node index among router LSAs, adjacencies, and
-    /// lies). Robust to withdrawn router LSAs, unlike `router_lsas.len()`.
-    pub(crate) fn node_id_space(&self) -> usize {
-        let mut max = 0usize;
-        for lsa in &self.router_lsas {
-            max = max.max(lsa.router.index() + 1);
-            for l in &lsa.links {
-                max = max.max(l.neighbor.index() + 1);
-            }
-        }
-        for f in &self.fakes {
-            max = max
-                .max(f.attachment.index() + 1)
-                .max(f.forwarding_address.index() + 1);
-            for p in &f.prefixes {
-                max = max.max(p.destination.index() + 1);
-            }
-        }
-        max
-    }
 }
 
 #[cfg(test)]
@@ -174,6 +152,7 @@ impl Lsdb {
 /// the reference the differential tests check the view against.
 mod copy_and_edit {
     use super::*;
+    use crate::runs::LieRuns;
     use coyote_graph::spf::dijkstra_to;
     use std::collections::{BTreeMap, HashSet};
 
@@ -274,7 +253,7 @@ mod copy_and_edit {
             // computed lazily (one SPF per distinct destination among the lies).
             // The node-id space is the *original* one — a previous prune may
             // already have withdrawn LSAs, so `router_lsas.len()` undercounts.
-            let surviving = pruned.real_topology(self.node_id_space());
+            let surviving = pruned.real_topology(LieRuns::new(self).node_id_space());
             let mut dist_cache: BTreeMap<NodeId, Vec<f64>> = BTreeMap::new();
             for fake in &self.fakes {
                 let structurally_dead = dead.contains(&fake.attachment)

@@ -13,10 +13,14 @@
 //! hops realize unequal splits. Lies never alter the real distance field:
 //! in Fibbing they are crafted per destination and only influence the
 //! router they are attached to.
+//!
+//! The lies are read as runs ([`LieRuns`]): `k` identical consecutive lies
+//! cost one pass and add their `k` entries as one multiplicity.
 
 use crate::fib::{Fib, FibEntry};
 use crate::lsa::FakeNodeLsa;
 use crate::lsdb::Lsdb;
+use crate::runs::{LieRuns, Run};
 use coyote_graph::spf::{shortest_path_dag, ShortestPathDag, ECMP_EPSILON};
 use coyote_graph::{Graph, NodeId};
 use std::borrow::Borrow;
@@ -39,35 +43,38 @@ fn winning_cost(u: NodeId, t: NodeId, real_dist: f64, cheapest_lie: f64) -> Opti
     (u != t && real_dist.is_finite()).then(|| real_dist.min(cheapest_lie))
 }
 
-/// Prefix advertisements grouped by destination: `ads[t]` holds the
-/// `(fake, prefix)` index pairs, into an LSDB's fakes, that advertise `t`.
+/// `(run, prefix)` index pairs grouped by destination: `ads[t]` lists the
+/// prefix advertisements, of one [`LieRuns`]' runs, that advertise `t`.
 pub(crate) type ByDestination = Vec<Vec<(usize, usize)>>;
 
 /// Computes the full FIB: for every destination prefix and every router, the
 /// ECMP next-hop multiset after taking the injected lies into account. One
-/// plain SPF per prefix, then one pass per prefix over its lies.
+/// fold of the lies into runs, one plain SPF per prefix, then one pass per
+/// prefix over its runs.
 pub fn compute_fib(lsdb: &Lsdb, node_count: usize) -> Fib {
     let _span = coyote_obs::span("ospf.spf");
     coyote_obs::counter("ospf.spf.runs", node_count as u64);
+    let lies = LieRuns::new(lsdb);
     let mut ads: ByDestination = vec![Vec::new(); node_count];
-    for (f, fake) in lsdb.fakes().iter().enumerate() {
-        for (p, prefix) in fake.prefixes.iter().enumerate() {
-            ads[prefix.destination.index()].push((f, p));
+    for (r, run) in lies.runs.iter().enumerate() {
+        for (p, prefix) in lsdb.fakes()[run.first].prefixes.iter().enumerate() {
+            ads[prefix.destination.index()].push((r, p));
         }
     }
     let real = lsdb.real_topology(node_count);
     let spfs = real.nodes().map(|t| shortest_path_dag(&real, t));
-    build_fib(&real, spfs, lsdb.fakes(), &ads)
+    build_fib(&real, spfs, lsdb.fakes(), &lies.runs, &ads)
 }
 
 /// The FIB builder behind both [`compute_fib`] and
 /// [`Withdrawal`](crate::Withdrawal): one column per shortest-path DAG in
 /// `spfs` (plain OSPF over `real`, one per destination), filled from that
-/// destination's advertisements in `ads`.
+/// destination's `(run, prefix)` advertisements in `ads`.
 pub(crate) fn build_fib<S: Borrow<ShortestPathDag>>(
     real: &Graph,
     spfs: impl Iterator<Item = S>,
     fakes: &[FakeNodeLsa],
+    runs: &[Run],
     ads: &ByDestination,
 ) -> Fib {
     let mut fib = Fib::new(real.node_count());
@@ -81,6 +88,7 @@ pub(crate) fn build_fib<S: Borrow<ShortestPathDag>>(
             real,
             spf,
             fakes,
+            runs,
             &ads[t.index()],
         );
     }
@@ -89,30 +97,31 @@ pub(crate) fn build_fib<S: Borrow<ShortestPathDag>>(
 
 /// Fills every router's entry towards `spf.destination` from scratch.
 ///
-/// One pass over the prefix's advertisements `ads` finds the cheapest lie
-/// per router (into the scratch row `cheapest`); the real next hops are
-/// installed wherever the real route ties with the winning cost; a second
-/// pass adds one entry per lie at the winning cost.
+/// One pass over the prefix's `(run, prefix)` advertisements `ads` finds the
+/// cheapest lie per router (into the scratch row `cheapest`); the real next
+/// hops are installed wherever the real route ties with the winning cost; a
+/// second pass adds, per run at the winning cost, one entry per lie of the
+/// run.
 pub(crate) fn fill_column(
     column: &mut [FibEntry],
     cheapest: &mut [f64],
     real: &Graph,
     spf: &ShortestPathDag,
     fakes: &[FakeNodeLsa],
+    runs: &[Run],
     ads: &[(usize, usize)],
 ) {
     let t = spf.destination;
-    // A lie and its total cost towards `t` (shared fakes carry per-prefix
-    // costs).
-    let lie = |&(f, p): &(usize, usize)| {
-        let fake = &fakes[f];
-        (
-            fake,
-            fake.cost_to_fake + fake.prefixes[p].cost_fake_to_destination,
-        )
+    // A run's head lie, its total cost towards `t` (shared fakes carry
+    // per-prefix costs) and the run's length.
+    let lie = |&(r, p): &(usize, usize)| {
+        let Run { first, len } = runs[r];
+        let fake = &fakes[first];
+        let cost = fake.cost_to_fake + fake.prefixes[p].cost_fake_to_destination;
+        (fake, cost, len)
     };
     cheapest.fill(f64::INFINITY);
-    for (fake, cost) in ads.iter().map(lie) {
+    for (fake, cost, _) in ads.iter().map(lie) {
         let slot = &mut cheapest[fake.attachment.index()];
         *slot = slot.min(cost);
     }
@@ -127,19 +136,19 @@ pub(crate) fn fill_column(
         }
     }
 
-    // Lies at the winning cost add one entry each towards their forwarding
-    // address.
-    for (fake, cost) in ads.iter().map(lie) {
+    // Runs at the winning cost add one entry per lie towards their
+    // forwarding address.
+    for (fake, cost, len) in ads.iter().map(lie) {
         let u = fake.attachment;
         let d = spf.dist_to_dest[u.index()];
         if winning_cost(u, t, d, cheapest[u.index()]).is_some_and(|best| ties(cost, best)) {
-            column[u.index()].add(fake.forwarding_address, 1);
+            column[u.index()].add(fake.forwarding_address, len);
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::common::random_graph;
     use crate::lsa::PrefixAdvertisement;
@@ -242,7 +251,7 @@ mod tests {
     // distances and its own next-hop test.
 
     /// What every router installs, asked one (router, prefix) pair at a time.
-    fn reference_fib(lsdb: &Lsdb, n: usize) -> Fib {
+    pub(crate) fn reference_fib(lsdb: &Lsdb, n: usize) -> Fib {
         let mut fib = Fib::new(n);
         for t in (0..n).map(NodeId) {
             let mut dist = vec![f64::INFINITY; n];
@@ -277,8 +286,9 @@ mod tests {
                         }
                     }
                 }
-                for (_, forwarding_address) in lies.into_iter().filter(|&(cost, _)| ties(cost)) {
-                    entry.add(forwarding_address, 1);
+                // One entry per lie, replicas included.
+                for (_, via) in lies.into_iter().filter(|&(cost, _)| ties(cost)) {
+                    entry.add(via, 1);
                 }
             }
         }
@@ -344,7 +354,7 @@ mod tests {
             // invalidates removed.
             let (fib, reference) = if withdrawn < n {
                 let dead = [NodeId(withdrawn)];
-                let fib = lsdb.withdraw(&Failure::new(dead, [])).fib();
+                let fib = lsdb.withdraw(&LieRuns::new(&lsdb), &Failure::new(dead, [])).fib();
                 (fib, reference_fib(&lsdb.pruned(&dead, &[]).0, n))
             } else {
                 (compute_fib(&lsdb, n), reference_fib(&lsdb, n))

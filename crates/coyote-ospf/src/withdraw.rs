@@ -4,11 +4,15 @@
 //! copying the database. Which real adjacencies survive, and which lies
 //! does the controller have to retract? A lie goes when the failure
 //! invalidates it structurally, or when its forwarding address can no
-//! longer reach the prefix. The survivors are kept as indices into the
-//! borrowed advertisements, grouped by destination, next to one
-//! shortest-path DAG per destination over the surviving real topology. The
-//! blackhole test, the reconverged FIB and [`Withdrawal::reaches`] read
-//! those same SPFs.
+//! longer reach the prefix. Both questions are asked of the database's lies
+//! folded into runs ([`LieRuns`]), once per run: identical lies get the
+//! same answers, so a run's fakes live and die together, and the stats,
+//! the surviving fake count and the retracted advertisements are sums of
+//! run lengths. The survivors are kept as `(run, prefix)` indices, grouped
+//! by destination, next to one shortest-path DAG per destination over the
+//! surviving real topology. The blackhole test, the reconverged FIB and
+//! [`Withdrawal::reaches`] read those same SPFs, so a withdrawal costs
+//! O(runs + n·SPF), whatever the replication.
 //!
 //! [`Withdrawal::reconverge`] is then the controller's emergency fallback,
 //! one column at a time. Surviving lies were loop-free before the failure,
@@ -24,23 +28,26 @@ use crate::error::OspfError;
 use crate::fib::Fib;
 use crate::lsa::FakeNodeLsa;
 use crate::lsdb::{Lsdb, PruneStats};
+use crate::runs::{LieRuns, Run};
 use crate::spf::{build_fib, fill_column, ByDestination};
 use coyote_core::PdRouting;
 use coyote_graph::spf::{shortest_path_dag, ShortestPathDag};
 use coyote_graph::{Failure, Graph, NodeId};
 
-/// A failure applied to a borrowed [`Lsdb`]: the surviving real topology,
-/// its shortest-path DAGs, and which prefix advertisements are still live.
+/// A failure applied to a borrowed [`Lsdb`] and its [`LieRuns`]: the
+/// surviving real topology, its shortest-path DAGs, and which prefix
+/// advertisements are still live.
 #[derive(Debug)]
 pub struct Withdrawal<'a> {
     fakes: &'a [FakeNodeLsa],
+    runs: &'a [Run],
     topology: Graph,
     /// `spf[t]`: plain OSPF towards `t` over `topology`.
     spf: Vec<ShortestPathDag>,
-    /// The live advertisements, grouped by destination.
+    /// The live `(run, prefix)` advertisements, grouped by destination.
     live: ByDestination,
-    /// Live advertisements per fake, indexed like `fakes`.
-    live_per_fake: Vec<usize>,
+    /// Live prefix advertisements per run, indexed like `runs`.
+    live_prefixes: Vec<usize>,
     stats: PruneStats,
 }
 
@@ -59,6 +66,8 @@ pub struct Reconvergence {
 
 impl Lsdb {
     /// Simulates OSPF's reaction to `failure` without copying the database.
+    /// `lies` is this database's lies folded into runs
+    /// ([`LieRuns::new`]); fold once, withdraw many failures.
     ///
     /// Real state first: the router LSAs of dead routers are ignored, and so
     /// is every adjacency the failure [kills](Failure::kills). One
@@ -71,46 +80,56 @@ impl Lsdb {
     /// topology (forwarding into a dead end would blackhole traffic). A fake
     /// left with no advertisement is retracted. Retained lies keep their
     /// metrics.
-    pub fn withdraw(&self, failure: &Failure) -> Withdrawal<'_> {
+    ///
+    /// Panics if `lies` folds another number of fakes than this database
+    /// holds.
+    pub fn withdraw<'a>(&'a self, lies: &'a LieRuns, failure: &Failure) -> Withdrawal<'a> {
+        assert_eq!(
+            lies.fake_count(),
+            self.fakes.len(),
+            "the runs were folded from another database"
+        );
         let mut stats = PruneStats::default();
         // The node-id space of the healthy database, so that ids keep their
         // meaning after a router's LSA is gone.
-        let topology = self.surviving_topology(self.node_id_space(), failure, &mut stats);
+        let topology = self.surviving_topology(lies.node_id_space(), failure, &mut stats);
         let spf: Vec<ShortestPathDag> = topology
             .nodes()
             .map(|t| shortest_path_dag(&topology, t))
             .collect();
 
         let mut live: ByDestination = vec![Vec::new(); topology.node_count()];
-        let mut live_per_fake = vec![0; self.fakes.len()];
-        for (f, fake) in self.fakes.iter().enumerate() {
-            let via = fake.forwarding_address;
+        let mut live_prefixes = vec![0; lies.runs.len()];
+        for (r, run) in lies.runs.iter().enumerate() {
+            let fake = &self.fakes[run.first];
+            let (via, fakes) = (fake.forwarding_address, run.fakes());
             if failure.kills(fake.attachment, via) {
-                stats.dropped_fakes += 1;
-                stats.dropped_advertisements += fake.prefix_count();
+                stats.dropped_fakes += fakes;
+                stats.dropped_advertisements += fakes * fake.prefix_count();
                 continue;
             }
             for (p, prefix) in fake.prefixes.iter().enumerate() {
                 let t = prefix.destination;
                 if failure.kills_node(t) || !spf[t.index()].dist_to_dest[via.index()].is_finite() {
-                    stats.dropped_advertisements += 1;
+                    stats.dropped_advertisements += fakes;
                 } else {
-                    live[t.index()].push((f, p));
-                    live_per_fake[f] += 1;
+                    live[t.index()].push((r, p));
+                    live_prefixes[r] += 1;
                 }
             }
-            if live_per_fake[f] == 0 {
-                stats.dropped_fakes += 1;
+            if live_prefixes[r] == 0 {
+                stats.dropped_fakes += fakes;
             } else {
-                stats.retained_fakes += 1;
+                stats.retained_fakes += fakes;
             }
         }
         Withdrawal {
             fakes: &self.fakes,
+            runs: &lies.runs,
             topology,
             spf,
             live,
-            live_per_fake,
+            live_prefixes,
             stats,
         }
     }
@@ -136,7 +155,13 @@ impl Withdrawal<'_> {
     /// The routers' FIB over the surviving topology and the live lies,
     /// before any loop is repaired.
     pub fn fib(&self) -> Fib {
-        build_fib(&self.topology, self.spf.iter(), self.fakes, &self.live)
+        build_fib(
+            &self.topology,
+            self.spf.iter(),
+            self.fakes,
+            self.runs,
+            &self.live,
+        )
     }
 
     /// Reconverges the routers on the post-failure `graph`: builds the
@@ -147,10 +172,17 @@ impl Withdrawal<'_> {
         coyote_obs::counter("ospf.spf.runs", self.spf.len() as u64);
         let mut retracted = 0;
         let routing = self.repaired_routing(graph, &mut retracted);
+        let fake_count = self
+            .runs
+            .iter()
+            .zip(&self.live_prefixes)
+            .filter(|&(_, &live)| live > 0)
+            .map(|(run, _)| run.fakes())
+            .sum();
         Reconvergence {
             routing,
             retracted,
-            fake_count: self.live_per_fake.iter().filter(|&&c| c > 0).count(),
+            fake_count,
         }
     }
 
@@ -166,13 +198,14 @@ impl Withdrawal<'_> {
         for t in graph.nodes() {
             let column = match fib.column_routing(graph, t) {
                 Err(OspfError::ForwardingLoop { .. }) if !self.live[t.index()].is_empty() => {
-                    for (f, _) in self.live[t.index()].drain(..) {
-                        self.live_per_fake[f] -= 1;
-                        *retracted += 1;
+                    for (r, _) in self.live[t.index()].drain(..) {
+                        self.live_prefixes[r] -= 1;
+                        *retracted += self.runs[r].fakes();
                     }
                     let (spf, ads) = (&self.spf[t.index()], &self.live[t.index()]);
                     let column = fib.column_mut(t);
-                    fill_column(column, &mut cheapest, &self.topology, spf, self.fakes, ads);
+                    let (fakes, runs) = (self.fakes, self.runs);
+                    fill_column(column, &mut cheapest, &self.topology, spf, fakes, runs, ads);
                     fib.column_routing(graph, t)
                 }
                 column => column,
@@ -190,8 +223,9 @@ mod tests {
     use crate::common::{random_graph, random_routing};
     use crate::compress::{compress_program, CompressionLevel};
     use crate::fibbing::{compute_program, FibbingProgram, VirtualLinkBudget};
-    use crate::lsa::PrefixAdvertisement;
+    use crate::lsa::{FakeNodeId, PrefixAdvertisement};
     use crate::spf::compute_fib;
+    use crate::spf::tests::reference_fib;
     use coyote_graph::EdgeId;
     use proptest::prelude::*;
 
@@ -221,7 +255,8 @@ mod tests {
         lsdb.inject(FakeNodeLsa::single(c, d, 0.1, 0.1, d)); // its link dies
         let dead_links = [(d, c)];
         let failure = Failure::new([], dead_links);
-        let withdrawal = lsdb.withdraw(&failure);
+        let lies = LieRuns::new(&lsdb);
+        let withdrawal = lsdb.withdraw(&lies, &failure);
         assert_eq!(withdrawal.stats(), lsdb.pruned(&[], &dead_links).1);
         assert_eq!(
             withdrawal.stats(),
@@ -262,7 +297,8 @@ mod tests {
         lsdb.inject(shared);
         lsdb.inject(FakeNodeLsa::single(d, c, 0.1, 0.1, a));
 
-        let withdrawal = lsdb.withdraw(&Failure::default());
+        let lies = LieRuns::new(&lsdb);
+        let withdrawal = lsdb.withdraw(&lies, &Failure::default());
         assert!(matches!(
             withdrawal.fib().to_routing(&g),
             Err(OspfError::ForwardingLoop { destination: 2, .. })
@@ -287,7 +323,7 @@ mod tests {
         let g = path();
         let lsdb = Lsdb::from_graph(&g);
         let reconverged = lsdb
-            .withdraw(&Failure::default())
+            .withdraw(&LieRuns::new(&lsdb), &Failure::default())
             .reconverge(&Graph::with_nodes(3));
         assert!(matches!(
             reconverged.routing,
@@ -370,18 +406,19 @@ mod tests {
         (stats, outcome)
     }
 
-    /// Checks one failure of one program; returns the advertisements
-    /// retracted.
+    /// Checks one failure of one lied-to database; returns the
+    /// advertisements retracted.
     fn check(
         g: &Graph,
-        program: &FibbingProgram,
+        lsdb: &Lsdb,
         dead_nodes: &[NodeId],
         dead_links: &[(NodeId, NodeId)],
     ) -> Result<usize, TestCaseError> {
         let failure = Failure::new(dead_nodes.iter().copied(), dead_links.iter().copied());
         let after = failure.surviving(g);
-        let (stats, expected) = reference(&program.lsdb, dead_nodes, dead_links, &after);
-        let withdrawal = program.lsdb.withdraw(&failure);
+        let (stats, expected) = reference(lsdb, dead_nodes, dead_links, &after);
+        let lies = LieRuns::new(lsdb);
+        let withdrawal = lsdb.withdraw(&lies, &failure);
         prop_assert_eq!(withdrawal.stats(), stats);
         let reconverged = withdrawal.reconverge(&after);
         let got = Outcome {
@@ -435,7 +472,7 @@ mod tests {
             let dead_nodes: Vec<_> =
                 (node_pick < n).then_some(NodeId(node_pick)).into_iter().collect();
             for program in &programs {
-                check(&g, program, &dead_nodes, &dead_links)?;
+                check(&g, &program.lsdb, &dead_nodes, &dead_links)?;
             }
         }
     }
@@ -453,15 +490,98 @@ mod tests {
             let programs = programs(&g, &raw).expect("the family compiles");
             for program in &programs {
                 for pick in 0..g.edge_count() / 2 {
-                    let retracted = check(&g, program, &[], &[link(&g, pick)]).unwrap();
+                    let retracted = check(&g, &program.lsdb, &[], &[link(&g, pick)]).unwrap();
                     retracting += usize::from(retracted > 0);
                 }
                 for v in g.nodes() {
-                    let retracted = check(&g, program, &[v], &[]).unwrap();
+                    let retracted = check(&g, &program.lsdb, &[v], &[]).unwrap();
                     retracting += usize::from(retracted > 0);
                 }
             }
         }
         assert!(retracting > 0, "no failure in the family retracted a lie");
+    }
+
+    // The folded runs against the references. A compiled program already
+    // holds runs; replaying its lies 1–4 times each makes longer ones, and
+    // cutting a repeat with a different lie makes one lie two runs. Plain and
+    // losslessly compressed (multi-prefix) programs both go through it.
+
+    /// `lsdb`'s lies in order, lie `i` repeated `reps[i % reps.len()].0`
+    /// times; where its flag is set, the repeat is cut in two by the first
+    /// lie of the program that differs from it.
+    fn replicated(lsdb: &Lsdb, reps: &[(usize, bool)]) -> Lsdb {
+        let key = |f: &FakeNodeLsa| FakeNodeLsa {
+            id: FakeNodeId(0),
+            ..f.clone()
+        };
+        let mut out = Lsdb {
+            router_lsas: lsdb.router_lsas.clone(),
+            fakes: Vec::new(),
+        };
+        for (i, fake) in lsdb.fakes().iter().enumerate() {
+            let (k, split) = reps[i % reps.len()];
+            let other = lsdb.fakes().iter().find(|f| key(f) != key(fake));
+            for j in 0..k {
+                if let Some(other) = other.filter(|_| split && j > 0 && j == k / 2) {
+                    out.inject(other.clone());
+                }
+                out.inject(fake.clone());
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn folded_runs_match_the_references(
+            n in 4usize..9,
+            extra in proptest::collection::vec((0usize..16, 0usize..16), 0..5),
+            raw in proptest::collection::vec(0.0f64..4.0, 8..16),
+            reps in proptest::collection::vec((1usize..5, 0usize..3), 1..12),
+            link_picks in proptest::collection::vec(0usize..64, 0..3),
+            node_pick in 0usize..16,
+        ) {
+            let g = random_graph(n, &extra, &[1.0, 2.0, 5.0]);
+            let Some(programs) = programs(&g, &raw) else {
+                return Ok(());
+            };
+            // A third of the repeats are cut.
+            let reps: Vec<(usize, bool)> = reps.iter().map(|&(k, cut)| (k, cut == 0)).collect();
+            let dead_links: Vec<_> = link_picks.iter().map(|&p| link(&g, p)).collect();
+            let dead_nodes: Vec<_> =
+                (node_pick < n).then_some(NodeId(node_pick)).into_iter().collect();
+            for program in &programs {
+                let lsdb = replicated(&program.lsdb, &reps);
+                let fib = compute_fib(&lsdb, n);
+                let expected = reference_fib(&lsdb, n);
+                for t in g.nodes() {
+                    for u in g.nodes() {
+                        prop_assert_eq!(fib.entry(u, t), expected.entry(u, t), "{} -> {}", u, t);
+                    }
+                }
+                check(&g, &lsdb, &dead_nodes, &dead_links)?;
+            }
+        }
+    }
+
+    /// The generator above folds: repeats lengthen runs and a cut repeat is
+    /// two runs.
+    #[test]
+    fn replicated_programs_fold_into_fewer_runs_than_lies() {
+        let g = random_graph(6, &[(0, 3), (1, 4)], &[1.0, 2.0, 5.0]);
+        let raw: Vec<f64> = (0..13).map(|i| ((i * 7) % 11) as f64 / 3.0).collect();
+        let [plain, _] = programs(&g, &raw).expect("the family compiles");
+        let base = LieRuns::new(&plain.lsdb).runs.len();
+        let tripled = replicated(&plain.lsdb, &[(3, false)]);
+        let folded = LieRuns::new(&tripled);
+        assert_eq!(folded.fake_count(), 3 * plain.lsdb.fake_count());
+        assert_eq!(folded.runs.len(), base);
+        let cut = LieRuns::new(&replicated(&plain.lsdb, &[(3, true)]))
+            .runs
+            .len();
+        assert!(cut > base, "{cut} runs, {base} before");
     }
 }

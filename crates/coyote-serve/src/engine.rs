@@ -57,7 +57,7 @@ use coyote_graph::spf::{shortest_path_dag, ShortestPathDag};
 use coyote_graph::{Failure, Graph, NodeId};
 use coyote_obs::Histogram;
 use coyote_ospf::{
-    compile_destination, compute_fib, DestinationLies, Fib, LsaDelta, Lsdb, PrefixUpdate,
+    compile_destination, compute_fib, DestinationLies, Fib, LieRuns, LsaDelta, Lsdb, PrefixUpdate,
     PruneStats, RouterLsa, VirtualLinkBudget,
 };
 use coyote_topology::zoo;
@@ -583,10 +583,13 @@ impl TeEngine {
     }
 
     /// OSPF's immediate reaction to `failure`, before the controller
-    /// re-optimizes: how much state it withdraws on its own.
+    /// re-optimizes: how much state it withdraws on its own. The lies are
+    /// folded into runs for this one withdrawal: the database changes
+    /// between events.
     fn prune(&self, failure: &Failure) -> PruneStats {
         let _span = coyote_obs::span("serve.prune");
-        self.lsdb.withdraw(failure).stats()
+        let lies = LieRuns::new(&self.lsdb);
+        self.lsdb.withdraw(&lies, failure).stats()
     }
 
     /// Shared tail of link/node events: serve the program of `failure`,
