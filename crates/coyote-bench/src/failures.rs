@@ -18,10 +18,10 @@
 //!    zeroed, flash-crowd spikes applied).
 //! 2. **Oblivious mode** — keep the pre-failure Fibbing program, withdraw
 //!    the same [`Failure`] and the lies it invalidates from the lied-to
-//!    LSDB without copying it ([`Lsdb::withdraw`], over the program's lies
-//!    folded into runs once per scenario); that withdrawal's one
-//!    SPF per destination also says which live demand pairs lost every
-//!    path ([`Withdrawal::reaches`]). Then reconverge the routers'
+//!    LSDB without copying it ([`Lsdb::withdraw`], which decides each
+//!    counted lie once); that withdrawal's one SPF per destination also
+//!    says which live demand pairs lost every path
+//!    ([`Withdrawal::reaches`]). Then reconverge the routers'
 //!    SPF — retracting the lies of any prefix that now loops
 //!    ([`Withdrawal::reconverge`]) — and flow-simulate the post-failure
 //!    matrix on the reconverged routing. "Oblivious" means blind to the
@@ -63,7 +63,7 @@ use coyote_core::{
 use coyote_graph::rng::splitmix64;
 use coyote_graph::{Failure, Graph, NodeId};
 use coyote_ospf::{
-    compute_program, realized_routing, FibbingProgram, LieRuns, OspfError, VirtualLinkBudget,
+    compute_program, realized_routing, FibbingProgram, OspfError, VirtualLinkBudget,
 };
 use coyote_sim::{FlowSimulator, SimOutcome};
 use coyote_topology::{zoo, Topology};
@@ -524,16 +524,15 @@ impl FailureReport {
 }
 
 /// The per-spec state shared by every event cell of one scenario: the
-/// healthy graph, base matrix, compiled Fibbing program and its lies folded
-/// into runs. Computed once per spec (phase 1), then every event cell reuses
-/// it (phase 2) and only reads it — recompiling the scenario per cell would
-/// multiply the grid cost by the event count.
+/// healthy graph, base matrix and compiled Fibbing program, whose lies carry
+/// their replica counts. Computed once per spec (phase 1), then every event
+/// cell reuses it (phase 2) and only reads it — recompiling the scenario per
+/// cell would multiply the grid cost by the event count.
 struct CellBase {
     topo: Topology,
     graph: Graph,
     base: DemandMatrix,
     program: FibbingProgram,
-    lies: LieRuns,
 }
 
 fn cell_base(spec: &SweepSpec) -> Result<CellBase, CoreError> {
@@ -546,13 +545,11 @@ fn cell_base(spec: &SweepSpec) -> Result<CellBase, CoreError> {
         VirtualLinkBudget::per_prefix(COMPILE_BUDGET),
     )
     .map_err(|e| CoreError::InvalidRouting(e.to_string()))?;
-    let lies = LieRuns::new(&program.lsdb);
     Ok(CellBase {
         topo: scenario.topology,
         graph: scenario.pipeline.graph().clone(),
         base: scenario.base,
         program,
-        lies,
     })
 }
 
@@ -608,7 +605,7 @@ fn failure_record(
     let pruned_graph = failure.surviving(&base.graph);
     let withdrawal = {
         let _span = coyote_obs::span("failures.prune");
-        base.program.lsdb.withdraw(&base.lies, &failure)
+        base.program.lsdb.withdraw(&failure)
     };
 
     // 2. The post-failure demand matrix: spikes applied, dead-endpoint
@@ -643,44 +640,46 @@ fn failure_record(
     //    can close a forwarding loop once real shortest paths move; the
     //    controller's emergency fallback withdraws that prefix's lies (plain
     //    SPF is loop-free), and a loop with no lie left to blame gives up on
-    //    this mode.
+    //    this mode. Each mode's flow simulation runs after its span ends, so
+    //    `failures.flowsim` is their sibling, not their child.
     let prune_stats = withdrawal.stats();
-    let (oblivious, oblivious_err, emergency_retractions) = {
+    let reconverged = {
         let _span = coyote_obs::span("failures.reconverge");
         coyote_obs::counter("failures.reconvergence.spf_runs", n as u64);
-        let reconverged = withdrawal.reconverge(&pruned_graph);
-        let (oblivious, err) = match reconverged.routing {
-            Ok(routing) => (
-                Some(measure_mode(
-                    &pruned_graph,
-                    &routing,
-                    &post,
-                    reconverged.fake_count,
-                )),
-                None,
-            ),
-            Err(OspfError::ForwardingLoop { destination, .. }) => (
-                None,
-                Some(format!(
-                    "oblivious reconvergence: unrepairable loop towards {destination}"
-                )),
-            ),
-            Err(e) => (None, Some(format!("oblivious reconvergence: {e}"))),
-        };
-        (oblivious, err, reconverged.retracted)
+        withdrawal.reconverge(&pruned_graph)
+    };
+    let emergency_retractions = reconverged.retracted;
+    let (oblivious, oblivious_err) = match reconverged.routing {
+        Ok(routing) => (
+            Some(measure_mode(
+                &pruned_graph,
+                &routing,
+                &post,
+                reconverged.fake_count,
+            )),
+            None,
+        ),
+        Err(OspfError::ForwardingLoop { destination, .. }) => (
+            None,
+            Some(format!(
+                "oblivious reconvergence: unrepairable loop towards {destination}"
+            )),
+        ),
+        Err(e) => (None, Some(format!("oblivious reconvergence: {e}"))),
     };
 
     // 4. Re-optimized mode: rebuild DAGs and the LP on the post-failure
     //    topology, masking the demand the DAGs provably cannot carry.
-    let (reoptimized, reopt_err) = {
+    let reoptimized = {
         let _span = coyote_obs::span("failures.reopt");
-        match reoptimize(&pruned_graph, &post) {
-            Ok((routing, fake_nodes)) => (
-                Some(measure_mode(&pruned_graph, &routing, &post, fake_nodes)),
-                None,
-            ),
-            Err(e) => (None, Some(format!("re-optimization: {e}"))),
-        }
+        reoptimize(&pruned_graph, &post)
+    };
+    let (reoptimized, reopt_err) = match reoptimized {
+        Ok((routing, fake_nodes)) => (
+            Some(measure_mode(&pruned_graph, &routing, &post, fake_nodes)),
+            None,
+        ),
+        Err(e) => (None, Some(format!("re-optimization: {e}"))),
     };
 
     // 5. Verdict.

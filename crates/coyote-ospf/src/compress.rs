@@ -22,7 +22,9 @@
 //!    re-keyed by (attachment, forwarding address); replica `r` of the pair
 //!    advertises every prefix that still needs more than `r` copies, so the
 //!    fake-node count becomes Σ max-multiplicity per pair instead of
-//!    Σ Σ multiplicity per pair per prefix.
+//!    Σ Σ multiplicity per pair per prefix. Consecutive replicas that
+//!    advertise the same prefixes are one counted lie, so a pair emits one
+//!    lie per distinct multiplicity among its prefixes.
 //!
 //! Equivalence argument: pass 3 preserves, per prefix, the exact multiset
 //! of (attachment, forwarding address, total cost) advertisements, so the
@@ -35,7 +37,7 @@
 
 use crate::error::OspfError;
 use crate::fibbing::{FibbingProgram, FibbingStats, VirtualLinkBudget};
-use crate::lsa::{FakeNodeId, FakeNodeLsa, PrefixAdvertisement};
+use crate::lsa::{FakeNodeLsa, PrefixAdvertisement};
 use crate::lsdb::Lsdb;
 use crate::spf::ties;
 use crate::wecmp::quantize_split;
@@ -153,7 +155,9 @@ pub fn compress_program(
     // Decompile the lies into (destination, router) groups. Advertisements
     // costlier than the group's best never install FIB entries (SPF keeps
     // only best-cost routes) and are dropped here.
-    let mut raw: BTreeMap<(usize, usize), Vec<(usize, f64)>> = BTreeMap::new();
+    // (forwarding address, total cost, replicas) per advertisement.
+    type Adverts = Vec<(usize, f64, u32)>;
+    let mut raw: BTreeMap<(usize, usize), Adverts> = BTreeMap::new();
     for fake in program.lsdb.fakes() {
         for p in &fake.prefixes {
             raw.entry((p.destination.index(), fake.attachment.index()))
@@ -161,6 +165,7 @@ pub fn compress_program(
                 .push((
                     fake.forwarding_address.index(),
                     fake.cost_to_fake + p.cost_fake_to_destination,
+                    fake.replicas,
                 ));
         }
     }
@@ -168,12 +173,12 @@ pub fn compress_program(
     for (key, adverts) in raw {
         let cost = adverts
             .iter()
-            .map(|&(_, c)| c)
+            .map(|&(_, c, _)| c)
             .fold(f64::INFINITY, f64::min);
         let mut hops = BTreeMap::new();
-        for (n, c) in adverts {
+        for (n, c, replicas) in adverts {
             if ties(c, cost) {
-                *hops.entry(n).or_insert(0u32) += 1;
+                *hops.entry(n).or_insert(0u32) += replicas;
             }
         }
         groups.insert(key, LieGroup { hops, cost });
@@ -248,7 +253,10 @@ pub fn compress_program(
     // LSDB in canonical order. Replica `r` of a pair advertises every
     // prefix whose multiplicity towards that pair exceeds `r`, so per
     // prefix the multiset of (attachment, forwarding, cost) lies — and
-    // hence the SPF outcome — is exactly the group's.
+    // hence the SPF outcome — is exactly the group's. The replicas between
+    // two consecutive distinct multiplicities advertise the same prefixes
+    // and are one counted lie; the prefix sets shrink from one lie to the
+    // next, so no two adjacent lies are equal except in their count.
     // (prefix, multiplicity, advertised cost) triples per (attachment,
     // forwarding) pair.
     type PairLies = Vec<(usize, u32, f64)>;
@@ -263,22 +271,26 @@ pub fn compress_program(
     let mut lsdb = Lsdb::from_graph(graph);
     let mut max_entries = 0u32;
     for (&(u, n), prefixes) in &by_pair {
-        let replicas = prefixes.iter().map(|&(_, m, _)| m).max().unwrap_or(0);
-        for r in 0..replicas {
+        let mut multiplicities: Vec<u32> = prefixes.iter().map(|&(_, m, _)| m).collect();
+        multiplicities.sort_unstable();
+        multiplicities.dedup();
+        let mut below = 0;
+        for m in multiplicities {
             lsdb.inject(FakeNodeLsa {
-                id: FakeNodeId(0), // assigned by inject()
                 attachment: NodeId(u),
                 cost_to_fake: 0.0,
                 forwarding_address: NodeId(n),
                 prefixes: prefixes
                     .iter()
-                    .filter(|&&(_, m, _)| m > r)
+                    .filter(|&&(_, m, _)| m > below)
                     .map(|&(t, _, cost)| PrefixAdvertisement {
                         destination: NodeId(t),
                         cost_fake_to_destination: cost,
                     })
                     .collect(),
+                replicas: m - below,
             });
+            below = m;
         }
     }
     for group in groups.values() {
@@ -509,7 +521,7 @@ mod tests {
             let d = NodeId(pick % n);
             let mut lsdb = compressed.lsdb.clone();
             let withdrawn = lsdb.retract_fakes_for(d);
-            prop_assert_eq!(lsdb.fakes_for(d).count(), 0, "lies for {} survived", d);
+            prop_assert_eq!(lsdb.fake_count_for(d), 0, "lies for {} survived", d);
             prop_assert!(
                 withdrawn <= compressed.stats.prefix_advertisements,
                 "withdrew more advertisements than the program carried"

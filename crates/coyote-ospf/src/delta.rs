@@ -6,11 +6,12 @@
 //! for that prefix) and, for topology events, the replacement router LSAs.
 //!
 //! [`LsaDelta::apply`] patches the LSDB in place. A cold
-//! [`crate::fibbing::compute_program`] run injects the fakes in destination
-//! order, so each prefix's lies are one contiguous run of the fake list:
-//! apply finds an updated prefix's run by binary search, splices the
-//! replacement list (moved, not cloned) over it and renumbers the fakes
-//! behind it densely; untouched prefixes keep their lies where they are.
+//! [`crate::fibbing::compute_program`] run injects the lies in destination
+//! order, so each prefix's lies are one contiguous stretch of the lie list:
+//! apply finds an updated prefix's stretch by binary search and splices the
+//! replacement list (moved, not cloned) over it; untouched prefixes keep
+//! their lies where they are. Lies carry their replica counts, so the
+//! fake-node counts of a delta are sums of counts.
 //! The result equals re-assembling every prefix's lies in destination
 //! order — the rebuild this module's tests keep as the oracle — and,
 //! because the per-prefix compile is separable
@@ -25,7 +26,7 @@
 //! LSDBs instead of silently duplicating shared fakes.
 
 use crate::error::OspfError;
-use crate::lsa::{FakeNodeId, FakeNodeLsa, RouterLsa};
+use crate::lsa::{fake_count, FakeNodeLsa, RouterLsa};
 use crate::lsdb::Lsdb;
 use coyote_graph::NodeId;
 use serde::Serialize;
@@ -35,11 +36,10 @@ use serde::Serialize;
 pub struct PrefixUpdate {
     /// The destination prefix whose lies are replaced.
     pub destination: NodeId,
-    /// The new lies for this prefix, in injection order (`FakeNodeId`s are
-    /// placeholders; [`Lsdb::inject`] assigns the dense ids on apply).
+    /// The new lies for this prefix, in injection order.
     pub lies: Vec<FakeNodeLsa>,
-    /// How many lies the old program carried for this prefix (the number
-    /// being retracted by this update).
+    /// How many fake nodes the old program carried for this prefix (the
+    /// number being retracted by this update).
     pub retracted: usize,
 }
 
@@ -67,37 +67,34 @@ impl LsaDelta {
         self.updates.len()
     }
 
-    /// Total lies injected by this delta.
+    /// Total fake nodes injected by this delta.
     pub fn fakes_added(&self) -> usize {
-        self.updates.iter().map(|u| u.lies.len()).sum()
+        self.updates.iter().map(|u| fake_count(&u.lies)).sum()
     }
 
-    /// Total lies retracted by this delta.
+    /// Total fake nodes retracted by this delta.
     pub fn fakes_retracted(&self) -> usize {
         self.updates.iter().map(|u| u.retracted).sum()
     }
 
     /// Advances `lsdb` by this delta, in place: the router LSAs are swapped
-    /// when the delta carries them, each updated prefix's lies are replaced
-    /// by its list (the last update wins when a destination repeats) and
-    /// the fakes from the first replaced run on are renumbered densely. The
-    /// result is the cold compiler's assembly — every prefix's lies in
-    /// destination order, ids dense — which is what makes it bit-identical
-    /// to a cold compile. An LSDB whose fakes are not in destination order
-    /// is first stably sorted by destination, as that assembly would.
+    /// when the delta carries them and each updated prefix's lies are
+    /// replaced by its list (the last update wins when a destination
+    /// repeats). The result is the cold compiler's assembly — every prefix's
+    /// lies in destination order — which is what makes it bit-identical to a
+    /// cold compile. An LSDB whose lies are not in destination order is
+    /// first stably sorted by destination, as that assembly would.
     ///
-    /// An LSDB with a fake advertising other than exactly one prefix (a
+    /// An LSDB with a lie advertising other than exactly one prefix (a
     /// compressed one) is an error, and `lsdb` is left untouched.
     pub fn apply(self, lsdb: &mut Lsdb) -> Result<(), OspfError> {
         let fakes = &mut lsdb.fakes;
-        let mut renumber_from = fakes.len();
         let mut sorted = true;
         for (i, fake) in fakes.iter().enumerate() {
             if fake.prefix_count() != 1 {
                 return Err(OspfError::DimensionMismatch(format!(
                     "LSA deltas are defined over uncompressed programs (one prefix \
-                     per fake), but fake node {} advertises {}",
-                    fake.id.0,
+                     per fake), but lie {i} advertises {}",
                     fake.prefix_count()
                 )));
             }
@@ -105,7 +102,6 @@ impl LsaDelta {
         }
         if !sorted {
             fakes.sort_by_key(destination);
-            renumber_from = 0;
         }
         if let Some(router_lsas) = self.router_lsas {
             lsdb.router_lsas = router_lsas;
@@ -114,8 +110,8 @@ impl LsaDelta {
         updates.sort_by_key(|u| u.destination);
         let mut updates = updates.into_iter().peekable();
         // Everything from `cursor` on is still the sorted old list, so each
-        // run is found by binary search even when a replacement list held a
-        // lie for another prefix.
+        // stretch is found by binary search even when a replacement list held
+        // a lie for another prefix.
         let mut cursor = 0;
         while let Some(update) = updates.next() {
             let t = update.destination;
@@ -126,10 +122,6 @@ impl LsaDelta {
             let end = start + fakes[start..].partition_point(|f| destination(f) == t);
             cursor = start + update.lies.len();
             fakes.splice(start..end, update.lies);
-            renumber_from = renumber_from.min(start);
-        }
-        for (i, fake) in fakes.iter_mut().enumerate().skip(renumber_from) {
-            fake.id = FakeNodeId(i);
         }
         Ok(())
     }
@@ -152,15 +144,14 @@ mod tests {
     use std::collections::BTreeMap;
 
     /// The whole-LSDB rebuild [`LsaDelta::apply`] replaced, kept as its
-    /// oracle: fakes re-assembled in destination order over `node_count`
+    /// oracle: lies re-assembled in destination order over `node_count`
     /// prefixes, updated prefixes taking their replacement list (the last
     /// one for a repeated destination), untouched ones carrying their old
-    /// lies over, ids re-assigned densely by [`Lsdb::inject`].
+    /// lies over.
     fn rebuild(delta: &LsaDelta, old: &Lsdb, node_count: usize) -> Result<Lsdb, OspfError> {
         if let Some(shared) = old.fakes().iter().find(|f| f.prefix_count() > 1) {
             return Err(OspfError::DimensionMismatch(format!(
-                "fake node {} advertises {} prefixes (compressed LSDB)",
-                shared.id.0,
+                "a lie advertises {} prefixes (compressed LSDB)",
                 shared.prefix_count()
             )));
         }
@@ -184,7 +175,7 @@ mod tests {
                     }
                 }
                 None => {
-                    for lie in old.fakes_for(NodeId(t)) {
+                    for lie in old.fakes().iter().filter(|f| f.advertises(NodeId(t))) {
                         next.inject(lie.clone());
                     }
                 }
@@ -229,7 +220,7 @@ mod tests {
                 lies: compile_destination(&g, &shortest_path_dag(&g, t), &new_target, t, budget)
                     .unwrap()
                     .lies,
-                retracted: old.lsdb.fakes_for(t).count(),
+                retracted: old.lsdb.fake_count_for(t),
             })
             .filter(|u| !u.lies.is_empty() || u.retracted > 0)
             .collect();
@@ -244,14 +235,14 @@ mod tests {
     }
 
     #[test]
-    fn partial_update_keeps_untouched_prefixes_and_renumbers_densely() {
+    fn partial_update_keeps_untouched_prefixes() {
         let (g, program) = program_under_test();
         // Retract every lie for the destination with the most fakes.
         let t = g
             .nodes()
-            .max_by_key(|&t| program.lsdb.fakes_for(t).count())
+            .max_by_key(|&t| program.lsdb.fake_count_for(t))
             .unwrap();
-        let retracted = program.lsdb.fakes_for(t).count();
+        let retracted = program.lsdb.fake_count_for(t);
         assert!(retracted > 0, "test needs a destination with lies");
         let delta = LsaDelta {
             router_lsas: None,
@@ -263,34 +254,27 @@ mod tests {
         };
         let next = patched(delta, &program.lsdb).unwrap();
         assert_eq!(next.fake_count(), program.lsdb.fake_count() - retracted);
-        assert_eq!(next.fakes_for(t).count(), 0);
-        for (i, fake) in next.fakes().iter().enumerate() {
-            assert_eq!(fake.id.0, i, "ids must stay dense after apply");
-        }
-        // Untouched prefixes keep their lies (id-independent comparison).
+        assert_eq!(next.fake_count_for(t), 0);
+        // Untouched prefixes keep their lies.
         for other in g.nodes().filter(|&o| o != t) {
-            let strip = |f: &FakeNodeLsa| {
-                let mut f = f.clone();
-                f.id = FakeNodeId(0);
-                f
+            let lies = |lsdb: &Lsdb| -> Vec<FakeNodeLsa> {
+                let lies = lsdb.fakes().iter().filter(|f| f.advertises(other));
+                lies.cloned().collect()
             };
-            let before: Vec<_> = program.lsdb.fakes_for(other).map(&strip).collect();
-            let after: Vec<_> = next.fakes_for(other).map(&strip).collect();
-            assert_eq!(before, after);
+            assert_eq!(lies(&program.lsdb), lies(&next));
         }
     }
 
     #[test]
     fn compressed_lsdbs_are_rejected() {
-        let (_, program) = program_under_test();
+        let (g, program) = program_under_test();
         // Force a shared (multi-prefix) fake to exercise the guard.
-        let mut lsdb = program.lsdb.clone();
-        let mut lie = lsdb.fakes()[0].clone();
+        let mut lie = program.lsdb.fakes()[0].clone();
         lie.prefixes.push(PrefixAdvertisement {
             destination: NodeId(0),
             cost_fake_to_destination: 1.0,
         });
-        lsdb.clear_fakes();
+        let mut lsdb = Lsdb::from_graph(&g);
         lsdb.inject(lie);
         assert!(patched(LsaDelta::default(), &lsdb).is_err());
     }
@@ -308,18 +292,20 @@ mod tests {
             .collect()
     }
 
-    /// One single-prefix lie towards `destination`, its other fields drawn
-    /// from `seed`; its id is a placeholder `apply` must overwrite.
+    /// One single-prefix lie towards `destination`, its other fields and
+    /// its replica count drawn from `seed`.
     fn lie(n: usize, destination: usize, seed: usize) -> FakeNodeLsa {
-        let mut lie = FakeNodeLsa::single(
+        let lie = FakeNodeLsa::single(
             NodeId(seed % n),
             NodeId(destination % n),
             (seed % 13) as f64 / 4.0,
             (seed % 7) as f64 / 8.0,
             NodeId(seed / 3 % n),
         );
-        lie.id = FakeNodeId(seed);
-        lie
+        FakeNodeLsa {
+            replicas: 1 + (seed % 5) as u32,
+            ..lie
+        }
     }
 
     /// An LSDB over `n` routers with one lie per `(destination, seed)`,
@@ -357,9 +343,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The in-place apply equals the rebuild, ids included — on an LSDB
-        /// injected in random order (sorted first) and again on the
-        /// destination-ordered LSDB it produced.
+        /// The in-place apply equals the rebuild — on an LSDB injected in
+        /// random order (sorted first) and again on the destination-ordered
+        /// LSDB it produced.
         #[test]
         fn in_place_apply_equals_the_rebuild(
             n in 1usize..9,

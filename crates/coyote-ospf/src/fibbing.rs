@@ -29,7 +29,7 @@
 use crate::compress::CompressionStats;
 use crate::error::OspfError;
 use crate::fib::Fib;
-use crate::lsa::FakeNodeLsa;
+use crate::lsa::{fake_count, FakeNodeLsa};
 use crate::lsdb::Lsdb;
 use crate::spf::compute_fib;
 use crate::wecmp::approximate_split;
@@ -67,7 +67,7 @@ impl VirtualLinkBudget {
 /// Statistics about a computed Fibbing program.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FibbingStats {
-    /// Total fake nodes injected.
+    /// Total fake nodes injected: the lies' replica counts summed.
     pub fake_nodes: usize,
     /// Total destination-prefix advertisements carried by the fakes. Equal
     /// to `fake_nodes` for uncompressed programs (one prefix per fake);
@@ -100,8 +100,8 @@ pub struct FibbingProgram {
 /// incremental recompile of `coyote-serve` bit-identical to a cold compile.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DestinationLies {
-    /// The lies for this prefix, in injection order. `FakeNodeId`s are
-    /// placeholders (`0`); [`Lsdb::inject`] assigns the dense ids.
+    /// The lies for this prefix, in injection order: one counted lie per
+    /// (router, next hop), no two adjacent ones equal except in their count.
     pub lies: Vec<FakeNodeLsa>,
     /// (router, prefix) pairs of this destination that needed a lie.
     pub lied_pairs: usize,
@@ -109,6 +109,13 @@ pub struct DestinationLies {
     pub native_pairs: usize,
     /// Largest number of FIB entries any router holds towards this prefix.
     pub max_entries: u32,
+}
+
+impl DestinationLies {
+    /// The fake nodes these lies stand for: their replica counts summed.
+    pub fn fake_count(&self) -> usize {
+        fake_count(&self.lies)
+    }
 }
 
 /// Computes the lies realizing `target`'s DAG and splitting ratios for the
@@ -202,15 +209,17 @@ pub fn compile_destination(
         } else {
             1.0
         };
-        for &(neighbor, mult) in &desired {
-            for _ in 0..mult {
-                out_lies.lies.push(FakeNodeLsa::single(
-                    u,
-                    t,
-                    total_cost / 2.0,
-                    total_cost / 2.0,
-                    neighbor,
-                ));
+        // One counted lie per next hop; parallel links to one neighbor add
+        // to the same lie.
+        for &(neighbor, replicas) in &desired {
+            match out_lies.lies.last_mut() {
+                Some(last) if last.attachment == u && last.forwarding_address == neighbor => {
+                    last.replicas += replicas
+                }
+                _ => out_lies.lies.push(FakeNodeLsa {
+                    replicas,
+                    ..FakeNodeLsa::single(u, t, total_cost / 2.0, total_cost / 2.0, neighbor)
+                }),
             }
         }
         let entries: u32 = desired.iter().map(|&(_, m)| m).sum();
@@ -239,13 +248,11 @@ pub fn compute_program(
     for t in graph.nodes() {
         let plain = shortest_path_dag(graph, t);
         let per_dest = compile_destination(graph, &plain, target, t, budget)?;
-        coyote_obs::observe(
-            "ospf.fake_nodes_per_destination",
-            per_dest.lies.len() as u64,
-        );
+        let fakes = per_dest.fake_count();
+        coyote_obs::observe("ospf.fake_nodes_per_destination", fakes as u64);
+        stats.fake_nodes += fakes;
         for lie in per_dest.lies {
             lsdb.inject(lie);
-            stats.fake_nodes += 1;
         }
         stats.lied_router_prefix_pairs += per_dest.lied_pairs;
         stats.native_router_prefix_pairs += per_dest.native_pairs;

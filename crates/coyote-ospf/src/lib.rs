@@ -5,9 +5,9 @@
 //! that unmodified, standard routers would actually compute.
 //!
 //! * [`lsa`] / [`lsdb`] — link-state advertisements (real and fake) and the
-//!   link-state database the routers flood.
-//! * [`runs`] — an LSDB's lies folded into runs of identical consecutive
-//!   lies, the shape the FIB builder and the failure withdrawal read.
+//!   link-state database the routers flood. A lie carries its replica count:
+//!   `k` identical fake nodes are one counted lie from the compiler to the
+//!   daemon, and every fake-node count is a sum of counts.
 //! * [`spf`] — per-router SPF over the LSDB and the resulting [`fib::Fib`]:
 //!   plain OSPF from `coyote_graph::spf` over [`Lsdb::real_topology`], plus
 //!   the injected lies.
@@ -45,7 +45,6 @@ pub mod fib;
 pub mod fibbing;
 pub mod lsa;
 pub mod lsdb;
-pub mod runs;
 pub mod spf;
 pub mod verify;
 pub mod wecmp;
@@ -61,9 +60,8 @@ pub use fibbing::{
     compile_destination, compute_program, program_fib, realized_routing, DestinationLies,
     FibbingProgram, FibbingStats, VirtualLinkBudget,
 };
-pub use lsa::{FakeNodeId, FakeNodeLsa, PrefixAdvertisement, RouterLink, RouterLsa};
+pub use lsa::{FakeNodeLsa, PrefixAdvertisement, RouterLink, RouterLsa};
 pub use lsdb::{Lsdb, PruneStats};
-pub use runs::LieRuns;
 pub use spf::compute_fib;
 pub use verify::{
     compare_routings, fake_nodes_per_destination, verify_program, VerificationReport,

@@ -8,6 +8,11 @@
 //! \[18\] use the same trick to approximate unequal traffic splits: a next hop
 //! announced through `k` virtual adjacencies receives `k` ECMP shares.
 //!
+//! The `k` replicas of one lie are one [`FakeNodeLsa`] with `replicas: k`:
+//! the routers still receive `k` fake nodes, but the program stores, reads
+//! and withdraws the lie once, and every fake-node count is a sum of
+//! replica counts.
+//!
 //! A fake node may advertise *several* destination prefixes at once (one
 //! [`PrefixAdvertisement`] each): the program-compression pass of
 //! [`crate::compress`] merges lies that share an (attachment, forwarding
@@ -21,10 +26,6 @@
 
 use coyote_graph::NodeId;
 use serde::Serialize;
-
-/// Identifier of a fake (virtual) node injected by the Fibbing controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
-pub struct FakeNodeId(pub usize);
 
 /// One adjacency inside a [`RouterLsa`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -54,13 +55,11 @@ pub struct PrefixAdvertisement {
     pub cost_fake_to_destination: f64,
 }
 
-/// A Fibbing lie: a fake node attached to one router, advertising one or
-/// more destination prefixes, whose traffic is ultimately forwarded to a
-/// real next hop (the *forwarding address*).
+/// A Fibbing lie: `replicas` identical fake nodes attached to one router,
+/// each advertising the same one or more destination prefixes, whose traffic
+/// is ultimately forwarded to a real next hop (the *forwarding address*).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FakeNodeLsa {
-    /// Identifier of the fake node.
-    pub id: FakeNodeId,
     /// The (real) router that sees the fake adjacency and will be deceived.
     pub attachment: NodeId,
     /// Metric of the virtual adjacency `attachment -> fake node`.
@@ -70,12 +69,14 @@ pub struct FakeNodeLsa {
     pub forwarding_address: NodeId,
     /// The destination prefixes this fake node advertises (at least one).
     pub prefixes: Vec<PrefixAdvertisement>,
+    /// How many identical fake nodes this lie stands for (at least one):
+    /// its ECMP multiplicity towards the forwarding address.
+    pub replicas: u32,
 }
 
 impl FakeNodeLsa {
-    /// A fake node advertising a single destination prefix — the shape the
-    /// uncompressed Fibbing compiler emits (one lie per virtual next-hop
-    /// replica per prefix).
+    /// One fake node advertising a single destination prefix — the shape the
+    /// uncompressed Fibbing compiler emits, before it sets the replica count.
     pub fn single(
         attachment: NodeId,
         destination: NodeId,
@@ -84,7 +85,6 @@ impl FakeNodeLsa {
         forwarding_address: NodeId,
     ) -> Self {
         Self {
-            id: FakeNodeId(0),
             attachment,
             cost_to_fake,
             forwarding_address,
@@ -92,6 +92,7 @@ impl FakeNodeLsa {
                 destination,
                 cost_fake_to_destination,
             }],
+            replicas: 1,
         }
     }
 
@@ -100,18 +101,31 @@ impl FakeNodeLsa {
         self.prefixes.iter().any(|p| p.destination == destination)
     }
 
+    /// Number of prefixes this fake node advertises.
+    pub fn prefix_count(&self) -> usize {
+        self.prefixes.len()
+    }
+
+    /// The fake nodes this lie stands for, as a count.
+    pub(crate) fn fakes(&self) -> usize {
+        self.replicas as usize
+    }
+}
+
+/// The fake nodes `lies` stand for: the sum of their replica counts.
+pub(crate) fn fake_count(lies: &[FakeNodeLsa]) -> usize {
+    lies.iter().map(FakeNodeLsa::fakes).sum()
+}
+
+#[cfg(test)]
+impl FakeNodeLsa {
     /// Total advertised cost of reaching `destination` through this lie, or
     /// `None` if the fake node does not advertise that prefix.
-    pub fn total_cost_to(&self, destination: NodeId) -> Option<f64> {
+    pub(crate) fn total_cost_to(&self, destination: NodeId) -> Option<f64> {
         self.prefixes
             .iter()
             .find(|p| p.destination == destination)
             .map(|p| self.cost_to_fake + p.cost_fake_to_destination)
-    }
-
-    /// Number of prefixes this fake node advertises.
-    pub fn prefix_count(&self) -> usize {
-        self.prefixes.len()
     }
 }
 
@@ -151,7 +165,13 @@ mod tests {
             }],
         };
         assert_eq!(a, a.clone());
-        assert_eq!(FakeNodeId(3), FakeNodeId(3));
-        assert!(FakeNodeId(2) < FakeNodeId(4));
+        let lie = FakeNodeLsa::single(NodeId(1), NodeId(3), 0.5, 0.25, NodeId(2));
+        let tripled = FakeNodeLsa {
+            replicas: 3,
+            ..lie.clone()
+        };
+        assert_ne!(lie, tripled);
+        assert_eq!((lie.fakes(), tripled.fakes()), (1, 3));
+        assert_eq!(fake_count(&[lie, tripled]), 4);
     }
 }

@@ -1,12 +1,17 @@
 //! The OSPF link-state database, including injected lies.
+//!
+//! A lie is stored once with its replica count
+//! ([`FakeNodeLsa::replicas`]), so every fake-node count the database reports
+//! is a sum of counts.
 
-use crate::lsa::{FakeNodeId, FakeNodeLsa, RouterLink, RouterLsa};
+use crate::lsa::{fake_count, FakeNodeLsa, RouterLink, RouterLsa};
 use coyote_graph::{Failure, Graph, NodeId};
 use serde::Serialize;
 
 /// What [`Lsdb::withdraw`] removes while simulating OSPF's reaction to a
 /// failure: dead router advertisements, withdrawn adjacencies, and lies the
 /// Fibbing controller must retract because the failure invalidated them.
+/// The fake counts count fake nodes, each lie's replicas included.
 /// `dropped_fakes` is the *reconvergence fake-LSA delta* reported by the
 /// failure engine. With compressed (multi-prefix) fakes a failure may also
 /// strip individual prefix advertisements off a surviving shared fake;
@@ -33,10 +38,14 @@ pub struct PruneStats {
 /// The link-state database every router's SPF computation reads: the real
 /// topology (one [`RouterLsa`] per router) plus the fake-node advertisements
 /// injected by the Fibbing controller.
+///
+/// The compiler and the compressor emit lies in a canonical form: no two
+/// adjacent lies are equal except in their replica count. The derived
+/// `PartialEq` compares lie by lie, so two databases built that way from the
+/// same program are equal.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Lsdb {
     pub(crate) router_lsas: Vec<RouterLsa>,
-    /// Every mutator keeps `fakes[i].id == FakeNodeId(i)`.
     pub(crate) fakes: Vec<FakeNodeLsa>,
 }
 
@@ -110,40 +119,58 @@ impl Lsdb {
         graph
     }
 
-    /// Injects a lie and returns its id.
-    pub fn inject(&mut self, mut lie: FakeNodeLsa) -> FakeNodeId {
-        let id = FakeNodeId(self.fakes.len());
-        lie.id = id;
-        self.fakes.push(lie);
-        id
+    /// 1 + the largest node index among the router LSAs, their adjacencies
+    /// and the lies. Robust to withdrawn router LSAs, unlike the LSA count.
+    pub(crate) fn node_id_space(&self) -> usize {
+        let routers = self.router_lsas.iter().flat_map(|lsa| {
+            std::iter::once(lsa.router).chain(lsa.links.iter().map(|l| l.neighbor))
+        });
+        let lies = self.fakes.iter().flat_map(|f| {
+            [f.attachment, f.forwarding_address]
+                .into_iter()
+                .chain(f.prefixes.iter().map(|p| p.destination))
+        });
+        routers
+            .chain(lies)
+            .map(|v| v.index() + 1)
+            .max()
+            .unwrap_or(0)
     }
 
-    /// All injected lies.
+    /// Injects a lie (of at least one replica).
+    pub fn inject(&mut self, lie: FakeNodeLsa) {
+        debug_assert!(lie.replicas >= 1, "a lie stands for at least one fake");
+        self.fakes.push(lie);
+    }
+
+    /// All injected lies, each with its replica count.
     pub fn fakes(&self) -> &[FakeNodeLsa] {
         &self.fakes
     }
 
-    /// Number of injected fake nodes (fake-node LSAs; a shared fake counts
-    /// once however many prefixes it advertises).
+    /// Number of injected fake nodes: the lies' replica counts summed (a
+    /// shared fake counts once however many prefixes it advertises).
     pub fn fake_count(&self) -> usize {
-        self.fakes.len()
+        fake_count(&self.fakes)
     }
 
     /// Total number of prefix advertisements across all fake nodes. Equal to
     /// [`fake_count`](Self::fake_count) for uncompressed (single-prefix)
     /// programs; larger once cross-destination merging shares fakes.
     pub fn prefix_advertisement_count(&self) -> usize {
-        self.fakes.iter().map(|f| f.prefix_count()).sum()
+        self.fakes
+            .iter()
+            .map(|f| f.fakes() * f.prefix_count())
+            .sum()
     }
 
-    /// Lies relevant to one destination prefix (fakes advertising it).
-    pub fn fakes_for(&self, destination: NodeId) -> impl Iterator<Item = &FakeNodeLsa> + '_ {
-        self.fakes.iter().filter(move |f| f.advertises(destination))
-    }
-
-    /// Removes every lie (e.g. before recomputing a new configuration).
-    pub fn clear_fakes(&mut self) {
-        self.fakes.clear();
+    /// Number of fake nodes advertising one destination prefix.
+    pub fn fake_count_for(&self, destination: NodeId) -> usize {
+        self.fakes
+            .iter()
+            .filter(|f| f.advertises(destination))
+            .map(FakeNodeLsa::fakes)
+            .sum()
     }
 }
 
@@ -152,15 +179,14 @@ impl Lsdb {
 /// the reference the differential tests check the view against.
 mod copy_and_edit {
     use super::*;
-    use crate::runs::LieRuns;
     use coyote_graph::spf::dijkstra_to;
     use std::collections::{BTreeMap, HashSet};
 
     impl Lsdb {
-        /// Retracts every advertisement for one destination prefix, drops fakes
-        /// left with no prefixes, and renumbers the survivors densely. Returns
-        /// how many prefix advertisements were withdrawn (for single-prefix
-        /// programs: how many lies).
+        /// Retracts every advertisement for one destination prefix and drops
+        /// lies left with no prefixes. Returns how many prefix advertisements
+        /// were withdrawn, replicas included (for single-prefix programs: how
+        /// many fakes).
         ///
         /// This is the Fibbing controller's emergency fallback after a failure:
         /// lies that were loop-free on the pre-failure topology can form a
@@ -176,12 +202,9 @@ mod copy_and_edit {
             self.fakes.retain_mut(|f| {
                 let before = f.prefixes.len();
                 f.prefixes.retain(|p| p.destination != destination);
-                withdrawn += before - f.prefixes.len();
+                withdrawn += f.fakes() * (before - f.prefixes.len());
                 !f.prefixes.is_empty()
             });
-            for (i, fake) in self.fakes.iter_mut().enumerate() {
-                fake.id = FakeNodeId(i);
-            }
             withdrawn
         }
 
@@ -253,15 +276,15 @@ mod copy_and_edit {
             // computed lazily (one SPF per distinct destination among the lies).
             // The node-id space is the *original* one — a previous prune may
             // already have withdrawn LSAs, so `router_lsas.len()` undercounts.
-            let surviving = pruned.real_topology(LieRuns::new(self).node_id_space());
+            let surviving = pruned.real_topology(self.node_id_space());
             let mut dist_cache: BTreeMap<NodeId, Vec<f64>> = BTreeMap::new();
             for fake in &self.fakes {
                 let structurally_dead = dead.contains(&fake.attachment)
                     || dead.contains(&fake.forwarding_address)
                     || dead_pairs.contains(&(fake.attachment, fake.forwarding_address));
                 if structurally_dead {
-                    stats.dropped_fakes += 1;
-                    stats.dropped_advertisements += fake.prefix_count();
+                    stats.dropped_fakes += fake.fakes();
+                    stats.dropped_advertisements += fake.fakes() * fake.prefix_count();
                     continue;
                 }
                 // Per-prefix filtering: dead destinations and blackholed
@@ -276,20 +299,16 @@ mod copy_and_edit {
                         !dist[fake.forwarding_address.index()].is_finite()
                     };
                     if gone {
-                        stats.dropped_advertisements += 1;
+                        stats.dropped_advertisements += fake.fakes();
                     }
                     !gone
                 });
                 if survivor.prefixes.is_empty() {
-                    stats.dropped_fakes += 1;
+                    stats.dropped_fakes += fake.fakes();
                 } else {
-                    stats.retained_fakes += 1;
+                    stats.retained_fakes += fake.fakes();
                     pruned.fakes.push(survivor);
                 }
-            }
-            // Re-number the surviving lies so ids stay dense and deterministic.
-            for (i, fake) in pruned.fakes.iter_mut().enumerate() {
-                fake.id = FakeNodeId(i);
             }
             (pruned, stats)
         }
@@ -360,7 +379,7 @@ mod tests {
     }
 
     #[test]
-    fn pruning_retracts_invalidated_lies_and_renumbers_survivors() {
+    fn pruning_retracts_invalidated_lies_and_keeps_the_survivors_in_order() {
         let g = triangle();
         let mut lsdb = Lsdb::from_graph(&g);
         // Four lies towards c: via the a->b link, via b directly, attached
@@ -374,14 +393,11 @@ mod tests {
         assert_eq!(stats.retained_fakes, 3);
         assert_eq!(stats.dropped_advertisements, 1);
         assert_eq!(pruned.fake_count(), 3);
-        // Survivors are renumbered densely.
-        for (i, f) in pruned.fakes().iter().enumerate() {
-            assert_eq!(f.id, FakeNodeId(i));
-        }
+        assert_eq!(pruned.fakes(), &lsdb.fakes()[1..]);
     }
 
     #[test]
-    fn retracting_a_prefix_withdraws_its_lies_and_renumbers_the_rest() {
+    fn retracting_a_prefix_withdraws_its_lies_and_keeps_the_rest() {
         let g = triangle();
         let mut lsdb = Lsdb::from_graph(&g);
         lsdb.inject(lie(0, 2, 1));
@@ -390,7 +406,6 @@ mod tests {
         assert_eq!(lsdb.retract_fakes_for(NodeId(2)), 2);
         assert_eq!(lsdb.fake_count(), 1);
         assert!(lsdb.fakes()[0].advertises(NodeId(1)));
-        assert_eq!(lsdb.fakes()[0].id, FakeNodeId(0));
         assert_eq!(lsdb.retract_fakes_for(NodeId(2)), 0);
     }
 
@@ -415,7 +430,6 @@ mod tests {
         assert_eq!(lsdb.prefix_advertisement_count(), 1);
         assert!(lsdb.fakes()[0].advertises(NodeId(1)));
         assert!(!lsdb.fakes()[0].advertises(NodeId(2)));
-        assert_eq!(lsdb.fakes()[0].id, FakeNodeId(0));
     }
 
     #[test]
@@ -460,20 +474,36 @@ mod tests {
     }
 
     #[test]
-    fn injection_assigns_sequential_ids_and_filters_work() {
+    fn counts_sum_the_replicas() {
         let g = triangle();
         let mut lsdb = Lsdb::from_graph(&g);
-        let id0 = lsdb.inject(lie(0, 2, 1));
-        let id1 = lsdb.inject(lie(0, 2, 1));
-        let id2 = lsdb.inject(lie(1, 2, 2));
-        let id3 = lsdb.inject(lie(0, 1, 1));
-        assert_eq!(
-            (id0, id1, id2, id3),
-            (FakeNodeId(0), FakeNodeId(1), FakeNodeId(2), FakeNodeId(3))
-        );
-        assert_eq!(lsdb.fakes_for(NodeId(2)).count(), 3);
-        assert_eq!(lsdb.prefix_advertisement_count(), 4);
-        lsdb.clear_fakes();
-        assert_eq!(lsdb.fake_count(), 0);
+        let mut shared = FakeNodeLsa {
+            replicas: 3,
+            ..lie(0, 2, 1)
+        };
+        shared.prefixes.push(PrefixAdvertisement {
+            destination: NodeId(1),
+            cost_fake_to_destination: 0.2,
+        });
+        lsdb.inject(shared);
+        lsdb.inject(lie(0, 2, 1));
+        lsdb.inject(FakeNodeLsa {
+            replicas: 2,
+            ..lie(1, 2, 2)
+        });
+        assert_eq!(lsdb.fakes().len(), 3);
+        assert_eq!(lsdb.fake_count(), 6);
+        assert_eq!(lsdb.prefix_advertisement_count(), 9);
+        assert_eq!(lsdb.fake_count_for(NodeId(2)), 6);
+        assert_eq!(lsdb.fake_count_for(NodeId(1)), 3);
+        assert_eq!(lsdb.fake_count_for(NodeId(0)), 0);
+    }
+
+    #[test]
+    fn a_lie_beyond_the_routers_widens_the_node_id_space() {
+        let mut lsdb = Lsdb::from_graph(&Graph::with_nodes(2));
+        assert_eq!(lsdb.node_id_space(), 2);
+        lsdb.inject(lie(0, 4, 1));
+        assert_eq!(lsdb.node_id_space(), 5);
     }
 }

@@ -14,13 +14,12 @@
 //! in Fibbing they are crafted per destination and only influence the
 //! router they are attached to.
 //!
-//! The lies are read as runs ([`LieRuns`]): `k` identical consecutive lies
-//! cost one pass and add their `k` entries as one multiplicity.
+//! A lie of `k` replicas ([`FakeNodeLsa::replicas`]) costs one pass and adds
+//! its `k` entries as one multiplicity.
 
 use crate::fib::{Fib, FibEntry};
 use crate::lsa::FakeNodeLsa;
 use crate::lsdb::Lsdb;
-use crate::runs::{LieRuns, Run};
 use coyote_graph::spf::{shortest_path_dag, ShortestPathDag, ECMP_EPSILON};
 use coyote_graph::{Graph, NodeId};
 use std::borrow::Borrow;
@@ -43,38 +42,35 @@ fn winning_cost(u: NodeId, t: NodeId, real_dist: f64, cheapest_lie: f64) -> Opti
     (u != t && real_dist.is_finite()).then(|| real_dist.min(cheapest_lie))
 }
 
-/// `(run, prefix)` index pairs grouped by destination: `ads[t]` lists the
-/// prefix advertisements, of one [`LieRuns`]' runs, that advertise `t`.
+/// `(lie, prefix)` index pairs grouped by destination: `ads[t]` lists the
+/// prefix advertisements, of one database's lies, that advertise `t`.
 pub(crate) type ByDestination = Vec<Vec<(usize, usize)>>;
 
 /// Computes the full FIB: for every destination prefix and every router, the
 /// ECMP next-hop multiset after taking the injected lies into account. One
-/// fold of the lies into runs, one plain SPF per prefix, then one pass per
-/// prefix over its runs.
+/// plain SPF per prefix, then one pass per prefix over its lies.
 pub fn compute_fib(lsdb: &Lsdb, node_count: usize) -> Fib {
     let _span = coyote_obs::span("ospf.spf");
     coyote_obs::counter("ospf.spf.runs", node_count as u64);
-    let lies = LieRuns::new(lsdb);
     let mut ads: ByDestination = vec![Vec::new(); node_count];
-    for (r, run) in lies.runs.iter().enumerate() {
-        for (p, prefix) in lsdb.fakes()[run.first].prefixes.iter().enumerate() {
-            ads[prefix.destination.index()].push((r, p));
+    for (l, lie) in lsdb.fakes().iter().enumerate() {
+        for (p, prefix) in lie.prefixes.iter().enumerate() {
+            ads[prefix.destination.index()].push((l, p));
         }
     }
     let real = lsdb.real_topology(node_count);
     let spfs = real.nodes().map(|t| shortest_path_dag(&real, t));
-    build_fib(&real, spfs, lsdb.fakes(), &lies.runs, &ads)
+    build_fib(&real, spfs, lsdb.fakes(), &ads)
 }
 
 /// The FIB builder behind both [`compute_fib`] and
 /// [`Withdrawal`](crate::Withdrawal): one column per shortest-path DAG in
 /// `spfs` (plain OSPF over `real`, one per destination), filled from that
-/// destination's `(run, prefix)` advertisements in `ads`.
+/// destination's `(lie, prefix)` advertisements in `ads`.
 pub(crate) fn build_fib<S: Borrow<ShortestPathDag>>(
     real: &Graph,
     spfs: impl Iterator<Item = S>,
     fakes: &[FakeNodeLsa],
-    runs: &[Run],
     ads: &ByDestination,
 ) -> Fib {
     let mut fib = Fib::new(real.node_count());
@@ -88,7 +84,6 @@ pub(crate) fn build_fib<S: Borrow<ShortestPathDag>>(
             real,
             spf,
             fakes,
-            runs,
             &ads[t.index()],
         );
     }
@@ -97,31 +92,30 @@ pub(crate) fn build_fib<S: Borrow<ShortestPathDag>>(
 
 /// Fills every router's entry towards `spf.destination` from scratch.
 ///
-/// One pass over the prefix's `(run, prefix)` advertisements `ads` finds the
+/// One pass over the prefix's `(lie, prefix)` advertisements `ads` finds the
 /// cheapest lie per router (into the scratch row `cheapest`); the real next
 /// hops are installed wherever the real route ties with the winning cost; a
-/// second pass adds, per run at the winning cost, one entry per lie of the
-/// run.
+/// second pass adds, per lie at the winning cost, one entry per replica.
 pub(crate) fn fill_column(
     column: &mut [FibEntry],
     cheapest: &mut [f64],
     real: &Graph,
     spf: &ShortestPathDag,
     fakes: &[FakeNodeLsa],
-    runs: &[Run],
     ads: &[(usize, usize)],
 ) {
     let t = spf.destination;
-    // A run's head lie, its total cost towards `t` (shared fakes carry
-    // per-prefix costs) and the run's length.
-    let lie = |&(r, p): &(usize, usize)| {
-        let Run { first, len } = runs[r];
-        let fake = &fakes[first];
-        let cost = fake.cost_to_fake + fake.prefixes[p].cost_fake_to_destination;
-        (fake, cost, len)
+    // A lie and its total cost towards `t` (shared fakes carry per-prefix
+    // costs).
+    let lie = |&(l, p): &(usize, usize)| {
+        let fake = &fakes[l];
+        (
+            fake,
+            fake.cost_to_fake + fake.prefixes[p].cost_fake_to_destination,
+        )
     };
     cheapest.fill(f64::INFINITY);
-    for (fake, cost, _) in ads.iter().map(lie) {
+    for (fake, cost) in ads.iter().map(lie) {
         let slot = &mut cheapest[fake.attachment.index()];
         *slot = slot.min(cost);
     }
@@ -136,13 +130,13 @@ pub(crate) fn fill_column(
         }
     }
 
-    // Runs at the winning cost add one entry per lie towards their
+    // Lies at the winning cost add one entry per replica towards their
     // forwarding address.
-    for (fake, cost, len) in ads.iter().map(lie) {
+    for (fake, cost) in ads.iter().map(lie) {
         let u = fake.attachment;
         let d = spf.dist_to_dest[u.index()];
         if winning_cost(u, t, d, cheapest[u.index()]).is_some_and(|best| ties(cost, best)) {
-            column[u.index()].add(fake.forwarding_address, len);
+            column[u.index()].add(fake.forwarding_address, fake.replicas);
         }
     }
 }
@@ -270,13 +264,13 @@ pub(crate) mod tests {
                 if u == t || !real.is_finite() {
                     continue;
                 }
-                let lies: Vec<(f64, NodeId)> = lsdb
+                let lies: Vec<(f64, NodeId, u32)> = lsdb
                     .fakes()
                     .iter()
                     .filter(|f| f.attachment == u)
-                    .filter_map(|f| Some((f.total_cost_to(t)?, f.forwarding_address)))
+                    .filter_map(|f| Some((f.total_cost_to(t)?, f.forwarding_address, f.replicas)))
                     .collect();
-                let best = lies.iter().fold(real, |best, &(cost, _)| best.min(cost));
+                let best = lies.iter().fold(real, |best, &(cost, ..)| best.min(cost));
                 let ties = |cost: f64| (cost - best).abs() <= 1e-9 * (1.0 + best.abs());
                 let entry = fib.entry_mut(u, t);
                 if ties(real) {
@@ -286,9 +280,11 @@ pub(crate) mod tests {
                         }
                     }
                 }
-                // One entry per lie, replicas included.
-                for (_, via) in lies.into_iter().filter(|&(cost, _)| ties(cost)) {
-                    entry.add(via, 1);
+                // One entry per replica of each lie.
+                for (_, via, replicas) in lies.into_iter().filter(|&(cost, ..)| ties(cost)) {
+                    for _ in 0..replicas {
+                        entry.add(via, 1);
+                    }
                 }
             }
         }
@@ -354,7 +350,7 @@ pub(crate) mod tests {
             // invalidates removed.
             let (fib, reference) = if withdrawn < n {
                 let dead = [NodeId(withdrawn)];
-                let fib = lsdb.withdraw(&LieRuns::new(&lsdb), &Failure::new(dead, [])).fib();
+                let fib = lsdb.withdraw(&Failure::new(dead, [])).fib();
                 (fib, reference_fib(&lsdb.pruned(&dead, &[]).0, n))
             } else {
                 (compute_fib(&lsdb, n), reference_fib(&lsdb, n))

@@ -95,8 +95,9 @@ pub fn compare_routings(
     }
 }
 
-/// Convenience: the number of fake nodes advertising each destination,
-/// reported alongside verification in the experiment harness.
+/// Convenience: the number of fake nodes advertising each destination (each
+/// lie's replicas summed), reported alongside verification in the experiment
+/// harness.
 ///
 /// For uncompressed programs every fake advertises exactly one prefix, so
 /// the per-destination counts sum to the fake-node total. Once compression
@@ -107,7 +108,7 @@ pub fn compare_routings(
 pub fn fake_nodes_per_destination(graph: &Graph, program: &FibbingProgram) -> Vec<(NodeId, usize)> {
     graph
         .nodes()
-        .map(|t| (t, program.lsdb.fakes_for(t).count()))
+        .map(|t| (t, program.lsdb.fake_count_for(t)))
         .collect()
 }
 

@@ -4,15 +4,14 @@
 //! copying the database. Which real adjacencies survive, and which lies
 //! does the controller have to retract? A lie goes when the failure
 //! invalidates it structurally, or when its forwarding address can no
-//! longer reach the prefix. Both questions are asked of the database's lies
-//! folded into runs ([`LieRuns`]), once per run: identical lies get the
-//! same answers, so a run's fakes live and die together, and the stats,
-//! the surviving fake count and the retracted advertisements are sums of
-//! run lengths. The survivors are kept as `(run, prefix)` indices, grouped
-//! by destination, next to one shortest-path DAG per destination over the
-//! surviving real topology. The blackhole test, the reconverged FIB and
-//! [`Withdrawal::reaches`] read those same SPFs, so a withdrawal costs
-//! O(runs + n·SPF), whatever the replication.
+//! longer reach the prefix. Both questions are asked once per lie: its
+//! replicas get the same answers, so they live and die together, and the
+//! stats, the surviving fake count and the retracted advertisements are
+//! sums of replica counts. The survivors are kept as `(lie, prefix)`
+//! indices, grouped by destination, next to one shortest-path DAG per
+//! destination over the surviving real topology. The blackhole test, the
+//! reconverged FIB and [`Withdrawal::reaches`] read those same SPFs, so a
+//! withdrawal costs O(lies + n·SPF), whatever the replication.
 //!
 //! [`Withdrawal::reconverge`] is then the controller's emergency fallback,
 //! one column at a time. Surviving lies were loop-free before the failure,
@@ -28,25 +27,22 @@ use crate::error::OspfError;
 use crate::fib::Fib;
 use crate::lsa::FakeNodeLsa;
 use crate::lsdb::{Lsdb, PruneStats};
-use crate::runs::{LieRuns, Run};
 use crate::spf::{build_fib, fill_column, ByDestination};
 use coyote_core::PdRouting;
 use coyote_graph::spf::{shortest_path_dag, ShortestPathDag};
 use coyote_graph::{Failure, Graph, NodeId};
 
-/// A failure applied to a borrowed [`Lsdb`] and its [`LieRuns`]: the
-/// surviving real topology, its shortest-path DAGs, and which prefix
-/// advertisements are still live.
+/// A failure applied to a borrowed [`Lsdb`]: the surviving real topology,
+/// its shortest-path DAGs, and which prefix advertisements are still live.
 #[derive(Debug)]
 pub struct Withdrawal<'a> {
     fakes: &'a [FakeNodeLsa],
-    runs: &'a [Run],
     topology: Graph,
     /// `spf[t]`: plain OSPF towards `t` over `topology`.
     spf: Vec<ShortestPathDag>,
-    /// The live `(run, prefix)` advertisements, grouped by destination.
+    /// The live `(lie, prefix)` advertisements, grouped by destination.
     live: ByDestination,
-    /// Live prefix advertisements per run, indexed like `runs`.
+    /// Live prefix advertisements per lie, indexed like `fakes`.
     live_prefixes: Vec<usize>,
     stats: PruneStats,
 }
@@ -58,16 +54,15 @@ pub struct Reconvergence {
     /// An [`OspfError::ForwardingLoop`] here is unrepairable: that
     /// destination's lies were already withdrawn, or it had none.
     pub routing: Result<PdRouting, OspfError>,
-    /// Prefix advertisements withdrawn to break forwarding loops.
+    /// Prefix advertisements withdrawn to break forwarding loops, replicas
+    /// included.
     pub retracted: usize,
-    /// Fake-node LSAs still advertising at least one prefix.
+    /// Fake nodes still advertising at least one prefix.
     pub fake_count: usize,
 }
 
 impl Lsdb {
     /// Simulates OSPF's reaction to `failure` without copying the database.
-    /// `lies` is this database's lies folded into runs
-    /// ([`LieRuns::new`]); fold once, withdraw many failures.
     ///
     /// Real state first: the router LSAs of dead routers are ignored, and so
     /// is every adjacency the failure [kills](Failure::kills). One
@@ -80,44 +75,35 @@ impl Lsdb {
     /// topology (forwarding into a dead end would blackhole traffic). A fake
     /// left with no advertisement is retracted. Retained lies keep their
     /// metrics.
-    ///
-    /// Panics if `lies` folds another number of fakes than this database
-    /// holds.
-    pub fn withdraw<'a>(&'a self, lies: &'a LieRuns, failure: &Failure) -> Withdrawal<'a> {
-        assert_eq!(
-            lies.fake_count(),
-            self.fakes.len(),
-            "the runs were folded from another database"
-        );
+    pub fn withdraw(&self, failure: &Failure) -> Withdrawal<'_> {
         let mut stats = PruneStats::default();
         // The node-id space of the healthy database, so that ids keep their
         // meaning after a router's LSA is gone.
-        let topology = self.surviving_topology(lies.node_id_space(), failure, &mut stats);
+        let topology = self.surviving_topology(self.node_id_space(), failure, &mut stats);
         let spf: Vec<ShortestPathDag> = topology
             .nodes()
             .map(|t| shortest_path_dag(&topology, t))
             .collect();
 
         let mut live: ByDestination = vec![Vec::new(); topology.node_count()];
-        let mut live_prefixes = vec![0; lies.runs.len()];
-        for (r, run) in lies.runs.iter().enumerate() {
-            let fake = &self.fakes[run.first];
-            let (via, fakes) = (fake.forwarding_address, run.fakes());
-            if failure.kills(fake.attachment, via) {
+        let mut live_prefixes = vec![0; self.fakes.len()];
+        for (l, lie) in self.fakes.iter().enumerate() {
+            let (via, fakes) = (lie.forwarding_address, lie.fakes());
+            if failure.kills(lie.attachment, via) {
                 stats.dropped_fakes += fakes;
-                stats.dropped_advertisements += fakes * fake.prefix_count();
+                stats.dropped_advertisements += fakes * lie.prefix_count();
                 continue;
             }
-            for (p, prefix) in fake.prefixes.iter().enumerate() {
+            for (p, prefix) in lie.prefixes.iter().enumerate() {
                 let t = prefix.destination;
                 if failure.kills_node(t) || !spf[t.index()].dist_to_dest[via.index()].is_finite() {
                     stats.dropped_advertisements += fakes;
                 } else {
-                    live[t.index()].push((r, p));
-                    live_prefixes[r] += 1;
+                    live[t.index()].push((l, p));
+                    live_prefixes[l] += 1;
                 }
             }
-            if live_prefixes[r] == 0 {
+            if live_prefixes[l] == 0 {
                 stats.dropped_fakes += fakes;
             } else {
                 stats.retained_fakes += fakes;
@@ -125,7 +111,6 @@ impl Lsdb {
         }
         Withdrawal {
             fakes: &self.fakes,
-            runs: &lies.runs,
             topology,
             spf,
             live,
@@ -155,13 +140,7 @@ impl Withdrawal<'_> {
     /// The routers' FIB over the surviving topology and the live lies,
     /// before any loop is repaired.
     pub fn fib(&self) -> Fib {
-        build_fib(
-            &self.topology,
-            self.spf.iter(),
-            self.fakes,
-            self.runs,
-            &self.live,
-        )
+        build_fib(&self.topology, self.spf.iter(), self.fakes, &self.live)
     }
 
     /// Reconverges the routers on the post-failure `graph`: builds the
@@ -173,11 +152,11 @@ impl Withdrawal<'_> {
         let mut retracted = 0;
         let routing = self.repaired_routing(graph, &mut retracted);
         let fake_count = self
-            .runs
+            .fakes
             .iter()
             .zip(&self.live_prefixes)
             .filter(|&(_, &live)| live > 0)
-            .map(|(run, _)| run.fakes())
+            .map(|(lie, _)| lie.fakes())
             .sum();
         Reconvergence {
             routing,
@@ -198,14 +177,13 @@ impl Withdrawal<'_> {
         for t in graph.nodes() {
             let column = match fib.column_routing(graph, t) {
                 Err(OspfError::ForwardingLoop { .. }) if !self.live[t.index()].is_empty() => {
-                    for (r, _) in self.live[t.index()].drain(..) {
-                        self.live_prefixes[r] -= 1;
-                        *retracted += self.runs[r].fakes();
+                    for (l, _) in self.live[t.index()].drain(..) {
+                        self.live_prefixes[l] -= 1;
+                        *retracted += self.fakes[l].fakes();
                     }
                     let (spf, ads) = (&self.spf[t.index()], &self.live[t.index()]);
                     let column = fib.column_mut(t);
-                    let (fakes, runs) = (self.fakes, self.runs);
-                    fill_column(column, &mut cheapest, &self.topology, spf, fakes, runs, ads);
+                    fill_column(column, &mut cheapest, &self.topology, spf, self.fakes, ads);
                     fib.column_routing(graph, t)
                 }
                 column => column,
@@ -223,7 +201,7 @@ mod tests {
     use crate::common::{random_graph, random_routing};
     use crate::compress::{compress_program, CompressionLevel};
     use crate::fibbing::{compute_program, FibbingProgram, VirtualLinkBudget};
-    use crate::lsa::{FakeNodeId, PrefixAdvertisement};
+    use crate::lsa::PrefixAdvertisement;
     use crate::spf::compute_fib;
     use crate::spf::tests::reference_fib;
     use coyote_graph::EdgeId;
@@ -255,8 +233,7 @@ mod tests {
         lsdb.inject(FakeNodeLsa::single(c, d, 0.1, 0.1, d)); // its link dies
         let dead_links = [(d, c)];
         let failure = Failure::new([], dead_links);
-        let lies = LieRuns::new(&lsdb);
-        let withdrawal = lsdb.withdraw(&lies, &failure);
+        let withdrawal = lsdb.withdraw(&failure);
         assert_eq!(withdrawal.stats(), lsdb.pruned(&[], &dead_links).1);
         assert_eq!(
             withdrawal.stats(),
@@ -297,8 +274,7 @@ mod tests {
         lsdb.inject(shared);
         lsdb.inject(FakeNodeLsa::single(d, c, 0.1, 0.1, a));
 
-        let lies = LieRuns::new(&lsdb);
-        let withdrawal = lsdb.withdraw(&lies, &Failure::default());
+        let withdrawal = lsdb.withdraw(&Failure::default());
         assert!(matches!(
             withdrawal.fib().to_routing(&g),
             Err(OspfError::ForwardingLoop { destination: 2, .. })
@@ -323,7 +299,7 @@ mod tests {
         let g = path();
         let lsdb = Lsdb::from_graph(&g);
         let reconverged = lsdb
-            .withdraw(&LieRuns::new(&lsdb), &Failure::default())
+            .withdraw(&Failure::default())
             .reconverge(&Graph::with_nodes(3));
         assert!(matches!(
             reconverged.routing,
@@ -417,8 +393,7 @@ mod tests {
         let failure = Failure::new(dead_nodes.iter().copied(), dead_links.iter().copied());
         let after = failure.surviving(g);
         let (stats, expected) = reference(lsdb, dead_nodes, dead_links, &after);
-        let lies = LieRuns::new(lsdb);
-        let withdrawal = lsdb.withdraw(&lies, &failure);
+        let withdrawal = lsdb.withdraw(&failure);
         prop_assert_eq!(withdrawal.stats(), stats);
         let reconverged = withdrawal.reconverge(&after);
         let got = Outcome {
@@ -502,45 +477,55 @@ mod tests {
         assert!(retracting > 0, "no failure in the family retracted a lie");
     }
 
-    // The folded runs against the references. A compiled program already
-    // holds runs; replaying its lies 1–4 times each makes longer ones, and
-    // cutting a repeat with a different lie makes one lie two runs. Plain and
-    // losslessly compressed (multi-prefix) programs both go through it.
+    // Counts are sums. A compiled program holds each lie once with its
+    // replica count; a lie of count k split into counts j and k − j stands
+    // for the same fakes, so every reader must answer as for the whole lie:
+    // the FIB, the stats, the surviving fake count and the retracted
+    // advertisements. The parts sit next to each other or have the next lie
+    // of the program between them. Plain and losslessly compressed
+    // (multi-prefix) programs both go through it.
 
-    /// `lsdb`'s lies in order, lie `i` repeated `reps[i % reps.len()].0`
-    /// times; where its flag is set, the repeat is cut in two by the first
-    /// lie of the program that differs from it.
-    fn replicated(lsdb: &Lsdb, reps: &[(usize, bool)]) -> Lsdb {
-        let key = |f: &FakeNodeLsa| FakeNodeLsa {
-            id: FakeNodeId(0),
-            ..f.clone()
-        };
-        let mut out = Lsdb {
-            router_lsas: lsdb.router_lsas.clone(),
-            fakes: Vec::new(),
-        };
-        for (i, fake) in lsdb.fakes().iter().enumerate() {
-            let (k, split) = reps[i % reps.len()];
-            let other = lsdb.fakes().iter().find(|f| key(f) != key(fake));
-            for j in 0..k {
-                if let Some(other) = other.filter(|_| split && j > 0 && j == k / 2) {
-                    out.inject(other.clone());
-                }
-                out.inject(fake.clone());
+    /// `lsdb` with each lie of count k ≥ 2 split by `splits[i % len]`, `(at,
+    /// apart)`, into counts `1 + at % (k − 1)` and the rest; where `apart` is
+    /// set, the next lie goes between the two parts.
+    fn split(lsdb: &Lsdb, splits: &[(u32, bool)]) -> Lsdb {
+        let mut fakes = Vec::new();
+        let mut pending: Option<FakeNodeLsa> = None;
+        for (i, lie) in lsdb.fakes().iter().enumerate() {
+            let (at, apart) = splits[i % splits.len()];
+            let k = lie.replicas;
+            let j = if k < 2 { k } else { 1 + at % (k - 1) };
+            fakes.push(FakeNodeLsa {
+                replicas: j,
+                ..lie.clone()
+            });
+            fakes.extend(pending.take());
+            let rest = (j < k).then(|| FakeNodeLsa {
+                replicas: k - j,
+                ..lie.clone()
+            });
+            if apart {
+                pending = rest;
+            } else {
+                fakes.extend(rest);
             }
         }
-        out
+        fakes.extend(pending);
+        Lsdb {
+            router_lsas: lsdb.router_lsas.clone(),
+            fakes,
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         #[test]
-        fn folded_runs_match_the_references(
+        fn split_counts_match_the_references(
             n in 4usize..9,
             extra in proptest::collection::vec((0usize..16, 0usize..16), 0..5),
             raw in proptest::collection::vec(0.0f64..4.0, 8..16),
-            reps in proptest::collection::vec((1usize..5, 0usize..3), 1..12),
+            splits in proptest::collection::vec((0usize..8, 0usize..2), 1..12),
             link_picks in proptest::collection::vec(0usize..64, 0..3),
             node_pick in 0usize..16,
         ) {
@@ -548,14 +533,17 @@ mod tests {
             let Some(programs) = programs(&g, &raw) else {
                 return Ok(());
             };
-            // A third of the repeats are cut.
-            let reps: Vec<(usize, bool)> = reps.iter().map(|&(k, cut)| (k, cut == 0)).collect();
+            // Half the splits keep their parts apart.
+            let splits: Vec<(u32, bool)> =
+                splits.iter().map(|&(at, a)| (at as u32, a == 0)).collect();
             let dead_links: Vec<_> = link_picks.iter().map(|&p| link(&g, p)).collect();
             let dead_nodes: Vec<_> =
                 (node_pick < n).then_some(NodeId(node_pick)).into_iter().collect();
             for program in &programs {
-                let lsdb = replicated(&program.lsdb, &reps);
+                let lsdb = split(&program.lsdb, &splits);
+                prop_assert_eq!(lsdb.fake_count(), program.lsdb.fake_count());
                 let fib = compute_fib(&lsdb, n);
+                prop_assert_eq!(&fib, &compute_fib(&program.lsdb, n));
                 let expected = reference_fib(&lsdb, n);
                 for t in g.nodes() {
                     for u in g.nodes() {
@@ -567,21 +555,18 @@ mod tests {
         }
     }
 
-    /// The generator above folds: repeats lengthen runs and a cut repeat is
-    /// two runs.
+    /// The generator above splits: some lie of a compiled program has
+    /// more than one replica, and splitting it adds a lie but no fake.
     #[test]
-    fn replicated_programs_fold_into_fewer_runs_than_lies() {
+    fn compiled_programs_have_lies_to_split() {
         let g = random_graph(6, &[(0, 3), (1, 4)], &[1.0, 2.0, 5.0]);
         let raw: Vec<f64> = (0..13).map(|i| ((i * 7) % 11) as f64 / 3.0).collect();
-        let [plain, _] = programs(&g, &raw).expect("the family compiles");
-        let base = LieRuns::new(&plain.lsdb).runs.len();
-        let tripled = replicated(&plain.lsdb, &[(3, false)]);
-        let folded = LieRuns::new(&tripled);
-        assert_eq!(folded.fake_count(), 3 * plain.lsdb.fake_count());
-        assert_eq!(folded.runs.len(), base);
-        let cut = LieRuns::new(&replicated(&plain.lsdb, &[(3, true)]))
-            .runs
-            .len();
-        assert!(cut > base, "{cut} runs, {base} before");
+        for program in programs(&g, &raw).expect("the family compiles") {
+            let lies = program.lsdb.fakes().len();
+            assert!(lies < program.lsdb.fake_count(), "no lie has two replicas");
+            let parts = split(&program.lsdb, &[(0, true)]);
+            assert!(parts.fakes().len() > lies);
+            assert_eq!(parts.fake_count(), program.lsdb.fake_count());
+        }
     }
 }

@@ -2,19 +2,49 @@
 //! on random topologies and random target DAG routings, the compressed
 //! program must route exactly like the uncompressed one (same per-
 //! destination next-hop sets, splits within the quantization tolerance),
-//! and compression must be idempotent. Per-prefix retraction on shared
+//! and compression must be idempotent. Both the compiler and the compressor
+//! emit lies in canonical form. Per-prefix retraction on shared
 //! fakes is checked by `compress`'s unit tests, because its reference,
 //! `Lsdb::retract_fakes_for`, is test-only code.
 
 mod common;
 
 use common::{random_graph, random_routing};
-use coyote_graph::NodeId;
+use coyote_graph::{Graph, NodeId};
 use coyote_ospf::{
-    compare_routings, compress_program, compute_program, program_fib, realized_routing,
-    CompressionLevel, VirtualLinkBudget,
+    compare_routings, compress_program, compute_program, fake_nodes_per_destination, program_fib,
+    realized_routing, CompressionLevel, FakeNodeLsa, FibbingProgram, VirtualLinkBudget,
 };
 use proptest::prelude::*;
+
+/// The canonical form compiler and compressor both emit: every lie has at
+/// least one replica and no two adjacent lies are equal except in their
+/// count. And the fake counts agree: the stats with the database, the
+/// per-destination counts with the prefix advertisements.
+fn assert_canonical(g: &Graph, program: &FibbingProgram) -> Result<(), TestCaseError> {
+    let lies = program.lsdb.fakes();
+    let uncounted = |lie: &FakeNodeLsa| FakeNodeLsa {
+        replicas: 1,
+        ..lie.clone()
+    };
+    prop_assert!(lies.iter().all(|lie| lie.replicas >= 1));
+    for (i, pair) in lies.windows(2).enumerate() {
+        let equal = uncounted(&pair[0]) == uncounted(&pair[1]);
+        prop_assert!(
+            !equal,
+            "lies {} and {} differ only in their count",
+            i,
+            i + 1
+        );
+    }
+    prop_assert_eq!(program.stats.fake_nodes, program.lsdb.fake_count());
+    let per_destination: usize = fake_nodes_per_destination(g, program)
+        .iter()
+        .map(|&(_, count)| count)
+        .sum();
+    prop_assert_eq!(per_destination, program.stats.prefix_advertisements);
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -36,11 +66,16 @@ proptest! {
         let Ok(plain) = compute_program(&g, &target, VirtualLinkBudget::per_prefix(8)) else {
             return Ok(()); // unrealizable split: not the property under test
         };
+        // Uncompressed, every lie advertises one prefix: the per-destination
+        // counts sum to the fake nodes.
+        assert_canonical(&g, &plain)?;
+        prop_assert_eq!(plain.stats.prefix_advertisements, plain.stats.fake_nodes);
         let plain_fib = program_fib(&g, &plain);
         let plain_err = compare_routings(&g, &target, &realized_routing(&g, &plain).unwrap());
 
         for level in [CompressionLevel::Lossless, CompressionLevel::Lossy { epsilon: eps }] {
             let compressed = compress_program(&g, &target, &plain, level).unwrap();
+            assert_canonical(&g, &compressed)?;
             prop_assert!(compressed.stats.fake_nodes <= plain.stats.fake_nodes);
 
             // Same next-hop support everywhere.

@@ -9,7 +9,7 @@ mod common;
 
 use common::{random_graph, random_routing};
 use coyote_graph::{Edge, EdgeId, Failure, Graph, NodeId};
-use coyote_ospf::{compute_program, Fib, LieRuns, Lsdb, VirtualLinkBudget};
+use coyote_ospf::{compute_program, Fib, Lsdb, VirtualLinkBudget};
 use proptest::prelude::*;
 
 /// Asserts that no FIB entry forwards across a dead adjacency or towards a
@@ -76,8 +76,7 @@ proptest! {
         let (a, b) = g.endpoints(e);
         let dead_links = [(a, b)];
 
-        let lies = LieRuns::new(&program.lsdb);
-        let withdrawal = program.lsdb.withdraw(&lies, &Failure::new([], dead_links));
+        let withdrawal = program.lsdb.withdraw(&Failure::new([], dead_links));
         prop_assert_eq!(withdrawal.stats().dead_routers, 0);
         prop_assert_eq!(withdrawal.stats().dropped_links, 2);
         assert_fib_avoids(&withdrawal.fib(), n, &[], &dead_links)?;
@@ -101,8 +100,7 @@ proptest! {
 
         let dead = NodeId(node_pick % n);
         let dead_nodes = [dead];
-        let lies = LieRuns::new(&program.lsdb);
-        let withdrawal = program.lsdb.withdraw(&lies, &Failure::new(dead_nodes, []));
+        let withdrawal = program.lsdb.withdraw(&Failure::new(dead_nodes, []));
         prop_assert_eq!(withdrawal.stats().dead_routers, 1);
         assert_fib_avoids(&withdrawal.fib(), n, &dead_nodes, &[])?;
     }
@@ -129,9 +127,8 @@ proptest! {
             .map(|e| g.endpoints(e))
             .filter(|&(a, b)| a == dead || b == dead)
             .collect();
-        let lies = LieRuns::new(&program.lsdb);
-        let once = program.lsdb.withdraw(&lies, &Failure::new([dead], []));
-        let twice = program.lsdb.withdraw(&lies, &Failure::new([dead], incident));
+        let once = program.lsdb.withdraw(&Failure::new([dead], []));
+        let twice = program.lsdb.withdraw(&Failure::new([dead], incident));
         prop_assert_eq!(once.stats().dead_routers, 1);
         prop_assert_eq!(once.stats(), twice.stats());
         prop_assert_eq!(once.fib(), twice.fib());
@@ -171,8 +168,7 @@ proptest! {
         prop_assert_eq!(kept, spared);
 
         let lsdb = Lsdb::from_graph(&g);
-        let lies = LieRuns::new(&lsdb);
-        let withdrawal = lsdb.withdraw(&lies, &failure);
+        let withdrawal = lsdb.withdraw(&failure);
         for s in g.nodes() {
             for t in g.nodes() {
                 prop_assert_eq!(

@@ -2,7 +2,7 @@
 //!
 //! `compute_fib` and `Withdrawal::fib` are plain OSPF from
 //! `coyote_graph::spf` over the LSDB's graph view, plus two passes over the
-//! lies' runs. If the graph view differed from the physical graph, every FIB
+//! counted lies. If the graph view differed from the physical graph, every FIB
 //! would inherit the difference; so on every zoo topology the view must
 //! give bit-equal distances and equal next-hop sets, before and after a
 //! router failure. How the lies are combined is checked against a
@@ -10,7 +10,7 @@
 
 use coyote_graph::spf::shortest_path_dag;
 use coyote_graph::{Failure, Graph, NodeId};
-use coyote_ospf::{LieRuns, Lsdb};
+use coyote_ospf::Lsdb;
 
 /// Distances (bit for bit) and next-hop neighbor sets of plain OSPF on both
 /// representations of one topology.
@@ -57,8 +57,7 @@ fn the_lsdb_view_is_the_physical_graph_on_every_zoo_topology() {
             .edges()
             .filter(|&e| g.edge(e).src == hub || g.edge(e).dst == hub)
             .collect();
-        let lies = LieRuns::new(&lsdb);
-        let withdrawal = lsdb.withdraw(&lies, &Failure::new([hub], []));
+        let withdrawal = lsdb.withdraw(&Failure::new([hub], []));
         assert_eq!(withdrawal.stats().dead_routers, 1);
         assert_same_plain_ospf(
             &g.without_edges(&incident),

@@ -145,7 +145,7 @@ impl ProgramResponse {
             fakes_per_destination: engine
                 .pristine_graph()
                 .nodes()
-                .map(|t| lsdb.fakes_for(t).count())
+                .map(|t| lsdb.fake_count_for(t))
                 .collect(),
         }
     }

@@ -57,7 +57,7 @@ use coyote_graph::spf::{shortest_path_dag, ShortestPathDag};
 use coyote_graph::{Failure, Graph, NodeId};
 use coyote_obs::Histogram;
 use coyote_ospf::{
-    compile_destination, compute_fib, DestinationLies, Fib, LieRuns, LsaDelta, Lsdb, PrefixUpdate,
+    compile_destination, compute_fib, DestinationLies, Fib, LsaDelta, Lsdb, PrefixUpdate,
     PruneStats, RouterLsa, VirtualLinkBudget,
 };
 use coyote_topology::zoo;
@@ -583,13 +583,10 @@ impl TeEngine {
     }
 
     /// OSPF's immediate reaction to `failure`, before the controller
-    /// re-optimizes: how much state it withdraws on its own. The lies are
-    /// folded into runs for this one withdrawal: the database changes
-    /// between events.
+    /// re-optimizes: how much state it withdraws on its own.
     fn prune(&self, failure: &Failure) -> PruneStats {
         let _span = coyote_obs::span("serve.prune");
-        let lies = LieRuns::new(&self.lsdb);
-        self.lsdb.withdraw(&lies, failure).stats()
+        self.lsdb.withdraw(failure).stats()
     }
 
     /// Shared tail of link/node events: serve the program of `failure`,
@@ -655,7 +652,7 @@ impl TeEngine {
             .map(|(t, served)| PrefixUpdate {
                 destination: t,
                 lies: lies[t.index()].lies.clone(),
-                retracted: served.lies.len(),
+                retracted: served.fake_count(),
             })
             .collect();
         let delta = LsaDelta {
