@@ -12,26 +12,27 @@
 //! For every Table-I-eligible scenario × [`FailureEvent`] cell:
 //!
 //! 1. **Inject** — the event's dead routers and links become one
-//!    [`Failure`]; the scenario graph keeps what it spares
-//!    ([`Failure::surviving`], node-set stable so all id spaces survive),
-//!    and the post-failure demand matrix is derived (dead-endpoint demands
-//!    zeroed, flash-crowd spikes applied).
+//!    [`Failure`], and its view ([`Failure::surviving`]) holds what the
+//!    scenario graph keeps (node-set stable so all id spaces survive) and
+//!    plain OSPF towards every destination on it: the cell's only n
+//!    Dijkstras, which every step below reads. The post-failure demand
+//!    matrix is derived (dead-endpoint demands zeroed, flash-crowd spikes
+//!    applied), and the view's SPFs say which live demand pairs lost every
+//!    path ([`FailureView::reaches`]).
 //! 2. **Oblivious mode** — keep the pre-failure Fibbing program, withdraw
 //!    the same [`Failure`] and the lies it invalidates from the lied-to
 //!    LSDB without copying it ([`Lsdb::withdraw`], which decides each
-//!    counted lie once); that withdrawal's one SPF per destination also
-//!    says which live demand pairs lost every path
-//!    ([`Withdrawal::reaches`]). Then reconverge the routers'
-//!    SPF — retracting the lies of any prefix that now loops
+//!    counted lie once against the view). Then reconverge the routers' SPF
+//!    over the view — retracting the lies of any prefix that now loops
 //!    ([`Withdrawal::reconverge`]) — and flow-simulate the post-failure
 //!    matrix on the reconverged routing. "Oblivious" means blind to the
 //!    failure, not COYOTE-oblivious: the kept program compiles the
 //!    partial-knowledge routing (`Pipeline::optimize` on the margin box),
 //!    and this engine never runs the demands-oblivious optimizer.
-//! 3. **Re-optimized mode** — rebuild DAGs on the post-failure topology,
+//! 3. **Re-optimized mode** — augment the view's shortest-path DAGs,
 //!    re-solve the demands-aware LP on the routable part of the matrix
-//!    ([`split_routable_within_dags`]), recompile the Fibbing program, and
-//!    flow-simulate the realized routing.
+//!    ([`split_routable_within_dags`]), recompile the Fibbing program and
+//!    realize it over the same SPFs, and flow-simulate the realized routing.
 //! 4. **Verdict** — emit one [`FailureRecord`] with both modes' post-failure
 //!    max-utilization and drop rate, the oblivious/re-optimized degradation
 //!    ratio, the reconvergence fake-LSA delta, and a structured
@@ -47,23 +48,22 @@
 //!
 //! [`Lsdb::withdraw`]: coyote_ospf::Lsdb::withdraw
 //! [`Withdrawal::reconverge`]: coyote_ospf::Withdrawal::reconverge
-//! [`Withdrawal::reaches`]: coyote_ospf::Withdrawal::reaches
 //! [`split_routable_within_dags`]: coyote_core::split_routable_within_dags
 //! [`Failure::surviving`]: coyote_graph::Failure::surviving
+//! [`FailureView::reaches`]: coyote_graph::FailureView::reaches
 //! [`WorkerPool::par_map`]: crate::pool::WorkerPool::par_map
 
 use crate::conformance::COMPILE_BUDGET;
 use crate::pool::WorkerPool;
 use crate::scenario::{Effort, Scenario};
 use crate::sweep::{SweepGrid, SweepSpec};
-use coyote_core::{
-    build_all_dags, optimal_routing_within_dags, split_routable_within_dags, CoreError, DagMode,
-    PdRouting,
-};
+use coyote_core::dag_builder::augment;
+use coyote_core::{optimal_routing_within_dags, split_routable_within_dags, CoreError, PdRouting};
 use coyote_graph::rng::splitmix64;
-use coyote_graph::{Failure, Graph, NodeId};
+use coyote_graph::{Failure, FailureView, Graph, NodeId};
 use coyote_ospf::{
-    compute_program, realized_routing, FibbingProgram, OspfError, VirtualLinkBudget,
+    compute_fib_on, compute_program, compute_program_on, FibbingProgram, OspfError,
+    VirtualLinkBudget,
 };
 use coyote_sim::{FlowSimulator, SimOutcome};
 use coyote_topology::{zoo, Topology};
@@ -598,15 +598,18 @@ fn failure_record(
     let started = Instant::now();
     let n = base.graph.node_count();
 
-    // 1. Inject: the event's failure, the graph that survives it, and its
-    //    withdrawal from the lied-to LSDB (the failed elements and the lies
-    //    they invalidate), whose SPFs also say which pairs lost every path.
+    // 1. Inject: the event's failure, its view (the graph that survives it
+    //    and plain OSPF on it, the cell's only Dijkstras, whose SPFs also say
+    //    which pairs lost every path), and its withdrawal from the lied-to
+    //    LSDB (the failed elements and the lies they invalidate).
     let failure = cell.event.failure(&base.topo);
-    let pruned_graph = failure.surviving(&base.graph);
+    let view = failure.surviving(&base.graph);
+    let graph = view.graph();
     let withdrawal = {
         let _span = coyote_obs::span("failures.prune");
-        base.program.lsdb.withdraw(&failure)
-    };
+        base.program.lsdb.withdraw(&failure, &view)
+    }
+    .map_err(|e| CoreError::InvalidRouting(e.to_string()))?;
 
     // 2. The post-failure demand matrix: spikes applied, dead-endpoint
     //    demands zeroed (their volume is unconditionally lost), partitioned
@@ -624,7 +627,7 @@ fn failure_record(
     }
     let mut unroutable_volume = 0.0;
     for (s, t, v) in post.pairs() {
-        if !withdrawal.reaches(s, t) {
+        if !view.reaches(s, t) {
             unroutable_volume += v;
         }
     }
@@ -646,17 +649,12 @@ fn failure_record(
     let reconverged = {
         let _span = coyote_obs::span("failures.reconverge");
         coyote_obs::counter("failures.reconvergence.spf_runs", n as u64);
-        withdrawal.reconverge(&pruned_graph)
+        withdrawal.reconverge()
     };
     let emergency_retractions = reconverged.retracted;
     let (oblivious, oblivious_err) = match reconverged.routing {
         Ok(routing) => (
-            Some(measure_mode(
-                &pruned_graph,
-                &routing,
-                &post,
-                reconverged.fake_count,
-            )),
+            Some(measure_mode(graph, &routing, &post, reconverged.fake_count)),
             None,
         ),
         Err(OspfError::ForwardingLoop { destination, .. }) => (
@@ -672,13 +670,10 @@ fn failure_record(
     //    topology, masking the demand the DAGs provably cannot carry.
     let reoptimized = {
         let _span = coyote_obs::span("failures.reopt");
-        reoptimize(&pruned_graph, &post)
+        reoptimize(&view, &post)
     };
     let (reoptimized, reopt_err) = match reoptimized {
-        Ok((routing, fake_nodes)) => (
-            Some(measure_mode(&pruned_graph, &routing, &post, fake_nodes)),
-            None,
-        ),
+        Ok((routing, fake_nodes)) => (Some(measure_mode(graph, &routing, &post, fake_nodes)), None),
         Err(e) => (None, Some(format!("re-optimization: {e}"))),
     };
 
@@ -742,22 +737,22 @@ fn failure_record(
 
 /// Rebuilds an optimal routing on the post-failure topology and compiles it
 /// back into router state: augmented DAGs → routable-demand mask → LP →
-/// Fibbing program → realized routing. Returns the realized routing and the
-/// new program's fake-node count.
-fn reoptimize(graph: &Graph, dm: &DemandMatrix) -> Result<(PdRouting, usize), CoreError> {
-    let dags = build_all_dags(graph, DagMode::Augmented)
+/// Fibbing program → realized routing. The DAGs, the compile and the
+/// routers' FIB all read the view's shortest-path DAGs. Returns the realized
+/// routing and the new program's fake-node count.
+fn reoptimize(view: &FailureView, dm: &DemandMatrix) -> Result<(PdRouting, usize), CoreError> {
+    let ospf = |e: OspfError| CoreError::InvalidRouting(e.to_string());
+    let graph = view.graph();
+    let dags = (view.spfs().iter())
+        .map(|spf| augment(graph, spf))
+        .collect::<Result<Vec<_>, _>>()
         .map_err(|e| CoreError::InvalidRouting(e.to_string()))?;
     let split = split_routable_within_dags(graph, &dags, dm)?;
     let (routing, _) = optimal_routing_within_dags(graph, &dags, &split.routable)?;
-    let program = compute_program(
-        graph,
-        &routing,
-        VirtualLinkBudget::per_prefix(COMPILE_BUDGET),
-    )
-    .map_err(|e| CoreError::InvalidRouting(e.to_string()))?;
-    let realized =
-        realized_routing(graph, &program).map_err(|e| CoreError::InvalidRouting(e.to_string()))?;
-    Ok((realized, program.stats.fake_nodes))
+    let budget = VirtualLinkBudget::per_prefix(COMPILE_BUDGET);
+    let program = compute_program_on(view, &routing, budget).map_err(ospf)?;
+    let realized = compute_fib_on(view, &program.lsdb).to_routing(graph);
+    Ok((realized.map_err(ospf)?, program.stats.fake_nodes))
 }
 
 /// Runs the failure grid: phase 1 evaluates each distinct healthy scenario

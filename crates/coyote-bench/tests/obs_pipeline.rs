@@ -9,12 +9,17 @@
 //!   that test alone in a fresh release process;
 //! * a profiled sweep of the same cell shows the Base routing's LP taking
 //!   its named start, on one thread as on two;
+//! * a failure cell on the same spec runs one Dijkstra per destination,
+//!   its failure view's, and the routers' SPF twice;
 //! * spans recorded under the worker pool nest properly on every trace
 //!   lane, for every item/thread configuration (a proptest).
 
 use coyote_bench::conformance::DEFAULT_TOLERANCE;
 use coyote_bench::pool::WorkerPool;
-use coyote_bench::{run_conformance, run_sweep, BaseModel, Effort, SweepGrid, WeightHeuristic};
+use coyote_bench::{
+    run_conformance, run_failures, run_sweep, BaseModel, Effort, EventClass, FailureGrid,
+    SweepGrid, WeightHeuristic, DEFAULT_FAILURE_SEED,
+};
 use coyote_obs::{chrome_trace_json, install, metrics_json, uninstall, Registry, TraceEvent};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -168,6 +173,37 @@ fn base_lp_takes_its_named_start_in_a_profiled_sweep() {
             "{threads} threads"
         );
     }
+}
+
+/// What one more failure cell costs, read off the deterministic counters of
+/// a one-cell and a two-cell Abilene link grid with the same spec (so the
+/// same phase-1 work). The cell's failure view runs one Dijkstra per
+/// destination and nothing else in the cell runs one: not the withdrawal,
+/// not the reconvergence, not the re-optimizer's DAGs, compile or realized
+/// FIB. The routers' SPF still counts twice, once for the reconverged FIB
+/// and once for the realized re-optimized program's.
+#[test]
+fn a_failure_cell_runs_one_dijkstra_per_destination() {
+    let _guard = exclusive();
+    let grid = FailureGrid::build(&abilene_grid(), EventClass::Link, DEFAULT_FAILURE_SEED)
+        .expect("Abilene is in the zoo");
+    let counters = |cells: usize| {
+        let registry = Arc::new(Registry::new());
+        install(registry.clone());
+        let report = run_failures(&grid.clone().limit(cells), 1, DEFAULT_TOLERANCE);
+        uninstall();
+        assert_eq!(report.expect("failure run").cells, cells);
+        let view = registry.snapshot().deterministic();
+        let count = |name: &str| view.counters.get(name).copied().unwrap_or(0);
+        (count("graph.spf.runs"), count("ospf.spf.runs"))
+    };
+    let (one, two) = (counters(1), counters(2));
+    let n = 11;
+    assert_eq!(
+        (two.0 - one.0, two.1 - one.1),
+        (n, 2 * n),
+        "(graph.spf.runs, ospf.spf.runs) of the second cell"
+    );
 }
 
 /// Opens `depth` nested `prop.nest` spans, innermost last.

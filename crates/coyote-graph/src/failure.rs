@@ -4,8 +4,13 @@
 //! failure grid derives one from each event, the daemon keeps one as its
 //! failure state, and the LSDB withdrawal reads one; all three ask the same
 //! predicate, [`Failure::kills`], whether an adjacency died.
+//!
+//! What it leaves is one [`FailureView`] ([`Failure::surviving`]): the
+//! surviving graph and plain OSPF towards every destination on it, n
+//! Dijkstras that every reader of the failure shares.
 
 use crate::graph::{EdgeId, Graph, NodeId};
+use crate::spf::{shortest_path_dag, ShortestPathDag};
 use std::collections::BTreeSet;
 
 /// Dead routers and dead links. A link is an unordered endpoint pair,
@@ -75,10 +80,11 @@ impl Failure {
         self.kills_node(a) || self.kills_node(b) || self.links.contains(&link(a, b))
     }
 
-    /// `graph` without every edge this failure kills, through
-    /// [`Graph::without_edges`]: node ids kept, surviving edges renumbered
-    /// densely in their order.
-    pub fn surviving(&self, graph: &Graph) -> Graph {
+    /// The view of `graph` after this failure: `graph` without every edge
+    /// this failure kills, through [`Graph::without_edges`] (node ids kept,
+    /// surviving edges renumbered densely in their order), and its n
+    /// shortest-path DAGs.
+    pub fn surviving(&self, graph: &Graph) -> FailureView {
         let dead: Vec<EdgeId> = graph
             .edges()
             .filter(|&e| {
@@ -86,7 +92,42 @@ impl Failure {
                 self.kills(a, b)
             })
             .collect();
-        graph.without_edges(&dead)
+        FailureView::new(graph.without_edges(&dead))
+    }
+}
+
+/// A graph with plain OSPF run towards every destination: what a failure
+/// leaves ([`Failure::surviving`]), or a healthy topology.
+#[derive(Debug, Clone)]
+pub struct FailureView {
+    graph: Graph,
+    /// `spfs[t]`: the shortest-path DAG towards `t` over `graph`.
+    spfs: Vec<ShortestPathDag>,
+}
+
+impl FailureView {
+    /// `graph` and one [`shortest_path_dag`] per destination.
+    pub fn new(graph: Graph) -> Self {
+        let spfs = graph
+            .nodes()
+            .map(|t| shortest_path_dag(&graph, t))
+            .collect();
+        Self { graph, spfs }
+    }
+
+    /// The graph.
+    pub fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    /// The shortest-path DAGs, indexed by destination.
+    pub fn spfs(&self) -> &[ShortestPathDag] {
+        &self.spfs
+    }
+
+    /// True when `s` reaches `t` over the graph.
+    pub fn reaches(&self, s: NodeId, t: NodeId) -> bool {
+        self.spfs[t.index()].dist_to_dest[s.index()].is_finite()
     }
 }
 
@@ -127,7 +168,8 @@ mod tests {
                 .unwrap();
         }
         let failure = Failure::new([NodeId(3)], [(NodeId(1), NodeId(0))]);
-        let after = failure.surviving(&g);
+        let view = failure.surviving(&g);
+        let after = view.graph();
         assert_eq!(after.node_count(), 4);
         let edges: Vec<_> = after.edges().map(|e| after.endpoints(e)).collect();
         assert_eq!(
@@ -135,6 +177,8 @@ mod tests {
             [(NodeId(1), NodeId(2)), (NodeId(2), NodeId(1))],
             "only the 1-2 link survives"
         );
-        assert_eq!(Failure::default().surviving(&g).edge_count(), 8);
+        assert!(view.reaches(NodeId(1), NodeId(2)) && !view.reaches(NodeId(0), NodeId(1)));
+        assert_eq!(view.spfs().len(), 4);
+        assert_eq!(Failure::default().surviving(&g).graph().edge_count(), 8);
     }
 }

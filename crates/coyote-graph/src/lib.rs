@@ -20,9 +20,10 @@
 //!   which splitting ratios and loads are propagated).
 //! * [`path`] — expected hop counts under a routing function, used by the
 //!   Fig. 11 "path stretch" experiment.
-//! * [`failure`] — [`Failure`], the dead routers and links of one failure
-//!   and the graph that survives it: what the failure grid, the daemon and
-//!   the LSDB withdrawal all read.
+//! * [`failure`] — [`Failure`], the dead routers and links of one failure,
+//!   and [`FailureView`], the graph that survives it with its shortest-path
+//!   DAGs: what the failure grid, the daemon and the LSDB withdrawal all
+//!   read.
 //! * [`rng`] — the workspace's one seeded generator (SplitMix64), behind
 //!   every seeded draw: reconstructed topologies, bimodal matrices, the
 //!   evaluation family, the failure grid's events.
@@ -44,6 +45,6 @@ pub mod spf;
 
 pub use dag::Dag;
 pub use error::GraphError;
-pub use failure::Failure;
+pub use failure::{Failure, FailureView};
 pub use graph::{Edge, EdgeId, Graph, NodeId};
-pub use spf::{ShortestPathDag, SpfResult};
+pub use spf::ShortestPathDag;

@@ -27,30 +27,6 @@ use std::collections::BinaryHeap;
 /// the same tolerance.
 pub const ECMP_EPSILON: f64 = 1e-9;
 
-/// Result of a single-destination Dijkstra run.
-#[derive(Debug, Clone)]
-pub struct SpfResult {
-    /// `dist[v]` is the shortest distance from `v` to the root;
-    /// `f64::INFINITY` when the root is unreachable.
-    pub dist: Vec<f64>,
-    /// The root (destination) of the computation.
-    pub root: NodeId,
-}
-
-impl SpfResult {
-    /// Distance for `node`.
-    #[inline]
-    pub fn distance(&self, node: NodeId) -> f64 {
-        self.dist[node.index()]
-    }
-
-    /// True if `node` can reach the root.
-    #[inline]
-    pub fn reachable(&self, node: NodeId) -> bool {
-        self.dist[node.index()].is_finite()
-    }
-}
-
 /// The shortest-path DAG rooted at (i.e. directed towards) a destination.
 #[derive(Debug, Clone)]
 pub struct ShortestPathDag {
@@ -103,9 +79,10 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Dijkstra *towards* `destination`: distances are measured along directed
-/// edges pointing at the destination (i.e. Dijkstra on the reversed graph).
-pub fn dijkstra_to(graph: &Graph, destination: NodeId) -> SpfResult {
+/// Dijkstra *towards* `destination`: `dist[v]` is measured along directed
+/// edges pointing at the destination (i.e. Dijkstra on the reversed graph),
+/// `f64::INFINITY` when `v` cannot reach it.
+pub fn dijkstra_to(graph: &Graph, destination: NodeId) -> Vec<f64> {
     coyote_obs::counter("graph.spf.runs", 1);
     let n = graph.node_count();
     let mut dist = vec![f64::INFINITY; n];
@@ -136,10 +113,7 @@ pub fn dijkstra_to(graph: &Graph, destination: NodeId) -> SpfResult {
         }
     }
 
-    SpfResult {
-        dist,
-        root: destination,
-    }
+    dist
 }
 
 /// The metric SPF uses for a link advertised at `w`: `None` for `+∞`
@@ -161,13 +135,12 @@ fn usable_weight(w: f64) -> Option<f64> {
 /// with `dist(u) ≈ w(u,v) + dist(v)` where distances are measured towards the
 /// destination. This is exactly the set of ECMP next hops OSPF installs.
 pub fn shortest_path_dag(graph: &Graph, destination: NodeId) -> ShortestPathDag {
-    let spf = dijkstra_to(graph, destination);
-    let n = graph.node_count();
-    let mut next_hop_edges = vec![Vec::new(); n];
+    let dist = dijkstra_to(graph, destination);
+    let mut next_hop_edges = vec![Vec::new(); graph.node_count()];
     for e in graph.edges() {
         let edge = graph.edge(e);
-        let du = spf.dist[edge.src.index()];
-        let dv = spf.dist[edge.dst.index()];
+        let du = dist[edge.src.index()];
+        let dv = dist[edge.dst.index()];
         if !du.is_finite() || !dv.is_finite() {
             continue;
         }
@@ -183,7 +156,7 @@ pub fn shortest_path_dag(graph: &Graph, destination: NodeId) -> ShortestPathDag 
     }
     ShortestPathDag {
         destination,
-        dist_to_dest: spf.dist,
+        dist_to_dest: dist,
         next_hop_edges,
     }
 }
@@ -212,11 +185,11 @@ mod tests {
     #[test]
     fn dijkstra_towards_destination() {
         let (g, s1, s2, v, t) = fig1_topology();
-        let spf = dijkstra_to(&g, t);
-        assert_eq!(spf.distance(t), 0.0);
-        assert_eq!(spf.distance(s2), 1.0);
-        assert_eq!(spf.distance(v), 1.0);
-        assert_eq!(spf.distance(s1), 2.0);
+        let dist = dijkstra_to(&g, t);
+        assert_eq!(dist[t.index()], 0.0);
+        assert_eq!(dist[s2.index()], 1.0);
+        assert_eq!(dist[v.index()], 1.0);
+        assert_eq!(dist[s1.index()], 2.0);
     }
 
     #[test]
@@ -242,9 +215,9 @@ mod tests {
     fn unreachable_nodes_have_infinite_distance() {
         let mut g = Graph::with_nodes(3);
         g.add_edge(NodeId(0), NodeId(1), 1.0, 1.0).unwrap();
-        let spf = dijkstra_to(&g, NodeId(1));
-        assert!(spf.reachable(NodeId(0)));
-        assert!(!spf.reachable(NodeId(2)));
+        let dist = dijkstra_to(&g, NodeId(1));
+        assert!(dist[0].is_finite());
+        assert!(dist[2].is_infinite());
         let dag = shortest_path_dag(&g, NodeId(1));
         assert!(dag.next_hops(NodeId(2)).is_empty());
     }
@@ -272,9 +245,9 @@ mod tests {
         let a = g.add_node("a").unwrap();
         let b = g.add_node("b").unwrap();
         g.add_edge(a, b, 1.0, 0.0).unwrap();
-        let spf = dijkstra_to(&g, b);
-        assert!(spf.distance(a) > 0.0);
-        assert!(spf.distance(a) < 1e-6);
+        let dist = dijkstra_to(&g, b);
+        assert!(dist[a.index()] > 0.0);
+        assert!(dist[a.index()] < 1e-6);
     }
 
     #[test]

@@ -212,9 +212,13 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// This snapshot with the non-deterministic `timings` section cleared —
-    /// two profiled runs of the same workload compare equal under this view
-    /// regardless of `--threads`.
+    /// This snapshot with the `timings` section cleared. It admits only
+    /// counters and value histograms that are pure functions of the run's
+    /// inputs (never of `--threads`, the schedule or the clock); timings
+    /// never get in. So two profiled runs of one workload compare equal, and
+    /// a test may assert a work count exactly: the n `graph.spf.runs` of a
+    /// failure cell (`coyote-bench`'s `obs_pipeline`) or a daemon link event
+    /// (`coyote-serve`'s `telemetry`).
     pub fn deterministic(&self) -> Snapshot {
         Snapshot {
             counters: self.counters.clone(),

@@ -345,7 +345,7 @@ pub fn compute_program_with(
 mod tests {
     use super::*;
     use crate::common::{random_graph, random_routing};
-    use crate::fibbing::{compute_program, program_fib, realized_routing};
+    use crate::fibbing::{compute_program, realized_routing};
     use crate::spf::compute_fib;
     use crate::verify::compare_routings;
     use coyote_core::example_fig1;
@@ -371,8 +371,8 @@ mod tests {
         let target = uniform_augmented_routing(&g).unwrap();
         let plain = compute_program(&g, &target, VirtualLinkBudget::per_prefix(5)).unwrap();
         let lossless = compress_program(&g, &target, &plain, CompressionLevel::Lossless).unwrap();
-        let fib_plain = program_fib(&g, &plain);
-        let fib_lossless = program_fib(&g, &lossless);
+        let fib_plain = compute_fib(&plain.lsdb, g.node_count());
+        let fib_lossless = compute_fib(&lossless.lsdb, g.node_count());
         for u in g.nodes() {
             for t in g.nodes() {
                 assert_eq!(

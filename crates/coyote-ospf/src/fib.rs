@@ -92,17 +92,6 @@ impl Fib {
     /// configuration. Fails if the forwarding state contains a loop for some
     /// destination.
     pub fn to_routing(&self, graph: &Graph) -> Result<PdRouting, OspfError> {
-        self.check_routers(graph)?;
-        let columns = graph
-            .nodes()
-            .map(|t| self.column_routing(graph, t))
-            .collect::<Result<Vec<_>, _>>()?;
-        let (dags, ratios) = columns.into_iter().unzip();
-        Ok(PdRouting::from_ratios(graph, dags, ratios))
-    }
-
-    /// Fails unless `graph` has exactly this FIB's routers.
-    pub(crate) fn check_routers(&self, graph: &Graph) -> Result<(), OspfError> {
         if graph.node_count() != self.node_count {
             return Err(OspfError::DimensionMismatch(format!(
                 "FIB has {} routers, graph has {}",
@@ -110,7 +99,12 @@ impl Fib {
                 graph.node_count()
             )));
         }
-        Ok(())
+        let columns = graph
+            .nodes()
+            .map(|t| self.column_routing(graph, t))
+            .collect::<Result<Vec<_>, _>>()?;
+        let (dags, ratios) = columns.into_iter().unzip();
+        Ok(PdRouting::from_ratios(graph, dags, ratios))
     }
 
     /// One destination's column as a forwarding DAG over `graph` and its

@@ -28,15 +28,15 @@
 
 use crate::compress::CompressionStats;
 use crate::error::OspfError;
-use crate::fib::Fib;
 use crate::lsa::{fake_count, FakeNodeLsa};
 use crate::lsdb::Lsdb;
 use crate::spf::compute_fib;
 use crate::wecmp::approximate_split;
 use coyote_core::PdRouting;
 use coyote_graph::spf::{shortest_path_dag, ShortestPathDag};
-use coyote_graph::{Graph, NodeId};
+use coyote_graph::{FailureView, Graph, NodeId};
 use serde::Serialize;
+use std::borrow::Borrow;
 
 /// Operator budget for splitting-ratio approximation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -234,6 +234,28 @@ pub fn compute_program(
     target: &PdRouting,
     budget: VirtualLinkBudget,
 ) -> Result<FibbingProgram, OspfError> {
+    let plain = graph.nodes().map(|t| shortest_path_dag(graph, t));
+    compile_program(graph, plain, target, budget)
+}
+
+/// [`compute_program`] for a `target` that routes on `view`'s graph: the
+/// compile reads `view`'s shortest-path DAGs and runs no Dijkstra.
+pub fn compute_program_on(
+    view: &FailureView,
+    target: &PdRouting,
+    budget: VirtualLinkBudget,
+) -> Result<FibbingProgram, OspfError> {
+    compile_program(view.graph(), view.spfs().iter(), target, budget)
+}
+
+/// The compiler behind both: `plain` yields `graph`'s shortest-path DAG
+/// towards every destination, in order.
+fn compile_program<S: Borrow<ShortestPathDag>>(
+    graph: &Graph,
+    plain: impl Iterator<Item = S>,
+    target: &PdRouting,
+    budget: VirtualLinkBudget,
+) -> Result<FibbingProgram, OspfError> {
     let _span = coyote_obs::span("ospf.compile");
     if target.destination_count() != graph.node_count() {
         return Err(OspfError::DimensionMismatch(format!(
@@ -245,9 +267,9 @@ pub fn compute_program(
     let mut lsdb = Lsdb::from_graph(graph);
     let mut stats = FibbingStats::default();
 
-    for t in graph.nodes() {
-        let plain = shortest_path_dag(graph, t);
-        let per_dest = compile_destination(graph, &plain, target, t, budget)?;
+    for plain in plain {
+        let plain = plain.borrow();
+        let per_dest = compile_destination(graph, plain, target, plain.destination, budget)?;
         let fakes = per_dest.fake_count();
         coyote_obs::observe("ospf.fake_nodes_per_destination", fakes as u64);
         stats.fake_nodes += fakes;
@@ -284,14 +306,9 @@ pub fn compute_program(
     })
 }
 
-/// Runs the routers' SPF over the program's LSDB and returns the FIB.
-pub fn program_fib(graph: &Graph, program: &FibbingProgram) -> Fib {
-    compute_fib(&program.lsdb, graph.node_count())
-}
-
 /// The routing the real routers would realize under this program.
 pub fn realized_routing(graph: &Graph, program: &FibbingProgram) -> Result<PdRouting, OspfError> {
-    program_fib(graph, program).to_routing(graph)
+    compute_fib(&program.lsdb, graph.node_count()).to_routing(graph)
 }
 
 #[cfg(test)]
@@ -385,7 +402,7 @@ mod tests {
         let (g, nodes) = example_fig1::topology();
         let target = example_fig1::golden_routing(&g, &nodes);
         let program = compute_program(&g, &target, VirtualLinkBudget::per_prefix(3)).unwrap();
-        let fib = program_fib(&g, &program);
+        let fib = compute_fib(&program.lsdb, g.node_count());
         for u in g.nodes() {
             for t in g.nodes() {
                 assert!(

@@ -9,8 +9,8 @@
 //!   `k` identical fake nodes are one counted lie from the compiler to the
 //!   daemon, and every fake-node count is a sum of counts.
 //! * [`spf`] — per-router SPF over the LSDB and the resulting [`fib::Fib`]:
-//!   plain OSPF from `coyote_graph::spf` over [`Lsdb::real_topology`], plus
-//!   the injected lies.
+//!   plain OSPF from `coyote_graph::spf` over [`Lsdb::real_topology`] (or a
+//!   failure view's, already run), plus the injected lies.
 //! * [`wecmp`] — approximation of unequal splits by replicated ECMP entries
 //!   (Nemeth et al. \[18\]), under an operator-set virtual-link budget.
 //! * [`fibbing`] — the controller that computes which lies to inject for a
@@ -18,8 +18,9 @@
 //! * [`delta`] — per-prefix LSA deltas for the long-running controller:
 //!   applying a delta to the old LSDB is bit-identical to a cold recompile.
 //! * [`withdraw`] — OSPF's reaction to a failure, read off the healthy
-//!   LSDB: withdrawn lies, one SPF per destination, and reconvergence that
-//!   retracts a looping prefix's lies.
+//!   LSDB and the failure's [`coyote_graph::FailureView`]: withdrawn lies,
+//!   and reconvergence over the view's SPFs that retracts a looping
+//!   prefix's lies.
 //! * [`verify`] — checks that the realized forwarding state matches the
 //!   target (DAG equality, splitting-ratio error).
 //!
@@ -57,12 +58,12 @@ pub use delta::{LsaDelta, PrefixUpdate};
 pub use error::OspfError;
 pub use fib::{Fib, FibEntry};
 pub use fibbing::{
-    compile_destination, compute_program, program_fib, realized_routing, DestinationLies,
+    compile_destination, compute_program, compute_program_on, realized_routing, DestinationLies,
     FibbingProgram, FibbingStats, VirtualLinkBudget,
 };
 pub use lsa::{FakeNodeLsa, PrefixAdvertisement, RouterLink, RouterLsa};
 pub use lsdb::{Lsdb, PruneStats};
-pub use spf::compute_fib;
+pub use spf::{compute_fib, compute_fib_on};
 pub use verify::{
     compare_routings, fake_nodes_per_destination, verify_program, VerificationReport,
 };

@@ -5,7 +5,7 @@
 //! is a sum of counts.
 
 use crate::lsa::{fake_count, FakeNodeLsa, RouterLink, RouterLsa};
-use coyote_graph::{Failure, Graph, NodeId};
+use coyote_graph::{Graph, NodeId};
 use serde::Serialize;
 
 /// What [`Lsdb::withdraw`] removes while simulating OSPF's reaction to a
@@ -87,54 +87,15 @@ impl Lsdb {
     /// plain OSPF do" on the router side. Panics if an LSA names a router
     /// outside `0..node_count` or lists itself as a neighbor.
     pub fn real_topology(&self, node_count: usize) -> Graph {
-        self.surviving_topology(node_count, &Failure::default(), &mut PruneStats::default())
-    }
-
-    /// [`real_topology`](Self::real_topology) after `failure`: the LSAs of
-    /// its dead routers are left out, and so is every adjacency it
-    /// [kills](Failure::kills). Counts what it leaves out into
-    /// `stats.dead_routers` and `stats.dropped_links`.
-    pub(crate) fn surviving_topology(
-        &self,
-        node_count: usize,
-        failure: &Failure,
-        stats: &mut PruneStats,
-    ) -> Graph {
         let mut graph = Graph::with_nodes(node_count);
         for lsa in &self.router_lsas {
-            if failure.kills_node(lsa.router) {
-                stats.dead_routers += 1;
-                continue;
-            }
             for link in &lsa.links {
-                if failure.kills(lsa.router, link.neighbor) {
-                    stats.dropped_links += 1;
-                    continue;
-                }
                 graph
                     .add_edge(lsa.router, link.neighbor, 1.0, link.weight)
                     .expect("router LSAs name distinct routers inside the node-id space");
             }
         }
         graph
-    }
-
-    /// 1 + the largest node index among the router LSAs, their adjacencies
-    /// and the lies. Robust to withdrawn router LSAs, unlike the LSA count.
-    pub(crate) fn node_id_space(&self) -> usize {
-        let routers = self.router_lsas.iter().flat_map(|lsa| {
-            std::iter::once(lsa.router).chain(lsa.links.iter().map(|l| l.neighbor))
-        });
-        let lies = self.fakes.iter().flat_map(|f| {
-            [f.attachment, f.forwarding_address]
-                .into_iter()
-                .chain(f.prefixes.iter().map(|p| p.destination))
-        });
-        routers
-            .chain(lies)
-            .map(|v| v.index() + 1)
-            .max()
-            .unwrap_or(0)
     }
 
     /// Injects a lie (of at least one replica).
@@ -183,6 +144,25 @@ mod copy_and_edit {
     use std::collections::{BTreeMap, HashSet};
 
     impl Lsdb {
+        /// 1 + the largest node index among the router LSAs, their
+        /// adjacencies and the lies. Robust to withdrawn router LSAs, unlike
+        /// the LSA count.
+        pub(crate) fn node_id_space(&self) -> usize {
+            let routers = self.router_lsas.iter().flat_map(|lsa| {
+                std::iter::once(lsa.router).chain(lsa.links.iter().map(|l| l.neighbor))
+            });
+            let lies = self.fakes.iter().flat_map(|f| {
+                [f.attachment, f.forwarding_address]
+                    .into_iter()
+                    .chain(f.prefixes.iter().map(|p| p.destination))
+            });
+            routers
+                .chain(lies)
+                .map(|v| v.index() + 1)
+                .max()
+                .unwrap_or(0)
+        }
+
         /// Retracts every advertisement for one destination prefix and drops
         /// lies left with no prefixes. Returns how many prefix advertisements
         /// were withdrawn, replicas included (for single-prefix programs: how
@@ -295,7 +275,7 @@ mod copy_and_edit {
                     let gone = dead.contains(&p.destination) || {
                         let dist = dist_cache
                             .entry(p.destination)
-                            .or_insert_with(|| dijkstra_to(&surviving, p.destination).dist);
+                            .or_insert_with(|| dijkstra_to(&surviving, p.destination));
                         !dist[fake.forwarding_address.index()].is_finite()
                     };
                     if gone {

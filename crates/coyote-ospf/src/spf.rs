@@ -1,10 +1,12 @@
 //! Per-router SPF over the (possibly lied-to) LSDB.
 //!
 //! Plain OSPF — distances towards a prefix and the equal-cost next hops —
-//! is not computed here: it is [`coyote_graph::spf::shortest_path_dag`] run
-//! over [`Lsdb::real_topology`], the same kernel the Fibbing compiler asks
-//! about the physical graph, so compiler and routers agree by construction
-//! on what a lie-free router would do. This module adds only the lies.
+//! is not computed here: it is a [`FailureView`]'s
+//! [`coyote_graph::spf::shortest_path_dag`]s over [`Lsdb::real_topology`]
+//! (or over the surviving graph a failure view already holds), the same
+//! kernel the Fibbing compiler asks about the physical graph, so compiler
+//! and routers agree by construction on what a lie-free router would do.
+//! This module adds only the lies.
 //! Fake-node advertisements participate exactly like real routes: if a lie
 //! attached at router `u` advertises the destination at a total cost lower
 //! than `u`'s real shortest-path distance, `u` prefers the lie (and forwards
@@ -20,9 +22,8 @@
 use crate::fib::{Fib, FibEntry};
 use crate::lsa::FakeNodeLsa;
 use crate::lsdb::Lsdb;
-use coyote_graph::spf::{shortest_path_dag, ShortestPathDag, ECMP_EPSILON};
-use coyote_graph::{Graph, NodeId};
-use std::borrow::Borrow;
+use coyote_graph::spf::{ShortestPathDag, ECMP_EPSILON};
+use coyote_graph::{FailureView, Graph, NodeId};
 
 /// True when a route at `cost` ties with the winning cost `best`, under the
 /// one relative ECMP tie tolerance ([`ECMP_EPSILON`]) the real shortest-path
@@ -48,35 +49,44 @@ pub(crate) type ByDestination = Vec<Vec<(usize, usize)>>;
 
 /// Computes the full FIB: for every destination prefix and every router, the
 /// ECMP next-hop multiset after taking the injected lies into account. One
-/// plain SPF per prefix, then one pass per prefix over its lies.
+/// plain SPF per prefix over [`Lsdb::real_topology`], then one pass per
+/// prefix over its lies.
 pub fn compute_fib(lsdb: &Lsdb, node_count: usize) -> Fib {
     let _span = coyote_obs::span("ospf.spf");
-    coyote_obs::counter("ospf.spf.runs", node_count as u64);
-    let mut ads: ByDestination = vec![Vec::new(); node_count];
+    lied_fib(&FailureView::new(lsdb.real_topology(node_count)), lsdb)
+}
+
+/// [`compute_fib`] over plain OSPF that has already run: `view` is the real
+/// topology `lsdb`'s router LSAs describe, with its shortest-path DAGs (a
+/// [`Failure::surviving`](coyote_graph::Failure::surviving) view the
+/// program was compiled on, say). Runs no Dijkstra.
+pub fn compute_fib_on(view: &FailureView, lsdb: &Lsdb) -> Fib {
+    let _span = coyote_obs::span("ospf.spf");
+    lied_fib(view, lsdb)
+}
+
+/// The FIB of every lie of `lsdb` over `view`: the routers' n SPF runs.
+fn lied_fib(view: &FailureView, lsdb: &Lsdb) -> Fib {
+    let n = view.graph().node_count();
+    coyote_obs::counter("ospf.spf.runs", n as u64);
+    let mut ads: ByDestination = vec![Vec::new(); n];
     for (l, lie) in lsdb.fakes().iter().enumerate() {
         for (p, prefix) in lie.prefixes.iter().enumerate() {
             ads[prefix.destination.index()].push((l, p));
         }
     }
-    let real = lsdb.real_topology(node_count);
-    let spfs = real.nodes().map(|t| shortest_path_dag(&real, t));
-    build_fib(&real, spfs, lsdb.fakes(), &ads)
+    build_fib(view, lsdb.fakes(), &ads)
 }
 
-/// The FIB builder behind both [`compute_fib`] and
-/// [`Withdrawal`](crate::Withdrawal): one column per shortest-path DAG in
-/// `spfs` (plain OSPF over `real`, one per destination), filled from that
-/// destination's `(lie, prefix)` advertisements in `ads`.
-pub(crate) fn build_fib<S: Borrow<ShortestPathDag>>(
-    real: &Graph,
-    spfs: impl Iterator<Item = S>,
-    fakes: &[FakeNodeLsa],
-    ads: &ByDestination,
-) -> Fib {
+/// The FIB builder behind [`compute_fib`], [`compute_fib_on`] and
+/// [`Withdrawal`](crate::Withdrawal): one column per shortest-path DAG of
+/// `view`, filled from that destination's `(lie, prefix)` advertisements in
+/// `ads`.
+pub(crate) fn build_fib(view: &FailureView, fakes: &[FakeNodeLsa], ads: &ByDestination) -> Fib {
+    let real = view.graph();
     let mut fib = Fib::new(real.node_count());
     let mut cheapest = vec![f64::INFINITY; real.node_count()];
-    for spf in spfs {
-        let spf = spf.borrow();
+    for spf in view.spfs() {
         let t = spf.destination;
         fill_column(
             fib.column_mut(t),
@@ -317,7 +327,7 @@ pub(crate) mod tests {
             withdrawn in 0usize..16,
         ) {
             let g = random_graph(n, &extra, &[1.0, 2.0, 5.0]);
-            let real_dist: Vec<Vec<f64>> = g.nodes().map(|t| dijkstra_to(&g, t).dist).collect();
+            let real_dist: Vec<Vec<f64>> = g.nodes().map(|t| dijkstra_to(&g, t)).collect();
             let neighbor = |u: NodeId, pick: usize| {
                 let out = g.out_edges(u);
                 g.edge(out[pick % out.len()]).dst
@@ -350,7 +360,9 @@ pub(crate) mod tests {
             // invalidates removed.
             let (fib, reference) = if withdrawn < n {
                 let dead = [NodeId(withdrawn)];
-                let fib = lsdb.withdraw(&Failure::new(dead, [])).fib();
+                let failure = Failure::new(dead, []);
+                let view = failure.surviving(&g);
+                let fib = lsdb.withdraw(&failure, &view).unwrap().fib();
                 (fib, reference_fib(&lsdb.pruned(&dead, &[]).0, n))
             } else {
                 (compute_fib(&lsdb, n), reference_fib(&lsdb, n))

@@ -1,17 +1,18 @@
 //! OSPF's reaction to a failure, read off the healthy LSDB.
 //!
-//! [`Lsdb::withdraw`] takes a [`Failure`] and answers two questions without
-//! copying the database. Which real adjacencies survive, and which lies
-//! does the controller have to retract? A lie goes when the failure
+//! [`Lsdb::withdraw`] takes a [`Failure`] and the [`FailureView`] of the
+//! topology it leaves, and answers two questions without copying the
+//! database or running a Dijkstra. Which real adjacencies die, and which
+//! lies does the controller have to retract? A lie goes when the failure
 //! invalidates it structurally, or when its forwarding address can no
 //! longer reach the prefix. Both questions are asked once per lie: its
 //! replicas get the same answers, so they live and die together, and the
 //! stats, the surviving fake count and the retracted advertisements are
 //! sums of replica counts. The survivors are kept as `(lie, prefix)`
-//! indices, grouped by destination, next to one shortest-path DAG per
-//! destination over the surviving real topology. The blackhole test, the
-//! reconverged FIB and [`Withdrawal::reaches`] read those same SPFs, so a
-//! withdrawal costs O(lies + n·SPF), whatever the replication.
+//! indices, grouped by destination. The blackhole test and the reconverged
+//! FIB read the view's shortest-path DAGs, the n Dijkstras the caller
+//! already paid for to build the view, so a withdrawal costs O(LSAs + lies),
+//! whatever the replication.
 //!
 //! [`Withdrawal::reconverge`] is then the controller's emergency fallback,
 //! one column at a time. Surviving lies were loop-free before the failure,
@@ -29,17 +30,14 @@ use crate::lsa::FakeNodeLsa;
 use crate::lsdb::{Lsdb, PruneStats};
 use crate::spf::{build_fib, fill_column, ByDestination};
 use coyote_core::PdRouting;
-use coyote_graph::spf::{shortest_path_dag, ShortestPathDag};
-use coyote_graph::{Failure, Graph, NodeId};
+use coyote_graph::{Failure, FailureView};
 
-/// A failure applied to a borrowed [`Lsdb`]: the surviving real topology,
-/// its shortest-path DAGs, and which prefix advertisements are still live.
+/// A failure applied to a borrowed [`Lsdb`] over the borrowed view of what
+/// it leaves: which prefix advertisements are still live.
 #[derive(Debug)]
 pub struct Withdrawal<'a> {
     fakes: &'a [FakeNodeLsa],
-    topology: Graph,
-    /// `spf[t]`: plain OSPF towards `t` over `topology`.
-    spf: Vec<ShortestPathDag>,
+    view: &'a FailureView,
     /// The live `(lie, prefix)` advertisements, grouped by destination.
     live: ByDestination,
     /// Live prefix advertisements per lie, indexed like `fakes`.
@@ -64,28 +62,43 @@ pub struct Reconvergence {
 impl Lsdb {
     /// Simulates OSPF's reaction to `failure` without copying the database.
     ///
-    /// Real state first: the router LSAs of dead routers are ignored, and so
-    /// is every adjacency the failure [kills](Failure::kills). One
-    /// shortest-path DAG per destination is run over what survives. Then the
-    /// lies: a fake-node LSA is retracted whole when the failure kills the
-    /// adjacency `attachment -> forwarding_address` it relies on (either
-    /// router or the link between them died). Otherwise each of its prefix
-    /// advertisements is withdrawn when the destination died or the
-    /// forwarding address can no longer reach it over the surviving real
-    /// topology (forwarding into a dead end would blackhole traffic). A fake
-    /// left with no advertisement is retracted. Retained lies keep their
-    /// metrics.
-    pub fn withdraw(&self, failure: &Failure) -> Withdrawal<'_> {
+    /// `view` is the real topology the routers see after `failure`
+    /// ([`Failure::surviving`] of the graph the router LSAs describe). The
+    /// LSAs of dead routers and every adjacency the failure
+    /// [kills](Failure::kills) count as withdrawn. A lie is retracted whole
+    /// when the failure kills its adjacency `attachment ->
+    /// forwarding_address`; otherwise each of its prefix advertisements is
+    /// withdrawn when the destination died or the forwarding address no
+    /// longer reaches it in `view` (a blackhole), and a fake left with none
+    /// is retracted. Retained lies keep their metrics. Fails with
+    /// [`OspfError::DimensionMismatch`] unless `view` has one router per
+    /// router LSA (the lies name routers among them, as for `compute_fib`).
+    pub fn withdraw<'a>(
+        &'a self,
+        failure: &Failure,
+        view: &'a FailureView,
+    ) -> Result<Withdrawal<'a>, OspfError> {
+        let n = view.graph().node_count();
+        if self.router_lsas.len() != n {
+            return Err(OspfError::DimensionMismatch(format!(
+                "the LSDB has {} routers, the view {n}",
+                self.router_lsas.len()
+            )));
+        }
         let mut stats = PruneStats::default();
-        // The node-id space of the healthy database, so that ids keep their
-        // meaning after a router's LSA is gone.
-        let topology = self.surviving_topology(self.node_id_space(), failure, &mut stats);
-        let spf: Vec<ShortestPathDag> = topology
-            .nodes()
-            .map(|t| shortest_path_dag(&topology, t))
-            .collect();
+        for lsa in &self.router_lsas {
+            let (u, links) = (lsa.router, &lsa.links);
+            if failure.kills_node(u) {
+                stats.dead_routers += 1;
+            } else {
+                stats.dropped_links += links
+                    .iter()
+                    .filter(|l| failure.kills(u, l.neighbor))
+                    .count();
+            }
+        }
 
-        let mut live: ByDestination = vec![Vec::new(); topology.node_count()];
+        let mut live: ByDestination = vec![Vec::new(); n];
         let mut live_prefixes = vec![0; self.fakes.len()];
         for (l, lie) in self.fakes.iter().enumerate() {
             let (via, fakes) = (lie.forwarding_address, lie.fakes());
@@ -96,7 +109,7 @@ impl Lsdb {
             }
             for (p, prefix) in lie.prefixes.iter().enumerate() {
                 let t = prefix.destination;
-                if failure.kills_node(t) || !spf[t.index()].dist_to_dest[via.index()].is_finite() {
+                if failure.kills_node(t) || !view.reaches(via, t) {
                     stats.dropped_advertisements += fakes;
                 } else {
                     live[t.index()].push((l, p));
@@ -109,14 +122,13 @@ impl Lsdb {
                 stats.retained_fakes += fakes;
             }
         }
-        Withdrawal {
+        Ok(Withdrawal {
             fakes: &self.fakes,
-            topology,
-            spf,
+            view,
             live,
             live_prefixes,
             stats,
-        }
+        })
     }
 }
 
@@ -126,31 +138,20 @@ impl Withdrawal<'_> {
         self.stats
     }
 
-    /// The surviving real topology, as the routers see it (see
-    /// [`Lsdb::real_topology`]): a dead router stays as an isolated node.
-    pub fn topology(&self) -> &Graph {
-        &self.topology
-    }
-
-    /// True when `s` still reaches `t` over the surviving real topology.
-    pub fn reaches(&self, s: NodeId, t: NodeId) -> bool {
-        self.spf[t.index()].dist_to_dest[s.index()].is_finite()
-    }
-
-    /// The routers' FIB over the surviving topology and the live lies,
-    /// before any loop is repaired.
+    /// The routers' FIB over the view and the live lies, before any loop is
+    /// repaired.
     pub fn fib(&self) -> Fib {
-        build_fib(&self.topology, self.spf.iter(), self.fakes, &self.live)
+        build_fib(self.view, self.fakes, &self.live)
     }
 
-    /// Reconverges the routers on the post-failure `graph`: builds the
+    /// Reconverges the routers on the view's graph: builds the
     /// [`fib`](Self::fib) once, then converts it destination by destination.
     /// A destination whose column loops has its live advertisements
     /// withdrawn and its column rebuilt from plain next hops, once.
-    pub fn reconverge(mut self, graph: &Graph) -> Reconvergence {
-        coyote_obs::counter("ospf.spf.runs", self.spf.len() as u64);
+    pub fn reconverge(mut self) -> Reconvergence {
+        coyote_obs::counter("ospf.spf.runs", self.view.spfs().len() as u64);
         let mut retracted = 0;
-        let routing = self.repaired_routing(graph, &mut retracted);
+        let routing = self.repaired_routing(&mut retracted);
         let fake_count = self
             .fakes
             .iter()
@@ -165,13 +166,9 @@ impl Withdrawal<'_> {
         }
     }
 
-    fn repaired_routing(
-        &mut self,
-        graph: &Graph,
-        retracted: &mut usize,
-    ) -> Result<PdRouting, OspfError> {
+    fn repaired_routing(&mut self, retracted: &mut usize) -> Result<PdRouting, OspfError> {
+        let graph = self.view.graph();
         let mut fib = self.fib();
-        fib.check_routers(graph)?;
         let mut cheapest = vec![f64::INFINITY; graph.node_count()];
         let mut columns = Vec::with_capacity(graph.node_count());
         for t in graph.nodes() {
@@ -181,9 +178,9 @@ impl Withdrawal<'_> {
                         self.live_prefixes[l] -= 1;
                         *retracted += self.fakes[l].fakes();
                     }
-                    let (spf, ads) = (&self.spf[t.index()], &self.live[t.index()]);
+                    let (spf, ads) = (&self.view.spfs()[t.index()], &self.live[t.index()]);
                     let column = fib.column_mut(t);
-                    fill_column(column, &mut cheapest, &self.topology, spf, self.fakes, ads);
+                    fill_column(column, &mut cheapest, graph, spf, self.fakes, ads);
                     fib.column_routing(graph, t)
                 }
                 column => column,
@@ -204,7 +201,7 @@ mod tests {
     use crate::lsa::PrefixAdvertisement;
     use crate::spf::compute_fib;
     use crate::spf::tests::reference_fib;
-    use coyote_graph::EdgeId;
+    use coyote_graph::{EdgeId, Graph, NodeId};
     use proptest::prelude::*;
 
     /// Path a - b - c - d at unit weights.
@@ -233,7 +230,8 @@ mod tests {
         lsdb.inject(FakeNodeLsa::single(c, d, 0.1, 0.1, d)); // its link dies
         let dead_links = [(d, c)];
         let failure = Failure::new([], dead_links);
-        let withdrawal = lsdb.withdraw(&failure);
+        let view = failure.surviving(&g);
+        let withdrawal = lsdb.withdraw(&failure, &view).unwrap();
         assert_eq!(withdrawal.stats(), lsdb.pruned(&[], &dead_links).1);
         assert_eq!(
             withdrawal.stats(),
@@ -245,9 +243,9 @@ mod tests {
                 dropped_advertisements: 3,
             }
         );
-        assert_eq!(withdrawal.topology().edge_count(), 4);
-        assert!(withdrawal.reaches(a, c) && !withdrawal.reaches(a, d));
-        let reconverged = withdrawal.reconverge(&failure.surviving(&g));
+        assert_eq!(view.graph().edge_count(), 4);
+        assert!(view.reaches(a, c) && !view.reaches(a, d));
+        let reconverged = withdrawal.reconverge();
         assert_eq!(reconverged.fake_count, 2);
         assert_eq!(reconverged.retracted, 0);
         reconverged.routing.expect("no loop");
@@ -274,12 +272,13 @@ mod tests {
         lsdb.inject(shared);
         lsdb.inject(FakeNodeLsa::single(d, c, 0.1, 0.1, a));
 
-        let withdrawal = lsdb.withdraw(&Failure::default());
+        let view = Failure::default().surviving(&g);
+        let withdrawal = lsdb.withdraw(&Failure::default(), &view).unwrap();
         assert!(matches!(
             withdrawal.fib().to_routing(&g),
             Err(OspfError::ForwardingLoop { destination: 2, .. })
         ));
-        let reconverged = withdrawal.reconverge(&g);
+        let reconverged = withdrawal.reconverge();
         assert_eq!(reconverged.retracted, 2);
         assert_eq!(reconverged.fake_count, 1);
         let routing = reconverged.routing.expect("plain OSPF repairs the loop");
@@ -296,13 +295,11 @@ mod tests {
 
     #[test]
     fn a_graph_with_other_routers_is_a_dimension_error() {
-        let g = path();
-        let lsdb = Lsdb::from_graph(&g);
-        let reconverged = lsdb
-            .withdraw(&Failure::default())
-            .reconverge(&Graph::with_nodes(3));
+        let lsdb = Lsdb::from_graph(&path());
+        let none = Failure::default();
+        let smaller = none.surviving(&Graph::with_nodes(3));
         assert!(matches!(
-            reconverged.routing,
+            lsdb.withdraw(&none, &smaller),
             Err(OspfError::DimensionMismatch(_))
         ));
     }
@@ -391,11 +388,13 @@ mod tests {
         dead_links: &[(NodeId, NodeId)],
     ) -> Result<usize, TestCaseError> {
         let failure = Failure::new(dead_nodes.iter().copied(), dead_links.iter().copied());
-        let after = failure.surviving(g);
-        let (stats, expected) = reference(lsdb, dead_nodes, dead_links, &after);
-        let withdrawal = lsdb.withdraw(&failure);
+        let view = failure.surviving(g);
+        let (stats, expected) = reference(lsdb, dead_nodes, dead_links, view.graph());
+        let withdrawal = lsdb
+            .withdraw(&failure, &view)
+            .expect("the view has the LSDB's routers");
         prop_assert_eq!(withdrawal.stats(), stats);
-        let reconverged = withdrawal.reconverge(&after);
+        let reconverged = withdrawal.reconverge();
         let got = Outcome {
             routing: columns(reconverged.routing, g.node_count()),
             fake_count: reconverged.fake_count,

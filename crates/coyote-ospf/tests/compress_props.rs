@@ -12,7 +12,7 @@ mod common;
 use common::{random_graph, random_routing};
 use coyote_graph::{Graph, NodeId};
 use coyote_ospf::{
-    compare_routings, compress_program, compute_program, fake_nodes_per_destination, program_fib,
+    compare_routings, compress_program, compute_fib, compute_program, fake_nodes_per_destination,
     realized_routing, CompressionLevel, FakeNodeLsa, FibbingProgram, VirtualLinkBudget,
 };
 use proptest::prelude::*;
@@ -70,7 +70,7 @@ proptest! {
         // counts sum to the fake nodes.
         assert_canonical(&g, &plain)?;
         prop_assert_eq!(plain.stats.prefix_advertisements, plain.stats.fake_nodes);
-        let plain_fib = program_fib(&g, &plain);
+        let plain_fib = compute_fib(&plain.lsdb, n);
         let plain_err = compare_routings(&g, &target, &realized_routing(&g, &plain).unwrap());
 
         for level in [CompressionLevel::Lossless, CompressionLevel::Lossy { epsilon: eps }] {
@@ -79,7 +79,7 @@ proptest! {
             prop_assert!(compressed.stats.fake_nodes <= plain.stats.fake_nodes);
 
             // Same next-hop support everywhere.
-            let fib = program_fib(&g, &compressed);
+            let fib = compute_fib(&compressed.lsdb, n);
             for t in 0..n {
                 for u in 0..n {
                     let a: Vec<NodeId> =

@@ -3,14 +3,42 @@
 //! lied-to LSDB, no reconverged forwarding entry may ever traverse the
 //! failed element — neither through a real adjacency nor through a
 //! surviving lie's forwarding address. And the two sides of one
-//! [`Failure`], the surviving graph and the LSDB withdrawal, agree.
+//! [`Failure`], its view of the surviving graph and the router LSAs it
+//! leaves, agree.
 
 mod common;
 
 use common::{random_graph, random_routing};
+use coyote_graph::spf::shortest_path_dag;
 use coyote_graph::{Edge, EdgeId, Failure, Graph, NodeId};
-use coyote_ospf::{compute_program, Fib, Lsdb, VirtualLinkBudget};
+use coyote_ospf::{compute_program, Fib, LsaDelta, Lsdb, RouterLsa, VirtualLinkBudget};
 use proptest::prelude::*;
+
+/// The real topology `lsdb`'s routers see after `failure`, from a copy of
+/// its router LSAs edited as the crate's copy-and-edit reference
+/// (`Lsdb::pruned`) edits them: a dead router's LSA goes, and so does every
+/// adjacency the failure kills. Independent of the failure's view.
+fn pruned_real_topology(lsdb: &Lsdb, failure: &Failure) -> Graph {
+    let router_lsas = lsdb
+        .router_lsas()
+        .iter()
+        .filter(|lsa| !failure.kills_node(lsa.router))
+        .map(|lsa| RouterLsa {
+            router: lsa.router,
+            links: (lsa.links.iter())
+                .filter(|l| !failure.kills(lsa.router, l.neighbor))
+                .cloned()
+                .collect(),
+        })
+        .collect();
+    let mut pruned = Lsdb::default();
+    let delta = LsaDelta {
+        router_lsas: Some(router_lsas),
+        updates: Vec::new(),
+    };
+    delta.apply(&mut pruned).expect("no lies to apply");
+    pruned.real_topology(lsdb.router_lsas().len())
+}
 
 /// Asserts that no FIB entry forwards across a dead adjacency or towards a
 /// dead router.
@@ -76,7 +104,9 @@ proptest! {
         let (a, b) = g.endpoints(e);
         let dead_links = [(a, b)];
 
-        let withdrawal = program.lsdb.withdraw(&Failure::new([], dead_links));
+        let failure = Failure::new([], dead_links);
+        let view = failure.surviving(&g);
+        let withdrawal = program.lsdb.withdraw(&failure, &view).unwrap();
         prop_assert_eq!(withdrawal.stats().dead_routers, 0);
         prop_assert_eq!(withdrawal.stats().dropped_links, 2);
         assert_fib_avoids(&withdrawal.fib(), n, &[], &dead_links)?;
@@ -100,7 +130,9 @@ proptest! {
 
         let dead = NodeId(node_pick % n);
         let dead_nodes = [dead];
-        let withdrawal = program.lsdb.withdraw(&Failure::new(dead_nodes, []));
+        let failure = Failure::new(dead_nodes, []);
+        let view = failure.surviving(&g);
+        let withdrawal = program.lsdb.withdraw(&failure, &view).unwrap();
         prop_assert_eq!(withdrawal.stats().dead_routers, 1);
         assert_fib_avoids(&withdrawal.fib(), n, &dead_nodes, &[])?;
     }
@@ -127,8 +159,10 @@ proptest! {
             .map(|e| g.endpoints(e))
             .filter(|&(a, b)| a == dead || b == dead)
             .collect();
-        let once = program.lsdb.withdraw(&Failure::new([dead], []));
-        let twice = program.lsdb.withdraw(&Failure::new([dead], incident));
+        let (alone, with_links) = (Failure::new([dead], []), Failure::new([dead], incident));
+        let (view, again) = (alone.surviving(&g), with_links.surviving(&g));
+        let once = program.lsdb.withdraw(&alone, &view).unwrap();
+        let twice = program.lsdb.withdraw(&with_links, &again).unwrap();
         prop_assert_eq!(once.stats().dead_routers, 1);
         prop_assert_eq!(once.stats(), twice.stats());
         prop_assert_eq!(once.fib(), twice.fib());
@@ -139,10 +173,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// One random failure, 0–3 dead links and 0–2 dead routers, seen from
-    /// both sides. The surviving graph keeps exactly the edges `kills`
-    /// spares, in order; a pair is connected in it exactly when the
-    /// withdrawal reaches; and the withdrawal's surviving adjacencies are
-    /// the surviving graph's `(src, dst, weight)` multiset.
+    /// both sides. The view's graph keeps exactly the edges `kills` spares,
+    /// in order; a pair is connected in it exactly when the view reaches;
+    /// the view's shortest-path DAGs equal, in distance bits and next-hop
+    /// neighbours, the ones over the real topology of the LSAs the failure
+    /// leaves; and the withdrawal counts the dead routers and the
+    /// adjacencies they and the dead links take from the live routers.
     #[test]
     fn the_surviving_graph_and_the_withdrawal_agree(
         n in 4usize..9,
@@ -157,7 +193,8 @@ proptest! {
             .map(|&p| g.endpoints(EdgeId(2 * (p % (g.edge_count() / 2)))));
         let routers = node_picks.iter().filter(|&&v| v < n).map(|&v| NodeId(v));
         let failure = Failure::new(routers, links);
-        let after = failure.surviving(&g);
+        let view = failure.surviving(&g);
+        let after = view.graph();
 
         let spared: Vec<Edge> = g
             .edges()
@@ -166,26 +203,39 @@ proptest! {
             .collect();
         let kept: Vec<Edge> = after.edges().map(|e| after.edge(e).clone()).collect();
         prop_assert_eq!(kept, spared);
-
-        let lsdb = Lsdb::from_graph(&g);
-        let withdrawal = lsdb.withdraw(&failure);
         for s in g.nodes() {
             for t in g.nodes() {
                 prop_assert_eq!(
                     after.is_reachable(s, t),
-                    withdrawal.reaches(s, t),
+                    view.reaches(s, t),
                     "{} -> {} under {:?}", s, t, failure
                 );
             }
         }
-        let adjacencies = |h: &Graph| {
-            let mut all: Vec<(NodeId, NodeId, u64)> = h
-                .edges()
-                .map(|e| (h.edge(e).src, h.edge(e).dst, h.weight(e).to_bits()))
-                .collect();
-            all.sort_unstable();
-            all
+
+        let lsdb = Lsdb::from_graph(&g);
+        let lsa = pruned_real_topology(&lsdb, &failure);
+        let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let hops = |h: &Graph, edges: &[EdgeId]| {
+            let mut hops: Vec<NodeId> = edges.iter().map(|&e| h.edge(e).dst).collect();
+            hops.sort();
+            hops
         };
-        prop_assert_eq!(adjacencies(withdrawal.topology()), adjacencies(&after));
+        for (t, spf) in g.nodes().zip(view.spfs()) {
+            let reference = shortest_path_dag(&lsa, t);
+            prop_assert_eq!(bits(&spf.dist_to_dest), bits(&reference.dist_to_dest), "-> {}", t);
+            for u in g.nodes() {
+                prop_assert_eq!(
+                    hops(after, spf.next_hops(u)),
+                    hops(&lsa, reference.next_hops(u)),
+                    "next hops of {} towards {}", u, t
+                );
+            }
+        }
+
+        let stats = lsdb.withdraw(&failure, &view).unwrap().stats();
+        let from_dead = g.edges().filter(|&e| failure.kills_node(g.edge(e).src)).count();
+        prop_assert_eq!(stats.dead_routers, failure.nodes().count());
+        prop_assert_eq!(stats.dropped_links, g.edge_count() - after.edge_count() - from_dead);
     }
 }

@@ -1,37 +1,40 @@
 //! The routers' SPF over the LSDB's graph view against the physical graph.
 //!
-//! `compute_fib` and `Withdrawal::fib` are plain OSPF from
-//! `coyote_graph::spf` over the LSDB's graph view, plus two passes over the
-//! counted lies. If the graph view differed from the physical graph, every FIB
-//! would inherit the difference; so on every zoo topology the view must
-//! give bit-equal distances and equal next-hop sets, before and after a
-//! router failure. How the lies are combined is checked against a
+//! `compute_fib` is plain OSPF from `coyote_graph::spf` over the LSDB's
+//! graph view, plus two passes over the counted lies; `Withdrawal::fib` and
+//! `compute_fib_on` read the same SPFs off a failure's view of the physical
+//! graph instead. If the two differed, the FIBs would too; so on every zoo
+//! topology they must give bit-equal distances and equal next-hop sets,
+//! before and after a router failure (the LSDB side without the router's
+//! LSA and the adjacencies towards it). How the lies are combined is checked against a
 //! brute-force per-(router, prefix) reference by `spf`'s unit tests.
 
 use coyote_graph::spf::shortest_path_dag;
-use coyote_graph::{Failure, Graph, NodeId};
-use coyote_ospf::Lsdb;
+use coyote_graph::{Failure, FailureView, Graph, NodeId};
+use coyote_ospf::{LsaDelta, Lsdb, RouterLsa};
 
 /// Distances (bit for bit) and next-hop neighbor sets of plain OSPF on both
-/// representations of one topology.
-fn assert_same_plain_ospf(physical: &Graph, view: &Graph, what: &str) {
+/// representations of one topology: the physical side's view, and
+/// `shortest_path_dag` over the LSDB's graph view.
+fn assert_same_plain_ospf(physical: &FailureView, view: &Graph, what: &str) {
     let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let hops = |g: &Graph, edges: &[coyote_graph::EdgeId]| {
         let mut hops: Vec<NodeId> = edges.iter().map(|&e| g.edge(e).dst).collect();
         hops.sort();
         hops
     };
-    assert_eq!(physical.node_count(), view.node_count(), "{what}");
-    for t in physical.nodes() {
-        let (a, b) = (shortest_path_dag(physical, t), shortest_path_dag(view, t));
+    let graph = physical.graph();
+    assert_eq!(graph.node_count(), view.node_count(), "{what}");
+    for (t, a) in graph.nodes().zip(physical.spfs()) {
+        let b = shortest_path_dag(view, t);
         assert_eq!(
             bits(&a.dist_to_dest),
             bits(&b.dist_to_dest),
             "{what} -> {t}"
         );
-        for u in physical.nodes() {
+        for u in graph.nodes() {
             assert_eq!(
-                hops(physical, a.next_hops(u)),
+                hops(graph, a.next_hops(u)),
                 hops(view, b.next_hops(u)),
                 "{what}: next hops of {u} towards {t}"
             );
@@ -45,23 +48,38 @@ fn the_lsdb_view_is_the_physical_graph_on_every_zoo_topology() {
         let g = topology.to_graph().expect("zoo topology loads");
         let n = g.node_count();
         let lsdb = Lsdb::from_graph(&g);
-        assert_same_plain_ospf(&g, &lsdb.real_topology(n), &topology.name);
+        let healthy = Failure::default().surviving(&g);
+        assert_same_plain_ospf(&healthy, &lsdb.real_topology(n), &topology.name);
 
-        // Fail the best-connected router: the view keeps it as an isolated
-        // node, exactly like the physical graph minus its incident edges.
+        // Fail the best-connected router: the LSDB without its LSA and the
+        // adjacencies towards it keeps it as an isolated node, exactly like
+        // the failure's view of the physical graph.
         let hub = g
             .nodes()
             .max_by_key(|&v| g.out_edges(v).len())
             .expect("non-empty topology");
-        let incident: Vec<_> = g
-            .edges()
-            .filter(|&e| g.edge(e).src == hub || g.edge(e).dst == hub)
+        let failure = Failure::new([hub], []);
+        let router_lsas: Vec<RouterLsa> = (lsdb.router_lsas().iter())
+            .filter(|lsa| lsa.router != hub)
+            .map(|lsa| RouterLsa {
+                router: lsa.router,
+                links: lsa
+                    .links
+                    .iter()
+                    .filter(|l| l.neighbor != hub)
+                    .cloned()
+                    .collect(),
+            })
             .collect();
-        let withdrawal = lsdb.withdraw(&Failure::new([hub], []));
-        assert_eq!(withdrawal.stats().dead_routers, 1);
+        let mut pruned = Lsdb::default();
+        let delta = LsaDelta {
+            router_lsas: Some(router_lsas),
+            updates: Vec::new(),
+        };
+        delta.apply(&mut pruned).expect("no lies to apply");
         assert_same_plain_ospf(
-            &g.without_edges(&incident),
-            withdrawal.topology(),
+            &failure.surviving(&g),
+            &pruned.real_topology(n),
             &format!("{} without {hub}", topology.name),
         );
     }

@@ -16,18 +16,19 @@
 //!   link failure moves the shortest-path DAG of 58–81 % of the destinations
 //!   on the daemon's five topologies, so no per-destination dirty rule pays
 //!   for itself. An event therefore sets or clears one router or link of
-//!   the failure, builds the graph that survives it
-//!   ([`Failure::surviving`](coyote_graph::Failure::surviving)), one
-//!   shortest-path DAG per destination and the augmented DAGs over them, and
-//!   re-solves every destination — unless it **restores**. OSPF's own first
-//!   reaction, reported as `immediate_prune`, is the LSDB withdrawal
-//!   ([`Lsdb::withdraw`]) of a failure holding just the element that died.
-//! * **Restore.** The engine keeps exactly one previous program: the one its
-//!   last topology event replaced, with the failure and the demand matrix it
-//!   was serving. An event that returns the failure to that key —
-//!   typically the recovery of the link that just failed — serves that
-//!   program again and re-solves only the destinations whose demand column
-//!   moved in between. It runs no Dijkstra.
+//!   the failure, builds its view — the surviving graph and one
+//!   shortest-path DAG per destination
+//!   ([`Failure::surviving`](coyote_graph::Failure::surviving)) — and the
+//!   augmented DAGs over them, and re-solves every destination — unless it
+//!   **restores**. OSPF's own first reaction, reported as `immediate_prune`,
+//!   is the LSDB withdrawal ([`Lsdb::withdraw`]) of just the element that
+//!   died, read over the served program's view: no Dijkstra of its own.
+//! * **Restore.** The engine keeps exactly one previous program, view
+//!   included: the one its last topology event replaced, with the failure
+//!   and the demand matrix it was serving. An event that returns the failure
+//!   to that key — a recovery of the link that just failed, or its failing
+//!   again — serves that program again and re-solves only the destinations
+//!   whose demand column moved in between. It runs no Dijkstra.
 //!
 //! Start-up, [`TeEngine::cold_rebuild`], topology events and demand updates
 //! all run one step (`Program::recompute`: solve these destinations, compile
@@ -53,8 +54,7 @@
 use crate::error::ServeError;
 use coyote_core::dag_builder::augment;
 use coyote_core::{demand_dirty_destinations, solve_destination, PdRouting};
-use coyote_graph::spf::{shortest_path_dag, ShortestPathDag};
-use coyote_graph::{Failure, Graph, NodeId};
+use coyote_graph::{Failure, FailureView, Graph, NodeId};
 use coyote_obs::Histogram;
 use coyote_ospf::{
     compile_destination, compute_fib, DestinationLies, Fib, LsaDelta, Lsdb, PrefixUpdate,
@@ -180,10 +180,10 @@ pub struct ColdState {
 /// demand induces under its ratios and the per-prefix lies compiled from
 /// them.
 struct Program {
-    graph: Graph,
-    /// `spfs[t]`: plain OSPF towards `t` on `graph` — the one Dijkstra per
-    /// destination that both `t`'s augmented DAG and its compile read.
-    spfs: Vec<ShortestPathDag>,
+    /// The surviving graph and plain OSPF towards every destination on it:
+    /// the one Dijkstra per destination that `t`'s augmented DAG, its
+    /// compile and a down event's prune all read.
+    view: FailureView,
     routing: PdRouting,
     /// `unroutable[t]`: demand towards `t` whose source has no DAG out-edge.
     unroutable: Vec<f64>,
@@ -199,23 +199,18 @@ impl Program {
     /// every destination, and those augmented into a placeholder routing.
     fn unsolved(pristine: &Graph, failure: &Failure) -> Result<Program, ServeError> {
         let _span = coyote_obs::span("serve.rebuild");
-        let graph = failure.surviving(pristine);
-        let spfs: Vec<ShortestPathDag> = graph
-            .nodes()
-            .map(|t| shortest_path_dag(&graph, t))
-            .collect();
-        let dags = spfs
-            .iter()
-            .map(|spf| augment(&graph, spf))
+        let view = failure.surviving(pristine);
+        let graph = view.graph();
+        let dags = (view.spfs().iter())
+            .map(|spf| augment(graph, spf))
             .collect::<Result<Vec<_>, _>>()?;
         let (n, m) = (graph.node_count(), graph.edge_count());
         Ok(Program {
-            routing: PdRouting::uniform(&graph, dags),
-            spfs,
+            routing: PdRouting::uniform(graph, dags),
             unroutable: vec![0.0; n],
             loads: vec![vec![0.0; m]; n],
             lies: vec![DestinationLies::default(); n],
-            graph,
+            view,
         })
     }
 
@@ -247,21 +242,21 @@ impl Program {
         // only its own row, so the order cannot change a result; a link
         // event's n solves just run ~5 % faster back to back than interleaved
         // with n compiles.
+        let graph = self.view.graph();
         for &t in dirty {
-            let solve = solve_destination(&self.graph, self.routing.dag(t), demands, t)?;
-            self.routing.set_ratios(&self.graph, t, &solve.flows);
+            let solve = solve_destination(graph, self.routing.dag(t), demands, t)?;
+            self.routing.set_ratios(graph, t, &solve.flows);
             self.unroutable[t.index()] = solve.unroutable_volume;
             let loads = &mut self.loads[t.index()];
             loads.fill(0.0);
-            self.routing
-                .add_destination_loads(&self.graph, demands, t, loads);
+            self.routing.add_destination_loads(graph, demands, t, loads);
         }
         let _span = coyote_obs::span("serve.compile");
         dirty
             .iter()
             .map(|&t| {
-                let plain = &self.spfs[t.index()];
-                let compiled = compile_destination(&self.graph, plain, &self.routing, t, budget)?;
+                let plain = &self.view.spfs()[t.index()];
+                let compiled = compile_destination(graph, plain, &self.routing, t, budget)?;
                 Ok(std::mem::replace(&mut self.lies[t.index()], compiled))
             })
             .collect()
@@ -272,7 +267,7 @@ impl Program {
     /// own order, in which a destination without demand would add `+0.0` —
     /// so every total is `to_bits`-equal to the one it computes.
     fn edge_totals(&self) -> Vec<f64> {
-        let mut totals = vec![0.0; self.graph.edge_count()];
+        let mut totals = vec![0.0; self.view.graph().edge_count()];
         for loads in &self.loads {
             for (total, load) in totals.iter_mut().zip(loads) {
                 *total += load;
@@ -284,7 +279,7 @@ impl Program {
     /// The LSDB a cold compile floods: the physical topology plus every
     /// prefix's lies injected in destination order.
     fn cold_lsdb(&self) -> Lsdb {
-        let mut lsdb = Lsdb::from_graph(&self.graph);
+        let mut lsdb = Lsdb::from_graph(self.view.graph());
         for lie in self.lies.iter().flat_map(|per_dest| &per_dest.lies) {
             lsdb.inject(lie.clone());
         }
@@ -357,7 +352,7 @@ impl TeEngine {
 
     /// The currently surviving graph.
     pub fn current_graph(&self) -> &Graph {
-        &self.program.graph
+        self.program.view.graph()
     }
 
     /// The pristine (no-failure) graph.
@@ -519,8 +514,8 @@ impl TeEngine {
         if !failure.set_link(a, b, !up) {
             return Err(not_toggled(what(), up));
         }
-        let prune = (!up).then(|| self.prune(&Failure::new([], [(a, b)])));
-        self.apply_topology_event(failure, Kind::Link, prune, start)
+        let died = (!up).then(|| Failure::new([], [(a, b)]));
+        self.apply_topology_event(failure, Kind::Link, died, start)
     }
 
     /// Applies a node up/down event: all links incident to the router fail
@@ -539,8 +534,8 @@ impl TeEngine {
             let what = format!("node {}", self.pristine.node_name(node));
             return Err(not_toggled(what, up));
         }
-        let prune = (!up).then(|| self.prune(&Failure::new([node], [])));
-        self.apply_topology_event(failure, Kind::Node, prune, start)
+        let died = (!up).then(|| Failure::new([node], []));
+        self.apply_topology_event(failure, Kind::Node, died, start)
     }
 
     /// Recomputes everything from `(pristine, failure, demands)` — the
@@ -582,23 +577,18 @@ impl TeEngine {
         })
     }
 
-    /// OSPF's immediate reaction to `failure`, before the controller
-    /// re-optimizes: how much state it withdraws on its own.
-    fn prune(&self, failure: &Failure) -> PruneStats {
-        let _span = coyote_obs::span("serve.prune");
-        self.lsdb.withdraw(failure).stats()
-    }
-
     /// Shared tail of link/node events: serve the program of `failure`,
     /// keep the one it replaces, and commit through the delta path with
     /// replacement router LSAs. When `failure` is the kept program's key,
     /// that program is served again with only the columns that moved since
     /// re-solved; otherwise one is rebuilt and every destination solved.
+    /// A down event then withdraws the element that `died` from the served
+    /// LSDB over the new program's view (that LSDB's topology without it).
     fn apply_topology_event(
         &mut self,
         failure: Failure,
         kind: Kind,
-        prune: Option<PruneStats>,
+        died: Option<Failure>,
         start: Instant,
     ) -> Result<UpdateOutcome, ServeError> {
         let restorable = self.kept.take().filter(|kept| kept.failure == failure);
@@ -620,7 +610,16 @@ impl TeEngine {
                 (program, self.pristine.nodes().collect())
             }
         };
-        let router_lsas = Lsdb::from_graph(&program.graph).router_lsas().to_vec();
+        let prune = match died {
+            Some(died) => {
+                let _span = coyote_obs::span("serve.prune");
+                Some(self.lsdb.withdraw(&died, &program.view)?.stats())
+            }
+            None => None,
+        };
+        let router_lsas = Lsdb::from_graph(program.view.graph())
+            .router_lsas()
+            .to_vec();
         let kept = Kept {
             failure: std::mem::replace(&mut self.failure, failure),
             demands: self.demands.clone(),

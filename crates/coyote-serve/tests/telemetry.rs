@@ -83,10 +83,25 @@ fn run_session(threads: usize) -> coyote_obs::Snapshot {
         (0, 1),
         "a demand update re-solves its column and runs no Dijkstra"
     );
-    let (status, body) = request(&addr, "POST", "/link", r#"{"a":0,"b":1,"up":false}"#);
+    let healthy = work();
+    let link = |up: bool| {
+        request(
+            &addr,
+            "POST",
+            "/link",
+            &format!(r#"{{"a":0,"b":1,"up":{up}}}"#),
+        )
+    };
+    let (status, body) = link(false);
     assert_eq!(status, 200, "{body}");
     let outage = work();
-    let (status, body) = request(&addr, "POST", "/link", r#"{"a":0,"b":1,"up":true}"#);
+    assert_eq!(
+        (outage.0 - healthy.0, outage.1 - healthy.1),
+        (11, 11),
+        "a link-down that rebuilds runs one Dijkstra per destination (its prune reads them) \
+         and re-solves all 11 of Abilene's"
+    );
+    let (status, body) = link(true);
     assert_eq!(status, 200, "{body}");
     assert_eq!(
         work(),
@@ -97,6 +112,23 @@ fn run_session(threads: usize) -> coyote_obs::Snapshot {
         (count("serve.event.restored"), count("serve.event.resolved")),
         (11, 0),
         "all of Abilene's 11 destinations restored"
+    );
+    // Down -> up -> down: the second down restores the program the up
+    // replaced, and its prune reads that program's view.
+    let (status, body) = link(false);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        work(),
+        outage,
+        "a second failure of the link restores: no solve, no Dijkstra, prune included"
+    );
+    let (status, body) = link(true);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(work(), outage);
+    assert_eq!(
+        (count("serve.event.restored"), count("serve.event.resolved")),
+        (33, 0),
+        "three restores of all 11 destinations"
     );
     let (status, body) = request(&addr, "POST", "/recompile", "");
     assert_eq!(status, 200, "{body}");
@@ -137,7 +169,7 @@ fn run_session(threads: usize) -> coyote_obs::Snapshot {
         (failed("failed_links"), failed("failed_nodes")),
         (Some(0), Some(0))
     );
-    assert_eq!(state.get("epoch").and_then(|e| e.as_f64()), Some(3.0));
+    assert_eq!(state.get("epoch").and_then(|e| e.as_f64()), Some(5.0));
 
     server.shutdown();
     server.join();
